@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mistique_obs::{AuditLog, AuditRecord, AuditStats};
-use mistique_store::{AuditDir, StorageBackend};
+use mistique_store::{StorageBackend, StoreSubdir, AUDIT_SUBDIR};
 
 use crate::error::MistiqueError;
 use crate::executor::ModelSource;
@@ -72,7 +72,7 @@ impl AuditState {
         if config.audit_budget_bytes == 0 {
             return None;
         }
-        let io = AuditDir::create(Arc::clone(backend), dir).ok()?;
+        let io = StoreSubdir::create(Arc::clone(backend), dir, AUDIT_SUBDIR).ok()?;
         Some(AuditState {
             log: AuditLog::open(Box::new(io), config.audit_budget_bytes),
             pending: None,
@@ -301,7 +301,7 @@ impl Mistique {
     /// surviving persisted records plus records buffered by the live
     /// journal.
     pub fn audit_records(&self) -> Result<Vec<AuditRecord>, MistiqueError> {
-        let io = AuditDir::open_readonly(Arc::clone(&self.backend), &self.dir);
+        let io = StoreSubdir::open_readonly(Arc::clone(&self.backend), &self.dir, AUDIT_SUBDIR);
         let mut recs = AuditLog::load(&io).map_err(mistique_store::StoreError::Io)?;
         if let Some(state) = &self.audit {
             recs.extend(state.log.pending_records().iter().cloned());
@@ -324,7 +324,7 @@ impl Mistique {
         backend: Arc<dyn StorageBackend>,
         dir: &Path,
     ) -> Result<Vec<AuditRecord>, MistiqueError> {
-        let io = AuditDir::open_readonly(backend, dir);
+        let io = StoreSubdir::open_readonly(backend, dir, AUDIT_SUBDIR);
         AuditLog::load(&io).map_err(|e| mistique_store::StoreError::Io(e).into())
     }
 }
@@ -401,7 +401,7 @@ mod tests {
         assert!(sys.audit_stats().is_none());
         drop(sys);
         assert!(
-            !dir.path().join(mistique_store::AUDIT_SUBDIR).exists(),
+            !dir.path().join(AUDIT_SUBDIR).exists(),
             "no audit directory is even created"
         );
         assert!(Mistique::load_audit(dir.path()).unwrap().is_empty());

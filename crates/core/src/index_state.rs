@@ -28,8 +28,8 @@ use std::sync::Arc;
 
 use mistique_dataframe::{ColumnData, DataFrame};
 use mistique_index::{IndexBuilder, IntermediateIndex};
-use mistique_obs::{Counter, Gauge, Obs};
-use mistique_store::{IndexDir, StorageBackend};
+use mistique_obs::{Counter, Gauge, Obs, SegmentIo};
+use mistique_store::{StorageBackend, StoreSubdir, INDEX_SUBDIR};
 
 use crate::capture::{decode_column, ValueScheme};
 use crate::system::{Mistique, MistiqueConfig};
@@ -37,7 +37,7 @@ use crate::system::{Mistique, MistiqueConfig};
 /// Per-instance index state: the I/O adapter, lazily loaded indexes, and
 /// in-flight builders.
 pub(crate) struct IndexState {
-    io: IndexDir,
+    io: StoreSubdir,
     top_m: usize,
     row_block_size: usize,
     /// Lazily populated: `Some(idx)` = valid loaded index, `None` = known
@@ -70,7 +70,7 @@ impl IndexState {
         if config.index_top_m == 0 {
             return None;
         }
-        let io = IndexDir::create(Arc::clone(backend), dir).ok()?;
+        let io = StoreSubdir::create(Arc::clone(backend), dir, INDEX_SUBDIR).ok()?;
         Some(IndexState {
             io,
             top_m: config.index_top_m,

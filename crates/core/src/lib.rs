@@ -80,12 +80,11 @@ pub use metadata::{IntermediateMeta, MetadataDb, ModelKind};
 pub use mistique_index::{IntermediateIndex, DEFAULT_TOP_M};
 pub use mistique_obs::{
     counter_trace_json, validate_prometheus, AuditLog, AuditRecord, AuditStats, Counter,
-    EngineEvent, Gauge, HistPoint, Histogram, Obs, RecorderStats, Snapshot, Span, SpanContext,
-    SpanRecord, Timeline, TimelinePoint,
+    EngineEvent, Gauge, HistPoint, Histogram, Obs, RecorderStats, SegmentIo, Snapshot, Span,
+    SpanContext, SpanRecord, Timeline, TimelinePoint,
 };
 pub use mistique_store::{
-    AuditDir, CompactionReport, IndexDir, RetractOutcome, TelemetryDir, AUDIT_SUBDIR, INDEX_SUBDIR,
-    TELEMETRY_SUBDIR,
+    CompactionReport, RetractOutcome, StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR,
 };
 pub use reader::{FetchResult, FetchStrategy};
 pub use replay::{

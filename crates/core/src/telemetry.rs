@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mistique_obs::{FlightRecorder, RecorderStats, Timeline};
-use mistique_store::{StorageBackend, TelemetryDir};
+use mistique_store::{StorageBackend, StoreSubdir, TELEMETRY_SUBDIR};
 
 use crate::error::MistiqueError;
 use crate::report::{PlanChoice, QueryReport};
@@ -64,7 +64,7 @@ impl TelemetryState {
         if config.telemetry_budget_bytes == 0 {
             return None;
         }
-        let io = TelemetryDir::create(Arc::clone(backend), dir).ok()?;
+        let io = StoreSubdir::create(Arc::clone(backend), dir, TELEMETRY_SUBDIR).ok()?;
         Some(TelemetryState {
             recorder: FlightRecorder::open(Box::new(io), config.telemetry_budget_bytes),
             last_plan: HashMap::new(),
@@ -191,7 +191,7 @@ impl Mistique {
     /// order. Unflushed (pending) events of the live recorder are included,
     /// stamped with the sequence the next capture will use.
     pub fn timeline(&self) -> Result<Timeline, MistiqueError> {
-        let io = TelemetryDir::open_readonly(Arc::clone(&self.backend), &self.dir);
+        let io = StoreSubdir::open_readonly(Arc::clone(&self.backend), &self.dir, TELEMETRY_SUBDIR);
         let mut tl = Timeline::load(&io).map_err(mistique_store::StoreError::Io)?;
         if let Some(state) = &self.telemetry {
             let pending = state.recorder.pending_events();
@@ -207,7 +207,7 @@ impl Mistique {
     /// `mistique timeline <dir>` entry point).
     pub fn load_timeline(dir: impl AsRef<Path>) -> Result<Timeline, MistiqueError> {
         let backend: Arc<dyn StorageBackend> = Arc::new(mistique_store::RealFs);
-        let io = TelemetryDir::open_readonly(backend, dir.as_ref());
+        let io = StoreSubdir::open_readonly(backend, dir.as_ref(), TELEMETRY_SUBDIR);
         Timeline::load(&io).map_err(|e| mistique_store::StoreError::Io(e).into())
     }
 

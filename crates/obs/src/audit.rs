@@ -13,19 +13,19 @@
 //!
 //! Records are buffered and flushed in batches (every
 //! [`DEFAULT_FLUSH_EVERY`] records, at burst boundaries, and on engine
-//! drop) so steady-state capture stays off the query hot path. Segments use
-//! the same atomic rewrite + byte-bounded retention discipline as the
-//! recorder; all I/O is **best-effort** — a failed write counts an error
-//! and never fails the data operation that produced the record.
+//! drop) so steady-state capture stays off the query hot path. Segments are
+//! persisted by the shared segment ring (`ring.rs`), the recorder's too:
+//! atomic rewrite, byte-bounded retention, and **best-effort** I/O — a
+//! failed write counts an error and never fails the data operation that
+//! produced the record.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
-use std::time::SystemTime;
 
 use crate::export::push_json_string;
-use crate::json::{self, JsonValue};
-use crate::timeline::SegmentIo;
+use crate::json::JsonValue;
+use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 
 /// Target size of one audit segment before the log seals it (each flush
 /// rewrites the current segment atomically, so this bounds per-flush write
@@ -35,6 +35,9 @@ pub const DEFAULT_AUDIT_SEGMENT_TARGET: usize = 32 * 1024;
 /// Records buffered before an automatic flush. A crash can lose at most
 /// this many trailing records; the journal on disk stays loadable.
 pub const DEFAULT_FLUSH_EVERY: usize = 32;
+
+/// The journal's one segment family.
+const FAMILIES: [&str; 1] = ["au_"];
 
 /// One audited engine operation.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -155,26 +158,6 @@ fn push_audit_f64(out: &mut String, key: &str, v: f64) {
     }
 }
 
-/// Parse `au_XXXXXXXXXXXXXXXX.jsonl` names.
-fn parse_segment_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("au_")?.strip_suffix(".jsonl")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
-
-fn segment_name(first_seq: u64) -> String {
-    format!("au_{first_seq:016x}.jsonl")
-}
-
-fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
-
 /// Point-in-time audit-log statistics (mirrored into `audit.*` gauges by
 /// the engine after each flush).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -198,16 +181,12 @@ pub struct AuditStats {
 /// The durable workload journal. One per open engine instance; all writes
 /// are best-effort (see module docs).
 pub struct AuditLog {
-    io: Box<dyn SegmentIo>,
-    budget_bytes: u64,
-    segment_target: usize,
+    ring: SegmentRing,
     flush_every: usize,
     next_seq: u64,
-    /// Buffered content + name of the currently-open segment.
-    cur: (String, Option<String>),
     pending: Vec<AuditRecord>,
-    sizes: BTreeMap<String, u64>,
-    stats: AuditStats,
+    records: u64,
+    flushes: u64,
 }
 
 impl AuditLog {
@@ -217,61 +196,22 @@ impl AuditLog {
     /// starts fresh, counting a write error) — auditing must never fail an
     /// engine open.
     pub fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> AuditLog {
-        let target = DEFAULT_AUDIT_SEGMENT_TARGET.min((budget_bytes as usize / 4).max(512));
-        let mut log = AuditLog {
-            io,
-            budget_bytes,
-            segment_target: target,
+        let (ring, next_seq) =
+            SegmentRing::open(io, &FAMILIES, budget_bytes, DEFAULT_AUDIT_SEGMENT_TARGET);
+        AuditLog {
+            ring,
             flush_every: DEFAULT_FLUSH_EVERY,
-            next_seq: 0,
-            cur: (String::new(), None),
+            next_seq,
             pending: Vec::new(),
-            sizes: BTreeMap::new(),
-            stats: AuditStats::default(),
-        };
-        match log.io.list() {
-            Ok(names) => {
-                for name in names {
-                    if parse_segment_name(&name).is_none() {
-                        // Sweep `.tmp` orphans from a crash mid-write; leave
-                        // other foreign files alone.
-                        if name.ends_with(".tmp") {
-                            let _ = log.io.remove(&name);
-                        }
-                        continue;
-                    }
-                    let len = log.io.read(&name).map(|b| b.len() as u64).unwrap_or(0);
-                    log.sizes.insert(name, len);
-                }
-                log.next_seq = log
-                    .sizes
-                    .keys()
-                    .filter_map(|n| {
-                        let first = parse_segment_name(n)?;
-                        let bytes = log.io.read(n).ok()?;
-                        let max_line_seq = String::from_utf8_lossy(&bytes)
-                            .lines()
-                            .filter_map(|l| json::parse(l).ok())
-                            .filter_map(|v| v.get("seq")?.as_u64())
-                            .max();
-                        Some(max_line_seq.unwrap_or(first))
-                    })
-                    .max()
-                    .map(|s| s + 1)
-                    .unwrap_or(0);
-            }
-            Err(_) => log.stats.write_errors += 1,
+            records: 0,
+            flushes: 0,
         }
-        log.stats.segments = log.sizes.len() as u64;
-        log.stats.total_bytes = log.sizes.values().sum();
-        log.stats.next_seq = log.next_seq;
-        log
     }
 
     /// Override the segment rotation target (tests use tiny segments to
     /// exercise retention).
     pub fn set_segment_target(&mut self, bytes: usize) {
-        self.segment_target = bytes.max(1);
+        self.ring.set_segment_target(bytes);
     }
 
     /// Override the flush batch size (1 flushes every record).
@@ -281,12 +221,20 @@ impl AuditLog {
 
     /// Current journal statistics.
     pub fn stats(&self) -> AuditStats {
-        self.stats
+        AuditStats {
+            records: self.records,
+            flushes: self.flushes,
+            write_errors: self.ring.write_errors(),
+            segments_dropped: self.ring.segments_dropped(),
+            total_bytes: self.ring.total_bytes(),
+            segments: self.ring.segments(),
+            next_seq: self.next_seq,
+        }
     }
 
     /// The configured retention budget in bytes.
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.ring.budget_bytes()
     }
 
     /// Append a record: its `seq` and `t_ms` are stamped here; the record
@@ -294,8 +242,7 @@ impl AuditLog {
     pub fn append(&mut self, mut record: AuditRecord) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.next_seq = self.next_seq;
-        self.stats.records += 1;
+        self.records += 1;
         record.seq = seq;
         if record.t_ms == 0 {
             record.t_ms = unix_ms();
@@ -321,85 +268,24 @@ impl AuditLog {
             return;
         }
         let first_seq = self.pending[0].seq;
-        for rec in std::mem::take(&mut self.pending) {
-            self.cur.0.push_str(&rec.to_json_line());
-            self.cur.0.push('\n');
+        let mut lines = String::new();
+        for rec in self.pending.drain(..) {
+            lines.push_str(&rec.to_json_line());
+            lines.push('\n');
         }
-        let name = self
-            .cur
-            .1
-            .get_or_insert_with(|| segment_name(first_seq))
-            .clone();
-        let buf = self.cur.0.clone();
-        match self.io.write_atomic(&name, buf.as_bytes()) {
-            Ok(()) => {
-                self.sizes.insert(name, buf.len() as u64);
-                self.stats.flushes += 1;
-            }
-            Err(_) => {
-                self.stats.write_errors += 1;
-                // Keep the buffer: the next flush rewrites the whole
-                // segment, so the lost lines ride along then.
-            }
+        if self.ring.append(0, first_seq, &lines) {
+            self.flushes += 1;
         }
-        if buf.len() >= self.segment_target {
-            self.cur.0.clear();
-            self.cur.1 = None;
-        }
-        self.enforce_budget();
-        self.stats.segments = self.sizes.len() as u64;
-        self.stats.total_bytes = self.sizes.values().sum();
-    }
-
-    /// Drop oldest segments until the ring fits the budget. The bound is
-    /// hard: even the current segment is dropped if it alone exceeds it.
-    fn enforce_budget(&mut self) {
-        loop {
-            let total: u64 = self.sizes.values().sum();
-            if total <= self.budget_bytes {
-                break;
-            }
-            let Some(oldest) = self
-                .sizes
-                .keys()
-                .filter_map(|n| parse_segment_name(n).map(|s| (s, n.clone())))
-                .min()
-                .map(|(_, n)| n)
-            else {
-                break;
-            };
-            if self.io.remove(&oldest).is_err() {
-                self.stats.write_errors += 1;
-                break; // avoid spinning when removal keeps failing
-            }
-            self.sizes.remove(&oldest);
-            self.stats.segments_dropped += 1;
-            if self.cur.1.as_deref() == Some(oldest.as_str()) {
-                self.cur.0.clear();
-                self.cur.1 = None;
-            }
-        }
+        self.ring.enforce_budget();
     }
 
     /// Load every readable record, in sequence order. Unknown files are
     /// skipped; within a segment, parsing stops at the first torn line.
     pub fn load(io: &dyn SegmentIo) -> io::Result<Vec<AuditRecord>> {
-        let mut names: Vec<(u64, String)> = io
-            .list()?
-            .into_iter()
-            .filter_map(|n| parse_segment_name(&n).map(|s| (s, n)))
+        let mut out: Vec<AuditRecord> = SegmentRing::load(io, &FAMILIES)?
+            .iter()
+            .filter_map(|(_, v)| AuditRecord::from_json(v))
             .collect();
-        names.sort();
-        let mut out = Vec::new();
-        for (_, name) in names {
-            let Ok(bytes) = io.read(&name) else { continue };
-            for line in String::from_utf8_lossy(&bytes).lines() {
-                let Ok(v) = json::parse(line) else { break };
-                if let Some(r) = AuditRecord::from_json(&v) {
-                    out.push(r);
-                }
-            }
-        }
         out.sort_by_key(|r| r.seq);
         Ok(out)
     }
@@ -408,8 +294,8 @@ impl AuditLog {
 impl std::fmt::Debug for AuditLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuditLog")
-            .field("budget_bytes", &self.budget_bytes)
-            .field("stats", &self.stats)
+            .field("budget_bytes", &self.budget_bytes())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -417,7 +303,8 @@ impl std::fmt::Debug for AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::MemSegmentIo;
+    use crate::json;
+    use crate::ring::MemSegmentIo;
 
     fn sample(op: &str) -> AuditRecord {
         AuditRecord {
@@ -489,103 +376,16 @@ mod tests {
         assert_eq!(recs[2].op, "reclaim");
         assert_eq!(log.stats().records, 3);
         assert!(log.stats().total_bytes > 0);
-    }
-
-    #[test]
-    fn sequence_numbering_continues_across_reopen() {
-        let io = MemSegmentIo::new();
-        {
-            let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
-            log.append(sample("log"));
-            log.append(sample("fetch.get"));
-            log.flush();
-        }
-        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
-        assert_eq!(log.stats().next_seq, 2);
-        log.append(sample("diag.topk"));
-        log.flush();
-        let recs = AuditLog::load(&io).unwrap();
-        assert_eq!(
-            recs.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-    }
-
-    #[test]
-    fn retention_never_exceeds_the_budget() {
-        let io = MemSegmentIo::new();
-        let mut log = AuditLog::open(Box::new(io.clone()), 4096);
-        log.set_segment_target(512);
-        log.set_flush_every(1);
-        for _ in 0..100 {
-            log.append(sample("fetch.get"));
-            let total: u64 = io
-                .list()
-                .unwrap()
-                .iter()
-                .map(|n| io.read(n).unwrap().len() as u64)
-                .sum();
-            assert!(total <= 4096, "audit bytes {total} exceed budget");
-        }
-        assert!(log.stats().segments_dropped > 0);
-        // The survivors are the newest records, contiguous.
-        let recs = AuditLog::load(&io).unwrap();
-        assert!(!recs.is_empty());
-        assert_eq!(recs.last().unwrap().seq, 99);
-        for w in recs.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
-        }
-    }
-
-    #[test]
-    fn torn_trailing_line_is_ignored_on_load() {
-        let io = MemSegmentIo::new();
-        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
-        log.append(sample("log"));
-        log.append(sample("fetch.get"));
-        log.flush();
-        let name = io.list().unwrap()[0].clone();
-        let bytes = io.read(&name).unwrap();
-        io.write_atomic(&name, &bytes[..bytes.len() - 25]).unwrap();
-        let recs = AuditLog::load(&io).unwrap();
-        assert_eq!(recs.len(), 1, "torn tail dropped, valid prefix kept");
-        assert_eq!(recs[0].seq, 0);
-    }
-
-    #[test]
-    fn garbage_segments_do_not_poison_the_load() {
-        let io = MemSegmentIo::new();
-        io.write_atomic("au_0000000000000000.jsonl", b"not json\n")
-            .unwrap();
-        io.write_atomic("au_0000000000000003.jsonl.tmp", b"orphan")
-            .unwrap();
-        io.write_atomic("unrelated.txt", b"ignored").unwrap();
-        assert!(AuditLog::load(&io).unwrap().is_empty());
-        // Open sweeps the orphan and keeps numbering sane.
+        // A reopened journal continues the numbering.
         let log = AuditLog::open(Box::new(io.clone()), 1 << 20);
-        assert_eq!(log.stats().next_seq, 1, "unparseable segment anchors seq");
-        assert!(!io.list().unwrap().iter().any(|n| n.ends_with(".tmp")));
+        assert_eq!(log.stats().next_seq, 3);
     }
 
     #[test]
-    fn failed_writes_keep_the_buffer_and_count_errors() {
-        // An io that always fails writes.
-        struct FailIo;
-        impl SegmentIo for FailIo {
-            fn list(&self) -> io::Result<Vec<String>> {
-                Ok(Vec::new())
-            }
-            fn read(&self, _: &str) -> io::Result<Vec<u8>> {
-                Err(io::Error::other("nope"))
-            }
-            fn write_atomic(&self, _: &str, _: &[u8]) -> io::Result<()> {
-                Err(io::Error::other("nope"))
-            }
-            fn remove(&self, _: &str) -> io::Result<()> {
-                Err(io::Error::other("nope"))
-            }
-        }
-        let mut log = AuditLog::open(Box::new(FailIo), 1 << 20);
+    fn failed_writes_count_errors_and_still_count_the_record() {
+        let io = MemSegmentIo::new();
+        io.set_dead(true);
+        let mut log = AuditLog::open(Box::new(io), 1 << 20);
         log.set_flush_every(1);
         log.append(sample("log"));
         assert_eq!(log.stats().write_errors, 1);

@@ -30,6 +30,7 @@ mod journal;
 pub mod json;
 mod metrics;
 mod perfetto;
+mod ring;
 mod span;
 mod timeline;
 pub mod tree;
@@ -43,10 +44,10 @@ pub use hist::{HistBucket, HistSummary, Histogram};
 pub use journal::EngineEvent;
 pub use metrics::{Counter, Gauge};
 pub use perfetto::{chrome_trace_json, counter_trace_json};
+pub use ring::{MemSegmentIo, SegmentIo};
 pub use span::{Span, SpanContext, SpanRecord, SpanSummary, DEFAULT_RING_CAPACITY};
 pub use timeline::{
-    FlightRecorder, HistPoint, MemSegmentIo, RecorderStats, SegmentIo, Timeline, TimelinePoint,
-    DEFAULT_SEGMENT_TARGET,
+    FlightRecorder, HistPoint, RecorderStats, Timeline, TimelinePoint, DEFAULT_SEGMENT_TARGET,
 };
 pub use tree::{build_trees, render_trees, SpanNode};
 

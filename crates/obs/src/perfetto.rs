@@ -100,7 +100,8 @@ pub fn counter_trace_json(tl: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::{FlightRecorder, MemSegmentIo};
+    use crate::ring::MemSegmentIo;
+    use crate::timeline::FlightRecorder;
     use crate::Obs;
 
     #[test]

@@ -10,13 +10,11 @@
 //! journal segment, stamped with the point's sequence number.
 //!
 //! Segments live in their own subdirectory under the store directory and
-//! are written through a tiny [`SegmentIo`] port (implemented over the
-//! store's `StorageBackend` with the same tmp+fsync+rename discipline as
-//! partitions), so a crash can orphan a `*.tmp` but never tear a segment.
-//! Retention is byte-bounded: when the segment ring outgrows its budget the
-//! oldest segments are dropped first. Telemetry I/O is **best-effort** — a
-//! failing write increments an error count and is retried at the next
-//! capture, but never fails the data path that triggered it.
+//! are persisted by the shared segment ring (`ring.rs`): atomic
+//! whole-segment rewrites, byte-bounded oldest-first retention, and
+//! **best-effort** I/O — a failing write increments an error count and is
+//! retried at the next capture, but never fails the data path that
+//! triggered it.
 //!
 //! Counters reset when the process restarts (each `Obs` registry starts at
 //! zero, exactly like Prometheus counters after a target restart); the
@@ -26,72 +24,21 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::io;
-use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
 
 use crate::export::{push_json_string, Snapshot};
 use crate::journal::EngineEvent;
-use crate::json::{self, JsonValue};
+use crate::json::JsonValue;
+use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 
 /// Target size of one segment before the recorder seals it and starts the
 /// next (a capture rewrites the whole current segment atomically, so this
 /// bounds per-capture write amplification).
 pub const DEFAULT_SEGMENT_TARGET: usize = 16 * 1024;
 
-/// Minimal segment storage port. The obs crate cannot depend on the store
-/// crate (the dependency points the other way), so the store implements
-/// this over its `StorageBackend` and hands the recorder a boxed instance.
-pub trait SegmentIo: Send {
-    /// Names of the existing segment files (no paths, files only).
-    fn list(&self) -> io::Result<Vec<String>>;
-    /// Read a whole segment.
-    fn read(&self, name: &str) -> io::Result<Vec<u8>>;
-    /// Atomically replace a segment (tmp + fsync + rename + dir fsync).
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()>;
-    /// Remove a segment durably.
-    fn remove(&self, name: &str) -> io::Result<()>;
-}
-
-/// In-memory [`SegmentIo`] for unit tests (clones share the same files).
-#[derive(Clone, Debug, Default)]
-pub struct MemSegmentIo {
-    files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
-}
-
-impl MemSegmentIo {
-    /// A fresh, empty in-memory segment store.
-    pub fn new() -> MemSegmentIo {
-        MemSegmentIo::default()
-    }
-}
-
-impl SegmentIo for MemSegmentIo {
-    fn list(&self) -> io::Result<Vec<String>> {
-        Ok(self.files.lock().unwrap().keys().cloned().collect())
-    }
-
-    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        self.files
-            .lock()
-            .unwrap()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_string()))
-    }
-
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.files
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), bytes.to_vec());
-        Ok(())
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        self.files.lock().unwrap().remove(name);
-        Ok(())
-    }
-}
+/// The recorder's segment families: metric delta points and journal events.
+const FAMILIES: [&str; 2] = ["tl_", "ev_"];
+const POINTS: usize = 0;
+const EVENTS: usize = 1;
 
 /// Absolute histogram state carried by a delta point (recorded whenever the
 /// histogram's count moved since the previous point).
@@ -234,43 +181,6 @@ impl TimelinePoint {
     }
 }
 
-/// Which ring a segment belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum SegKind {
-    Points,
-    Events,
-}
-
-/// Parse `tl_XXXXXXXXXXXXXXXX.jsonl` / `ev_XXXXXXXXXXXXXXXX.jsonl` names.
-fn parse_segment_name(name: &str) -> Option<(SegKind, u64)> {
-    let (kind, rest) = if let Some(r) = name.strip_prefix("tl_") {
-        (SegKind::Points, r)
-    } else if let Some(r) = name.strip_prefix("ev_") {
-        (SegKind::Events, r)
-    } else {
-        return None;
-    };
-    let hex = rest.strip_suffix(".jsonl")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok().map(|seq| (kind, seq))
-}
-
-fn segment_name(kind: SegKind, first_seq: u64) -> String {
-    match kind {
-        SegKind::Points => format!("tl_{first_seq:016x}.jsonl"),
-        SegKind::Events => format!("ev_{first_seq:016x}.jsonl"),
-    }
-}
-
-fn unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-        .unwrap_or(0)
-}
-
 /// Point-in-time recorder statistics (mirrored into `telemetry.*` gauges by
 /// the engine after each capture).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -302,16 +212,12 @@ struct LastSeen {
 /// The durable telemetry recorder. One per open engine instance; all writes
 /// are best-effort (see module docs).
 pub struct FlightRecorder {
-    io: Box<dyn SegmentIo>,
-    budget_bytes: u64,
-    segment_target: usize,
+    ring: SegmentRing,
     next_seq: u64,
     last: LastSeen,
-    /// Buffered content + name of the currently-open segment of each ring.
-    cur: [(String, Option<String>); 2], // indexed by SegKind as usize
     pending: Vec<EngineEvent>,
-    sizes: BTreeMap<String, u64>,
-    stats: RecorderStats,
+    captures: u64,
+    events: u64,
 }
 
 impl FlightRecorder {
@@ -321,81 +227,40 @@ impl FlightRecorder {
     /// recorder starts fresh, counting a write error) — telemetry must
     /// never fail an engine open.
     pub fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> FlightRecorder {
-        // A target near the budget would leave the whole ring in one
-        // segment, so retention could only drop everything at once; clamp
-        // so rotation always keeps a few sealed segments of history.
-        let target = DEFAULT_SEGMENT_TARGET.min((budget_bytes as usize / 4).max(512));
-        let mut rec = FlightRecorder {
-            io,
-            budget_bytes,
-            segment_target: target,
-            next_seq: 0,
+        let (ring, next_seq) =
+            SegmentRing::open(io, &FAMILIES, budget_bytes, DEFAULT_SEGMENT_TARGET);
+        FlightRecorder {
+            ring,
+            next_seq,
             last: LastSeen::default(),
-            cur: [(String::new(), None), (String::new(), None)],
             pending: Vec::new(),
-            sizes: BTreeMap::new(),
-            stats: RecorderStats::default(),
-        };
-        match rec.io.list() {
-            Ok(names) => {
-                let mut newest: Option<(u64, String)> = None;
-                for name in names {
-                    let Some((_, first_seq)) = parse_segment_name(&name) else {
-                        // A crash mid-`write_atomic` can strand a `.tmp`
-                        // orphan; sweep it so it never accumulates against
-                        // the budget. Other foreign files are left alone.
-                        if name.ends_with(".tmp") {
-                            let _ = rec.io.remove(&name);
-                        }
-                        continue;
-                    };
-                    let len = rec.io.read(&name).map(|b| b.len() as u64).unwrap_or(0);
-                    rec.sizes.insert(name.clone(), len);
-                    if newest.as_ref().is_none_or(|(s, _)| first_seq >= *s) {
-                        newest = Some((first_seq, name));
-                    }
-                }
-                // The newest segment's last valid line carries the highest
-                // sequence number written so far.
-                rec.next_seq = rec
-                    .sizes
-                    .keys()
-                    .filter_map(|n| {
-                        let (_, first) = parse_segment_name(n)?;
-                        let bytes = rec.io.read(n).ok()?;
-                        let max_line_seq = String::from_utf8_lossy(&bytes)
-                            .lines()
-                            .filter_map(|l| json::parse(l).ok())
-                            .filter_map(|v| v.get("seq")?.as_u64())
-                            .max();
-                        Some(max_line_seq.unwrap_or(first))
-                    })
-                    .max()
-                    .map(|s| s + 1)
-                    .unwrap_or(0);
-            }
-            Err(_) => rec.stats.write_errors += 1,
+            captures: 0,
+            events: 0,
         }
-        rec.stats.segments = rec.sizes.len() as u64;
-        rec.stats.total_bytes = rec.sizes.values().sum();
-        rec.stats.next_seq = rec.next_seq;
-        rec
     }
 
     /// Override the segment rotation target (tests use tiny segments to
     /// exercise retention).
     pub fn set_segment_target(&mut self, bytes: usize) {
-        self.segment_target = bytes.max(1);
+        self.ring.set_segment_target(bytes);
     }
 
     /// Current recorder statistics.
     pub fn stats(&self) -> RecorderStats {
-        self.stats
+        RecorderStats {
+            captures: self.captures,
+            events: self.events,
+            write_errors: self.ring.write_errors(),
+            segments_dropped: self.ring.segments_dropped(),
+            total_bytes: self.ring.total_bytes(),
+            segments: self.ring.segments(),
+            next_seq: self.next_seq,
+        }
     }
 
     /// The configured retention budget in bytes.
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.ring.budget_bytes()
     }
 
     /// Buffer an engine event. It is flushed to the journal by the next
@@ -406,7 +271,7 @@ impl FlightRecorder {
         intermediate: Option<&str>,
         details: impl IntoIterator<Item = (String, String)>,
     ) {
-        self.stats.events += 1;
+        self.events += 1;
         self.pending.push(EngineEvent {
             snap_seq: 0, // stamped at flush
             t_ms: unix_ms(),
@@ -481,7 +346,6 @@ impl FlightRecorder {
 
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.next_seq = self.next_seq;
         point.seq = seq;
 
         // Commit the delta baselines regardless of write success — a failed
@@ -496,96 +360,29 @@ impl FlightRecorder {
             self.last.hist_counts.insert(name.clone(), h.count);
         }
 
-        self.append_line(SegKind::Points, seq, &point.to_json_line());
+        let mut line = point.to_json_line();
+        line.push('\n');
+        self.ring.append(POINTS, seq, &line);
         if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
             let mut lines = String::new();
-            for mut ev in pending {
+            for mut ev in std::mem::take(&mut self.pending) {
                 ev.snap_seq = seq;
                 lines.push_str(&ev.to_json_line());
                 lines.push('\n');
             }
-            self.append_lines(SegKind::Events, seq, &lines);
+            self.ring.append(EVENTS, seq, &lines);
         }
-        self.enforce_budget();
-        self.stats.captures += 1;
-        self.stats.segments = self.sizes.len() as u64;
-        self.stats.total_bytes = self.sizes.values().sum();
+        self.ring.enforce_budget();
+        self.captures += 1;
         Some(seq)
-    }
-
-    fn append_line(&mut self, kind: SegKind, seq: u64, line: &str) {
-        let mut lines = String::with_capacity(line.len() + 1);
-        lines.push_str(line);
-        lines.push('\n');
-        self.append_lines(kind, seq, &lines);
-    }
-
-    /// Append pre-terminated lines to the current segment of `kind`,
-    /// rewriting it atomically; seal it once it outgrows the target.
-    fn append_lines(&mut self, kind: SegKind, seq: u64, lines: &str) {
-        let slot = &mut self.cur[kind as usize];
-        slot.0.push_str(lines);
-        let name = slot
-            .1
-            .get_or_insert_with(|| segment_name(kind, seq))
-            .clone();
-        let buf = slot.0.clone();
-        match self.io.write_atomic(&name, buf.as_bytes()) {
-            Ok(()) => {
-                self.sizes.insert(name.clone(), buf.len() as u64);
-            }
-            Err(_) => {
-                self.stats.write_errors += 1;
-                // Keep the buffer: the next capture rewrites the whole
-                // segment, so the lost lines ride along then.
-            }
-        }
-        if buf.len() >= self.segment_target {
-            let slot = &mut self.cur[kind as usize];
-            slot.0.clear();
-            slot.1 = None;
-        }
-    }
-
-    /// Drop oldest segments until the ring fits the budget. The bound is
-    /// hard: even the current segment is dropped if it alone exceeds it.
-    fn enforce_budget(&mut self) {
-        loop {
-            let total: u64 = self.sizes.values().sum();
-            if total <= self.budget_bytes {
-                break;
-            }
-            let Some(oldest) = self
-                .sizes
-                .keys()
-                .filter_map(|n| parse_segment_name(n).map(|(_, s)| (s, n.clone())))
-                .min()
-                .map(|(_, n)| n)
-            else {
-                break;
-            };
-            if self.io.remove(&oldest).is_err() {
-                self.stats.write_errors += 1;
-                break; // avoid spinning when removal keeps failing
-            }
-            self.sizes.remove(&oldest);
-            self.stats.segments_dropped += 1;
-            for slot in &mut self.cur {
-                if slot.1.as_deref() == Some(oldest.as_str()) {
-                    slot.0.clear();
-                    slot.1 = None;
-                }
-            }
-        }
     }
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("budget_bytes", &self.budget_bytes)
-            .field("stats", &self.stats)
+            .field("budget_bytes", &self.budget_bytes())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -605,28 +402,11 @@ impl Timeline {
     /// (atomic segment writes make this a belt-and-braces guard).
     pub fn load(io: &dyn SegmentIo) -> io::Result<Timeline> {
         let mut tl = Timeline::default();
-        let mut names: Vec<(u64, SegKind, String)> = io
-            .list()?
-            .into_iter()
-            .filter_map(|n| parse_segment_name(&n).map(|(k, s)| (s, k, n)))
-            .collect();
-        names.sort();
-        for (_, kind, name) in names {
-            let Ok(bytes) = io.read(&name) else { continue };
-            for line in String::from_utf8_lossy(&bytes).lines() {
-                let Ok(v) = json::parse(line) else { break };
-                match kind {
-                    SegKind::Points => {
-                        if let Some(p) = TimelinePoint::from_json(&v) {
-                            tl.points.push(p);
-                        }
-                    }
-                    SegKind::Events => {
-                        if let Some(e) = EngineEvent::from_json(&v) {
-                            tl.events.push(e);
-                        }
-                    }
-                }
+        for (family, v) in SegmentRing::load(io, &FAMILIES)? {
+            if family == POINTS {
+                tl.points.extend(TimelinePoint::from_json(&v));
+            } else {
+                tl.events.extend(EngineEvent::from_json(&v));
             }
         }
         tl.points.sort_by_key(|p| p.seq);
@@ -786,6 +566,8 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+    use crate::ring::MemSegmentIo;
     use crate::Obs;
 
     fn recorder(io: MemSegmentIo, budget: u64) -> FlightRecorder {
@@ -917,96 +699,27 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbering_continues_across_reopen() {
-        let obs = Obs::new();
+    fn a_reopened_recorder_continues_the_numbering_and_shows_the_counter_reset() {
         let io = MemSegmentIo::new();
-        {
-            let mut rec = recorder(io.clone(), 1 << 20);
-            obs.counter("c").inc();
-            rec.capture(&obs.snapshot(), "log");
-            obs.counter("c").inc();
-            rec.capture(&obs.snapshot(), "log");
-        }
+        let obs = Obs::new();
+        let mut rec = recorder(io.clone(), 1 << 20);
+        obs.counter("c").add(2);
+        assert_eq!(rec.capture(&obs.snapshot(), "log"), Some(0));
         // "New process": fresh recorder and registry over the same segments.
         let obs2 = Obs::new();
         let mut rec = recorder(io.clone(), 1 << 20);
-        assert_eq!(rec.stats().next_seq, 2);
+        assert_eq!(rec.stats().next_seq, 1);
         obs2.counter("c").inc();
-        assert_eq!(rec.capture(&obs2.snapshot(), "log"), Some(2));
-        let tl = Timeline::load(&io).unwrap();
-        let seqs: Vec<u64> = tl.points.iter().map(|p| p.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        // Counter reset across restart is visible, like Prometheus.
-        assert_eq!(tl.series("c").last().unwrap().2, 1.0);
-    }
-
-    #[test]
-    fn retention_never_exceeds_the_budget() {
-        let obs = Obs::new();
-        let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 2048);
-        rec.set_segment_target(256);
-        let c = obs.counter("churn");
-        for i in 0..200 {
-            c.inc();
-            obs.gauge("padding.to.make.lines.longer").set(i as f64);
-            rec.capture(&obs.snapshot(), "log");
-            let total: u64 = io
-                .list()
-                .unwrap()
-                .iter()
-                .map(|n| io.read(n).unwrap().len() as u64)
-                .sum();
-            assert!(
-                total <= 2048,
-                "telemetry bytes {total} exceed budget after capture {i}"
-            );
-        }
-        assert!(
-            rec.stats().segments_dropped > 0,
-            "retention must have kicked in"
-        );
-        // The survivors are the newest points.
-        let tl = Timeline::load(&io).unwrap();
-        assert!(!tl.points.is_empty());
-        assert_eq!(tl.max_seq(), Some(199));
-        for w in tl.points.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1, "surviving points are contiguous");
-        }
-    }
-
-    #[test]
-    fn torn_trailing_line_is_ignored_on_load() {
-        let obs = Obs::new();
-        let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
-        obs.counter("c").inc();
-        rec.capture(&obs.snapshot(), "log");
-        obs.counter("c").inc();
-        rec.capture(&obs.snapshot(), "log");
-        // Tear the segment's second line in half, behind the recorder's back.
-        let name = io.list().unwrap()[0].clone();
-        let bytes = io.read(&name).unwrap();
-        let cut = bytes.len() - 20;
-        io.write_atomic(&name, &bytes[..cut]).unwrap();
-        let tl = Timeline::load(&io).unwrap();
-        assert_eq!(tl.points.len(), 1, "torn tail dropped, valid prefix kept");
-        assert_eq!(tl.points[0].seq, 0);
-    }
-
-    #[test]
-    fn garbage_segments_do_not_poison_the_load() {
-        let io = MemSegmentIo::new();
-        io.write_atomic("tl_0000000000000000.jsonl", b"not json at all\n")
-            .unwrap();
-        io.write_atomic("ev_0000000000000000.jsonl", b"\x00\xff\x80 binary")
-            .unwrap();
-        io.write_atomic("tl_0000000000000005.jsonl.tmp", b"orphan")
-            .unwrap();
-        io.write_atomic("unrelated.txt", b"ignored").unwrap();
-        let tl = Timeline::load(&io).unwrap();
-        assert!(tl.points.is_empty());
-        assert!(tl.events.is_empty());
+        assert_eq!(rec.capture(&obs2.snapshot(), "log"), Some(1));
+        // The counter restarted from zero and the timeline shows it, like
+        // Prometheus after a target restart.
+        let values: Vec<f64> = Timeline::load(&io)
+            .unwrap()
+            .series("c")
+            .iter()
+            .map(|s| s.2)
+            .collect();
+        assert_eq!(values, vec![2.0, 1.0]);
     }
 
     #[test]

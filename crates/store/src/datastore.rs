@@ -571,7 +571,7 @@ impl DataStore {
         if dedup && self.config.delta_enabled {
             if let Some(sig) = &sig {
                 if let Some(base) = self.find_delta_base(sig, digest) {
-                    if let Ok(base_bytes) = self.stored_bytes_by_digest(base, false) {
+                    if let Ok(base_bytes) = self.stored_bytes_by_digest(base) {
                         let frame = basedelta::encode(&stored, &base_bytes, (base.0, base.1));
                         if frame.len() * 4 <= stored.len() * 3 {
                             delta_of = Some(base);
@@ -682,7 +682,7 @@ impl DataStore {
             return Ok(cur_len);
         }
         let old_pid = *self.digest_loc.get(&digest).ok_or(StoreError::NotFound)?;
-        let raw = self.stored_bytes_by_digest(digest, false)?;
+        let raw = self.stored_bytes_by_digest(digest)?;
         let chunk = ColumnChunk::from_bytes(&raw)?;
         let values = chunk.data.to_f64();
         let elements = discretize(&values, self.config.discretize_bin);
@@ -690,7 +690,7 @@ impl DataStore {
         let Some(base) = self.find_delta_base(&sig, digest) else {
             return Ok(cur_len);
         };
-        let base_bytes = self.stored_bytes_by_digest(base, false)?;
+        let base_bytes = self.stored_bytes_by_digest(base)?;
         let frame = basedelta::encode(&raw, &base_bytes, (base.0, base.1));
         if frame.len() * 4 > raw.len() * 3 {
             return Ok(cur_len);
@@ -1093,25 +1093,17 @@ impl DataStore {
         self.key_map.contains_key(key)
     }
 
-    /// Read a chunk back by key.
+    /// Read a chunk back by key: a batch of one.
     pub fn get_chunk(&mut self, key: &ChunkKey) -> Result<ColumnChunk, StoreError> {
-        let t0 = Instant::now();
-        let out = self.get_chunk_inner(key);
-        self.metrics.get_count.inc();
-        self.metrics.get_ns.record_duration(t0.elapsed());
-        out
+        let bytes = self.get_chunk_bytes_batch(std::slice::from_ref(key), 1)?;
+        Ok(ColumnChunk::from_bytes(&bytes[0])?)
     }
 
     /// The stored bytes of a digest through the usual three tiers (buffer
-    /// pool → read cache → disk). For a delta-encoded digest this is the
-    /// frame, not the chunk — the delta resolution paths use it to fetch
-    /// both halves. `count` controls whether the read-path hit/miss metrics
-    /// are charged (put-side base probes stay silent).
-    fn stored_bytes_by_digest(
-        &mut self,
-        digest: ContentDigest,
-        count: bool,
-    ) -> Result<Vec<u8>, StoreError> {
+    /// pool → read cache → disk), for the put side's delta probes and
+    /// re-encodes: the read-path hit/miss metrics are not charged. For a
+    /// delta-encoded digest this is the frame, not the chunk.
+    fn stored_bytes_by_digest(&mut self, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
         let pid = *self.digest_loc.get(&digest).ok_or(StoreError::NotFound)?;
         if let Some(reason) = self.quarantined.get(&pid) {
             return Err(StoreError::Quarantined {
@@ -1124,9 +1116,6 @@ impl DataStore {
                 .get(digest)
                 .ok_or(StoreError::CorruptPartition("missing chunk"))?
                 .to_vec();
-            if count {
-                self.metrics.get_mem_hits.inc();
-            }
             return Ok(bytes);
         }
         if let Some(part) = self.read_cache.get(&pid) {
@@ -1134,15 +1123,7 @@ impl DataStore {
                 .get(digest)
                 .ok_or(StoreError::CorruptPartition("missing chunk"))?
                 .to_vec();
-            if count {
-                self.metrics.get_cache_hits.inc();
-                self.metrics.read_cache_hits.inc();
-            }
             return Ok(bytes);
-        }
-        if count {
-            self.metrics.get_disk_reads.inc();
-            self.metrics.read_cache_misses.inc();
         }
         let sealed = self.disk.read(pid)?;
         Self::note_codec_read(&self.obs, &self.codec_read_bytes, &sealed);
@@ -1153,29 +1134,6 @@ impl DataStore {
             .to_vec();
         self.cache_loaded_partition(pid, part);
         Ok(bytes)
-    }
-
-    /// Rehydrate a delta frame into the target chunk's serialized bytes:
-    /// fetch the base by digest, verify, XOR. Attributes the frame's bytes
-    /// to the `delta:<inner scheme>` codec so EXPLAIN shows where delta
-    /// resolution happened.
-    fn resolve_delta(
-        &mut self,
-        digest: ContentDigest,
-        frame: Vec<u8>,
-    ) -> Result<Vec<u8>, StoreError> {
-        let Some(&base) = self.delta_base.get(&digest) else {
-            return Ok(frame);
-        };
-        if !basedelta::is_delta_frame(&frame) {
-            // The mapping outlived a raw re-store (possible only across a
-            // catalog roundtrip); the stored bytes are already the chunk.
-            return Ok(frame);
-        }
-        let base_bytes = self.stored_bytes_by_digest(base, false)?;
-        let raw = basedelta::decode(&frame, &base_bytes, (base.0, base.1))?;
-        self.note_delta_read(&frame);
-        Ok(raw)
     }
 
     /// Account one delta rehydration: frame bytes against the
@@ -1197,62 +1155,6 @@ impl DataStore {
             .counter(&format!("read.codec.delta_{scheme}.count"))
             .inc();
         self.metrics.delta_rehydrations.inc();
-    }
-
-    fn get_chunk_inner(&mut self, key: &ChunkKey) -> Result<ColumnChunk, StoreError> {
-        let digest = *self.key_map.get(key).ok_or(StoreError::NotFound)?;
-        let pid = *self.digest_loc.get(&digest).ok_or(StoreError::NotFound)?;
-        if let Some(reason) = self.quarantined.get(&pid) {
-            return Err(StoreError::Quarantined {
-                partition: pid,
-                reason: reason.clone(),
-            });
-        }
-        self.metrics.get_partitions_touched.inc();
-
-        // Delta-encoded chunks take the resolving path (frame + base fetch);
-        // everything else keeps the zero-copy tiers below.
-        if self.delta_base.contains_key(&digest) {
-            let frame = self.stored_bytes_by_digest(digest, true)?;
-            let raw = self.resolve_delta(digest, frame)?;
-            self.metrics.get_bytes.add(raw.len() as u64);
-            return Ok(ColumnChunk::from_bytes(&raw)?);
-        }
-
-        // 1. Open partition in the buffer pool.
-        if let Some(part) = self.mem.get(pid) {
-            let bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?;
-            self.metrics.get_mem_hits.inc();
-            self.metrics.get_bytes.add(bytes.len() as u64);
-            return Ok(ColumnChunk::from_bytes(bytes)?);
-        }
-        // 2. Read cache (LRU touch).
-        if let Some(part) = self.read_cache.get(&pid) {
-            let bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?;
-            self.metrics.get_cache_hits.inc();
-            self.metrics.read_cache_hits.inc();
-            self.metrics.get_bytes.add(bytes.len() as u64);
-            return Ok(ColumnChunk::from_bytes(bytes)?);
-        }
-        // 3. Disk.
-        self.metrics.get_disk_reads.inc();
-        self.metrics.read_cache_misses.inc();
-        let sealed = self.disk.read(pid)?;
-        Self::note_codec_read(&self.obs, &self.codec_read_bytes, &sealed);
-        let part = Partition::unseal(pid, &sealed)?;
-        let chunk = {
-            let bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?;
-            self.metrics.get_bytes.add(bytes.len() as u64);
-            ColumnChunk::from_bytes(bytes)?
-        };
-        self.cache_loaded_partition(pid, part);
-        Ok(chunk)
     }
 
     /// Insert a partition just read from disk into the read cache, evicting
@@ -1286,8 +1188,8 @@ impl DataStore {
     /// Batch read: the serialized bytes of many chunks at once. Partitions
     /// that must come off disk are read and unsealed concurrently on up to
     /// `parallelism` crossbeam scoped threads (decompression dominates cold
-    /// reads); results are returned in request order, byte-identical to a
-    /// sequence of [`DataStore::get_chunk`] calls.
+    /// reads); results are returned in request order. This is the store's
+    /// one read path: [`DataStore::get_chunk`] is a batch of one.
     pub fn get_chunk_bytes_batch(
         &mut self,
         keys: &[ChunkKey],
@@ -2500,7 +2402,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_reads_resolve_deltas_at_every_parallelism() {
+    fn batch_reads_rehydrate_deltas_at_every_parallelism() {
         let (_dir, mut ds) = store(PlacementPolicy::ByIntermediate);
         let (base, near) = near_pair();
         let kb = ChunkKey::new("m.base", "c", 0);

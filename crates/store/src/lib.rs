@@ -17,28 +17,24 @@
 //! Reads go through the same facade: chunk key → digest → partition →
 //! (memory | disk) → deserialized [`mistique_dataframe::ColumnChunk`].
 
-pub mod audit_io;
 pub mod backend;
 pub mod datastore;
 pub mod disk;
-pub mod index_io;
 pub mod lru;
 pub mod mem;
 pub mod partition;
-pub mod telemetry_io;
+pub mod subdir;
 
-pub use audit_io::{AuditDir, AUDIT_SUBDIR};
 pub use backend::{FaultyFs, RealFs, StorageBackend, TornWrite};
 pub use datastore::{
     CatalogExtra, ChunkKey, CompactionReport, DataStore, DataStoreConfig, DeltaRecord,
     LshItemRecord, PlacementPolicy, ReadAttribution, RecoveryReport, RetractOutcome, StoreStats,
 };
 pub use disk::DiskStore;
-pub use index_io::{IndexDir, INDEX_SUBDIR};
 pub use lru::{LruCache, LruList};
 pub use mem::InMemoryStore;
 pub use partition::{Partition, PartitionId};
-pub use telemetry_io::{TelemetryDir, TELEMETRY_SUBDIR};
+pub use subdir::{StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR};
 
 /// Errors surfaced by store operations.
 #[derive(Debug)]

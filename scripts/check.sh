@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Registry-free lane, first so it runs even where crates.io is unreachable
+# and the lanes below cannot resolve: e2e/ is a workspace of its own whose
+# committed stand-ins replace the registry crates. It runs the obs crate's
+# unit and doc tests (the whole sidecar ring contract) and the benchmark's.
+echo "== offline lane (e2e workspace): mistique-obs + mistique-e2e =="
+cargo test --release --offline --manifest-path e2e/Cargo.toml -p mistique-obs -p mistique-e2e
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

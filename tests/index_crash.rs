@@ -18,7 +18,8 @@
 use std::sync::Arc;
 
 use mistique_core::{
-    FetchStrategy, IndexDir, IntermediateIndex, Mistique, MistiqueConfig, MistiqueError, PlanChoice,
+    FetchStrategy, IntermediateIndex, Mistique, MistiqueConfig, MistiqueError, PlanChoice,
+    SegmentIo, StoreSubdir, INDEX_SUBDIR,
 };
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
@@ -57,7 +58,7 @@ fn run_workload(sys: &mut Mistique, data: &Arc<ZillowData>) -> Result<(), Mistiq
 /// without panicking: complete files parse, torn ones return `Err`.
 fn assert_index_files_parse_or_reject(fs: &FaultyFs, ctx: &str) {
     let backend: Arc<dyn StorageBackend> = Arc::new(fs.clone());
-    let io = IndexDir::open_readonly(backend, "/vfs".as_ref());
+    let io = StoreSubdir::open_readonly(backend, "/vfs".as_ref(), INDEX_SUBDIR);
     for name in io.list().unwrap_or_default() {
         let Ok(bytes) = io.read(&name) else {
             continue;

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use mistique_core::{
-    FetchStrategy, Mistique, MistiqueConfig, MistiqueError, TelemetryDir, Timeline,
+    FetchStrategy, Mistique, MistiqueConfig, MistiqueError, StoreSubdir, Timeline, TELEMETRY_SUBDIR,
 };
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
@@ -71,7 +71,7 @@ fn run_workload(sys: &mut Mistique, data: &Arc<ZillowData>) -> Result<(), Mistiq
 
 fn load_points(fs: &FaultyFs) -> Timeline {
     let backend: Arc<dyn StorageBackend> = Arc::new(fs.clone());
-    let io = TelemetryDir::open_readonly(backend, "/vfs".as_ref());
+    let io = StoreSubdir::open_readonly(backend, "/vfs".as_ref(), TELEMETRY_SUBDIR);
     Timeline::load(&io).expect("timeline load must tolerate any torn state")
 }
 
