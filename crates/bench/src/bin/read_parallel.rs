@@ -1,6 +1,6 @@
 //! Read-path concurrency: cold `read_stored` of a multi-column intermediate,
 //! serial vs `read_parallelism >= 4`. Partition fetches and per-column block
-//! decodes run on crossbeam-scoped threads; the frames must come back
+//! decodes run on scoped threads; the frames must come back
 //! byte-identical at every worker count, with the parallel path faster on a
 //! wide intermediate.
 //!

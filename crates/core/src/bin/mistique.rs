@@ -438,7 +438,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             print!("{}", sys.obs_report());
             if let Some(pos) = rest.iter().position(|a| a == "--json") {
                 let path = rest.get(pos + 1).ok_or("--json needs a file path")?;
-                std::fs::write(path, sys.obs_snapshot_json().to_string())?;
+                std::fs::write(path, sys.obs_snapshot().to_json_string())?;
                 println!("\nwrote JSON snapshot to {path}");
             }
             if let Some(pos) = rest.iter().position(|a| a == "--prom") {

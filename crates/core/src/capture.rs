@@ -7,7 +7,7 @@ use mistique_quantize::pool::pool_channels;
 use mistique_quantize::{KbitQuantizer, PoolKind, ThresholdQuantizer};
 
 /// Per-value storage scheme for captured activations.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ValueScheme {
     /// Full precision f32.
     Full,
@@ -63,7 +63,7 @@ impl ValueScheme {
 
 /// The full capture configuration for one intermediate: optional pooling
 /// summarization plus the value scheme.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CaptureScheme {
     /// Value quantization.
     pub value: ValueScheme,

@@ -25,8 +25,8 @@
 //!
 //! Crash-safety discipline: the catalog on disk must stop referencing
 //! demoted/purged chunks *before* compaction drops their bytes, so the pass
-//! persists the manifest first and skips compaction when a stale manifest
-//! exists that could not be refreshed. Each rewrite is a single atomic
+//! persists the manifest first (a persist that fails fails the pass, with
+//! nothing compacted). Each rewrite is a single atomic
 //! overwrite of the partition file, so a crash at any point leaves each
 //! partition in exactly its pre- or post-compaction state (see
 //! `crates/store/tests/compaction.rs`).
@@ -208,39 +208,11 @@ impl Mistique {
         // compaction deletes their bytes — otherwise a crash after
         // compaction could reopen through a manifest that references chunks
         // that no longer exist.
-        let mut persisted = false;
-        let (compaction, compaction_skipped) = match self.persist() {
-            Ok(()) => {
-                persisted = true;
-                (Some(self.store.compact(COMPACT_LIVE_RATIO)?), None)
-            }
-            Err(MistiqueError::Invalid(msg)) if msg.contains("manifest serialize") => {
-                // No JSON serializer in this environment. Compacting is
-                // still safe when no manifest exists (nothing stale to
-                // reopen through); with a stale manifest on disk, keep the
-                // dead bytes rather than risk dangling references.
-                if self
-                    .backend
-                    .exists(&self.dir.join(crate::persist::MANIFEST_FILE))
-                {
-                    (
-                        None,
-                        Some(format!("stale manifest could not be refreshed: {msg}")),
-                    )
-                } else {
-                    self.store.flush()?;
-                    (Some(self.store.compact(COMPACT_LIVE_RATIO)?), None)
-                }
-            }
-            Err(e) => return Err(e),
-        };
+        self.persist()?;
+        let compaction = self.store.compact(COMPACT_LIVE_RATIO)?;
         // Compaction moved the accounting (partition totals, removed
         // partitions); refresh the manifest so reopen sees the final state.
-        if persisted
-            && compaction
-                .as_ref()
-                .is_some_and(|c| c.partitions_rewritten + c.partitions_removed > 0)
-        {
+        if compaction.partitions_rewritten + compaction.partitions_removed > 0 {
             self.persist()?;
         }
 
@@ -252,8 +224,7 @@ impl Mistique {
             used_after: self.storage_budget_used(),
             demotions,
             purged,
-            compaction,
-            compaction_skipped,
+            compaction: Some(compaction),
             elapsed,
             trace_id,
         };

@@ -7,7 +7,7 @@ use std::time::Duration;
 use crate::capture::CaptureScheme;
 
 /// What kind of model produced an intermediate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ModelKind {
     /// Traditional ML pipeline (scikit-learn-style stages).
     Trad,
@@ -16,7 +16,7 @@ pub enum ModelKind {
 }
 
 /// Registered model metadata.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelMeta {
     /// Model id (`P3_v1` or `CIFAR10_VGG16@epoch5`).
     pub id: String,
@@ -35,7 +35,7 @@ pub struct ModelMeta {
 
 /// Per-intermediate metadata: schema, storage state, measured costs, and the
 /// query counter driving adaptive materialization.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IntermediateMeta {
     /// Intermediate id: `<model>.<stage>` (e.g. `P3_v1.interm4_Join`,
     /// `CIFAR10_VGG16@epoch5.layer11`).
@@ -71,7 +71,6 @@ pub struct IntermediateMeta {
     /// Whether the reclaim ladder already re-encoded this intermediate's
     /// chunks as base+delta frames (the rung between THRESHOLD and purge);
     /// re-encoding is attempted at most once per materialization.
-    #[serde(default)]
     pub delta_encoded: bool,
 }
 

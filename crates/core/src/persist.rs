@@ -18,24 +18,84 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mistique_nn::{ArchConfig, CifarLike};
+use mistique_obs::json::{self, Json, JsonValue, Path as JsonPath};
+use mistique_obs::{json_enum, json_struct};
 use mistique_pipeline::{Pipeline, ZillowData};
+use mistique_store::datastore::StoreCatalog;
 use mistique_store::StorageBackend;
-use serde::{Deserialize, Serialize};
 
+use crate::capture::{CaptureScheme, ValueScheme};
 use crate::error::MistiqueError;
 use crate::executor::ModelSource;
-use crate::metadata::{IntermediateMeta, ModelMeta};
+use crate::metadata::{IntermediateMeta, ModelKind, ModelMeta};
 use crate::system::{Mistique, MistiqueConfig};
 
-/// Serialized system state: metadata registry + store catalog.
-#[derive(Serialize, Deserialize)]
+pub(crate) const MANIFEST_FILE: &str = "mistique_manifest.json";
+
+/// Serialized system state: metadata registry + store catalog. Its JSON
+/// form is tabulated in DESIGN.md "Manifest and spec format"; the `catalog`
+/// subtree is declared next to [`StoreCatalog`].
 struct Manifest {
     models: Vec<ModelMeta>,
     intermediates: Vec<IntermediateMeta>,
-    catalog: mistique_store::datastore::StoreCatalog,
+    catalog: StoreCatalog,
+    version: Version,
 }
 
-pub(crate) const MANIFEST_FILE: &str = "mistique_manifest.json";
+/// The manifest format's version: this build writes and reads exactly one.
+/// A manifest without the field predates it and is version 1.
+#[derive(Default)]
+struct Version;
+
+const MANIFEST_VERSION: u64 = 1;
+
+impl Json for Version {
+    fn emit(&self, out: &mut String, at: &JsonPath) -> Result<(), String> {
+        MANIFEST_VERSION.emit(out, at)
+    }
+    fn parse(v: &JsonValue, at: &JsonPath) -> Result<Self, String> {
+        match u64::parse(v, at)? {
+            MANIFEST_VERSION => Ok(Version),
+            n => Err(format!(
+                "manifest version {n} (supported: {MANIFEST_VERSION})"
+            )),
+        }
+    }
+}
+
+json_struct!(Manifest { models, intermediates, catalog } default { version });
+json_enum!(ModelKind { Trad, Dnn });
+json_struct!(ModelMeta {
+    id,
+    kind,
+    n_stages,
+    model_load,
+    n_examples,
+    intermediates,
+});
+json_enum!(ValueScheme {
+    Full,
+    Lp,
+    Kbit { bits },
+    Threshold { pct },
+});
+json_struct!(CaptureScheme { value, pool_sigma });
+json_struct!(IntermediateMeta {
+    id,
+    model_id,
+    stage_index,
+    n_rows,
+    columns,
+    scheme,
+    materialized,
+    stored_bytes,
+    exec_time,
+    cum_exec_time,
+    n_queries,
+    quantizer,
+    threshold,
+    shape,
+} default { delta_encoded });
 
 impl Mistique {
     /// Flush all open partitions and write the manifest so the directory can
@@ -60,9 +120,9 @@ impl Mistique {
                 all
             },
             catalog: self.store.export_catalog(),
+            version: Version,
         };
-        let json = serde_json::to_string(&manifest)
-            .map_err(|e| MistiqueError::Invalid(format!("manifest serialize: {e}")))?;
+        let json = json::to_string(&manifest, "manifest").map_err(MistiqueError::Invalid)?;
         self.backend
             .write_atomic(&self.dir.join(MANIFEST_FILE), json.as_bytes())
             .map_err(mistique_store::StoreError::Io)?;
@@ -99,8 +159,8 @@ impl Mistique {
         })?;
         let json = String::from_utf8(bytes)
             .map_err(|e| MistiqueError::Invalid(format!("manifest not utf-8: {e}")))?;
-        let manifest: Manifest = serde_json::from_str(&json)
-            .map_err(|e| MistiqueError::Invalid(format!("manifest parse: {e}")))?;
+        let manifest: Manifest =
+            json::from_str(&json, "manifest").map_err(MistiqueError::Invalid)?;
 
         let obs = mistique_obs::Obs::with_ring_capacity(config.span_ring_capacity);
         let mut sys = Mistique::open_full(dir, config, obs, backend)?;
@@ -262,11 +322,7 @@ mod tests {
             .register_trad(zillow_pipelines().remove(0), data)
             .unwrap();
         sys.log_intermediates(&id).unwrap();
-        if sys.persist().is_err() {
-            // Environments without a JSON serializer can't persist; the
-            // atomic-write discipline is still covered by the store tests.
-            return;
-        }
+        sys.persist().unwrap();
         for entry in std::fs::read_dir(dir.path()).unwrap() {
             let name = entry.unwrap().file_name();
             let name = name.to_string_lossy();
@@ -280,6 +336,75 @@ mod tests {
         assert_eq!(report.orphans_removed, 0);
         assert_eq!(report.missing, 0);
         assert!(report.partitions_ok > 0);
+    }
+
+    #[test]
+    fn manifest_text_round_trips_every_threshold_bit_for_bit() {
+        // A multiplicative walk over the f32 bit patterns: every exponent,
+        // subnormals, both signs.
+        let mut bits = 1u32;
+        let mut intermediates = Vec::new();
+        while intermediates.len() < 2000 {
+            bits = bits.wrapping_mul(0x9E37_79B1).wrapping_add(0x7F4A_7C15);
+            let threshold = f32::from_bits(bits);
+            if !threshold.is_finite() {
+                continue;
+            }
+            intermediates.push(IntermediateMeta {
+                id: format!("m.layer{}", intermediates.len()),
+                model_id: "m".to_string(),
+                stage_index: intermediates.len(),
+                n_rows: 10,
+                columns: vec!["n0".to_string()],
+                scheme: CaptureScheme {
+                    value: ValueScheme::Threshold { pct: 0.995 },
+                    pool_sigma: Some(2),
+                },
+                materialized: true,
+                stored_bytes: u64::from(bits) << 32,
+                exec_time: std::time::Duration::new(u64::from(bits), bits % 1_000_000_000),
+                cum_exec_time: std::time::Duration::ZERO,
+                n_queries: 0,
+                quantizer: Some(bits.to_le_bytes().to_vec()),
+                threshold: Some(threshold),
+                shape: Some((bits as usize, 2, 2)),
+                delta_encoded: bits & 1 == 0,
+            });
+        }
+        let mut manifest = Manifest {
+            models: Vec::new(),
+            intermediates,
+            catalog: StoreCatalog {
+                entries: Vec::new(),
+                next_partition: 0,
+                stats: Default::default(),
+                partition_totals: Vec::new(),
+                deltas: Vec::new(),
+                extras: Vec::new(),
+                lsh_items: Vec::new(),
+            },
+            version: Version,
+        };
+        let to_json = |m: &Manifest| json::to_string(m, "manifest");
+        let text = to_json(&manifest).unwrap();
+        let back: Manifest = json::from_str(&text, "manifest").unwrap();
+        assert_eq!(to_json(&back).unwrap(), text);
+        assert_eq!(
+            format!("{:?}", back.intermediates),
+            format!("{:?}", manifest.intermediates)
+        );
+        for (a, b) in back.intermediates.iter().zip(&manifest.intermediates) {
+            assert_eq!(a.threshold.map(f32::to_bits), b.threshold.map(f32::to_bits));
+        }
+
+        // JSON has no NaN: refusing beats writing a manifest that cannot
+        // be read back.
+        manifest.intermediates[7].threshold = Some(f32::NAN);
+        let err = to_json(&manifest).unwrap_err();
+        assert!(
+            err.starts_with("manifest.intermediates[7].threshold: NaN is not finite"),
+            "{err}"
+        );
     }
 
     #[test]

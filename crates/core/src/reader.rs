@@ -866,10 +866,10 @@ where
         return (0..n_items).map(f).collect();
     }
     type Striped<T> = Vec<Vec<(usize, Result<T, MistiqueError>)>>;
-    let scoped = crossbeam::thread::scope(|scope| -> std::thread::Result<Striped<T>> {
+    let joined: std::thread::Result<Striped<T>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut part = Vec::new();
                     let mut i = w;
                     while i < n_items {
@@ -882,14 +882,9 @@ where
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let per_worker = match scoped {
-        Ok(Ok(v)) => v,
-        _ => {
-            return Err(MistiqueError::Invalid(
-                "read worker panicked outside the decode guard".to_string(),
-            ))
-        }
-    };
+    let per_worker = joined.map_err(|_| {
+        MistiqueError::Invalid("read worker panicked outside the decode guard".to_string())
+    })?;
     let mut slots: Vec<Option<Result<T, MistiqueError>>> = (0..n_items).map(|_| None).collect();
     for (i, res) in per_worker.into_iter().flatten() {
         slots[i] = Some(res);
@@ -1187,8 +1182,8 @@ mod tests {
     #[test]
     fn run_striped_worker_panic_is_an_error_not_an_abort() {
         // A panic that escapes the per-item closure (i.e. outside the decode
-        // guard) must come back as an error from the scope, not unwind
-        // through crossbeam into an abort.
+        // guard) must come back as an error from the join, not unwind
+        // through the scope into an abort.
         let f = |i: usize| -> Result<usize, MistiqueError> {
             if i == 3 {
                 panic!("boom in worker");

@@ -208,11 +208,9 @@ pub struct ReclaimReport {
     /// Intermediates flipped to `materialized = false`; future queries
     /// re-run them and may re-promote.
     pub purged: Vec<String>,
-    /// What partition compaction did, when it ran.
+    /// What partition compaction did. Every pass that returns a report
+    /// compacted, so this is always `Some`.
     pub compaction: Option<CompactionReport>,
-    /// Why compaction was skipped, when it was (e.g. a stale on-disk
-    /// manifest that could not be refreshed first).
-    pub compaction_skipped: Option<String>,
     /// Wall time of the whole pass.
     pub elapsed: Duration,
     /// Trace id of the pass's root span.
@@ -265,24 +263,16 @@ impl ReclaimReport {
                 d.gamma
             );
         }
-        match (&self.compaction, &self.compaction_skipped) {
-            (Some(c), _) => {
-                let _ = writeln!(
-                    out,
-                    "  compact  : {} scanned, {} rewritten, {} removed, {} B / {} chunks reclaimed",
-                    c.partitions_scanned,
-                    c.partitions_rewritten,
-                    c.partitions_removed,
-                    c.bytes_reclaimed,
-                    c.chunks_dropped
-                );
-            }
-            (None, Some(reason)) => {
-                let _ = writeln!(out, "  compact  : skipped ({reason})");
-            }
-            (None, None) => {
-                let _ = writeln!(out, "  compact  : not run");
-            }
+        if let Some(c) = &self.compaction {
+            let _ = writeln!(
+                out,
+                "  compact  : {} scanned, {} rewritten, {} removed, {} B / {} chunks reclaimed",
+                c.partitions_scanned,
+                c.partitions_rewritten,
+                c.partitions_removed,
+                c.bytes_reclaimed,
+                c.chunks_dropped
+            );
         }
         let _ = writeln!(out, "  elapsed  : {}", fmt_secs(self.elapsed.as_secs_f64()));
         let _ = writeln!(out, "  trace    : {}", self.trace_id);
@@ -486,7 +476,6 @@ mod tests {
                 bytes_reclaimed: 3_400,
                 chunks_dropped: 7,
             }),
-            compaction_skipped: None,
             elapsed: Duration::from_millis(12),
             trace_id: 99,
         };
@@ -514,7 +503,6 @@ mod tests {
                 demotions: vec![],
                 purged: vec![],
                 compaction: None,
-                compaction_skipped: None,
                 elapsed: Duration::ZERO,
                 trace_id: 0,
             });

@@ -438,12 +438,6 @@ impl Mistique {
         self.obs_snapshot().render_text()
     }
 
-    /// The snapshot as parsed JSON.
-    pub fn obs_snapshot_json(&self) -> serde_json::Value {
-        serde_json::from_str(&self.obs_snapshot().to_json_string())
-            .expect("obs snapshot serializes to valid JSON")
-    }
-
     /// Refresh gauges that mirror pull-style state (cost-model calibration,
     /// catalog sizes) so snapshots always carry current values.
     pub(crate) fn sync_obs_gauges(&self) {
@@ -568,7 +562,7 @@ impl Mistique {
     }
 
     /// Log several registered TRAD models, executing their pipelines in
-    /// parallel with crossbeam-scoped threads and then storing the resulting
+    /// parallel on scoped threads and then storing the resulting
     /// intermediates serially (the DataStore is single-writer). DNN ids fall
     /// back to sequential logging.
     pub fn log_intermediates_parallel(&mut self, model_ids: &[&str]) -> Result<(), MistiqueError> {
@@ -595,11 +589,11 @@ impl Mistique {
 
         // Execute all TRAD pipelines concurrently; each run is pure.
         let mut results: Vec<(String, Vec<mistique_pipeline::RunRecord>, Duration)> =
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = trad
                     .iter()
                     .map(|(id, pipeline, data)| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let t0 = Instant::now();
                             let records = pipeline.run(data);
                             (id.clone(), records, t0.elapsed())
@@ -610,8 +604,7 @@ impl Mistique {
                     .into_iter()
                     .map(|h| h.join().expect("pipeline thread"))
                     .collect()
-            })
-            .expect("crossbeam scope");
+            });
         // Store in registration order for deterministic partition layout.
         results.sort_by_key(|(id, _, _)| {
             trad.iter()

@@ -1,9 +1,7 @@
 //! Typed columns.
 
-use serde::{Deserialize, Serialize};
-
 /// The data type of a column cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit float — the native precision of DNN activations.
     F32,

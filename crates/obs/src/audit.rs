@@ -23,8 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 
-use crate::export::push_json_string;
-use crate::json::JsonValue;
+use crate::json::{push_json_string, JsonValue};
 use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 
 /// Target size of one audit segment before the log seals it (each flush

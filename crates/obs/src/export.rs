@@ -1,13 +1,13 @@
 //! Snapshot exporters: a human-readable text report and a JSON document.
 //!
 //! JSON emission is hand-rolled on std (this crate is dependency-free); the
-//! output is plain standard JSON, so callers with `serde_json` can parse it
-//! straight into a `Value` (see `Mistique::obs_snapshot_json`).
+//! output is plain standard JSON, which [`crate::json::parse`] reads back.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::hist::HistSummary;
+use crate::json::push_json_string;
 use crate::span::{SpanRecord, SpanSummary};
 
 /// A point-in-time snapshot of every metric and span aggregate in an
@@ -479,25 +479,6 @@ fn push_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Escape and quote a JSON string.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Format nanoseconds with adaptive units for the text report.

@@ -10,8 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::export::push_json_string;
-use crate::json::JsonValue;
+use crate::json::{push_json_string, JsonValue};
 
 /// One engine lifecycle event.
 #[derive(Clone, Debug, PartialEq)]

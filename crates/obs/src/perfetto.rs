@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use crate::export::push_json_string;
+use crate::json::push_json_string;
 use crate::span::SpanRecord;
 use crate::timeline::Timeline;
 

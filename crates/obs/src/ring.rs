@@ -377,17 +377,22 @@ mod tests {
     }
 
     #[test]
-    fn torn_trailing_line_is_ignored_on_load() {
+    fn torn_or_corrupt_trailing_line_is_ignored_on_load() {
+        let torn = line(1)[..28].to_string();
+        let duplicate_key = "{\"seq\":1,\"seq\":2}\n".to_string();
+        let too_deep = "[".repeat(100_000);
         for families in FAMILY_SETS {
-            let io = MemSegmentIo::new();
-            let mut ring = open(&io, families, 1 << 20);
-            ring.append(0, 0, &line(0));
-            ring.append(0, 0, &line(1));
-            // Tear the second line in half, behind the ring's back.
-            let name = io.list().unwrap()[0].clone();
-            let bytes = io.read(&name).unwrap();
-            io.write_atomic(&name, &bytes[..bytes.len() - 20]).unwrap();
-            assert_eq!(loaded_seqs(&io, families), vec![0], "valid prefix kept");
+            for bad in [&torn, &duplicate_key, &too_deep] {
+                let io = MemSegmentIo::new();
+                let mut ring = open(&io, families, 1 << 20);
+                ring.append(0, 0, &line(0));
+                // Damage the segment's tail behind the ring's back.
+                let name = io.list().unwrap()[0].clone();
+                let mut bytes = io.read(&name).unwrap();
+                bytes.extend_from_slice(bad.as_bytes());
+                io.write_atomic(&name, &bytes).unwrap();
+                assert_eq!(loaded_seqs(&io, families), vec![0], "valid prefix kept");
+            }
         }
     }
 

@@ -25,9 +25,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::io;
 
-use crate::export::{push_json_string, Snapshot};
+use crate::export::Snapshot;
 use crate::journal::EngineEvent;
-use crate::json::JsonValue;
+use crate::json::{push_json_string, JsonValue};
 use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 
 /// Target size of one segment before the recorder seals it and starts the

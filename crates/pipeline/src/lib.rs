@@ -17,8 +17,8 @@
 //!   emitting one intermediate dataframe,
 //! - [`templates`]: the ten pipeline templates P1–P10 of Appendix E, each
 //!   instantiated with five hyper-parameter variants = 50 pipelines,
-//! - [`spec`]: a serde-based pipeline specification standing in for the
-//!   paper's YAML format.
+//! - [`spec`]: a JSON pipeline specification standing in for the paper's
+//!   YAML format.
 //!
 //! Every stage is deterministic given the pipeline's seed, so re-running a
 //! pipeline reproduces byte-identical intermediates — the property both

@@ -11,7 +11,7 @@ use crate::model::{ElasticNet, Gbdt, GbdtParams, Regressor, TreeParams};
 use crate::pipeline::{FittedModel, PipelineContext};
 
 /// Which synthetic Zillow table a `ReadCsv` stage loads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Table {
     /// Home attributes.
     Properties,
@@ -33,7 +33,7 @@ impl Table {
 }
 
 /// Which boosted-tree hyper-parameter surface a GBDT train stage exposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GbdtFlavor {
     /// XGBoost-style: `eta`, `lambda`, `alpha`, `max_depth`.
     Xgboost,
@@ -44,7 +44,7 @@ pub enum GbdtFlavor {
 
 /// One pipeline stage. Executing a stage mutates the context (adds frames or
 /// models) and returns the stage's intermediate dataframe.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Stage {
     /// Load a source table into its conventional frame.
     ReadCsv {

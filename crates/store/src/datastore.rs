@@ -21,7 +21,7 @@ use crate::StoreError;
 /// Logical address of a ColumnChunk:
 /// `project.model_intermediate.column` plus the RowBlock index —
 /// the same key shape as the paper's `get_intermediates([keys])` API.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ChunkKey {
     /// Intermediate id, conventionally `model.intermediate`.
     pub intermediate: String,
@@ -102,7 +102,7 @@ impl Default for DataStoreConfig {
 }
 
 /// Counters describing what the store has done so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Bytes submitted across all `put_chunk` calls (the STORE_ALL volume).
     pub logical_bytes: u64,
@@ -117,10 +117,8 @@ pub struct StoreStats {
     /// Chunks placed into an existing partition via similarity.
     pub similarity_placements: u64,
     /// Chunks stored as base+delta frames (puts and reclaim re-encodes).
-    #[serde(default)]
     pub delta_puts: u64,
     /// Raw bytes saved by storing delta frames instead of full chunks.
-    #[serde(default)]
     pub delta_bytes_saved: u64,
 }
 
@@ -135,7 +133,7 @@ pub struct RetractOutcome {
 }
 
 /// What one [`DataStore::compact`] pass did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Sealed on-disk partitions considered.
     pub partitions_scanned: u64,
@@ -1187,7 +1185,7 @@ impl DataStore {
 
     /// Batch read: the serialized bytes of many chunks at once. Partitions
     /// that must come off disk are read and unsealed concurrently on up to
-    /// `parallelism` crossbeam scoped threads (decompression dominates cold
+    /// `parallelism` scoped threads (decompression dominates cold
     /// reads); results are returned in request order. This is the store's
     /// one read path: [`DataStore::get_chunk`] is a batch of one.
     pub fn get_chunk_bytes_batch(
@@ -1370,12 +1368,12 @@ impl DataStore {
         let codec_map = &self.codec_read_bytes;
         let ctx_ref = ctx.as_ref();
         // A panicking worker must fail this read, not abort the process:
-        // join/scope failures map to an error instead of unwrapping.
+        // every handle is joined here and a join failure maps to an error.
         type Loaded = Vec<Vec<Result<(PartitionId, Partition), StoreError>>>;
-        let scoped = crossbeam::thread::scope(|scope| -> std::thread::Result<Loaded> {
+        let joined: std::thread::Result<Loaded> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut out = Vec::new();
                         let mut i = w;
                         while i < pids.len() {
@@ -1395,14 +1393,8 @@ impl DataStore {
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         });
-        let per_worker = match scoped {
-            Ok(Ok(v)) => v,
-            _ => {
-                return Err(StoreError::CorruptPartition(
-                    "partition load worker panicked",
-                ))
-            }
-        };
+        let per_worker =
+            joined.map_err(|_| StoreError::CorruptPartition("partition load worker panicked"))?;
         let mut out = Vec::with_capacity(pids.len());
         for result in per_worker.into_iter().flatten() {
             out.push(result?);
@@ -1613,7 +1605,7 @@ impl DataStore {
 }
 
 /// One chunk's catalog entry: logical key → content digest → partition.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CatalogEntry {
     /// Logical chunk key.
     pub key: ChunkKey,
@@ -1628,7 +1620,7 @@ pub struct CatalogEntry {
 }
 
 /// A delta-encoded digest and the base it was encoded against.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DeltaRecord {
     /// Content digest of the chunk stored as a delta frame.
     pub digest: (u64, u64),
@@ -1638,7 +1630,7 @@ pub struct DeltaRecord {
 
 /// A digest kept alive only by delta-base pins: no key maps to it, but its
 /// bytes must stay readable for rehydration.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CatalogExtra {
     /// Content digest.
     pub digest: (u64, u64),
@@ -1651,7 +1643,7 @@ pub struct CatalogExtra {
 /// One LSH item: its MinHash signature rows plus where the chunk it
 /// describes went. Persisting these keeps similarity clustering and delta
 /// base-finding alive across a restart.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LshItemRecord {
     /// Item id inside the LSH index.
     pub item: u64,
@@ -1664,7 +1656,7 @@ pub struct LshItemRecord {
 }
 
 /// Serializable snapshot of the store's chunk catalog.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StoreCatalog {
     /// All chunk entries.
     pub entries: Vec<CatalogEntry>,
@@ -1677,16 +1669,54 @@ pub struct StoreCatalog {
     /// dead-byte accounting after reopen.
     pub partition_totals: Vec<(PartitionId, u64)>,
     /// Live delta-encoded digests and their bases (absent in old catalogs).
-    #[serde(default)]
     pub deltas: Vec<DeltaRecord>,
     /// Pin-only digests reachable from no entry (absent in old catalogs).
-    #[serde(default)]
     pub extras: Vec<CatalogExtra>,
     /// Persisted LSH items (absent in old catalogs — similarity state then
     /// starts empty after reopen, the pre-existing behavior).
-    #[serde(default)]
     pub lsh_items: Vec<LshItemRecord>,
 }
+
+// The catalog's JSON form — the `catalog` subtree of the manifest (DESIGN.md
+// "Manifest and spec format"). Fields after `default` were added after the
+// first persisted manifests and may be absent from an old one.
+mistique_obs::json_struct!(ChunkKey {
+    intermediate,
+    column,
+    block
+});
+mistique_obs::json_struct!(StoreStats {
+    logical_bytes,
+    unique_bytes,
+    dedup_hits,
+    chunks_stored,
+    partitions_created,
+    similarity_placements,
+} default { delta_puts, delta_bytes_saved });
+mistique_obs::json_struct!(CatalogEntry {
+    key,
+    digest,
+    partition,
+    len
+});
+mistique_obs::json_struct!(DeltaRecord { digest, base });
+mistique_obs::json_struct!(CatalogExtra {
+    digest,
+    partition,
+    len
+});
+mistique_obs::json_struct!(LshItemRecord {
+    item,
+    partition,
+    digest,
+    signature
+});
+mistique_obs::json_struct!(StoreCatalog {
+    entries,
+    next_partition,
+    stats,
+    partition_totals,
+} default { deltas, extras, lsh_items });
 
 #[cfg(test)]
 mod tests {
@@ -1695,6 +1725,13 @@ mod tests {
 
     fn f64_chunk(values: Vec<f64>) -> ColumnChunk {
         ColumnChunk::new(ColumnData::F64(values))
+    }
+
+    /// A catalog as a reopening process sees it: written to manifest text
+    /// and read back.
+    fn through_text(catalog: StoreCatalog) -> StoreCatalog {
+        let text = mistique_obs::json::to_string(&catalog, "catalog").unwrap();
+        mistique_obs::json::from_str(&text, "catalog").unwrap()
     }
 
     fn store(policy: PlacementPolicy) -> (tempfile::TempDir, DataStore) {
@@ -2314,7 +2351,7 @@ mod tests {
         drop(ds);
 
         let mut ds2 = DataStore::open(dir.path(), config).unwrap();
-        ds2.import_catalog(catalog);
+        ds2.import_catalog(through_text(catalog));
         assert_eq!(
             ds2.dead_bytes(),
             dead_before,
@@ -2505,7 +2542,7 @@ mod tests {
         assert_eq!(catalog.lsh_items.len(), 2);
 
         let mut ds = DataStore::open(dir.path(), config).unwrap();
-        ds.import_catalog(catalog);
+        ds.import_catalog(through_text(catalog));
         assert_eq!(
             ds.get_chunk(&kn).unwrap(),
             near,
@@ -2554,7 +2591,7 @@ mod tests {
         };
         let before = catalog.stats.similarity_placements;
         let mut ds = DataStore::open(dir.path(), config).unwrap();
-        ds.import_catalog(catalog);
+        ds.import_catalog(through_text(catalog));
         // The first put after reopen opens a fresh partition (every imported
         // item points at a sealed one), but it joins the rebuilt index — so
         // the next similar put clusters with it. Before LSH state was

@@ -152,11 +152,16 @@ impl DiskStore {
         Ok(out)
     }
 
-    /// Total compressed bytes currently on disk.
+    /// Total compressed bytes of the partition files currently on disk.
+    /// The directory's other tenants — the manifest, sidecar directories,
+    /// `*.tmp` orphans, quarantined files — are not stored data.
     pub fn disk_bytes(&self) -> Result<u64, StoreError> {
         let mut total = 0;
         for path in self.backend.list_dir(&self.dir)? {
-            total += self.backend.file_len(&path)?;
+            let name = path.file_name().and_then(|n| n.to_str());
+            if name.and_then(Self::partition_id_of).is_some() {
+                total += self.backend.file_len(&path)?;
+            }
         }
         Ok(total)
     }
@@ -206,6 +211,17 @@ mod tests {
         assert_eq!(store.disk_bytes().unwrap(), 150);
         // Overwrite shrinks the file.
         store.write(1, &[0u8; 10]).unwrap();
+        assert_eq!(store.disk_bytes().unwrap(), 60);
+        // Only partition files are stored data: not the manifest, a sidecar
+        // directory, an orphan of a crashed write or a quarantined file.
+        for other in [
+            "mistique_manifest.json",
+            "part_00000001.bin.tmp",
+            "part_00000007.bin.quarantined",
+        ] {
+            std::fs::write(dir.path().join(other), [0u8; 1000]).unwrap();
+        }
+        std::fs::create_dir(dir.path().join("telemetry")).unwrap();
         assert_eq!(store.disk_bytes().unwrap(), 60);
     }
 

@@ -65,11 +65,7 @@ awk -v r="$delta_ratio" 'BEGIN {
 # leg produces bit-identical answers and identical plan choices. `--bench`
 # writes BENCH_replay.json with the measured capture overhead.
 echo "== audit capture/replay differential smoke =="
-# The journal is flushed before the final persist, so a persist failure
-# (e.g. offline verification environments without a real serde_json) still
-# leaves a replayable capture; the differential verdict below is the gate.
-cargo run --release -q -p mistique-core --bin mistique -- demo "$smoke/demo_store" \
-  || echo "note: demo exited nonzero (persist unavailable?); replaying the captured journal anyway"
+cargo run --release -q -p mistique-core --bin mistique -- demo "$smoke/demo_store"
 cargo run --release -q -p mistique-core --bin mistique -- replay "$smoke/demo_store" \
   --differential --bench "$smoke/BENCH_replay.json"
 consistent=$(val "$smoke/BENCH_replay.json" differential_consistent)

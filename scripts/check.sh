@@ -4,12 +4,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Registry-free lane, first so it runs even where crates.io is unreachable
-# and the lanes below cannot resolve: e2e/ is a workspace of its own whose
-# committed stand-ins replace the registry crates. It runs the obs crate's
-# unit and doc tests (the whole sidecar ring contract) and the benchmark's.
+# Registry-free lanes, first so they run even where crates.io is unreachable
+# and the lanes below cannot resolve. e2e/ is a workspace of its own whose
+# committed stand-ins replace the registry crates: it runs the obs crate's
+# unit and doc tests (the sidecar ring contract, the JSON codec) and the
+# benchmark's. scripts/offline_test.sh then runs the root workspace's own
+# tests in a patched copy: the manifest/spec codec and every suite that
+# persists, reopens or crashes through a manifest.
 echo "== offline lane (e2e workspace): mistique-obs + mistique-e2e =="
 cargo test --release --offline --manifest-path e2e/Cargo.toml -p mistique-obs -p mistique-e2e
+
+echo "== offline lane (patched copy): codec, persist/reopen and crash suites =="
+scripts/offline_test.sh -q -p mistique-pipeline -p mistique-store
+scripts/offline_test.sh -q -p mistique-core --lib \
+  --test manifest_format --test failure_injection --test crash_safety \
+  --test telemetry_crash --test index_crash --test audit_crash --test delta_crash \
+  --test reclaim --test timeline --test index_equivalence --test obs_coverage
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -29,6 +39,7 @@ cargo test --workspace -q
 echo "== reliability suites =="
 cargo test -q -p mistique-core --test failure_injection
 cargo test -q -p mistique-core --test crash_safety
+cargo test -q -p mistique-core --test manifest_format
 cargo test -q -p mistique-core --test proptest_system
 cargo test -q -p mistique-core --test observability
 cargo test -q -p mistique-core --test explain

@@ -1,0 +1,2 @@
+//! Empty offline stand-in for `criterion`: it only has to resolve.
+//! `scripts/offline_test.sh` blanks the targets that would use it.

@@ -6,13 +6,11 @@
 //! Two layers:
 //!
 //! 1. **Store-level** ([`every_crash_point_leaves_datastore_consistent`]):
-//!    a `DataStore` workload over [`FaultyFs`], no JSON involved — the chunk
-//!    catalog is carried in memory across the simulated restart. Runs in any
-//!    environment.
+//!    a `DataStore` workload over [`FaultyFs`], no manifest involved — the
+//!    chunk catalog is carried in memory across the simulated restart.
 //! 2. **System-level** ([`every_crash_point_leaves_manifest_consistent`]):
 //!    the full `Mistique` two-phase persist workload, crashing between and
-//!    inside both persists. Requires a working JSON serializer and skips
-//!    (with a note) where `persist()` cannot serialize the manifest.
+//!    inside both persists.
 //!
 //! Each crash point is replayed under all three [`TornWrite`] policies, so
 //! unsynced data may vanish, survive, or survive only as a prefix — the
@@ -237,16 +235,7 @@ fn every_crash_point_leaves_manifest_consistent() {
         .register_trad(pipe_a.clone(), Arc::clone(&data))
         .unwrap();
     sys.log_intermediates(&id_a).unwrap();
-    match sys.persist() {
-        Ok(()) => {}
-        Err(MistiqueError::Invalid(msg)) if msg.contains("manifest serialize") => {
-            // No JSON serializer in this build; the store-level enumeration
-            // above still covers the crash machinery.
-            eprintln!("note: skipping manifest crash enumeration: {msg}");
-            return;
-        }
-        Err(e) => panic!("golden persist failed: {e}"),
-    }
+    sys.persist().unwrap();
     let k1 = fs.op_count();
     let id_b = sys
         .register_trad(pipe_b.clone(), Arc::clone(&data))
@@ -343,10 +332,7 @@ fn quarantined_partition_reported_and_isolated_after_reopen() {
         .register_trad(zillow_pipelines().remove(0), Arc::clone(&data))
         .unwrap();
     sys.log_intermediates(&id).unwrap();
-    if let Err(MistiqueError::Invalid(msg)) = sys.persist() {
-        eprintln!("note: skipping quarantine reopen test: {msg}");
-        return;
-    }
+    sys.persist().unwrap();
     drop(sys);
 
     // Flip a byte in the middle of the first partition file.

@@ -116,11 +116,7 @@ fn zillow_variant(i: usize) -> Pipeline {
 }
 
 /// The mixed workload: touch every subsystem, collect every snapshot.
-/// Returns the snapshots plus whether the persist/reopen leg ran (it
-/// cannot in serialization-stubbed offline harnesses, and recovery
-/// metrics only register on reopen).
-fn run_mixed_workload() -> (Vec<Snapshot>, bool) {
-    let mut reopened = false;
+fn run_mixed_workload() -> Vec<Snapshot> {
     let mut snaps = Vec::new();
     let data = Arc::new(ZillowData::generate(300, 1));
 
@@ -155,18 +151,12 @@ fn run_mixed_workload() -> (Vec<Snapshot>, bool) {
     sys.get_intermediate(&preds, None, Some(32)).unwrap();
     sys.get_intermediate(&preds, None, Some(32)).unwrap();
     snaps.push(sys.obs_snapshot());
-    let persisted = sys.persist();
+    sys.persist().unwrap();
     drop(sys);
-    match persisted {
-        Ok(()) => {
-            // Recovery registers `store.recovery.*` (and journals the pass).
-            let sys = Mistique::reopen(dir.path(), MistiqueConfig::default()).unwrap();
-            assert!(sys.recovery_report().is_some());
-            snaps.push(sys.obs_snapshot());
-            reopened = true;
-        }
-        Err(e) => eprintln!("note: skipping reopen leg of the audit: {e}"),
-    }
+    // Recovery registers `store.recovery.*` (and journals the pass).
+    let sys = Mistique::reopen(dir.path(), MistiqueConfig::default()).unwrap();
+    assert!(sys.recovery_report().is_some());
+    snaps.push(sys.obs_snapshot());
 
     // --- TRAD, adaptive materialization + reclaim -------------------------
     let dir2 = tempfile::tempdir().unwrap();
@@ -217,7 +207,7 @@ fn run_mixed_workload() -> (Vec<Snapshot>, bool) {
         .unwrap();
     snaps.push(sys.obs_snapshot());
 
-    (snaps, reopened)
+    snaps
 }
 
 #[test]
@@ -228,15 +218,10 @@ fn every_documented_metric_is_registered_by_the_workload() {
         "inventory parse looks broken: only {} entries",
         documented.len()
     );
-    let (snaps, reopened) = run_mixed_workload();
+    let snaps = run_mixed_workload();
 
     let mut missing = Vec::new();
     for doc in &documented {
-        // `store.recovery.*` only registers on reopen; when the reopen leg
-        // was skipped (stubbed serialization offline) it cannot appear.
-        if !reopened && doc.pattern.starts_with("store.recovery.") {
-            continue;
-        }
         let names = names_of(&snaps, &doc.kind);
         let found = names.iter().any(|n| matches(&doc.pattern, n));
         if !found && !doc.rare {
@@ -267,7 +252,7 @@ fn workload_metrics_with_engine_prefixes_are_documented() {
         "cost_model.",
     ];
     let documented = documented_metrics();
-    let (snaps, _) = run_mixed_workload();
+    let snaps = run_mixed_workload();
     let mut undocumented = Vec::new();
     for kind in ["counter", "gauge", "histogram"] {
         for name in names_of(&snaps, kind) {

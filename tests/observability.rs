@@ -172,18 +172,22 @@ fn snapshot_exports_as_json_and_text() {
     assert!(report.contains("== spans =="));
     assert!(report.contains("store.put.count"));
 
-    let json = sys.obs_snapshot_json();
+    let snap = sys.obs_snapshot();
+    let json = mistique_obs::json::parse(&snap.to_json_string()).expect("valid JSON");
     for key in ["counters", "gauges", "histograms", "spans", "recent_spans"] {
         assert!(json.get(key).is_some(), "missing top-level key {key}");
     }
-    let snap = sys.obs_snapshot();
+    let member = |section: &str, name: &str| json.get(section).unwrap().get(name).cloned();
     assert_eq!(
-        json["counters"]["store.put.count"].as_u64(),
+        member("counters", "store.put.count").and_then(|v| v.as_u64()),
         Some(snap.counter("store.put.count"))
     );
     // obs_snapshot syncs derived gauges before exporting.
-    assert_eq!(json["gauges"]["meta.models"].as_f64(), Some(2.0));
-    assert!(json["recent_spans"].as_array().is_some());
+    assert_eq!(
+        member("gauges", "meta.models").and_then(|v| v.as_f64()),
+        Some(2.0)
+    );
+    assert!(json.get("recent_spans").unwrap().as_arr().is_some());
 }
 
 #[test]

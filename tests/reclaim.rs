@@ -353,16 +353,7 @@ fn reclaimed_store_persists_and_reopens() {
     let (dir, mut sys) = trad_system(StorageStrategy::Dedup, 2);
     let used = sys.storage_budget_used();
     sys.reclaim_to(used / 2).unwrap();
-    match sys.persist() {
-        Ok(()) => {}
-        Err(mistique_core::MistiqueError::Invalid(msg)) if msg.contains("manifest serialize") => {
-            // Environments without a JSON serializer can't persist; the
-            // reopen half is covered where one exists.
-            eprintln!("skipping reopen half: {msg}");
-            return;
-        }
-        Err(e) => panic!("persist failed: {e}"),
-    }
+    sys.persist().unwrap();
     let survivors: Vec<String> = sys
         .model_ids()
         .iter()

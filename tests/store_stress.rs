@@ -30,7 +30,9 @@ fn random_chunk(rng: &mut StdRng, base: &[f64]) -> ColumnChunk {
             ColumnChunk::new(ColumnData::F64(v))
         }
         3 => {
-            let v: Vec<u8> = (0..base.len()).map(|_| rng.gen()).collect();
+            let v: Vec<u8> = (0..base.len())
+                .map(|_| rng.gen_range(0..256u32) as u8)
+                .collect();
             ColumnChunk::new(ColumnData::U8(v))
         }
         _ => {

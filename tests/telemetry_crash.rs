@@ -115,14 +115,7 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
     let fs = FaultyFs::new();
     let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
     let open_ops = fs.op_count();
-    match run_workload(&mut sys, &data) {
-        Ok(()) => {}
-        Err(MistiqueError::Invalid(msg)) if msg.contains("manifest serialize") => {
-            eprintln!("note: skipping telemetry crash enumeration: {msg}");
-            return;
-        }
-        Err(e) => panic!("golden workload failed: {e}"),
-    }
+    run_workload(&mut sys, &data).expect("golden workload");
     let total = fs.op_count();
     drop(sys);
     let golden = load_points(&fs);
@@ -211,14 +204,7 @@ fn garbage_in_telemetry_segment_never_touches_data_recovery() {
     let data = Arc::new(ZillowData::generate(80, 1));
     let fs = FaultyFs::new();
     let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-    match run_workload(&mut sys, &data) {
-        Ok(()) => {}
-        Err(MistiqueError::Invalid(msg)) if msg.contains("manifest serialize") => {
-            eprintln!("note: skipping telemetry corruption test: {msg}");
-            return;
-        }
-        Err(e) => panic!("golden workload failed: {e}"),
-    }
+    run_workload(&mut sys, &data).expect("golden workload");
     drop(sys);
 
     // Overwrite the middle of every telemetry segment with binary garbage.
