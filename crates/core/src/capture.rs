@@ -129,6 +129,86 @@ pub fn pool_batch(
     (pooled, out_features)
 }
 
+/// The fitted state of a [`ValueScheme`]: what turns a column's f32 values
+/// into stored [`ColumnData`]. The workspace's one value-scheme encoder —
+/// capture ([`encode_batch`]) and the reclaim ladder's demotions both fit
+/// and encode through it.
+pub(crate) enum ValueEncoder {
+    Full,
+    Lp,
+    Kbit(KbitQuantizer),
+    Threshold(f32),
+}
+
+impl ValueEncoder {
+    /// Fit `scheme` on `sample`, or adopt the state an earlier fit left
+    /// behind (`quantizer` for KBIT, `threshold` for THRESHOLD) so every
+    /// block of an intermediate encodes alike. Only finite values enter a
+    /// fit: the quantile sort cannot order NaN, and an infinity (missing
+    /// data, f16 overflow from an earlier LP_QT step) would poison the
+    /// bins. A sample with no finite value fits as `[0.0]`.
+    pub(crate) fn fit(
+        scheme: ValueScheme,
+        sample: impl Iterator<Item = f32>,
+        quantizer: Option<&[u8]>,
+        threshold: Option<f32>,
+    ) -> ValueEncoder {
+        let finite = || {
+            let mut sample: Vec<f32> = sample.filter(|v| v.is_finite()).collect();
+            if sample.is_empty() {
+                sample.push(0.0);
+            }
+            sample
+        };
+        match (scheme, quantizer, threshold) {
+            (ValueScheme::Full, _, _) => ValueEncoder::Full,
+            (ValueScheme::Lp, _, _) => ValueEncoder::Lp,
+            (ValueScheme::Kbit { .. }, Some(bytes), _) => {
+                ValueEncoder::Kbit(KbitQuantizer::from_bytes(bytes).expect("valid quantizer"))
+            }
+            // The paper: "first collect samples of activations to build a
+            // distribution".
+            (ValueScheme::Kbit { bits }, None, _) => {
+                ValueEncoder::Kbit(KbitQuantizer::fit(&finite(), bits))
+            }
+            (ValueScheme::Threshold { .. }, _, Some(t)) => ValueEncoder::Threshold(t),
+            (ValueScheme::Threshold { pct }, _, None) => {
+                ValueEncoder::Threshold(ThresholdQuantizer::fit(&finite(), pct).threshold())
+            }
+        }
+    }
+
+    /// Encode one column's values.
+    pub(crate) fn encode(&self, vals: Vec<f32>) -> ColumnData {
+        match self {
+            ValueEncoder::Full => ColumnData::F32(vals),
+            ValueEncoder::Lp => {
+                let bytes = encode_f16(&vals);
+                let halves = bytes.chunks_exact(2);
+                ColumnData::F16(halves.map(|c| u16::from_le_bytes([c[0], c[1]])).collect())
+            }
+            ValueEncoder::Kbit(q) => ColumnData::U8(q.encode_codes(&vals)),
+            ValueEncoder::Threshold(t) => ColumnData::Bool(vals.iter().map(|&v| v > *t).collect()),
+        }
+    }
+
+    /// The serialized KBIT quantizer a reader needs to decode the codes.
+    pub(crate) fn quantizer(&self) -> Option<Vec<u8>> {
+        match self {
+            ValueEncoder::Kbit(q) => Some(q.to_bytes()),
+            _ => None,
+        }
+    }
+
+    /// The THRESHOLD_QT cut.
+    pub(crate) fn threshold(&self) -> Option<f32> {
+        match self {
+            ValueEncoder::Threshold(t) => Some(*t),
+            _ => None,
+        }
+    }
+}
+
 /// Encode a batch of per-example feature vectors into a dataframe under the
 /// given value scheme. For KBIT, `existing_quantizer` (serialized) is reused
 /// when present; otherwise a quantizer is fitted on this batch's values and
@@ -140,103 +220,19 @@ pub fn encode_batch(
     existing_quantizer: Option<&[u8]>,
     existing_threshold: Option<f32>,
 ) -> CapturedBatch {
-    let n = examples.len();
-    let col_values = |j: usize| -> Vec<f32> { examples.iter().map(|ex| ex[j]).collect() };
-
-    match scheme {
-        ValueScheme::Full => {
-            let cols = (0..n_features)
-                .map(|j| Column::new(format!("n{j}"), ColumnData::F32(col_values(j))))
-                .collect();
-            CapturedBatch {
-                frame: DataFrame::from_columns(cols),
-                quantizer: None,
-                threshold: None,
-            }
-        }
-        ValueScheme::Lp => {
-            let cols = (0..n_features)
-                .map(|j| {
-                    let vals = col_values(j);
-                    let bytes = encode_f16(&vals);
-                    let bits: Vec<u16> = bytes
-                        .chunks_exact(2)
-                        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                        .collect();
-                    Column::new(format!("n{j}"), ColumnData::F16(bits))
-                })
-                .collect();
-            CapturedBatch {
-                frame: DataFrame::from_columns(cols),
-                quantizer: None,
-                threshold: None,
-            }
-        }
-        ValueScheme::Kbit { bits } => {
-            let q = match existing_quantizer {
-                Some(bytes) => KbitQuantizer::from_bytes(bytes).expect("valid quantizer"),
-                None => {
-                    // Fit on this batch's pooled sample (the paper: "first
-                    // collect samples of activations to build a distribution").
-                    let mut sample: Vec<f32> = Vec::with_capacity(n * n_features.min(64));
-                    for ex in examples {
-                        sample.extend_from_slice(ex);
-                    }
-                    if sample.is_empty() {
-                        sample.push(0.0);
-                    }
-                    KbitQuantizer::fit(&sample, bits)
-                }
-            };
-            let cols = (0..n_features)
-                .map(|j| {
-                    let codes = q.encode_codes(&col_values(j));
-                    Column::new(format!("n{j}"), ColumnData::U8(codes))
-                })
-                .collect();
-            let ser = if existing_quantizer.is_none() {
-                Some(q.to_bytes())
-            } else {
-                None
-            };
-            CapturedBatch {
-                frame: DataFrame::from_columns(cols),
-                quantizer: ser,
-                threshold: None,
-            }
-        }
-        ValueScheme::Threshold { pct } => {
-            let t = match existing_threshold {
-                Some(t) => t,
-                None => {
-                    let mut sample: Vec<f32> = Vec::new();
-                    for ex in examples {
-                        sample.extend_from_slice(ex);
-                    }
-                    if sample.is_empty() {
-                        0.0
-                    } else {
-                        ThresholdQuantizer::fit(&sample, pct).threshold()
-                    }
-                }
-            };
-            let cols = (0..n_features)
-                .map(|j| {
-                    let flags: Vec<bool> = col_values(j).iter().map(|&v| v > t).collect();
-                    Column::new(format!("n{j}"), ColumnData::Bool(flags))
-                })
-                .collect();
-            let ser_t = if existing_threshold.is_none() {
-                Some(t)
-            } else {
-                None
-            };
-            CapturedBatch {
-                frame: DataFrame::from_columns(cols),
-                quantizer: None,
-                threshold: ser_t,
-            }
-        }
+    let sample = examples.iter().flatten().copied();
+    let encoder = ValueEncoder::fit(scheme, sample, existing_quantizer, existing_threshold);
+    let cols = (0..n_features)
+        .map(|j| {
+            let vals: Vec<f32> = examples.iter().map(|ex| ex[j]).collect();
+            Column::new(format!("n{j}"), encoder.encode(vals))
+        })
+        .collect();
+    CapturedBatch {
+        frame: DataFrame::from_columns(cols),
+        // Fitted state is handed back once, by the batch that fitted it.
+        quantizer: encoder.quantizer().filter(|_| existing_quantizer.is_none()),
+        threshold: encoder.threshold().filter(|_| existing_threshold.is_none()),
     }
 }
 

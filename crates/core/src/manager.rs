@@ -31,12 +31,10 @@
 //! partition in exactly its pre- or post-compaction state (see
 //! `crates/store/tests/compaction.rs`).
 
-use mistique_dataframe::{Column, ColumnData, DataFrame};
-use mistique_quantize::half::encode_f16;
-use mistique_quantize::{KbitQuantizer, ThresholdQuantizer};
+use mistique_dataframe::{Column, DataFrame};
 use mistique_store::{ChunkKey, PlacementPolicy};
 
-use crate::capture::{CaptureScheme, ValueScheme};
+use crate::capture::{CaptureScheme, ValueEncoder, ValueScheme};
 use crate::error::MistiqueError;
 use crate::report::{DemotionRecord, ReclaimReport};
 use crate::system::Mistique;
@@ -374,71 +372,19 @@ impl Mistique {
             .collect();
 
         // Schemes with fitted state share one fit across all columns, like
-        // the capture path. NaN/inf values (missing data, f16 overflow from
-        // an earlier LP_QT step) are excluded from the fit — the quantile
-        // sort cannot order NaN.
-        let finite_sample = || -> Vec<f32> {
-            let mut sample: Vec<f32> = cols
-                .iter()
-                .flat_map(|(_, vals)| vals.iter().copied())
-                .filter(|v| v.is_finite())
-                .collect();
-            if sample.is_empty() {
-                sample.push(0.0);
-            }
-            sample
-        };
-        let mut quantizer: Option<Vec<u8>> = None;
-        let mut threshold: Option<f32> = None;
-        match next {
-            ValueScheme::Kbit { bits } => {
-                quantizer = Some(KbitQuantizer::fit(&finite_sample(), bits).to_bytes());
-            }
-            ValueScheme::Threshold { pct } => {
-                threshold = Some(ThresholdQuantizer::fit(&finite_sample(), pct).threshold());
-            }
-            ValueScheme::Full | ValueScheme::Lp => {}
-        }
-        let kbit = quantizer
-            .as_deref()
-            .map(|b| KbitQuantizer::from_bytes(b).expect("round-trips its own serialization"));
-
-        let encoded: Vec<Column> = cols
+        // the capture path.
+        let sample = cols.iter().flat_map(|(_, vals)| vals.iter().copied());
+        let encoder = ValueEncoder::fit(next, sample, None, None);
+        let (quantizer, threshold) = (encoder.quantizer(), encoder.threshold());
+        let encoded = cols
             .into_iter()
-            .map(|(name, vals)| {
-                let data = match next {
-                    ValueScheme::Full => ColumnData::F32(vals),
-                    ValueScheme::Lp => {
-                        let bytes = encode_f16(&vals);
-                        let bits: Vec<u16> = bytes
-                            .chunks_exact(2)
-                            .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                            .collect();
-                        ColumnData::F16(bits)
-                    }
-                    ValueScheme::Kbit { .. } => {
-                        ColumnData::U8(kbit.as_ref().unwrap().encode_codes(&vals))
-                    }
-                    ValueScheme::Threshold { .. } => {
-                        let t = threshold.unwrap();
-                        ColumnData::Bool(vals.iter().map(|&v| v > t).collect())
-                    }
-                };
-                Column::new(name, data)
-            })
+            .map(|(name, vals)| Column::new(name, encoder.encode(vals)))
             .collect();
         let encoded = DataFrame::from_columns(encoded);
 
         self.qcache.invalidate(intermediate_id);
-        let row_block_size = self.config.row_block_size;
-        let mut bytes = 0u64;
-        for (block, column, chunk) in encoded.chunks(row_block_size) {
-            let key = ChunkKey::new(intermediate_id, column, block as u32);
-            let (_, serialized) =
-                self.store
-                    .put_chunk_sized(key, &chunk, PlacementPolicy::ByIntermediate, true)?;
-            bytes += serialized;
-        }
+        let policy = PlacementPolicy::ByIntermediate;
+        let bytes = self.store_frame(intermediate_id, &encoded, 0, policy, true)?;
 
         // Re-index the re-encoded representation (decoding it exactly as the
         // read path will) so indexed answers stay bit-identical after the

@@ -705,7 +705,9 @@ impl Mistique {
         };
 
         let start_ns = obs.now_ns();
-        let items = run_striped(n_items, workers, &decode_item)?;
+        let items = mistique_store::run_striped(n_items, workers, &decode_item, || {
+            MistiqueError::Invalid("read worker panicked outside the decode guard".to_string())
+        })?;
 
         // Reassemble by index and emit one fetch.decode span per column —
         // its duration the sum of that column's block decodes — so the
@@ -795,7 +797,8 @@ impl Mistique {
                 if gamma >= gamma_min {
                     self.obs.counter("adaptive.materializations").inc();
                     self.qcache.invalidate(intermediate_id);
-                    let stored = self.store_frame(intermediate_id, &frame, source.kind())?;
+                    let (policy, dedup) = self.placement_of(source.kind());
+                    let stored = self.store_frame(intermediate_id, &frame, 0, policy, dedup)?;
                     let m = self.meta.intermediate_mut(intermediate_id).unwrap();
                     m.materialized = true;
                     m.stored_bytes = stored;
@@ -849,50 +852,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Run `f(0..n_items)` on up to `workers` scoped threads with round-robin
-/// striding, reassembling results by item index. The output — including
-/// which error is reported when several items fail (the smallest-indexed
-/// one) — is identical at every worker count. Worker panics surface as
-/// `MistiqueError`, never a process abort.
-fn run_striped<T, F>(n_items: usize, workers: usize, f: &F) -> Result<Vec<T>, MistiqueError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, MistiqueError> + Sync,
-{
-    let workers = workers.max(1).min(n_items.max(1));
-    if workers <= 1 {
-        return (0..n_items).map(f).collect();
-    }
-    type Striped<T> = Vec<Vec<(usize, Result<T, MistiqueError>)>>;
-    let joined: std::thread::Result<Striped<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut part = Vec::new();
-                    let mut i = w;
-                    while i < n_items {
-                        part.push((i, f(i)));
-                        i += workers;
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let per_worker = joined.map_err(|_| {
-        MistiqueError::Invalid("read worker panicked outside the decode guard".to_string())
-    })?;
-    let mut slots: Vec<Option<Result<T, MistiqueError>>> = (0..n_items).map(|_| None).collect();
-    for (i, res) in per_worker.into_iter().flatten() {
-        slots[i] = Some(res);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("striding covers every item"))
-        .collect()
 }
 
 /// Pool each row of an activation frame laid out as `c x h x w` features.
@@ -1139,62 +1098,6 @@ mod tests {
         // Degenerate inputs still resolve to at least one worker.
         assert_eq!(adaptive_workers(0, 0, 0, MIN), 1);
         assert_eq!(adaptive_workers(1, 16, u64::MAX, 1), 1);
-    }
-
-    #[test]
-    fn run_striped_reassembles_identically_at_every_worker_count() {
-        // 13 items (not divisible by 2 or 4): every worker count must yield
-        // the same in-order output.
-        let f = |i: usize| -> Result<u64, MistiqueError> { Ok((i as u64) * 31 + 7) };
-        let serial = run_striped(13, 1, &f).unwrap();
-        for workers in [2usize, 4, 8] {
-            assert_eq!(
-                run_striped(13, workers, &f).unwrap(),
-                serial,
-                "workers={workers}"
-            );
-        }
-        // Zero items is an empty result, not an error.
-        assert!(run_striped(0, 4, &f).unwrap().is_empty());
-    }
-
-    #[test]
-    fn run_striped_reports_the_smallest_indexed_error() {
-        // Items 2, 5 and 9 fail; every schedule must deterministically
-        // surface item 2's error.
-        let f = |i: usize| -> Result<usize, MistiqueError> {
-            if i == 2 || i == 5 || i == 9 {
-                Err(MistiqueError::Invalid(format!("item {i} failed")))
-            } else {
-                Ok(i)
-            }
-        };
-        for workers in [1usize, 2, 4] {
-            match run_striped(12, workers, &f) {
-                Err(MistiqueError::Invalid(msg)) => {
-                    assert_eq!(msg, "item 2 failed", "workers={workers}")
-                }
-                other => panic!("workers={workers}: expected Invalid, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn run_striped_worker_panic_is_an_error_not_an_abort() {
-        // A panic that escapes the per-item closure (i.e. outside the decode
-        // guard) must come back as an error from the join, not unwind
-        // through the scope into an abort.
-        let f = |i: usize| -> Result<usize, MistiqueError> {
-            if i == 3 {
-                panic!("boom in worker");
-            }
-            Ok(i)
-        };
-        let err = run_striped(8, 4, &f).unwrap_err();
-        assert!(
-            matches!(&err, MistiqueError::Invalid(m) if m.contains("panicked")),
-            "unexpected error: {err:?}"
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mistique_dataframe::{ColumnChunk, DataFrame};
+use mistique_dataframe::DataFrame;
 use mistique_nn::{ArchConfig, CifarLike, Model};
 use mistique_obs::Obs;
 use mistique_pipeline::{Pipeline, ZillowData};
@@ -649,26 +649,37 @@ impl Mistique {
         )
     }
 
-    /// Store one intermediate dataframe as chunks. Returns the serialized
-    /// byte volume submitted.
-    pub(crate) fn store_frame(
-        &mut self,
-        intermediate_id: &str,
-        frame: &DataFrame,
-        kind: ModelKind,
-    ) -> Result<u64, MistiqueError> {
+    /// How chunks of a model kind are placed, and whether the configured
+    /// strategy de-duplicates them: the `policy` and `dedup` arguments of
+    /// [`Mistique::store_frame`] for freshly logged or promoted frames.
+    pub(crate) fn placement_of(&self, kind: ModelKind) -> (PlacementPolicy, bool) {
         let policy = match kind {
             ModelKind::Trad => self.config.datastore.policy,
             ModelKind::Dnn => PlacementPolicy::ByIntermediate,
         };
         let dedup = !matches!(self.config.storage, StorageStrategy::StoreAll);
+        (policy, dedup)
+    }
+
+    /// Store a dataframe as the chunks of one intermediate: RowBlock by
+    /// RowBlock, the frame's first block landing at index `first_block`
+    /// (a frame that *is* one block of a longer intermediate passes that
+    /// block's index). Returns the stored byte volume.
+    pub(crate) fn store_frame(
+        &mut self,
+        intermediate_id: &str,
+        frame: &DataFrame,
+        first_block: u32,
+        policy: PlacementPolicy,
+        dedup: bool,
+    ) -> Result<u64, MistiqueError> {
         let mut bytes = 0u64;
         for (block, column, chunk) in frame.chunks(self.config.row_block_size) {
-            let key = ChunkKey::new(intermediate_id, column, block as u32);
+            let key = ChunkKey::new(intermediate_id, column, first_block + block as u32);
             // The store serializes the chunk exactly once and reports the
             // size back, so accounting costs no extra `to_bytes` pass.
-            let (_, serialized) = self.store.put_chunk_sized(key, &chunk, policy, dedup)?;
-            bytes += serialized;
+            let (_, stored) = self.store.put_chunk_sized(key, &chunk, policy, dedup)?;
+            bytes += stored;
         }
         Ok(bytes)
     }
@@ -705,7 +716,8 @@ impl Mistique {
             cum += rec.exec_time;
             let materialize = self.should_materialize_at_log_time();
             let stored_bytes = if materialize {
-                self.store_frame(&rec.intermediate_id, &rec.output, ModelKind::Trad)?
+                let (policy, dedup) = self.placement_of(ModelKind::Trad);
+                self.store_frame(&rec.intermediate_id, &rec.output, 0, policy, dedup)?
             } else {
                 Self::frame_stored_bytes(&rec.output, self.config.row_block_size)
             };
@@ -851,18 +863,10 @@ impl Mistique {
                 let interm_id = format!("{}.layer{}", model_id, li + 1);
                 if materialize {
                     let t_store = Instant::now();
-                    for col in captured.frame.columns() {
-                        let chunk = ColumnChunk::new(col.data.clone());
-                        let key = ChunkKey::new(interm_id.clone(), col.name.clone(), block);
-                        let dedup = !matches!(self.config.storage, StorageStrategy::StoreAll);
-                        let (_, serialized) = self.store.put_chunk_sized(
-                            key,
-                            &chunk,
-                            PlacementPolicy::ByIntermediate,
-                            dedup,
-                        )?;
-                        stored_bytes[li] += serialized;
-                    }
+                    // The captured frame is one RowBlock of the layer.
+                    let (policy, dedup) = self.placement_of(ModelKind::Dnn);
+                    stored_bytes[li] +=
+                        self.store_frame(&interm_id, &captured.frame, block, policy, dedup)?;
                     store_elapsed += t_store.elapsed();
                     // Grow the secondary index block by block, decoding the
                     // captured chunk exactly as the read path will (the

@@ -78,6 +78,24 @@ impl LshIndex {
         self.signatures.insert(id, sig);
     }
 
+    /// Remove an item: its signature and its entry in each band bucket.
+    /// Returns whether the item was indexed.
+    pub fn remove(&mut self, id: u64) -> bool {
+        let Some(sig) = self.signatures.remove(&id) else {
+            return false;
+        };
+        for band in 0..self.bands {
+            let h = self.band_hash(&sig, band);
+            if let Some(ids) = self.buckets[band].get_mut(&h) {
+                ids.retain(|&other| other != id);
+                if ids.is_empty() {
+                    self.buckets[band].remove(&h);
+                }
+            }
+        }
+        true
+    }
+
     /// Candidate ids sharing at least one band bucket with `sig`
     /// (deduplicated, unverified).
     pub fn candidates(&self, sig: &Signature) -> Vec<u64> {
@@ -227,6 +245,26 @@ mod tests {
         for (_, sig) in idx.iter() {
             assert_eq!(sig.len(), idx.signature_len());
         }
+    }
+
+    #[test]
+    fn removed_item_leaves_no_signature_and_no_bucket_entry() {
+        let h = MinHasher::new(32);
+        let mut idx = LshIndex::new(8, 4);
+        let set: Vec<u64> = (0..100).collect();
+        let sig = sig_of(&h, &set);
+        idx.insert(1, sig.clone());
+        idx.insert(2, sig.clone());
+        assert!(idx.remove(1));
+        assert!(!idx.remove(1), "already gone");
+        assert_eq!(idx.candidates(&sig), vec![2]);
+        assert_eq!(idx.query_ranked(&sig, 0.5), vec![(2, 1.0)]);
+        assert!(idx.remove(2));
+        assert!(idx.is_empty());
+        assert!(idx.buckets.iter().all(|band| band.is_empty()));
+        // The same signature can be indexed again under a fresh id.
+        idx.insert(3, sig.clone());
+        assert_eq!(idx.candidates(&sig), vec![3]);
     }
 
     #[test]

@@ -12,18 +12,14 @@
 //!   (e.g. NetDissect's top-0.5% rule), 32× reduction.
 //! - [`pool`]: **POOL_QT** — σ×σ average or max pooling of 2-D activation
 //!   maps; σ=2 is the paper's default, σ=S collapses each map to one value.
-//! - [`scheme`]: the [`scheme::QuantScheme`] enum tying them together with a
-//!   uniform encode/decode surface used by the DataStore.
 
 pub mod bitpack;
 pub mod half;
 pub mod kbit;
 pub mod pool;
-pub mod scheme;
 pub mod threshold;
 
 pub use half::f16;
 pub use kbit::KbitQuantizer;
 pub use pool::{avg_pool2d, max_pool2d, PoolKind};
-pub use scheme::{QuantScheme, QuantizedColumn};
 pub use threshold::ThresholdQuantizer;

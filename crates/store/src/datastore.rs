@@ -9,13 +9,15 @@ use std::time::Instant;
 use mistique_compress::basedelta;
 use mistique_dataframe::ColumnChunk;
 use mistique_dedup::{content_digest, discretize, ContentDigest, LshIndex, MinHasher, Signature};
-use mistique_obs::{Counter, Gauge, Histogram, Obs};
+use mistique_obs::{Counter, Gauge, Histogram, Obs, SpanContext};
 
 use crate::backend::{RealFs, StorageBackend};
 use crate::disk::DiskStore;
+use crate::ledger::{Ledger, PartitionCensus};
 use crate::lru::LruCache;
 use crate::mem::InMemoryStore;
 use crate::partition::{Partition, PartitionId};
+use crate::striped::run_striped;
 use crate::StoreError;
 
 /// Logical address of a ColumnChunk:
@@ -145,18 +147,6 @@ pub struct CompactionReport {
     pub bytes_reclaimed: u64,
     /// Dead chunks dropped.
     pub chunks_dropped: u64,
-}
-
-impl CompactionReport {
-    /// Merge another report into this one (a reclaim pass may compact more
-    /// than once).
-    pub fn absorb(&mut self, other: &CompactionReport) {
-        self.partitions_scanned += other.partitions_scanned;
-        self.partitions_rewritten += other.partitions_rewritten;
-        self.partitions_removed += other.partitions_removed;
-        self.bytes_reclaimed += other.bytes_reclaimed;
-        self.chunks_dropped += other.chunks_dropped;
-    }
 }
 
 /// What a [`DataStore::recover`] pass found and did. Every partition file in
@@ -311,36 +301,13 @@ pub struct DataStore {
     metrics: StoreMetrics,
     mem: InMemoryStore,
     disk: DiskStore,
-    key_map: HashMap<ChunkKey, ContentDigest>,
-    digest_loc: HashMap<ContentDigest, PartitionId>,
-    /// Live references per digest: how many logical keys currently resolve
-    /// to it. A digest whose count drops to zero is *dead* — still physically
-    /// present in its partition, charged to `part_dead` until compaction.
-    digest_refs: HashMap<ContentDigest, u32>,
-    /// Serialized chunk length per digest (live-byte accounting).
-    digest_len: HashMap<ContentDigest, u64>,
-    /// Raw chunk bytes ever placed into each partition (dead + live).
-    part_total: HashMap<PartitionId, u64>,
-    /// Raw bytes of dead chunks per partition; drives the live-ratio test.
-    part_dead: HashMap<PartitionId, u64>,
-    sealed: HashSet<PartitionId>,
+    /// Key → digest → location, references, partition byte accounting and
+    /// the similarity index over stored chunks.
+    ledger: Ledger,
     next_partition: PartitionId,
     /// Per-intermediate open partition (ByIntermediate policy).
     open_by_intermediate: HashMap<String, PartitionId>,
-    /// LSH over stored chunk signatures (BySimilarity placement, and —
-    /// whatever the placement policy — delta base selection).
-    lsh: LshIndex,
     minhasher: MinHasher,
-    lsh_item_to_partition: HashMap<u64, PartitionId>,
-    /// LSH item → content digest of the chunk it was computed from, so a
-    /// similarity hit can name a concrete delta base.
-    lsh_item_to_digest: HashMap<u64, ContentDigest>,
-    next_lsh_item: u64,
-    /// Delta digest → base digest for every chunk stored as a base+delta
-    /// frame. Entries outlive the last reference (a dedup resurrect must
-    /// re-pin the base) and are dropped only when compaction physically
-    /// removes the delta's bytes.
-    delta_base: HashMap<ContentDigest, ContentDigest>,
     /// Byte-budgeted LRU over partitions read back from disk; evicts one
     /// victim at a time (never a clear-all).
     read_cache: LruCache<PartitionId, Partition>,
@@ -373,26 +340,19 @@ impl DataStore {
         );
         let rows = config.minhash_hashes / config.lsh_bands;
         let obs = Obs::new();
+        let metrics = StoreMetrics::new(&obs);
         Ok(DataStore {
-            metrics: StoreMetrics::new(&obs),
+            ledger: Ledger::new(
+                LshIndex::new(config.lsh_bands, rows),
+                metrics.delta_base_pins.clone(),
+            ),
+            metrics,
             obs,
             mem: InMemoryStore::new(config.mem_capacity),
             disk: DiskStore::open_with_backend(dir, backend)?,
-            key_map: HashMap::new(),
-            digest_loc: HashMap::new(),
-            digest_refs: HashMap::new(),
-            digest_len: HashMap::new(),
-            part_total: HashMap::new(),
-            part_dead: HashMap::new(),
-            sealed: HashSet::new(),
             next_partition: 0,
             open_by_intermediate: HashMap::new(),
-            lsh: LshIndex::new(config.lsh_bands, rows),
             minhasher: MinHasher::new(config.minhash_hashes),
-            lsh_item_to_partition: HashMap::new(),
-            lsh_item_to_digest: HashMap::new(),
-            next_lsh_item: 0,
-            delta_base: HashMap::new(),
             read_cache: LruCache::new(config.mem_capacity),
             quarantined: HashMap::new(),
             codec_read_bytes: Mutex::new(HashMap::new()),
@@ -411,6 +371,7 @@ impl DataStore {
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = obs.clone();
         self.metrics = StoreMetrics::new(obs);
+        self.ledger.pins = self.metrics.delta_base_pins.clone();
     }
 
     /// The store's observability handle.
@@ -441,22 +402,24 @@ impl DataStore {
         }
     }
 
-    /// Account compressed bytes coming off disk against their codec (feeds
+    /// Account `len` bytes read under a codec label — a compression scheme
+    /// for partition loads, `delta:<scheme>` for rehydrated frames (feeds
     /// [`DataStore::read_attribution`] and the `read.codec.*` counters).
-    /// Takes the pieces rather than `&self` so parallel partition-load
-    /// workers can call it through shared references.
-    fn note_codec_read(obs: &Obs, per_codec: &Mutex<HashMap<String, u64>>, sealed: &[u8]) {
-        let codec = mistique_compress::scheme_of(sealed)
-            .map(|s| s.name())
-            .unwrap_or("unknown");
-        *per_codec
+    /// `&self`, so parallel partition-load workers can call it.
+    fn note_codec_read(&self, label: &str, len: usize) {
+        *self
+            .codec_read_bytes
             .lock()
             .unwrap()
-            .entry(codec.to_string())
-            .or_insert(0) += sealed.len() as u64;
-        obs.counter(&format!("read.codec.{codec}.bytes"))
-            .add(sealed.len() as u64);
-        obs.counter(&format!("read.codec.{codec}.count")).inc();
+            .entry(label.to_string())
+            .or_insert(0) += len as u64;
+        let metric = label.replace(':', "_");
+        self.obs
+            .counter(&format!("read.codec.{metric}.bytes"))
+            .add(len as u64);
+        self.obs
+            .counter(&format!("read.codec.{metric}.count"))
+            .inc();
     }
 
     /// Store one chunk under its logical key using the configured placement
@@ -467,28 +430,17 @@ impl DataStore {
         key: ChunkKey,
         chunk: &ColumnChunk,
     ) -> Result<PutOutcome, StoreError> {
-        self.put_chunk_with(key, chunk, self.config.policy, true)
+        self.put_chunk_sized(key, chunk, self.config.policy, true)
+            .map(|(outcome, _)| outcome)
     }
 
     /// Store one chunk with an explicit placement policy, optionally
     /// bypassing de-duplication entirely (`dedup = false` models the paper's
     /// STORE_ALL baseline: every chunk is stored even if identical bytes
-    /// exist).
-    pub fn put_chunk_with(
-        &mut self,
-        key: ChunkKey,
-        chunk: &ColumnChunk,
-        policy: PlacementPolicy,
-        dedup: bool,
-    ) -> Result<PutOutcome, StoreError> {
-        self.put_chunk_sized(key, chunk, policy, dedup)
-            .map(|(outcome, _)| outcome)
-    }
-
-    /// [`DataStore::put_chunk_with`], additionally returning the serialized
-    /// chunk size in bytes. The chunk is serialized exactly once; callers
-    /// that need byte accounting (e.g. `stored_bytes` metadata) should use
-    /// this instead of serializing the chunk again themselves.
+    /// exist). Also returns the chunk's stored size in bytes: the chunk is
+    /// serialized exactly once, so callers that need byte accounting (e.g.
+    /// `stored_bytes` metadata) take it from here instead of serializing
+    /// the chunk again themselves.
     pub fn put_chunk_sized(
         &mut self,
         key: ChunkKey,
@@ -532,129 +484,63 @@ impl DataStore {
         // Only the dedup path may short-circuit on a known digest: the
         // STORE_ALL baseline (`dedup = false`) must store every chunk, even
         // a re-put of identical bytes under the same key.
-        if dedup && self.digest_loc.contains_key(&digest) {
-            self.ref_inc(digest, serialized_len);
-            if let Some(old) = self.key_map.insert(key, digest) {
-                self.ref_dec(old);
+        if dedup {
+            if let Some(rec) = self.ledger.chunk(digest) {
+                // Report the *stored* length: for a chunk held as a delta
+                // frame that is the frame, not the raw serialization.
+                let stored = rec.len;
+                self.ledger.bind(key, digest);
+                self.stats.dedup_hits += 1;
+                self.metrics.dedup_exact_hits.inc();
+                return Ok((PutOutcome::Deduplicated, stored));
             }
-            self.stats.dedup_hits += 1;
-            self.metrics.dedup_exact_hits.inc();
-            // Report the *stored* length: for a chunk held as a delta frame
-            // that is the frame, not the raw serialization.
-            let stored = self
-                .digest_len
-                .get(&digest)
-                .copied()
-                .unwrap_or(serialized_len);
-            return Ok((PutOutcome::Deduplicated, stored));
         }
 
         // One MinHash signature feeds both similarity placement and delta
         // base selection, so it is computed when either needs it.
-        let sig = if matches!(policy, PlacementPolicy::BySimilarity { .. })
-            || (dedup && self.config.delta_enabled)
-        {
-            let values = chunk.data.to_f64();
-            let elements = discretize(&values, self.config.discretize_bin);
-            Some(self.minhasher.signature(&elements))
-        } else {
-            None
+        let delta = dedup && self.config.delta_enabled;
+        let sig = (delta || matches!(policy, PlacementPolicy::BySimilarity { .. }))
+            .then(|| self.signature_of(chunk));
+        // A failed probe of the base is not a failed put: store raw.
+        let frame = match &sig {
+            Some(sig) if delta => self.delta_frame(&bytes, sig, digest).unwrap_or(None),
+            _ => None,
+        };
+        let (stored, base) = match frame {
+            Some((base, frame)) => (frame, Some(base)),
+            None => (bytes, None),
         };
 
-        // Delta attempt: if a near-duplicate chunk is already stored, XOR
-        // against it and keep the frame iff it beats the raw serialization
-        // by at least 25% (a marginal win is not worth the read dependency).
-        let mut stored = bytes;
-        let mut delta_of: Option<ContentDigest> = None;
-        if dedup && self.config.delta_enabled {
-            if let Some(sig) = &sig {
-                if let Some(base) = self.find_delta_base(sig, digest) {
-                    if let Ok(base_bytes) = self.stored_bytes_by_digest(base) {
-                        let frame = basedelta::encode(&stored, &base_bytes, (base.0, base.1));
-                        if frame.len() * 4 <= stored.len() * 3 {
-                            delta_of = Some(base);
-                            stored = frame;
-                        }
-                    }
-                }
-            }
-        }
-
-        let pid = self.choose_partition_with(&key, policy, sig.as_ref())?;
-        let len = stored.len();
-        {
-            let part = self.mem.get_mut(pid).expect("open partition resident");
-            part.add(digest, stored);
-        }
-        // Account growth and persist any evicted partitions.
-        let evicted = self.mem.grow(pid, len);
-        self.metrics.pool_evictions.add(evicted.len() as u64);
-        for p in evicted {
-            self.seal_partition(p)?;
-        }
-        // Index the signature after placement so the item can name both its
-        // partition (similarity placement) and its digest (delta base).
-        if let Some(sig) = sig {
-            let item = self.next_lsh_item;
-            self.next_lsh_item += 1;
-            self.lsh.insert(item, sig);
-            self.lsh_item_to_partition.insert(item, pid);
-            self.lsh_item_to_digest.insert(item, digest);
-        }
-        self.digest_loc.insert(digest, pid);
-        if let Some(base) = delta_of {
-            self.delta_base.insert(digest, base);
-            self.stats.delta_puts += 1;
-            self.stats.delta_bytes_saved += serialized_len - len as u64;
-            self.metrics.delta_puts.inc();
-            self.metrics
-                .delta_bytes_saved
-                .add(serialized_len - len as u64);
-        }
-        // ref_inc pins the delta's base (via `delta_base`) on the 0→1 edge.
-        self.ref_inc(digest, len as u64);
-        if let Some(old) = self.key_map.insert(key, digest) {
-            self.ref_dec(old);
-        }
-        *self.part_total.entry(pid).or_insert(0) += len as u64;
-        self.stats.unique_bytes += len as u64;
+        let pid = self.choose_partition(&key, policy, sig.as_ref())?;
+        let len = stored.len() as u64;
+        self.place(pid, digest, stored, base, serialized_len, sig)?;
+        self.ledger.bind(key, digest);
         self.stats.chunks_stored += 1;
-
-        // Seal the partition once it reaches its target size.
-        let full = self
-            .mem
-            .get(pid)
-            .map(|p| p.raw_bytes() >= self.config.partition_target_bytes)
-            .unwrap_or(false);
-        if full {
-            if let Some(p) = self.mem.remove(pid) {
-                self.seal_partition(p)?;
-            }
-        }
-        Ok((PutOutcome::Stored(pid), len as u64))
+        Ok((PutOutcome::Stored(pid), len))
     }
 
-    /// The best available delta base for a chunk with this signature: the
-    /// most similar indexed chunk (estimated Jaccard >= `delta_tau`) whose
-    /// bytes are still mapped. A candidate that is itself a delta redirects
-    /// to *its* base — delta chains are never created, so rehydration is
-    /// always a single XOR. `exclude` is the target's own digest (a
-    /// re-encode must not pick itself).
-    fn find_delta_base(&self, sig: &Signature, exclude: ContentDigest) -> Option<ContentDigest> {
-        for (item, _) in self.lsh.query_ranked(sig, self.config.delta_tau) {
-            let Some(&cand) = self.lsh_item_to_digest.get(&item) else {
-                continue;
-            };
-            // Never chain deltas: a delta candidate stands in for its base.
-            let cand = self.delta_base.get(&cand).copied().unwrap_or(cand);
-            if cand == exclude {
-                continue;
-            }
-            if self.digest_loc.contains_key(&cand) && !self.delta_base.contains_key(&cand) {
-                return Some(cand);
-            }
-        }
-        None
+    fn signature_of(&self, chunk: &ColumnChunk) -> Signature {
+        let elements = discretize(&chunk.data.to_f64(), self.config.discretize_bin);
+        self.minhasher.signature(&elements)
+    }
+
+    /// Delta attempt: if a near-duplicate chunk is already stored, XOR `raw`
+    /// against it and keep the frame iff it beats `raw` by at least 25% (a
+    /// marginal win is not worth the read dependency). Returns the base and
+    /// the frame.
+    fn delta_frame(
+        &mut self,
+        raw: &[u8],
+        sig: &Signature,
+        digest: ContentDigest,
+    ) -> Result<Option<(ContentDigest, Vec<u8>)>, StoreError> {
+        let tau = self.config.delta_tau;
+        let Some(base) = self.ledger.delta_base_for(sig, tau, digest) else {
+            return Ok(None);
+        };
+        let base_bytes = self.probe(base)?;
+        let frame = basedelta::encode(raw, &base_bytes, (base.0, base.1));
+        Ok((frame.len() * 4 <= raw.len() * 3).then_some((base, frame)))
     }
 
     /// Is base+delta encoding enabled for this store?
@@ -671,75 +557,79 @@ impl DataStore {
     /// bytes are charged dead in its partition; the next compaction drops
     /// them.
     pub fn reencode_as_delta(&mut self, key: &ChunkKey) -> Result<u64, StoreError> {
-        let digest = *self.key_map.get(key).ok_or(StoreError::NotFound)?;
-        let cur_len = self.digest_len.get(&digest).copied().unwrap_or(0);
-        if !self.config.delta_enabled
-            || self.delta_base.contains_key(&digest)
-            || self.delta_base.values().any(|&b| b == digest)
-        {
+        let (digest, rec) = self.ledger.resolve(key).ok_or(StoreError::NotFound)?;
+        let (cur_len, old_pid) = (rec.len, rec.partition);
+        if !self.config.delta_enabled || rec.base.is_some() || rec.is_base() {
             return Ok(cur_len);
         }
-        let old_pid = *self.digest_loc.get(&digest).ok_or(StoreError::NotFound)?;
-        let raw = self.stored_bytes_by_digest(digest)?;
-        let chunk = ColumnChunk::from_bytes(&raw)?;
-        let values = chunk.data.to_f64();
-        let elements = discretize(&values, self.config.discretize_bin);
-        let sig = self.minhasher.signature(&elements);
-        let Some(base) = self.find_delta_base(&sig, digest) else {
+        let raw = self.probe(digest)?;
+        let sig = self.signature_of(&ColumnChunk::from_bytes(&raw)?);
+        let Some((base, frame)) = self.delta_frame(&raw, &sig, digest)? else {
             return Ok(cur_len);
         };
-        let base_bytes = self.stored_bytes_by_digest(base)?;
-        let frame = basedelta::encode(&raw, &base_bytes, (base.0, base.1));
-        if frame.len() * 4 > raw.len() * 3 {
-            return Ok(cur_len);
-        }
         // Place the frame into an open partition — never the chunk's current
         // one: Partition::add would index-shadow the old copy while keeping
         // both in the chunk vector, double-counting raw bytes.
-        let mut pid = self.choose_partition_with(key, PlacementPolicy::ByIntermediate, None)?;
+        let mut pid = self.choose_partition(key, PlacementPolicy::ByIntermediate, None)?;
         if pid == old_pid {
-            pid = self.new_partition();
+            pid = self.new_partition()?;
             self.open_by_intermediate
                 .insert(key.intermediate.clone(), pid);
         }
         let len = frame.len() as u64;
-        {
-            let part = self.mem.get_mut(pid).expect("open partition resident");
-            part.add(digest, frame);
-        }
+        self.place(pid, digest, frame, Some(base), raw.len() as u64, None)?;
+        Ok(len)
+    }
+
+    /// The tail of every physical store: add `stored` to the open partition
+    /// `pid`, persist whatever the pool evicts to make room, record the new
+    /// copy in the ledger (a delta frame against `base`, `raw_len` bytes
+    /// before encoding), and seal the partition once it reaches its target
+    /// size.
+    fn place(
+        &mut self,
+        pid: PartitionId,
+        digest: ContentDigest,
+        stored: Vec<u8>,
+        base: Option<ContentDigest>,
+        raw_len: u64,
+        sig: Option<Signature>,
+    ) -> Result<(), StoreError> {
+        let len = stored.len() as u64;
+        let part = self.mem.get_mut(pid).expect("open partition resident");
+        part.add(digest, stored);
         let evicted = self.mem.grow(pid, len as usize);
         self.metrics.pool_evictions.add(evicted.len() as u64);
         for p in evicted {
             self.seal_partition(p)?;
         }
-        // Relocate the digest; the old copy becomes dead bytes where it was.
-        self.digest_loc.insert(digest, pid);
-        self.digest_len.insert(digest, len);
-        *self.part_dead.entry(old_pid).or_insert(0) += cur_len;
-        self.delta_base.insert(digest, base);
-        self.pin_base(base);
-        *self.part_total.entry(pid).or_insert(0) += len;
+        // The signature is indexed after placement, so its item can name
+        // both the partition (similarity placement) and the digest (delta
+        // base).
+        self.ledger.record_copy(digest, pid, len, base, sig);
         self.stats.unique_bytes += len;
-        self.stats.delta_puts += 1;
-        self.stats.delta_bytes_saved += cur_len.saturating_sub(len);
-        self.metrics.delta_puts.inc();
-        self.metrics
-            .delta_bytes_saved
-            .add(cur_len.saturating_sub(len));
+        if base.is_some() {
+            self.stats.delta_puts += 1;
+            self.stats.delta_bytes_saved += raw_len - len;
+            self.metrics.delta_puts.inc();
+            self.metrics.delta_bytes_saved.add(raw_len - len);
+        }
         let full = self
             .mem
             .get(pid)
-            .map(|p| p.raw_bytes() >= self.config.partition_target_bytes)
-            .unwrap_or(false);
+            .is_some_and(|p| p.raw_bytes() >= self.config.partition_target_bytes);
         if full {
             if let Some(p) = self.mem.remove(pid) {
                 self.seal_partition(p)?;
             }
         }
-        Ok(len)
+        Ok(())
     }
 
-    fn choose_partition_with(
+    /// Pick the open partition a chunk goes to. Only partitions resident in
+    /// the buffer pool are open; a sealed one never is (invariant vi of
+    /// [`DataStore::check_invariants`]).
+    fn choose_partition(
         &mut self,
         key: &ChunkKey,
         policy: PlacementPolicy,
@@ -750,11 +640,11 @@ impl DataStore {
                 // Co-locate chunks of one intermediate; new partition when
                 // the previous one was sealed.
                 if let Some(&pid) = self.open_by_intermediate.get(&key.intermediate) {
-                    if !self.sealed.contains(&pid) && self.mem.contains(pid) {
+                    if self.mem.contains(pid) {
                         return Ok(pid);
                     }
                 }
-                let pid = self.new_partition();
+                let pid = self.new_partition()?;
                 self.open_by_intermediate
                     .insert(key.intermediate.clone(), pid);
                 Ok(pid)
@@ -766,37 +656,33 @@ impl DataStore {
                 // at a sealed partition, and settling for the single best
                 // match would stop clustering for good.
                 let target = self
-                    .lsh
-                    .query_ranked(sig, tau)
-                    .into_iter()
-                    .filter_map(|(item, _)| self.lsh_item_to_partition.get(&item).copied())
-                    .find(|pid| !self.sealed.contains(pid) && self.mem.contains(*pid));
-                let pid = match target {
+                    .ledger
+                    .similar(sig, tau)
+                    .map(|(pid, _)| pid)
+                    .find(|&pid| self.mem.contains(pid));
+                match target {
                     Some(pid) => {
                         self.stats.similarity_placements += 1;
                         self.metrics.similarity_placements.inc();
-                        pid
+                        Ok(pid)
                     }
                     None => self.new_partition(),
-                };
-                Ok(pid)
+                }
             }
         }
     }
 
-    fn new_partition(&mut self) -> PartitionId {
+    fn new_partition(&mut self) -> Result<PartitionId, StoreError> {
         let pid = self.next_partition;
         self.next_partition += 1;
         self.stats.partitions_created += 1;
         self.metrics.partitions_created.inc();
-        // Evictions from inserting an empty partition are impossible unless
-        // the pool is already over budget; handle them anyway.
-        let evicted = self.mem.insert(Partition::new(pid));
-        for p in evicted {
-            // Sealing here cannot fail on serialization; propagate panics only.
-            self.seal_partition(p).expect("sealing evicted partition");
+        // Inserting an empty partition evicts only when the pool is already
+        // over budget (one resident partition larger than the whole pool).
+        for p in self.mem.insert(Partition::new(pid)) {
+            self.seal_partition(p)?;
         }
-        pid
+        Ok(pid)
     }
 
     fn seal_partition(&mut self, partition: Partition) -> Result<(), StoreError> {
@@ -815,7 +701,7 @@ impl DataStore {
             .counter(&format!("compress.{codec}.out_bytes"))
             .add(sealed.len() as u64);
         self.disk.write(partition.id(), &sealed)?;
-        self.sealed.insert(partition.id());
+        self.ledger.mark_sealed(partition.id());
         Ok(())
     }
 
@@ -827,94 +713,18 @@ impl DataStore {
         Ok(())
     }
 
-    /// Record one more live reference to a digest. The first reference also
-    /// pins the chunk's serialized length and, when the digest was
-    /// previously dead (purge → re-log of identical bytes), takes its bytes
-    /// back out of the partition's dead accounting. The 0→1 edge of a
-    /// delta-encoded digest additionally pins its base chunk with one extra
-    /// reference, so the base can never be compacted away first.
-    fn ref_inc(&mut self, digest: ContentDigest, len: u64) {
-        let count = self.digest_refs.entry(digest).or_insert(0);
-        *count += 1;
-        if *count == 1 {
-            // Keep an already-recorded stored length: a dedup resurrect of a
-            // delta-encoded chunk passes the raw serialized length, but the
-            // partition holds (and the dead-byte accounting charged) the
-            // frame. For a fresh digest the entry is simply `len`.
-            let len = *self.digest_len.entry(digest).or_insert(len);
-            if let Some(&pid) = self.digest_loc.get(&digest) {
-                if let Some(dead) = self.part_dead.get_mut(&pid) {
-                    *dead = dead.saturating_sub(len);
-                    if *dead == 0 {
-                        self.part_dead.remove(&pid);
-                    }
-                }
-            }
-            if let Some(&base) = self.delta_base.get(&digest) {
-                self.pin_base(base);
-            }
-        }
-    }
-
-    /// Pin a delta base with one extra live reference (reviving it if its
-    /// last key reference is already gone).
-    fn pin_base(&mut self, base: ContentDigest) {
-        let len = self.digest_len.get(&base).copied().unwrap_or(0);
-        self.ref_inc(base, len);
-        self.metrics.delta_base_pins.inc();
-    }
-
-    /// Drop one live reference. When the last reference goes away the
-    /// chunk's bytes are charged to its partition's dead accounting; the
-    /// bytes stay in the file until [`DataStore::compact`] rewrites it. A
-    /// dying delta digest also releases the pin it held on its base.
-    fn ref_dec(&mut self, digest: ContentDigest) {
-        let Some(count) = self.digest_refs.get_mut(&digest) else {
-            return;
-        };
-        *count = count.saturating_sub(1);
-        if *count > 0 {
-            return;
-        }
-        self.digest_refs.remove(&digest);
-        let len = self.digest_len.get(&digest).copied().unwrap_or(0);
-        if let Some(&pid) = self.digest_loc.get(&digest) {
-            *self.part_dead.entry(pid).or_insert(0) += len;
-        }
-        if let Some(&base) = self.delta_base.get(&digest) {
-            self.ref_dec(base);
-        }
-    }
-
     /// Remove every chunk reference of one intermediate (a purge). Chunk
     /// bytes whose last reference this was become dead inside their
     /// partitions — still on disk, reclaimed by the next
     /// [`DataStore::compact`] pass. Chunks shared with other intermediates
     /// via dedup stay live.
     pub fn retract_intermediate(&mut self, intermediate: &str) -> RetractOutcome {
-        let keys: Vec<ChunkKey> = self
-            .key_map
-            .keys()
-            .filter(|k| k.intermediate == intermediate)
-            .cloned()
-            .collect();
-        let mut out = RetractOutcome::default();
-        for key in keys {
-            if let Some(digest) = self.key_map.remove(&key) {
-                out.keys_removed += 1;
-                let last = self.digest_refs.get(&digest).copied().unwrap_or(0) == 1;
-                self.ref_dec(digest);
-                if last {
-                    out.bytes_released += self.digest_len.get(&digest).copied().unwrap_or(0);
-                }
-            }
-        }
-        out
+        self.ledger.retract(intermediate)
     }
 
     /// Raw bytes of dead chunks currently sitting inside partitions.
     pub fn dead_bytes(&self) -> u64 {
-        self.part_dead.values().sum()
+        self.ledger.dead_bytes()
     }
 
     /// Rewrite every sealed on-disk partition whose live-byte ratio has
@@ -923,109 +733,55 @@ impl DataStore {
     /// `write_atomic` overwrite of the partition file (the id — and thus the
     /// catalog's `digest → partition` mapping — never changes), so a crash
     /// at any point leaves each file in exactly its pre- or post-compaction
-    /// state. Open and quarantined partitions are skipped: open ones shed
-    /// their dead chunks when they seal, quarantined ones are evidence.
+    /// state. Open and quarantined partitions are skipped: an open one is
+    /// sealed with every chunk it holds, dead ones included, and sheds them
+    /// in a later pass; a quarantined one is evidence.
     pub fn compact(&mut self, live_ratio_threshold: f64) -> Result<CompactionReport, StoreError> {
         let mut report = CompactionReport::default();
-        // Split every mapped digest into live/dead per partition, once.
-        let mut by_pid: HashMap<PartitionId, (Vec<ContentDigest>, Vec<ContentDigest>)> =
-            HashMap::new();
-        for (&digest, &pid) in &self.digest_loc {
-            let entry = by_pid.entry(pid).or_default();
-            if self.digest_refs.get(&digest).copied().unwrap_or(0) > 0 {
-                entry.0.push(digest);
-            } else {
-                entry.1.push(digest);
-            }
-        }
-        // Partitions to visit: any with a mapped digest, plus any carrying
-        // dead bytes with no mapped digests left at all (e.g. a fully-dead
-        // partition after a catalog import, where dead digests are no longer
-        // in the catalog).
-        let mut pids: Vec<PartitionId> = by_pid
-            .keys()
-            .chain(self.part_dead.keys())
-            .copied()
-            .collect();
-        pids.sort_unstable();
-        pids.dedup();
-        let empty: (Vec<ContentDigest>, Vec<ContentDigest>) = (Vec::new(), Vec::new());
-        for pid in pids {
-            if self.mem.contains(pid)
-                || self.quarantined.contains_key(&pid)
-                || !self.sealed.contains(&pid)
-            {
+        for (pid, census) in self.ledger.census() {
+            let (part, live) = (census.part, &census.live);
+            if self.mem.contains(pid) || self.quarantined.contains_key(&pid) || !part.sealed {
                 continue;
             }
             if !self.disk.contains(pid) {
                 // No backing file. If nothing live maps here the partition
                 // was already deleted (e.g. a crash landed between a
                 // fully-dead partition's removal and the next catalog
-                // export): retire its stale dead-byte accounting so a
-                // re-imported catalog converges to dead_bytes() == 0.
-                let live_here = by_pid.get(&pid).is_some_and(|(live, _)| !live.is_empty());
-                if !live_here {
-                    if let Some(dead) = self.part_dead.remove(&pid) {
-                        report.bytes_reclaimed += dead;
-                        self.stats.unique_bytes = self.stats.unique_bytes.saturating_sub(dead);
-                    }
-                    self.part_total.remove(&pid);
-                    self.sealed.remove(&pid);
+                // export): retire its stale accounting so a re-imported
+                // catalog converges to dead_bytes() == 0. Live chunks
+                // without a file are `recover`'s to report.
+                if live.is_empty() {
+                    self.forget_dropped(pid, &census, &mut report);
                 }
                 continue;
             }
             report.partitions_scanned += 1;
-            let dead = self.part_dead.get(&pid).copied().unwrap_or(0);
-            if dead == 0 {
+            if part.dead == 0 {
                 continue;
             }
-            let total = self.part_total.get(&pid).copied().unwrap_or(0).max(dead);
-            let live_ratio = 1.0 - dead as f64 / total as f64;
+            let live_ratio = 1.0 - part.dead as f64 / part.total as f64;
             if live_ratio > live_ratio_threshold {
                 continue;
             }
-            let (live, dead_digests) = by_pid.get(&pid).unwrap_or(&empty);
             if live.is_empty() {
                 self.disk.remove(pid)?;
-                self.sealed.remove(&pid);
                 report.partitions_removed += 1;
             } else {
-                let sealed_bytes = self.disk.read(pid)?;
-                let old = Partition::unseal(pid, &sealed_bytes)?;
+                let old = Partition::unseal(pid, &self.disk.read(pid)?)?;
                 // Refuse to rewrite if a live chunk is not in the file:
                 // better to keep the dead bytes than to persist data loss.
-                for d in live {
-                    if old.get(*d).is_none() {
-                        return Err(StoreError::CorruptPartition(
-                            "live chunk missing during compaction",
-                        ));
-                    }
+                if live.iter().any(|d| old.get(*d).is_none()) {
+                    return Err(StoreError::CorruptPartition(
+                        "live chunk missing during compaction",
+                    ));
                 }
                 let keep: HashSet<ContentDigest> = live.iter().copied().collect();
                 let rewritten = old.filtered(|d| keep.contains(&d));
                 self.disk.write(pid, &rewritten.seal())?;
-                self.part_total.insert(pid, rewritten.raw_bytes() as u64);
                 report.partitions_rewritten += 1;
             }
             self.read_cache.remove(&pid);
-            for d in dead_digests {
-                self.digest_loc.remove(d);
-                self.digest_len.remove(d);
-                // A physically removed delta chunk no longer needs its
-                // base mapping (its base pin was released at ref_dec time).
-                self.delta_base.remove(d);
-            }
-            if live.is_empty() {
-                self.part_total.remove(&pid);
-            }
-            self.part_dead.remove(&pid);
-            report.bytes_reclaimed += dead;
-            report.chunks_dropped += dead_digests.len() as u64;
-            self.stats.unique_bytes = self.stats.unique_bytes.saturating_sub(dead);
-            self.stats.chunks_stored = self
-                .stats
-                .chunks_stored
-                .saturating_sub(dead_digests.len() as u64);
+            self.forget_dropped(pid, &census, &mut report);
         }
         self.metrics.compaction_runs.inc();
         self.metrics
@@ -1035,6 +791,23 @@ impl DataStore {
             .compaction_partitions_rewritten
             .add(report.partitions_rewritten);
         Ok(report)
+    }
+
+    /// Compaction dropped partition `pid`'s dead bytes from disk (or found
+    /// the whole file already gone): drop them from the books too.
+    fn forget_dropped(
+        &mut self,
+        pid: PartitionId,
+        census: &PartitionCensus,
+        report: &mut CompactionReport,
+    ) {
+        self.ledger.drop_dead(pid, &census.dead_chunks);
+        let (bytes, chunks) = (census.part.dead, census.dead_chunks.len() as u64);
+        report.bytes_reclaimed += bytes;
+        report.chunks_dropped += chunks;
+        // Saturating: these counters may come from an imported catalog.
+        self.stats.unique_bytes = self.stats.unique_bytes.saturating_sub(bytes);
+        self.stats.chunks_stored = self.stats.chunks_stored.saturating_sub(chunks);
     }
 
     /// Recovery pass over the store directory, run after (re)opening over a
@@ -1057,8 +830,7 @@ impl DataStore {
             self.read_cache.remove(&pid);
             self.quarantined.insert(pid, reason);
         }
-        let referenced: HashSet<PartitionId> = self.digest_loc.values().copied().collect();
-        for pid in referenced {
+        for pid in self.ledger.chunk_partitions() {
             if !on_disk.contains(&pid)
                 && !self.quarantined.contains_key(&pid)
                 && !self.mem.contains(pid)
@@ -1086,9 +858,18 @@ impl DataStore {
         &self.quarantined
     }
 
+    /// Check the store's bookkeeping invariants, (i)–(vi) of DESIGN.md
+    /// "Chunk ledger": key bindings, reference counts and base pins, the
+    /// no-delta-chain rule, per-partition dead-byte accounting, LSH item
+    /// ownership, and that no sealed partition is open in the buffer pool.
+    /// The error describes the first violation found.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.ledger.check_invariants(|pid| self.mem.contains(pid))
+    }
+
     /// Whether a chunk has been stored under this key.
     pub fn contains(&self, key: &ChunkKey) -> bool {
-        self.key_map.contains_key(key)
+        self.ledger.resolve(key).is_some()
     }
 
     /// Read a chunk back by key: a batch of one.
@@ -1097,74 +878,71 @@ impl DataStore {
         Ok(ColumnChunk::from_bytes(&bytes[0])?)
     }
 
-    /// The stored bytes of a digest through the usual three tiers (buffer
-    /// pool → read cache → disk), for the put side's delta probes and
-    /// re-encodes: the read-path hit/miss metrics are not charged. For a
-    /// delta-encoded digest this is the frame, not the chunk.
-    fn stored_bytes_by_digest(&mut self, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
-        let pid = *self.digest_loc.get(&digest).ok_or(StoreError::NotFound)?;
-        if let Some(reason) = self.quarantined.get(&pid) {
-            return Err(StoreError::Quarantined {
+    // The tier walk, in pieces: a chunk's partition is either resident
+    // (buffer pool, then read cache) or has to be loaded from disk; the
+    // chunk is then looked up inside it. The batch read and the put side's
+    // probe are the two walks built from them.
+
+    /// Reads of a quarantined partition fail with the recovery verdict.
+    fn readable(&self, pid: PartitionId) -> Result<(), StoreError> {
+        match self.quarantined.get(&pid) {
+            None => Ok(()),
+            Some(reason) => Err(StoreError::Quarantined {
                 partition: pid,
                 reason: reason.clone(),
-            });
+            }),
         }
-        if let Some(part) = self.mem.get(pid) {
-            let bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?
-                .to_vec();
-            return Ok(bytes);
-        }
-        if let Some(part) = self.read_cache.get(&pid) {
-            let bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?
-                .to_vec();
-            return Ok(bytes);
-        }
-        let sealed = self.disk.read(pid)?;
-        Self::note_codec_read(&self.obs, &self.codec_read_bytes, &sealed);
-        let part = Partition::unseal(pid, &sealed)?;
-        let bytes = part
-            .get(digest)
-            .ok_or(StoreError::CorruptPartition("missing chunk"))?
-            .to_vec();
-        self.cache_loaded_partition(pid, part);
-        Ok(bytes)
     }
 
-    /// Account one delta rehydration: frame bytes against the
-    /// `delta:<scheme>` codec label plus the rehydration counter.
-    fn note_delta_read(&mut self, frame: &[u8]) {
-        let scheme = basedelta::inner_scheme(frame)
+    /// The (readable) partition the ledger names for a digest.
+    fn locate(&self, digest: ContentDigest) -> Result<PartitionId, StoreError> {
+        let rec = self.ledger.chunk(digest).ok_or(StoreError::NotFound)?;
+        self.readable(rec.partition)?;
+        Ok(rec.partition)
+    }
+
+    /// A partition already in memory — open in the buffer pool, else in
+    /// the read cache — marked most-recently-used in the tier that holds it.
+    fn resident(&mut self, pid: PartitionId) -> Option<&Partition> {
+        if self.mem.contains(pid) {
+            return self.mem.get(pid);
+        }
+        self.read_cache.get(&pid)
+    }
+
+    /// Bring one sealed partition in from disk — read, account the
+    /// compressed bytes to their codec, verify and decompress — under a
+    /// `store.partition.load` span. The span links to `ctx` explicitly so
+    /// the trace tree is the same whether the load runs on the calling
+    /// thread or (`&self`) on a prefetch worker.
+    fn load(&self, pid: PartitionId, ctx: Option<&SpanContext>) -> Result<Partition, StoreError> {
+        let mut sp = self.obs.span_with_parent("store.partition.load", ctx);
+        sp.attr("pid", pid);
+        let sealed = self.disk.read(pid)?;
+        let codec = mistique_compress::scheme_of(&sealed)
             .map(|s| s.name())
             .unwrap_or("unknown");
-        *self
-            .codec_read_bytes
-            .lock()
-            .unwrap()
-            .entry(format!("delta:{scheme}"))
-            .or_insert(0) += frame.len() as u64;
-        self.obs
-            .counter(&format!("read.codec.delta_{scheme}.bytes"))
-            .add(frame.len() as u64);
-        self.obs
-            .counter(&format!("read.codec.delta_{scheme}.count"))
-            .inc();
-        self.metrics.delta_rehydrations.inc();
+        self.note_codec_read(codec, sealed.len());
+        Partition::unseal(pid, &sealed)
+    }
+
+    /// A chunk's stored bytes inside the partition the ledger names for it.
+    fn chunk_in(part: &Partition, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
+        let bytes = part.get(digest);
+        let bytes = bytes.ok_or(StoreError::CorruptPartition("missing chunk"))?;
+        Ok(bytes.to_vec())
     }
 
     /// Insert a partition just read from disk into the read cache, evicting
     /// LRU victims one at a time and counting them. Returns the partition
     /// back when it was not cached (caching disabled, or the partition alone
     /// exceeds the whole budget).
-    fn cache_loaded_partition(&mut self, pid: PartitionId, part: Partition) -> Option<Partition> {
-        if !self.config.read_cache || part.raw_bytes() > self.read_cache.capacity_bytes() {
+    fn cache_loaded_partition(&mut self, part: Partition) -> Option<Partition> {
+        let raw = part.raw_bytes();
+        if !self.config.read_cache || raw > self.read_cache.capacity_bytes() {
             return Some(part);
         }
-        let raw = part.raw_bytes();
-        let evicted = self.read_cache.insert(pid, part, raw);
+        let evicted = self.read_cache.insert(part.id(), part, raw);
         self.metrics.read_cache_evictions.add(evicted.len() as u64);
         self.metrics
             .read_cache_bytes
@@ -1172,15 +950,28 @@ impl DataStore {
         None
     }
 
+    /// The put side's walk, for delta probes and re-encodes: the stored
+    /// bytes of a digest (for a delta, the frame), with no read-path hit or
+    /// miss counters charged, and a partition that had to be loaded is left
+    /// in the read cache for the next probe.
+    fn probe(&mut self, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
+        let pid = self.locate(digest)?;
+        if let Some(part) = self.resident(pid) {
+            return Self::chunk_in(part, digest);
+        }
+        let part = self.load(pid, self.obs.current_context().as_ref())?;
+        let bytes = Self::chunk_in(&part, digest)?;
+        self.cache_loaded_partition(part);
+        Ok(bytes)
+    }
+
     /// Estimated serialized byte volume of a batch read, summed from the
-    /// per-digest length accounting (populated on every put and persisted in
-    /// the catalog). Keys that don't resolve contribute 0 — this sizes
-    /// read fan-out, it is not an existence check.
+    /// ledger's stored lengths (recorded on every put and persisted in the
+    /// catalog). Keys that don't resolve contribute 0 — this sizes read
+    /// fan-out, it is not an existence check.
     pub fn batch_bytes_hint(&self, keys: &[ChunkKey]) -> u64 {
-        keys.iter()
-            .filter_map(|k| self.key_map.get(k))
-            .filter_map(|d| self.digest_len.get(d))
-            .sum()
+        let resolved = keys.iter().filter_map(|k| self.ledger.resolve(k));
+        resolved.map(|(_, rec)| rec.len).sum()
     }
 
     /// Batch read: the serialized bytes of many chunks at once. Partitions
@@ -1209,70 +1000,70 @@ impl DataStore {
         // before any I/O. A delta-encoded chunk also resolves its base here:
         // the base partition joins the parallel prefetch below instead of
         // forcing a serial read during rehydration.
-        let mut locs = Vec::with_capacity(keys.len());
-        let mut base_pids: Vec<PartitionId> = Vec::new();
+        type Loc = (ContentDigest, PartitionId);
+        let mut locs: Vec<(Loc, Option<Loc>)> = Vec::with_capacity(keys.len());
         for key in keys {
-            let digest = *self.key_map.get(key).ok_or(StoreError::NotFound)?;
-            let pid = *self.digest_loc.get(&digest).ok_or(StoreError::NotFound)?;
-            if let Some(reason) = self.quarantined.get(&pid) {
-                return Err(StoreError::Quarantined {
-                    partition: pid,
-                    reason: reason.clone(),
-                });
-            }
-            if let Some(&base) = self.delta_base.get(&digest) {
-                if let Some(&bpid) = self.digest_loc.get(&base) {
-                    if let Some(reason) = self.quarantined.get(&bpid) {
-                        return Err(StoreError::Quarantined {
-                            partition: bpid,
-                            reason: reason.clone(),
-                        });
-                    }
-                    base_pids.push(bpid);
-                }
-            }
-            locs.push((digest, pid));
+            let (digest, rec) = self.ledger.resolve(key).ok_or(StoreError::NotFound)?;
+            self.readable(rec.partition)?;
+            let base = match rec.base {
+                Some(base) => Some((base, self.locate(base)?)),
+                None => None,
+            };
+            locs.push(((digest, rec.partition), base));
         }
 
-        // Which distinct partitions have to come off disk?
+        // Which distinct partitions have to come off disk? Base partitions
+        // ride the same fan-out but are not charged as partitions the
+        // *request* touched.
         let mut seen: HashSet<PartitionId> = HashSet::new();
         let mut missing: Vec<PartitionId> = Vec::new();
-        for &(_, pid) in &locs {
+        for &((_, pid), _) in &locs {
             if seen.insert(pid) && !self.mem.contains(pid) && !self.read_cache.contains(&pid) {
                 missing.push(pid);
             }
         }
         self.metrics.get_partitions_touched.add(seen.len() as u64);
-        // Base partitions ride the same fan-out but are not charged as
-        // partitions the *request* touched.
-        for bpid in base_pids {
+        for (_, bpid) in locs.iter().filter_map(|&(_, base)| base) {
             if seen.insert(bpid) && !self.mem.contains(bpid) && !self.read_cache.contains(&bpid) {
                 missing.push(bpid);
             }
         }
 
-        let loaded = self.load_partitions(&missing, parallelism)?;
-        // Partitions that could not enter the cache still serve this batch.
+        // Capture the caller's active span before any workers spawn.
+        let ctx = self.obs.current_context();
+        let loaded = run_striped(
+            missing.len(),
+            parallelism,
+            &|i| self.load(missing[i], ctx.as_ref()),
+            || StoreError::CorruptPartition("partition load worker panicked"),
+        )?;
+        // Loaded partitions enter the read cache serially and in request
+        // order, so eviction accounting and LRU order are those of a serial
+        // read. One that cannot enter the cache still serves this batch.
+        let fresh: HashSet<PartitionId> = missing.iter().copied().collect();
         let mut side: HashMap<PartitionId, Partition> = HashMap::new();
-        let mut fresh: HashSet<PartitionId> = HashSet::new();
-        for (pid, part) in loaded {
+        for part in loaded {
             self.metrics.get_disk_reads.inc();
             self.metrics.read_cache_misses.inc();
-            fresh.insert(pid);
-            if let Some(part) = self.cache_loaded_partition(pid, part) {
-                side.insert(pid, part);
+            if let Some(part) = self.cache_loaded_partition(part) {
+                side.insert(part.id(), part);
             }
         }
 
         let mut out = Vec::with_capacity(keys.len());
-        for &(digest, pid) in &locs {
-            let mut bytes = self.batch_fetch_bytes(digest, pid, &mut side, &fresh, true)?;
-            if self.delta_base.contains_key(&digest) && basedelta::is_delta_frame(&bytes) {
-                let base = self.delta_base[&digest];
-                let bpid = *self.digest_loc.get(&base).ok_or(StoreError::NotFound)?;
-                let base_bytes = self.batch_fetch_bytes(base, bpid, &mut side, &fresh, false)?;
+        for &((digest, pid), base) in &locs {
+            let mut bytes = self.batch_chunk(digest, pid, &mut side, &fresh, true)?;
+            // The frame check covers catalogs written before the ledger,
+            // which could keep a delta edge for a chunk re-stored raw.
+            if let Some((base, bpid)) = base.filter(|_| basedelta::is_delta_frame(&bytes)) {
+                let base_bytes = self.batch_chunk(base, bpid, &mut side, &fresh, false)?;
                 let raw = basedelta::decode(&bytes, &base_bytes, (base.0, base.1))?;
-                self.note_delta_read(&bytes);
+                // Attribute the frame to `delta:<scheme>`.
+                let scheme = basedelta::inner_scheme(&bytes)
+                    .map(|s| s.name())
+                    .unwrap_or("unknown");
+                self.note_codec_read(&format!("delta:{scheme}"), bytes.len());
+                self.metrics.delta_rehydrations.inc();
                 bytes = raw;
             }
             self.metrics.get_bytes.add(bytes.len() as u64);
@@ -1281,10 +1072,12 @@ impl DataStore {
         Ok(out)
     }
 
-    /// Serve one digest's stored bytes during a batch: buffer pool, then the
-    /// batch's side partitions, then the read cache, then a (re-)read from
-    /// disk kept aside for the rest of the batch.
-    fn batch_fetch_bytes(
+    /// The batch read's walk for one digest: the batch's side partitions
+    /// (loaded but not cacheable), then whatever is resident, then a
+    /// re-read kept aside for the rest of the batch. `count` charges the
+    /// request's hit counters (base fetches for rehydration do not); a
+    /// partition this batch itself loaded (`fresh`) is a miss, not a hit.
+    fn batch_chunk(
         &mut self,
         digest: ContentDigest,
         pid: PartitionId,
@@ -1292,114 +1085,27 @@ impl DataStore {
         fresh: &HashSet<PartitionId>,
         count: bool,
     ) -> Result<Vec<u8>, StoreError> {
-        let bytes: Vec<u8>;
-        if let Some(part) = self.mem.get(pid) {
-            if count {
+        if let Some(part) = side.get(&pid) {
+            return Self::chunk_in(part, digest);
+        }
+        let in_pool = self.mem.contains(pid);
+        if let Some(part) = self.resident(pid) {
+            let bytes = Self::chunk_in(part, digest)?;
+            if count && in_pool {
                 self.metrics.get_mem_hits.inc();
-            }
-            bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?
-                .to_vec();
-        } else if let Some(part) = side.get(&pid) {
-            bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?
-                .to_vec();
-        } else if let Some(part) = self.read_cache.get(&pid) {
-            if count && !fresh.contains(&pid) {
+            } else if count && !fresh.contains(&pid) {
                 self.metrics.get_cache_hits.inc();
                 self.metrics.read_cache_hits.inc();
             }
-            bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?
-                .to_vec();
-        } else {
-            // Loaded this batch, then evicted by a later partition of the
-            // same batch (cache smaller than the batch): re-read it and
-            // keep it aside for the rest of this batch.
-            let sealed = self.disk.read(pid)?;
-            Self::note_codec_read(&self.obs, &self.codec_read_bytes, &sealed);
-            let part = Partition::unseal(pid, &sealed)?;
-            self.metrics.get_disk_reads.inc();
-            bytes = part
-                .get(digest)
-                .ok_or(StoreError::CorruptPartition("missing chunk"))?
-                .to_vec();
-            side.insert(pid, part);
+            return Ok(bytes);
         }
+        // Loaded this batch, then evicted by a later partition of the same
+        // batch (cache smaller than the batch).
+        let part = self.load(pid, self.obs.current_context().as_ref())?;
+        self.metrics.get_disk_reads.inc();
+        let bytes = Self::chunk_in(&part, digest)?;
+        side.insert(pid, part);
         Ok(bytes)
-    }
-
-    /// Read and unseal the given partitions from disk, concurrently on up to
-    /// `parallelism` scoped threads when more than one is needed.
-    fn load_partitions(
-        &self,
-        pids: &[PartitionId],
-        parallelism: usize,
-    ) -> Result<Vec<(PartitionId, Partition)>, StoreError> {
-        if pids.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Capture the caller's active span before any workers spawn: every
-        // per-partition load span links to it explicitly, so the trace tree
-        // is identical whether loads run serially or on worker threads.
-        let ctx = self.obs.current_context();
-        let workers = parallelism.max(1).min(pids.len());
-        if workers <= 1 {
-            return pids
-                .iter()
-                .map(|&pid| {
-                    let mut sp = self
-                        .obs
-                        .span_with_parent("store.partition.load", ctx.as_ref());
-                    sp.attr("pid", pid);
-                    let sealed = self.disk.read(pid)?;
-                    Self::note_codec_read(&self.obs, &self.codec_read_bytes, &sealed);
-                    let part = Partition::unseal(pid, &sealed)?;
-                    sp.finish();
-                    Ok((pid, part))
-                })
-                .collect();
-        }
-        let disk = &self.disk;
-        let obs = &self.obs;
-        let codec_map = &self.codec_read_bytes;
-        let ctx_ref = ctx.as_ref();
-        // A panicking worker must fail this read, not abort the process:
-        // every handle is joined here and a join failure maps to an error.
-        type Loaded = Vec<Vec<Result<(PartitionId, Partition), StoreError>>>;
-        let joined: std::thread::Result<Loaded> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < pids.len() {
-                            let pid = pids[i];
-                            let mut sp = obs.span_with_parent("store.partition.load", ctx_ref);
-                            sp.attr("pid", pid);
-                            out.push(disk.read(pid).and_then(|sealed| {
-                                Self::note_codec_read(obs, codec_map, &sealed);
-                                Ok((pid, Partition::unseal(pid, &sealed)?))
-                            }));
-                            sp.finish();
-                            i += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let per_worker =
-            joined.map_err(|_| StoreError::CorruptPartition("partition load worker panicked"))?;
-        let mut out = Vec::with_capacity(pids.len());
-        for result in per_worker.into_iter().flatten() {
-            out.push(result?);
-        }
-        Ok(out)
     }
 
     /// Drop all cached disk partitions (used when benchmarking cold reads).
@@ -1445,79 +1151,7 @@ impl DataStore {
     /// the partition files after a restart. Call [`DataStore::flush`] first
     /// so every partition is on disk.
     pub fn export_catalog(&self) -> StoreCatalog {
-        let mut partition_totals: Vec<(PartitionId, u64)> = self
-            .part_total
-            .iter()
-            .map(|(&pid, &total)| (pid, total))
-            .collect();
-        partition_totals.sort_unstable();
-        // Delta mappings for digests that are still live: a reader needs the
-        // base digest to rehydrate, and the importer re-derives base pins
-        // from these records. Stale mappings of purged-and-compacted chunks
-        // are dropped here.
-        let mut deltas: Vec<DeltaRecord> = self
-            .delta_base
-            .iter()
-            .filter(|(d, _)| self.digest_refs.get(d).copied().unwrap_or(0) > 0)
-            .map(|(d, b)| DeltaRecord {
-                digest: (d.0, d.1),
-                base: (b.0, b.1),
-            })
-            .collect();
-        deltas.sort_unstable_by_key(|r| r.digest);
-        // Digests live only through pins (a delta base whose own key
-        // references are gone) are reachable from no CatalogEntry; export
-        // their location and length separately so reads resolve after reopen.
-        let keyed: HashSet<ContentDigest> = self.key_map.values().copied().collect();
-        let mut extras: Vec<CatalogExtra> = self
-            .digest_loc
-            .iter()
-            .filter(|(d, _)| {
-                !keyed.contains(d) && self.digest_refs.get(d).copied().unwrap_or(0) > 0
-            })
-            .map(|(d, &pid)| CatalogExtra {
-                digest: (d.0, d.1),
-                partition: pid,
-                len: self.digest_len.get(d).copied().unwrap_or(0),
-            })
-            .collect();
-        extras.sort_unstable_by_key(|e| e.digest);
-        // LSH state: without it a reopened store can neither cluster new
-        // chunks with old ones (BySimilarity) nor find delta bases among
-        // pre-restart chunks.
-        let mut lsh_items: Vec<LshItemRecord> = self
-            .lsh
-            .iter()
-            .map(|(item, sig)| LshItemRecord {
-                item,
-                partition: self.lsh_item_to_partition.get(&item).copied().unwrap_or(0),
-                digest: self
-                    .lsh_item_to_digest
-                    .get(&item)
-                    .map(|d| (d.0, d.1))
-                    .unwrap_or((0, 0)),
-                signature: sig.to_vec(),
-            })
-            .collect();
-        lsh_items.sort_unstable_by_key(|r| r.item);
-        StoreCatalog {
-            entries: self
-                .key_map
-                .iter()
-                .map(|(key, digest)| CatalogEntry {
-                    key: key.clone(),
-                    digest: (digest.0, digest.1),
-                    partition: self.digest_loc[digest],
-                    len: self.digest_len.get(digest).copied().unwrap_or(0),
-                })
-                .collect(),
-            next_partition: self.next_partition,
-            stats: self.stats,
-            partition_totals,
-            deltas,
-            extras,
-            lsh_items,
-        }
+        self.ledger.export(self.next_partition, self.stats)
     }
 
     /// Restore a catalog exported by [`DataStore::export_catalog`] into a
@@ -1527,80 +1161,9 @@ impl DataStore {
     /// dead bytes are the recorded partition totals minus the live chunk
     /// bytes, so compaction pressure survives a restart.
     pub fn import_catalog(&mut self, catalog: StoreCatalog) {
-        for entry in catalog.entries {
-            let digest = ContentDigest(entry.digest.0, entry.digest.1);
-            self.digest_loc.insert(digest, entry.partition);
-            self.sealed.insert(entry.partition);
-            if entry.len > 0 {
-                self.digest_len.insert(digest, entry.len);
-            }
-            *self.digest_refs.entry(digest).or_insert(0) += 1;
-            if let Some(old) = self.key_map.insert(entry.key, digest) {
-                self.ref_dec(old);
-            }
-        }
-        // Pin-only digests (delta bases without key references): location
-        // and length, but no reference — pins are re-derived from the delta
-        // records below.
-        for extra in catalog.extras {
-            let digest = ContentDigest(extra.digest.0, extra.digest.1);
-            self.digest_loc.insert(digest, extra.partition);
-            self.sealed.insert(extra.partition);
-            if extra.len > 0 {
-                self.digest_len.insert(digest, extra.len);
-            }
-        }
-        // Delta mappings, then base pins: one pin per *live* delta digest,
-        // mirroring what ref_inc did on the original store. (The raw entry
-        // bump above bypassed ref_inc on purpose — double-pinning a base
-        // whose delta has several key references would leak pins.)
-        for rec in &catalog.deltas {
-            let digest = ContentDigest(rec.digest.0, rec.digest.1);
-            let base = ContentDigest(rec.base.0, rec.base.1);
-            self.delta_base.insert(digest, base);
-            if self.digest_refs.get(&digest).copied().unwrap_or(0) > 0 {
-                *self.digest_refs.entry(base).or_insert(0) += 1;
-            }
-        }
-        for (pid, total) in catalog.partition_totals {
-            self.part_total.insert(pid, total);
-            // Anything with a recorded total was created before the export;
-            // after a reopen it is on disk (or gone), never open in memory.
-            self.sealed.insert(pid);
-        }
-        // Dead bytes per partition = recorded file total − live chunk bytes.
-        // Catalogs from before byte accounting carry no totals; their
-        // partitions import as all-live (conservative: compaction skips).
-        let mut live: HashMap<PartitionId, u64> = HashMap::new();
-        for (&digest, &pid) in &self.digest_loc {
-            if self.digest_refs.get(&digest).copied().unwrap_or(0) > 0 {
-                *live.entry(pid).or_insert(0) += self.digest_len.get(&digest).copied().unwrap_or(0);
-            }
-        }
-        for (&pid, &total) in &self.part_total {
-            let l = live.get(&pid).copied().unwrap_or(0);
-            if total > l {
-                self.part_dead.insert(pid, total - l);
-            }
-        }
         self.next_partition = self.next_partition.max(catalog.next_partition);
         self.stats = catalog.stats;
-        // Rebuild the similarity index. Signatures whose length does not
-        // match the current MinHash configuration are skipped (the knobs
-        // changed across the restart); those chunks simply stop being
-        // similarity candidates.
-        for rec in catalog.lsh_items {
-            if rec.signature.len() != self.lsh.signature_len() {
-                continue;
-            }
-            self.lsh.insert(rec.item, Signature(rec.signature));
-            self.lsh_item_to_partition.insert(rec.item, rec.partition);
-            if rec.digest != (0, 0) {
-                self.lsh_item_to_digest
-                    .insert(rec.item, ContentDigest(rec.digest.0, rec.digest.1));
-            }
-            self.next_lsh_item = self.next_lsh_item.max(rec.item + 1);
-        }
+        self.ledger.import(catalog);
     }
 }
 
@@ -1888,11 +1451,11 @@ mod tests {
         let (_dir, mut ds) = store(PlacementPolicy::ByIntermediate);
         let chunk = f64_chunk(vec![7.0; 500]);
         let key = ChunkKey::new("m.i", "c", 0);
-        let first = ds
-            .put_chunk_with(key.clone(), &chunk, PlacementPolicy::ByIntermediate, false)
+        let (first, _) = ds
+            .put_chunk_sized(key.clone(), &chunk, PlacementPolicy::ByIntermediate, false)
             .unwrap();
-        let second = ds
-            .put_chunk_with(key.clone(), &chunk, PlacementPolicy::ByIntermediate, false)
+        let (second, _) = ds
+            .put_chunk_sized(key.clone(), &chunk, PlacementPolicy::ByIntermediate, false)
             .unwrap();
         assert!(matches!(first, PutOutcome::Stored(_)));
         assert!(
@@ -2618,7 +2181,7 @@ mod tests {
         // dedup=false puts compute no signature and never delta-encode:
         // this chunk lands raw, like a THRESHOLD_QT demotion result.
         let kn = ChunkKey::new("m.near", "c", 0);
-        ds.put_chunk_with(kn.clone(), &near, PlacementPolicy::ByIntermediate, false)
+        ds.put_chunk_sized(kn.clone(), &near, PlacementPolicy::ByIntermediate, false)
             .unwrap();
         assert_eq!(ds.stats().delta_puts, 0);
         let raw_len = near.to_bytes().len() as u64;

@@ -20,9 +20,11 @@
 pub mod backend;
 pub mod datastore;
 pub mod disk;
+mod ledger;
 pub mod lru;
 pub mod mem;
 pub mod partition;
+mod striped;
 pub mod subdir;
 
 pub use backend::{FaultyFs, RealFs, StorageBackend, TornWrite};
@@ -34,6 +36,7 @@ pub use disk::DiskStore;
 pub use lru::{LruCache, LruList};
 pub use mem::InMemoryStore;
 pub use partition::{Partition, PartitionId};
+pub use striped::run_striped;
 pub use subdir::{StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR};
 
 /// Errors surfaced by store operations.

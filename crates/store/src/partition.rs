@@ -80,11 +80,14 @@ impl Partition {
     /// digest passes `keep`, preserving the original chunk order. This is
     /// the compaction rewrite: dead chunks are dropped, live ones keep
     /// their relative placement (so similarity-driven compression locality
-    /// survives the rewrite).
+    /// survives the rewrite). A copy shadowed by a later one under the same
+    /// digest (a STORE_ALL re-put of a chunk into the partition that already
+    /// holds it) is unreachable through [`Partition::get`] and is dropped
+    /// too.
     pub fn filtered(&self, keep: impl Fn(ContentDigest) -> bool) -> Partition {
         let mut out = Partition::new(self.id);
-        for (d, b) in &self.chunks {
-            if keep(*d) {
+        for (i, (d, b)) in self.chunks.iter().enumerate() {
+            if keep(*d) && self.index[d] == i {
                 out.add(*d, b.clone());
             }
         }

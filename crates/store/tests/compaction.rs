@@ -90,6 +90,7 @@ fn every_compaction_crash_point_leaves_pre_or_post_state() {
         assert_eq!(report.partitions_removed, 1, "m.i0's partition deleted");
         assert_eq!(report.partitions_rewritten, 1, "m.i1's partition rewritten");
         assert!(report.bytes_reclaimed > 0);
+        ds.check_invariants().unwrap();
         (catalog, live, pre_ops, fs.op_count())
     };
     assert!(total_ops > pre_ops + 2, "compaction must exercise the disk");
@@ -141,6 +142,9 @@ fn every_compaction_crash_point_leaves_pre_or_post_state() {
                 ));
             }
 
+            ds.check_invariants()
+                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}), recovered: {v}"));
+
             // Re-running compaction from the recovered state finishes the
             // job: no dead bytes remain and live chunks still read.
             ds.compact(1.0).unwrap();
@@ -149,6 +153,8 @@ fn every_compaction_crash_point_leaves_pre_or_post_state() {
             for (key, expected) in &golden_live {
                 assert_eq!(&ds.get_chunk(key).unwrap(), expected);
             }
+            ds.check_invariants()
+                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}), recompacted: {v}"));
         }
     }
 }
@@ -175,5 +181,7 @@ fn completed_compaction_is_durable_under_power_cut() {
         for (key, expected) in &live {
             assert_eq!(&ds.get_chunk(key).unwrap(), expected, "{policy:?}");
         }
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("{policy:?}: {v}"));
     }
 }

@@ -19,7 +19,8 @@ scripts/offline_test.sh -q -p mistique-pipeline -p mistique-store
 scripts/offline_test.sh -q -p mistique-core --lib \
   --test manifest_format --test failure_injection --test crash_safety \
   --test telemetry_crash --test index_crash --test audit_crash --test delta_crash \
-  --test reclaim --test timeline --test index_equivalence --test obs_coverage
+  --test reclaim --test timeline --test index_equivalence --test obs_coverage \
+  --test end_to_end_dnn --test store_stress
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -56,6 +57,7 @@ cargo test -q -p mistique-core --test query_cache
 cargo test -q -p mistique-index
 cargo test -q -p mistique-obs
 cargo test -q -p mistique-store --test lru_model
+cargo test -q -p mistique-store --test ledger_model
 cargo test -q -p mistique-store --test compaction
 cargo test -q -p mistique-compress --test truncation_fuzz
 cargo test -q -p mistique-compress --test proptest_roundtrip

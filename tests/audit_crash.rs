@@ -145,6 +145,9 @@ fn every_crash_point_keeps_journal_loadable_and_data_clean() {
                     // more audited op, flushed, must extend the sequence.
                     let _ = sys.reclaim();
                     sys.audit_flush();
+                    sys.store()
+                        .check_invariants()
+                        .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
                     drop(sys);
                     let resumed = load_journal(&fs);
                     assert_journal_sane(&resumed, &format!("post-reopen at {k} ({policy:?})"));

@@ -147,6 +147,8 @@ fn every_crash_point_leaves_datastore_consistent() {
                     Err(e) => panic!("crash at {k} ({policy:?}): unexpected error {e}"),
                 }
             }
+            ds.check_invariants()
+                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
         }
     }
 
@@ -168,6 +170,8 @@ fn every_crash_point_leaves_datastore_consistent() {
         for (key, expected) in &golden {
             assert_eq!(&ds.get_chunk(key).unwrap(), expected, "{policy:?}");
         }
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("{policy:?}: {v}"));
     }
 }
 
@@ -197,6 +201,8 @@ fn transient_io_errors_surface_without_poisoning_the_store() {
         // ...and recovery finds no torn files.
         let report = ds.recover().unwrap();
         assert_eq!(report.quarantined, 0);
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("after {kind:?}: {v}"));
     }
 }
 
@@ -313,6 +319,9 @@ fn every_crash_point_leaves_manifest_consistent() {
                         }
                         n => panic!("crash at {k} ({policy:?}): {n} models restored"),
                     }
+                    sys.store()
+                        .check_invariants()
+                        .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
                 }
                 Err(e) => panic!("crash at {k} ({policy:?}): reopen failed: {e}"),
             }
@@ -378,4 +387,5 @@ fn quarantined_partition_reported_and_isolated_after_reopen() {
     }
     assert!(ok > 0, "healthy partitions must stay readable");
     assert!(quarantined > 0, "corrupt partition must fail loudly");
+    sys.store().check_invariants().unwrap();
 }

@@ -72,7 +72,7 @@ fn run_workload(ds: &mut DataStore) -> Result<mistique_store::datastore::StoreCa
     ds.put_chunk(key("m.near2"), &near_chunk(256))?; // delta put #2
     ds.put_chunk(key("m.far"), &far_chunk())?;
     // A raw (dedup-off) copy the reclaim ladder would squeeze later.
-    ds.put_chunk_with(
+    ds.put_chunk_sized(
         key("m.raw"),
         &near_chunk(128),
         PlacementPolicy::ByIntermediate,
@@ -111,6 +111,7 @@ fn every_crash_point_leaves_delta_store_consistent() {
             DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
         let open_ops = fs.op_count();
         let catalog = run_workload(&mut ds).unwrap();
+        ds.check_invariants().unwrap();
         (catalog, open_ops, fs.op_count(), ds.stats().delta_puts)
     };
     assert!(
@@ -160,6 +161,8 @@ fn every_crash_point_leaves_delta_store_consistent() {
                 ds.get_chunk(&key("m.near2")).is_err(),
                 "crash at {k} ({policy:?}): retracted delta resurrected"
             );
+            ds.check_invariants()
+                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
         }
     }
 }
@@ -192,6 +195,8 @@ fn completed_delta_workload_survives_power_cut_under_every_policy() {
             ds.obs().counter("store.delta.rehydrations").get() >= 2,
             "{policy:?}: expected delta reads after reopen"
         );
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("{policy:?}: {v}"));
     }
 }
 
@@ -256,6 +261,8 @@ fn base_partition_bitrot_quarantines_every_dependent_delta() {
                 "base quarantined but dependent deltas served: {failed:?}"
             );
         }
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("bitrot in {victim:?}: {v}"));
     }
     assert_eq!(
         base_failures, 1,

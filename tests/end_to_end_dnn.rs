@@ -234,3 +234,47 @@ fn partial_reads_are_prefixes_of_full_reads() {
         assert_eq!(&p[..], &f[..10], "col {}", col.name);
     }
 }
+
+#[test]
+fn a_nan_pixel_does_not_panic_quantized_capture() {
+    // `CifarLike::images` is public, so user-supplied data can carry NaN.
+    // The fitted schemes (KBIT_QT, THRESHOLD_QT) must fit on the finite
+    // values like every demotion does, instead of panicking in the quantile
+    // sort; LP_QT never sorted and always passed.
+    let mut data = CifarLike::generate(32, 10, 7);
+    data.images.data[5] = f32::NAN;
+    let data = Arc::new(data);
+    for value in [
+        ValueScheme::Kbit { bits: 8 },
+        ValueScheme::Threshold { pct: 0.995 },
+        ValueScheme::Lp,
+    ] {
+        let dir = tempfile::tempdir().unwrap();
+        let config = MistiqueConfig {
+            dnn_capture: CaptureScheme {
+                value,
+                pool_sigma: Some(2),
+            },
+            row_block_size: 16,
+            ..MistiqueConfig::default()
+        };
+        let mut sys = Mistique::open(dir.path(), config).unwrap();
+        let id = sys
+            .register_dnn(Arc::new(simple_cnn(8)), 3, 0, Arc::clone(&data), 16)
+            .unwrap();
+        sys.log_intermediates(&id)
+            .unwrap_or_else(|e| panic!("{value:?}: {e}"));
+        for interm in sys.intermediates_of(&id) {
+            let (c, h, w) = sys.metadata().intermediate(&interm).unwrap().shape.unwrap();
+            let frame = sys
+                .fetch_with_strategy(&interm, None, None, FetchStrategy::Read)
+                .unwrap_or_else(|e| panic!("{value:?} {interm}: {e}"))
+                .frame;
+            assert_eq!(
+                (frame.n_rows(), frame.n_cols()),
+                (32, c * h * w),
+                "{value:?} {interm}"
+            );
+        }
+    }
+}

@@ -172,6 +172,9 @@ fn every_crash_point_leaves_index_harmless_and_data_clean() {
                         "{ctx}: torn index write quarantined a data partition"
                     );
                     assert_queries_match_scans(&mut sys, &ctx);
+                    sys.store()
+                        .check_invariants()
+                        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
                 }
             }
         }
@@ -219,4 +222,5 @@ fn garbage_index_files_degrade_to_scans_with_identical_answers() {
         0,
         "a rejected index must never serve a plan"
     );
+    sys.store().check_invariants().unwrap();
 }

@@ -66,6 +66,7 @@ fn reclaim_brings_usage_under_budget_and_compacts() {
         }
     }
     assert!(read_any, "the budget was not so tight everything purged");
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -123,6 +124,7 @@ fn demoted_lp_reads_stay_within_scheme_error_bound() {
     let last = sys.last_report().unwrap();
     assert_eq!(last.scheme, "POOL_QT(2)+LP_QT");
     assert_eq!(last.error_bound, Some(bound));
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -172,6 +174,7 @@ fn purged_intermediate_reruns_and_repromotes() {
             assert!((x - y).abs() < 1e-9 || (x.is_nan() && y.is_nan()));
         }
     }
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -215,6 +218,7 @@ fn ladder_tries_delta_reencode_before_purging() {
         );
     }
     assert!(report.render().contains("delta"));
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -276,6 +280,7 @@ fn delta_rung_keeps_threshold_reads_bit_identical() {
             .frame;
         assert_eq!(&got, frame, "delta re-encode changed the bytes of {i}");
     }
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -296,6 +301,7 @@ fn reclaim_reports_ring_and_obs_counters() {
         sys.storage_budget_used()
     );
     assert!(snap.counter("compaction.runs") >= 1);
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -324,6 +330,7 @@ fn gamma_decision_counts_triggering_query_exactly_once() {
         2
     );
     assert_eq!(sys.metadata().intermediate(&interm).unwrap().n_queries, 2);
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -346,6 +353,7 @@ fn logging_hook_enforces_configured_budget() {
     let report = sys.last_reclaim().expect("hook ran a reclaim pass");
     assert!(!report.demotions.is_empty());
     assert_eq!(sys.storage_budget(), 4096);
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -379,4 +387,5 @@ fn reclaimed_store_persists_and_reopens() {
             .unwrap();
         assert_eq!(r.frame.n_rows(), m.n_rows);
     }
+    sys.store().check_invariants().unwrap();
 }

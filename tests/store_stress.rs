@@ -82,6 +82,7 @@ fn mixed_workload_under_eviction_pressure() {
     for (key, chunk) in &written {
         assert_eq!(&store.get_chunk(key).unwrap(), chunk, "cold {key:?}");
     }
+    store.check_invariants().unwrap();
 
     // Catalog export/import into a fresh store over the same directory.
     let catalog = store.export_catalog();
@@ -98,6 +99,7 @@ fn mixed_workload_under_eviction_pressure() {
     for (key, chunk) in &written {
         assert_eq!(&reopened.get_chunk(key).unwrap(), chunk, "reopened {key:?}");
     }
+    reopened.check_invariants().unwrap();
 
     // Accounting sanity: duplicates were deduped, all bytes accounted.
     let stats = reopened.stats();
@@ -171,6 +173,7 @@ fn parallel_read_stored_is_byte_identical_to_serial() {
             assert_eq!(x.to_bits(), y.to_bits(), "get_rows col {}", col.name);
         }
     }
+    sys.store().check_invariants().unwrap();
 }
 
 #[test]
@@ -183,4 +186,5 @@ fn same_key_rewritten_with_new_content_resolves_to_latest() {
     store.put_chunk(key.clone(), &first).unwrap();
     store.put_chunk(key.clone(), &second).unwrap();
     assert_eq!(store.get_chunk(&key).unwrap(), second);
+    store.check_invariants().unwrap();
 }

@@ -176,6 +176,9 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
                         rec.snap_seq > 0,
                         "crash at {k} ({policy:?}): recovery event unstamped"
                     );
+                    sys.store()
+                        .check_invariants()
+                        .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
                 }
             }
         }
@@ -247,4 +250,5 @@ fn garbage_in_telemetry_segment_never_touches_data_recovery() {
             }
         }
     }
+    sys.store().check_invariants().unwrap();
 }
