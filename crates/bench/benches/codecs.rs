@@ -1,16 +1,15 @@
-//! Criterion micro-benchmarks for the compression codecs.
+//! Micro-benchmarks for the compression codecs.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mistique_bench::micro;
 use mistique_compress::{compress, compress_auto, decompress, Scheme};
+use mistique_rng::Rng;
 
 fn workloads() -> Vec<(&'static str, Vec<u8>)> {
-    let mut state = 0x1234_5678_9abc_def0u64;
-    let mut rnd = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        (state >> 56) as u8
-    };
+    let mut rng = Rng::seed(0x1234_5678_9abc_def0);
     let n = 256 * 1024;
-    let random: Vec<u8> = (0..n).map(|_| rnd()).collect();
+    let random: Vec<u8> = (0..n).map(|_| rng.range(0..=u8::MAX)).collect();
     let constant = vec![42u8; n];
     let text: Vec<u8> = b"intermediate activation tensors compress well "
         .iter()
@@ -27,26 +26,22 @@ fn workloads() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-fn bench_codecs(c: &mut Criterion) {
+fn main() {
     for (name, data) in workloads() {
-        let mut group = c.benchmark_group(format!("codec/{name}"));
-        group.throughput(Throughput::Bytes(data.len() as u64));
-        group.sample_size(20);
+        let bytes = data.len() as u64;
         for scheme in [Scheme::Rle, Scheme::Lzss, Scheme::Delta4, Scheme::XorF32] {
-            group.bench_function(format!("compress/{scheme:?}"), |b| {
-                b.iter(|| compress(black_box(&data), scheme))
+            micro(&format!("codec/{name}/compress/{scheme:?}"), bytes, || {
+                compress(black_box(&data), scheme)
             });
             let frame = compress(&data, scheme);
-            group.bench_function(format!("decompress/{scheme:?}"), |b| {
-                b.iter(|| decompress(black_box(&frame)).unwrap())
-            });
+            micro(
+                &format!("codec/{name}/decompress/{scheme:?}"),
+                bytes,
+                || decompress(black_box(&frame)).unwrap(),
+            );
         }
-        group.bench_function("compress/auto", |b| {
-            b.iter(|| compress_auto(black_box(&data)))
+        micro(&format!("codec/{name}/compress/auto"), bytes, || {
+            compress_auto(black_box(&data))
         });
-        group.finish();
     }
 }
-
-criterion_group!(benches, bench_codecs);
-criterion_main!(benches);

@@ -1,35 +1,29 @@
-//! Criterion micro-benchmarks for hashing, MinHash, and LSH (Sec 4.2).
+//! Micro-benchmarks for hashing, MinHash, and LSH (Sec 4.2).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mistique_bench::micro;
 use mistique_dedup::{content_digest, discretize, xxhash64, LshIndex, MinHasher};
 
-fn bench_dedup(c: &mut Criterion) {
+fn main() {
     let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
-
-    let mut group = c.benchmark_group("dedup");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.sample_size(20);
-    group.bench_function("xxhash64/1MiB", |b| {
-        b.iter(|| xxhash64(black_box(&data), 0))
+    let bytes = data.len() as u64;
+    micro("dedup/xxhash64/1MiB", bytes, || {
+        xxhash64(black_box(&data), 0)
     });
-    group.bench_function("content_digest/1MiB", |b| {
-        b.iter(|| content_digest(black_box(&data)))
+    micro("dedup/content_digest/1MiB", bytes, || {
+        content_digest(black_box(&data))
     });
-    group.finish();
 
     let values: Vec<f64> = (0..10_000).map(|i| (i as f64) * 0.37).collect();
     let elements = discretize(&values, 0.05);
     let hasher = MinHasher::new(128);
-
-    let mut group = c.benchmark_group("minhash");
-    group.sample_size(20);
-    group.bench_function("discretize/10k", |b| {
-        b.iter(|| discretize(black_box(&values), 0.05))
+    micro("minhash/discretize/10k", 0, || {
+        discretize(black_box(&values), 0.05)
     });
-    group.bench_function("signature/128x10k", |b| {
-        b.iter(|| hasher.signature(black_box(&elements)))
+    micro("minhash/signature/128x10k", 0, || {
+        hasher.signature(black_box(&elements))
     });
-    group.finish();
 
     // LSH index with 1000 resident signatures.
     let mut idx = LshIndex::new(32, 4);
@@ -38,13 +32,7 @@ fn bench_dedup(c: &mut Criterion) {
         idx.insert(i, hasher.signature(&set));
     }
     let probe = hasher.signature(&(380u64 * 13..380 * 13 + 500).collect::<Vec<_>>());
-    let mut group = c.benchmark_group("lsh");
-    group.sample_size(20);
-    group.bench_function("query_best/1000_items", |b| {
-        b.iter(|| idx.query_best(black_box(&probe), 0.5))
+    micro("lsh/query_best/1000_items", 0, || {
+        idx.query_best(black_box(&probe), 0.5)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_dedup);
-criterion_main!(benches);

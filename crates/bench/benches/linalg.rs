@@ -1,46 +1,35 @@
-//! Criterion micro-benchmarks for the linear-algebra substrate (SVD/CCA/SVCCA).
+//! Micro-benchmarks for the linear-algebra substrate (SVD/CCA/SVCCA).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
+
+use mistique_bench::micro;
 use mistique_linalg::{cca, svcca, thin_svd, Matrix};
+use mistique_rng::Rng;
 
 fn noise(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut state = seed;
-    let data: Vec<f64> = (0..rows * cols)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
-        .collect();
+    let mut rng = Rng::seed(seed);
+    let data = (0..rows * cols).map(|_| rng.range(-1.0..1.0)).collect();
     Matrix::from_vec(rows, cols, data)
 }
 
-fn bench_linalg(c: &mut Criterion) {
-    let mut group = c.benchmark_group("linalg");
-    group.sample_size(10);
-
+fn main() {
     for cols in [16usize, 64] {
         let a = noise(512, cols, 1);
-        group.bench_function(format!("thin_svd/512x{cols}"), |b| {
-            b.iter(|| thin_svd(black_box(&a)))
+        micro(&format!("linalg/thin_svd/512x{cols}"), 0, || {
+            thin_svd(black_box(&a))
         });
     }
 
     let x = noise(512, 32, 2);
     let y = noise(512, 32, 3);
-    group.bench_function("cca/512x32", |b| {
-        b.iter(|| cca(black_box(&x), black_box(&y)))
-    });
-    group.bench_function("svcca/512x32", |b| {
-        b.iter(|| svcca(black_box(&x), black_box(&y), 0.99))
+    micro("linalg/cca/512x32", 0, || cca(black_box(&x), black_box(&y)));
+    micro("linalg/svcca/512x32", 0, || {
+        svcca(black_box(&x), black_box(&y), 0.99)
     });
 
     let m1 = noise(256, 256, 4);
     let m2 = noise(256, 256, 5);
-    group.bench_function("matmul/256x256", |b| {
-        b.iter(|| black_box(&m1).matmul(black_box(&m2)))
+    micro("linalg/matmul/256x256", 0, || {
+        black_box(&m1).matmul(black_box(&m2))
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_linalg);
-criterion_main!(benches);

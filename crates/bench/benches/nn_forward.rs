@@ -1,13 +1,14 @@
-//! Criterion micro-benchmarks for the DNN forward path (the re-run cost).
+//! Micro-benchmarks for the DNN forward path (the re-run cost).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mistique_bench::micro;
 use mistique_nn::{simple_cnn, vgg16_cifar, CifarLike, Model};
 
-fn bench_forward(c: &mut Criterion) {
+fn main() {
     let data = CifarLike::generate(16, 10, 1);
-    let mut group = c.benchmark_group("nn_forward");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(16));
+    // Throughput is input bytes: 16 images of 3x32x32 f32.
+    let bytes = (data.images.data.len() * 4) as u64;
 
     for (name, arch) in [
         ("simple_cnn/16", simple_cnn(16)),
@@ -15,15 +16,11 @@ fn bench_forward(c: &mut Criterion) {
     ] {
         let model = Model::build(&arch, 1, 0);
         let last = model.n_layers() - 1;
-        group.bench_function(format!("{name}/full"), |b| {
-            b.iter(|| model.forward_to_batched(black_box(&data.images), last, 16))
+        micro(&format!("nn_forward/{name}/full"), bytes, || {
+            model.forward_to_batched(black_box(&data.images), last, 16)
         });
-        group.bench_function(format!("{name}/layer1"), |b| {
-            b.iter(|| model.forward_to_batched(black_box(&data.images), 0, 16))
+        micro(&format!("nn_forward/{name}/layer1"), bytes, || {
+            model.forward_to_batched(black_box(&data.images), 0, 16)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_forward);
-criterion_main!(benches);

@@ -1,60 +1,53 @@
-//! Criterion micro-benchmarks for the quantization schemes (Sec 4.1).
+//! Micro-benchmarks for the quantization schemes (Sec 4.1).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mistique_bench::micro;
 use mistique_quantize::half::{decode_f16, encode_f16};
 use mistique_quantize::{avg_pool2d, KbitQuantizer, ThresholdQuantizer};
+use mistique_rng::Rng;
 
 fn sample(n: usize) -> Vec<f32> {
-    let mut state = 7u64;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f32 / (1u64 << 31) as f32) * 10.0
-        })
-        .collect()
+    let mut rng = Rng::seed(7);
+    (0..n).map(|_| rng.range(0.0f32..20.0)).collect()
 }
 
-fn bench_quantize(c: &mut Criterion) {
+fn main() {
     let values = sample(1 << 18);
     let bytes = (values.len() * 4) as u64;
 
-    let mut group = c.benchmark_group("quantize");
-    group.throughput(Throughput::Bytes(bytes));
-    group.sample_size(20);
-
-    group.bench_function("lp/encode_f16", |b| {
-        b.iter(|| encode_f16(black_box(&values)))
+    micro("quantize/lp/encode_f16", bytes, || {
+        encode_f16(black_box(&values))
     });
     let encoded = encode_f16(&values);
-    group.bench_function("lp/decode_f16", |b| {
-        b.iter(|| decode_f16(black_box(&encoded)).unwrap())
+    micro("quantize/lp/decode_f16", bytes, || {
+        decode_f16(black_box(&encoded)).unwrap()
     });
 
-    group.bench_function("kbit8/fit", |b| {
-        b.iter(|| KbitQuantizer::fit(black_box(&values[..(1 << 14)]), 8))
+    micro("quantize/kbit8/fit", 4 << 14, || {
+        KbitQuantizer::fit(black_box(&values[..(1 << 14)]), 8)
     });
     let q = KbitQuantizer::fit(&values, 8);
-    group.bench_function("kbit8/encode", |b| b.iter(|| q.encode(black_box(&values))));
+    micro("quantize/kbit8/encode", bytes, || {
+        q.encode(black_box(&values))
+    });
     let packed = q.encode(&values);
-    group.bench_function("kbit8/decode_reconstruct", |b| {
-        b.iter(|| q.decode(black_box(&packed), values.len()).unwrap())
+    micro("quantize/kbit8/decode_reconstruct", bytes, || {
+        q.decode(black_box(&packed), values.len()).unwrap()
     });
 
     let t = ThresholdQuantizer::fit(&values[..(1 << 14)], 0.995);
-    group.bench_function("threshold/encode_packed", |b| {
-        b.iter(|| t.encode_packed(black_box(&values)))
+    micro("quantize/threshold/encode_packed", bytes, || {
+        t.encode_packed(black_box(&values))
     });
 
     // Pool a 64x64 map per iteration (per-example POOL_QT cost).
     let map = sample(64 * 64);
-    group.bench_function("pool/avg_sigma2_64x64", |b| {
-        b.iter(|| avg_pool2d(black_box(&map), 64, 64, 2))
+    let bytes = (map.len() * 4) as u64;
+    micro("quantize/pool/avg_sigma2_64x64", bytes, || {
+        avg_pool2d(black_box(&map), 64, 64, 2)
     });
-    group.bench_function("pool/avg_sigma32_64x64", |b| {
-        b.iter(|| avg_pool2d(black_box(&map), 64, 64, 32))
+    micro("quantize/pool/avg_sigma32_64x64", bytes, || {
+        avg_pool2d(black_box(&map), 64, 64, 32)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_quantize);
-criterion_main!(benches);

@@ -1,79 +1,58 @@
-//! Criterion micro-benchmarks for the DataStore write and read paths.
+//! Micro-benchmarks for the DataStore write and read paths.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mistique_bench::micro;
 use mistique_dataframe::{ColumnChunk, ColumnData};
+use mistique_rng::Rng;
 use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
 
 fn chunk(seed: u64, rows: usize) -> ColumnChunk {
-    let mut state = seed;
-    let values: Vec<f64> = (0..rows)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) * 100.0
-        })
-        .collect();
+    let mut rng = Rng::seed(seed);
+    let values = (0..rows).map(|_| rng.range(0.0..200.0)).collect();
     ColumnChunk::new(ColumnData::F64(values))
 }
 
-fn bench_store(c: &mut Criterion) {
+fn main() {
     let rows = 1000;
     let bytes = (rows * 8) as u64;
-
-    let mut group = c.benchmark_group("store");
-    group.throughput(Throughput::Bytes(bytes));
-    group.sample_size(20);
 
     for (name, policy) in [
         ("by_intermediate", PlacementPolicy::ByIntermediate),
         ("by_similarity", PlacementPolicy::BySimilarity { tau: 0.6 }),
     ] {
-        group.bench_function(format!("put_chunk/{name}"), |b| {
-            let dir = tempfile::tempdir().unwrap();
-            let mut store = DataStore::open(
-                dir.path(),
-                DataStoreConfig {
-                    policy,
-                    ..DataStoreConfig::default()
-                },
-            )
-            .unwrap();
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                let ch = chunk(i, rows);
-                store
-                    .put_chunk(ChunkKey::new("m.i", format!("c{i}"), 0), black_box(&ch))
-                    .unwrap()
-            });
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut store = DataStore::open(
+            dir.path(),
+            DataStoreConfig {
+                policy,
+                ..DataStoreConfig::default()
+            },
+        )
+        .unwrap();
+        let mut i = 0u64;
+        micro(&format!("store/put_chunk/{name}"), bytes, || {
+            i += 1;
+            let ch = chunk(i, rows);
+            store
+                .put_chunk(ChunkKey::new("m.i", format!("c{i}"), 0), black_box(&ch))
+                .unwrap()
         });
     }
 
     // Warm read from the buffer pool.
-    group.bench_function("get_chunk/warm", |b| {
-        let dir = tempfile::tempdir().unwrap();
-        let mut store = DataStore::open(dir.path(), DataStoreConfig::default()).unwrap();
-        let ch = chunk(1, rows);
-        let key = ChunkKey::new("m.i", "c", 0);
-        store.put_chunk(key.clone(), &ch).unwrap();
-        b.iter(|| store.get_chunk(black_box(&key)).unwrap());
+    let dir = mistique_testkit::tempdir().unwrap();
+    let mut store = DataStore::open(dir.path(), DataStoreConfig::default()).unwrap();
+    let key = ChunkKey::new("m.i", "c", 0);
+    store.put_chunk(key.clone(), &chunk(1, rows)).unwrap();
+    micro("store/get_chunk/warm", bytes, || {
+        store.get_chunk(black_box(&key)).unwrap()
     });
 
     // Cold read: flushed to disk, cache cleared each iteration.
-    group.bench_function("get_chunk/cold_disk", |b| {
-        let dir = tempfile::tempdir().unwrap();
-        let mut store = DataStore::open(dir.path(), DataStoreConfig::default()).unwrap();
-        let ch = chunk(1, rows);
-        let key = ChunkKey::new("m.i", "c", 0);
-        store.put_chunk(key.clone(), &ch).unwrap();
-        store.flush().unwrap();
-        b.iter(|| {
-            store.clear_read_cache();
-            store.get_chunk(black_box(&key)).unwrap()
-        });
+    store.flush().unwrap();
+    micro("store/get_chunk/cold_disk", bytes, || {
+        store.clear_read_cache();
+        store.get_chunk(black_box(&key)).unwrap()
     });
-
-    group.finish();
 }
-
-criterion_group!(benches, bench_store);
-criterion_main!(benches);

@@ -47,7 +47,7 @@ fn overlap(a: &[usize], b: &[usize]) -> f64 {
 fn kbit_sweep(examples: usize, scale: usize) {
     println!("\n== ablation 1: KBIT_QT bit width (layer 11, {examples} examples) ==");
     // Ground truth from a full-precision system.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, _) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),
@@ -110,7 +110,7 @@ fn pool_sweep(examples: usize, scale: usize) {
                 pool_sigma: Some(sigma),
             }
         };
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let (mut sys, ids, _) = dnn_system(
             dir.path(),
             vgg16_cifar(scale),
@@ -146,7 +146,7 @@ fn buffer_pool_sweep(rows_n: usize) {
     let data = Arc::new(ZillowData::generate(rows_n, 42));
     let mut rows = Vec::new();
     for budget in [64usize << 10, 1 << 20, 8 << 20, 64 << 20] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             datastore: DataStoreConfig {
                 mem_capacity: budget,
@@ -187,7 +187,7 @@ fn row_block_sweep(rows_n: usize) {
     let data = Arc::new(ZillowData::generate(rows_n, 42));
     let mut rows = Vec::new();
     for rbs in [100usize, 1000, 4000] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: rbs,
             ..MistiqueConfig::default()

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use mistique_bench::*;
 use mistique_compress::{lzss, rle, varint, xorf};
 use mistique_quantize::{half, threshold::ThresholdQuantizer, KbitQuantizer};
+use mistique_rng::Rng;
 
 /// Best-of-`reps` wall time of `f`, with the result of the last run returned
 /// so the optimizer cannot discard the work.
@@ -108,30 +109,16 @@ fn seed_f16_decode(bytes: &[u8]) -> Option<Vec<f32>> {
     )
 }
 
-/// Deterministic xorshift64* byte stream.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-    fn f32(&mut self) -> f32 {
-        (self.next() >> 40) as f32 / (1u64 << 24) as f32
-    }
-}
-
 /// Partition-like payload: repeated near-identical blocks (the similar-chunk
 /// case LZSS exists for) interleaved with noise.
 fn lzss_payload(total: usize) -> Vec<u8> {
-    let mut rng = Rng(0x5EED1);
-    let block: Vec<u8> = (0..4096).map(|_| (rng.next() >> 56) as u8).collect();
+    let mut rng = Rng::seed(0x5EED1);
+    let block: Vec<u8> = (0..4096).map(|_| rng.range(0..=u8::MAX)).collect();
     let mut out = Vec::with_capacity(total);
     while out.len() < total {
         out.extend_from_slice(&block);
         for _ in 0..64 {
-            out.push((rng.next() >> 56) as u8);
+            out.push(rng.range(0..=u8::MAX));
         }
     }
     out.truncate(total);
@@ -177,11 +164,11 @@ fn main() {
         .set(lzss_speedup);
 
     // --- RLE: long runs (the THRESHOLD/constant-column case) --------------
-    let mut rng = Rng(0x5EED2);
+    let mut rng = Rng::seed(0x5EED2);
     let mut raw = Vec::with_capacity(total);
     while raw.len() < total {
-        let b = (rng.next() >> 56) as u8;
-        let run = 16 + (rng.next() % 240) as usize;
+        let b = rng.range(0..=u8::MAX);
+        let run = rng.range(16..256usize);
         raw.extend(std::iter::repeat_n(b, run));
     }
     raw.truncate(total);
@@ -193,12 +180,12 @@ fn main() {
     record("rle", raw.len(), t);
 
     // --- XOR-float: smooth f32 series (activation-like) -------------------
-    let mut rng = Rng(0x5EED3);
+    let mut rng = Rng::seed(0x5EED3);
     let n = total / 4;
     let mut acc = 0.0f32;
     let mut raw = Vec::with_capacity(total);
     for _ in 0..n {
-        acc += rng.f32() * 0.01 - 0.005;
+        acc += rng.range(0.0..1.0f32) * 0.01 - 0.005;
         raw.extend_from_slice(&acc.to_le_bytes());
     }
     let packed = xorf::compress(&raw).unwrap();
@@ -207,9 +194,11 @@ fn main() {
     record("xorf", raw.len(), t);
 
     // --- varint: mixed-magnitude u64s --------------------------------------
-    let mut rng = Rng(0x5EED4);
+    let mut rng = Rng::seed(0x5EED4);
     let n = total / 8;
-    let values: Vec<u64> = (0..n).map(|_| rng.next() >> (rng.next() % 58)).collect();
+    let values: Vec<u64> = (0..n)
+        .map(|_| rng.next_u64() >> rng.range(0..58u32))
+        .collect();
     let mut packed = Vec::new();
     for &v in &values {
         varint::write_u64(&mut packed, v);
@@ -230,15 +219,15 @@ fn main() {
     // Activation-like values: log-uniform magnitudes spanning the binary16
     // subnormal range (|v| < 2^-14), with exact zeros mixed in — the
     // post-ReLU tail that dominates stored DNN intermediates.
-    let mut rng = Rng(0x5EED5);
+    let mut rng = Rng::seed(0x5EED5);
     let n = total / 2;
     let values: Vec<f32> = (0..n)
         .map(|_| {
-            if rng.next().is_multiple_of(16) {
+            if rng.chance(1.0 / 16.0) {
                 return 0.0;
             }
-            let mag = 10f32.powf(rng.f32() * 8.0 - 7.0);
-            if rng.next().is_multiple_of(2) {
+            let mag = 10f32.powf(rng.range(0.0..1.0f32) * 8.0 - 7.0);
+            if rng.chance(0.5) {
                 mag
             } else {
                 -mag

@@ -12,15 +12,8 @@ use std::time::Duration;
 
 use mistique_bench::*;
 use mistique_dataframe::{ColumnChunk, ColumnData};
+use mistique_rng::Rng;
 use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
-
-/// Deterministic LCG so every run sees the same tensors.
-fn lcg(state: &mut u64) -> f64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    ((*state >> 11) as f64) / ((1u64 << 53) as f64)
-}
 
 fn store_config(delta: bool) -> DataStoreConfig {
     DataStoreConfig {
@@ -46,11 +39,11 @@ fn main() {
     // The checkpoint sweep: layer l of epoch e. Value ranges are offset per
     // layer so MinHash only ever pairs a layer with its own history.
     let mut checkpoints: Vec<Vec<Vec<f64>>> = Vec::with_capacity(epochs);
-    let mut seed = 0x5eed_0001u64;
+    let mut rng = Rng::seed(0x5eed_0001);
     let mut tensors: Vec<Vec<f64>> = (0..layers)
         .map(|l| {
             (0..values)
-                .map(|_| (l * 10) as f64 + lcg(&mut seed))
+                .map(|_| (l * 10) as f64 + rng.range(0.0..1.0))
                 .collect()
         })
         .collect();
@@ -58,8 +51,8 @@ fn main() {
     for _ in 1..epochs {
         for t in &mut tensors {
             for v in t.iter_mut() {
-                if lcg(&mut seed) < perturb {
-                    *v += 0.01 * (lcg(&mut seed) - 0.5);
+                if rng.chance(perturb) {
+                    *v += 0.01 * rng.range(-0.5..0.5);
                 }
             }
         }
@@ -80,8 +73,8 @@ fn main() {
         .collect();
 
     // Store the sweep twice: delta frames on and off.
-    let run = |delta: bool| -> (DataStore, tempfile::TempDir, u64, Duration) {
-        let dir = tempfile::tempdir().unwrap();
+    let run = |delta: bool| -> (DataStore, mistique_testkit::TempDir, u64, Duration) {
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut ds = DataStore::open(dir.path(), store_config(delta)).unwrap();
         let ((), t) = time(|| {
             for (key, chunk) in &keys_and_chunks {

@@ -15,8 +15,7 @@ use mistique_bench::*;
 use mistique_core::{Mistique, MistiqueConfig, StorageStrategy};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mistique_rng::Rng;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Q {
@@ -109,7 +108,7 @@ fn main() {
 
     // Storage comparison.
     let storage_of = |strategy: StorageStrategy| -> u64 {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let (sys, _, _) = zillow_system(dir.path(), rows, 2, strategy);
         sys.store().disk_bytes().unwrap()
     };
@@ -117,7 +116,7 @@ fn main() {
     let dedup = storage_of(StorageStrategy::Dedup);
 
     // Adaptive run with the query workload.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let data = Arc::new(ZillowData::generate(rows, 42));
     let mut sys = Mistique::open(
         dir.path(),
@@ -136,11 +135,11 @@ fn main() {
     let interms = sys.intermediates_of(&ids[0]);
     let other_pred = sys.intermediates_of(&ids[1]).last().unwrap().clone();
 
-    let mut rng = StdRng::seed_from_u64(9);
+    let mut rng = Rng::seed(9);
     let pool = [Q::Vis, Q::ColDiff, Q::ColDist, Q::Topk, Q::RowDiff];
     let mut history: Vec<(usize, Q, std::time::Duration)> = Vec::new();
     for qi in 0..n_queries {
-        let q = pool[rng.gen_range(0..pool.len())];
+        let q = pool[rng.range(0..pool.len())];
         let t = run_query(&mut sys, q, &interms, &other_pred);
         history.push((qi, q, t));
     }

@@ -35,7 +35,7 @@ fn trad(rows: usize, obs: &Obs) {
     let mut rows_out = Vec::new();
     for template in [1usize, 5, 9] {
         for (name, storage) in &strategies {
-            let dir = tempfile::tempdir().unwrap();
+            let dir = mistique_testkit::tempdir().unwrap();
             // All strategy runs report into one shared registry, so the
             // snapshot aggregates the whole figure's workload.
             let mut sys = Mistique::open_with_obs(
@@ -129,7 +129,7 @@ fn dnn(examples: usize, scale: usize, obs: &Obs) {
         "-".to_string(),
     ]];
     for (name, capture) in schemes {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open_with_obs(
             dir.path(),
             MistiqueConfig {

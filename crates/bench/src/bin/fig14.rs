@@ -14,23 +14,22 @@
 use mistique_bench::*;
 use mistique_compress::compress_auto;
 use mistique_dataframe::{ColumnChunk, ColumnData};
+use mistique_rng::Rng;
 use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Build `cols` columns of `rows` f32 values where `similarity` is the
 /// fraction of each column copied from a shared base column.
 fn build_columns(rows: usize, cols: usize, similarity: f64, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base: Vec<f32> = (0..rows).map(|_| rng.gen_range(-100.0..100.0)).collect();
+    let mut rng = Rng::seed(seed);
+    let base: Vec<f32> = (0..rows).map(|_| rng.range(-100.0..100.0)).collect();
     (0..cols)
         .map(|_| {
             base.iter()
                 .map(|&b| {
-                    if rng.gen_bool(similarity) {
+                    if rng.chance(similarity) {
                         b
                     } else {
-                        rng.gen_range(-100.0..100.0)
+                        rng.range(-100.0..100.0)
                     }
                 })
                 .collect()
@@ -108,7 +107,7 @@ fn main() {
     let columns = build_columns(rows / 4, cols, 0.9, 5);
     let mut rows_out = Vec::new();
     for tau in [0.2, 0.4, 0.6, 0.8, 0.95] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = DataStoreConfig {
             policy: PlacementPolicy::BySimilarity { tau },
             ..DataStoreConfig::default()

@@ -70,7 +70,7 @@ fn measure(
 
 fn part_a(rows: usize) {
     println!("\n== Fig 5a: TRAD (Zillow) query times, read vs re-run ==");
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, data) = zillow_system(dir.path(), rows, 6, StorageStrategy::Dedup);
     let p0 = &ids[0]; // P1_v0
     let interms = sys.intermediates_of(p0);
@@ -260,7 +260,7 @@ fn part_a(rows: usize) {
 }
 
 fn part_dnn(part: &str, examples: usize, scale: usize) {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, data) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),

@@ -36,7 +36,7 @@ fn part_a(rows: usize, n_pipelines: usize) {
     let raw = raw_input_bytes(&data);
 
     let run = |storage: StorageStrategy| -> (u64, Vec<u64>) {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let data = Arc::new(ZillowData::generate(rows, 42));
         let mut sys = Mistique::open(
             dir.path(),
@@ -106,7 +106,7 @@ fn dnn_storage(
     capture: CaptureScheme,
     storage: StorageStrategy,
 ) -> u64 {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (sys, _, _) = dnn_system(dir.path(), arch, examples, epochs, capture, storage);
     sys.store().disk_bytes().unwrap()
 }

@@ -29,7 +29,7 @@ fn main() {
     println!("#        (b) read time: 8BIT_QT > LP_QT > pool(2) > pool(32)");
 
     // --- (a) re-run time per layer, from a pool(2) system's measurements.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, _) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),
@@ -92,7 +92,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (name, capture) in schemes {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let (mut sys, ids, _) = dnn_system(
             dir.path(),
             vgg16_cifar(scale),

@@ -18,7 +18,7 @@ fn main() {
     println!("# paper: read beats re-run for all layers except Layer1 at >10K examples;");
     println!("#        both sides scale linearly in n_ex and the predictions match the measurements' shape");
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, _) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),

@@ -73,7 +73,7 @@ fn main() {
     );
 
     // Log at full precision so every scheme can be derived from one source.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, data) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),

@@ -34,7 +34,7 @@ fn main() {
 
     println!("# Read-path concurrency: cold read_stored, serial vs {workers} workers");
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     // Delta frames off: this bench isolates the parallel decode path, and
     // its committed baseline predates base+delta storage. Delta rehydration
     // cost has its own bench (delta_dedup) with its own read timings.

@@ -30,7 +30,7 @@ fn main() {
     for _ in 0..reps {
         // Fresh store per rep: a reclaim pass mutates the store, so
         // repetitions must not see each other's demotions.
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(
             dir.path(),
             MistiqueConfig {

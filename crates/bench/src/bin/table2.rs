@@ -52,7 +52,7 @@ fn main() {
     println!("# Table 2: SVCCA mean CCA coefficient, logits vs layer representation");
     println!("# paper: 8BIT_QT matches full precision; pool(2) discrepancy shrinks with depth");
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, _) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),

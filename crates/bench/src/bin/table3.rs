@@ -47,7 +47,7 @@ fn main() {
     println!("# Table 3: KNN overlap with full-precision neighbours (k = {k})");
     println!("# paper: 8BIT_QT 0.94-1.0; POOL_QT(2) 0.74-1.0, both improving with depth");
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, _) = dnn_system(
         dir.path(),
         vgg16_cifar(scale),

@@ -21,7 +21,7 @@ fn main() {
 
     println!("# Indexed top-k / threshold reads vs scans: simple CNN, {examples} examples");
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let (mut sys, ids, _data) = dnn_system(
         dir.path(),
         simple_cnn(scale),

@@ -3,9 +3,10 @@
 //! One binary per table/figure of the paper's evaluation lives in
 //! `src/bin/`; each prints the same rows/series the paper reports, scaled to
 //! laptop budgets (`--rows`, `--examples`, … flags override the defaults).
-//! Criterion micro-benchmarks for the substrates live in `benches/`.
+//! Micro-benchmarks for the substrates live in `benches/`, timed by [`micro`].
 
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,6 +69,35 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed())
+}
+
+/// Micro-benchmark one case and print one line: the median over timed
+/// batches as ns/iter, plus MB/s when an iteration processes `bytes` bytes
+/// (0 for a case with no throughput reading). Warm-up doubles the batch
+/// until one lasts ~10 ms, so timer resolution stays well below a percent
+/// and a slow first call does not size the batches.
+pub fn micro<T>(name: &str, bytes: u64, mut f: impl FnMut() -> T) {
+    let mut ns_per_iter = |iters: u32| {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        t0.elapsed().as_nanos() as f64 / f64::from(iters)
+    };
+    let mut iters = 1;
+    while ns_per_iter(iters) * f64::from(iters) < 1e7 && iters < 1 << 20 {
+        iters *= 2;
+    }
+    let mut ns: Vec<f64> = (0..11).map(|_| ns_per_iter(iters)).collect();
+    ns.sort_by(f64::total_cmp);
+    let median = ns[ns.len() / 2];
+    match bytes {
+        0 => println!("{name:<44} {median:>14.0} ns/iter"),
+        _ => println!(
+            "{name:<44} {median:>14.0} ns/iter {:>10.1} MB/s",
+            bytes as f64 * 1e3 / median
+        ),
+    }
 }
 
 /// Format a byte count with binary units.
@@ -238,7 +268,7 @@ mod tests {
 
     #[test]
     fn zillow_system_builds() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let (sys, ids, _) = zillow_system(dir.path(), 120, 2, StorageStrategy::Dedup);
         assert_eq!(ids.len(), 2);
         assert!(sys.store().stats().chunks_stored > 0);
@@ -246,7 +276,7 @@ mod tests {
 
     #[test]
     fn obs_snapshot_file_is_written() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let obs = mistique_core::Obs::new();
         obs.counter("bench.test").add(7);
         let path = write_obs_snapshot_to(dir.path(), "unit", &obs);
@@ -265,7 +295,7 @@ mod tests {
 
     #[test]
     fn dnn_system_builds() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let (sys, ids, _) = dnn_system(
             dir.path(),
             mistique_nn::simple_cnn(16),

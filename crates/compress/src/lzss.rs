@@ -248,13 +248,8 @@ mod tests {
     #[test]
     fn incompressible_data_roundtrips() {
         // Pseudo-random bytes: no matches, slight expansion from flag bytes.
-        let mut state = 0x12345678u64;
-        let input: Vec<u8> = (0..4096)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 56) as u8
-            })
-            .collect();
+        let mut rng = mistique_rng::Rng::seed(0x12345678);
+        let input: Vec<u8> = (0..4096).map(|_| rng.range(0..=u8::MAX)).collect();
         let c = compress(&input);
         assert!(c.len() <= input.len() + input.len() / 8 + 2);
         assert_eq!(decompress(&c), Some(input));
@@ -264,15 +259,8 @@ mod tests {
     fn duplicated_block_compresses_to_half() {
         // Two identical 8 KiB blocks back to back: the second should be
         // almost free — the cross-chunk dedup effect inside a Partition.
-        let mut state = 7u64;
-        let block: Vec<u8> = (0..8192)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(2862933555777941757)
-                    .wrapping_add(3037000493);
-                (state >> 33) as u8
-            })
-            .collect();
+        let mut rng = mistique_rng::Rng::seed(7);
+        let block: Vec<u8> = (0..8192).map(|_| rng.range(0..=u8::MAX)).collect();
         let mut input = block.clone();
         input.extend_from_slice(&block);
         let c = compress(&input);

@@ -148,12 +148,9 @@ mod tests {
 
     #[test]
     fn random_stream_roundtrips_with_bounded_expansion() {
-        let mut state = 9u64;
+        let mut rng = mistique_rng::Rng::seed(9);
         let values: Vec<f32> = (0..4096)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                f32::from_bits((state >> 32) as u32 & 0x7f7f_ffff)
-            })
+            .map(|_| f32::from_bits(rng.range(0..=u32::MAX) & 0x7f7f_ffff))
             .collect();
         let (raw, c) = roundtrip(&values);
         // Worst case ~ (2 + 10 + 32)/32 bits per value overhead.
@@ -181,14 +178,9 @@ mod tests {
 
     #[test]
     fn garbage_decompress_never_panics() {
-        for seed in 0..50u64 {
-            let mut state = seed;
-            let garbage: Vec<u8> = (0..64)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (state >> 56) as u8
-                })
-                .collect();
+        let mut rng = mistique_rng::Rng::seed(0);
+        for _ in 0..50 {
+            let garbage: Vec<u8> = (0..64).map(|_| rng.range(0..=u8::MAX)).collect();
             let _ = decompress(&garbage);
         }
     }

@@ -6,63 +6,43 @@
 //! slipped past the guard would trip it.
 
 use mistique_compress::lzss::{compress, decompress, decompress_with_hint, WINDOW};
-
-/// Deterministic xorshift-style byte stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-
-    fn byte(&mut self) -> u8 {
-        (self.next() >> 56) as u8
-    }
-
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() >> 33) as usize % (hi - lo)
-    }
-}
+use mistique_rng::Rng;
 
 /// Build an input several windows long out of segments chosen to stress the
 /// hash chains: literal noise, long runs, and copies of earlier regions at
 /// distances both inside and beyond the window.
 fn multi_window_input(seed: u64, target_len: usize) -> Vec<u8> {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::seed(seed);
     let mut out: Vec<u8> = Vec::with_capacity(target_len + 4096);
     while out.len() < target_len {
-        match rng.range(0, 4) {
+        match rng.range(0..4) {
             // Random literals: populate fresh hash chains.
             0 => {
-                let n = rng.range(64, 2048);
-                out.extend((0..n).map(|_| rng.byte()));
+                let n = rng.range(64..2048usize);
+                out.extend((0..n).map(|_| rng.range(0..=u8::MAX)));
             }
             // Constant run: maximally overlapping self-matches.
             1 => {
-                let n = rng.range(64, 4096);
-                let b = rng.byte();
+                let n = rng.range(64..4096usize);
+                let b = rng.range(0..=u8::MAX);
                 out.resize(out.len() + n, b);
             }
             // Short-period cycle: dense chains on a handful of hashes.
             2 => {
-                let period = rng.range(3, 24);
-                let n = rng.range(256, 4096);
-                let phase = rng.range(0, 251);
+                let period = rng.range(3..24usize);
+                let n = rng.range(256..4096usize);
+                let phase = rng.range(0..251usize);
                 out.extend((0..n).map(|i| ((i % period) + phase) as u8));
             }
             // Replay an earlier region — possibly from a previous window, so
             // the finder walks chains whose heads have lapped the ring.
             _ => {
                 if out.is_empty() {
-                    out.push(rng.byte());
+                    out.push(rng.range(0..=u8::MAX));
                     continue;
                 }
-                let n = rng.range(64, 4096).min(out.len());
-                let start = rng.range(0, out.len() - n + 1);
+                let n = rng.range(64..4096usize).min(out.len());
+                let start = rng.range(0..out.len() - n + 1);
                 let copy: Vec<u8> = out[start..start + n].to_vec();
                 out.extend_from_slice(&copy);
             }
@@ -105,8 +85,8 @@ fn hint_value_never_affects_decoded_bytes() {
 fn window_boundary_distances_roundtrip() {
     // A block repeated at exactly the window size: matches sit at the
     // maximum representable distance.
-    let mut rng = Rng(7);
-    let block: Vec<u8> = (0..WINDOW).map(|_| rng.byte()).collect();
+    let mut rng = Rng::seed(7);
+    let block: Vec<u8> = (0..WINDOW).map(|_| rng.range(0..=u8::MAX)).collect();
     let mut input = block.clone();
     input.extend_from_slice(&block);
     input.extend_from_slice(&block[..WINDOW / 2]);

@@ -1,59 +1,88 @@
 //! Property tests: every codec must be lossless on arbitrary byte strings.
+//! Seeded (`mistique_testkit::cases`), 256 cases each.
 
 use mistique_compress::{compress, compress_auto, decompress, Scheme};
-use proptest::prelude::*;
+use mistique_testkit::cases;
 
-proptest! {
-    #[test]
-    fn lzss_roundtrip(input in proptest::collection::vec(any::<u8>(), 0..8192)) {
+fn le_bytes(words: &[u32]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+#[test]
+fn lzss_roundtrip() {
+    cases(256, 1, |g| {
+        let input = g.bytes(0..8192);
         let frame = compress(&input, Scheme::Lzss);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    #[test]
-    fn rle_roundtrip(input in proptest::collection::vec(any::<u8>(), 0..8192)) {
+#[test]
+fn rle_roundtrip() {
+    cases(256, 2, |g| {
+        let input = g.bytes(0..8192);
         let frame = compress(&input, Scheme::Rle);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    #[test]
-    fn auto_roundtrip(input in proptest::collection::vec(any::<u8>(), 0..8192)) {
+#[test]
+fn auto_roundtrip() {
+    cases(256, 3, |g| {
+        let input = g.bytes(0..8192);
         let frame = compress_auto(&input);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    #[test]
-    fn delta_roundtrip(words in proptest::collection::vec(any::<u32>(), 0..2048)) {
-        let input: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+#[test]
+fn delta_roundtrip() {
+    cases(256, 4, |g| {
+        let input = le_bytes(&g.words(0..2048));
         let frame = compress(&input, Scheme::Delta4);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    // Runs of repeated blocks stress the overlapping-match path in LZSS.
-    #[test]
-    fn lzss_repeated_blocks(block in proptest::collection::vec(any::<u8>(), 1..256),
-                            reps in 1usize..64) {
-        let input: Vec<u8> = block.iter().cycle().take(block.len() * reps).copied().collect();
+// Runs of repeated blocks stress the overlapping-match path in LZSS.
+#[test]
+fn lzss_repeated_blocks() {
+    cases(256, 5, |g| {
+        let block = g.bytes(1..256);
+        let reps = g.rng.range(1usize..64);
+        let input: Vec<u8> = block
+            .iter()
+            .cycle()
+            .take(block.len() * reps)
+            .copied()
+            .collect();
         let frame = compress(&input, Scheme::Lzss);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    #[test]
-    fn xorf_roundtrip(words in proptest::collection::vec(any::<u32>(), 0..2048)) {
-        let input: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+#[test]
+fn xorf_roundtrip() {
+    cases(256, 6, |g| {
+        let input = le_bytes(&g.words(0..2048));
         let frame = compress(&input, Scheme::XorF32);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    #[test]
-    fn auto_extended_roundtrip(input in proptest::collection::vec(any::<u8>(), 0..4096)) {
+#[test]
+fn auto_extended_roundtrip() {
+    cases(256, 7, |g| {
+        let input = g.bytes(0..4096);
         let frame = mistique_compress::compress_auto_extended(&input);
-        prop_assert_eq!(decompress(&frame).unwrap(), input);
-    }
+        assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
 
-    // Decoding must never panic on garbage, only return an error.
-    #[test]
-    fn decompress_never_panics(garbage in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decompress(&garbage);
-    }
+// Decoding must never panic on garbage, only return an error.
+#[test]
+fn decompress_never_panics() {
+    cases(256, 8, |g| {
+        let _ = decompress(&g.bytes(0..512));
+    });
 }

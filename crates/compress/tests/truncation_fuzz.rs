@@ -4,22 +4,17 @@
 //! valid payload, so these invariants are what the crash-safety recovery
 //! path leans on.
 //!
-//! Deterministic by construction (fixed corpus + LCG), no proptest needed.
+//! Deterministic by construction (fixed corpus + `mistique_rng` seeds).
 
 use mistique_compress::{
     basedelta, compress, compress_auto, compress_auto_extended, decompress, delta, lzss, rle,
     varint, xorf, CodecError, Scheme,
 };
 
-/// Simple LCG so the corpus is identical on every run.
-fn lcg_bytes(seed: u64, len: usize) -> Vec<u8> {
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 56) as u8
-        })
-        .collect()
+/// Seeded bytes, so the corpus is identical on every run.
+fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = mistique_rng::Rng::seed(seed);
+    (0..len).map(|_| rng.range(0..=u8::MAX)).collect()
 }
 
 /// Corpus of byte streams covering the shapes each codec cares about. All
@@ -48,8 +43,8 @@ fn corpus() -> Vec<Vec<u8>> {
     }
     out.push(floats);
     // Random bytes.
-    out.push(lcg_bytes(7, 512));
-    out.push(lcg_bytes(99, 64));
+    out.push(random_bytes(7, 512));
+    out.push(random_bytes(99, 64));
     out
 }
 
@@ -210,7 +205,7 @@ fn basedelta_prefixes_always_rejected() {
 
 #[test]
 fn basedelta_wrong_base_always_rejected() {
-    let base = lcg_bytes(11, 256);
+    let base = random_bytes(11, 256);
     let mut target = base.clone();
     target[13] ^= 0xff;
     let digest = (42u64, 43u64);
@@ -262,7 +257,7 @@ fn random_garbage_decodes_are_total() {
     // Feeding arbitrary bytes to every decoder terminates with a clean
     // verdict (Some/None/Err) — no panic, no hang.
     for seed in 0..200u64 {
-        let garbage = lcg_bytes(seed, (seed as usize % 96) + 1);
+        let garbage = random_bytes(seed, (seed as usize % 96) + 1);
         // RLE expansion is bounded only by the caller's cap (the format has
         // no total-length header) — use the limit API as real callers do.
         let _ = rle::decompress_with_limit(&garbage, 1 << 20);

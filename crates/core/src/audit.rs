@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn entry_points_journal_one_record_each() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), config()).unwrap();
         run_small_workload(&mut sys);
         sys.audit_flush();
@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn zero_budget_disables_capture_entirely() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(
             dir.path(),
             MistiqueConfig {
@@ -409,7 +409,7 @@ mod tests {
 
     #[test]
     fn drop_flushes_buffered_records() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         {
             let mut sys = Mistique::open(dir.path(), config()).unwrap();
             run_small_workload(&mut sys);
@@ -421,7 +421,7 @@ mod tests {
 
     #[test]
     fn failed_operations_are_journaled_not_ok() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), config()).unwrap();
         assert!(sys.log_intermediates("nope").is_err());
         sys.audit_flush();
@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn slo_histograms_track_query_classes() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), config()).unwrap();
         let interm = run_small_workload(&mut sys);
         for _ in 0..3 {
@@ -452,7 +452,7 @@ mod tests {
 
     #[test]
     fn sequence_continues_across_reopen_sessions() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         {
             let mut sys = Mistique::open(dir.path(), config()).unwrap();
             run_small_workload(&mut sys);

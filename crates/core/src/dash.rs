@@ -285,7 +285,7 @@ mod tests {
         use mistique_pipeline::ZillowData;
         use std::sync::Arc;
 
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         {
             let mut sys = Mistique::open(
                 dir.path(),
@@ -317,7 +317,7 @@ mod tests {
         assert!(text.contains("audit:"), "journal health rendered:\n{text}");
 
         // An empty directory renders an empty dashboard, not an error.
-        let empty = tempfile::tempdir().unwrap();
+        let empty = mistique_testkit::tempdir().unwrap();
         let view = top_view(empty.path()).unwrap();
         assert_eq!(view.records, 0);
     }

@@ -728,8 +728,8 @@ mod tests {
     use mistique_pipeline::ZillowData;
     use std::sync::Arc;
 
-    fn trad() -> (tempfile::TempDir, Mistique, String) {
-        let dir = tempfile::tempdir().unwrap();
+    fn trad() -> (mistique_testkit::TempDir, Mistique, String) {
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 50,
             storage: StorageStrategy::Dedup,
@@ -744,8 +744,8 @@ mod tests {
         (dir, sys, id)
     }
 
-    fn dnn() -> (tempfile::TempDir, Mistique, String, Arc<CifarLike>) {
-        let dir = tempfile::tempdir().unwrap();
+    fn dnn() -> (mistique_testkit::TempDir, Mistique, String, Arc<CifarLike>) {
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 10,
             storage: StorageStrategy::Dedup,
@@ -794,7 +794,7 @@ mod tests {
     #[test]
     fn col_diff_finds_differing_predictions() {
         // Two P2 variants: predictions differ on most rows.
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(
             dir.path(),
             MistiqueConfig {

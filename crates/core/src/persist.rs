@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn persist_and_reopen_reads_everything() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let data = Arc::new(ZillowData::generate(200, 1));
         let preds;
         let expected;
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn rerun_after_reopen_requires_reattach() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let data = Arc::new(ZillowData::generate(150, 1));
         let pipeline = zillow_pipelines().remove(0);
         let interm0;
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn reopen_without_manifest_errors() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         assert!(matches!(
             Mistique::reopen(dir.path(), MistiqueConfig::default()),
             Err(MistiqueError::NoManifest)
@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn persist_leaves_no_tmp_files() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let data = Arc::new(ZillowData::generate(100, 1));
         let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
         let id = sys
@@ -409,7 +409,7 @@ mod tests {
 
     #[test]
     fn reattach_unknown_model_errors() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
         let data = Arc::new(ZillowData::generate(50, 1));
         let err = sys.reattach_trad(zillow_pipelines().remove(0), data);

@@ -885,8 +885,8 @@ mod tests {
     use mistique_pipeline::ZillowData;
     use std::sync::Arc;
 
-    fn trad_system(strategy: StorageStrategy) -> (tempfile::TempDir, Mistique, String) {
-        let dir = tempfile::tempdir().unwrap();
+    fn trad_system(strategy: StorageStrategy) -> (mistique_testkit::TempDir, Mistique, String) {
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 40,
             storage: strategy,
@@ -1011,7 +1011,7 @@ mod tests {
 
     #[test]
     fn dnn_read_and_rerun_align_with_pooling() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 8,
             storage: StorageStrategy::Dedup,
@@ -1106,7 +1106,7 @@ mod tests {
         // `decode_column` panic. The per-item guard must convert that into
         // a MistiqueError naming the column — on the serial path and on the
         // striped path alike — instead of aborting the process.
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 8,
             storage: StorageStrategy::Dedup,
@@ -1149,7 +1149,7 @@ mod tests {
 
     #[test]
     fn dnn_partial_fetch_limits_rows() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 8,
             storage: StorageStrategy::Dedup,

@@ -16,10 +16,11 @@
 //! of them: the parallel read path must be indistinguishable from the
 //! serial one, answer for answer, plan for plan.
 //!
-//! Two kinds of record don't replay: `diag.netdissect` (its pixel-level
-//! concept masks are journaled only as a digest) and registrations whose
-//! dataset lacks generator provenance. Both are reported as skipped with a
-//! reason, never silently dropped.
+//! Three kinds of record don't replay: `diag.netdissect` (its pixel-level
+//! concept masks are journaled only as a digest), registrations whose
+//! dataset lacks generator provenance, and operations this build does not
+//! know (a journal written by a newer one). All are reported as skipped
+//! with a reason, never silently dropped or counted as executed.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -253,8 +254,9 @@ impl DataCache {
     }
 }
 
-/// Replay one record. `Ok(None)` means "not replayable" (netdissect, or a
-/// registration without provenance); the caller records the skip.
+/// Replay one record. `Ok(None)` means "not replayable" (netdissect, a
+/// registration without provenance, or an unknown op); the caller records
+/// the skip.
 fn replay_one(
     sys: &mut Mistique,
     rec: &AuditRecord,
@@ -490,7 +492,7 @@ fn replay_one(
             }
             Ok(Some(h))
         }
-        op => Ok(Some(mix_str(mix_str(0, "unknown-op"), op))),
+        _ => Ok(None), // an op this build cannot execute must not count as executed
     }
 }
 
@@ -700,7 +702,7 @@ mod tests {
             storage: StorageStrategy::Dedup,
             ..MistiqueConfig::default()
         };
-        let capture_dir = tempfile::tempdir().unwrap();
+        let capture_dir = mistique_testkit::tempdir().unwrap();
         let expected = {
             let mut sys = Mistique::open(capture_dir.path(), config.clone()).unwrap();
             let data = Arc::new(ZillowData::generate(150, 3));
@@ -717,8 +719,8 @@ mod tests {
         let records = Mistique::load_audit(capture_dir.path()).unwrap();
         assert_eq!(records.len(), 4);
 
-        let replay_dir = tempfile::tempdir().unwrap();
-        let mut fresh = Mistique::open(replay_dir.path(), config).unwrap();
+        let replay_dir = mistique_testkit::tempdir().unwrap();
+        let mut fresh = Mistique::open(replay_dir.path(), config.clone()).unwrap();
         let outcome = replay_into(&mut fresh, &records, &ReplayOptions::default()).unwrap();
         assert_eq!(outcome.executed, 4);
         assert_eq!(outcome.failed, 0);
@@ -732,5 +734,23 @@ mod tests {
             .collect();
         assert_eq!(fresh.topk(&interms[0], "sqft", 7).unwrap(), expected.0);
         assert_eq!(fresh.pointq(&interms[0], "sqft", 11).unwrap(), expected.1);
+
+        // An op this build does not know, between two real ones, is skipped
+        // by name — not digested into the transcript as if it had run.
+        let future = AuditRecord {
+            seq: 77,
+            op: "diag.future".to_string(),
+            ..AuditRecord::default()
+        };
+        let journal = [records[0].clone(), future, records[1].clone()];
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(dir.path(), config).unwrap();
+        let outcome = replay_into(&mut sys, &journal, &ReplayOptions::default()).unwrap();
+        assert_eq!(outcome.executed, 2);
+        assert_eq!(outcome.transcript.len(), 2);
+        assert_eq!(
+            outcome.skipped,
+            [(77, "diag.future is not replayable".to_string())]
+        );
     }
 }

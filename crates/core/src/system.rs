@@ -936,8 +936,8 @@ mod tests {
     use mistique_nn::simple_cnn;
     use mistique_pipeline::templates::zillow_pipelines;
 
-    fn open_sys(strategy: StorageStrategy) -> (tempfile::TempDir, Mistique) {
-        let dir = tempfile::tempdir().unwrap();
+    fn open_sys(strategy: StorageStrategy) -> (mistique_testkit::TempDir, Mistique) {
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 50,
             storage: strategy,

@@ -99,14 +99,8 @@ mod tests {
 
     #[test]
     fn independent_noise_has_low_correlation() {
-        // Deterministic pseudo-noise via LCG so the test is reproducible.
-        let mut state = 12345u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let mut rng = mistique_rng::Rng::seed(12345);
+        let mut next = || rng.range(-1.0..1.0);
         let n = 200;
         let mut xd = Vec::with_capacity(n * 2);
         let mut yd = Vec::with_capacity(n * 2);

@@ -91,11 +91,8 @@ mod tests {
     fn line_data(n: usize) -> Matrix {
         // Points along the direction (1, 2) plus tiny orthogonal noise.
         let mut data = Vec::with_capacity(n * 2);
-        let mut state = 5u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
+        let mut rng = mistique_rng::Rng::seed(5);
+        let mut rnd = move || rng.range(-0.5..1.5);
         for _ in 0..n {
             let t = rnd() * 10.0;
             let eps = rnd() * 0.01;

@@ -80,14 +80,8 @@ mod tests {
     use super::*;
 
     fn noise_matrix(n: usize, c: usize, seed: u64) -> Matrix {
-        let mut state = seed;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let data = (0..n * c).map(|_| next()).collect();
+        let mut rng = mistique_rng::Rng::seed(seed);
+        let data = (0..n * c).map(|_| rng.range(-1.0..1.0)).collect();
         Matrix::from_vec(n, c, data)
     }
 
@@ -126,11 +120,8 @@ mod tests {
         // One dominant direction plus tiny noise: 0.99 variance keeps ~1 direction.
         let n = 200;
         let mut data = Vec::with_capacity(n * 6);
-        let mut state = 99u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
+        let mut rng = mistique_rng::Rng::seed(99);
+        let mut next = || rng.range(-1.0..1.0);
         for _ in 0..n {
             let t = next() * 10.0;
             for j in 0..6 {

@@ -6,8 +6,7 @@
 //! share structure. Each class gets a characteristic low-frequency pattern;
 //! images are the class pattern plus per-image deterministic noise.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mistique_rng::Rng;
 
 use crate::tensor::Tensor;
 
@@ -37,25 +36,25 @@ impl CifarLike {
 
         // Per-class pattern parameters.
         let mut class_params = Vec::with_capacity(n_classes);
-        let mut crng = StdRng::seed_from_u64(seed ^ 0xC1A55);
+        let mut crng = Rng::seed(seed ^ 0xC1A55);
         for _ in 0..n_classes {
-            let fx: f32 = crng.gen_range(0.5..3.0);
-            let fy: f32 = crng.gen_range(0.5..3.0);
-            let phase: f32 = crng.gen_range(0.0..std::f32::consts::TAU);
+            let fx: f32 = crng.range(0.5..3.0);
+            let fy: f32 = crng.range(0.5..3.0);
+            let phase: f32 = crng.range(0.0..std::f32::consts::TAU);
             let ch_mix: [f32; 3] = [
-                crng.gen_range(0.2..1.0),
-                crng.gen_range(0.2..1.0),
-                crng.gen_range(0.2..1.0),
+                crng.range(0.2..1.0),
+                crng.range(0.2..1.0),
+                crng.range(0.2..1.0),
             ];
             class_params.push((fx, fy, phase, ch_mix));
         }
 
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         for i in 0..n {
             let label = (i % n_classes) as u8;
             labels.push(label);
             let (fx, fy, phase, mix) = class_params[label as usize];
-            let jitter: f32 = rng.gen_range(-0.3..0.3);
+            let jitter: f32 = rng.range(-0.3..0.3);
             for (c, &m) in mix.iter().enumerate() {
                 for y in 0..hw {
                     for x in 0..hw {
@@ -63,7 +62,7 @@ impl CifarLike {
                         let sy = y as f32 / hw as f32 * std::f32::consts::TAU;
                         let signal =
                             ((sx * fx + phase + jitter).sin() + (sy * fy + phase).cos()) * 0.5 * m;
-                        let noise: f32 = rng.gen_range(-0.25..0.25);
+                        let noise: f32 = rng.range(-0.25..0.25);
                         let _ = c;
                         data.push(signal + noise);
                     }

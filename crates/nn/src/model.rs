@@ -2,8 +2,7 @@
 //! deterministic per-epoch checkpoints.
 
 use mistique_dataframe::{Column, ColumnData, DataFrame};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mistique_rng::Rng;
 
 use crate::arch::{ArchConfig, LayerSpec};
 use crate::layer::{Activation, Layer};
@@ -44,11 +43,11 @@ pub struct Model {
     pub in_hw: usize,
 }
 
-fn init_weights(rng: &mut StdRng, n: usize, fan_in: usize) -> Vec<f32> {
+fn init_weights(rng: &mut Rng, n: usize, fan_in: usize) -> Vec<f32> {
     // He-style uniform init keeps activations in a stable range through deep
     // ReLU stacks.
     let bound = (2.0 / fan_in as f32).sqrt();
-    (0..n).map(|_| rng.gen_range(-bound..bound)).collect()
+    (0..n).map(|_| rng.range(-bound..bound)).collect()
 }
 
 impl Model {
@@ -77,7 +76,7 @@ impl Model {
             // Frozen layers derive weights from epoch 0 regardless of the
             // requested checkpoint.
             let effective_epoch = if li < arch.frozen_prefix { 0 } else { epoch };
-            let mut rng = StdRng::seed_from_u64(
+            let mut rng = Rng::seed(
                 seed ^ (li as u64).wrapping_mul(0x9E3779B97F4A7C15)
                     ^ u64::from(effective_epoch).wrapping_mul(0xD1B54A32D192ED03),
             );

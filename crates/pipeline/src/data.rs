@@ -8,8 +8,7 @@
 //! noisy function of the features (so models have signal to learn).
 
 use mistique_dataframe::{Column, ColumnData, DataFrame};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mistique_rng::Rng;
 
 /// The three Zillow tables, held both as parsed frames (for reference and
 /// tests) and as CSV text — `ReadCSV` stages parse the text on every run so
@@ -49,7 +48,7 @@ impl ZillowData {
     /// `n_properties` rows are generated; the train table references ~70% of
     /// them and the test table the rest.
     pub fn generate(n_properties: usize, seed: u64) -> ZillowData {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         let n = n_properties;
 
         let mut bedrooms = Vec::with_capacity(n);
@@ -62,21 +61,21 @@ impl ZillowData {
         let mut prop_type = Vec::with_capacity(n);
 
         for _ in 0..n {
-            let beds = rng.gen_range(1..=6) as f64;
-            let baths = (rng.gen_range(2..=8) as f64) / 2.0;
-            let area = 400.0 + beds * 350.0 + rng.gen_range(0.0..800.0);
-            let lot = if rng.gen_bool(MISSING_FRAC) {
+            let beds = rng.range(1..=6) as f64;
+            let baths = (rng.range(2..=8) as f64) / 2.0;
+            let area = 400.0 + beds * 350.0 + rng.range(0.0..800.0);
+            let lot = if rng.chance(MISSING_FRAC) {
                 f64::NAN
             } else {
-                area * rng.gen_range(1.2..4.0)
+                area * rng.range(1.2..4.0)
             };
-            let year = rng.gen_range(1890..=2020) as f64;
-            let reg = REGIONS[rng.gen_range(0..REGIONS.len())];
-            let ptype = PROP_TYPES[rng.gen_range(0..PROP_TYPES.len())];
+            let year = rng.range(1890..=2020) as f64;
+            let reg = REGIONS[rng.range(0..REGIONS.len())];
+            let ptype = PROP_TYPES[rng.range(0..PROP_TYPES.len())];
             // Tax value correlates with area, recency, and region.
             let region_mult = 1.0 + (REGIONS.iter().position(|&r| r == reg).unwrap() as f64) * 0.15;
             let value = area * 300.0 * region_mult * (1.0 + (year - 1890.0) / 260.0)
-                + rng.gen_range(-20_000.0..20_000.0);
+                + rng.range(-20_000.0..20_000.0);
 
             bedrooms.push(beds);
             bathrooms.push(baths);
@@ -107,14 +106,14 @@ impl ZillowData {
         let mut train_month = Vec::with_capacity(n_train);
         let mut logerror = Vec::with_capacity(n_train);
         for pid in 0..n_train {
-            let month = rng.gen_range(1..=12) as f64;
+            let month = rng.range(1..=12) as f64;
             let area = sqft[pid];
             let age = 2017.0 - year_built[pid];
             // Zestimate error: larger for old homes and extreme sizes.
             let signal = 0.02 * (age / 100.0)
                 + 0.00001 * (area - 1800.0).abs() / 100.0
                 + 0.005 * (month - 6.0).abs() / 6.0;
-            let noise = rng.gen_range(-0.05..0.05);
+            let noise = rng.range(-0.05..0.05);
             train_ids.push(pid as i64);
             train_month.push(month);
             logerror.push(signal + noise);
@@ -130,7 +129,7 @@ impl ZillowData {
         let mut test_month = Vec::new();
         for pid in n_train..n {
             test_ids.push(pid as i64);
-            test_month.push(rng.gen_range(1..=12) as f64);
+            test_month.push(rng.range(1..=12) as f64);
         }
         let test = DataFrame::from_columns(vec![
             Column::i64("parcel_id", test_ids),

@@ -184,11 +184,8 @@ mod tests {
         // y = 3*x0 - 2*x1 + 1 with deterministic pseudo-noise.
         let mut x = Vec::with_capacity(n * 2);
         let mut y = Vec::with_capacity(n);
-        let mut state = 11u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
+        let mut rng = mistique_rng::Rng::seed(11);
+        let mut rnd = move || rng.range(-0.5..1.5);
         for _ in 0..n {
             let a = rnd() * 10.0;
             let b = rnd() * 10.0;
@@ -230,11 +227,8 @@ mod tests {
         let n = 400;
         let mut x = Vec::with_capacity(n * 2);
         let mut y = Vec::with_capacity(n);
-        let mut state = 3u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
+        let mut rng = mistique_rng::Rng::seed(3);
+        let mut rnd = move || rng.range(-0.5..1.5);
         for _ in 0..n {
             let a = rnd() * 4.0;
             let noise = rnd() * 4.0;

@@ -5,9 +5,7 @@
 //! `min_data`, `sub_feature`, `lambda`, `bagging_fraction`) map directly onto
 //! [`GbdtParams`].
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use mistique_rng::Rng;
 
 use super::tree::{RegressionTree, TreeParams};
 use super::Regressor;
@@ -62,7 +60,7 @@ impl Gbdt {
         let base = y.iter().sum::<f64>() / n as f64;
         let mut pred = vec![base; n];
         let mut trees = Vec::with_capacity(params.n_rounds);
-        let mut rng = StdRng::seed_from_u64(params.seed);
+        let mut rng = Rng::seed(params.seed);
 
         for round in 0..params.n_rounds {
             // Squared-loss negative gradient = residual.
@@ -72,7 +70,7 @@ impl Gbdt {
             let (bx, brs);
             let (fit_x, fit_r): (&[f64], &[f64]) = if params.bagging_fraction < 1.0 {
                 let mut rows: Vec<usize> = (0..n).collect();
-                rows.shuffle(&mut rng);
+                rng.shuffle(&mut rows);
                 rows.truncate(((n as f64) * params.bagging_fraction).ceil() as usize);
                 let mut sx = Vec::with_capacity(rows.len() * n_features);
                 let mut sr = Vec::with_capacity(rows.len());

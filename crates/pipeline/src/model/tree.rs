@@ -1,9 +1,7 @@
 //! Depth-limited regression trees (CART-style variance-reduction splits),
 //! the weak learner inside the GBDT ensemble.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use mistique_rng::Rng;
 
 /// Tree growth hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -67,7 +65,7 @@ impl RegressionTree {
             n_features,
         };
         let indices: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         tree.grow(x, y, indices, params, 0, &mut rng);
         tree
     }
@@ -85,7 +83,7 @@ impl RegressionTree {
         idx: Vec<usize>,
         params: &TreeParams,
         depth: usize,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> usize {
         let make_leaf = |tree: &mut RegressionTree, idx: &[usize]| {
             tree.nodes.push(Node::Leaf {
@@ -100,7 +98,7 @@ impl RegressionTree {
 
         // Candidate features under feature_fraction subsampling.
         let mut feats: Vec<usize> = (0..self.n_features).collect();
-        feats.shuffle(rng);
+        rng.shuffle(&mut feats);
         let k = ((self.n_features as f64 * params.feature_fraction).ceil() as usize)
             .clamp(1, self.n_features);
         feats.truncate(k);

@@ -164,10 +164,9 @@ mod tests {
     #[test]
     fn relative_error_bounded_in_normal_range() {
         // binary16 has 11 significand bits: relative error <= 2^-11.
-        let mut state = 42u64;
+        let mut rng = mistique_rng::Rng::seed(42);
         for _ in 0..10_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let v = ((state >> 33) as f32 / (1u64 << 30) as f32 - 2.0) * 100.0;
+            let v = rng.range(-200.0f32..200.0);
             if v == 0.0 {
                 continue;
             }

@@ -528,7 +528,7 @@ mod tests {
 
     #[test]
     fn real_fs_write_atomic_replaces_content() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let target = dir.path().join("file.bin");
         RealFs.write_atomic(&target, b"first").unwrap();
         assert_eq!(RealFs.read_file(&target).unwrap(), b"first");

@@ -1297,8 +1297,8 @@ mod tests {
         mistique_obs::json::from_str(&text, "catalog").unwrap()
     }
 
-    fn store(policy: PlacementPolicy) -> (tempfile::TempDir, DataStore) {
-        let dir = tempfile::tempdir().unwrap();
+    fn store(policy: PlacementPolicy) -> (mistique_testkit::TempDir, DataStore) {
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = DataStoreConfig {
             policy,
             mem_capacity: 1 << 20,
@@ -1420,7 +1420,7 @@ mod tests {
 
     #[test]
     fn partition_seals_at_target_size() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = DataStoreConfig {
             policy: PlacementPolicy::ByIntermediate,
             partition_target_bytes: 4096,
@@ -1471,7 +1471,7 @@ mod tests {
 
     #[test]
     fn read_cache_evicts_one_partition_at_a_time() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         // Each partition holds one ~8 KB chunk; the cache budget fits two.
         let config = DataStoreConfig {
             policy: PlacementPolicy::ByIntermediate,
@@ -1888,7 +1888,7 @@ mod tests {
 
     #[test]
     fn catalog_roundtrip_restores_dead_byte_accounting() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = DataStoreConfig {
             policy: PlacementPolicy::ByIntermediate,
             mem_capacity: 1 << 20,
@@ -2079,7 +2079,7 @@ mod tests {
 
     #[test]
     fn catalog_roundtrip_preserves_deltas_pins_and_lsh() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = DataStoreConfig {
             policy: PlacementPolicy::ByIntermediate,
             mem_capacity: 1 << 20,
@@ -2130,7 +2130,7 @@ mod tests {
 
     #[test]
     fn similarity_placements_continue_after_reopen() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = DataStoreConfig {
             policy: PlacementPolicy::BySimilarity { tau: 0.5 },
             mem_capacity: 1 << 20,

@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut store = DiskStore::open(dir.path()).unwrap();
         store.write(3, b"sealed bytes").unwrap();
         assert!(store.contains(3));
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn missing_partition_is_not_found() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let store = DiskStore::open(dir.path()).unwrap();
         assert!(!store.contains(9));
         assert!(matches!(store.read(9), Err(StoreError::NotFound)));
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn disk_bytes_sums_files() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut store = DiskStore::open(dir.path()).unwrap();
         store.write(1, &[0u8; 100]).unwrap();
         store.write(2, &[0u8; 50]).unwrap();
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn remove_deletes_file_and_is_idempotent() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut store = DiskStore::open(dir.path()).unwrap();
         store.write(4, &[1u8; 32]).unwrap();
         assert!(store.contains(4));

@@ -200,11 +200,8 @@ mod tests {
     #[test]
     fn similar_chunks_compress_better_together() {
         // Partition A: 10 near-identical chunks. Partition B: 10 unrelated.
-        let mut state = 5u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 56) as u8
-        };
+        let mut rng = mistique_rng::Rng::seed(5);
+        let mut rnd = move || rng.range(0..=u8::MAX);
         let base: Vec<u8> = (0..4096).map(|_| rnd()).collect();
 
         let mut similar = Partition::new(1);

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn files_round_trip_in_isolation_and_create_sweeps_tmp_orphans() {
         for subdir in SUBDIRS {
-            let tmp = tempfile::tempdir().unwrap();
+            let tmp = mistique_testkit::tempdir().unwrap();
             let backend: Arc<dyn StorageBackend> = Arc::new(RealFs);
             // Read-only access to a sidecar that does not exist yet.
             let missing = StoreSubdir::open_readonly(Arc::clone(&backend), tmp.path(), subdir);

@@ -3,49 +3,39 @@
 //! vectors' length or the characters in a key.
 
 use mistique_obs::json;
+use mistique_rng::Rng;
 use mistique_store::datastore::{
     CatalogEntry, CatalogExtra, DeltaRecord, LshItemRecord, StoreCatalog, StoreStats,
 };
 use mistique_store::ChunkKey;
 
-/// xorshift64*: the test owns its generator so the cases are the same
-/// everywhere it runs.
-struct Rng(u64);
+struct Gen(Rng);
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
+impl Gen {
     /// Skewed towards the edges a decimal codec gets wrong: 0, values
     /// around 2^53 (where `f64` stops being exact), and above 2^63.
     fn int(&mut self) -> u64 {
-        match self.next() % 6 {
+        match self.0.range(0..6) {
             0 => 0,
-            1 => (1 << 53) - 2 + self.next() % 4,
-            2 => u64::MAX - self.next() % 4,
-            3 => (1 << 63) + self.next() % (1 << 62),
-            4 => self.next() % 1000,
-            _ => self.next(),
+            1 => (1 << 53) - 2 + self.0.range(0..4u64),
+            2 => u64::MAX - self.0.range(0..4u64),
+            3 => (1 << 63) + self.0.range(0..1u64 << 62),
+            4 => self.0.range(0..1000u64),
+            _ => self.0.next_u64(),
         }
-    }
-
-    fn below(&mut self, n: u64) -> usize {
-        (self.next() % n) as usize
     }
 
     fn text(&mut self) -> String {
         const PIECES: [&str; 10] = [
             "model", ".", "\"", "\\", "\n", "\u{1}", "\u{7f}", "é", "層", "🧪",
         ];
-        (0..self.below(6)).map(|_| PIECES[self.below(10)]).collect()
+        (0..self.0.range(0..6))
+            .map(|_| PIECES[self.0.range(0..10usize)])
+            .collect()
     }
 
-    fn vec<T>(&mut self, max: u64, mut item: impl FnMut(&mut Rng) -> T) -> Vec<T> {
-        (0..self.below(max + 1)).map(|_| item(self)).collect()
+    fn vec<T>(&mut self, max: usize, mut item: impl FnMut(&mut Gen) -> T) -> Vec<T> {
+        (0..self.0.range(0..=max)).map(|_| item(self)).collect()
     }
 
     fn catalog(&mut self) -> StoreCatalog {
@@ -81,7 +71,7 @@ impl Rng {
                 item: r.int(),
                 partition: r.int(),
                 digest: (r.int(), r.int()),
-                signature: r.vec(8, Rng::int),
+                signature: r.vec(8, Gen::int),
             }),
         }
     }
@@ -89,7 +79,7 @@ impl Rng {
 
 #[test]
 fn random_catalogs_survive_text_byte_for_byte() {
-    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    let mut rng = Gen(Rng::seed(1));
     let mut empties = 0;
     for case in 0..500 {
         let catalog = rng.catalog();

@@ -14,9 +14,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mistique_dataframe::{ColumnChunk, ColumnData};
+use mistique_rng::Rng;
 use mistique_store::{ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const SEQUENCES: u64 = 200;
 const OPS_PER_SEQUENCE: usize = 60;
@@ -49,16 +48,16 @@ fn family_chunk(family: u64, stride: usize) -> ColumnChunk {
     ColumnChunk::new(ColumnData::F64(vals))
 }
 
-fn unrelated_chunk(rng: &mut StdRng) -> ColumnChunk {
-    let n = rng.gen_range(32..200usize);
-    let vals = (0..n).map(|_| rng.gen_range(-1e6..1e6)).collect();
+fn unrelated_chunk(rng: &mut Rng) -> ColumnChunk {
+    let n = rng.range(32..200usize);
+    let vals = (0..n).map(|_| rng.range(-1e6..1e6)).collect();
     ColumnChunk::new(ColumnData::F64(vals))
 }
 
-fn random_key(rng: &mut StdRng) -> ChunkKey {
-    let interm = format!("m.i{}", rng.gen_range(0..4u32));
-    let column = ["a", "b"][rng.gen_range(0..2usize)];
-    ChunkKey::new(interm, column, rng.gen_range(0..2u32))
+fn random_key(rng: &mut Rng) -> ChunkKey {
+    let interm = format!("m.i{}", rng.range(0..4u32));
+    let column = ["a", "b"][rng.range(0..2usize)];
+    ChunkKey::new(interm, column, rng.range(0..2u32))
 }
 
 struct Model {
@@ -87,19 +86,19 @@ impl Model {
         }
     }
 
-    fn existing_key(&self, rng: &mut StdRng) -> Option<ChunkKey> {
+    fn existing_key(&self, rng: &mut Rng) -> Option<ChunkKey> {
         let mut keys: Vec<&ChunkKey> = self.reference.keys().collect();
         keys.sort_by_key(|k| (k.intermediate.clone(), k.column.clone(), k.block));
-        (!keys.is_empty()).then(|| keys[rng.gen_range(0..keys.len())].clone())
+        (!keys.is_empty()).then(|| keys[rng.range(0..keys.len())].clone())
     }
 
-    fn put(&mut self, rng: &mut StdRng, key: ChunkKey, chunk: ColumnChunk) {
-        let policy = if rng.gen_bool(0.5) {
+    fn put(&mut self, rng: &mut Rng, key: ChunkKey, chunk: ColumnChunk) {
+        let policy = if rng.chance(0.5) {
             PlacementPolicy::ByIntermediate
         } else {
             PlacementPolicy::BySimilarity { tau: 0.5 }
         };
-        let dedup = rng.gen_bool(0.7);
+        let dedup = rng.chance(0.7);
         self.store
             .put_chunk_sized(key.clone(), &chunk, policy, dedup)
             .unwrap();
@@ -108,11 +107,11 @@ impl Model {
     }
 
     /// Apply one random operation; returns its name for failure messages.
-    fn step(&mut self, rng: &mut StdRng) -> &'static str {
-        match rng.gen_range(0..16u32) {
+    fn step(&mut self, rng: &mut Rng) -> &'static str {
+        match rng.range(0..16u32) {
             0..=2 => {
-                let stride = [0, 32, 64, 128][rng.gen_range(0..4usize)];
-                let chunk = family_chunk(rng.gen_range(0..3u64), stride);
+                let stride = [0, 32, 64, 128][rng.range(0..4usize)];
+                let chunk = family_chunk(rng.range(0..3u64), stride);
                 let key = random_key(rng);
                 self.put(rng, key, chunk);
                 "put family member (new / near-duplicate / overwrite)"
@@ -127,7 +126,7 @@ impl Model {
                     return "put exact duplicate (nothing stored)";
                 };
                 let chunk = ColumnChunk::from_bytes(&self.reference[&from]).unwrap();
-                let to = if rng.gen_bool(0.3) {
+                let to = if rng.chance(0.3) {
                     from
                 } else {
                     random_key(rng)
@@ -136,7 +135,7 @@ impl Model {
                 "put exact duplicate"
             }
             6 | 7 => {
-                let interm = format!("m.i{}", rng.gen_range(0..4u32));
+                let interm = format!("m.i{}", rng.range(0..4u32));
                 let outcome = self.store.retract_intermediate(&interm);
                 let gone: Vec<ChunkKey> = self
                     .reference
@@ -164,7 +163,7 @@ impl Model {
                 "flush"
             }
             11 | 12 => {
-                let threshold = [0.3, 0.7, 1.0][rng.gen_range(0..3usize)];
+                let threshold = [0.3, 0.7, 1.0][rng.range(0..3usize)];
                 let report = self.store.compact(threshold).unwrap();
                 self.rewritten += report.partitions_rewritten;
                 self.removed += report.partitions_removed;
@@ -216,7 +215,7 @@ impl Model {
 fn random_sequences_agree_with_a_hashmap_and_keep_the_invariants() {
     let mut reached = [0u64; 5];
     for seed in 0..SEQUENCES {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed(seed);
         let mut model = Model::new();
         for op in 0..OPS_PER_SEQUENCE {
             let name = model.step(&mut rng);
@@ -323,7 +322,7 @@ fn store_all_reput_charges_the_displaced_copy_dead() {
 fn a_new_chunk_does_not_erase_dead_bytes_of_the_partition_it_joins() {
     let fs = FaultyFs::new();
     let mut ds = open(&fs);
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut rng = Rng::seed(1);
     let first = unrelated_chunk(&mut rng);
     let dead = first.to_bytes().len() as u64;
     ds.put_chunk(key("m.i"), &first).unwrap();

@@ -6,24 +6,12 @@
 //! The slab + free-list node reuse in `LruList` is precisely the kind of
 //! code where a stale index corrupts order silently — the model catches it.
 //!
-//! Deterministic by construction (fixed LCG seeds), no proptest needed.
+//! Deterministic by construction (fixed `mistique_rng` seeds).
 
 use std::collections::VecDeque;
 
+use mistique_rng::Rng;
 use mistique_store::{LruCache, LruList};
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Reference recency order: front = LRU, back = MRU. Every op is O(n) —
 /// obviously correct, nothing shared with the slab implementation.
@@ -62,12 +50,12 @@ fn lru_list_matches_vecdeque_model() {
     for seed in [1u64, 42, 1234, 987_654_321] {
         let mut real: LruList<u32> = LruList::new();
         let mut model = ListModel::default();
-        let mut rng = Lcg(seed);
+        let mut rng = Rng::seed(seed);
         for step in 0..5000 {
             // A small key space forces constant re-touching, slab slot
             // reuse, and empty/singleton edge states.
-            let key = rng.below(24) as u32;
-            match rng.below(100) {
+            let key = rng.range(0..24u32);
+            match rng.range(0..100) {
                 0..=44 => {
                     real.touch(key);
                     model.touch(key);
@@ -87,7 +75,7 @@ fn lru_list_matches_vecdeque_model() {
                     );
                 }
                 85..=97 => {
-                    let keep = if rng.below(2) == 0 { Some(key) } else { None };
+                    let keep = rng.chance(0.5).then_some(key);
                     assert_eq!(
                         real.peek_lru_excluding(keep.as_ref()).copied(),
                         model.peek_lru_excluding(keep),
@@ -168,19 +156,19 @@ fn lru_cache_matches_vecdeque_model() {
             order: VecDeque::new(),
             capacity: CAP,
         };
-        let mut rng = Lcg(seed);
+        let mut rng = Rng::seed(seed);
         for step in 0..4000 {
-            let key = rng.below(16) as u32;
-            match rng.below(100) {
+            let key = rng.range(0..16u32);
+            match rng.range(0..100) {
                 0..=49 => {
                     // Mostly fitting sizes (including zero), occasionally an
                     // oversized entry that must be rejected.
-                    let bytes = if rng.below(12) == 0 {
-                        CAP + 1 + rng.below(64) as usize
+                    let bytes = if rng.chance(1.0 / 12.0) {
+                        CAP + 1 + rng.range(0..64usize)
                     } else {
-                        rng.below(CAP as u64 / 3 + 1) as usize
+                        rng.range(0..=CAP / 3)
                     };
-                    let value = rng.next();
+                    let value = rng.next_u64();
                     assert_eq!(
                         real.insert(key, value, bytes),
                         model.insert(key, value, bytes),
@@ -244,16 +232,16 @@ fn lru_cache_matches_vecdeque_model() {
 fn overwrites_replace_accounting_exactly() {
     const CAP: usize = 1 << 16;
     let mut real: LruCache<u32, u64> = LruCache::new(CAP);
-    let mut rng = Lcg(555);
+    let mut rng = Rng::seed(555);
     let mut sizes = [0usize; 8];
     let mut present = [false; 8];
 
     // Phase 1: churn 8 keys through growing and shrinking sizes without
     // ever approaching capacity, so no eviction can mask a leak.
     for step in 0..2000 {
-        let key = rng.below(8) as u32;
-        let bytes = rng.below(1000) as usize;
-        let evicted = real.insert(key, rng.next(), bytes);
+        let key = rng.range(0..8u32);
+        let bytes = rng.range(0..1000usize);
+        let evicted = real.insert(key, rng.next_u64(), bytes);
         assert!(evicted.is_empty(), "step {step}: spurious eviction");
         sizes[key as usize] = bytes;
         present[key as usize] = true;

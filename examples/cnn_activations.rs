@@ -13,7 +13,7 @@ use mistique_core::{Mistique, MistiqueConfig};
 use mistique_nn::{vgg16_cifar, CifarLike};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = tempfile::tempdir()?;
+    let dir = mistique_testkit::tempdir()?;
     let mut mistique = Mistique::open(dir.path(), MistiqueConfig::default())?;
 
     // 128 synthetic CIFAR-like images, VGG16 at 1/16 channel scale.

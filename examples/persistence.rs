@@ -13,7 +13,7 @@ use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = tempfile::tempdir()?;
+    let dir = mistique_testkit::tempdir()?;
     let data = Arc::new(ZillowData::generate(3_000, 42));
     let pipeline = zillow_pipelines().remove(0);
 

@@ -12,7 +12,7 @@ use mistique_pipeline::ZillowData;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Open a MISTIQUE store.
-    let dir = tempfile::tempdir()?;
+    let dir = mistique_testkit::tempdir()?;
     let mut mistique = Mistique::open(dir.path(), MistiqueConfig::default())?;
 
     // 2. Register a model: one of the Zillow price-error pipelines over a

@@ -19,7 +19,7 @@ use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = tempfile::tempdir()?;
+    let dir = mistique_testkit::tempdir()?;
     let mut mistique = Mistique::open(dir.path(), MistiqueConfig::default())?;
     let data = Arc::new(ZillowData::generate(6_000, 42));
 

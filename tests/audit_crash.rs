@@ -185,7 +185,7 @@ fn every_crash_point_keeps_journal_loadable_and_data_clean() {
 fn replay_is_deterministic_across_read_parallelism() {
     // Capture a mixed TRAD/DNN workload with every query family the replay
     // engine dispatches on.
-    let capture = tempfile::tempdir().unwrap();
+    let capture = mistique_testkit::tempdir().unwrap();
     let config = sys_config();
     {
         let mut sys = Mistique::open(capture.path(), config.clone()).unwrap();
@@ -224,7 +224,7 @@ fn replay_is_deterministic_across_read_parallelism() {
     );
 
     // Replay at every worker count: answers and plans must be identical.
-    let scratch = tempfile::tempdir().unwrap();
+    let scratch = mistique_testkit::tempdir().unwrap();
     let report = differential_replay(&records, scratch.path(), &config, &[1, 2, 4, 0]).unwrap();
     assert!(
         report.consistent(),

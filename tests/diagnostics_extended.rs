@@ -8,8 +8,8 @@ use mistique_nn::{simple_cnn, CifarLike};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
-fn dnn() -> (tempfile::TempDir, Mistique, String, Arc<CifarLike>) {
-    let dir = tempfile::tempdir().unwrap();
+fn dnn() -> (mistique_testkit::TempDir, Mistique, String, Arc<CifarLike>) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -65,7 +65,7 @@ fn class_out_of_range_is_an_error() {
 
 #[test]
 fn group_metric_on_zillow_predictions() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     let data = Arc::new(ZillowData::generate(400, 1));
     let id = sys

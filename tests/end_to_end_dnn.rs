@@ -12,8 +12,13 @@ fn dnn_sys(
     capture: CaptureScheme,
     storage: StorageStrategy,
     epochs: u32,
-) -> (tempfile::TempDir, Mistique, Vec<String>, Arc<CifarLike>) {
-    let dir = tempfile::tempdir().unwrap();
+) -> (
+    mistique_testkit::TempDir,
+    Mistique,
+    Vec<String>,
+    Arc<CifarLike>,
+) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -60,7 +65,7 @@ fn frozen_conv_stack_dedups_across_checkpoints() {
 
 #[test]
 fn unfrozen_cnn_does_not_dedup() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -249,7 +254,7 @@ fn a_nan_pixel_does_not_panic_quantized_capture() {
         ValueScheme::Threshold { pct: 0.995 },
         ValueScheme::Lp,
     ] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             dnn_capture: CaptureScheme {
                 value,

@@ -10,8 +10,8 @@ use mistique_pipeline::ZillowData;
 fn system(
     strategy: StorageStrategy,
     n_pipelines: usize,
-) -> (tempfile::TempDir, Mistique, Vec<String>) {
-    let dir = tempfile::tempdir().unwrap();
+) -> (mistique_testkit::TempDir, Mistique, Vec<String>) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -142,7 +142,7 @@ fn nostore_everything_still_answerable() {
 
 #[test]
 fn adaptive_converges_to_read_dominated_workload() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {

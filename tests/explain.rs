@@ -16,8 +16,8 @@ use mistique_pipeline::ZillowData;
 
 /// A small logged TRAD system with several row blocks per column, so cold
 /// reads touch multiple partitions and decode spans.
-fn explain_system(config: MistiqueConfig) -> (tempfile::TempDir, Mistique, String) {
-    let dir = tempfile::tempdir().unwrap();
+fn explain_system(config: MistiqueConfig) -> (mistique_testkit::TempDir, Mistique, String) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), config).unwrap();
     let data = Arc::new(ZillowData::generate(150, 1));
     let id = sys
@@ -123,7 +123,7 @@ fn report_sequence_numbers_are_monotonic() {
 /// Same shape as [`small_blocks`] but with the index left at its default
 /// (enabled) setting, plus a cost model that always prefers reads so the
 /// planner-mirror gate inside the indexed paths is deterministically open.
-fn indexed_system() -> (tempfile::TempDir, Mistique, String) {
+fn indexed_system() -> (mistique_testkit::TempDir, Mistique, String) {
     let (d, mut sys, id) = explain_system(MistiqueConfig {
         row_block_size: 40,
         storage: StorageStrategy::Dedup,
@@ -289,7 +289,7 @@ fn perfetto_export_is_valid_chrome_trace_json_and_round_trips() {
     sys.topk(&preds, "pred", 5).unwrap();
 
     // Golden-file style: write, read back, parse.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let path = dir.path().join("trace.json");
     std::fs::write(&path, sys.perfetto_json()).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
@@ -423,7 +423,7 @@ fn report_retention_is_configurable_and_bounded() {
 
 #[test]
 fn reopened_store_honours_span_ring_capacity() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     {
         let mut sys = Mistique::open(dir.path(), small_blocks()).unwrap();
         let data = Arc::new(ZillowData::generate(100, 1));

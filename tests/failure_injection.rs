@@ -8,8 +8,8 @@ use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_store::StoreError;
 
-fn persisted_store() -> (tempfile::TempDir, Mistique, String) {
-    let dir = tempfile::tempdir().unwrap();
+fn persisted_store() -> (mistique_testkit::TempDir, Mistique, String) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     let data = Arc::new(ZillowData::generate(300, 1));
     let id = sys

@@ -16,8 +16,8 @@ use mistique_pipeline::ZillowData;
 /// Build a mixed TRAD + DNN system over deterministic data. `top_m = 0`
 /// disables the index; both variants otherwise share every knob, so the
 /// stored bytes are identical and any divergence is the index's fault.
-fn build(top_m: usize) -> (tempfile::TempDir, Mistique, Vec<String>) {
-    let dir = tempfile::tempdir().unwrap();
+fn build(top_m: usize) -> (mistique_testkit::TempDir, Mistique, Vec<String>) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let config = MistiqueConfig {
         row_block_size: 32,
         storage: StorageStrategy::Dedup,
@@ -181,7 +181,7 @@ fn dropping_the_index_midstream_changes_no_answers() {
 
 #[test]
 fn reopened_store_serves_identical_answers_from_the_persisted_index() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let config = MistiqueConfig {
         row_block_size: 32,
         storage: StorageStrategy::Dedup,

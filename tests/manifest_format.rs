@@ -131,7 +131,7 @@ fn assert_golden_state(sys: &mut Mistique, ctx: &str) {
 
 #[test]
 fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     lay_down_store(dir.path());
     let golden = fill(GOLDEN);
     let mut old = golden.clone();
@@ -168,7 +168,7 @@ fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
 /// may panic, and none may reopen with a field quietly defaulted.
 #[test]
 fn hostile_manifests_are_errors_that_name_the_field() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     lay_down_store(dir.path());
     let golden = fill(GOLDEN);
 

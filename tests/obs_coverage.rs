@@ -121,7 +121,7 @@ fn run_mixed_workload() -> Vec<Snapshot> {
     let data = Arc::new(ZillowData::generate(300, 1));
 
     // --- TRAD, dedup, query cache, persist/reopen -------------------------
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -159,7 +159,7 @@ fn run_mixed_workload() -> Vec<Snapshot> {
     snaps.push(sys.obs_snapshot());
 
     // --- TRAD, adaptive materialization + reclaim -------------------------
-    let dir2 = tempfile::tempdir().unwrap();
+    let dir2 = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir2.path(),
         MistiqueConfig {
@@ -186,7 +186,7 @@ fn run_mixed_workload() -> Vec<Snapshot> {
     snaps.push(sys.obs_snapshot());
 
     // --- DNN ---------------------------------------------------------------
-    let dir3 = tempfile::tempdir().unwrap();
+    let dir3 = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir3.path(),
         MistiqueConfig {

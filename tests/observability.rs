@@ -13,8 +13,8 @@ use mistique_pipeline::{Pipeline, ZillowData};
 
 /// Two variants of Zillow template 1 over the same data: the shared stage
 /// prefix guarantees exact dedup hits under `StorageStrategy::Dedup`.
-fn trad_sys(storage: StorageStrategy) -> (tempfile::TempDir, Mistique, Vec<String>) {
-    let dir = tempfile::tempdir().unwrap();
+fn trad_sys(storage: StorageStrategy) -> (mistique_testkit::TempDir, Mistique, Vec<String>) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -92,7 +92,7 @@ fn trad_hot_paths_report_into_obs() {
 
 #[test]
 fn dnn_checkpoints_report_dedup_hits() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -133,7 +133,7 @@ fn dnn_checkpoints_report_dedup_hits() {
 
 #[test]
 fn adaptive_rerun_records_gamma_and_materialization() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -197,7 +197,7 @@ fn shared_obs_aggregates_across_systems() {
     let obs = Obs::new();
     let mut puts = Vec::new();
     for seed in [1u64, 2] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys =
             Mistique::open_with_obs(dir.path(), MistiqueConfig::default(), obs.clone()).unwrap();
         let data = Arc::new(ZillowData::generate(120, seed));

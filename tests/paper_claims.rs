@@ -11,7 +11,7 @@ use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
 fn dnn_storage(arch_scale: usize, capture: CaptureScheme, storage: StorageStrategy) -> u64 {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -39,7 +39,7 @@ fn dnn_storage(arch_scale: usize, capture: CaptureScheme, storage: StorageStrate
 #[test]
 fn claim_trad_dedup_shrinks_storage() {
     let run = |storage| {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(
             dir.path(),
             MistiqueConfig {
@@ -118,7 +118,7 @@ fn claim_dnn_scheme_ordering_and_finetune_dedup() {
 // re-running by a large factor — and the cost model picks reading.
 #[test]
 fn claim_read_beats_rerun_for_deep_intermediates() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     let data = Arc::new(ZillowData::generate(800, 42));
     let id = sys
@@ -157,7 +157,7 @@ fn claim_quantization_fidelity_ordering() {
     use mistique_linalg::svcca;
     use mistique_quantize::{KbitQuantizer, ThresholdQuantizer};
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -234,7 +234,7 @@ fn claim_quantization_fidelity_ordering() {
 fn claim_adaptive_materialization_behaviour() {
     let data = Arc::new(ZillowData::generate(500, 42));
     let dedup_bytes = {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(
             dir.path(),
             MistiqueConfig {
@@ -251,7 +251,7 @@ fn claim_adaptive_materialization_behaviour() {
         sys.store().disk_bytes().unwrap()
     };
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {

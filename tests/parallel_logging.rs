@@ -7,8 +7,8 @@ use mistique_core::{FetchStrategy, Mistique, MistiqueConfig};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
-fn build(parallel: bool) -> (tempfile::TempDir, Mistique, Vec<String>) {
-    let dir = tempfile::tempdir().unwrap();
+fn build(parallel: bool) -> (mistique_testkit::TempDir, Mistique, Vec<String>) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     let data = Arc::new(ZillowData::generate(300, 42));
     let mut ids = Vec::new();
@@ -112,7 +112,7 @@ fn logging_overhead_includes_storage_time() {
 
 #[test]
 fn unknown_id_in_batch_errors() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     assert!(sys.log_intermediates_parallel(&["nope"]).is_err());
 }

@@ -14,8 +14,8 @@ use mistique_pipeline::ZillowData;
 /// Build a materialized TRAD system with the given RowBlock size and a byte
 /// threshold of zero, so the worker count under test is never clamped away
 /// by the adaptive fan-out policy on small test data.
-fn system_with_block_size(row_block_size: usize) -> (tempfile::TempDir, Mistique, String) {
-    let dir = tempfile::tempdir().unwrap();
+fn system_with_block_size(row_block_size: usize) -> (mistique_testkit::TempDir, Mistique, String) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let config = MistiqueConfig {
         row_block_size,
         min_read_bytes_per_worker: 0,

@@ -8,8 +8,8 @@ use mistique_core::{FetchStrategy, Mistique, MistiqueConfig, StorageStrategy};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
-fn cached_system(cache_bytes: usize) -> (tempfile::TempDir, Mistique, String) {
-    let dir = tempfile::tempdir().unwrap();
+fn cached_system(cache_bytes: usize) -> (mistique_testkit::TempDir, Mistique, String) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -145,7 +145,7 @@ fn index_version_is_part_of_the_cache_key() {
     // identical fetch must key differently (index_version 0 vs the build
     // counter) and miss, so a cached result can never masquerade as
     // index-served state — and vice versa after a rebuild.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -191,7 +191,7 @@ fn index_version_is_part_of_the_cache_key() {
 
 #[test]
 fn adaptive_materialization_invalidates_cache() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {

@@ -18,8 +18,11 @@ fn config(strategy: StorageStrategy) -> MistiqueConfig {
     }
 }
 
-fn trad_system(strategy: StorageStrategy, n_pipelines: usize) -> (tempfile::TempDir, Mistique) {
-    let dir = tempfile::tempdir().unwrap();
+fn trad_system(
+    strategy: StorageStrategy,
+    n_pipelines: usize,
+) -> (mistique_testkit::TempDir, Mistique) {
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), config(strategy)).unwrap();
     let data = Arc::new(ZillowData::generate(150, 1));
     for p in zillow_pipelines().into_iter().take(n_pipelines) {
@@ -73,7 +76,7 @@ fn reclaim_brings_usage_under_budget_and_compacts() {
 fn demoted_lp_reads_stay_within_scheme_error_bound() {
     // DNN activations sit comfortably inside the f16 range, so LP_QT's
     // static relative bound (2^-11) is checkable per value.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
@@ -335,7 +338,7 @@ fn gamma_decision_counts_triggering_query_exactly_once() {
 
 #[test]
 fn logging_hook_enforces_configured_budget() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut cfg = config(StorageStrategy::Dedup);
     cfg.storage_budget_bytes = 4096;
     let mut sys = Mistique::open(dir.path(), cfg).unwrap();

@@ -8,12 +8,11 @@ use mistique_core::{FetchStrategy, Mistique, MistiqueConfig};
 use mistique_dataframe::{ColumnChunk, ColumnData};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
+use mistique_rng::Rng;
 use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-fn random_chunk(rng: &mut StdRng, base: &[f64]) -> ColumnChunk {
-    match rng.gen_range(0..5) {
+fn random_chunk(rng: &mut Rng, base: &[f64]) -> ColumnChunk {
+    match rng.range(0..5) {
         0 => {
             // Exact duplicate of the base column.
             ColumnChunk::new(ColumnData::F64(base.to_vec()))
@@ -21,24 +20,20 @@ fn random_chunk(rng: &mut StdRng, base: &[f64]) -> ColumnChunk {
         1 => {
             // Near-duplicate: one perturbed value.
             let mut v = base.to_vec();
-            let i = rng.gen_range(0..v.len());
+            let i = rng.range(0..v.len());
             v[i] += 0.001;
             ColumnChunk::new(ColumnData::F64(v))
         }
         2 => {
-            let v: Vec<f64> = (0..base.len()).map(|_| rng.gen_range(-1e6..1e6)).collect();
+            let v: Vec<f64> = (0..base.len()).map(|_| rng.range(-1e6..1e6)).collect();
             ColumnChunk::new(ColumnData::F64(v))
         }
         3 => {
-            let v: Vec<u8> = (0..base.len())
-                .map(|_| rng.gen_range(0..256u32) as u8)
-                .collect();
+            let v: Vec<u8> = (0..base.len()).map(|_| rng.range(0..=u8::MAX)).collect();
             ColumnChunk::new(ColumnData::U8(v))
         }
         _ => {
-            let v: Vec<i64> = (0..base.len())
-                .map(|_| rng.gen_range(-1000..1000))
-                .collect();
+            let v: Vec<i64> = (0..base.len()).map(|_| rng.range(-1000..1000)).collect();
             ColumnChunk::new(ColumnData::I64(v))
         }
     }
@@ -46,7 +41,7 @@ fn random_chunk(rng: &mut StdRng, base: &[f64]) -> ColumnChunk {
 
 #[test]
 fn mixed_workload_under_eviction_pressure() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let config = DataStoreConfig {
         policy: PlacementPolicy::BySimilarity { tau: 0.6 },
         // Tiny pool + small partitions: constant eviction and sealing.
@@ -56,7 +51,7 @@ fn mixed_workload_under_eviction_pressure() {
     };
     let mut store = DataStore::open(dir.path(), config).unwrap();
 
-    let mut rng = StdRng::seed_from_u64(77);
+    let mut rng = Rng::seed(77);
     let base: Vec<f64> = (0..200).map(|i| i as f64 * 0.5).collect();
 
     let mut written: Vec<(ChunkKey, ColumnChunk)> = Vec::new();
@@ -115,7 +110,7 @@ fn mixed_workload_under_eviction_pressure() {
 fn parallel_read_stored_is_byte_identical_to_serial() {
     // Cold reads through the concurrent read path must reproduce the serial
     // result bit-for-bit at every worker count (including 0 = one per CPU).
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     let data = Arc::new(ZillowData::generate(400, 7));
     let id = sys
@@ -178,7 +173,7 @@ fn parallel_read_stored_is_byte_identical_to_serial() {
 
 #[test]
 fn same_key_rewritten_with_new_content_resolves_to_latest() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let mut store = DataStore::open(dir.path(), DataStoreConfig::default()).unwrap();
     let key = ChunkKey::new("m.i", "c", 0);
     let first = ColumnChunk::new(ColumnData::F64(vec![1.0, 2.0]));

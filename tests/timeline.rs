@@ -46,7 +46,7 @@ fn run_session(sys: &mut Mistique, data: &Arc<ZillowData>) -> Vec<String> {
 
 #[test]
 fn lifecycle_replays_series_with_correlated_events() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let data = Arc::new(ZillowData::generate(120, 3));
     let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
     run_session(&mut sys, &data);
@@ -128,7 +128,7 @@ fn lifecycle_replays_series_with_correlated_events() {
 
 #[test]
 fn retention_budget_is_a_hard_bound_on_the_directory() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let budget = 8192u64;
     let data = Arc::new(ZillowData::generate(120, 3));
     let mut sys = Mistique::open(
@@ -174,7 +174,7 @@ fn retention_budget_is_a_hard_bound_on_the_directory() {
 
 #[test]
 fn zero_budget_disables_telemetry_entirely() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let data = Arc::new(ZillowData::generate(60, 3));
     let mut sys = Mistique::open(
         dir.path(),
@@ -196,7 +196,7 @@ fn zero_budget_disables_telemetry_entirely() {
 
 #[test]
 fn live_prometheus_exposition_passes_the_validator() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = mistique_testkit::tempdir().unwrap();
     let data = Arc::new(ZillowData::generate(120, 3));
     let mut sys = Mistique::open(
         dir.path(),
