@@ -22,10 +22,10 @@
 //! **SLO tracking** is independent of the journal (always on): every
 //! finished [`QueryReport`] is folded into a latency histogram keyed by
 //! `(query, plan)` — `slo.diag.topk.read.ns`, `slo.fetch.rerun.ns`, … —
-//! whose p50/p95/p99/p99.9/max are mirrored into gauges for `mistique top`
-//! and the Prometheus exposition. A query slower than
-//! [`SLO_BURN_FACTOR`] × its class p95 (once the class has
-//! [`SLO_MIN_SAMPLES`] samples) journals an `slo.burn` event into the
+//! whose p50/p95/p99/p99.9/max are mirrored into gauges at snapshot time
+//! (`sync_obs_gauges`) for `mistique top` and the Prometheus exposition. A
+//! query slower than [`SLO_BURN_FACTOR`] × its class p95 (once the class
+//! has [`SLO_MIN_SAMPLES`] samples) journals an `slo.burn` event into the
 //! flight-recorder timeline.
 
 use std::path::Path;
@@ -86,7 +86,7 @@ impl AuditState {
 /// and data provenance for DNN. Sources built from data without provenance
 /// (not produced by the generators) record no `data_*` args; replay reports
 /// them as unreplayable instead of guessing.
-pub(crate) fn register_args(source: &ModelSource) -> Vec<(&'static str, String)> {
+pub(crate) fn register_args(source: &ModelSource) -> AuditArgs {
     match source {
         ModelSource::Trad { pipeline, data } => {
             let mut args = vec![
@@ -123,36 +123,32 @@ pub(crate) fn register_args(source: &ModelSource) -> Vec<(&'static str, String)>
     }
 }
 
+/// An argument fingerprint: the `(key, value)` pairs of one journal record.
+pub(crate) type AuditArgs = Vec<(&'static str, String)>;
+
+/// Render a fingerprint whose values are all plain `ToString`.
+pub(crate) fn args_of(pairs: &[(&'static str, &dyn ToString)]) -> AuditArgs {
+    pairs.iter().map(|(k, v)| (*k, v.to_string())).collect()
+}
+
 /// The common fetch argument fingerprint: intermediate, requested columns
-/// (`*` = all), and row clamp (`all` = every row).
+/// (`*` = all) and row clamp (`all` = every row), then the entry point's
+/// own `extra` pairs.
 pub(crate) fn fetch_args(
     intermediate: &str,
     columns: Option<&[&str]>,
     n_ex: Option<usize>,
-) -> Vec<(&'static str, String)> {
-    vec![
-        ("interm", intermediate.to_string()),
-        (
-            "cols",
-            columns.map_or_else(|| "*".to_string(), |cs| cs.join(",")),
-        ),
-        (
-            "n_ex",
-            n_ex.map_or_else(|| "all".to_string(), |n| n.to_string()),
-        ),
-    ]
+    extra: &[(&'static str, &dyn ToString)],
+) -> AuditArgs {
+    let cols = columns.map_or_else(|| "*".to_string(), |cs| cs.join(","));
+    let n_ex = n_ex.map_or_else(|| "all".to_string(), |n| n.to_string());
+    let mut args = args_of(&[("interm", &intermediate), ("cols", &cols), ("n_ex", &n_ex)]);
+    args.extend(args_of(extra));
+    args
 }
 
-/// Comma-join row ids for an args value.
-pub(crate) fn csv_usize(xs: &[usize]) -> String {
-    xs.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Comma-join group/label bytes for an args value.
-pub(crate) fn csv_u8(xs: &[u8]) -> String {
+/// Comma-join row ids or group/label bytes for an args value.
+pub(crate) fn csv<T: ToString>(xs: &[T]) -> String {
     xs.iter()
         .map(|x| x.to_string())
         .collect::<Vec<_>>()
@@ -176,18 +172,23 @@ impl Mistique {
     /// [`QueryReport`] finished inside folds its plan/bytes/predictions into
     /// it via [`Mistique::audit_observe_report`]. Nested calls — a
     /// diagnostic's inner fetch, the DNN fallback inside `log_parallel` —
-    /// run `f` untouched. No-op (beyond `f`) when auditing is disabled.
+    /// run `f` untouched. `args` renders the argument fingerprint and runs
+    /// only for the call that owns a record: never when nested, never with
+    /// capture disabled.
     pub(crate) fn audited<T>(
         &mut self,
         op: &str,
-        args: Vec<(&'static str, String)>,
+        args: impl FnOnce() -> AuditArgs,
         f: impl FnOnce(&mut Mistique) -> Result<T, MistiqueError>,
     ) -> Result<T, MistiqueError> {
         let owns = match self.audit.as_mut() {
             Some(state) if state.pending.is_none() => {
                 let record = AuditRecord {
                     op: op.to_string(),
-                    args: args.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+                    args: args()
+                        .into_iter()
+                        .map(|(k, v)| (k.to_string(), v))
+                        .collect(),
                     ..AuditRecord::default()
                 };
                 state.pending = Some(PendingAudit {
@@ -219,30 +220,25 @@ impl Mistique {
     /// record.
     pub(crate) fn audit_observe_report(&mut self, report: &QueryReport) {
         // SLO latency tracking is always on — it costs one histogram record
-        // plus five gauge stores, and `mistique top` renders from it even
-        // when journal capture is disabled.
-        let class = format!("slo.{}.{}", report.query, report.plan.name());
-        let hist = self.obs.histogram(&format!("{class}.ns"));
+        // here (the quantile gauges are mirrored at snapshot time by
+        // `sync_obs_gauges`), and `mistique top` renders from it even when
+        // journal capture is disabled.
+        let name = format!("slo.{}.{}.ns", report.query, report.plan.name());
+        let hist = self.obs.histogram(&name);
         hist.record_duration(report.actual);
-        let s = hist.summary();
-        self.obs.gauge(&format!("{class}.p50_ns")).set_u64(s.p50);
-        self.obs.gauge(&format!("{class}.p95_ns")).set_u64(s.p95);
-        self.obs.gauge(&format!("{class}.p99_ns")).set_u64(s.p99);
-        self.obs.gauge(&format!("{class}.p999_ns")).set_u64(s.p999);
-        self.obs.gauge(&format!("{class}.max_ns")).set_u64(s.max);
         let actual_ns = u64::try_from(report.actual.as_nanos()).unwrap_or(u64::MAX);
-        if s.count >= SLO_MIN_SAMPLES
-            && s.p95 > 0
-            && actual_ns as f64 > SLO_BURN_FACTOR * s.p95 as f64
-        {
-            self.obs.counter("slo.burns").inc();
-            let details = vec![
-                ("class".to_string(), class),
-                ("actual_ns".to_string(), actual_ns.to_string()),
-                ("p95_ns".to_string(), s.p95.to_string()),
-            ];
-            let interm = report.intermediate.clone();
-            self.telemetry_event("slo.burn", Some(&interm), details);
+        if hist.count() >= SLO_MIN_SAMPLES {
+            let p95 = hist.percentile(0.95);
+            if p95 > 0 && actual_ns as f64 > SLO_BURN_FACTOR * p95 as f64 {
+                self.obs.counter("slo.burns").inc();
+                let class = name.trim_end_matches(".ns").to_string();
+                let details = vec![
+                    ("class".to_string(), class),
+                    ("actual_ns".to_string(), actual_ns.to_string()),
+                    ("p95_ns".to_string(), p95.to_string()),
+                ];
+                self.telemetry_event("slo.burn", Some(&report.intermediate), details);
+            }
         }
 
         // Fold the fetch into the outermost entry point's journal record.
@@ -355,6 +351,13 @@ mod tests {
         }
     }
 
+    fn arg_map(pairs: &[(&str, &str)]) -> std::collections::BTreeMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
     fn run_small_workload(sys: &mut Mistique) -> String {
         let data = Arc::new(ZillowData::generate(120, 1));
         let id = sys
@@ -368,17 +371,57 @@ mod tests {
     }
 
     #[test]
+    fn args_render_only_for_the_call_that_owns_a_record() {
+        let rendered = std::cell::Cell::new(0u32);
+        let args = || {
+            rendered.set(rendered.get() + 1);
+            vec![("k", "v".to_string())]
+        };
+        let nested = |sys: &mut Mistique| {
+            sys.audited("outer", args, |s| s.audited("inner", args, |_| Ok(())))
+        };
+
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(dir.path(), config()).unwrap();
+        nested(&mut sys).unwrap();
+        assert_eq!(rendered.get(), 1, "the nested call renders nothing");
+        let recs = sys.audit_records().unwrap();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].op, "outer");
+        assert_eq!(recs[0].args, arg_map(&[("k", "v")]));
+
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(
+            dir.path(),
+            MistiqueConfig {
+                audit_budget_bytes: 0,
+                ..config()
+            },
+        )
+        .unwrap();
+        nested(&mut sys).unwrap();
+        assert_eq!(rendered.get(), 1, "disabled capture renders nothing");
+    }
+
+    #[test]
     fn entry_points_journal_one_record_each() {
         let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), config()).unwrap();
-        run_small_workload(&mut sys);
+        let interm = run_small_workload(&mut sys);
         sys.audit_flush();
         let recs = Mistique::load_audit(dir.path()).unwrap();
         let ops: Vec<&str> = recs.iter().map(|r| r.op.as_str()).collect();
         assert_eq!(ops, vec!["register", "log", "diag.topk", "diag.pointq"]);
         // The diagnostic's inner fetch folded into the diagnostic record.
         let topk = &recs[2];
-        assert_eq!(topk.args.get("k").map(String::as_str), Some("5"));
+        assert_eq!(
+            topk.args,
+            arg_map(&[("interm", &interm), ("col", "sqft"), ("k", "5")])
+        );
+        assert_eq!(
+            recs[3].args,
+            arg_map(&[("interm", &interm), ("col", "sqft"), ("row", "3")])
+        );
         assert!(!topk.plans.is_empty(), "inner fetch plan recorded");
         assert!(topk.ok);
         assert!(topk.actual_ns > 0);

@@ -91,6 +91,18 @@ impl CostModel {
     /// corrupted meta) yield 0.0 rather than inf/NaN, so γ comparisons in
     /// the materialization and reclamation paths always total-order.
     pub fn gamma(&self, model: &ModelMeta, meta: &IntermediateMeta, stored_bytes: u64) -> f64 {
+        self.gamma_at(model, meta, meta.n_queries, stored_bytes)
+    }
+
+    /// [`CostModel::gamma`] at an explicit query count — adaptive
+    /// materialization projects the count including the query in flight.
+    pub fn gamma_at(
+        &self,
+        model: &ModelMeta,
+        meta: &IntermediateMeta,
+        n_queries: u64,
+        stored_bytes: u64,
+    ) -> f64 {
         if stored_bytes == 0 {
             return 0.0;
         }
@@ -99,7 +111,7 @@ impl CostModel {
         if !(saving > 0.0 && saving.is_finite()) {
             return 0.0;
         }
-        let g = saving * meta.n_queries as f64 / stored_bytes as f64;
+        let g = saving * n_queries as f64 / stored_bytes as f64;
         if g.is_finite() {
             g
         } else {

@@ -6,14 +6,20 @@ use mistique_dataframe::DataFrame;
 use mistique_linalg::stats::percentile;
 use mistique_linalg::{svcca, Matrix, Pca, SvccaResult};
 
+use crate::audit::{args_of, csv, AuditArgs};
 use crate::error::MistiqueError;
 use crate::system::Mistique;
+
+/// Every column of a fetched frame as `f64` values.
+fn f64_columns(frame: &DataFrame) -> Vec<Vec<f64>> {
+    frame.columns().iter().map(|c| c.data.to_f64()).collect()
+}
 
 /// Convert a fetched intermediate into a dense matrix (rows = examples).
 pub fn frame_to_matrix(frame: &DataFrame) -> Matrix {
     let n = frame.n_rows();
     let p = frame.n_cols();
-    let cols: Vec<Vec<f64>> = frame.columns().iter().map(|c| c.data.to_f64()).collect();
+    let cols = f64_columns(frame);
     let mut data = Vec::with_capacity(n * p);
     for r in 0..n {
         for col in &cols {
@@ -35,6 +41,26 @@ pub struct HistBucket {
 }
 
 impl Mistique {
+    /// The one entry point of every diagnostic: an audited call (`op` names
+    /// the journal record, `args` is its lazily rendered fingerprint — see
+    /// [`Mistique::audited`]) whose inner fetches report `op` as their
+    /// query. The outermost label wins when diagnostics nest (e.g.
+    /// `confusion_matrix` delegating to `argmax_predictions`).
+    fn diag<T>(
+        &mut self,
+        op: &str,
+        args: impl FnOnce() -> AuditArgs,
+        body: impl FnOnce(&mut Mistique) -> Result<T, MistiqueError>,
+    ) -> Result<T, MistiqueError> {
+        self.audited(op, args, |sys| {
+            let outer = sys.query_label.take();
+            sys.query_label = outer.clone().or_else(|| Some(op.to_string()));
+            let out = body(sys);
+            sys.query_label = outer;
+            out
+        })
+    }
+
     /// POINTQ: a single cell — e.g. "the activation of neuron-35 in layer-4
     /// for image-345".
     pub fn pointq(
@@ -43,30 +69,15 @@ impl Mistique {
         column: &str,
         row: usize,
     ) -> Result<f64, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("col", column.to_string()),
-            ("row", row.to_string()),
-        ];
-        self.audited("diag.pointq", args, |sys| {
-            sys.with_query_label("diag.pointq", |sys| {
-                sys.pointq_inner(intermediate, column, row)
-            })
+        let args = || args_of(&[("interm", &intermediate), ("col", &column), ("row", &row)]);
+        self.diag("diag.pointq", args, |sys| {
+            let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;
+            let values = r.frame.columns()[0].data.to_f64();
+            values
+                .get(row)
+                .copied()
+                .ok_or_else(|| MistiqueError::Invalid(format!("row {row} out of range")))
         })
-    }
-
-    fn pointq_inner(
-        &mut self,
-        intermediate: &str,
-        column: &str,
-        row: usize,
-    ) -> Result<f64, MistiqueError> {
-        let r = self.get_intermediate(intermediate, Some(&[column]), None)?;
-        let values = r.frame.columns()[0].data.to_f64();
-        values
-            .get(row)
-            .copied()
-            .ok_or_else(|| MistiqueError::Invalid(format!("row {row} out of range")))
     }
 
     /// TOPK: the `k` rows with the highest values in one column — e.g. "the
@@ -78,33 +89,20 @@ impl Mistique {
         column: &str,
         k: usize,
     ) -> Result<Vec<(usize, f64)>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("col", column.to_string()),
-            ("k", k.to_string()),
-        ];
-        self.audited("diag.topk", args, |sys| {
-            sys.with_query_label("diag.topk", |sys| sys.topk_inner(intermediate, column, k))
+        let args = || args_of(&[("interm", &intermediate), ("col", &column), ("k", &k)]);
+        self.diag("diag.topk", args, |sys| {
+            // Indexed fast path: the max-activation list answers without
+            // touching the store whenever the planner would have chosen Read.
+            if let Some(top) = sys.try_indexed_topk(intermediate, column, k) {
+                return Ok(top);
+            }
+            let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;
+            let values = r.frame.columns()[0].data.to_f64();
+            let mut pairs: Vec<(usize, f64)> = values.into_iter().enumerate().collect();
+            pairs.sort_by(|a, b| b.1.total_cmp(&a.1));
+            pairs.truncate(k);
+            Ok(pairs)
         })
-    }
-
-    fn topk_inner(
-        &mut self,
-        intermediate: &str,
-        column: &str,
-        k: usize,
-    ) -> Result<Vec<(usize, f64)>, MistiqueError> {
-        // Indexed fast path: the max-activation list answers without
-        // touching the store whenever the planner would have chosen Read.
-        if let Some(top) = self.try_indexed_topk(intermediate, column, k) {
-            return Ok(top);
-        }
-        let r = self.get_intermediate(intermediate, Some(&[column]), None)?;
-        let values = r.frame.columns()[0].data.to_f64();
-        let mut pairs: Vec<(usize, f64)> = values.into_iter().enumerate().collect();
-        pairs.sort_by(|a, b| b.1.total_cmp(&a.1));
-        pairs.truncate(k);
-        Ok(pairs)
     }
 
     /// COL_DIST: histogram of a column — e.g. "plot the error rates for all
@@ -115,52 +113,43 @@ impl Mistique {
         column: &str,
         n_buckets: usize,
     ) -> Result<Vec<HistBucket>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("col", column.to_string()),
-            ("buckets", n_buckets.to_string()),
-        ];
-        self.audited("diag.col_dist", args, |sys| {
-            sys.with_query_label("diag.col_dist", |sys| {
-                sys.col_dist_inner(intermediate, column, n_buckets)
-            })
+        let args = || {
+            args_of(&[
+                ("interm", &intermediate),
+                ("col", &column),
+                ("buckets", &n_buckets),
+            ])
+        };
+        self.diag("diag.col_dist", args, |sys| {
+            if n_buckets == 0 {
+                return Err(MistiqueError::Invalid("need at least one bucket".into()));
+            }
+            let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;
+            let values: Vec<f64> = r.frame.columns()[0]
+                .data
+                .to_f64()
+                .into_iter()
+                .filter(|v| v.is_finite())
+                .collect();
+            if values.is_empty() {
+                return Ok(vec![]);
+            }
+            let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let width = ((hi - lo) / n_buckets as f64).max(f64::MIN_POSITIVE);
+            let mut buckets: Vec<HistBucket> = (0..n_buckets)
+                .map(|i| HistBucket {
+                    lo: lo + width * i as f64,
+                    hi: lo + width * (i + 1) as f64,
+                    count: 0,
+                })
+                .collect();
+            for v in values {
+                let idx = (((v - lo) / width) as usize).min(n_buckets - 1);
+                buckets[idx].count += 1;
+            }
+            Ok(buckets)
         })
-    }
-
-    fn col_dist_inner(
-        &mut self,
-        intermediate: &str,
-        column: &str,
-        n_buckets: usize,
-    ) -> Result<Vec<HistBucket>, MistiqueError> {
-        if n_buckets == 0 {
-            return Err(MistiqueError::Invalid("need at least one bucket".into()));
-        }
-        let r = self.get_intermediate(intermediate, Some(&[column]), None)?;
-        let values: Vec<f64> = r.frame.columns()[0]
-            .data
-            .to_f64()
-            .into_iter()
-            .filter(|v| v.is_finite())
-            .collect();
-        if values.is_empty() {
-            return Ok(vec![]);
-        }
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let width = ((hi - lo) / n_buckets as f64).max(f64::MIN_POSITIVE);
-        let mut buckets: Vec<HistBucket> = (0..n_buckets)
-            .map(|i| HistBucket {
-                lo: lo + width * i as f64,
-                hi: lo + width * (i + 1) as f64,
-                count: 0,
-            })
-            .collect();
-        for v in values {
-            let idx = (((v - lo) / width) as usize).min(n_buckets - 1);
-            buckets[idx].count += 1;
-        }
-        Ok(buckets)
     }
 
     /// COL_DIFF: rows whose values differ between two columns (possibly of
@@ -174,42 +163,25 @@ impl Mistique {
         column_b: &str,
         tolerance: f64,
     ) -> Result<Vec<usize>, MistiqueError> {
-        let args = vec![
-            ("interm_a", intermediate_a.to_string()),
-            ("col_a", column_a.to_string()),
-            ("interm_b", intermediate_b.to_string()),
-            ("col_b", column_b.to_string()),
-            ("tol", tolerance.to_string()),
-        ];
-        self.audited("diag.col_diff", args, |sys| {
-            sys.with_query_label("diag.col_diff", |sys| {
-                sys.col_diff_inner(
-                    intermediate_a,
-                    column_a,
-                    intermediate_b,
-                    column_b,
-                    tolerance,
-                )
-            })
+        let args = || {
+            args_of(&[
+                ("interm_a", &intermediate_a),
+                ("col_a", &column_a),
+                ("interm_b", &intermediate_b),
+                ("col_b", &column_b),
+                ("tol", &tolerance),
+            ])
+        };
+        self.diag("diag.col_diff", args, |sys| {
+            let a = sys.get_intermediate(intermediate_a, Some(&[column_a]), None)?;
+            let b = sys.get_intermediate(intermediate_b, Some(&[column_b]), None)?;
+            let va = a.frame.columns()[0].data.to_f64();
+            let vb = b.frame.columns()[0].data.to_f64();
+            let n = va.len().min(vb.len());
+            Ok((0..n)
+                .filter(|&i| (va[i] - vb[i]).abs() > tolerance)
+                .collect())
         })
-    }
-
-    fn col_diff_inner(
-        &mut self,
-        intermediate_a: &str,
-        column_a: &str,
-        intermediate_b: &str,
-        column_b: &str,
-        tolerance: f64,
-    ) -> Result<Vec<usize>, MistiqueError> {
-        let a = self.get_intermediate(intermediate_a, Some(&[column_a]), None)?;
-        let b = self.get_intermediate(intermediate_b, Some(&[column_b]), None)?;
-        let va = a.frame.columns()[0].data.to_f64();
-        let vb = b.frame.columns()[0].data.to_f64();
-        let n = va.len().min(vb.len());
-        Ok((0..n)
-            .filter(|&i| (va[i] - vb[i]).abs() > tolerance)
-            .collect())
     }
 
     /// ROW_DIFF: per-column deltas between two rows — e.g. "compare features
@@ -220,36 +192,27 @@ impl Mistique {
         row_a: usize,
         row_b: usize,
     ) -> Result<Vec<(String, f64)>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("row_a", row_a.to_string()),
-            ("row_b", row_b.to_string()),
-        ];
-        self.audited("diag.row_diff", args, |sys| {
-            sys.with_query_label("diag.row_diff", |sys| {
-                sys.row_diff_inner(intermediate, row_a, row_b)
-            })
+        let args = || {
+            args_of(&[
+                ("interm", &intermediate),
+                ("row_a", &row_a),
+                ("row_b", &row_b),
+            ])
+        };
+        self.diag("diag.row_diff", args, |sys| {
+            let r = sys.get_intermediate(intermediate, None, None)?;
+            if row_a >= r.frame.n_rows() || row_b >= r.frame.n_rows() {
+                return Err(MistiqueError::Invalid("row out of range".into()));
+            }
+            Ok(r.frame
+                .columns()
+                .iter()
+                .map(|c| {
+                    let v = c.data.to_f64();
+                    (c.name.clone(), v[row_a] - v[row_b])
+                })
+                .collect())
         })
-    }
-
-    fn row_diff_inner(
-        &mut self,
-        intermediate: &str,
-        row_a: usize,
-        row_b: usize,
-    ) -> Result<Vec<(String, f64)>, MistiqueError> {
-        let r = self.get_intermediate(intermediate, None, None)?;
-        if row_a >= r.frame.n_rows() || row_b >= r.frame.n_rows() {
-            return Err(MistiqueError::Invalid("row out of range".into()));
-        }
-        Ok(r.frame
-            .columns()
-            .iter()
-            .map(|c| {
-                let v = c.data.to_f64();
-                (c.name.clone(), v[row_a] - v[row_b])
-            })
-            .collect())
     }
 
     /// VIS: per-group mean of every column — e.g. "plot the average
@@ -262,48 +225,39 @@ impl Mistique {
         groups: &[u8],
         n_groups: usize,
     ) -> Result<Matrix, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("groups", crate::audit::csv_u8(groups)),
-            ("n_groups", n_groups.to_string()),
-        ];
-        self.audited("diag.vis", args, |sys| {
-            sys.with_query_label("diag.vis", |sys| {
-                sys.vis_inner(intermediate, groups, n_groups)
-            })
-        })
-    }
-
-    fn vis_inner(
-        &mut self,
-        intermediate: &str,
-        groups: &[u8],
-        n_groups: usize,
-    ) -> Result<Matrix, MistiqueError> {
-        let r = self.get_intermediate(intermediate, None, None)?;
-        let n = r.frame.n_rows().min(groups.len());
-        let p = r.frame.n_cols();
-        let mut sums = Matrix::zeros(n_groups, p);
-        let mut counts = vec![0usize; n_groups];
-        let cols: Vec<Vec<f64>> = r.frame.columns().iter().map(|c| c.data.to_f64()).collect();
-        for i in 0..n {
-            let g = groups[i] as usize;
-            if g >= n_groups {
-                return Err(MistiqueError::Invalid(format!("group {g} out of range")));
-            }
-            counts[g] += 1;
-            for (j, col) in cols.iter().enumerate() {
-                sums[(g, j)] += col[i];
-            }
-        }
-        for g in 0..n_groups {
-            if counts[g] > 0 {
-                for j in 0..p {
-                    sums[(g, j)] /= counts[g] as f64;
+        let args = || {
+            args_of(&[
+                ("interm", &intermediate),
+                ("groups", &csv(groups)),
+                ("n_groups", &n_groups),
+            ])
+        };
+        self.diag("diag.vis", args, |sys| {
+            let r = sys.get_intermediate(intermediate, None, None)?;
+            let n = r.frame.n_rows().min(groups.len());
+            let p = r.frame.n_cols();
+            let mut sums = Matrix::zeros(n_groups, p);
+            let mut counts = vec![0usize; n_groups];
+            let cols = f64_columns(&r.frame);
+            for i in 0..n {
+                let g = groups[i] as usize;
+                if g >= n_groups {
+                    return Err(MistiqueError::Invalid(format!("group {g} out of range")));
+                }
+                counts[g] += 1;
+                for (j, col) in cols.iter().enumerate() {
+                    sums[(g, j)] += col[i];
                 }
             }
-        }
-        Ok(sums)
+            for g in 0..n_groups {
+                if counts[g] > 0 {
+                    for j in 0..p {
+                        sums[(g, j)] /= counts[g] as f64;
+                    }
+                }
+            }
+            Ok(sums)
+        })
     }
 
     /// KNN: the `k` nearest rows to `row` under L2 distance over all columns
@@ -315,38 +269,25 @@ impl Mistique {
         row: usize,
         k: usize,
     ) -> Result<Vec<(usize, f64)>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("row", row.to_string()),
-            ("k", k.to_string()),
-        ];
-        self.audited("diag.knn", args, |sys| {
-            sys.with_query_label("diag.knn", |sys| sys.knn_inner(intermediate, row, k))
+        let args = || args_of(&[("interm", &intermediate), ("row", &row), ("k", &k)]);
+        self.diag("diag.knn", args, |sys| {
+            let r = sys.get_intermediate(intermediate, None, None)?;
+            let n = r.frame.n_rows();
+            if row >= n {
+                return Err(MistiqueError::Invalid(format!("row {row} out of range")));
+            }
+            let cols = f64_columns(&r.frame);
+            let mut dists: Vec<(usize, f64)> = (0..n)
+                .filter(|&i| i != row)
+                .map(|i| {
+                    let d: f64 = cols.iter().map(|c| (c[i] - c[row]).powi(2)).sum();
+                    (i, d.sqrt())
+                })
+                .collect();
+            dists.sort_by(|a, b| a.1.total_cmp(&b.1));
+            dists.truncate(k);
+            Ok(dists)
         })
-    }
-
-    fn knn_inner(
-        &mut self,
-        intermediate: &str,
-        row: usize,
-        k: usize,
-    ) -> Result<Vec<(usize, f64)>, MistiqueError> {
-        let r = self.get_intermediate(intermediate, None, None)?;
-        let n = r.frame.n_rows();
-        if row >= n {
-            return Err(MistiqueError::Invalid(format!("row {row} out of range")));
-        }
-        let cols: Vec<Vec<f64>> = r.frame.columns().iter().map(|c| c.data.to_f64()).collect();
-        let mut dists: Vec<(usize, f64)> = (0..n)
-            .filter(|&i| i != row)
-            .map(|i| {
-                let d: f64 = cols.iter().map(|c| (c[i] - c[row]).powi(2)).sum();
-                (i, d.sqrt())
-            })
-            .collect();
-        dists.sort_by(|a, b| a.1.total_cmp(&b.1));
-        dists.truncate(k);
-        Ok(dists)
     }
 
     /// SVCCA (Alg. 2): compare the representations of two intermediates —
@@ -357,29 +298,20 @@ impl Mistique {
         intermediate_b: &str,
         variance_frac: f64,
     ) -> Result<SvccaResult, MistiqueError> {
-        let args = vec![
-            ("interm_a", intermediate_a.to_string()),
-            ("interm_b", intermediate_b.to_string()),
-            ("var_frac", variance_frac.to_string()),
-        ];
-        self.audited("diag.svcca", args, |sys| {
-            sys.with_query_label("diag.svcca", |sys| {
-                sys.svcca_inner(intermediate_a, intermediate_b, variance_frac)
-            })
+        let args = || {
+            args_of(&[
+                ("interm_a", &intermediate_a),
+                ("interm_b", &intermediate_b),
+                ("var_frac", &variance_frac),
+            ])
+        };
+        self.diag("diag.svcca", args, |sys| {
+            let a = sys.get_intermediate(intermediate_a, None, None)?;
+            let b = sys.get_intermediate(intermediate_b, None, None)?;
+            let ma = frame_to_matrix(&a.frame);
+            let mb = frame_to_matrix(&b.frame);
+            Ok(svcca(&ma, &mb, variance_frac))
         })
-    }
-
-    fn svcca_inner(
-        &mut self,
-        intermediate_a: &str,
-        intermediate_b: &str,
-        variance_frac: f64,
-    ) -> Result<SvccaResult, MistiqueError> {
-        let a = self.get_intermediate(intermediate_a, None, None)?;
-        let b = self.get_intermediate(intermediate_b, None, None)?;
-        let ma = frame_to_matrix(&a.frame);
-        let mb = frame_to_matrix(&b.frame);
-        Ok(svcca(&ma, &mb, variance_frac))
     }
 
     /// NetDissect (Alg. 3): interpretability score of one convolutional unit
@@ -394,130 +326,105 @@ impl Mistique {
         concept_masks: &[Vec<bool>],
         alpha: f64,
     ) -> Result<f64, MistiqueError> {
-        // Concept masks are pixel-level inputs too large to journal; record
-        // a digest so replay can detect (and report) the unreplayable call.
-        let mut digest = 0u64;
-        for mask in concept_masks {
-            for &b in mask {
-                digest = crate::audit::fnv1a(digest, &[b as u8]);
+        let args = || {
+            // Concept masks are pixel-level inputs too large to journal;
+            // record a digest so replay can detect (and report) the
+            // unreplayable call.
+            let mut digest = 0u64;
+            for mask in concept_masks {
+                for &b in mask {
+                    digest = crate::audit::fnv1a(digest, &[b as u8]);
+                }
             }
-        }
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("unit", unit.to_string()),
-            ("alpha", alpha.to_string()),
-            ("masks_n", concept_masks.len().to_string()),
-            ("masks_digest", format!("{digest:016x}")),
-        ];
-        self.audited("diag.netdissect", args, |sys| {
-            sys.with_query_label("diag.netdissect", |sys| {
-                sys.netdissect_inner(intermediate, unit, concept_masks, alpha)
+            args_of(&[
+                ("interm", &intermediate),
+                ("unit", &unit),
+                ("alpha", &alpha),
+                ("masks_n", &concept_masks.len()),
+                ("masks_digest", &format!("{digest:016x}")),
+            ])
+        };
+        self.diag("diag.netdissect", args, |sys| {
+            let shape = sys
+                .metadata()
+                .intermediate(intermediate)
+                .ok_or_else(|| MistiqueError::UnknownIntermediate(intermediate.into()))?
+                .shape
+                .ok_or_else(|| MistiqueError::Invalid("intermediate has no map shape".into()))?;
+            let (c, h, w) = shape;
+            if unit >= c {
+                return Err(MistiqueError::Invalid(format!(
+                    "unit {unit} out of {c} channels"
+                )));
+            }
+            let map_size = h * w;
+            // Fetch only the columns of this unit's activation map.
+            let wanted: Vec<String> = (unit * map_size..(unit + 1) * map_size)
+                .map(|j| format!("n{j}"))
+                .collect();
+            let refs: Vec<&str> = wanted.iter().map(|s| s.as_str()).collect();
+            let r = sys.get_intermediate(intermediate, Some(&refs), None)?;
+            let n = r.frame.n_rows();
+            if concept_masks.len() < n {
+                return Err(MistiqueError::Invalid("not enough concept masks".into()));
+            }
+            let cols = f64_columns(&r.frame);
+
+            // T_k = (1 - alpha) percentile over all of the unit's activations.
+            let mut all: Vec<f64> = Vec::with_capacity(n * map_size);
+            for col in &cols {
+                all.extend_from_slice(col);
+            }
+            let t_k = percentile(&all, 1.0 - alpha);
+
+            // IoU between binarized maps and concept masks.
+            let mut inter = 0usize;
+            let mut union = 0usize;
+            for (i, mask) in concept_masks.iter().enumerate().take(n) {
+                if mask.len() != map_size {
+                    return Err(MistiqueError::Invalid("mask resolution mismatch".into()));
+                }
+                for (j, col) in cols.iter().enumerate() {
+                    let active = col[i] > t_k;
+                    let concept = mask[j];
+                    if active && concept {
+                        inter += 1;
+                    }
+                    if active || concept {
+                        union += 1;
+                    }
+                }
+            }
+            Ok(if union == 0 {
+                0.0
+            } else {
+                inter as f64 / union as f64
             })
         })
     }
 
-    fn netdissect_inner(
-        &mut self,
-        intermediate: &str,
-        unit: usize,
-        concept_masks: &[Vec<bool>],
-        alpha: f64,
-    ) -> Result<f64, MistiqueError> {
-        let shape = self
-            .metadata()
-            .intermediate(intermediate)
-            .ok_or_else(|| MistiqueError::UnknownIntermediate(intermediate.into()))?
-            .shape
-            .ok_or_else(|| MistiqueError::Invalid("intermediate has no map shape".into()))?;
-        let (c, h, w) = shape;
-        if unit >= c {
-            return Err(MistiqueError::Invalid(format!(
-                "unit {unit} out of {c} channels"
-            )));
-        }
-        let map_size = h * w;
-        // Fetch only the columns of this unit's activation map.
-        let wanted: Vec<String> = (unit * map_size..(unit + 1) * map_size)
-            .map(|j| format!("n{j}"))
-            .collect();
-        let refs: Vec<&str> = wanted.iter().map(|s| s.as_str()).collect();
-        let r = self.get_intermediate(intermediate, Some(&refs), None)?;
-        let n = r.frame.n_rows();
-        if concept_masks.len() < n {
-            return Err(MistiqueError::Invalid("not enough concept masks".into()));
-        }
-        let cols: Vec<Vec<f64>> = r
-            .frame
-            .columns()
-            .iter()
-            .map(|col| col.data.to_f64())
-            .collect();
-
-        // T_k = (1 - alpha) percentile over all of the unit's activations.
-        let mut all: Vec<f64> = Vec::with_capacity(n * map_size);
-        for col in &cols {
-            all.extend_from_slice(col);
-        }
-        let t_k = percentile(&all, 1.0 - alpha);
-
-        // IoU between binarized maps and concept masks.
-        let mut inter = 0usize;
-        let mut union = 0usize;
-        for (i, mask) in concept_masks.iter().enumerate().take(n) {
-            if mask.len() != map_size {
-                return Err(MistiqueError::Invalid("mask resolution mismatch".into()));
-            }
-            for (j, col) in cols.iter().enumerate() {
-                let active = col[i] > t_k;
-                let concept = mask[j];
-                if active && concept {
-                    inter += 1;
-                }
-                if active || concept {
-                    union += 1;
-                }
-            }
-        }
-        Ok(if union == 0 {
-            0.0
-        } else {
-            inter as f64 / union as f64
-        })
-    }
-}
-
-impl Mistique {
     /// Per-row argmax over an intermediate's columns — class predictions
     /// from a softmax/logit layer.
     pub fn argmax_predictions(&mut self, intermediate: &str) -> Result<Vec<usize>, MistiqueError> {
-        let args = vec![("interm", intermediate.to_string())];
-        self.audited("diag.argmax_predictions", args, |sys| {
-            sys.with_query_label("diag.argmax_predictions", |sys| {
-                sys.argmax_predictions_inner(intermediate)
-            })
-        })
-    }
-
-    fn argmax_predictions_inner(
-        &mut self,
-        intermediate: &str,
-    ) -> Result<Vec<usize>, MistiqueError> {
-        let r = self.get_intermediate(intermediate, None, None)?;
-        let cols: Vec<Vec<f64>> = r.frame.columns().iter().map(|c| c.data.to_f64()).collect();
-        if cols.is_empty() {
-            return Err(MistiqueError::Invalid("no columns".into()));
-        }
-        Ok((0..r.frame.n_rows())
-            .map(|i| {
-                let mut best = 0;
-                for (j, c) in cols.iter().enumerate() {
-                    if c[i] > cols[best][i] {
-                        best = j;
+        let args = || args_of(&[("interm", &intermediate)]);
+        self.diag("diag.argmax_predictions", args, |sys| {
+            let r = sys.get_intermediate(intermediate, None, None)?;
+            let cols = f64_columns(&r.frame);
+            if cols.is_empty() {
+                return Err(MistiqueError::Invalid("no columns".into()));
+            }
+            Ok((0..r.frame.n_rows())
+                .map(|i| {
+                    let mut best = 0;
+                    for (j, c) in cols.iter().enumerate() {
+                        if c[i] > cols[best][i] {
+                            best = j;
+                        }
                     }
-                }
-                best
-            })
-            .collect())
+                    best
+                })
+                .collect())
+        })
     }
 
     /// Confusion matrix (Table 1: "compute the confusion matrix for the
@@ -530,59 +437,41 @@ impl Mistique {
         labels: &[u8],
         n_classes: usize,
     ) -> Result<Vec<Vec<usize>>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("labels", crate::audit::csv_u8(labels)),
-            ("n_classes", n_classes.to_string()),
-        ];
-        self.audited("diag.confusion_matrix", args, |sys| {
-            sys.with_query_label("diag.confusion_matrix", |sys| {
-                sys.confusion_matrix_inner(intermediate, labels, n_classes)
-            })
-        })
-    }
-
-    fn confusion_matrix_inner(
-        &mut self,
-        intermediate: &str,
-        labels: &[u8],
-        n_classes: usize,
-    ) -> Result<Vec<Vec<usize>>, MistiqueError> {
-        let preds = self.argmax_predictions(intermediate)?;
-        let mut m = vec![vec![0usize; n_classes]; n_classes];
-        for (i, &p) in preds.iter().enumerate().take(labels.len()) {
-            let t = labels[i] as usize;
-            if t >= n_classes || p >= n_classes {
-                return Err(MistiqueError::Invalid(format!(
-                    "class out of range: true {t} pred {p}"
-                )));
+        let args = || {
+            args_of(&[
+                ("interm", &intermediate),
+                ("labels", &csv(labels)),
+                ("n_classes", &n_classes),
+            ])
+        };
+        self.diag("diag.confusion_matrix", args, |sys| {
+            let preds = sys.argmax_predictions(intermediate)?;
+            let mut m = vec![vec![0usize; n_classes]; n_classes];
+            for (i, &p) in preds.iter().enumerate().take(labels.len()) {
+                let t = labels[i] as usize;
+                if t >= n_classes || p >= n_classes {
+                    return Err(MistiqueError::Invalid(format!(
+                        "class out of range: true {t} pred {p}"
+                    )));
+                }
+                m[t][p] += 1;
             }
-            m[t][p] += 1;
-        }
-        Ok(m)
+            Ok(m)
+        })
     }
 
     /// Classification accuracy against labels (argmax of the intermediate).
     pub fn accuracy(&mut self, intermediate: &str, labels: &[u8]) -> Result<f64, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("labels", crate::audit::csv_u8(labels)),
-        ];
-        self.audited("diag.accuracy", args, |sys| {
-            sys.with_query_label("diag.accuracy", |sys| {
-                sys.accuracy_inner(intermediate, labels)
-            })
+        let args = || args_of(&[("interm", &intermediate), ("labels", &csv(labels))]);
+        self.diag("diag.accuracy", args, |sys| {
+            let preds = sys.argmax_predictions(intermediate)?;
+            let n = preds.len().min(labels.len());
+            if n == 0 {
+                return Ok(0.0);
+            }
+            let hits = (0..n).filter(|&i| preds[i] == labels[i] as usize).count();
+            Ok(hits as f64 / n as f64)
         })
-    }
-
-    fn accuracy_inner(&mut self, intermediate: &str, labels: &[u8]) -> Result<f64, MistiqueError> {
-        let preds = self.argmax_predictions(intermediate)?;
-        let n = preds.len().min(labels.len());
-        if n == 0 {
-            return Ok(0.0);
-        }
-        let hits = (0..n).filter(|&i| preds[i] == labels[i] as usize).count();
-        Ok(hits as f64 / n as f64)
     }
 
     /// Rows where `column > threshold` — the paper's Sec 8.3 example of a
@@ -596,38 +485,29 @@ impl Mistique {
         column: &str,
         threshold: f64,
     ) -> Result<Vec<usize>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("col", column.to_string()),
-            ("threshold", threshold.to_string()),
-        ];
-        self.audited("diag.select_where_gt", args, |sys| {
-            sys.with_query_label("diag.select_where_gt", |sys| {
-                sys.select_where_gt_inner(intermediate, column, threshold)
-            })
+        let args = || {
+            args_of(&[
+                ("interm", &intermediate),
+                ("col", &column),
+                ("threshold", &threshold),
+            ])
+        };
+        self.diag("diag.select_where_gt", args, |sys| {
+            // Indexed fast path: zone maps prune blocks whose max cannot clear
+            // the threshold; only the surviving blocks are read and filtered.
+            if let Some(rows) = sys.try_indexed_select_gt(intermediate, column, threshold)? {
+                return Ok(rows);
+            }
+            let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;
+            Ok(r.frame.columns()[0]
+                .data
+                .to_f64()
+                .into_iter()
+                .enumerate()
+                .filter(|(_, v)| *v > threshold)
+                .map(|(i, _)| i)
+                .collect())
         })
-    }
-
-    fn select_where_gt_inner(
-        &mut self,
-        intermediate: &str,
-        column: &str,
-        threshold: f64,
-    ) -> Result<Vec<usize>, MistiqueError> {
-        // Indexed fast path: zone maps prune blocks whose max cannot clear
-        // the threshold; only the surviving blocks are read and filtered.
-        if let Some(rows) = self.try_indexed_select_gt(intermediate, column, threshold)? {
-            return Ok(rows);
-        }
-        let r = self.get_intermediate(intermediate, Some(&[column]), None)?;
-        Ok(r.frame.columns()[0]
-            .data
-            .to_f64()
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| *v > threshold)
-            .map(|(i, _)| i)
-            .collect())
     }
 
     /// Project an intermediate's representation onto its top `k` principal
@@ -638,30 +518,20 @@ impl Mistique {
         intermediate: &str,
         k: usize,
     ) -> Result<(Matrix, f64), MistiqueError> {
-        let args = vec![("interm", intermediate.to_string()), ("k", k.to_string())];
-        self.audited("diag.pca_projection", args, |sys| {
-            sys.with_query_label("diag.pca_projection", |sys| {
-                sys.pca_projection_inner(intermediate, k)
-            })
+        let args = || args_of(&[("interm", &intermediate), ("k", &k)]);
+        self.diag("diag.pca_projection", args, |sys| {
+            let r = sys.get_intermediate(intermediate, None, None)?;
+            let m = frame_to_matrix(&r.frame);
+            if k == 0 || k > m.cols() {
+                return Err(MistiqueError::Invalid(format!(
+                    "k={k} out of range for {} columns",
+                    m.cols()
+                )));
+            }
+            let pca = Pca::fit(&m, k);
+            let frac = pca.explained_fraction(&m);
+            Ok((pca.transform(&m), frac))
         })
-    }
-
-    fn pca_projection_inner(
-        &mut self,
-        intermediate: &str,
-        k: usize,
-    ) -> Result<(Matrix, f64), MistiqueError> {
-        let r = self.get_intermediate(intermediate, None, None)?;
-        let m = frame_to_matrix(&r.frame);
-        if k == 0 || k > m.cols() {
-            return Err(MistiqueError::Invalid(format!(
-                "k={k} out of range for {} columns",
-                m.cols()
-            )));
-        }
-        let pca = Pca::fit(&m, k);
-        let frac = pca.explained_fraction(&m);
-        Ok((pca.transform(&m), frac))
     }
 
     /// Mean of one column per group (Table 1: "compare model performance
@@ -674,48 +544,38 @@ impl Mistique {
         groups: &[u8],
         n_groups: usize,
     ) -> Result<Vec<(usize, f64, usize)>, MistiqueError> {
-        let args = vec![
-            ("interm", intermediate.to_string()),
-            ("col", column.to_string()),
-            ("groups", crate::audit::csv_u8(groups)),
-            ("n_groups", n_groups.to_string()),
-        ];
-        self.audited("diag.group_metric", args, |sys| {
-            sys.with_query_label("diag.group_metric", |sys| {
-                sys.group_metric_inner(intermediate, column, groups, n_groups)
-            })
-        })
-    }
-
-    fn group_metric_inner(
-        &mut self,
-        intermediate: &str,
-        column: &str,
-        groups: &[u8],
-        n_groups: usize,
-    ) -> Result<Vec<(usize, f64, usize)>, MistiqueError> {
-        let r = self.get_intermediate(intermediate, Some(&[column]), None)?;
-        let values = r.frame.columns()[0].data.to_f64();
-        let mut sums = vec![0.0; n_groups];
-        let mut counts = vec![0usize; n_groups];
-        for (i, &v) in values.iter().enumerate().take(groups.len()) {
-            let g = groups[i] as usize;
-            if g >= n_groups {
-                return Err(MistiqueError::Invalid(format!("group {g} out of range")));
+        let args = || {
+            args_of(&[
+                ("interm", &intermediate),
+                ("col", &column),
+                ("groups", &csv(groups)),
+                ("n_groups", &n_groups),
+            ])
+        };
+        self.diag("diag.group_metric", args, |sys| {
+            let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;
+            let values = r.frame.columns()[0].data.to_f64();
+            let mut sums = vec![0.0; n_groups];
+            let mut counts = vec![0usize; n_groups];
+            for (i, &v) in values.iter().enumerate().take(groups.len()) {
+                let g = groups[i] as usize;
+                if g >= n_groups {
+                    return Err(MistiqueError::Invalid(format!("group {g} out of range")));
+                }
+                sums[g] += v;
+                counts[g] += 1;
             }
-            sums[g] += v;
-            counts[g] += 1;
-        }
-        Ok((0..n_groups)
-            .map(|g| {
-                let mean = if counts[g] > 0 {
-                    sums[g] / counts[g] as f64
-                } else {
-                    0.0
-                };
-                (g, mean, counts[g])
-            })
-            .collect())
+            Ok((0..n_groups)
+                .map(|g| {
+                    let mean = if counts[g] > 0 {
+                        sums[g] / counts[g] as f64
+                    } else {
+                        0.0
+                    };
+                    (g, mean, counts[g])
+                })
+                .collect())
+        })
     }
 }
 

@@ -91,7 +91,7 @@ impl Mistique {
     /// <dir> [budget]` entry point). See the module docs for the ladder and
     /// the crash-safety discipline.
     pub fn reclaim_to(&mut self, budget_bytes: u64) -> Result<ReclaimReport, MistiqueError> {
-        let args = vec![("budget", budget_bytes.to_string())];
+        let args = || crate::audit::args_of(&[("budget", &budget_bytes)]);
         self.audited("reclaim", args, |sys| sys.reclaim_to_impl(budget_bytes))
     }
 

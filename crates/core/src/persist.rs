@@ -39,6 +39,10 @@ struct Manifest {
     models: Vec<ModelMeta>,
     intermediates: Vec<IntermediateMeta>,
     catalog: StoreCatalog,
+    /// Rows per RowBlock the chunks were cut at: block indices in the
+    /// catalog mean nothing under another. `None` in manifests that predate
+    /// the field, which trust the reopening config.
+    row_block_size: Option<usize>,
     version: Version,
 }
 
@@ -63,7 +67,7 @@ impl Json for Version {
     }
 }
 
-json_struct!(Manifest { models, intermediates, catalog } default { version });
+json_struct!(Manifest { models, intermediates, catalog } default { row_block_size, version });
 json_enum!(ModelKind { Trad, Dnn });
 json_struct!(ModelMeta {
     id,
@@ -120,6 +124,7 @@ impl Mistique {
                 all
             },
             catalog: self.store.export_catalog(),
+            row_block_size: Some(self.config.row_block_size),
             version: Version,
         };
         let json = json::to_string(&manifest, "manifest").map_err(MistiqueError::Invalid)?;
@@ -133,7 +138,8 @@ impl Mistique {
     /// readable immediately. Always runs a recovery pass first (orphan tmp
     /// files removed, corrupt partitions quarantined — see
     /// [`Mistique::recovery_report`]). Returns [`MistiqueError::NoManifest`]
-    /// if nothing was ever persisted.
+    /// if nothing was ever persisted, and [`MistiqueError::Invalid`] if the
+    /// manifest records a `row_block_size` other than `config`'s.
     pub fn reopen(
         dir: impl AsRef<Path>,
         config: MistiqueConfig,
@@ -161,6 +167,15 @@ impl Mistique {
             .map_err(|e| MistiqueError::Invalid(format!("manifest not utf-8: {e}")))?;
         let manifest: Manifest =
             json::from_str(&json, "manifest").map_err(MistiqueError::Invalid)?;
+        if let Some(written) = manifest.row_block_size {
+            if written != config.row_block_size {
+                return Err(MistiqueError::Invalid(format!(
+                    "store was written with row_block_size {written}, \
+                     reopened with row_block_size {}",
+                    config.row_block_size
+                )));
+            }
+        }
 
         let obs = mistique_obs::Obs::with_ring_capacity(config.span_ring_capacity);
         let mut sys = Mistique::open_full(dir, config, obs, backend)?;
@@ -383,6 +398,7 @@ mod tests {
                 extras: Vec::new(),
                 lsh_items: Vec::new(),
             },
+            row_block_size: Some(1000),
             version: Version,
         };
         let to_json = |m: &Manifest| json::to_string(m, "manifest");

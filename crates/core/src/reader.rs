@@ -1,16 +1,25 @@
 //! The ChunkReader (Sec 6, Alg. 3): fetch an intermediate by reading stored
 //! chunks or re-running the model, whichever the cost model prefers, plus
 //! adaptive materialization (Sec 4.3) on the re-run path.
+//!
+//! Every fetch goes through one pipeline: `plan` resolves the metadata and
+//! prices both sides of the trade-off once, the entry point picks an `Arm`,
+//! and `serve` runs it inside its root span and does all the accounting —
+//! the one place a `QueryReport` is built and a query is counted.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mistique_dataframe::{Column, ColumnData, DataFrame};
-use mistique_store::{ChunkKey, ReadAttribution};
+use mistique_index::IntermediateIndex;
+use mistique_store::ChunkKey;
 
+use crate::audit::{csv, fetch_args};
 use crate::capture::{decode_column, pool_batch, CaptureScheme, ValueScheme};
 use crate::error::MistiqueError;
-use crate::executor::ModelSource;
-use crate::metadata::ModelKind;
+use crate::index_state::IndexPruning;
+use crate::metadata::{IntermediateMeta, ModelKind};
+use crate::qcache::CacheKey;
 use crate::report::{PlanChoice, QueryReport};
 use crate::system::{Mistique, StorageStrategy};
 
@@ -37,7 +46,9 @@ impl FetchStrategy {
     }
 }
 
-/// The result of fetching an intermediate.
+/// The result of fetching an intermediate. The timing and both predictions
+/// are the numbers of the fetch's [`QueryReport`], on every plan (a cached
+/// hit carries the predictions that would have applied).
 #[derive(Debug)]
 pub struct FetchResult {
     /// The fetched data, one f64-convertible column per requested column.
@@ -52,6 +63,62 @@ pub struct FetchResult {
     pub predicted_rerun: f64,
 }
 
+/// What [`Mistique::plan`] resolves for one fetch: the clamped row count,
+/// both cost-model predictions (Eq 2–4) and the decision they imply. It
+/// borrows nothing, so the arms that never touch stored chunks (cached,
+/// list-served top-k) never clone metadata.
+#[derive(Clone, Copy)]
+struct FetchPlan {
+    /// Rows the fetch is priced at: the request clamped to `n_rows`.
+    n: usize,
+    n_rows: usize,
+    materialized: bool,
+    predicted_read: f64,
+    predicted_rerun: f64,
+    /// The planner's choice is Read: materialized and `t_rerun >= t_read`.
+    prefers_read: bool,
+    /// Stored bytes of the `n` rows — what a Read calibrates bandwidth on.
+    read_bytes: u64,
+    /// Scheme the stored values decode under.
+    scheme: CaptureScheme,
+}
+
+/// The six ways a planned fetch is served.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    /// The session query cache held the frame.
+    Cached,
+    /// Stored chunks of rows `[0, n)`.
+    Read,
+    /// The model re-run (possibly materializing the result).
+    Rerun,
+    /// Only the RowBlocks holding the requested row ids.
+    Rows,
+    /// A top-k answered from the max-activation list alone.
+    IndexedTopk,
+    /// A threshold scan over the RowBlocks the zone maps kept.
+    IndexedSelect,
+}
+
+impl Arm {
+    /// Root span name, the key of its size attribute, and the plan the
+    /// report names.
+    fn spec(self) -> (&'static str, &'static str, PlanChoice) {
+        match self {
+            Arm::Cached => ("fetch.cached", "n_ex", PlanChoice::Cached),
+            Arm::Read => ("fetch.read", "n_ex", PlanChoice::Read),
+            Arm::Rerun => ("fetch.rerun", "n_ex", PlanChoice::Rerun),
+            Arm::Rows => ("fetch.rows", "rows", PlanChoice::Read),
+            Arm::IndexedTopk => ("fetch.indexed", "k", PlanChoice::IndexedRead),
+            Arm::IndexedSelect => ("fetch.indexed", "blocks", PlanChoice::IndexedRead),
+        }
+    }
+}
+
+/// What an arm hands back to [`Mistique::serve`]: the frame, the row count
+/// the report shows, and the block pruning of an indexed arm.
+type Served = (DataFrame, usize, Option<IndexPruning>);
+
 impl Mistique {
     /// Fetch an intermediate (all rows / all columns unless restricted),
     /// letting the cost model pick read vs re-run — the paper's
@@ -62,94 +129,29 @@ impl Mistique {
         columns: Option<&[&str]>,
         n_ex: Option<usize>,
     ) -> Result<FetchResult, MistiqueError> {
-        let args = crate::audit::fetch_args(intermediate_id, columns, n_ex);
+        let args = || fetch_args(intermediate_id, columns, n_ex, &[]);
         self.audited("fetch.get", args, |sys| {
-            sys.get_intermediate_impl(intermediate_id, columns, n_ex)
+            let plan = sys.plan(intermediate_id, columns, n_ex)?;
+            // Session query cache: serve repeated identical fetches
+            // directly. The key carries the clamped row count (the same one
+            // the cost model and fetch use), so `None`, `Some(n_rows)`, and
+            // oversized requests — which all return the identical frame —
+            // share a single entry.
+            let index_version = sys.index_version(intermediate_id);
+            let cache_key = CacheKey::new(intermediate_id, columns, Some(plan.n), index_version);
+            if let Some(frame) = sys.qcache.get(&cache_key) {
+                let hit = |_: &mut Mistique| Ok((frame, plan.n, None));
+                return sys.serve(intermediate_id, &plan, Arm::Cached, plan.n, hit);
+            }
+            let arm = if plan.prefers_read {
+                Arm::Read
+            } else {
+                Arm::Rerun
+            };
+            let result = sys.read_or_rerun(intermediate_id, columns, &plan, arm)?;
+            sys.qcache.insert(cache_key, &result.frame);
+            Ok(result)
         })
-    }
-
-    fn get_intermediate_impl(
-        &mut self,
-        intermediate_id: &str,
-        columns: Option<&[&str]>,
-        n_ex: Option<usize>,
-    ) -> Result<FetchResult, MistiqueError> {
-        let (can_read, should_read, n_effective, predicted_read, predicted_rerun, scheme, bound) = {
-            let meta = self
-                .meta
-                .intermediate(intermediate_id)
-                .ok_or_else(|| MistiqueError::UnknownIntermediate(intermediate_id.into()))?;
-            let model = self
-                .meta
-                .model(&meta.model_id)
-                .ok_or_else(|| MistiqueError::UnknownModel(meta.model_id.clone()))?;
-            let n = n_ex.unwrap_or(meta.n_rows).min(meta.n_rows);
-            (
-                meta.materialized,
-                self.cost.should_read(model, meta, n),
-                n,
-                self.cost.t_read(meta, n),
-                self.cost.t_rerun(model, meta, n),
-                meta.scheme.name(),
-                meta.scheme.value.error_bound(),
-            )
-        };
-        // Session query cache: serve repeated identical fetches directly.
-        // The key carries the clamped row count (the same one the cost model
-        // and fetch use), so `None`, `Some(n_rows)`, and oversized requests —
-        // which all return the identical frame — share a single entry.
-        let index_version = self.index_version(intermediate_id);
-        let cache_key = crate::qcache::CacheKey::new(
-            intermediate_id,
-            columns,
-            Some(n_effective),
-            index_version,
-        );
-        if let Some(frame) = self.qcache.get(&cache_key) {
-            let mut sp = self.obs.span("fetch.cached");
-            sp.attr("interm", intermediate_id).attr("n_ex", n_effective);
-            let trace_id = sp.trace_id();
-            let actual = sp.finish();
-            self.obs.counter("decision.cached.count").inc();
-            self.meta.bump_queries(intermediate_id);
-            let query = self
-                .query_label
-                .clone()
-                .unwrap_or_else(|| "fetch".to_string());
-            self.push_report(QueryReport {
-                seq: 0,
-                query,
-                intermediate: intermediate_id.to_string(),
-                plan: PlanChoice::Cached,
-                predicted_read_s: predicted_read,
-                predicted_rerun_s: predicted_rerun,
-                actual,
-                n_ex: n_effective,
-                cache_hit: true,
-                attribution: ReadAttribution::default(),
-                scheme,
-                error_bound: bound,
-                trace_id,
-                drift_ratio: None,
-                drift_flagged: false,
-                pruning: None,
-            });
-            return Ok(FetchResult {
-                frame,
-                strategy: FetchStrategy::Cached,
-                fetch_time: Duration::ZERO,
-                predicted_read: 0.0,
-                predicted_rerun: 0.0,
-            });
-        }
-        let strategy = if can_read && should_read {
-            FetchStrategy::Read
-        } else {
-            FetchStrategy::Rerun
-        };
-        let result = self.fetch_with_strategy(intermediate_id, columns, n_ex, strategy)?;
-        self.qcache.insert(cache_key, &result.frame);
-        Ok(result)
     }
 
     /// Fetch with an explicit strategy (benchmarks use this to measure both
@@ -161,154 +163,25 @@ impl Mistique {
         n_ex: Option<usize>,
         strategy: FetchStrategy,
     ) -> Result<FetchResult, MistiqueError> {
-        let mut args = crate::audit::fetch_args(intermediate_id, columns, n_ex);
-        args.push(("strategy", strategy.name().to_string()));
+        let name = strategy.name();
+        let args = || fetch_args(intermediate_id, columns, n_ex, &[("strategy", &name)]);
         self.audited("fetch.strategy", args, |sys| {
-            sys.fetch_with_strategy_impl(intermediate_id, columns, n_ex, strategy)
-        })
-    }
-
-    fn fetch_with_strategy_impl(
-        &mut self,
-        intermediate_id: &str,
-        columns: Option<&[&str]>,
-        n_ex: Option<usize>,
-        strategy: FetchStrategy,
-    ) -> Result<FetchResult, MistiqueError> {
-        let meta = self
-            .meta
-            .intermediate(intermediate_id)
-            .ok_or_else(|| MistiqueError::UnknownIntermediate(intermediate_id.into()))?
-            .clone();
-        let model = self
-            .meta
-            .model(&meta.model_id)
-            .ok_or_else(|| MistiqueError::UnknownModel(meta.model_id.clone()))?
-            .clone();
-        let n = n_ex.unwrap_or(meta.n_rows).min(meta.n_rows);
-
-        let predicted_read = self.cost.t_read(&meta, n);
-        let predicted_rerun = self.cost.t_rerun(&model, &meta, n);
-
-        // Validate requested columns.
-        if let Some(cols) = columns {
-            for c in cols {
-                if !meta.columns.iter().any(|m| m == c) {
-                    return Err(MistiqueError::UnknownColumn {
-                        intermediate: intermediate_id.into(),
-                        column: (*c).to_string(),
-                    });
-                }
-            }
-        }
-
-        let (span_name, decision) = match strategy {
-            FetchStrategy::Read => ("fetch.read", "read"),
-            FetchStrategy::Rerun => ("fetch.rerun", "rerun"),
-            FetchStrategy::Cached => {
-                return Err(MistiqueError::Invalid(
-                    "Cached is not a forcible strategy; use get_intermediate".into(),
-                ))
-            }
-        };
-        // Attribute this fetch's DataStore activity by diffing the store's
-        // cumulative read counters around the fetch.
-        let store_before = self.store.read_attribution();
-        // The span is the fetch timer (one source of truth for fetch_time).
-        let mut sp = self.obs.span(span_name);
-        sp.attr("interm", intermediate_id).attr("n_ex", n);
-        let trace_id = sp.trace_id();
-        let frame = match strategy {
-            FetchStrategy::Read => {
-                if !meta.materialized {
+            let plan = sys.plan(intermediate_id, columns, n_ex)?;
+            let arm = match strategy {
+                FetchStrategy::Read if plan.materialized => Arm::Read,
+                FetchStrategy::Read => {
                     return Err(MistiqueError::Invalid(format!(
                         "{intermediate_id} is not materialized; cannot force Read"
-                    )));
+                    )))
                 }
-                let f = self.read_stored(&meta, columns, n)?;
-                let bytes = (meta.bytes_per_row() * n as f64) as u64;
-                self.cost.observe_read(bytes, sp.elapsed());
-                self.obs.counter("cost.observe_read.count").inc();
-                self.obs
-                    .gauge("cost.read_bandwidth")
-                    .set(self.cost.read_bandwidth);
-                f
-            }
-            FetchStrategy::Rerun => {
-                let source = self
-                    .sources
-                    .get(&meta.model_id)
-                    .cloned()
-                    .ok_or_else(|| MistiqueError::UnknownModel(meta.model_id.clone()))?;
-                self.rerun_and_maybe_materialize(&source, &meta.id, columns, n)?
-            }
-            FetchStrategy::Cached => unreachable!("rejected above"),
-        };
-        let fetch_time = sp.finish();
-
-        // Record the decision with its estimated and actual costs.
-        let predicted = match strategy {
-            FetchStrategy::Read => predicted_read,
-            _ => predicted_rerun,
-        };
-        self.obs
-            .counter(&format!("decision.{decision}.count"))
-            .inc();
-        self.obs
-            .histogram(&format!("decision.{decision}.predicted_ns"))
-            .record((predicted.max(0.0) * 1e9) as u64);
-        self.obs
-            .histogram(&format!("decision.{decision}.actual_ns"))
-            .record_duration(fetch_time);
-
-        // Fold the prediction into the drift monitor and flag miscalibration.
-        let (drift_ratio, drift_flagged) = self.drift.observe(decision, predicted, fetch_time);
-        self.obs
-            .gauge("cost_model.drift")
-            .set(self.drift.worst_drift());
-        if drift_flagged {
-            self.obs.counter("cost_model.drift_flags").inc();
-        }
-
-        // Re-runs always serve freshly computed full-precision values; reads
-        // serve whatever scheme the intermediate was stored under.
-        let (scheme, error_bound) = match strategy {
-            FetchStrategy::Read => (meta.scheme.name(), meta.scheme.value.error_bound()),
-            _ => (CaptureScheme::full().name(), Some(0.0)),
-        };
-        let query = self
-            .query_label
-            .clone()
-            .unwrap_or_else(|| "fetch".to_string());
-        self.push_report(QueryReport {
-            seq: 0,
-            query,
-            intermediate: intermediate_id.to_string(),
-            plan: match strategy {
-                FetchStrategy::Read => PlanChoice::Read,
-                _ => PlanChoice::Rerun,
-            },
-            predicted_read_s: predicted_read,
-            predicted_rerun_s: predicted_rerun,
-            actual: fetch_time,
-            n_ex: n,
-            cache_hit: false,
-            attribution: self.store.read_attribution().since(&store_before),
-            scheme,
-            error_bound,
-            trace_id,
-            drift_ratio: Some(drift_ratio),
-            drift_flagged,
-            pruning: None,
-        });
-
-        self.meta.bump_queries(intermediate_id);
-        Ok(FetchResult {
-            frame,
-            strategy,
-            fetch_time,
-            predicted_read,
-            predicted_rerun,
+                FetchStrategy::Rerun => Arm::Rerun,
+                FetchStrategy::Cached => {
+                    return Err(MistiqueError::Invalid(
+                        "Cached is not a forcible strategy; use get_intermediate".into(),
+                    ))
+                }
+            };
+            sys.read_or_rerun(intermediate_id, columns, &plan, arm)
         })
     }
 
@@ -324,191 +197,77 @@ impl Mistique {
         rows: &[usize],
         columns: Option<&[&str]>,
     ) -> Result<FetchResult, MistiqueError> {
-        let mut args = crate::audit::fetch_args(intermediate_id, columns, None);
-        args.push(("rows", crate::audit::csv_usize(rows)));
+        let args = || fetch_args(intermediate_id, columns, None, &[("rows", &csv(rows))]);
         self.audited("fetch.rows", args, |sys| {
-            sys.get_rows_impl(intermediate_id, rows, columns)
-        })
-    }
-
-    fn get_rows_impl(
-        &mut self,
-        intermediate_id: &str,
-        rows: &[usize],
-        columns: Option<&[&str]>,
-    ) -> Result<FetchResult, MistiqueError> {
-        let meta = self
-            .meta
-            .intermediate(intermediate_id)
-            .ok_or_else(|| MistiqueError::UnknownIntermediate(intermediate_id.into()))?
-            .clone();
-        for &r in rows {
-            if r >= meta.n_rows {
+            let plan = sys.plan(intermediate_id, columns, Some(rows.len()))?;
+            if let Some(r) = rows.iter().find(|&&r| r >= plan.n_rows) {
                 return Err(MistiqueError::Invalid(format!(
                     "row {r} out of range ({} rows)",
-                    meta.n_rows
+                    plan.n_rows
                 )));
             }
-        }
-        if !meta.materialized {
-            // Re-run and gather.
-            let full =
-                self.fetch_with_strategy(intermediate_id, columns, None, FetchStrategy::Rerun)?;
-            return Ok(FetchResult {
-                frame: full.frame.gather_rows(rows),
-                strategy: FetchStrategy::Rerun,
-                fetch_time: full.fetch_time,
-                predicted_read: full.predicted_read,
-                predicted_rerun: full.predicted_rerun,
-            });
-        }
-
-        let rbs = self.config.row_block_size;
-        let wanted: Vec<String> = match columns {
-            Some(cols) => {
-                for c in cols {
-                    if !meta.columns.iter().any(|m| m == c) {
-                        return Err(MistiqueError::UnknownColumn {
-                            intermediate: intermediate_id.into(),
-                            column: (*c).to_string(),
-                        });
-                    }
-                }
-                cols.iter().map(|s| s.to_string()).collect()
+            if !plan.materialized {
+                // Re-run in full (priced and reported as such) and gather.
+                let full_plan = sys.plan(intermediate_id, columns, None)?;
+                let mut full =
+                    sys.read_or_rerun(intermediate_id, columns, &full_plan, Arm::Rerun)?;
+                full.frame = full.frame.gather_rows(rows);
+                return Ok(full);
             }
-            None => meta.columns.clone(),
-        };
 
-        // Which blocks do the requested rows touch?
-        let mut blocks: Vec<usize> = rows.iter().map(|r| r / rbs).collect();
-        blocks.sort_unstable();
-        blocks.dedup();
+            let meta = sys.planned_meta(intermediate_id).clone();
+            let rbs = sys.config.row_block_size;
+            let wanted = wanted_columns(&meta, columns);
+            // Which blocks do the requested rows touch?
+            let mut blocks: Vec<usize> = rows.iter().map(|r| r / rbs).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
 
-        let (predicted_read, predicted_rerun) = match self.meta.model(&meta.model_id) {
-            Some(model) => (
-                self.cost.t_read(&meta, rows.len()),
-                self.cost.t_rerun(model, &meta, rows.len()),
-            ),
-            None => (0.0, 0.0),
-        };
-        let store_before = self.store.read_attribution();
-        let mut sp = self.obs.span("fetch.rows");
-        sp.attr("interm", intermediate_id).attr("rows", rows.len());
-        let trace_id = sp.trace_id();
-        // Fetch + decode only the touched blocks (possibly in parallel).
-        let per_col = self.read_column_blocks(&meta, &wanted, &blocks)?;
-        let mut out_cols = Vec::with_capacity(wanted.len());
-        for (name, block_vals) in wanted.iter().zip(per_col) {
-            let decoded: std::collections::HashMap<usize, Vec<f64>> =
-                blocks.iter().copied().zip(block_vals).collect();
-            let values: Vec<f64> = rows.iter().map(|&r| decoded[&(r / rbs)][r % rbs]).collect();
-            out_cols.push(Column::f64(name.clone(), values));
-        }
-        let fetch_time = sp.finish();
-        let query = self
-            .query_label
-            .clone()
-            .unwrap_or_else(|| "fetch".to_string());
-        self.push_report(QueryReport {
-            seq: 0,
-            query,
-            intermediate: intermediate_id.to_string(),
-            plan: PlanChoice::Read,
-            predicted_read_s: predicted_read,
-            predicted_rerun_s: predicted_rerun,
-            actual: fetch_time,
-            n_ex: rows.len(),
-            cache_hit: false,
-            attribution: self.store.read_attribution().since(&store_before),
-            scheme: meta.scheme.name(),
-            error_bound: meta.scheme.value.error_bound(),
-            trace_id,
-            drift_ratio: None,
-            drift_flagged: false,
-            pruning: None,
-        });
-        self.meta.bump_queries(intermediate_id);
-        Ok(FetchResult {
-            frame: DataFrame::from_columns(out_cols),
-            strategy: FetchStrategy::Read,
-            fetch_time,
-            predicted_read: 0.0,
-            predicted_rerun: 0.0,
+            sys.serve(intermediate_id, &plan, Arm::Rows, rows.len(), |sys| {
+                // Fetch + decode only the touched blocks (possibly in parallel).
+                let per_col = sys.read_column_blocks(&meta, &wanted, &blocks)?;
+                let mut out_cols = Vec::with_capacity(wanted.len());
+                for (name, block_vals) in wanted.iter().zip(per_col) {
+                    let mut values = Vec::with_capacity(rows.len());
+                    for &r in rows {
+                        // `read_column_blocks` vouched for every block's
+                        // length: a miss is a bug, reported without a panic.
+                        let b = blocks.binary_search(&(r / rbs)).ok();
+                        let v = b.and_then(|b| block_vals[b].get(r % rbs)).ok_or_else(|| {
+                            MistiqueError::Invalid(format!("{intermediate_id}.{name}: no row {r}"))
+                        })?;
+                        values.push(*v);
+                    }
+                    out_cols.push(Column::f64(name.clone(), values));
+                }
+                Ok((DataFrame::from_columns(out_cols), rows.len(), None))
+            })
         })
     }
 
     /// Serve a top-k query straight from the max-activation index. Returns
-    /// `None` whenever the index cannot answer — disabled, absent, stale,
-    /// column unknown, list shorter than `k`, or the cost model prefers a
-    /// re-run. The last case is load-bearing for equivalence: the index
-    /// holds *decoded stored* values, so it may only ever substitute for a
-    /// Read plan (the scan path would serve the same decoded values), never
-    /// for a full-precision Rerun.
+    /// `None` whenever the index cannot answer — [`Mistique::indexed_plan`]
+    /// refuses (disabled, absent, stale, column unknown, the cost model
+    /// prefers a re-run), or the list is shorter than `k`.
     pub(crate) fn try_indexed_topk(
         &mut self,
         intermediate_id: &str,
         column: &str,
         k: usize,
     ) -> Option<Vec<(usize, f64)>> {
-        if !self.index_enabled() {
-            return None;
-        }
-        let (can_read, should_read, n_rows, predicted_read, predicted_rerun, pidx, scheme, bound) = {
-            let meta = self.meta.intermediate(intermediate_id)?;
-            let model = self.meta.model(&meta.model_id)?;
-            if !meta.columns.iter().any(|m| m == column) {
-                return None;
-            }
-            (
-                meta.materialized,
-                self.cost.should_read(model, meta, meta.n_rows),
-                meta.n_rows,
-                self.cost.t_read(meta, meta.n_rows),
-                self.cost.t_rerun(model, meta, meta.n_rows),
-                self.cost.t_indexed_read(meta, k.min(meta.n_rows)),
-                meta.scheme.name(),
-                meta.scheme.value.error_bound(),
-            )
-        };
-        if !can_read || !should_read {
-            return None;
-        }
-        let idx = self.index_for(intermediate_id)?;
+        let (plan, idx) = self.indexed_plan(intermediate_id, column)?;
         let top = idx.topk(column, k)?;
         // Served entirely from the in-memory list: every block is skipped.
-        let blocks_total = n_rows.div_ceil(self.config.row_block_size);
-        let mut sp = self.obs.span("fetch.indexed");
-        sp.attr("interm", intermediate_id).attr("k", k);
-        let trace_id = sp.trace_id();
-        let actual = sp.finish();
-        self.index_count_hit(blocks_total);
-        self.meta.bump_queries(intermediate_id);
-        let query = self
-            .query_label
-            .clone()
-            .unwrap_or_else(|| "fetch".to_string());
-        self.push_report(QueryReport {
-            seq: 0,
-            query,
-            intermediate: intermediate_id.to_string(),
-            plan: PlanChoice::IndexedRead,
-            predicted_read_s: predicted_read,
-            predicted_rerun_s: predicted_rerun,
-            actual,
-            n_ex: top.len(),
-            cache_hit: false,
-            attribution: ReadAttribution::default(),
-            scheme,
-            error_bound: bound,
-            trace_id,
-            drift_ratio: None,
-            drift_flagged: false,
-            pruning: Some(crate::index_state::IndexPruning {
-                blocks_total,
-                blocks_skipped: blocks_total,
-                predicted_s: pidx,
-            }),
-        });
+        let blocks_total = plan.n_rows.div_ceil(self.config.row_block_size);
+        let meta = self.planned_meta(intermediate_id);
+        let pruning = IndexPruning {
+            blocks_total,
+            blocks_skipped: blocks_total,
+            predicted_s: self.cost.t_indexed_read(meta, k.min(plan.n_rows)),
+        };
+        let listed = |_: &mut Mistique| Ok((DataFrame::default(), top.len(), Some(pruning)));
+        self.serve(intermediate_id, &plan, Arm::IndexedTopk, k, listed)
+            .ok()?;
         Some(top)
     }
 
@@ -523,60 +282,209 @@ impl Mistique {
         column: &str,
         threshold: f64,
     ) -> Result<Option<Vec<usize>>, MistiqueError> {
-        if !self.index_enabled() {
-            return Ok(None);
-        }
-        let Some(meta) = self.meta.intermediate(intermediate_id).cloned() else {
-            return Ok(None);
-        };
-        let Some(model) = self.meta.model(&meta.model_id).cloned() else {
-            return Ok(None);
-        };
-        if !meta.columns.iter().any(|m| m == column) {
-            return Ok(None);
-        }
-        if !meta.materialized || !self.cost.should_read(&model, &meta, meta.n_rows) {
-            return Ok(None);
-        }
-        let Some(idx) = self.index_for(intermediate_id) else {
+        let Some((plan, idx)) = self.indexed_plan(intermediate_id, column) else {
             return Ok(None);
         };
         let Some((keep, blocks_total)) = idx.blocks_passing_gt(column, threshold) else {
             return Ok(None);
         };
-        let predicted_read = self.cost.t_read(&meta, meta.n_rows);
-        let predicted_rerun = self.cost.t_rerun(&model, &meta, meta.n_rows);
+        let meta = self.planned_meta(intermediate_id).clone();
         let rbs = self.config.row_block_size;
-        let store_before = self.store.read_attribution();
-        let mut sp = self.obs.span("fetch.indexed");
-        sp.attr("interm", intermediate_id)
-            .attr("blocks", keep.len());
-        let trace_id = sp.trace_id();
-        // `keep` is ascending (zone maps are walked in block order), so
-        // emitting `block * rbs + i` preserves the scan's ascending row-id
-        // ordering exactly.
         let mut rows: Vec<usize> = Vec::new();
-        let mut rows_scanned = 0usize;
-        if !keep.is_empty() {
-            let wanted = [column.to_string()];
-            let per_col = self.read_column_blocks(&meta, &wanted, &keep)?;
-            for (bi, &block) in keep.iter().enumerate() {
-                for (i, &v) in per_col[0][bi].iter().enumerate() {
-                    let row = block * rbs + i;
-                    if row >= meta.n_rows {
-                        break;
-                    }
-                    rows_scanned += 1;
-                    if v > threshold {
-                        rows.push(row);
+        let scan = |sys: &mut Mistique| {
+            // `keep` is ascending (zone maps are walked in block order), so
+            // emitting `block * rbs + i` preserves the scan's ascending
+            // row-id ordering exactly.
+            let mut rows_scanned = 0usize;
+            if !keep.is_empty() {
+                let wanted = [column.to_string()];
+                let per_col = sys.read_column_blocks(&meta, &wanted, &keep)?;
+                for (bi, &block) in keep.iter().enumerate() {
+                    for (i, &v) in per_col[0][bi].iter().enumerate() {
+                        let row = block * rbs + i;
+                        rows_scanned += 1;
+                        if v > threshold {
+                            rows.push(row);
+                        }
                     }
                 }
             }
+            let pruning = IndexPruning {
+                blocks_total,
+                blocks_skipped: blocks_total - keep.len(),
+                predicted_s: sys.cost.t_indexed_read(&meta, rows_scanned),
+            };
+            Ok((DataFrame::default(), rows_scanned, Some(pruning)))
+        };
+        self.serve(intermediate_id, &plan, Arm::IndexedSelect, keep.len(), scan)?;
+        Ok(Some(rows))
+    }
+
+    /// The gate both indexed arms pass, else the scan path serves the query:
+    /// indexing on, the fetch plannable, the planner preferring Read (the
+    /// index holds *decoded stored* values, so it may refine a Read but
+    /// never stand in for a full-precision Rerun), and a usable index.
+    fn indexed_plan(
+        &mut self,
+        intermediate_id: &str,
+        column: &str,
+    ) -> Option<(FetchPlan, Arc<IntermediateIndex>)> {
+        if !self.index_enabled() {
+            return None;
         }
-        let fetch_time = sp.finish();
-        let blocks_skipped = blocks_total - keep.len();
-        self.index_count_hit(blocks_skipped);
-        self.meta.bump_queries(intermediate_id);
+        let plan = self
+            .plan(intermediate_id, Some(&[column]), None)
+            .ok()
+            .filter(|plan| plan.prefers_read)?;
+        Some((plan, self.index_for(intermediate_id)?))
+    }
+
+    /// Step one of every fetch: resolve the intermediate and its model,
+    /// validate the requested columns, clamp the row count, and evaluate the
+    /// cost model (Eq 2–4) — the only place a fetch is priced.
+    fn plan(
+        &self,
+        intermediate_id: &str,
+        columns: Option<&[&str]>,
+        n_ex: Option<usize>,
+    ) -> Result<FetchPlan, MistiqueError> {
+        let meta = self
+            .meta
+            .intermediate(intermediate_id)
+            .ok_or_else(|| MistiqueError::UnknownIntermediate(intermediate_id.into()))?;
+        let model = self
+            .meta
+            .model(&meta.model_id)
+            .ok_or_else(|| MistiqueError::UnknownModel(meta.model_id.clone()))?;
+        for c in columns.unwrap_or_default() {
+            if !meta.columns.iter().any(|m| m == c) {
+                return Err(MistiqueError::UnknownColumn {
+                    intermediate: intermediate_id.into(),
+                    column: (*c).to_string(),
+                });
+            }
+        }
+        let n = n_ex.unwrap_or(meta.n_rows).min(meta.n_rows);
+        Ok(FetchPlan {
+            n,
+            n_rows: meta.n_rows,
+            materialized: meta.materialized,
+            predicted_read: self.cost.t_read(meta, n),
+            predicted_rerun: self.cost.t_rerun(model, meta, n),
+            prefers_read: meta.materialized && self.cost.should_read(model, meta, n),
+            read_bytes: (meta.bytes_per_row() * n as f64) as u64,
+            scheme: meta.scheme,
+        })
+    }
+
+    /// The metadata [`Mistique::plan`] just resolved, for the arms that
+    /// need more of it than the plan carries.
+    fn planned_meta(&self, intermediate_id: &str) -> &IntermediateMeta {
+        self.meta
+            .intermediate(intermediate_id)
+            .expect("plan() resolved this intermediate")
+    }
+
+    /// The Read and Rerun arms, shared by the planner's choice, a forced
+    /// strategy and `get_rows`' fallback.
+    fn read_or_rerun(
+        &mut self,
+        intermediate_id: &str,
+        columns: Option<&[&str]>,
+        plan: &FetchPlan,
+        arm: Arm,
+    ) -> Result<FetchResult, MistiqueError> {
+        let meta = self.planned_meta(intermediate_id).clone();
+        self.serve(intermediate_id, plan, arm, plan.n, |sys| {
+            let frame = match arm {
+                Arm::Read => sys.read_stored(&meta, columns, plan.n)?,
+                _ => sys.rerun_and_maybe_materialize(&meta, columns, plan.n)?,
+            };
+            Ok((frame, plan.n, None))
+        })
+    }
+
+    /// Serve a planned fetch through one arm — the only way a fetch runs.
+    /// `work` does the arm's reading or re-running inside the arm's root
+    /// span (the fetch timer, one source of truth for `fetch_time`); what
+    /// follows is the one epilogue: attribute the store activity by diffing
+    /// its cumulative read counters around `work`, record the decision,
+    /// build the [`QueryReport`], count the query, and return a
+    /// [`FetchResult`] carrying the report's own timing and predictions.
+    fn serve(
+        &mut self,
+        intermediate_id: &str,
+        plan: &FetchPlan,
+        arm: Arm,
+        size: usize,
+        work: impl FnOnce(&mut Mistique) -> Result<Served, MistiqueError>,
+    ) -> Result<FetchResult, MistiqueError> {
+        let (span_name, size_key, choice) = arm.spec();
+        // A cached hit and a list-served top-k never reach the store.
+        let store_before =
+            (!matches!(arm, Arm::Cached | Arm::IndexedTopk)).then(|| self.store.read_attribution());
+        let mut span = self.obs.span(span_name);
+        span.attr("interm", intermediate_id).attr(size_key, size);
+        let (frame, served, pruning) = work(self)?;
+        let trace_id = span.trace_id();
+        let actual = span.finish();
+        let attribution = store_before
+            .map(|before| self.store.read_attribution().since(&before))
+            .unwrap_or_default();
+
+        // Only Read and Rerun execute what `plan` priced — `n` rows read, or
+        // the model re-run — so only they are scored against their
+        // prediction (decision.*, bandwidth calibration, drift). Rows and
+        // the indexed arms read a block subset and a cached hit reads
+        // nothing: folding them in would skew the calibration the planner's
+        // next choice rests on.
+        let mut drift = None;
+        match arm {
+            Arm::Cached => self.obs.counter("decision.cached.count").inc(),
+            Arm::Read | Arm::Rerun => {
+                let decision = choice.name();
+                let predicted = if arm == Arm::Read {
+                    self.cost.observe_read(plan.read_bytes, actual);
+                    self.obs.counter("cost.observe_read.count").inc();
+                    self.obs
+                        .gauge("cost.read_bandwidth")
+                        .set(self.cost.read_bandwidth);
+                    plan.predicted_read
+                } else {
+                    plan.predicted_rerun
+                };
+                let metric = |m: &str| format!("decision.{decision}.{m}");
+                self.obs.counter(&metric("count")).inc();
+                self.obs
+                    .histogram(&metric("predicted_ns"))
+                    .record((predicted.max(0.0) * 1e9) as u64);
+                self.obs
+                    .histogram(&metric("actual_ns"))
+                    .record_duration(actual);
+                // Fold the prediction into the drift monitor and flag
+                // miscalibration.
+                let (ratio, flagged) = self.drift.observe(decision, predicted, actual);
+                self.obs
+                    .gauge("cost_model.drift")
+                    .set(self.drift.worst_drift());
+                if flagged {
+                    self.obs.counter("cost_model.drift_flags").inc();
+                }
+                drift = Some((ratio, flagged));
+            }
+            Arm::Rows | Arm::IndexedTopk | Arm::IndexedSelect => {}
+        }
+        if let Some(p) = &pruning {
+            self.index_count_hit(p.blocks_skipped);
+        }
+
+        // Re-runs always serve freshly computed full-precision values; every
+        // other arm serves whatever scheme the intermediate is stored under.
+        let scheme = if arm == Arm::Rerun {
+            CaptureScheme::full()
+        } else {
+            plan.scheme
+        };
         let query = self
             .query_label
             .clone()
@@ -585,25 +493,32 @@ impl Mistique {
             seq: 0,
             query,
             intermediate: intermediate_id.to_string(),
-            plan: PlanChoice::IndexedRead,
-            predicted_read_s: predicted_read,
-            predicted_rerun_s: predicted_rerun,
-            actual: fetch_time,
-            n_ex: rows_scanned,
-            cache_hit: false,
-            attribution: self.store.read_attribution().since(&store_before),
-            scheme: meta.scheme.name(),
-            error_bound: meta.scheme.value.error_bound(),
+            plan: choice,
+            predicted_read_s: plan.predicted_read,
+            predicted_rerun_s: plan.predicted_rerun,
+            actual,
+            n_ex: served,
+            cache_hit: arm == Arm::Cached,
+            attribution,
+            scheme: scheme.name(),
+            error_bound: scheme.value.error_bound(),
             trace_id,
-            drift_ratio: None,
-            drift_flagged: false,
-            pruning: Some(crate::index_state::IndexPruning {
-                blocks_total,
-                blocks_skipped,
-                predicted_s: self.cost.t_indexed_read(&meta, rows_scanned),
-            }),
+            drift_ratio: drift.map(|(ratio, _)| ratio),
+            drift_flagged: drift.is_some_and(|(_, flagged)| flagged),
+            pruning,
         });
-        Ok(Some(rows))
+        self.meta.bump_queries(intermediate_id);
+        Ok(FetchResult {
+            frame,
+            strategy: match choice {
+                PlanChoice::Cached => FetchStrategy::Cached,
+                PlanChoice::Rerun => FetchStrategy::Rerun,
+                PlanChoice::Read | PlanChoice::IndexedRead => FetchStrategy::Read,
+            },
+            fetch_time: actual,
+            predicted_read: plan.predicted_read,
+            predicted_rerun: plan.predicted_rerun,
+        })
     }
 
     /// Read path: gather the chunks of each requested column across the
@@ -611,16 +526,12 @@ impl Mistique {
     /// Also the storage manager's decode step before a demotion re-encode.
     pub(crate) fn read_stored(
         &mut self,
-        meta: &crate::metadata::IntermediateMeta,
+        meta: &IntermediateMeta,
         columns: Option<&[&str]>,
         n: usize,
     ) -> Result<DataFrame, MistiqueError> {
-        let rbs = self.config.row_block_size;
-        let n_blocks = n.div_ceil(rbs);
-        let wanted: Vec<String> = match columns {
-            Some(cols) => cols.iter().map(|s| s.to_string()).collect(),
-            None => meta.columns.clone(),
-        };
+        let n_blocks = n.div_ceil(self.config.row_block_size);
+        let wanted = wanted_columns(meta, columns);
         let blocks: Vec<usize> = (0..n_blocks).collect();
         let per_col = self.read_column_blocks(meta, &wanted, &blocks)?;
         let mut out_cols = Vec::with_capacity(wanted.len());
@@ -652,7 +563,7 @@ impl Mistique {
     /// smallest-indexed item regardless of worker schedule.
     pub(crate) fn read_column_blocks(
         &mut self,
-        meta: &crate::metadata::IntermediateMeta,
+        meta: &IntermediateMeta,
         wanted: &[String],
         blocks: &[usize],
     ) -> Result<Vec<Vec<Vec<f64>>>, MistiqueError> {
@@ -677,6 +588,7 @@ impl Mistique {
         let n_items = n_cols * per_col;
         let value = meta.scheme.value;
         let quantizer = meta.quantizer.as_deref();
+        let (rbs, n_rows) = (self.config.row_block_size, meta.n_rows);
         // Capture the calling span before any fan-out so per-column decode
         // attribution parents identically whether decode runs serial or on
         // workers.
@@ -701,6 +613,18 @@ impl Mistique {
                     panic_message(payload.as_ref())
                 )))
             })?;
+            // Block `b` holds rows `[b * rbs, (b + 1) * rbs)` of `n_rows`. Any
+            // other length means the chunks were cut at another
+            // `row_block_size` (a manifest from before the field trusts the
+            // config), and indexing them by this one returns wrong rows.
+            let (id, col, block) = (&meta.id, &wanted[i / per_col], blocks[i % per_col]);
+            let (got, expected) = (decoded.len(), n_rows.saturating_sub(block * rbs).min(rbs));
+            if got != expected {
+                return Err(MistiqueError::Invalid(format!(
+                    "{id}.{col} block {block} holds {got} rows, row_block_size {rbs} puts \
+                     {expected} there; was the store written with another?"
+                )));
+            }
             Ok((decoded, t0.elapsed().as_nanos() as u64))
         };
 
@@ -743,15 +667,18 @@ impl Mistique {
     /// materialization if configured (Alg. 4's γ test).
     fn rerun_and_maybe_materialize(
         &mut self,
-        source: &ModelSource,
-        intermediate_id: &str,
+        meta: &IntermediateMeta,
         columns: Option<&[&str]>,
         n: usize,
     ) -> Result<DataFrame, MistiqueError> {
-        let meta = self.meta.intermediate(intermediate_id).unwrap().clone();
+        let source = self
+            .sources
+            .get(&meta.model_id)
+            .ok_or_else(|| MistiqueError::UnknownModel(meta.model_id.clone()))?;
+        let kind = source.kind();
         let recreated = source.recreate_traced(
             meta.stage_index,
-            match source.kind() {
+            match kind {
                 ModelKind::Trad => None,
                 ModelKind::Dnn => Some(n),
             },
@@ -760,7 +687,7 @@ impl Mistique {
         let mut frame = recreated.frame;
 
         // Align DNN layouts: stored intermediates may be pooled.
-        if source.kind() == ModelKind::Dnn {
+        if kind == ModelKind::Dnn {
             if let (Some(sigma), Some(layer_shapes)) =
                 (meta.scheme.pool_sigma, source.layer_shapes())
             {
@@ -780,26 +707,31 @@ impl Mistique {
         if let StorageStrategy::Adaptive { gamma_min } = self.config.storage {
             let full = frame.n_rows() == meta.n_rows;
             if !meta.materialized && full {
-                let model = self.meta.model(&meta.model_id).unwrap().clone();
+                let model = self
+                    .meta
+                    .model(&meta.model_id)
+                    .expect("plan() resolved this model");
                 // γ uses the query count including this query — exactly
                 // once: `n_queries` is bumped only after the fetch
                 // completes, so the projection is the sole +1.
-                let mut projected = meta.clone();
-                projected.n_queries += 1;
+                let decision_queries = meta.n_queries + 1;
                 self.obs
                     .gauge("adaptive.decision_queries")
-                    .set_u64(projected.n_queries);
-                let gamma = self
-                    .cost
-                    .gamma(&model, &projected, meta.stored_bytes.max(1));
+                    .set_u64(decision_queries);
+                let gamma =
+                    self.cost
+                        .gamma_at(model, meta, decision_queries, meta.stored_bytes.max(1));
                 self.obs.counter("adaptive.gamma_evals").inc();
                 self.obs.gauge("adaptive.last_gamma").set(gamma);
                 if gamma >= gamma_min {
                     self.obs.counter("adaptive.materializations").inc();
-                    self.qcache.invalidate(intermediate_id);
-                    let (policy, dedup) = self.placement_of(source.kind());
-                    let stored = self.store_frame(intermediate_id, &frame, 0, policy, dedup)?;
-                    let m = self.meta.intermediate_mut(intermediate_id).unwrap();
+                    self.qcache.invalidate(&meta.id);
+                    let (policy, dedup) = self.placement_of(kind);
+                    let stored = self.store_frame(&meta.id, &frame, 0, policy, dedup)?;
+                    let m = self
+                        .meta
+                        .intermediate_mut(&meta.id)
+                        .expect("plan() resolved this intermediate");
                     m.materialized = true;
                     m.stored_bytes = stored;
                     // Materialized from a re-run: full precision values.
@@ -811,8 +743,8 @@ impl Mistique {
                     m.threshold = None;
                     // The freshly stored chunks are full-precision: index
                     // them so subsequent top-k/threshold queries can prune.
-                    self.index_observe_frame(intermediate_id, &frame, ValueScheme::Full, None);
-                    self.index_finish_build(intermediate_id);
+                    self.index_observe_frame(&meta.id, &frame, ValueScheme::Full, None);
+                    self.index_finish_build(&meta.id);
                     // The promotion may have pushed the store past the
                     // configured budget; demote/purge colder intermediates
                     // to make room.
@@ -825,6 +757,14 @@ impl Mistique {
             frame = frame.select(cols);
         }
         Ok(frame)
+    }
+}
+
+/// The requested column names, or every column of the intermediate.
+fn wanted_columns(meta: &IntermediateMeta, columns: Option<&[&str]>) -> Vec<String> {
+    match columns {
+        Some(cols) => cols.iter().map(|s| s.to_string()).collect(),
+        None => meta.columns.clone(),
     }
 }
 

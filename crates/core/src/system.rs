@@ -204,7 +204,7 @@ pub struct Mistique {
     /// EWMA monitor of cost-model prediction quality per query class.
     pub(crate) drift: crate::cost::DriftMonitor,
     /// Label of the diagnostic query currently executing, if any — set by
-    /// `with_query_label` so the reader can attribute fetches to the
+    /// `Mistique::diag` so the reader can attribute fetches to the
     /// outermost diagnostic (`diag.topk`, …) instead of a bare `fetch`.
     pub(crate) query_label: Option<String>,
     /// Flight recorder (telemetry timeline + event journal), when enabled
@@ -329,7 +329,7 @@ impl Mistique {
 
     fn register(&mut self, source: ModelSource) -> Result<String, MistiqueError> {
         let args = crate::audit::register_args(&source);
-        self.audited("register", args, move |sys| sys.register_impl(source))
+        self.audited("register", || args, move |sys| sys.register_impl(source))
     }
 
     fn register_impl(&mut self, source: ModelSource) -> Result<String, MistiqueError> {
@@ -439,7 +439,10 @@ impl Mistique {
     }
 
     /// Refresh gauges that mirror pull-style state (cost-model calibration,
-    /// catalog sizes) so snapshots always carry current values.
+    /// catalog sizes, SLO latency quantiles) so snapshots always carry
+    /// current values. A raw `Obs::snapshot()` that bypasses this (the bench
+    /// bins' `write_obs_snapshot`) sees these gauges as of the last sync;
+    /// the `slo.*.ns` histograms it also carries are always current.
     pub(crate) fn sync_obs_gauges(&self) {
         self.obs
             .gauge("cost.read_bandwidth")
@@ -456,6 +459,22 @@ impl Mistique {
         self.obs
             .gauge("storage.budget_used")
             .set_u64(self.storage_budget_used());
+        // One `slo.<query>.<plan>.ns` histogram per latency class (see
+        // `audit_observe_report`); `mistique top` and the Prometheus
+        // exposition read its quantiles as gauges.
+        for (name, hist) in self.obs.histograms_with_prefix("slo.") {
+            let class = name.trim_end_matches(".ns");
+            let quantiles = [
+                ("p50_ns", hist.percentile(0.50)),
+                ("p95_ns", hist.percentile(0.95)),
+                ("p99_ns", hist.percentile(0.99)),
+                ("p999_ns", hist.percentile(0.999)),
+                ("max_ns", hist.max()),
+            ];
+            for (suffix, v) in quantiles {
+                self.obs.gauge(&format!("{class}.{suffix}")).set_u64(v);
+            }
+        }
     }
 
     /// Up to the last `n` per-query EXPLAIN reports, oldest first.
@@ -480,24 +499,6 @@ impl Mistique {
         self.audit_observe_report(&report);
         self.telemetry_observe_report(&report);
         self.reports.push(report);
-    }
-
-    /// Run `f` under a diagnostic query label: fetches issued inside are
-    /// attributed to `label` in their [`crate::report::QueryReport`]s. The
-    /// outermost label wins when diagnostics nest (e.g. `confusion_matrix`
-    /// delegating to `argmax_predictions`).
-    pub(crate) fn with_query_label<T>(
-        &mut self,
-        label: &str,
-        f: impl FnOnce(&mut Mistique) -> T,
-    ) -> T {
-        let outer = self.query_label.clone();
-        if outer.is_none() {
-            self.query_label = Some(label.to_string());
-        }
-        let out = f(self);
-        self.query_label = outer;
-        out
     }
 
     /// Render the hierarchical span tree of one trace (e.g. a report's
@@ -530,7 +531,7 @@ impl Mistique {
     /// configured storage strategy (the paper's `log_intermediates` API and
     /// Alg. 4).
     pub fn log_intermediates(&mut self, model_id: &str) -> Result<(), MistiqueError> {
-        let args = vec![("model", model_id.to_string())];
+        let args = || crate::audit::args_of(&[("model", &model_id)]);
         self.audited("log", args, |sys| sys.log_intermediates_impl(model_id))
     }
 
@@ -566,7 +567,7 @@ impl Mistique {
     /// intermediates serially (the DataStore is single-writer). DNN ids fall
     /// back to sequential logging.
     pub fn log_intermediates_parallel(&mut self, model_ids: &[&str]) -> Result<(), MistiqueError> {
-        let args = vec![("models", model_ids.join(","))];
+        let args = || crate::audit::args_of(&[("models", &model_ids.join(","))]);
         self.audited("log_parallel", args, |sys| {
             sys.log_intermediates_parallel_impl(model_ids)
         })

@@ -141,6 +141,20 @@ impl Obs {
         Histogram(Arc::clone(core))
     }
 
+    /// Every registered histogram whose name starts with `prefix`
+    /// (unordered). Engine plumbing, not reporting API — `mistique-core`
+    /// mirrors its `slo.*` quantiles into gauges with it; read histograms
+    /// through [`Obs::snapshot`].
+    #[doc(hidden)]
+    pub fn histograms_with_prefix(&self, prefix: &str) -> Vec<(String, Histogram)> {
+        let hists = self.inner.hists.read().unwrap();
+        hists
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(name, core)| (name.clone(), Histogram(Arc::clone(core))))
+            .collect()
+    }
+
     /// Start a timed span. Finish it with [`Span::finish`] to get the
     /// duration back, or just let it drop. The parent is the innermost
     /// span of this `Obs` active on the current thread.

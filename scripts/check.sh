@@ -36,4 +36,20 @@ cargo test --workspace --test '*' -- --list 2>&1 | awk '
   /^[0-9]+ tests?, / && $1 == 0 { print "FAIL: " target " lists zero tests"; bad = 1 }
   END { exit bad }'
 
+# Every fetch is reported and counted in one place, the reader's `serve`
+# (DESIGN.md §12 "One fetch pipeline"); a second site is a hand-copied
+# epilogue that will drift. Non-test code only: each file up to its
+# `#[cfg(test)]`, comment lines and the definitions themselves excluded.
+echo "== one fetch epilogue =="
+for pat in 'QueryReport \{' 'bump_queries\('; do
+  sites=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+  done | grep -E "$pat" | grep -vE '\b(struct|impl|fn) ' || true)
+  if [ "$(printf '%s' "$sites" | grep -c .)" -gt 1 ]; then
+    echo "FAIL: more than one non-test site matches '$pat' — route the new plan through serve():"
+    echo "$sites"
+    exit 1
+  fi
+done
+
 echo "all checks passed"

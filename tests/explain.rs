@@ -82,6 +82,166 @@ fn every_diagnostic_query_yields_a_labeled_report() {
     }
 }
 
+/// One row of [`every_plan_outcome_goes_through_the_shared_epilogue`].
+struct Outcome {
+    /// Runs the query; fetch entry points hand back their `FetchResult`.
+    run: fn(&mut Mistique, &str) -> Option<mistique_core::FetchResult>,
+    /// Audit op of the entry point, and the label its reports carry.
+    op: &'static str,
+    query: &'static str,
+    plan: PlanChoice,
+    /// The counter this outcome bumps by one (`None`: no decision and no
+    /// index hit is recorded, so `decision.read.count` must stand still).
+    counter: Option<&'static str>,
+}
+
+/// Every plan outcome — cached, read, rerun, rows, indexed top-k, indexed
+/// threshold, and a nested diagnostic — leaves exactly the same trail: one
+/// report under the outermost label, one counted query, one SLO sample, its
+/// own counter, one audit record naming the plan, and a `FetchResult` whose
+/// numbers are the report's.
+#[test]
+fn every_plan_outcome_goes_through_the_shared_epilogue() {
+    let (_d, mut sys, id) = explain_system(MistiqueConfig {
+        row_block_size: 40,
+        storage: StorageStrategy::Dedup,
+        query_cache_bytes: 16 << 20,
+        ..MistiqueConfig::default()
+    });
+    // The planner always prefers Read, so the indexed gates are open.
+    sys.cost_model_mut().read_bandwidth = 1e18;
+    let preds = sys.intermediates_of(&id).last().unwrap().clone();
+
+    let outcomes = [
+        Outcome {
+            run: |s, i| Some(s.get_intermediate(i, None, None).unwrap()),
+            op: "fetch.get",
+            query: "fetch",
+            plan: PlanChoice::Read,
+            counter: Some("decision.read.count"),
+        },
+        Outcome {
+            run: |s, i| Some(s.get_intermediate(i, None, None).unwrap()),
+            op: "fetch.get",
+            query: "fetch",
+            plan: PlanChoice::Cached,
+            counter: Some("decision.cached.count"),
+        },
+        Outcome {
+            run: |s, i| {
+                let r = s.fetch_with_strategy(i, None, None, FetchStrategy::Rerun);
+                Some(r.unwrap())
+            },
+            op: "fetch.strategy",
+            query: "fetch",
+            plan: PlanChoice::Rerun,
+            counter: Some("decision.rerun.count"),
+        },
+        Outcome {
+            run: |s, i| Some(s.get_rows(i, &[44, 0, 41], None).unwrap()),
+            op: "fetch.rows",
+            query: "fetch",
+            plan: PlanChoice::Read,
+            counter: None,
+        },
+        Outcome {
+            run: |s, i| s.topk(i, "pred", 5).map(|_| None).unwrap(),
+            op: "diag.topk",
+            query: "diag.topk",
+            plan: PlanChoice::IndexedRead,
+            counter: Some("index.hits"),
+        },
+        Outcome {
+            run: |s, i| s.select_where_gt(i, "pred", 0.0).map(|_| None).unwrap(),
+            op: "diag.select_where_gt",
+            query: "diag.select_where_gt",
+            plan: PlanChoice::IndexedRead,
+            counter: Some("index.hits"),
+        },
+        // Nested diagnostics: the inner `argmax_predictions` neither labels
+        // the report nor owns an audit record.
+        Outcome {
+            run: |s, i| s.confusion_matrix(i, &[0; 150], 1).map(|_| None).unwrap(),
+            op: "diag.confusion_matrix",
+            query: "diag.confusion_matrix",
+            plan: PlanChoice::Cached,
+            counter: Some("decision.cached.count"),
+        },
+    ];
+
+    for (i, o) in outcomes.iter().enumerate() {
+        let ctx = format!("outcome {i} ({} -> {})", o.op, o.plan.name());
+        let slo = format!("slo.{}.{}.ns", o.query, o.plan.name());
+        let counter = o.counter.unwrap_or("decision.read.count");
+        let last_seq = sys.last_report().map(|r| r.seq);
+        let queries = sys.metadata().intermediate(&preds).unwrap().n_queries;
+        let slo_count = sys.obs().histogram(&slo).count();
+        let counted = sys.obs().counter(counter).get();
+        let journaled = sys.audit_records().unwrap().len();
+
+        let result = (o.run)(&mut sys, &preds);
+
+        let fresh: Vec<_> = sys
+            .query_reports(usize::MAX)
+            .into_iter()
+            .filter(|r| last_seq.is_none_or(|s| r.seq > s))
+            .collect();
+        assert_eq!(fresh.len(), 1, "{ctx}: exactly one new report");
+        let r = &fresh[0];
+        assert_eq!(r.seq, last_seq.map_or(0, |s| s + 1), "{ctx}");
+        assert_eq!(r.query, o.query, "{ctx}: outermost label");
+        assert_eq!(r.plan, o.plan, "{ctx}");
+        assert_eq!(r.intermediate, preds, "{ctx}");
+        assert_eq!(r.cache_hit, o.plan == PlanChoice::Cached, "{ctx}");
+        let scored = matches!(
+            o.counter,
+            Some("decision.read.count" | "decision.rerun.count")
+        );
+        assert_eq!(
+            r.drift_ratio.is_some(),
+            scored,
+            "{ctx}: only the planner's read/rerun decisions are drift-monitored"
+        );
+        assert_eq!(
+            r.pruning.is_some(),
+            o.plan == PlanChoice::IndexedRead,
+            "{ctx}"
+        );
+        assert!(
+            r.predicted_read_s > 0.0 && r.predicted_rerun_s > 0.0,
+            "{ctx}"
+        );
+
+        let meta = sys.metadata().intermediate(&preds).unwrap();
+        assert_eq!(meta.n_queries, queries + 1, "{ctx}: one counted query");
+        assert_eq!(
+            sys.obs().histogram(&slo).count(),
+            slo_count + 1,
+            "{ctx}: {slo}"
+        );
+        assert_eq!(
+            sys.obs().counter(counter).get(),
+            counted + u64::from(o.counter.is_some()),
+            "{ctx}: {counter}"
+        );
+
+        let records = sys.audit_records().unwrap();
+        assert_eq!(records.len(), journaled + 1, "{ctx}: one audit record");
+        let rec = records.last().unwrap();
+        assert_eq!(rec.op, o.op, "{ctx}");
+        assert_eq!(rec.plans, vec![o.plan.name().to_string()], "{ctx}");
+        assert_eq!(rec.trace_id, r.trace_id, "{ctx}");
+        assert!(rec.ok, "{ctx}");
+
+        if let Some(f) = result {
+            assert_eq!(f.fetch_time, r.actual, "{ctx}: FetchResult is the report");
+            assert_eq!(f.predicted_read, r.predicted_read_s, "{ctx}");
+            assert_eq!(f.predicted_rerun, r.predicted_rerun_s, "{ctx}");
+            assert_eq!(f.strategy.name(), o.plan.name(), "{ctx}");
+        }
+    }
+}
+
 #[test]
 fn cached_fetches_report_the_cached_plan() {
     let (_d, mut sys, id) = explain_system(MistiqueConfig {
@@ -437,7 +597,7 @@ fn reopened_store_honours_span_ring_capacity() {
         dir.path(),
         MistiqueConfig {
             span_ring_capacity: 16,
-            ..MistiqueConfig::default()
+            ..small_blocks()
         },
     )
     .unwrap();

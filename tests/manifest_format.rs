@@ -164,6 +164,77 @@ fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
     assert_golden_state(&mut sys, "rewritten by this build");
 }
 
+/// The catalog's block indices only mean something at the `row_block_size`
+/// the chunks were cut at: reopening at another is refused, naming both, and
+/// a manifest that predates the field (and so trusts the config) still fails
+/// with an error — never a short frame or a panic.
+#[test]
+fn reopening_at_another_row_block_size_is_refused() {
+    use mistique_pipeline::{templates::zillow_pipelines, ZillowData};
+    let at = |row_block_size| MistiqueConfig {
+        row_block_size,
+        ..MistiqueConfig::default()
+    };
+    let dir = mistique_testkit::tempdir().unwrap();
+    let stored = {
+        let mut sys = Mistique::open(dir.path(), at(40)).unwrap();
+        let data = std::sync::Arc::new(ZillowData::generate(150, 1));
+        let id = sys
+            .register_trad(zillow_pipelines().remove(0), data)
+            .unwrap();
+        sys.log_intermediates(&id).unwrap();
+        sys.persist().unwrap();
+        sys.intermediates_of(&id)[3].clone()
+    };
+    let rows = [104usize, 0, 77];
+
+    for other in [100, 20] {
+        match Mistique::reopen(dir.path(), at(other)) {
+            Err(MistiqueError::Invalid(msg)) => assert!(
+                msg.contains("row_block_size 40")
+                    && msg.contains(&format!("row_block_size {other}")),
+                "{msg}"
+            ),
+            Err(e) => panic!("reopen at {other}: expected Invalid, got {e}"),
+            Ok(_) => panic!("reopen at {other} succeeded"),
+        }
+    }
+    let mut sys = Mistique::reopen(dir.path(), at(40)).unwrap();
+    let full = sys
+        .fetch_with_strategy(&stored, None, None, FetchStrategy::Read)
+        .unwrap();
+    assert_eq!(full.frame.n_rows(), 105);
+    assert_eq!(
+        sys.get_rows(&stored, &rows, None).unwrap().frame.n_rows(),
+        3
+    );
+    drop(sys);
+
+    // The same store under a manifest of the earlier shape.
+    let written = std::fs::read_to_string(dir.path().join(MANIFEST)).unwrap();
+    let field = r#","row_block_size":40"#;
+    assert!(written.contains(field), "{written}");
+    std::fs::write(dir.path().join(MANIFEST), written.replace(field, "")).unwrap();
+    for other in [100, 20] {
+        let mut sys = Mistique::reopen(dir.path(), at(other)).unwrap();
+        let read = sys.fetch_with_strategy(&stored, None, None, FetchStrategy::Read);
+        assert!(
+            read.is_err(),
+            "read at {other}: {:?}",
+            read.map(|r| r.frame.n_rows())
+        );
+        // `[104]` alone is in range of the misread block it lands in (at
+        // 100: block 1, index 4 — stored row 44), so only an exact check
+        // of each block's length catches it.
+        for rows in [&rows[..], &[104]] {
+            assert!(
+                sys.get_rows(&stored, rows, None).is_err(),
+                "rows {rows:?} at {other}"
+            );
+        }
+    }
+}
+
 /// Hostile input: every row must be `Invalid` with the place named — none
 /// may panic, and none may reopen with a field quietly defaulted.
 #[test]
