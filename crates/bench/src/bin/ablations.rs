@@ -15,34 +15,10 @@ use mistique_core::diagnostics::frame_to_matrix;
 use mistique_core::{
     CaptureScheme, FetchStrategy, Mistique, MistiqueConfig, StorageStrategy, ValueScheme,
 };
-use mistique_linalg::Matrix;
 use mistique_nn::vgg16_cifar;
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
-use mistique_quantize::KbitQuantizer;
 use mistique_store::DataStoreConfig;
-
-fn knn_ids(m: &Matrix, query: usize, k: usize) -> Vec<usize> {
-    let mut d: Vec<(usize, f64)> = (0..m.rows())
-        .filter(|&i| i != query)
-        .map(|i| {
-            let dist: f64 = m
-                .row(i)
-                .iter()
-                .zip(m.row(query))
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            (i, dist)
-        })
-        .collect();
-    d.sort_by(|a, b| a.1.total_cmp(&b.1));
-    d.truncate(k);
-    d.into_iter().map(|(i, _)| i).collect()
-}
-
-fn overlap(a: &[usize], b: &[usize]) -> f64 {
-    a.iter().filter(|x| b.contains(x)).count() as f64 / a.len().max(1) as f64
-}
 
 fn kbit_sweep(examples: usize, scale: usize) {
     println!("\n== ablation 1: KBIT_QT bit width (layer 11, {examples} examples) ==");
@@ -53,10 +29,7 @@ fn kbit_sweep(examples: usize, scale: usize) {
         vgg16_cifar(scale),
         examples,
         1,
-        CaptureScheme {
-            value: ValueScheme::Full,
-            pool_sigma: None,
-        },
+        CaptureScheme::full(),
         StorageStrategy::Dedup,
     );
     let interm = format!("{}.layer11", ids[0]);
@@ -65,27 +38,18 @@ fn kbit_sweep(examples: usize, scale: usize) {
             .unwrap()
             .frame,
     );
-    let truth = knn_ids(&full, 0, 20);
-    let all: Vec<f32> = full.data().iter().map(|&v| v as f32).collect();
+    let truth = knn(&full, 0, 20);
 
     let mut rows = Vec::new();
     for bits in [1u32, 2, 3, 4, 8] {
-        let q = KbitQuantizer::fit(&all, bits);
-        let recon = Matrix::from_vec(
-            full.rows(),
-            full.cols(),
-            full.data()
-                .iter()
-                .map(|&v| q.value_of(q.code_of(v as f32)) as f64)
-                .collect(),
-        );
+        let (recon, q) = kbit_matrix(&full, bits);
         // Storage model: bits per value + quantizer table.
         let stored = (full.data().len() * bits as usize).div_ceil(8) + q.to_bytes().len();
         let raw = full.data().len() * 4;
         rows.push(vec![
             format!("{bits}"),
             format!("{:.1}x", raw as f64 / stored as f64),
-            format!("{:.3}", overlap(&knn_ids(&recon, 0, 20), &truth)),
+            format!("{:.3}", overlap(&knn(&recon, 0, 20), &truth)),
             format!("{:.4}", full.max_abs_diff(&recon)),
         ]);
     }
@@ -99,16 +63,9 @@ fn pool_sweep(examples: usize, scale: usize) {
     println!("\n== ablation 2: POOL_QT sigma (whole model, {examples} examples) ==");
     let mut rows = Vec::new();
     for sigma in [1usize, 2, 4, 8, 32] {
-        let capture = if sigma == 1 {
-            CaptureScheme {
-                value: ValueScheme::Full,
-                pool_sigma: None,
-            }
-        } else {
-            CaptureScheme {
-                value: ValueScheme::Full,
-                pool_sigma: Some(sigma),
-            }
+        let capture = CaptureScheme {
+            value: ValueScheme::Full,
+            pool_sigma: (sigma > 1).then_some(sigma),
         };
         let dir = mistique_testkit::tempdir().unwrap();
         let (mut sys, ids, _) = dnn_system(
@@ -120,11 +77,7 @@ fn pool_sweep(examples: usize, scale: usize) {
             StorageStrategy::StoreAll,
         );
         let interm = format!("{}.layer6", ids[0]);
-        sys.store_mut().clear_read_cache();
-        let (_, t_read) = time(|| {
-            sys.fetch_with_strategy(&interm, None, None, FetchStrategy::Read)
-                .unwrap()
-        });
+        let (_, t_read) = cold_read(&mut sys, &interm, None, None);
         rows.push(vec![
             format!("{sigma}"),
             fmt_bytes(sys.store().disk_bytes().unwrap()),
@@ -205,11 +158,7 @@ fn row_block_sweep(rows_n: usize) {
             sys.get_rows(&interm, &[rows_n - 1], Some(&["sqft"]))
                 .unwrap()
         });
-        sys.store_mut().clear_read_cache();
-        let (_, t_scan) = time(|| {
-            sys.fetch_with_strategy(&interm, Some(&["sqft"]), None, FetchStrategy::Read)
-                .unwrap()
-        });
+        let (_, t_scan) = cold_read(&mut sys, &interm, Some(&["sqft"]), None);
         rows.push(vec![format!("{rbs}"), fmt_dur(t_point), fmt_dur(t_scan)]);
     }
     print_table(

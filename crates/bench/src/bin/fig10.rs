@@ -188,12 +188,4 @@ fn main() {
         }
     }
     print_table(&["query", "first run", "last run", "speedup"], &rows_out);
-
-    // Machine-readable perf record: the adaptive system's full metric/span
-    // snapshot plus the storage comparison as gauges.
-    let obs = sys.obs().clone();
-    obs.gauge("bench.fig10.store_all_bytes").set_u64(all);
-    obs.gauge("bench.fig10.dedup_bytes").set_u64(dedup);
-    obs.gauge("bench.fig10.adaptive_bytes").set_u64(adaptive);
-    write_obs_snapshot("fig10", &obs);
 }

@@ -13,12 +13,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mistique_bench::*;
-use mistique_core::{CaptureScheme, Mistique, MistiqueConfig, Obs, StorageStrategy, ValueScheme};
+use mistique_core::{CaptureScheme, Mistique, MistiqueConfig, StorageStrategy, ValueScheme};
 use mistique_nn::{vgg16_cifar, CifarLike, Model};
 use mistique_pipeline::templates::{template_stages, template_variants};
 use mistique_pipeline::{Pipeline, ZillowData};
 
-fn trad(rows: usize, obs: &Obs) {
+fn trad(rows: usize) {
     println!("\n== Fig 11: TRAD pipeline runtime incl. synchronous logging ==");
     let data = Arc::new(ZillowData::generate(rows, 42));
     let strategies: Vec<(&str, StorageStrategy)> = vec![
@@ -36,15 +36,12 @@ fn trad(rows: usize, obs: &Obs) {
     for template in [1usize, 5, 9] {
         for (name, storage) in &strategies {
             let dir = mistique_testkit::tempdir().unwrap();
-            // All strategy runs report into one shared registry, so the
-            // snapshot aggregates the whole figure's workload.
-            let mut sys = Mistique::open_with_obs(
+            let mut sys = Mistique::open(
                 dir.path(),
                 MistiqueConfig {
                     storage: *storage,
                     ..MistiqueConfig::default()
                 },
-                obs.clone(),
             )
             .unwrap();
             let pipeline = Pipeline::new(
@@ -73,7 +70,7 @@ fn trad(rows: usize, obs: &Obs) {
     );
 }
 
-fn dnn(examples: usize, scale: usize, obs: &Obs) {
+fn dnn(examples: usize, scale: usize) {
     println!("\n== Sec 8.6: CIFAR10_VGG16 logging overhead by scheme ==");
     let data = Arc::new(CifarLike::generate(examples, 10, 7));
     let arch = Arc::new(vgg16_cifar(scale));
@@ -85,13 +82,7 @@ fn dnn(examples: usize, scale: usize, obs: &Obs) {
     let no_log = t0.elapsed();
 
     let schemes: Vec<(&str, CaptureScheme)> = vec![
-        (
-            "f32 (STORE_ALL)",
-            CaptureScheme {
-                value: ValueScheme::Full,
-                pool_sigma: None,
-            },
-        ),
+        ("f32 (STORE_ALL)", CaptureScheme::full()),
         (
             "f16 (LP_QT)",
             CaptureScheme {
@@ -130,14 +121,13 @@ fn dnn(examples: usize, scale: usize, obs: &Obs) {
     ]];
     for (name, capture) in schemes {
         let dir = mistique_testkit::tempdir().unwrap();
-        let mut sys = Mistique::open_with_obs(
+        let mut sys = Mistique::open(
             dir.path(),
             MistiqueConfig {
                 storage: StorageStrategy::StoreAll,
                 dnn_capture: capture,
                 ..MistiqueConfig::default()
             },
-            obs.clone(),
         )
         .unwrap();
         let id = sys
@@ -167,20 +157,11 @@ fn main() {
         "# paper: overhead correlates with bytes written; 8BIT pays extra for quantile fitting;"
     );
     println!("#        pool(32) is nearly free");
-    let obs = Obs::new();
-    if args.flag("dnn") {
-        dnn(
-            args.usize("examples", DEFAULT_DNN_EXAMPLES),
-            args.usize("scale", DEFAULT_VGG_SCALE),
-            &obs,
-        );
-    } else {
-        trad(args.usize("rows", DEFAULT_ZILLOW_ROWS), &obs);
-        dnn(
-            args.usize("examples", DEFAULT_DNN_EXAMPLES),
-            args.usize("scale", DEFAULT_VGG_SCALE),
-            &obs,
-        );
+    if !args.flag("dnn") {
+        trad(args.usize("rows", DEFAULT_ZILLOW_ROWS));
     }
-    write_obs_snapshot("fig11", &obs);
+    dnn(
+        args.usize("examples", DEFAULT_DNN_EXAMPLES),
+        args.usize("scale", DEFAULT_VGG_SCALE),
+    );
 }

@@ -10,7 +10,7 @@
 //! Flags: `--rows N --examples N --scale N --part a|b|c|d|all`
 
 use mistique_bench::*;
-use mistique_core::{FetchStrategy, Mistique, StorageStrategy};
+use mistique_core::{FetchResult, FetchStrategy, Mistique, StorageStrategy};
 use mistique_linalg::stats::pearson;
 use mistique_nn::vgg16_cifar;
 use std::time::Duration;
@@ -33,6 +33,15 @@ fn row(q: QueryOutcome) -> Vec<String> {
     ]
 }
 
+/// The strategy the cost model's predictions favour for this fetch.
+fn model_pick(r: &FetchResult) -> FetchStrategy {
+    if r.predicted_rerun >= r.predicted_read {
+        FetchStrategy::Read
+    } else {
+        FetchStrategy::Rerun
+    }
+}
+
 /// Run one named query under both strategies; `f` executes the analysis
 /// given the fetched frame columns.
 fn measure(
@@ -43,28 +52,15 @@ fn measure(
     n_ex: Option<usize>,
     compute: impl Fn(&mistique_dataframe::DataFrame),
 ) -> QueryOutcome {
-    // Cold read: drop the disk read cache first.
-    sys.store_mut().clear_read_cache();
-    let (read_res, read) = time(|| {
-        sys.fetch_with_strategy(interm, cols, n_ex, FetchStrategy::Read)
-            .expect("read fetch")
-    });
+    let (read_res, read) = cold_read(sys, interm, cols, n_ex);
     compute(&read_res.frame);
-    let (rerun_res, rerun) = time(|| {
-        sys.fetch_with_strategy(interm, cols, n_ex, FetchStrategy::Rerun)
-            .expect("rerun fetch")
-    });
+    let (rerun_res, rerun) = timed_fetch(sys, interm, cols, n_ex, FetchStrategy::Rerun);
     compute(&rerun_res.frame);
-    let chosen = if read_res.predicted_rerun >= read_res.predicted_read {
-        FetchStrategy::Read
-    } else {
-        FetchStrategy::Rerun
-    };
     QueryOutcome {
         name: name.to_string(),
         read,
         rerun,
-        chosen,
+        chosen: model_pick(&read_res),
     }
 }
 
@@ -117,23 +113,11 @@ fn part_a(rows: usize) {
     )));
     // FCMR: COL_DIFF — compare model performance between two pipelines.
     {
-        sys.store_mut().clear_read_cache();
-        let (ra, t1) = time(|| {
-            sys.fetch_with_strategy(&preds, Some(&["pred"]), None, FetchStrategy::Read)
-                .unwrap()
-        });
-        let (rb, t2) = time(|| {
-            sys.fetch_with_strategy(&preds_b, Some(&["pred"]), None, FetchStrategy::Read)
-                .unwrap()
-        });
-        let (_, t3) = time(|| {
-            sys.fetch_with_strategy(&preds, Some(&["pred"]), None, FetchStrategy::Rerun)
-                .unwrap()
-        });
-        let (_, t4) = time(|| {
-            sys.fetch_with_strategy(&preds_b, Some(&["pred"]), None, FetchStrategy::Rerun)
-                .unwrap()
-        });
+        let pred = Some(&["pred"][..]);
+        let (ra, t1) = cold_read(&mut sys, &preds, pred, None);
+        let (rb, t2) = timed_fetch(&mut sys, &preds_b, pred, None, FetchStrategy::Read);
+        let (_, t3) = timed_fetch(&mut sys, &preds, pred, None, FetchStrategy::Rerun);
+        let (_, t4) = timed_fetch(&mut sys, &preds_b, pred, None, FetchStrategy::Rerun);
         let a = ra.frame.columns()[0].data.to_f64();
         let b = rb.frame.columns()[0].data.to_f64();
         let _diff = a
@@ -145,11 +129,7 @@ fn part_a(rows: usize) {
             name: "COL_DIFF (FCMR)".into(),
             read: t1 + t2,
             rerun: t3 + t4,
-            chosen: if ra.predicted_rerun >= ra.predicted_read {
-                FetchStrategy::Read
-            } else {
-                FetchStrategy::Rerun
-            },
+            chosen: model_pick(&ra),
         }));
     }
     // FCMR: COL_DIST — plot the error rates for all homes.
@@ -385,35 +365,18 @@ fn part_dnn(part: &str, examples: usize, scale: usize) {
     // SVCCA between this layer and the logits.
     {
         let logits = format!("{model}.layer{n_layers}");
-        sys.store_mut().clear_read_cache();
-        let (a, t1) = time(|| {
-            sys.fetch_with_strategy(&interm, None, None, FetchStrategy::Read)
-                .unwrap()
-        });
-        let (b, t2) = time(|| {
-            sys.fetch_with_strategy(&logits, None, None, FetchStrategy::Read)
-                .unwrap()
-        });
+        let (a, t1) = cold_read(&mut sys, &interm, None, None);
+        let (b, t2) = timed_fetch(&mut sys, &logits, None, None, FetchStrategy::Read);
         let ma = mistique_core::diagnostics::frame_to_matrix(&a.frame);
         let mb = mistique_core::diagnostics::frame_to_matrix(&b.frame);
         let (_, tc) = time(|| mistique_linalg::svcca(&ma, &mb, 0.99));
-        let (_, t3) = time(|| {
-            sys.fetch_with_strategy(&interm, None, None, FetchStrategy::Rerun)
-                .unwrap()
-        });
-        let (_, t4) = time(|| {
-            sys.fetch_with_strategy(&logits, None, None, FetchStrategy::Rerun)
-                .unwrap()
-        });
+        let (_, t3) = timed_fetch(&mut sys, &interm, None, None, FetchStrategy::Rerun);
+        let (_, t4) = timed_fetch(&mut sys, &logits, None, None, FetchStrategy::Rerun);
         rows_out.push(row(QueryOutcome {
             name: format!("SVCCA (MCMR, +{} compute)", fmt_dur(tc)),
             read: t1 + t2 + tc,
             rerun: t3 + t4 + tc,
-            chosen: if a.predicted_rerun >= a.predicted_read {
-                FetchStrategy::Read
-            } else {
-                FetchStrategy::Rerun
-            },
+            chosen: model_pick(&a),
         }));
     }
 

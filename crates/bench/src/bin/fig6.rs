@@ -122,10 +122,7 @@ fn part_b(examples: usize, epochs: u32, scale: usize) {
         let schemes: Vec<(&str, CaptureScheme, StorageStrategy)> = vec![
             (
                 "STORE_ALL (f32)",
-                CaptureScheme {
-                    value: ValueScheme::Full,
-                    pool_sigma: None,
-                },
+                CaptureScheme::full(),
                 StorageStrategy::StoreAll,
             ),
             (
@@ -146,10 +143,7 @@ fn part_b(examples: usize, epochs: u32, scale: usize) {
             ),
             (
                 "POOL_QT(2)",
-                CaptureScheme {
-                    value: ValueScheme::Full,
-                    pool_sigma: Some(2),
-                },
+                CaptureScheme::pool2(),
                 StorageStrategy::StoreAll,
             ),
             (

@@ -12,13 +12,6 @@ use mistique_bench::*;
 use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy, ValueScheme};
 use mistique_nn::vgg16_cifar;
 
-fn parse_layers(spec: &str, n_layers: usize) -> Vec<usize> {
-    spec.split(',')
-        .filter_map(|s| s.trim().parse::<usize>().ok())
-        .filter(|&l| l >= 1 && l <= n_layers)
-        .collect()
-}
-
 fn main() {
     let args = Args::parse();
     let examples = args.usize("examples", DEFAULT_DNN_EXAMPLES);
@@ -40,7 +33,7 @@ fn main() {
     );
     let model = ids[0].clone();
     let n_layers = sys.intermediates_of(&model).len();
-    let layers = parse_layers(&args.string("layers", "1,6,11,16,21"), n_layers);
+    let layers = args.layers("layers", "1,6,11,16,21", n_layers);
 
     println!("\n== Fig 7a: time to re-run to layer L ({examples} examples) ==");
     let load = sys.metadata().model(&model).unwrap().model_load;
@@ -48,10 +41,7 @@ fn main() {
     let mut rows = Vec::new();
     for &l in &layers {
         let interm = format!("{model}.layer{l}");
-        let (_, t) = time(|| {
-            sys.fetch_with_strategy(&interm, None, None, FetchStrategy::Rerun)
-                .unwrap()
-        });
+        let (_, t) = timed_fetch(&mut sys, &interm, None, None, FetchStrategy::Rerun);
         let meta = sys.metadata().intermediate(&interm).unwrap();
         rows.push(vec![
             format!("layer{l}"),
@@ -105,11 +95,7 @@ fn main() {
         let mut cells = vec![name.to_string()];
         for &l in &layers {
             let interm = format!("{model}.layer{l}");
-            sys.store_mut().clear_read_cache();
-            let (_, t) = time(|| {
-                sys.fetch_with_strategy(&interm, None, None, FetchStrategy::Read)
-                    .unwrap()
-            });
+            let (_, t) = cold_read(&mut sys, &interm, None, None);
             cells.push(fmt_dur(t));
         }
         rows.push(cells);

@@ -42,15 +42,8 @@ fn main() {
         let interm = format!("{model}.layer{l}");
         let mut cells = vec![format!("layer{l}")];
         for &n in &n_exs {
-            sys.store_mut().clear_read_cache();
-            let (_, tr) = time(|| {
-                sys.fetch_with_strategy(&interm, None, Some(n), FetchStrategy::Read)
-                    .unwrap()
-            });
-            let (_, tx) = time(|| {
-                sys.fetch_with_strategy(&interm, None, Some(n), FetchStrategy::Rerun)
-                    .unwrap()
-            });
+            let (_, tr) = cold_read(&mut sys, &interm, None, Some(n));
+            let (_, tx) = timed_fetch(&mut sys, &interm, None, Some(n), FetchStrategy::Rerun);
             cells.push(format!(
                 "{:.4}/{:.4}{}",
                 tr.as_secs_f64(),
@@ -86,15 +79,8 @@ fn main() {
             ));
             total += 1;
             // Re-measure quickly to score prediction agreement.
-            sys.store_mut().clear_read_cache();
-            let (_, tr) = time(|| {
-                sys.fetch_with_strategy(&interm, None, Some(n), FetchStrategy::Read)
-                    .unwrap()
-            });
-            let (_, tx) = time(|| {
-                sys.fetch_with_strategy(&interm, None, Some(n), FetchStrategy::Rerun)
-                    .unwrap()
-            });
+            let (_, tr) = cold_read(&mut sys, &interm, None, Some(n));
+            let (_, tx) = timed_fetch(&mut sys, &interm, None, Some(n), FetchStrategy::Rerun);
             if (pr <= px) == (tr <= tx) {
                 agree += 1;
             }

@@ -10,7 +10,7 @@
 
 use mistique_bench::*;
 use mistique_core::diagnostics::frame_to_matrix;
-use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy, ValueScheme};
+use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy};
 use mistique_linalg::Matrix;
 use mistique_nn::vgg16_cifar;
 use mistique_quantize::half::f16;
@@ -79,10 +79,7 @@ fn main() {
         vgg16_cifar(scale),
         examples,
         1,
-        CaptureScheme {
-            value: ValueScheme::Full,
-            pool_sigma: None,
-        },
+        CaptureScheme::full(),
         StorageStrategy::Dedup,
     );
     let model = ids[0].clone();

@@ -10,39 +10,9 @@
 
 use mistique_bench::*;
 use mistique_core::diagnostics::frame_to_matrix;
-use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy, ValueScheme};
-use mistique_linalg::{svcca, Matrix};
+use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy};
+use mistique_linalg::svcca;
 use mistique_nn::vgg16_cifar;
-use mistique_quantize::{avg_pool2d, KbitQuantizer};
-
-fn pool2_matrix(m: &Matrix, c: usize, h: usize, w: usize) -> Matrix {
-    let oh = h.div_ceil(2);
-    let ow = w.div_ceil(2);
-    let mut out = Matrix::zeros(m.rows(), c * oh * ow);
-    for i in 0..m.rows() {
-        let row: Vec<f32> = m.row(i).iter().map(|&v| v as f32).collect();
-        let mut offset = 0;
-        for ch in 0..c {
-            let pooled = avg_pool2d(&row[ch * h * w..(ch + 1) * h * w], h, w, 2);
-            for (k, v) in pooled.iter().enumerate() {
-                out[(i, offset + k)] = *v as f64;
-            }
-            offset += oh * ow;
-        }
-    }
-    out
-}
-
-fn kbit_matrix(m: &Matrix, bits: u32) -> Matrix {
-    let all: Vec<f32> = m.data().iter().map(|&v| v as f32).collect();
-    let q = KbitQuantizer::fit(&all, bits);
-    let data = m
-        .data()
-        .iter()
-        .map(|&v| q.value_of(q.code_of(v as f32)) as f64)
-        .collect();
-    Matrix::from_vec(m.rows(), m.cols(), data)
-}
 
 fn main() {
     let args = Args::parse();
@@ -58,20 +28,12 @@ fn main() {
         vgg16_cifar(scale),
         examples,
         1,
-        CaptureScheme {
-            value: ValueScheme::Full,
-            pool_sigma: None,
-        },
+        CaptureScheme::full(),
         StorageStrategy::Dedup,
     );
     let model = ids[0].clone();
     let n_layers = sys.intermediates_of(&model).len();
-    let layer_spec = args.string("layers", "11,16,19");
-    let layers: Vec<usize> = layer_spec
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&l| l >= 1 && l <= n_layers)
-        .collect();
+    let layers = args.layers("layers", "11,16,19", n_layers);
 
     let logits_id = format!("{model}.layer{n_layers}");
     let logits = frame_to_matrix(
@@ -90,7 +52,7 @@ fn main() {
                 .frame,
         );
         let r_full = svcca(&logits, &full, 0.99).mean_correlation();
-        let r_8bit = svcca(&logits, &kbit_matrix(&full, 8), 0.99).mean_correlation();
+        let r_8bit = svcca(&logits, &kbit_matrix(&full, 8).0, 0.99).mean_correlation();
         let (c, h, w) = shape;
         let r_pool = if h > 1 {
             svcca(&logits, &pool2_matrix(&full, c, h, w), 0.99).mean_correlation()

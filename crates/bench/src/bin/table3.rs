@@ -9,33 +9,8 @@
 
 use mistique_bench::*;
 use mistique_core::diagnostics::frame_to_matrix;
-use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy, ValueScheme};
-use mistique_linalg::Matrix;
+use mistique_core::{CaptureScheme, FetchStrategy, StorageStrategy};
 use mistique_nn::vgg16_cifar;
-use mistique_quantize::{avg_pool2d, KbitQuantizer};
-
-fn knn(m: &Matrix, query: usize, k: usize) -> Vec<usize> {
-    let mut d: Vec<(usize, f64)> = (0..m.rows())
-        .filter(|&i| i != query)
-        .map(|i| {
-            let dist: f64 = m
-                .row(i)
-                .iter()
-                .zip(m.row(query))
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            (i, dist)
-        })
-        .collect();
-    d.sort_by(|a, b| a.1.total_cmp(&b.1));
-    d.truncate(k);
-    d.into_iter().map(|(i, _)| i).collect()
-}
-
-fn overlap(a: &[usize], b: &[usize]) -> f64 {
-    let hits = a.iter().filter(|x| b.contains(x)).count();
-    hits as f64 / a.len().max(1) as f64
-}
 
 fn main() {
     let args = Args::parse();
@@ -53,20 +28,12 @@ fn main() {
         vgg16_cifar(scale),
         examples,
         1,
-        CaptureScheme {
-            value: ValueScheme::Full,
-            pool_sigma: None,
-        },
+        CaptureScheme::full(),
         StorageStrategy::Dedup,
     );
     let model = ids[0].clone();
     let n_layers = sys.intermediates_of(&model).len();
-    let layers: Vec<usize> = args
-        .string("layers", "11,16,19")
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&l| l >= 1 && l <= n_layers)
-        .collect();
+    let layers = args.layers("layers", "11,16,19", n_layers);
 
     let mut rows = Vec::new();
     for &l in &layers {
@@ -78,36 +45,10 @@ fn main() {
                 .frame,
         );
 
-        // 8BIT_QT reconstruction.
-        let all: Vec<f32> = full.data().iter().map(|&v| v as f32).collect();
-        let q = KbitQuantizer::fit(&all, 8);
-        let eight = Matrix::from_vec(
-            full.rows(),
-            full.cols(),
-            full.data()
-                .iter()
-                .map(|&v| q.value_of(q.code_of(v as f32)) as f64)
-                .collect(),
-        );
-
-        // pool(2) summarization.
+        let (eight, _) = kbit_matrix(&full, 8);
         let (c, h, w) = shape;
         let pooled = if h > 1 {
-            let oh = h.div_ceil(2);
-            let ow = w.div_ceil(2);
-            let mut m = Matrix::zeros(full.rows(), c * oh * ow);
-            for i in 0..full.rows() {
-                let row: Vec<f32> = full.row(i).iter().map(|&v| v as f32).collect();
-                let mut off = 0;
-                for ch in 0..c {
-                    let p = avg_pool2d(&row[ch * h * w..(ch + 1) * h * w], h, w, 2);
-                    for (j, v) in p.iter().enumerate() {
-                        m[(i, off + j)] = *v as f64;
-                    }
-                    off += oh * ow;
-                }
-            }
-            m
+            pool2_matrix(&full, c, h, w)
         } else {
             full.clone()
         };

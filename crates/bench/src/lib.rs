@@ -10,10 +10,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mistique_core::{CaptureScheme, Mistique, MistiqueConfig, StorageStrategy};
+use mistique_core::{
+    CaptureScheme, FetchResult, FetchStrategy, Mistique, MistiqueConfig, StorageStrategy,
+};
+use mistique_linalg::Matrix;
 use mistique_nn::{ArchConfig, CifarLike};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
+use mistique_quantize::{avg_pool2d, KbitQuantizer};
 
 /// Minimal `--flag value` argument parser (no external deps).
 pub struct Args {
@@ -23,31 +27,46 @@ pub struct Args {
 impl Args {
     /// Parse the process arguments.
     pub fn parse() -> Args {
+        Args::from_args(std::env::args().skip(1))
+    }
+
+    /// A flag's value is the argument after it, unless that argument is
+    /// itself a flag: `--dnn --examples 64` is a boolean followed by a
+    /// valued flag.
+    fn from_args(args: impl Iterator<Item = String>) -> Args {
         let mut flags = HashMap::new();
-        let mut iter = std::env::args().skip(1);
+        let mut iter = args.peekable();
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
-                let value = iter.next().unwrap_or_else(|| "true".to_string());
+                let value = iter
+                    .next_if(|next| !next.starts_with("--"))
+                    .unwrap_or_else(|| "true".to_string());
                 flags.insert(name.to_string(), value);
             }
         }
         Args { flags }
     }
 
-    /// A usize flag with a default.
-    pub fn usize(&self, name: &str, default: usize) -> usize {
-        self.flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The flag's value parsed as `T`, or `default` when the flag is absent.
+    /// A value that is present but does not parse is an error, never the
+    /// default: a run must not claim flags it did not honour.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T, ty: &str) -> Result<T, String> {
+        match self.flags.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{name} {v}: expected {ty}")),
+        }
     }
 
-    /// An f64 flag with a default.
+    /// A usize flag with a default; exits 2 on a value that is not one.
+    pub fn usize(&self, name: &str, default: usize) -> usize {
+        or_exit(self.parsed(name, default, "an unsigned integer"))
+    }
+
+    /// An f64 flag with a default; exits 2 on a value that is not one.
     pub fn f64(&self, name: &str, default: f64) -> f64 {
-        self.flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.parsed(name, default, "a number"))
     }
 
     /// A string flag with a default.
@@ -62,6 +81,28 @@ impl Args {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
+
+    /// A comma-separated list of 1-based layer numbers, keeping those the
+    /// model has; exits 2 on an entry that is not a number.
+    pub fn layers(&self, name: &str, default: &str, n_layers: usize) -> Vec<usize> {
+        let spec = self.string(name, default);
+        or_exit(
+            spec.split(',')
+                .map(|s| s.trim().parse::<usize>())
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| format!("--{name} {spec}: expected comma-separated layer numbers")),
+        )
+        .into_iter()
+        .filter(|l| (1..=n_layers).contains(l))
+        .collect()
+    }
+}
+
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Time a closure.
@@ -208,42 +249,87 @@ pub fn dnn_system(
     (sys, ids, data)
 }
 
-/// Write an observability snapshot to `BENCH_<name>.json` — in the directory
-/// named by `MISTIQUE_BENCH_DIR` when set, else the working directory — so
-/// benchmark runs leave a machine-readable perf record next to their stdout
-/// tables. Returns the path written.
-pub fn write_obs_snapshot(name: &str, obs: &mistique_core::Obs) -> std::path::PathBuf {
-    let dir = std::env::var("MISTIQUE_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    write_obs_snapshot_to(std::path::Path::new(&dir), name, obs)
+/// Time one fetch of `interm` under `strategy`.
+pub fn timed_fetch(
+    sys: &mut Mistique,
+    interm: &str,
+    cols: Option<&[&str]>,
+    n_ex: Option<usize>,
+    strategy: FetchStrategy,
+) -> (FetchResult, Duration) {
+    time(|| {
+        sys.fetch_with_strategy(interm, cols, n_ex, strategy)
+            .expect("fetch")
+    })
 }
 
-/// [`write_obs_snapshot`] with an explicit target directory.
-pub fn write_obs_snapshot_to(
-    dir: &std::path::Path,
-    name: &str,
-    obs: &mistique_core::Obs,
-) -> std::path::PathBuf {
-    // Fingerprint the host so perf comparisons (scripts/bench_gate.sh) can
-    // refuse to gate against a baseline captured on different hardware.
-    obs.gauge("host.cpus").set_u64(
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1),
-    );
-    // And the engine configuration: systems stamp `config.fingerprint` at
-    // open; substrate-only benches that never open one ran under default
-    // knobs. bench_gate.sh refuses to compare snapshots whose fingerprints
-    // differ.
-    if !obs.snapshot().gauges.contains_key("config.fingerprint") {
-        obs.gauge("config.fingerprint")
-            .set_u64(MistiqueConfig::default().fingerprint_hash());
+/// Time a cold read: drop the partition read cache first, so the fetch pays
+/// the full disk + decode cost.
+pub fn cold_read(
+    sys: &mut Mistique,
+    interm: &str,
+    cols: Option<&[&str]>,
+    n_ex: Option<usize>,
+) -> (FetchResult, Duration) {
+    sys.store_mut().clear_read_cache();
+    timed_fetch(sys, interm, cols, n_ex, FetchStrategy::Read)
+}
+
+/// Row indices of the `k` nearest neighbours (Euclidean) of row `query`.
+pub fn knn(m: &Matrix, query: usize, k: usize) -> Vec<usize> {
+    let mut d: Vec<(usize, f64)> = (0..m.rows())
+        .filter(|&i| i != query)
+        .map(|i| {
+            let dist: f64 = m
+                .row(i)
+                .iter()
+                .zip(m.row(query))
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum();
+            (i, dist)
+        })
+        .collect();
+    d.sort_by(|a, b| a.1.total_cmp(&b.1));
+    d.truncate(k);
+    d.into_iter().map(|(i, _)| i).collect()
+}
+
+/// Fraction of `a` that also appears in `b`.
+pub fn overlap(a: &[usize], b: &[usize]) -> f64 {
+    a.iter().filter(|x| b.contains(x)).count() as f64 / a.len().max(1) as f64
+}
+
+/// `m` as KBIT_QT would store and reconstruct it — a `bits`-wide quantizer
+/// fitted over every value — plus the fitted quantizer.
+pub fn kbit_matrix(m: &Matrix, bits: u32) -> (Matrix, KbitQuantizer) {
+    let all: Vec<f32> = m.data().iter().map(|&v| v as f32).collect();
+    let q = KbitQuantizer::fit(&all, bits);
+    let data = m
+        .data()
+        .iter()
+        .map(|&v| q.value_of(q.code_of(v as f32)) as f64)
+        .collect();
+    (Matrix::from_vec(m.rows(), m.cols(), data), q)
+}
+
+/// `m` as POOL_QT(2) would summarize it: every row is `c` maps of `h x w`,
+/// each average-pooled 2x2.
+pub fn pool2_matrix(m: &Matrix, c: usize, h: usize, w: usize) -> Matrix {
+    let oh = h.div_ceil(2);
+    let ow = w.div_ceil(2);
+    let mut out = Matrix::zeros(m.rows(), c * oh * ow);
+    for i in 0..m.rows() {
+        let row: Vec<f32> = m.row(i).iter().map(|&v| v as f32).collect();
+        let mut offset = 0;
+        for ch in 0..c {
+            let pooled = avg_pool2d(&row[ch * h * w..(ch + 1) * h * w], h, w, 2);
+            for (k, v) in pooled.iter().enumerate() {
+                out[(i, offset + k)] = *v as f64;
+            }
+            offset += oh * ow;
+        }
     }
-    let path = dir.join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, obs.snapshot().to_json_string()) {
-        Ok(()) => println!("\nwrote perf snapshot to {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-    path
+    out
 }
 
 /// Default channel scale for VGG16 experiments (keeps the geometry, divides
@@ -274,23 +360,37 @@ mod tests {
         assert!(sys.store().stats().chunks_stored > 0);
     }
 
+    fn args(line: &str) -> Args {
+        Args::from_args(line.split_whitespace().map(String::from))
+    }
+
     #[test]
-    fn obs_snapshot_file_is_written() {
-        let dir = mistique_testkit::tempdir().unwrap();
-        let obs = mistique_core::Obs::new();
-        obs.counter("bench.test").add(7);
-        let path = write_obs_snapshot_to(dir.path(), "unit", &obs);
-        assert_eq!(path.file_name().unwrap(), "BENCH_unit.json");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"bench.test\":7"));
-        assert!(
-            body.contains("\"host.cpus\":"),
-            "every snapshot carries the host fingerprint"
+    fn boolean_flag_does_not_swallow_the_next_flag() {
+        let a = args("--dnn --examples 64 --scale 16");
+        assert!(a.flag("dnn"));
+        assert_eq!(a.usize("examples", 256), 64);
+        assert_eq!(a.usize("scale", 8), 16);
+        assert!(args("--examples 64 --dnn").flag("dnn"), "trailing boolean");
+        assert_eq!(
+            args("--shift -5").f64("shift", 0.0),
+            -5.0,
+            "one dash is a value"
         );
-        assert!(
-            body.contains("\"config.fingerprint\":"),
-            "every snapshot carries the config fingerprint"
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error_not_the_default() {
+        let a = args("--rows 1e4 --gamma fast");
+        assert_eq!(
+            a.parsed("rows", 4000usize, "an unsigned integer"),
+            Err("--rows 1e4: expected an unsigned integer".to_string())
         );
+        assert_eq!(
+            a.parsed("gamma", 0.5f64, "a number"),
+            Err("--gamma fast: expected a number".to_string())
+        );
+        assert_eq!(a.parsed("absent", 7usize, "an unsigned integer"), Ok(7));
+        assert_eq!(a.f64("rows", 0.0), 1e4);
     }
 
     #[test]

@@ -4,9 +4,77 @@
 //! on every seed, and (in debug builds) the in-crate `debug_assert` verifies
 //! every followed chain link points strictly backwards — a stale alias that
 //! slipped past the guard would trip it.
+//!
+//! Every case also runs differentially against [`reference_decompress`], on
+//! the valid stream and on damaged copies of it: the production decoder's
+//! grouped literal copy, chunked match copy and hoisted bounds checks are
+//! exactly what a byte-at-a-time decoder catches.
 
 use mistique_compress::lzss::{compress, decompress, decompress_with_hint, WINDOW};
 use mistique_rng::Rng;
+
+/// The reference oracle: the seed LZSS decoder, one token per step, literal
+/// and match bytes copied one at a time, growth left to `Vec` doubling.
+fn reference_decompress(input: &[u8]) -> Option<Vec<u8>> {
+    const MIN_MATCH: usize = 4;
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < input.len() {
+        let flags = input[pos];
+        pos += 1;
+        for bit in 0..8 {
+            if pos >= input.len() {
+                break;
+            }
+            if flags & (1 << bit) != 0 {
+                if pos + 3 > input.len() {
+                    return None;
+                }
+                let dist = u16::from_le_bytes([input[pos], input[pos + 1]]) as usize + 1;
+                let len = input[pos + 2] as usize + MIN_MATCH;
+                pos += 3;
+                if dist > out.len() {
+                    return None;
+                }
+                let start = out.len() - dist;
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            } else {
+                out.push(input[pos]);
+                pos += 1;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Both decoders must agree on `stream` — both reject it, or both decode the
+/// same bytes — and on seeded truncations and single-byte corruptions of it,
+/// where a damaged token sends them down the malformed-input paths.
+fn assert_matches_reference(stream: &[u8], seed: u64) {
+    let agree = |s: &[u8], what: &str| {
+        assert_eq!(
+            decompress(s),
+            reference_decompress(s),
+            "seed {seed}: {what}"
+        );
+    };
+    agree(stream, "valid stream");
+    if stream.is_empty() {
+        return;
+    }
+    let mut rng = Rng::seed(seed ^ 0xD1FF);
+    for _ in 0..16 {
+        let cut = rng.range(0..stream.len());
+        agree(&stream[..cut], &format!("truncated to {cut} bytes"));
+        let at = rng.range(0..stream.len());
+        let mut damaged = stream.to_vec();
+        damaged[at] ^= rng.range(1..=u8::MAX);
+        agree(&damaged, &format!("byte {at} corrupted"));
+    }
+}
 
 /// Build an input several windows long out of segments chosen to stress the
 /// hash chains: literal noise, long runs, and copies of earlier regions at
@@ -65,6 +133,7 @@ fn multi_window_inputs_roundtrip_identically() {
             Some(input.as_slice()),
             "seed {seed} len {len}"
         );
+        assert_matches_reference(&c, seed);
     }
 }
 
@@ -79,6 +148,7 @@ fn hint_value_never_affects_decoded_bytes() {
             "hint {hint}"
         );
     }
+    assert_matches_reference(&c, 99);
 }
 
 #[test]
@@ -91,5 +161,6 @@ fn window_boundary_distances_roundtrip() {
     input.extend_from_slice(&block);
     input.extend_from_slice(&block[..WINDOW / 2]);
     let c = compress(&input);
+    assert_matches_reference(&c, 7);
     assert_eq!(decompress(&c), Some(input));
 }

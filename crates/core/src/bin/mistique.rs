@@ -11,7 +11,7 @@
 //! mistique explain <dir> [--last <n>] [--perfetto <file>] [--flame <file>]
 //! mistique reclaim <dir> [budget_bytes]      # demote/purge cold intermediates, compact
 //! mistique timeline <dir> [--json] [--metric <name>] [--perfetto <file>]
-//! mistique replay <dir> [--into <dir2>] [--differential] [--bench <file>]
+//! mistique replay <dir> [--into <dir2>] [--differential]
 //! mistique top   <dir> [--once] [--interval <ms>]
 //! ```
 //!
@@ -37,9 +37,7 @@
 //! known models re-attach instead of erroring). `--differential` replays
 //! the journal at `read_parallelism` 1, 2, 4 and 0 (= all CPUs) and demands
 //! bit-identical answer transcripts and identical plan choices across every
-//! leg, exiting nonzero on any divergence. `--bench` additionally measures
-//! the capture overhead (replay wall-clock with auditing on vs off) and
-//! writes a flat `BENCH_replay.json` consumed by `scripts/bench_gate.sh`.
+//! leg, exiting nonzero on any divergence.
 //!
 //! `top` renders a live workload dashboard — per-operation rates and
 //! latency quantiles, plan mix, cache/index effectiveness, SLO classes,
@@ -100,7 +98,7 @@ fn open(dir: &str) -> Result<Mistique, Box<dyn std::error::Error>> {
     Ok(Mistique::reopen(dir, MistiqueConfig::default())?)
 }
 
-/// `mistique replay <dir> [--into <dir2>] [--differential] [--bench <file>]`.
+/// `mistique replay <dir> [--into <dir2>] [--differential]`.
 fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use mistique_core::replay::{differential_replay, replay_into, ReplayOptions};
 
@@ -112,14 +110,6 @@ fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
     println!("loaded {} journal records from {dir}/audit", records.len());
 
     let differential = rest.iter().any(|a| a == "--differential");
-    let bench_path = match rest.iter().position(|a| a == "--bench") {
-        Some(pos) => Some(
-            rest.get(pos + 1)
-                .ok_or("--bench needs a file path")?
-                .clone(),
-        ),
-        None => None,
-    };
     let into = match rest.iter().position(|a| a == "--into") {
         Some(pos) => Some(rest.get(pos + 1).ok_or("--into needs a directory")?.clone()),
         None => None,
@@ -170,8 +160,7 @@ fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
     }
     drop(sys);
 
-    // Differential legs (also required for the bench report's verdict).
-    let report = if differential || bench_path.is_some() {
+    if differential {
         let workers = [1usize, 2, 4, 0];
         let report = differential_replay(&records, &scratch, &config, &workers)?;
         for run in &report.runs {
@@ -195,75 +184,6 @@ fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
         for m in &report.mismatches {
             eprintln!("  mismatch: {m}");
         }
-        Some(report)
-    } else {
-        None
-    };
-
-    // Capture-overhead measurement + BENCH_replay.json.
-    if let Some(path) = &bench_path {
-        let report = report.as_ref().expect("bench implies differential");
-        let mut on_s = f64::INFINITY;
-        let mut off_s = f64::INFINITY;
-        for i in 0..2 {
-            let mut cfg_on = config.clone();
-            if cfg_on.audit_budget_bytes == 0 {
-                cfg_on.audit_budget_bytes = 1 << 20;
-            }
-            let mut sys = Mistique::open(scratch.join(format!("bench_on_{i}")), cfg_on)?;
-            let t = std::time::Instant::now();
-            replay_into(&mut sys, &records, &ReplayOptions::default())?;
-            on_s = on_s.min(t.elapsed().as_secs_f64());
-
-            let mut cfg_off = config.clone();
-            cfg_off.audit_budget_bytes = 0;
-            let mut sys = Mistique::open(scratch.join(format!("bench_off_{i}")), cfg_off)?;
-            let t = std::time::Instant::now();
-            replay_into(&mut sys, &records, &ReplayOptions::default())?;
-            off_s = off_s.min(t.elapsed().as_secs_f64());
-        }
-        let overhead_pct = if off_s > 0.0 {
-            (on_s - off_s) / off_s * 100.0
-        } else {
-            0.0
-        };
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let (matched, compared) = report.plan_agreement;
-        let json = format!(
-            "{{\"bench\":\"replay\",\
-             \"config_fingerprint\":\"{:08x}\",\
-             \"config_detail\":\"{}\",\
-             \"host_cpus\":{cpus},\
-             \"records\":{},\
-             \"executed\":{},\
-             \"failed\":{},\
-             \"skipped\":{},\
-             \"transcript_digest\":\"{:016x}\",\
-             \"differential_workers\":\"1;2;4;0\",\
-             \"differential_consistent\":{},\
-             \"plan_agreement_matched\":{matched},\
-             \"plan_agreement_compared\":{compared},\
-             \"audit_on_s\":{on_s:.6},\
-             \"audit_off_s\":{off_s:.6},\
-             \"capture_overhead_pct\":{overhead_pct:.3}}}",
-            config.fingerprint_hash(),
-            config.fingerprint(),
-            records.len(),
-            outcome.executed,
-            outcome.failed,
-            outcome.skipped.len(),
-            outcome.transcript_digest(),
-            if report.consistent() { 1 } else { 0 },
-        );
-        std::fs::write(path, &json)?;
-        println!(
-            "capture overhead: {overhead_pct:.2}% (audit on {on_s:.3}s vs off {off_s:.3}s) — wrote {path}"
-        );
-    }
-
-    if let Some(report) = &report {
         if !report.consistent() {
             return Err("differential replay diverged".into());
         }

@@ -126,8 +126,7 @@ pub struct ReplayOutcome {
 }
 
 impl ReplayOutcome {
-    /// Fold the whole transcript into one digest (what `--differential`
-    /// prints and `BENCH_replay.json` records).
+    /// Fold the whole transcript into one digest (what `replay` prints).
     pub fn transcript_digest(&self) -> u64 {
         let mut h = 0u64;
         for step in &self.transcript {

@@ -140,8 +140,7 @@ impl Default for MistiqueConfig {
 impl MistiqueConfig {
     /// Compact, human-readable key=value fingerprint over every knob that
     /// shapes measured behaviour. Two benchmark runs are comparable only if
-    /// their fingerprints match — `scripts/bench_gate.sh` refuses to gate a
-    /// run against a baseline whose fingerprint differs.
+    /// their fingerprints match; the e2e benchmark prints it in every report.
     pub fn fingerprint(&self) -> String {
         let ds = &self.datastore;
         format!(
@@ -169,7 +168,7 @@ impl MistiqueConfig {
     /// FNV-1a hash of [`MistiqueConfig::fingerprint`], truncated to 32 bits
     /// so it survives a round trip through an `f64` metric gauge exactly.
     /// Stamped into every metric snapshot as the `config.fingerprint` gauge,
-    /// so every `BENCH_*.json` carries the configuration it measured.
+    /// so a snapshot carries the configuration it measured.
     pub fn fingerprint_hash(&self) -> u64 {
         crate::audit::fnv1a(0, self.fingerprint().as_bytes()) & 0xFFFF_FFFF
     }
@@ -265,8 +264,7 @@ impl Mistique {
         let telemetry = crate::telemetry::TelemetryState::create(&config, &backend, dir.as_ref());
         let index = crate::index_state::IndexState::create(&config, &backend, dir.as_ref(), &obs);
         let audit = crate::audit::AuditState::create(&config, &backend, dir.as_ref());
-        // Every snapshot (and thus every BENCH_*.json) carries the config it
-        // was measured under; bench_gate.sh refuses cross-config comparisons.
+        // Every snapshot carries the config it was measured under.
         obs.gauge("config.fingerprint")
             .set_u64(config.fingerprint_hash());
         Ok(Mistique {
@@ -440,9 +438,9 @@ impl Mistique {
 
     /// Refresh gauges that mirror pull-style state (cost-model calibration,
     /// catalog sizes, SLO latency quantiles) so snapshots always carry
-    /// current values. A raw `Obs::snapshot()` that bypasses this (the bench
-    /// bins' `write_obs_snapshot`) sees these gauges as of the last sync;
-    /// the `slo.*.ns` histograms it also carries are always current.
+    /// current values. A raw `Obs::snapshot()` that bypasses this sees these
+    /// gauges as of the last sync; the `slo.*.ns` histograms it also carries
+    /// are always current.
     pub(crate) fn sync_obs_gauges(&self) {
         self.obs
             .gauge("cost.read_bandwidth")

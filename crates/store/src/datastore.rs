@@ -2023,6 +2023,77 @@ mod tests {
         }
     }
 
+    /// A DNN checkpoint sweep: every epoch's layer tensors are a small
+    /// random walk away from the previous epoch's, so each put after the
+    /// first epoch is a near-duplicate of its own layer's history.
+    #[test]
+    fn checkpoint_sweep_stores_smaller_with_deltas_and_reads_back_at_every_parallelism() {
+        const LAYERS: usize = 4;
+        const VALUES: usize = 4096;
+        const EPOCHS: usize = 6;
+        let mut rng = mistique_rng::Rng::seed(0x5eed_0001);
+        // Value ranges are offset per layer so MinHash only ever pairs a
+        // layer with its own history.
+        let mut tensors: Vec<Vec<f64>> = (0..LAYERS)
+            .map(|l| {
+                (0..VALUES)
+                    .map(|_| (l * 10) as f64 + rng.range(0.0..1.0))
+                    .collect()
+            })
+            .collect();
+        let mut sweep = Vec::with_capacity(LAYERS * EPOCHS);
+        for e in 0..EPOCHS {
+            for (l, t) in tensors.iter_mut().enumerate() {
+                for v in t.iter_mut() {
+                    if e > 0 && rng.chance(0.05) {
+                        *v += 0.01 * rng.range(-0.5..0.5);
+                    }
+                }
+                let key = ChunkKey::new(format!("epoch{e}.layer{l}"), "w", 0);
+                sweep.push((key, f64_chunk(t.clone())));
+            }
+        }
+        let ingest = |delta_enabled: bool| {
+            let dir = mistique_testkit::tempdir().unwrap();
+            let config = DataStoreConfig {
+                policy: PlacementPolicy::ByIntermediate,
+                delta_enabled,
+                ..DataStoreConfig::default()
+            };
+            let mut ds = DataStore::open(dir.path(), config).unwrap();
+            for (key, chunk) in &sweep {
+                ds.put_chunk(key.clone(), chunk).unwrap();
+            }
+            ds.flush().unwrap();
+            (dir, ds)
+        };
+        let (_dir_on, mut on) = ingest(true);
+        let (_dir_off, off) = ingest(false);
+
+        let delta_puts = on.stats().delta_puts;
+        assert!(delta_puts > 0, "the sweep must take the delta put path");
+        let bytes_on = on.physical_bytes().unwrap();
+        let bytes_off = off.physical_bytes().unwrap();
+        assert!(
+            bytes_off as f64 >= 1.5 * bytes_on as f64,
+            "base+delta must cut stored bytes at least 1.5x: {bytes_off} off vs {bytes_on} on"
+        );
+
+        let keys: Vec<ChunkKey> = sweep.iter().map(|(k, _)| k.clone()).collect();
+        for par in [1usize, 2, 4, 0] {
+            on.clear_read_cache();
+            let got = on.get_chunk_bytes_batch(&keys, par).unwrap();
+            assert_eq!(got.len(), sweep.len());
+            for (g, (key, chunk)) in got.iter().zip(&sweep) {
+                assert_eq!(g, &chunk.to_bytes(), "{key:?} at parallelism {par}");
+            }
+        }
+        assert!(
+            on.obs().counter("store.delta.rehydrations").get() >= delta_puts,
+            "every delta chunk must rehydrate through its frame on cold reads"
+        );
+    }
+
     #[test]
     fn pinned_base_survives_retraction_and_compaction() {
         let (_dir, mut ds) = store(PlacementPolicy::ByIntermediate);

@@ -52,4 +52,18 @@ for pat in 'QueryReport \{' 'bump_queries\('; do
   fi
 done
 
+# Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
+# `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
+# or a snapshot-writing helper is a second measurement system growing back.
+# The `[_]` keeps each pattern from matching this file.
+echo "== one perf contract =="
+stray=$(git ls-files 'BENCH[_]*.json' 'scripts/bench[_]gate.sh')
+uses=$(git ls-files '*.rs' '*.sh' '*.yml' |
+  xargs grep -nE 'MISTIQUE_BENCH[_]DIR|write_obs[_]snapshot' || true)
+if [ -n "$stray$uses" ]; then
+  echo "FAIL: perf numbers belong in BENCHMARK.json's per-layer metrics, not beside it:"
+  printf '%s\n' "$stray" "$uses" | grep .
+  exit 1
+fi
+
 echo "all checks passed"
