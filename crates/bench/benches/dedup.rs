@@ -3,7 +3,8 @@
 use std::hint::black_box;
 
 use mistique_bench::micro;
-use mistique_dedup::{content_digest, discretize, xxhash64, LshIndex, MinHasher};
+use mistique_dedup::{content_digest, discretize, xxhash64, LshIndex, MinHasher, Signature};
+use mistique_rng::Rng;
 
 fn main() {
     let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
@@ -25,14 +26,46 @@ fn main() {
         hasher.signature(black_box(&elements))
     });
 
-    // LSH index with 1000 resident signatures.
+    // A non-degenerate index: 1000 distinct sets, short buckets.
     let mut idx = LshIndex::new(32, 4);
     for i in 0..1000u64 {
         let set: Vec<u64> = (i * 13..i * 13 + 500).collect();
         idx.insert(i, hasher.signature(&set));
     }
     let probe = hasher.signature(&(380u64 * 13..380 * 13 + 500).collect::<Vec<_>>());
-    micro("lsh/query_best/1000_items", 0, || {
-        idx.query_best(black_box(&probe), 0.5)
+    micro("lsh/best_where/distinct_sets/1k", 0, || {
+        idx.best_where(black_box(&probe), 0.5, |_| true)
     });
+
+    // Degenerate indexes, as DNN activations make them: every item is one
+    // of eight base signatures with up to half its lanes replaced, so band
+    // buckets hold a fixed share of the index and grow with it. The probe
+    // cost that remains is the walk over those buckets.
+    let mut rng = Rng::seed(17);
+    let bases: Vec<Signature> = (0..8)
+        .map(|_| Signature((0..128).map(|_| rng.next_u64()).collect()))
+        .collect();
+    let mut mutant = |max_lanes: usize| {
+        let mut sig = bases[rng.range(0..bases.len())].clone();
+        for _ in 0..rng.range(0..=max_lanes) {
+            sig.0[rng.range(0..128usize)] = rng.next_u64();
+        }
+        sig
+    };
+    let mut idx = LshIndex::new(32, 4);
+    for (label, n) in [("1k", 1_000u64), ("10k", 10_000), ("100k", 100_000)] {
+        for id in idx.len() as u64..n {
+            idx.insert(id, mutant(64));
+        }
+        let probes: Vec<Signature> = (0..16).map(|_| mutant(12)).collect();
+        let mut next = probes.iter().cycle();
+        micro(&format!("lsh/best_where/{label}"), 0, || {
+            idx.best_where(black_box(next.next().unwrap()), 0.8, |_| true)
+        });
+        if n <= 10_000 {
+            micro(&format!("lsh/query_ranked/{label}"), 0, || {
+                idx.query_ranked(black_box(next.next().unwrap()), 0.8)
+            });
+        }
+    }
 }

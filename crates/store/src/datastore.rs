@@ -651,17 +651,13 @@ impl DataStore {
             }
             PlacementPolicy::BySimilarity { tau } => {
                 let sig = sig.expect("similarity placement requires a signature");
-                // Walk matches best-first until one maps to a partition that
-                // is still open — after a reopen every imported item points
-                // at a sealed partition, and settling for the single best
-                // match would stop clustering for good.
-                let target = self
-                    .ledger
-                    .similar(sig, tau)
-                    .map(|(pid, _)| pid)
-                    .find(|&pid| self.mem.contains(pid));
-                match target {
-                    Some(pid) => {
+                // The best match whose partition is still open — after a
+                // reopen every imported item points at a sealed partition,
+                // and settling for the single best match would stop
+                // clustering for good.
+                let open = |pid, _| self.mem.contains(pid);
+                match self.ledger.most_similar(sig, tau, open) {
+                    Some((pid, _)) => {
                         self.stats.similarity_placements += 1;
                         self.metrics.similarity_placements.inc();
                         Ok(pid)
@@ -2199,6 +2195,151 @@ mod tests {
         );
     }
 
+    /// `most_similar` and `delta_base_for` against the ranked walks they
+    /// replaced, for every stored chunk's signature.
+    fn assert_matches_ranked_walk(ds: &DataStore, chunks: &[ColumnChunk]) {
+        let ledger = &ds.ledger;
+        for (i, chunk) in chunks.iter().enumerate() {
+            let sig = ds.signature_of(chunk);
+            let own = content_digest(&chunk.to_bytes());
+            for tau in [0.0, 0.5, 0.8, 1.0] {
+                let ranked = ledger.similar_ranked(&sig, tau);
+                let open = |pid: PartitionId| ds.mem.contains(pid);
+                assert_eq!(
+                    ledger.most_similar(&sig, tau, |pid, _| open(pid)),
+                    ranked.iter().copied().find(|&(pid, _)| open(pid)),
+                    "chunk {i}, tau {tau}: open partition"
+                );
+                let resolve = |cand| Some(ledger.chunk(cand)?.base.unwrap_or(cand));
+                let mut bases = ranked.iter().filter_map(|&(_, cand)| resolve(cand));
+                assert_eq!(
+                    ledger.delta_base_for(&sig, tau, own),
+                    bases.find(|&base| base != own),
+                    "chunk {i}, tau {tau}: delta base"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn similarity_answers_match_the_ranked_walk() {
+        let dir = mistique_testkit::tempdir().unwrap();
+        let config = DataStoreConfig {
+            policy: PlacementPolicy::BySimilarity { tau: 0.5 },
+            mem_capacity: 1 << 20,
+            partition_target_bytes: 96 << 10,
+            ..DataStoreConfig::default()
+        };
+        // Three families of look-alikes over 89 distinct values each. A
+        // member swaps some positions for values of its own: with few it is
+        // a delta against an older member, with many it is stored raw but
+        // still placed with its family, with none its signature equals the
+        // family's (scores tie).
+        let mut rng = mistique_rng::Rng::seed(0x1eaf);
+        let chunks: Vec<ColumnChunk> = (0..60)
+            .map(|i| {
+                let family = f64::from(i % 3);
+                let mut vals: Vec<f64> = (0..2048)
+                    .map(|j| f64::from(j % 89) + 1000.0 * family)
+                    .collect();
+                vals[0] += 1e-4 * f64::from(i);
+                for _ in 0..rng.range(0..60usize) * rng.range(0..=1usize) {
+                    vals[rng.range(1..2048usize)] = rng.range(5_000.0..9_000.0);
+                }
+                f64_chunk(vals)
+            })
+            .collect();
+        let key = |i: usize| ChunkKey::new(format!("m{i}"), "c", 0);
+
+        let mut ds = DataStore::open(dir.path(), config.clone()).unwrap();
+        for (i, chunk) in chunks.iter().enumerate() {
+            ds.put_chunk(key(i), chunk).unwrap();
+            if i % 20 == 19 {
+                assert_matches_ranked_walk(&ds, &chunks);
+            }
+        }
+        let s = ds.stats();
+        assert!(s.delta_puts > 10 && s.similarity_placements > 10, "{s:?}");
+        assert!(
+            s.chunks_stored > s.delta_puts + 10,
+            "raw look-alikes: {s:?}"
+        );
+        assert!(s.partitions_created > 3, "some partitions sealed: {s:?}");
+        // Dead chunks: some stay on record (pinned bases, unsealed
+        // partitions), the rest go with their LSH items.
+        for i in (0..60).step_by(4) {
+            ds.retract_intermediate(&format!("m{i}"));
+        }
+        assert_matches_ranked_walk(&ds, &chunks);
+        ds.flush().unwrap();
+        ds.compact(1.0).unwrap();
+        assert_matches_ranked_walk(&ds, &chunks);
+
+        // Reopened: every imported item points at a sealed partition.
+        let catalog = ds.export_catalog();
+        drop(ds);
+        let mut ds = DataStore::open(dir.path(), config).unwrap();
+        ds.import_catalog(through_text(catalog));
+        assert_matches_ranked_walk(&ds, &chunks);
+        for i in (0..60).step_by(4) {
+            ds.put_chunk(key(i), &chunks[i]).unwrap();
+        }
+        assert_matches_ranked_walk(&ds, &chunks);
+        ds.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn forged_lsh_items_are_refused_on_import() {
+        let dir = mistique_testkit::tempdir().unwrap();
+        let config = DataStoreConfig {
+            policy: PlacementPolicy::ByIntermediate,
+            mem_capacity: 1 << 20,
+            partition_target_bytes: 64 << 10,
+            ..DataStoreConfig::default()
+        };
+        let (a, near_a) = near_pair();
+        let b = f64_chunk((0..4096).map(|i| (i * 31 % 1009) as f64 * 3.7).collect());
+        let mut catalog = {
+            let mut ds = DataStore::open(dir.path(), config.clone()).unwrap();
+            ds.put_chunk(ChunkKey::new("m.a", "c", 0), &a).unwrap();
+            ds.put_chunk(ChunkKey::new("m.b", "c", 0), &b).unwrap();
+            assert_eq!(ds.stats().delta_puts, 0, "a and b are not look-alikes");
+            ds.flush().unwrap();
+            ds.export_catalog()
+        };
+        // Item 0 is a's. Re-label b's record as a second item 0, and claim
+        // the last id there is for b as well.
+        let [of_a, of_b] = &catalog.lsh_items[..] else {
+            panic!("one item per chunk");
+        };
+        assert_eq!((of_a.item, of_b.item), (0, 1));
+        let (of_a, of_b) = (of_a.clone(), of_b.clone());
+        let forged = |item| LshItemRecord {
+            item,
+            ..of_b.clone()
+        };
+        catalog.lsh_items = vec![of_a.clone(), forged(0), forged(u64::MAX)];
+
+        let mut ds = DataStore::open(dir.path(), config).unwrap();
+        ds.import_catalog(through_text(catalog));
+        ds.check_invariants().unwrap();
+        let items = ds.export_catalog().lsh_items;
+        assert_eq!(items.len(), 1, "both forgeries refused");
+        assert_eq!((items[0].item, items[0].digest), (0, of_a.digest));
+        // Dropping b must not take a's item with it, nor leave bucket
+        // entries that outlive their signature: the next probe that
+        // collides with a's signature finds a, alive, and deltas against it.
+        ds.retract_intermediate("m.b");
+        ds.compact(1.0).unwrap();
+        ds.put_chunk(ChunkKey::new("m.near", "c", 0), &near_a)
+            .unwrap();
+        assert_eq!(ds.stats().delta_puts, 1);
+        // The new chunk's item did not wrap around onto an old id.
+        let items = ds.export_catalog().lsh_items;
+        assert_eq!(items.iter().map(|r| r.item).collect::<Vec<_>>(), [0, 1]);
+        ds.check_invariants().unwrap();
+    }
+
     #[test]
     fn similarity_placements_continue_after_reopen() {
         let dir = mistique_testkit::tempdir().unwrap();
@@ -2229,7 +2370,7 @@ mod tests {
         // The first put after reopen opens a fresh partition (every imported
         // item points at a sealed one), but it joins the rebuilt index — so
         // the next similar put clusters with it. Before LSH state was
-        // persisted, `query_best` saw only sealed candidates forever and the
+        // persisted, the probe saw only sealed candidates forever and the
         // counter stalled for good.
         for v in 0..2u32 {
             let mut c = vals.clone();

@@ -143,16 +143,30 @@ impl Ledger {
         self.parts.values().map(|p| p.dead).sum()
     }
 
-    /// Recorded chunks whose signature is similar to `sig` (estimated
-    /// Jaccard >= `tau`), most similar first: the partition each was placed
-    /// in and its digest.
-    pub fn similar(
+    /// The one similarity entrance: of the recorded chunks whose signature
+    /// is similar to `sig` (estimated Jaccard >= `tau`), the most similar
+    /// one `accept` takes (ties go to the older LSH item) — the partition
+    /// it was placed in and its digest.
+    pub fn most_similar(
         &self,
         sig: &Signature,
         tau: f64,
-    ) -> impl Iterator<Item = (PartitionId, ContentDigest)> + '_ {
+        mut accept: impl FnMut(PartitionId, ContentDigest) -> bool,
+    ) -> Option<(PartitionId, ContentDigest)> {
+        let placed = |item: u64| self.lsh_items.get(&item).copied();
+        let accept = |item: u64| placed(item).is_some_and(|(pid, digest)| accept(pid, digest));
+        let (item, _) = self.lsh.best_where(sig, tau, accept)?;
+        placed(item)
+    }
+
+    /// Test oracle — the ranked walk [`Ledger::most_similar`] replaced:
+    /// every similar recorded chunk, most similar first.
+    #[cfg(test)]
+    pub fn similar_ranked(&self, sig: &Signature, tau: f64) -> Vec<(PartitionId, ContentDigest)> {
         let ranked = self.lsh.query_ranked(sig, tau).into_iter();
-        ranked.filter_map(|(item, _)| self.lsh_items.get(&item).copied())
+        ranked
+            .filter_map(|(item, _)| self.lsh_items.get(&item).copied())
+            .collect()
     }
 
     /// The best delta base for a chunk with this signature: the most
@@ -165,9 +179,10 @@ impl Ledger {
         tau: f64,
         exclude: ContentDigest,
     ) -> Option<ContentDigest> {
-        self.similar(sig, tau)
-            .filter_map(|(_, cand)| Some(self.chunks.get(&cand)?.base.unwrap_or(cand)))
-            .find(|&cand| cand != exclude)
+        let resolve = |cand: ContentDigest| Some(self.chunks.get(&cand)?.base.unwrap_or(cand));
+        let usable = |_, cand| resolve(cand).is_some_and(|base| base != exclude);
+        let (_, cand) = self.most_similar(sig, tau, usable)?;
+        resolve(cand)
     }
 
     /// One more reference to a digest on record. The 0→1 edge revives a
@@ -510,12 +525,22 @@ impl Ledger {
         // knobs changed across the restart; the chunk simply stops being a
         // similarity candidate).
         for item in catalog.lsh_items {
+            // Ids are handed out from zero, one per stored copy: one this
+            // large was never written by a store, and honouring it would
+            // walk `next_lsh_item` into overflow.
+            if item.item >= 1 << 63 {
+                continue;
+            }
             self.next_lsh_item = self.next_lsh_item.max(item.item + 1);
             let digest = digest_of(item.digest);
             let Some(rec) = self.chunks.get_mut(&digest) else {
                 continue;
             };
-            if rec.lsh_item.is_none() && item.signature.len() == self.lsh.signature_len() {
+            // The first mention of an item id wins, like a digest's.
+            if rec.lsh_item.is_none()
+                && !self.lsh_items.contains_key(&item.item)
+                && item.signature.len() == self.lsh.signature_len()
+            {
                 rec.lsh_item = Some(item.item);
                 self.lsh.insert(item.item, Signature(item.signature));
                 self.lsh_items.insert(item.item, (item.partition, digest));

@@ -36,21 +36,41 @@ cargo test --workspace --test '*' -- --list 2>&1 | awk '
   /^[0-9]+ tests?, / && $1 == 0 { print "FAIL: " target " lists zero tests"; bad = 1 }
   END { exit bad }'
 
+# The non-test code of the files named on stdin, as `file:line: text`: each
+# file up to its `#[cfg(test)]`, comment lines excluded.
+non_test_lines() {
+  while read -r f; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+  done
+}
+
 # Every fetch is reported and counted in one place, the reader's `serve`
 # (DESIGN.md §12 "One fetch pipeline"); a second site is a hand-copied
-# epilogue that will drift. Non-test code only: each file up to its
-# `#[cfg(test)]`, comment lines and the definitions themselves excluded.
+# epilogue that will drift. Non-test code only, the definitions themselves
+# excluded.
 echo "== one fetch epilogue =="
 for pat in 'QueryReport \{' 'bump_queries\('; do
-  sites=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
-    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
-  done | grep -E "$pat" | grep -vE '\b(struct|impl|fn) ' || true)
+  sites=$(find crates/core/src -name '*.rs' | sort | non_test_lines |
+    grep -E "$pat" | grep -vE '\b(struct|impl|fn) ' || true)
   if [ "$(printf '%s' "$sites" | grep -c .)" -gt 1 ]; then
     echo "FAIL: more than one non-test site matches '$pat' — route the new plan through serve():"
     echo "$sites"
     exit 1
   fi
 done
+
+# Every similarity question — which open partition, which delta base — goes
+# through `Ledger::most_similar` (DESIGN.md §17 "Base selection"): a second
+# caller of the index ranks candidates its own way and the layout drifts.
+# Non-test code only, as above.
+echo "== one similarity entrance =="
+sites=$(find crates/store/src crates/core/src -name '*.rs' ! -path crates/store/src/ledger.rs |
+  sort | non_test_lines | grep -E 'query_ranked\(|best_where\(|jaccard_estimate\(' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: the LSH index is probed outside crates/store/src/ledger.rs — ask Ledger::most_similar:"
+  echo "$sites"
+  exit 1
+fi
 
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
