@@ -29,7 +29,7 @@ fn workloads() -> Vec<(&'static str, Vec<u8>)> {
 fn main() {
     for (name, data) in workloads() {
         let bytes = data.len() as u64;
-        for scheme in [Scheme::Rle, Scheme::Lzss, Scheme::Delta4, Scheme::XorF32] {
+        for scheme in [Scheme::Rle, Scheme::Lzss, Scheme::Delta4] {
             micro(&format!("codec/{name}/compress/{scheme:?}"), bytes, || {
                 compress(black_box(&data), scheme)
             });

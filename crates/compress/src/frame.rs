@@ -4,7 +4,7 @@
 //! can always be decoded without external metadata, and `Auto` may pick a
 //! different scheme per Partition depending on its content.
 
-use crate::{delta, lzss, rle, varint, xorf};
+use crate::{delta, lzss, rle, varint};
 
 /// A compression scheme identifier stored in the frame header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -18,12 +18,6 @@ pub enum Scheme {
     Lzss = 2,
     /// Delta varint over 4-byte LE integers ([`crate::delta`]).
     Delta4 = 3,
-    /// Delta varint over 1-byte integers.
-    Delta1 = 4,
-    /// Delta varint over 8-byte LE integers.
-    Delta8 = 5,
-    /// Gorilla-style XOR compression over 4-byte LE floats ([`crate::xorf`]).
-    XorF32 = 6,
 }
 
 impl Scheme {
@@ -34,9 +28,6 @@ impl Scheme {
             Scheme::Rle => "rle",
             Scheme::Lzss => "lzss",
             Scheme::Delta4 => "delta4",
-            Scheme::Delta1 => "delta1",
-            Scheme::Delta8 => "delta8",
-            Scheme::XorF32 => "xorf32",
         }
     }
 
@@ -46,9 +37,6 @@ impl Scheme {
             1 => Scheme::Rle,
             2 => Scheme::Lzss,
             3 => Scheme::Delta4,
-            4 => Scheme::Delta1,
-            5 => Scheme::Delta8,
-            6 => Scheme::XorF32,
             _ => return None,
         })
     }
@@ -90,9 +78,6 @@ pub fn compress(input: &[u8], scheme: Scheme) -> Vec<u8> {
         Scheme::Rle => Some(rle::compress(input)),
         Scheme::Lzss => Some(lzss::compress(input)),
         Scheme::Delta4 => delta::compress(input, 4),
-        Scheme::Delta1 => delta::compress(input, 1),
-        Scheme::Delta8 => delta::compress(input, 8),
-        Scheme::XorF32 => xorf::compress(input),
     };
     let (scheme, payload) = match payload {
         Some(p) => (scheme, p),
@@ -111,23 +96,9 @@ pub fn compress(input: &[u8], scheme: Scheme) -> Vec<u8> {
 /// This models the paper's "variety of off-the-shelf compression schemes":
 /// the store does not care which codec wins as long as the frame records it.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
-    compress_auto_from(input, &[Scheme::Rle, Scheme::Lzss, Scheme::Delta4])
-}
-
-/// Like [`compress_auto`] but also considers the float-specialized
-/// [`Scheme::XorF32`] codec — worthwhile when the payload is known to be a
-/// stream of f32 activations.
-pub fn compress_auto_extended(input: &[u8]) -> Vec<u8> {
-    compress_auto_from(
-        input,
-        &[Scheme::Rle, Scheme::Lzss, Scheme::Delta4, Scheme::XorF32],
-    )
-}
-
-fn compress_auto_from(input: &[u8], candidates: &[Scheme]) -> Vec<u8> {
     let mut best = compress(input, Scheme::Raw);
-    for &scheme in candidates {
-        if matches!(scheme, Scheme::Delta4 | Scheme::XorF32) && !input.len().is_multiple_of(4) {
+    for scheme in [Scheme::Rle, Scheme::Lzss, Scheme::Delta4] {
+        if scheme == Scheme::Delta4 && !input.len().is_multiple_of(4) {
             continue;
         }
         let candidate = compress(input, scheme);
@@ -160,9 +131,6 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
         // eliminating grow-and-copy churn on the decode hot path.
         Scheme::Lzss => lzss::decompress_with_hint(payload, raw_len).ok_or(CodecError::Corrupt)?,
         Scheme::Delta4 => delta::decompress(payload, 4).ok_or(CodecError::Corrupt)?,
-        Scheme::Delta1 => delta::decompress(payload, 1).ok_or(CodecError::Corrupt)?,
-        Scheme::Delta8 => delta::decompress(payload, 8).ok_or(CodecError::Corrupt)?,
-        Scheme::XorF32 => xorf::decompress(payload).ok_or(CodecError::Corrupt)?,
     };
     if out.len() != raw_len {
         return Err(CodecError::LengthMismatch {
@@ -180,15 +148,7 @@ mod tests {
     #[test]
     fn every_scheme_roundtrips() {
         let input: Vec<u8> = (0..2048u32).flat_map(|i| (i % 97).to_le_bytes()).collect();
-        for scheme in [
-            Scheme::Raw,
-            Scheme::Rle,
-            Scheme::Lzss,
-            Scheme::Delta4,
-            Scheme::Delta1,
-            Scheme::Delta8,
-            Scheme::XorF32,
-        ] {
+        for scheme in [Scheme::Raw, Scheme::Rle, Scheme::Lzss, Scheme::Delta4] {
             let frame = compress(&input, scheme);
             assert_eq!(decompress(&frame).unwrap(), input, "scheme {scheme:?}");
         }
@@ -222,7 +182,12 @@ mod tests {
 
     #[test]
     fn unknown_scheme_rejected() {
-        assert_eq!(decompress(&[99, 0]), Err(CodecError::BadHeader));
+        // 4, 5, 6 were scheme bytes no writer ever emitted; they are unknown
+        // like any other.
+        for scheme in [4u8, 5, 6, 99] {
+            assert_eq!(decompress(&[scheme, 0]), Err(CodecError::BadHeader));
+            assert_eq!(scheme_of(&[scheme, 0]), None);
+        }
     }
 
     #[test]

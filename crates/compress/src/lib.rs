@@ -12,7 +12,6 @@
 //! - [`delta`]: delta + zig-zag + varint for integer-like streams,
 //! - [`basedelta`]: base+delta frames — a chunk stored as the XOR difference
 //!   against a similar, already-stored chunk (cross-checkpoint dedup),
-//! - [`xorf`]: Gorilla-style XOR compression for f32 activation streams,
 //! - [`varint`]: LEB128 variable-length integers used by the other codecs,
 //! - [`frame`]: a self-describing container that records the scheme and original
 //!   length, with an `Auto` mode that tries candidates and keeps the smallest.
@@ -21,17 +20,13 @@
 //! enforced by the property tests.
 
 pub mod basedelta;
-pub mod bits;
 pub mod delta;
 pub mod frame;
 pub mod lzss;
 pub mod rle;
 pub mod varint;
-pub mod xorf;
 
-pub use frame::{
-    compress, compress_auto, compress_auto_extended, decompress, scheme_of, CodecError, Scheme,
-};
+pub use frame::{compress, compress_auto, decompress, scheme_of, CodecError, Scheme};
 
 /// Compression statistics for reporting (used by the Fig 14 microbenchmark).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -61,24 +61,6 @@ fn lzss_repeated_blocks() {
     });
 }
 
-#[test]
-fn xorf_roundtrip() {
-    cases(256, 6, |g| {
-        let input = le_bytes(&g.words(0..2048));
-        let frame = compress(&input, Scheme::XorF32);
-        assert_eq!(decompress(&frame).unwrap(), input);
-    });
-}
-
-#[test]
-fn auto_extended_roundtrip() {
-    cases(256, 7, |g| {
-        let input = g.bytes(0..4096);
-        let frame = mistique_compress::compress_auto_extended(&input);
-        assert_eq!(decompress(&frame).unwrap(), input);
-    });
-}
-
 // Decoding must never panic on garbage, only return an error.
 #[test]
 fn decompress_never_panics() {

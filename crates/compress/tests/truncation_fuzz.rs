@@ -7,8 +7,7 @@
 //! Deterministic by construction (fixed corpus + `mistique_rng` seeds).
 
 use mistique_compress::{
-    basedelta, compress, compress_auto, compress_auto_extended, decompress, delta, lzss, rle,
-    varint, xorf, CodecError, Scheme,
+    basedelta, compress, compress_auto, decompress, delta, lzss, rle, varint, CodecError, Scheme,
 };
 
 /// Seeded bytes, so the corpus is identical on every run.
@@ -18,8 +17,8 @@ fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
 }
 
 /// Corpus of byte streams covering the shapes each codec cares about. All
-/// lengths are multiples of 8 so the width-sensitive codecs (delta4/8,
-/// xorf) accept them too.
+/// lengths are multiples of 8 so the width-sensitive delta codec accepts
+/// them at every width.
 fn corpus() -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = vec![
         Vec::new(),
@@ -36,7 +35,7 @@ fn corpus() -> Vec<Vec<u8>> {
         ids.extend_from_slice(&(i * 3).to_le_bytes());
     }
     out.push(ids);
-    // Smooth f32 stream (xorf-friendly).
+    // Smooth f32 stream.
     let mut floats = Vec::new();
     for i in 0..128 {
         floats.extend_from_slice(&(1.0f32 + i as f32 * 1e-5).to_le_bytes());
@@ -107,28 +106,6 @@ fn delta_prefixes_always_rejected() {
 }
 
 #[test]
-fn xorf_prefixes_always_rejected() {
-    for input in corpus() {
-        let encoded = xorf::compress(&input).expect("4-aligned corpus");
-        assert_eq!(xorf::decompress(&encoded), Some(input.clone()));
-        // The bitstream carries no padding to hide in: dropping any byte
-        // starves the reader of bits for the declared value count.
-        for prefix in strict_prefixes(&encoded) {
-            if input.is_empty() && !prefix.is_empty() {
-                continue; // n = 0 streams have no strict non-empty prefix
-            }
-            assert_eq!(
-                xorf::decompress(prefix),
-                None,
-                "xorf accepted a {}-of-{} byte prefix",
-                prefix.len(),
-                encoded.len()
-            );
-        }
-    }
-}
-
-#[test]
 fn varint_prefixes_always_rejected() {
     for value in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX / 3, u64::MAX] {
         let mut encoded = Vec::new();
@@ -145,19 +122,10 @@ fn varint_prefixes_always_rejected() {
 
 #[test]
 fn frame_prefixes_always_error() {
-    let schemes = [
-        Scheme::Raw,
-        Scheme::Rle,
-        Scheme::Lzss,
-        Scheme::Delta4,
-        Scheme::Delta1,
-        Scheme::Delta8,
-        Scheme::XorF32,
-    ];
+    let schemes = [Scheme::Raw, Scheme::Rle, Scheme::Lzss, Scheme::Delta4];
     for input in corpus() {
         let mut frames: Vec<Vec<u8>> = schemes.iter().map(|&s| compress(&input, s)).collect();
         frames.push(compress_auto(&input));
-        frames.push(compress_auto_extended(&input));
         for frame in frames {
             assert_eq!(decompress(&frame).unwrap(), input);
             // The raw-length header turns every partial payload into a
@@ -241,11 +209,6 @@ fn absurd_length_headers_fail_without_allocating() {
         assert_eq!(delta::decompress(&delta_bomb, w), None);
     }
 
-    // xorf: u64::MAX floats declared, four bytes of payload.
-    let mut xorf_bomb = huge.clone();
-    xorf_bomb.extend_from_slice(&[0; 4]);
-    assert_eq!(xorf::decompress(&xorf_bomb), None);
-
     // frame: valid scheme byte, absurd raw length, no payload.
     let mut frame_bomb = vec![Scheme::Raw as u8];
     varint::write_u64(&mut frame_bomb, u64::MAX);
@@ -265,7 +228,6 @@ fn random_garbage_decodes_are_total() {
         for w in [1usize, 4, 8] {
             let _ = delta::decompress(&garbage, w);
         }
-        let _ = xorf::decompress(&garbage);
         let _ = decompress(&garbage);
         let _ = basedelta::decode(&garbage, &garbage, (0, 0));
         let mut pos = 0;
@@ -278,7 +240,11 @@ fn error_variants_are_reported_not_panicked() {
     // A minimal check that the distinct failure modes surface as the right
     // CodecError variants (the store maps these into StoreError::Codec).
     assert_eq!(decompress(&[]), Err(CodecError::BadHeader));
-    assert_eq!(decompress(&[200]), Err(CodecError::BadHeader)); // unknown scheme
+    // Unknown scheme bytes — 4, 5, 6 named codecs no writer ever emitted.
+    for scheme in [4u8, 5, 6, 200] {
+        assert_eq!(decompress(&[scheme]), Err(CodecError::BadHeader));
+        assert_eq!(decompress(&[scheme, 8, 0, 0]), Err(CodecError::BadHeader));
+    }
     let frame = compress(b"hello world hello world", Scheme::Lzss);
     match decompress(&frame[..frame.len() - 1]) {
         Err(CodecError::Corrupt) | Err(CodecError::LengthMismatch { .. }) => {}

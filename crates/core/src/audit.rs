@@ -22,10 +22,11 @@
 //! **SLO tracking** is independent of the journal (always on): every
 //! finished [`QueryReport`] is folded into a latency histogram keyed by
 //! `(query, plan)` — `slo.diag.topk.read.ns`, `slo.fetch.rerun.ns`, … —
-//! whose p50/p95/p99/p99.9/max are mirrored into gauges at snapshot time
-//! (`sync_obs_gauges`) for `mistique top` and the Prometheus exposition. A
-//! query slower than [`SLO_BURN_FACTOR`] × its class p95 (once the class
-//! has [`SLO_MIN_SAMPLES`] samples) journals an `slo.burn` event into the
+//! whose p50/p95/p99/p99.9/max the flight recorder writes into every
+//! timeline point the histogram moved in; `mistique top` renders its SLO
+//! table from the latest such point. A query slower than
+//! [`SLO_BURN_FACTOR`] × its class p95 (once the class has
+//! [`SLO_MIN_SAMPLES`] samples) journals an `slo.burn` event into the
 //! flight-recorder timeline.
 
 use std::path::Path;
@@ -209,7 +210,6 @@ impl Mistique {
                     state.log.append(record);
                 }
             }
-            self.audit_sync_gauges();
         }
         out
     }
@@ -220,9 +220,8 @@ impl Mistique {
     /// record.
     pub(crate) fn audit_observe_report(&mut self, report: &QueryReport) {
         // SLO latency tracking is always on — it costs one histogram record
-        // here (the quantile gauges are mirrored at snapshot time by
-        // `sync_obs_gauges`), and `mistique top` renders from it even when
-        // journal capture is disabled.
+        // here, and `mistique top` renders from the histogram's timeline
+        // points even when journal capture is disabled.
         let name = format!("slo.{}.{}.ns", report.query, report.plan.name());
         let hist = self.obs.histogram(&name);
         hist.record_duration(report.actual);
@@ -259,25 +258,6 @@ impl Mistique {
         }
     }
 
-    /// Mirror journal health into `audit.*` gauges (picked up by snapshots
-    /// and the telemetry timeline).
-    pub(crate) fn audit_sync_gauges(&self) {
-        let Some(state) = self.audit.as_ref() else {
-            return;
-        };
-        let stats = state.log.stats();
-        self.obs.gauge("audit.records").set_u64(stats.records);
-        self.obs.gauge("audit.flushes").set_u64(stats.flushes);
-        self.obs
-            .gauge("audit.write_errors")
-            .set_u64(stats.write_errors);
-        self.obs
-            .gauge("audit.segments_dropped")
-            .set_u64(stats.segments_dropped);
-        self.obs.gauge("audit.bytes").set_u64(stats.total_bytes);
-        self.obs.gauge("audit.segments").set_u64(stats.segments);
-    }
-
     /// Flush buffered audit records to disk (best-effort). Batched flushing
     /// keeps capture off the query hot path; call this before handing the
     /// directory to another process mid-session. `Drop` flushes too.
@@ -285,7 +265,6 @@ impl Mistique {
         if let Some(state) = self.audit.as_mut() {
             state.log.flush();
         }
-        self.audit_sync_gauges();
     }
 
     /// Journal health counters, when auditing is enabled.
@@ -489,8 +468,7 @@ mod tests {
             .find(|(n, _)| n.starts_with("slo.diag.topk."))
             .expect("topk SLO class exists");
         assert!(summary.count >= 3, "{name}: {}", summary.count);
-        let gauge = format!("{}.p95_ns", name.trim_end_matches(".ns"));
-        assert!(snap.gauge(&gauge) > 0.0, "{gauge} mirrored");
+        assert!(summary.p95 > 0, "{name} carries its own quantiles");
     }
 
     #[test]

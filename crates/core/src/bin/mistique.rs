@@ -7,10 +7,10 @@
 //! mistique head  <dir> <intermediate> [n]    # first n rows
 //! mistique topk  <dir> <intermediate> <column> [k]
 //! mistique hist  <dir> <intermediate> <column> [buckets]
-//! mistique stats <dir> [--json <file>] [--prom <file>]
-//! mistique explain <dir> [--last <n>] [--perfetto <file>] [--flame <file>]
+//! mistique stats <dir> [--json <file>]
+//! mistique explain <dir> [--last <n>]
 //! mistique reclaim <dir> [budget_bytes]      # demote/purge cold intermediates, compact
-//! mistique timeline <dir> [--json] [--metric <name>] [--perfetto <file>]
+//! mistique timeline <dir> [--json] [--metric <name>]
 //! mistique replay <dir> [--into <dir2>] [--differential]
 //! mistique top   <dir> [--once] [--interval <ms>]
 //! ```
@@ -26,8 +26,7 @@
 //! written under `<dir>/telemetry/` at every burst boundary (logging,
 //! reclaim, recovery, query anomalies). The default view is a table of
 //! metric delta points with journal events interleaved; `--json` dumps the
-//! full timeline, `--metric` prints one metric's series, and `--perfetto`
-//! writes a Chrome-trace counter track loadable at `ui.perfetto.dev`.
+//! full timeline and `--metric` prints one metric's series.
 //! Unlike the other commands it needs no manifest — it reads the segments
 //! directly, so it also works on a store that never persisted.
 //!
@@ -46,19 +45,21 @@
 //! (works on a closed store with no live engine); otherwise the screen
 //! refreshes every `--interval` ms (default 1000) until interrupted.
 //!
-//! `stats --prom` writes the metric snapshot in Prometheus text exposition
-//! format 0.0.4 and validates the rendering before writing; a validation
-//! failure exits nonzero (CI uses this as a format gate).
+//! `stats` prints the metric snapshot as text; `--json` also writes it as
+//! JSON — the one machine format (counters, gauges, histograms, span
+//! aggregates and the `recent_spans` ring a trace viewer can be fed from).
 //!
 //! `explain` replays one read per materialized intermediate plus a sample
 //! diagnostic query, then prints the per-query EXPLAIN reports (plan chosen,
 //! predicted vs actual cost, cache/partition/codec attribution) and the
-//! hierarchical span tree of the last query. `--perfetto` writes a
-//! Chrome-trace JSON loadable at `ui.perfetto.dev`; `--flame` writes
-//! flamegraph collapsed stacks.
+//! hierarchical span tree of the last query.
 //!
 //! Works on any directory produced by `Mistique::persist()`; only reads are
 //! available (re-running needs the executable model, see `persist` docs).
+//! The inspection commands (`info`, `show`, `head`, `topk`, `hist`, `stats`,
+//! `explain`) open the store with audit capture and telemetry off, so
+//! looking at a store never appends to its `audit/` or `telemetry/` rings;
+//! only `demo` and `reclaim` act on the store and are captured.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -94,8 +95,16 @@ fn main() -> ExitCode {
     }
 }
 
-fn open(dir: &str) -> Result<Mistique, Box<dyn std::error::Error>> {
-    Ok(Mistique::reopen(dir, MistiqueConfig::default())?)
+/// Reopen for inspection: nothing the command does is journalled, so the
+/// store's captured workload stays the workload (`mistique replay`
+/// re-executes the journal).
+fn inspect(dir: &str) -> Result<Mistique, Box<dyn std::error::Error>> {
+    let config = MistiqueConfig {
+        audit_budget_bytes: 0,
+        telemetry_budget_bytes: 0,
+        ..MistiqueConfig::default()
+    };
+    Ok(Mistique::reopen(dir, config)?)
 }
 
 /// `mistique replay <dir> [--into <dir2>] [--differential]`.
@@ -238,7 +247,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             println!("persisted demo store at {dir}");
         }
         "info" => {
-            let sys = open(dir)?;
+            let sys = inspect(dir)?;
             let stats = sys.store().stats();
             println!("store: {dir}");
             println!("  disk bytes     : {}", sys.store().disk_bytes()?);
@@ -269,7 +278,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
         }
         "show" => {
             let interm = rest.first().ok_or("missing intermediate id")?;
-            let sys = open(dir)?;
+            let sys = inspect(dir)?;
             let m = sys
                 .metadata()
                 .intermediate(interm)
@@ -293,7 +302,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
         "head" => {
             let interm = rest.first().ok_or("missing intermediate id")?;
             let n: usize = rest.get(1).map(|s| s.parse()).transpose()?.unwrap_or(5);
-            let mut sys = open(dir)?;
+            let mut sys = inspect(dir)?;
             let r = sys.fetch_with_strategy(interm, None, Some(n), FetchStrategy::Read)?;
             let names = r.frame.column_names().join("\t");
             println!("{names}");
@@ -307,7 +316,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let interm = rest.first().ok_or("missing intermediate id")?;
             let column = rest.get(1).ok_or("missing column")?;
             let k: usize = rest.get(2).map(|s| s.parse()).transpose()?.unwrap_or(10);
-            let mut sys = open(dir)?;
+            let mut sys = inspect(dir)?;
             for (row, value) in sys.topk(interm, column, k)? {
                 println!("{row}\t{value:.6}");
             }
@@ -316,7 +325,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let interm = rest.first().ok_or("missing intermediate id")?;
             let column = rest.get(1).ok_or("missing column")?;
             let buckets: usize = rest.get(2).map(|s| s.parse()).transpose()?.unwrap_or(10);
-            let mut sys = open(dir)?;
+            let mut sys = inspect(dir)?;
             let hist = sys.col_dist(interm, column, buckets)?;
             let max = hist.iter().map(|b| b.count).max().unwrap_or(1).max(1);
             for b in hist {
@@ -333,7 +342,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             // Exercise the read path once per materialized intermediate so
             // the report covers live chunk reads and cost decisions, not
             // just load-time state.
-            let mut sys = open(dir)?;
+            let mut sys = inspect(dir)?;
             let interms: Vec<String> = sys
                 .model_ids()
                 .iter()
@@ -361,17 +370,9 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                 std::fs::write(path, sys.obs_snapshot().to_json_string())?;
                 println!("\nwrote JSON snapshot to {path}");
             }
-            if let Some(pos) = rest.iter().position(|a| a == "--prom") {
-                let path = rest.get(pos + 1).ok_or("--prom needs a file path")?;
-                let exposition = sys.render_prometheus();
-                mistique_core::validate_prometheus(&exposition)
-                    .map_err(|e| format!("prometheus exposition failed validation: {e}"))?;
-                std::fs::write(path, exposition)?;
-                println!("\nwrote Prometheus exposition to {path} (validated)");
-            }
         }
         "explain" => {
-            let mut sys = open(dir)?;
+            let mut sys = inspect(dir)?;
             // Replay live queries so the reports and trace ring reflect real
             // reads against this store, not just load-time state.
             let interms: Vec<String> = sys
@@ -428,19 +429,9 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                     ""
                 }
             );
-            if let Some(pos) = rest.iter().position(|a| a == "--perfetto") {
-                let path = rest.get(pos + 1).ok_or("--perfetto needs a file path")?;
-                std::fs::write(path, sys.perfetto_json())?;
-                println!("wrote Chrome-trace JSON to {path} (open at ui.perfetto.dev)");
-            }
-            if let Some(pos) = rest.iter().position(|a| a == "--flame") {
-                let path = rest.get(pos + 1).ok_or("--flame needs a file path")?;
-                std::fs::write(path, sys.flamegraph_folded())?;
-                println!("wrote folded stacks to {path} (pipe through flamegraph.pl)");
-            }
         }
         "reclaim" => {
-            let mut sys = open(dir)?;
+            let mut sys = Mistique::reopen(dir, MistiqueConfig::default())?;
             let report = match rest.first() {
                 Some(b) => sys.reclaim_to(b.parse()?)?,
                 None => sys.reclaim()?,
@@ -477,11 +468,6 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                     tl.max_seq().unwrap_or(0)
                 );
             }
-            if let Some(pos) = rest.iter().position(|a| a == "--perfetto") {
-                let path = rest.get(pos + 1).ok_or("--perfetto needs a file path")?;
-                std::fs::write(path, mistique_core::counter_trace_json(&tl))?;
-                println!("wrote counter-track JSON to {path} (open at ui.perfetto.dev)");
-            }
         }
         "replay" => return run_replay(dir, rest),
         "top" => {
@@ -512,4 +498,61 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Path and bytes of every file in the store's audit and telemetry rings.
+    fn rings(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        for sub in [mistique_core::AUDIT_SUBDIR, mistique_core::TELEMETRY_SUBDIR] {
+            for entry in std::fs::read_dir(dir.join(sub)).unwrap() {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                files.push((path, bytes));
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn inspection_commands_do_not_write_into_the_store_they_inspect() {
+        let tmp = mistique_testkit::tempdir().unwrap();
+        let dir = tmp.path().to_str().unwrap();
+        run("demo", dir, &[]).unwrap();
+        let before = rings(tmp.path());
+        assert!(!before.is_empty(), "demo captured its workload");
+        let journal = Mistique::load_audit(dir).unwrap().len();
+
+        let (interm, column) = {
+            let sys = inspect(dir).unwrap();
+            let interm = sys.intermediates_of(&sys.model_ids()[0])[0].clone();
+            let column = sys.metadata().intermediate(&interm).unwrap().columns[0].clone();
+            (interm, column)
+        };
+        let commands: [(&str, &[&str]); 7] = [
+            ("info", &[]),
+            ("show", &[&interm]),
+            ("head", &[&interm, "3"]),
+            ("topk", &[&interm, &column, "3"]),
+            ("hist", &[&interm, &column, "4"]),
+            ("stats", &[]),
+            ("explain", &["--last", "2"]),
+        ];
+        for (cmd, args) in commands {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            run(cmd, dir, &args).unwrap();
+            assert!(rings(tmp.path()) == before, "`{cmd}` wrote into the rings");
+        }
+        // A mistyped id fails, and leaves no failed record to replay.
+        assert!(run("head", dir, &["no.such.intermediate".to_string()]).is_err());
+        assert!(
+            rings(tmp.path()) == before,
+            "a failed `head` wrote into the rings"
+        );
+        assert_eq!(Mistique::load_audit(dir).unwrap().len(), journal);
+    }
 }

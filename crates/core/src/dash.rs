@@ -2,13 +2,16 @@
 //! directory: the audit journal under `<dir>/audit/` supplies per-operation
 //! rates, latency quantiles, plan mix and bytes touched; the flight
 //! recorder's timeline under `<dir>/telemetry/` supplies cache hit rates,
-//! index effectiveness, SLO gauges and budget headroom. No live engine is
+//! index effectiveness, per-class SLO quantiles (the latest point of each
+//! `slo.<class>.ns` histogram) and budget headroom. No live engine is
 //! required — the CLI renders the same view against a closed directory
 //! (`--once`) or in a refresh loop while another process works.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+
+use mistique_obs::{fmt_bytes, fmt_ns, HistPoint};
 
 use crate::error::MistiqueError;
 use crate::system::Mistique;
@@ -31,30 +34,6 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-fn fmt_bytes(b: u64) -> String {
-    if b >= 1 << 30 {
-        format!("{:.2}GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.2}MiB", b as f64 / (1u64 << 20) as f64)
-    } else if b >= 1 << 10 {
-        format!("{:.1}KiB", b as f64 / 1024.0)
-    } else {
-        format!("{b}B")
-    }
-}
-
 /// The dashboard's data model, assembled from the two on-disk rings.
 /// Public so tests can assert on the numbers rather than the layout.
 #[derive(Clone, Debug, Default)]
@@ -69,6 +48,9 @@ pub struct TopView {
     pub gauges: BTreeMap<String, f64>,
     /// Latest value of every counter the timeline has seen.
     pub counters: BTreeMap<String, u64>,
+    /// Latest state of every SLO latency class (`diag.topk.read`, …): the
+    /// last timeline point of its `slo.<class>.ns` histogram.
+    pub slo: BTreeMap<String, HistPoint>,
     rendered: String,
 }
 
@@ -89,12 +71,19 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
 
     let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut slo: BTreeMap<String, HistPoint> = BTreeMap::new();
     for p in &timeline.points {
         for (k, v) in &p.gauges {
             gauges.insert(k.clone(), *v);
         }
         for (k, v) in &p.counters {
             counters.insert(k.clone(), *v);
+        }
+        for (k, h) in &p.hists {
+            let class = k.strip_prefix("slo.").and_then(|k| k.strip_suffix(".ns"));
+            if let Some(class) = class {
+                slo.insert(class.to_string(), *h);
+            }
         }
     }
 
@@ -192,11 +181,7 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
         let _ = writeln!(out, "slo: {burns} burn events");
     }
 
-    // SLO gauges per query class (mirrored by the engine on every report).
-    let slo: Vec<(&String, &f64)> = gauges
-        .iter()
-        .filter(|(k, _)| k.starts_with("slo.") && k.ends_with(".p95_ns"))
-        .collect();
+    // SLO quantiles per query class, from the class histogram's last point.
     if !slo.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(
@@ -204,21 +189,14 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
             "{:<32} {:>9} {:>9} {:>9}",
             "SLO CLASS", "P50", "P95", "P99"
         );
-        for (k, p95) in slo {
-            let class = k.trim_end_matches(".p95_ns");
-            let g = |suffix: &str| {
-                gauges
-                    .get(&format!("{class}.{suffix}"))
-                    .copied()
-                    .unwrap_or(0.0)
-            };
+        for (class, h) in &slo {
             let _ = writeln!(
                 out,
                 "{:<32} {:>9} {:>9} {:>9}",
-                class.trim_start_matches("slo."),
-                fmt_ns(g("p50_ns") as u64),
-                fmt_ns(*p95 as u64),
-                fmt_ns(g("p99_ns") as u64),
+                class,
+                fmt_ns(h.p50),
+                fmt_ns(h.p95),
+                fmt_ns(h.p99),
             );
         }
     }
@@ -254,6 +232,7 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
         plan_mix,
         gauges,
         counters,
+        slo,
         rendered: out,
     })
 }
@@ -274,7 +253,7 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), 1_000_000_000);
         assert_eq!(quantile(&[], 0.5), 0);
         assert_eq!(fmt_ns(500), "500ns");
-        assert_eq!(fmt_ns(1_500_000), "1.5ms");
+        assert_eq!(fmt_ns(1_500_000), "1.500ms");
         assert_eq!(fmt_bytes(2048), "2.0KiB");
     }
 
@@ -320,5 +299,64 @@ mod tests {
         let empty = mistique_testkit::tempdir().unwrap();
         let view = top_view(empty.path()).unwrap();
         assert_eq!(view.records, 0);
+    }
+
+    #[test]
+    fn slo_table_shows_the_class_histograms_own_quantiles() {
+        use crate::system::{Mistique, MistiqueConfig};
+        use mistique_pipeline::templates::zillow_pipelines;
+        use mistique_pipeline::ZillowData;
+        use std::sync::Arc;
+
+        let dir = mistique_testkit::tempdir().unwrap();
+        let config = MistiqueConfig {
+            row_block_size: 50,
+            ..MistiqueConfig::default()
+        };
+        let mut sys = Mistique::open(dir.path(), config).unwrap();
+        let data = Arc::new(ZillowData::generate(200, 1));
+        let id = sys
+            .register_trad(zillow_pipelines().remove(0), data)
+            .unwrap();
+        sys.log_intermediates(&id).unwrap();
+        let interm = sys.intermediates_of(&id)[0].clone();
+        for k in 1..=20 {
+            sys.topk(&interm, "sqft", k).unwrap();
+            sys.pointq(&interm, "sqft", k).unwrap();
+            sys.get_intermediate(&interm, None, Some(10 * k)).unwrap();
+        }
+        // The reclaim pass is the burst boundary that captures the point
+        // carrying the query classes' histograms.
+        sys.reclaim().unwrap();
+        sys.persist().unwrap();
+
+        let snap = sys.obs_snapshot();
+        let view = top_view(dir.path()).unwrap();
+        let classes: Vec<&String> = snap
+            .histograms
+            .keys()
+            .filter(|name| name.starts_with("slo."))
+            .collect();
+        assert!(
+            classes.len() >= 3,
+            "topk, pointq and fetch classes: {classes:?}"
+        );
+        assert_eq!(view.slo.len(), classes.len());
+        for name in classes {
+            let class = &name["slo.".len()..name.len() - ".ns".len()];
+            let (hist, shown) = (snap.histogram(name), view.slo[class]);
+            assert_eq!(
+                (shown.count, shown.p50, shown.p95, shown.p99),
+                (hist.count, hist.p50, hist.p95, hist.p99),
+                "{class}"
+            );
+            let row = format!(
+                "{class:<32} {:>9} {:>9} {:>9}",
+                fmt_ns(hist.p50),
+                fmt_ns(hist.p95),
+                fmt_ns(hist.p99)
+            );
+            assert!(view.text().contains(&row), "{row}\nnot in\n{}", view.text());
+        }
     }
 }

@@ -79,9 +79,8 @@ pub use manager::{next_demotion, COMPACT_LIVE_RATIO};
 pub use metadata::{IntermediateMeta, MetadataDb, ModelKind};
 pub use mistique_index::{IntermediateIndex, DEFAULT_TOP_M};
 pub use mistique_obs::{
-    counter_trace_json, validate_prometheus, AuditLog, AuditRecord, AuditStats, Counter,
-    EngineEvent, Gauge, HistPoint, Histogram, Obs, RecorderStats, SegmentIo, Snapshot, Span,
-    SpanContext, SpanRecord, Timeline, TimelinePoint,
+    AuditLog, AuditRecord, AuditStats, Counter, EngineEvent, Gauge, HistPoint, Histogram, Obs,
+    RecorderStats, SegmentIo, Snapshot, Span, SpanContext, SpanRecord, Timeline, TimelinePoint,
 };
 pub use mistique_store::{
     CompactionReport, RetractOutcome, StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR,

@@ -177,8 +177,7 @@ impl Mistique {
             }
         }
 
-        let obs = mistique_obs::Obs::with_ring_capacity(config.span_ring_capacity);
-        let mut sys = Mistique::open_full(dir, config, obs, backend)?;
+        let mut sys = Mistique::open_with_backend(dir, config, backend)?;
         sys.store.import_catalog(manifest.catalog);
         for m in manifest.models {
             sys.meta.register_model(m);

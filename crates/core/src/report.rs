@@ -9,6 +9,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use mistique_obs::fmt_secs;
 use mistique_store::{CompactionReport, ReadAttribution};
 
 /// Which plan served a query.
@@ -42,8 +43,8 @@ impl PlanChoice {
 
 /// The EXPLAIN record of one fetch. Produced for every
 /// `Mistique::get_intermediate` / `get_rows` call — and therefore for every
-/// `Diagnostics` query — and kept in a bounded ring
-/// (`MistiqueConfig::report_retention`).
+/// `Diagnostics` query — and kept in a bounded ring of
+/// [`REPORT_RETENTION`] reports.
 #[derive(Clone, Debug)]
 pub struct QueryReport {
     /// Monotone sequence number within the session.
@@ -76,7 +77,7 @@ pub struct QueryReport {
     /// quantile bins, THRESHOLD binarization).
     pub error_bound: Option<f64>,
     /// Trace id of the fetch's root span — the key into
-    /// `Mistique::render_trace` / the Perfetto export for this query's tree.
+    /// `Mistique::render_trace` for this query's tree.
     pub trace_id: u64,
     /// Smoothed predicted/actual ratio of this query's class after folding
     /// this observation in (`None` when the fetch was not drift-monitored,
@@ -280,17 +281,8 @@ impl ReclaimReport {
     }
 }
 
-fn fmt_secs(s: f64) -> String {
-    if !s.is_finite() {
-        format!("{s}")
-    } else if s >= 1.0 {
-        format!("{s:.3}s")
-    } else if s >= 1e-3 {
-        format!("{:.3}ms", s * 1e3)
-    } else {
-        format!("{:.1}us", s * 1e6)
-    }
-}
+/// How many [`QueryReport`]s / [`ReclaimReport`]s a session retains.
+pub const REPORT_RETENTION: usize = 64;
 
 /// A report type that carries a session-monotone sequence number the ring
 /// stamps at push time.

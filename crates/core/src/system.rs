@@ -70,14 +70,6 @@ pub struct MistiqueConfig {
     /// `batch_bytes / min_read_bytes_per_worker` workers (min 1). `0` is
     /// treated as 1 (fan out on any non-empty read). Default: 256 KiB.
     pub min_read_bytes_per_worker: u64,
-    /// Capacity of the span tracer's ring of completed spans — how much
-    /// trace history `mistique explain` / the Perfetto export can see.
-    /// Only honoured by [`Mistique::open`] / [`Mistique::open_with_backend`]
-    /// / [`Mistique::reopen`]; `open_with_obs` keeps the caller's ring.
-    pub span_ring_capacity: usize,
-    /// How many [`crate::report::QueryReport`]s the session retains
-    /// (0 disables retention; reports are still produced and drift-monitored).
-    pub report_retention: usize,
     /// Drift-monitor tolerance: a query class is flagged as miscalibrated
     /// when its smoothed predicted/actual ratio leaves
     /// `[1/tolerance, tolerance]`.
@@ -126,8 +118,6 @@ impl Default for MistiqueConfig {
             query_cache_bytes: 0,
             read_parallelism: 1,
             min_read_bytes_per_worker: 256 * 1024,
-            span_ring_capacity: mistique_obs::DEFAULT_RING_CAPACITY,
-            report_retention: 64,
             drift_tolerance: 4.0,
             storage_budget_bytes: 0,
             telemetry_budget_bytes: 1 << 20,
@@ -166,9 +156,7 @@ impl MistiqueConfig {
     }
 
     /// FNV-1a hash of [`MistiqueConfig::fingerprint`], truncated to 32 bits
-    /// so it survives a round trip through an `f64` metric gauge exactly.
-    /// Stamped into every metric snapshot as the `config.fingerprint` gauge,
-    /// so a snapshot carries the configuration it measured.
+    /// (the e2e benchmark prints it as eight hex digits).
     pub fn fingerprint_hash(&self) -> u64 {
         crate::audit::fnv1a(0, self.fingerprint().as_bytes()) & 0xFFFF_FFFF
     }
@@ -221,18 +209,7 @@ impl Mistique {
     /// Open a MISTIQUE instance persisting under `dir`, with a fresh
     /// observability registry.
     pub fn open(dir: impl AsRef<Path>, config: MistiqueConfig) -> Result<Mistique, MistiqueError> {
-        let obs = Obs::with_ring_capacity(config.span_ring_capacity);
-        Self::open_with_obs(dir, config, obs)
-    }
-
-    /// Open a MISTIQUE instance that reports into an existing [`Obs`] —
-    /// e.g. one shared by several systems in a benchmark run.
-    pub fn open_with_obs(
-        dir: impl AsRef<Path>,
-        config: MistiqueConfig,
-        obs: Obs,
-    ) -> Result<Mistique, MistiqueError> {
-        Self::open_full(dir, config, obs, Arc::new(RealFs))
+        Self::open_with_backend(dir, config, Arc::new(RealFs))
     }
 
     /// Open a MISTIQUE instance over an explicit [`StorageBackend`] — the
@@ -243,30 +220,18 @@ impl Mistique {
         config: MistiqueConfig,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Mistique, MistiqueError> {
-        let obs = Obs::with_ring_capacity(config.span_ring_capacity);
-        Self::open_full(dir, config, obs, backend)
-    }
-
-    pub(crate) fn open_full(
-        dir: impl AsRef<Path>,
-        config: MistiqueConfig,
-        obs: Obs,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Result<Mistique, MistiqueError> {
+        let obs = Obs::new();
         let mut store =
             DataStore::open_with_backend(&dir, config.datastore.clone(), Arc::clone(&backend))?;
         store.set_obs(&obs);
         let mut qcache = crate::qcache::QueryCache::new(config.query_cache_bytes);
         qcache.attach_obs(&obs);
-        let reports = crate::report::ReportRing::new(config.report_retention);
-        let reclaims = crate::report::SeqRing::new(config.report_retention);
+        let reports = crate::report::ReportRing::new(crate::report::REPORT_RETENTION);
+        let reclaims = crate::report::SeqRing::new(crate::report::REPORT_RETENTION);
         let drift = crate::cost::DriftMonitor::new(0.2, config.drift_tolerance);
         let telemetry = crate::telemetry::TelemetryState::create(&config, &backend, dir.as_ref());
         let index = crate::index_state::IndexState::create(&config, &backend, dir.as_ref(), &obs);
         let audit = crate::audit::AuditState::create(&config, &backend, dir.as_ref());
-        // Every snapshot carries the config it was measured under.
-        obs.gauge("config.fingerprint")
-            .set_u64(config.fingerprint_hash());
         Ok(Mistique {
             dir: dir.as_ref().to_path_buf(),
             config,
@@ -436,42 +401,36 @@ impl Mistique {
         self.obs_snapshot().render_text()
     }
 
-    /// Refresh gauges that mirror pull-style state (cost-model calibration,
-    /// catalog sizes, SLO latency quantiles) so snapshots always carry
-    /// current values. A raw `Obs::snapshot()` that bypasses this sees these
-    /// gauges as of the last sync; the `slo.*.ns` histograms it also carries
-    /// are always current.
+    /// Refresh the gauges that mirror pull-style state — cost-model
+    /// calibration, catalog sizes, budget use, journal and flight-recorder
+    /// health — so every snapshot (and therefore every timeline point)
+    /// carries current values. This is the only site that writes them: a raw
+    /// `Obs::snapshot()` that bypasses it sees them as of the last sync.
     pub(crate) fn sync_obs_gauges(&self) {
+        let g = |name: &str, v: u64| self.obs.gauge(name).set_u64(v);
         self.obs
             .gauge("cost.read_bandwidth")
             .set(self.cost.read_bandwidth);
-        self.obs
-            .gauge("meta.models")
-            .set_u64(self.meta.model_ids().len() as u64);
+        g("meta.models", self.meta.model_ids().len() as u64);
         self.obs
             .gauge("cost_model.drift")
             .set(self.drift.worst_drift());
-        self.obs
-            .gauge("storage.budget_bytes")
-            .set_u64(self.config.storage_budget_bytes);
-        self.obs
-            .gauge("storage.budget_used")
-            .set_u64(self.storage_budget_used());
-        // One `slo.<query>.<plan>.ns` histogram per latency class (see
-        // `audit_observe_report`); `mistique top` and the Prometheus
-        // exposition read its quantiles as gauges.
-        for (name, hist) in self.obs.histograms_with_prefix("slo.") {
-            let class = name.trim_end_matches(".ns");
-            let quantiles = [
-                ("p50_ns", hist.percentile(0.50)),
-                ("p95_ns", hist.percentile(0.95)),
-                ("p99_ns", hist.percentile(0.99)),
-                ("p999_ns", hist.percentile(0.999)),
-                ("max_ns", hist.max()),
-            ];
-            for (suffix, v) in quantiles {
-                self.obs.gauge(&format!("{class}.{suffix}")).set_u64(v);
-            }
+        g("storage.budget_bytes", self.config.storage_budget_bytes);
+        g("storage.budget_used", self.storage_budget_used());
+        if let Some(stats) = self.audit_stats() {
+            g("audit.records", stats.records);
+            g("audit.flushes", stats.flushes);
+            g("audit.write_errors", stats.write_errors);
+            g("audit.segments_dropped", stats.segments_dropped);
+            g("audit.bytes", stats.total_bytes);
+            g("audit.segments", stats.segments);
+        }
+        if let Some(stats) = self.telemetry_stats() {
+            g("telemetry.captures", stats.captures);
+            g("telemetry.events", stats.events);
+            g("telemetry.write_errors", stats.write_errors);
+            g("telemetry.bytes", stats.total_bytes);
+            g("telemetry.segments", stats.segments);
         }
     }
 
@@ -505,18 +464,6 @@ impl Mistique {
         let spans = self.obs.snapshot().recent_spans;
         let roots = mistique_obs::tree::trace_trees(&spans, trace_id);
         mistique_obs::render_trees(&roots)
-    }
-
-    /// The tracer's recent spans exported as Chrome-trace / Perfetto JSON
-    /// (load via `ui.perfetto.dev` or `chrome://tracing`).
-    pub fn perfetto_json(&self) -> String {
-        mistique_obs::chrome_trace_json(&self.obs.snapshot().recent_spans)
-    }
-
-    /// The tracer's recent spans folded into flamegraph collapsed-stack
-    /// lines (`flamegraph.pl` / `inferno-flamegraph` input).
-    pub fn flamegraph_folded(&self) -> String {
-        mistique_obs::folded_stacks(&self.obs.snapshot().recent_spans)
     }
 
     /// Flush open partitions to disk.

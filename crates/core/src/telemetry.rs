@@ -96,20 +96,9 @@ impl Mistique {
             return;
         }
         let snap = self.obs_snapshot();
-        let stats = {
-            let state = self.telemetry.as_mut().expect("checked above");
-            state.recorder.capture(&snap, reason);
-            state.last_capture = Instant::now();
-            state.recorder.stats()
-        };
-        // Mirror recorder health into gauges (picked up by the next point).
-        self.obs.gauge("telemetry.captures").set_u64(stats.captures);
-        self.obs.gauge("telemetry.events").set_u64(stats.events);
-        self.obs
-            .gauge("telemetry.write_errors")
-            .set_u64(stats.write_errors);
-        self.obs.gauge("telemetry.bytes").set_u64(stats.total_bytes);
-        self.obs.gauge("telemetry.segments").set_u64(stats.segments);
+        let state = self.telemetry.as_mut().expect("checked above");
+        state.recorder.capture(&snap, reason);
+        state.last_capture = Instant::now();
     }
 
     /// Query-path hook: watch finished reports for plan flips, drift
@@ -214,11 +203,5 @@ impl Mistique {
     /// Flight-recorder health counters, when telemetry is enabled.
     pub fn telemetry_stats(&self) -> Option<RecorderStats> {
         self.telemetry.as_ref().map(|s| s.recorder.stats())
-    }
-
-    /// The current metric snapshot rendered in Prometheus text exposition
-    /// format 0.0.4 (`mistique stats --prom`).
-    pub fn render_prometheus(&self) -> String {
-        self.obs_snapshot().render_prometheus()
     }
 }

@@ -158,7 +158,7 @@ fn push_audit_f64(out: &mut String, key: &str, v: f64) {
 }
 
 /// Point-in-time audit-log statistics (mirrored into `audit.*` gauges by
-/// the engine after each flush).
+/// the engine before each snapshot).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AuditStats {
     /// Records accepted (buffered or flushed).

@@ -89,19 +89,8 @@ fn atomic_max(a: &AtomicU64, v: u64) {
     }
 }
 
-/// One non-empty histogram bucket, exported for Prometheus `_bucket`
-/// series: `le` is the bucket's inclusive upper bound (saturated to `u64`),
-/// `count` the number of values it holds (non-cumulative).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistBucket {
-    /// Inclusive upper bound of the bucket.
-    pub le: u64,
-    /// Values recorded into this bucket (non-cumulative).
-    pub count: u64,
-}
-
 /// Percentile summary of a histogram at one point in time.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HistSummary {
     /// Number of recorded values.
     pub count: u64,
@@ -123,9 +112,6 @@ pub struct HistSummary {
     pub p99: u64,
     /// 99.9th percentile (tail latency for SLO burn detection).
     pub p999: u64,
-    /// The non-empty buckets, in increasing `le` order (Prometheus
-    /// exposition builds its cumulative `_bucket` series from these).
-    pub buckets: Vec<HistBucket>,
 }
 
 /// A concurrent log-linear histogram of `u64` values. Durations are recorded
@@ -203,27 +189,6 @@ impl Histogram {
         value.clamp(self.min(), self.max())
     }
 
-    /// The non-empty buckets (inclusive upper bound, count), in increasing
-    /// bound order.
-    pub fn nonzero_buckets(&self) -> Vec<HistBucket> {
-        self.0
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| {
-                let count = b.load(Ordering::Relaxed);
-                if count == 0 {
-                    return None;
-                }
-                let (_, hi) = bucket_bounds(idx);
-                Some(HistBucket {
-                    le: u64::try_from(hi - 1).unwrap_or(u64::MAX),
-                    count,
-                })
-            })
-            .collect()
-    }
-
     /// Point-in-time summary.
     pub fn summary(&self) -> HistSummary {
         let count = self.count();
@@ -243,7 +208,6 @@ impl Histogram {
             p95: self.percentile(0.95),
             p99: self.percentile(0.99),
             p999: self.percentile(0.999),
-            buckets: self.nonzero_buckets(),
         }
     }
 }
@@ -385,23 +349,6 @@ mod tests {
                 && s.p99 <= s.p999
                 && s.p999 <= s.max
         );
-    }
-
-    #[test]
-    fn nonzero_buckets_cover_every_recorded_value() {
-        let h = Histogram::standalone();
-        for v in [0u64, 3, 3, 17, 1_000, u64::MAX] {
-            h.record(v);
-        }
-        let buckets = h.nonzero_buckets();
-        assert_eq!(buckets.iter().map(|b| b.count).sum::<u64>(), h.count());
-        // Bounds increase strictly and contain each value's bucket.
-        for w in buckets.windows(2) {
-            assert!(w[0].le < w[1].le);
-        }
-        assert_eq!(buckets.last().unwrap().le, u64::MAX);
-        let s = h.summary();
-        assert_eq!(s.buckets, buckets);
     }
 
     #[test]

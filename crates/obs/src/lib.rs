@@ -24,12 +24,10 @@
 
 mod audit;
 mod export;
-mod flame;
 mod hist;
 mod journal;
 pub mod json;
 mod metrics;
-mod perfetto;
 mod ring;
 mod span;
 mod timeline;
@@ -38,14 +36,12 @@ pub mod tree;
 pub use audit::{
     AuditLog, AuditRecord, AuditStats, DEFAULT_AUDIT_SEGMENT_TARGET, DEFAULT_FLUSH_EVERY,
 };
-pub use export::{validate_prometheus, Snapshot};
-pub use flame::folded_stacks;
-pub use hist::{HistBucket, HistSummary, Histogram};
+pub use export::{fmt_bytes, fmt_ns, fmt_secs, Snapshot};
+pub use hist::{HistSummary, Histogram};
 pub use journal::EngineEvent;
 pub use metrics::{Counter, Gauge};
-pub use perfetto::{chrome_trace_json, counter_trace_json};
 pub use ring::{MemSegmentIo, SegmentIo};
-pub use span::{Span, SpanContext, SpanRecord, SpanSummary, DEFAULT_RING_CAPACITY};
+pub use span::{Span, SpanContext, SpanRecord, DEFAULT_RING_CAPACITY};
 pub use timeline::{
     FlightRecorder, HistPoint, RecorderStats, Timeline, TimelinePoint, DEFAULT_SEGMENT_TARGET,
 };
@@ -69,8 +65,7 @@ struct Inner {
 /// The observability handle: a registry of named metrics plus a span tracer.
 ///
 /// Cloning is cheap (one `Arc` bump); clones share all state, so a single
-/// `Obs` can be threaded through every subsystem of a [`Mistique`] instance
-/// — or shared across several instances to aggregate a whole benchmark run.
+/// `Obs` is threaded through every subsystem of a [`Mistique`] instance.
 ///
 /// [`Mistique`]: https://docs.rs/mistique-core
 #[derive(Clone)]
@@ -85,23 +80,18 @@ impl Obs {
         Obs::with_ring_capacity(span::DEFAULT_RING_CAPACITY)
     }
 
-    /// Like [`Obs::new`], with an explicit capacity for the ring buffer of
-    /// recent finished spans (clamped to at least 1). Aggregates keep
-    /// counting past the ring either way.
-    pub fn with_ring_capacity(capacity: usize) -> Obs {
+    /// [`Obs::new`] with an explicit recent-spans ring capacity (production
+    /// code runs at [`DEFAULT_RING_CAPACITY`]; the ring-is-bounded unit test
+    /// uses a small one).
+    pub(crate) fn with_ring_capacity(capacity: usize) -> Obs {
         Obs {
             inner: Arc::new(Inner {
                 counters: RwLock::new(HashMap::new()),
                 gauges: RwLock::new(HashMap::new()),
                 hists: RwLock::new(HashMap::new()),
-                tracer: Arc::new(Tracer::new(Instant::now(), capacity.max(1))),
+                tracer: Arc::new(Tracer::new(Instant::now(), capacity)),
             }),
         }
-    }
-
-    /// Capacity of the recent-spans ring buffer.
-    pub fn ring_capacity(&self) -> usize {
-        self.inner.tracer.capacity()
     }
 
     /// Get or create the counter named `name`. Cache the returned handle on
@@ -139,20 +129,6 @@ impl Obs {
             .entry(name.to_string())
             .or_insert_with(|| Arc::new(HistCore::new()));
         Histogram(Arc::clone(core))
-    }
-
-    /// Every registered histogram whose name starts with `prefix`
-    /// (unordered). Engine plumbing, not reporting API — `mistique-core`
-    /// mirrors its `slo.*` quantiles into gauges with it; read histograms
-    /// through [`Obs::snapshot`].
-    #[doc(hidden)]
-    pub fn histograms_with_prefix(&self, prefix: &str) -> Vec<(String, Histogram)> {
-        let hists = self.inner.hists.read().unwrap();
-        hists
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(name, core)| (name.clone(), Histogram(Arc::clone(core))))
-            .collect()
     }
 
     /// Start a timed span. Finish it with [`Span::finish`] to get the
@@ -204,8 +180,8 @@ impl Obs {
         self.inner.tracer.recent()
     }
 
-    /// Aggregate timings per span name (unordered).
-    pub fn span_summaries(&self) -> Vec<(String, SpanSummary)> {
+    /// Duration summary per span name (unordered).
+    pub fn span_summaries(&self) -> Vec<(String, HistSummary)> {
         self.inner.tracer.summaries()
     }
 

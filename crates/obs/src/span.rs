@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use crate::hist::{HistCore, HistSummary, Histogram};
 
-/// How many finished spans the ring buffer keeps by default (configurable
-/// per `Obs` via [`crate::Obs::with_ring_capacity`]).
+/// How many finished spans the ring buffer keeps — how much trace history
+/// EXPLAIN's span tree can see.
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// One finished span.
@@ -66,39 +66,6 @@ pub struct SpanContext {
     pub name: String,
 }
 
-/// Aggregate timing of all finished spans sharing one name.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SpanSummary {
-    /// Number of finished spans.
-    pub count: u64,
-    /// Total nanoseconds across all of them.
-    pub total_ns: u64,
-    /// Mean nanoseconds.
-    pub mean_ns: f64,
-    /// Median nanoseconds.
-    pub p50_ns: u64,
-    /// 90th percentile nanoseconds.
-    pub p90_ns: u64,
-    /// 99th percentile nanoseconds.
-    pub p99_ns: u64,
-    /// Slowest span.
-    pub max_ns: u64,
-}
-
-impl From<HistSummary> for SpanSummary {
-    fn from(h: HistSummary) -> SpanSummary {
-        SpanSummary {
-            count: h.count,
-            total_ns: h.sum,
-            mean_ns: h.mean,
-            p50_ns: h.p50,
-            p90_ns: h.p90,
-            p99_ns: h.p99,
-            max_ns: h.max,
-        }
-    }
-}
-
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -133,10 +100,6 @@ impl Tracer {
         self.epoch
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn next_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -161,18 +124,13 @@ impl Tracer {
         ring.push_back(rec);
     }
 
-    /// Per-name aggregate summaries.
-    pub(crate) fn summaries(&self) -> Vec<(String, SpanSummary)> {
+    /// Per-name duration summaries.
+    pub(crate) fn summaries(&self) -> Vec<(String, HistSummary)> {
         self.aggs
             .read()
             .unwrap()
             .iter()
-            .map(|(name, core)| {
-                (
-                    name.clone(),
-                    SpanSummary::from(Histogram(Arc::clone(core)).summary()),
-                )
-            })
+            .map(|(name, core)| (name.clone(), Histogram(Arc::clone(core)).summary()))
             .collect()
     }
 

@@ -182,7 +182,7 @@ impl TimelinePoint {
 }
 
 /// Point-in-time recorder statistics (mirrored into `telemetry.*` gauges by
-/// the engine after each capture).
+/// the engine before each snapshot).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderStats {
     /// Points successfully written.
@@ -446,20 +446,6 @@ impl Timeline {
         out
     }
 
-    /// The series of a histogram: `(seq, t_ms, state)` at every point where
-    /// its count moved.
-    pub fn hist_series(&self, metric: &str) -> Vec<(u64, u64, HistPoint)> {
-        self.points
-            .iter()
-            .filter_map(|p| p.hists.get(metric).map(|h| (p.seq, p.t_ms, *h)))
-            .collect()
-    }
-
-    /// Events of one kind, in order.
-    pub fn events_by_kind(&self, kind: &str) -> Vec<&EngineEvent> {
-        self.events.iter().filter(|e| e.kind == kind).collect()
-    }
-
     /// Events concerning one intermediate, in order.
     pub fn events_for(&self, intermediate: &str) -> Vec<&EngineEvent> {
         self.events
@@ -676,7 +662,7 @@ mod tests {
         let tl = Timeline::load(&io).unwrap();
         assert_eq!(tl.events.len(), 1);
         assert_eq!(tl.events[0].snap_seq, seq);
-        assert_eq!(tl.events_by_kind("reclaim.demote").len(), 1);
+        assert_eq!(tl.events[0].kind, "reclaim.demote");
         assert_eq!(tl.events_for("m1.s3").len(), 1);
         assert!(rec.pending_events().is_empty());
     }
@@ -763,8 +749,7 @@ mod tests {
         assert!(table.contains("reclaim"));
         assert!(table.contains("compaction"));
         assert!(table.contains("removed=2"));
-        assert_eq!(tl.hist_series("h").len(), 1);
-        assert_eq!(tl.hist_series("h")[0].2.count, 1);
+        assert_eq!(tl.points[0].hists["h"].count, 1);
         assert!(tl.metric_names().contains("h"));
     }
 }

@@ -2195,6 +2195,44 @@ mod tests {
         );
     }
 
+    #[test]
+    fn catalog_text_is_identical_across_exports_and_reopen() {
+        let dir = mistique_testkit::tempdir().unwrap();
+        let config = DataStoreConfig {
+            policy: PlacementPolicy::ByIntermediate,
+            mem_capacity: 1 << 20,
+            partition_target_bytes: 64 << 10,
+            ..DataStoreConfig::default()
+        };
+        let text = |ds: &DataStore| {
+            mistique_obs::json::to_string(&ds.export_catalog(), "catalog").unwrap()
+        };
+        let (first, second) = {
+            let mut ds = DataStore::open(dir.path(), config.clone()).unwrap();
+            // Enough keys that two hash-map iteration orders cannot agree
+            // by chance, with exact duplicates, a delta and a pinned base.
+            for m in 0..6 {
+                for block in 0..8u32 {
+                    let values = (0..256).map(|i| (i * (block + 1)) as f64 + (m % 3) as f64);
+                    let key = ChunkKey::new(format!("m{m}.i"), format!("c{}", block % 2), block);
+                    ds.put_chunk(key, &f64_chunk(values.collect())).unwrap();
+                }
+            }
+            let (base, near) = near_pair();
+            ds.put_chunk(ChunkKey::new("m.base", "c", 0), &base)
+                .unwrap();
+            ds.put_chunk(ChunkKey::new("m.near", "c", 0), &near)
+                .unwrap();
+            ds.retract_intermediate("m.base");
+            ds.flush().unwrap();
+            (text(&ds), text(&ds))
+        };
+        assert_eq!(first, second, "two exports of one store");
+        let mut ds = DataStore::open(dir.path(), config).unwrap();
+        ds.import_catalog(mistique_obs::json::from_str(&first, "catalog").unwrap());
+        assert_eq!(first, text(&ds), "export after a reopen");
+    }
+
     /// `most_similar` and `delta_base_for` against the ranked walks they
     /// replaced, for every stored chunk's signature.
     fn assert_matches_ranked_walk(ds: &DataStore, chunks: &[ColumnChunk]) {

@@ -439,8 +439,13 @@ impl Ledger {
                 len: rec.len,
             }
         });
+        let mut entries: Vec<CatalogEntry> = entries.collect();
+        fn order(e: &CatalogEntry) -> (&str, &str, u32) {
+            (&e.key.intermediate, &e.key.column, e.key.block)
+        }
+        entries.sort_unstable_by(|a, b| order(a).cmp(&order(b)));
         StoreCatalog {
-            entries: entries.collect(),
+            entries,
             next_partition,
             stats,
             partition_totals,

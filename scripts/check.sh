@@ -72,6 +72,22 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# Observability has one of each (DESIGN.md §9, §14): one span renderer
+# (the tree), one machine format (JSON), one summary type, constants where
+# one value was ever used, and one site that mirrors pull-style state into
+# gauges (`sync_obs_gauges` in system.rs). A second exporter, a knob or a
+# per-call mirror is the stack growing back. Non-test code only, as above.
+echo "== observability: one of each =="
+sites=$(find crates -name '*.rs' | sort | non_test_lines |
+  grep -E 'perfetto|flamegraph|folded_stacks|prometheus|open_with_obs|span_ring_capacity|report_retention' || true)
+mirrors=$(find crates -name '*.rs' ! -path crates/core/src/system.rs | sort | non_test_lines |
+  grep -E 'gauge\("(audit|telemetry)\.' || true)
+if [ -n "$sites$mirrors" ]; then
+  echo "FAIL: a removed exporter/knob is back, or audit.*/telemetry.* gauges are written outside system.rs:"
+  printf '%s\n' "$sites" "$mirrors" | grep .
+  exit 1
+fi
+
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
 # or a snapshot-writing helper is a second measurement system growing back.

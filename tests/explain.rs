@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use mistique_core::{FetchStrategy, Mistique, MistiqueConfig, PlanChoice, StorageStrategy};
-use mistique_obs::json::JsonValue;
 use mistique_obs::tree::trace_trees;
 use mistique_obs::SpanNode;
 use mistique_pipeline::templates::zillow_pipelines;
@@ -439,55 +438,6 @@ fn rendered_trace_shows_the_hierarchy() {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters: Perfetto JSON round-trip + folded stacks.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn perfetto_export_is_valid_chrome_trace_json_and_round_trips() {
-    let (_d, mut sys, id) = explain_system(small_blocks());
-    let preds = sys.intermediates_of(&id).last().unwrap().clone();
-    sys.topk(&preds, "pred", 5).unwrap();
-
-    // Golden-file style: write, read back, parse.
-    let dir = mistique_testkit::tempdir().unwrap();
-    let path = dir.path().join("trace.json");
-    std::fs::write(&path, sys.perfetto_json()).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    let v = mistique_obs::json::parse(&text).expect("valid JSON");
-    let str_of = |v: &JsonValue, key: &str| v.get(key).and_then(|x| x.as_str().map(String::from));
-    let num_of = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64);
-
-    assert_eq!(str_of(&v, "displayTimeUnit").as_deref(), Some("ms"));
-    let events = v.get("traceEvents").and_then(JsonValue::as_arr);
-    let events = events.expect("traceEvents array");
-    let n_spans = sys.obs().recent_spans().len();
-    assert_eq!(events.len(), n_spans, "one complete event per ring span");
-    assert!(n_spans > 0);
-    for ev in events {
-        assert_eq!(str_of(ev, "ph").as_deref(), Some("X"), "complete events");
-        assert_eq!(str_of(ev, "cat").as_deref(), Some("mistique"));
-        assert!(str_of(ev, "name").is_some_and(|s| !s.is_empty()));
-        assert!(num_of(ev, "ts").is_some() && num_of(ev, "dur").is_some());
-        assert!(num_of(ev.get("args").unwrap(), "span_id").is_some());
-    }
-    // The fetch root span makes it into the export alongside its children.
-    assert!(events.iter().any(|ev| {
-        let name = str_of(ev, "name");
-        name.as_deref() == Some("fetch.read") || name.as_deref() == Some("fetch.cached")
-    }));
-
-    // Folded stacks: every line is "path spans;sep;by;semicolons <count>".
-    let folded = sys.flamegraph_folded();
-    assert!(!folded.is_empty());
-    for line in folded.lines() {
-        let (stack, n) = line.rsplit_once(' ').expect("stack <ns> per line");
-        assert!(!stack.is_empty());
-        n.parse::<u64>().expect("self-time is integral ns");
-    }
-    assert!(folded.lines().any(|l| l.starts_with("fetch.")));
-}
-
-// ---------------------------------------------------------------------------
 // Drift monitor: a miscalibrated model is flagged on the report + gauge.
 // ---------------------------------------------------------------------------
 
@@ -543,63 +493,25 @@ fn drift_ratio_and_flag_are_consistent_on_monitored_reports() {
 }
 
 // ---------------------------------------------------------------------------
-// Config knobs: span ring capacity + report retention.
+// The report ring is bounded and keeps sequencing past evictions.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn span_ring_capacity_is_configurable() {
-    let (_d, mut sys, id) = explain_system(MistiqueConfig {
-        span_ring_capacity: 8,
-        ..small_blocks()
-    });
-    assert_eq!(sys.obs().ring_capacity(), 8);
+fn report_ring_is_bounded_and_sequences_past_evictions() {
+    use mistique_core::report::REPORT_RETENTION;
+    let (_d, mut sys, id) = explain_system(small_blocks());
     let preds = sys.intermediates_of(&id).last().unwrap().clone();
-    for _ in 0..4 {
-        sys.fetch_with_strategy(&preds, None, None, FetchStrategy::Read)
-            .unwrap();
-    }
-    let spans = sys.obs().recent_spans();
-    assert!(spans.len() <= 8, "ring kept {} spans", spans.len());
-    assert!(!spans.is_empty());
-}
-
-#[test]
-fn report_retention_is_configurable_and_bounded() {
-    let (_d, mut sys, id) = explain_system(MistiqueConfig {
-        report_retention: 2,
-        ..small_blocks()
-    });
-    let preds = sys.intermediates_of(&id).last().unwrap().clone();
-    for _ in 0..5 {
+    let n = REPORT_RETENTION + 3;
+    for _ in 0..n {
         sys.fetch_with_strategy(&preds, None, Some(16), FetchStrategy::Read)
             .unwrap();
     }
-    let reports = sys.query_reports(10);
-    assert_eq!(reports.len(), 2, "retention bounds the ring");
+    let reports = sys.query_reports(usize::MAX);
+    assert_eq!(reports.len(), REPORT_RETENTION, "retention bounds the ring");
     // The survivors are the most recent queries, still in order.
-    assert_eq!(reports[1].seq, reports[0].seq + 1);
-    assert_eq!(reports[1].seq, 4, "seq keeps counting past evictions");
-}
-
-#[test]
-fn reopened_store_honours_span_ring_capacity() {
-    let dir = mistique_testkit::tempdir().unwrap();
-    {
-        let mut sys = Mistique::open(dir.path(), small_blocks()).unwrap();
-        let data = Arc::new(ZillowData::generate(100, 1));
-        let id = sys
-            .register_trad(zillow_pipelines().remove(0), data)
-            .unwrap();
-        sys.log_intermediates(&id).unwrap();
-        sys.persist().unwrap();
+    for w in reports.windows(2) {
+        assert_eq!(w[1].seq, w[0].seq + 1);
     }
-    let sys = Mistique::reopen(
-        dir.path(),
-        MistiqueConfig {
-            span_ring_capacity: 16,
-            ..small_blocks()
-        },
-    )
-    .unwrap();
-    assert_eq!(sys.obs().ring_capacity(), 16);
+    let last = reports.last().unwrap().seq;
+    assert_eq!(last, n as u64 - 1, "seq keeps counting past evictions");
 }

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use mistique_core::{FetchStrategy, Mistique, MistiqueConfig, Obs, StorageStrategy};
+use mistique_core::{FetchStrategy, Mistique, MistiqueConfig, StorageStrategy};
 use mistique_nn::{vgg16_cifar, CifarLike};
 use mistique_pipeline::templates::{template_stages, template_variants};
 use mistique_pipeline::{Pipeline, ZillowData};
@@ -188,30 +188,4 @@ fn snapshot_exports_as_json_and_text() {
         Some(2.0)
     );
     assert!(json.get("recent_spans").unwrap().as_arr().is_some());
-}
-
-#[test]
-fn shared_obs_aggregates_across_systems() {
-    // The bench binaries open several systems against one registry; counts
-    // must accumulate rather than reset per instance.
-    let obs = Obs::new();
-    let mut puts = Vec::new();
-    for seed in [1u64, 2] {
-        let dir = mistique_testkit::tempdir().unwrap();
-        let mut sys =
-            Mistique::open_with_obs(dir.path(), MistiqueConfig::default(), obs.clone()).unwrap();
-        let data = Arc::new(ZillowData::generate(120, seed));
-        let mut variants = template_variants(1);
-        let p = Pipeline::new(
-            "P1".to_string(),
-            template_stages(1),
-            variants.remove(0),
-            seed,
-        );
-        let id = sys.register_trad(p, data).unwrap();
-        sys.log_intermediates(&id).unwrap();
-        puts.push(obs.snapshot().counter("store.put.count"));
-    }
-    assert!(puts[0] > 0);
-    assert!(puts[1] > puts[0], "second system must add to the first");
 }

@@ -9,7 +9,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mistique_core::{FetchStrategy, Mistique, MistiqueConfig, StorageStrategy};
+use mistique_core::{FetchStrategy, Mistique, MistiqueConfig};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
@@ -192,29 +192,4 @@ fn zero_budget_disables_telemetry_entirely() {
     assert!(!dir.path().join("telemetry").exists());
     let tl = sys.timeline().unwrap();
     assert!(tl.points.is_empty() && tl.events.is_empty());
-}
-
-#[test]
-fn live_prometheus_exposition_passes_the_validator() {
-    let dir = mistique_testkit::tempdir().unwrap();
-    let data = Arc::new(ZillowData::generate(120, 3));
-    let mut sys = Mistique::open(
-        dir.path(),
-        MistiqueConfig {
-            storage: StorageStrategy::Dedup,
-            query_cache_bytes: 1 << 20,
-            ..MistiqueConfig::default()
-        },
-    )
-    .unwrap();
-    run_session(&mut sys, &data);
-
-    let exposition = sys.render_prometheus();
-    mistique_core::validate_prometheus(&exposition)
-        .unwrap_or_else(|e| panic!("exposition failed validation: {e}\n{exposition}"));
-    // Histograms render the full Prometheus shape.
-    assert!(exposition.contains("# TYPE"));
-    assert!(exposition.contains("_bucket{le=\"+Inf\"}"));
-    assert!(exposition.contains("_sum"));
-    assert!(exposition.contains("_count"));
 }
