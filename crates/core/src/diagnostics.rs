@@ -10,23 +10,159 @@ use crate::audit::{args_of, csv, AuditArgs};
 use crate::error::MistiqueError;
 use crate::system::Mistique;
 
-/// Every column of a fetched frame as `f64` values.
-fn f64_columns(frame: &DataFrame) -> Vec<Vec<f64>> {
-    frame.columns().iter().map(|c| c.data.to_f64()).collect()
-}
+// The whole-frame diagnostics below read columns in place: cell by cell
+// through `ColumnData::f64_at`, or one column at a time through
+// `ColumnData::f64_view` and a scratch vector the walk reuses — never an f64
+// copy of the frame. The benchmark's oracle recomputes their answers with
+// its own loops and compares bits, so each keeps its summation order: a
+// row's distance adds its columns in column order, a (group, column) sum adds
+// its rows in row order.
 
-/// Convert a fetched intermediate into a dense matrix (rows = examples).
+/// Convert a fetched intermediate into a dense matrix (rows = examples),
+/// gathered in the matrix's own row-major order so every write is the next
+/// cell (scattering a column at a time measured 2.5x slower at 2000 x 256).
 pub fn frame_to_matrix(frame: &DataFrame) -> Matrix {
     let n = frame.n_rows();
     let p = frame.n_cols();
-    let cols = f64_columns(frame);
     let mut data = Vec::with_capacity(n * p);
     for r in 0..n {
-        for col in &cols {
-            data.push(col[r]);
-        }
+        data.extend(frame.columns().iter().map(|c| c.data.f64_at(r)));
     }
     Matrix::from_vec(n, p, data)
+}
+
+/// A fetched intermediate as the matrix an SVD takes: at least one row and
+/// every cell finite (a NaN or ±inf cell — a saturated LP_QT column, a
+/// missing TRAD value — has no decomposition to report).
+fn decomposable(frame: &DataFrame, intermediate: &str) -> Result<Matrix, MistiqueError> {
+    let m = frame_to_matrix(frame);
+    if m.rows() == 0 {
+        return Err(MistiqueError::Invalid(format!(
+            "{intermediate} has no rows"
+        )));
+    }
+    if let Some(at) = m.data().iter().position(|x| !x.is_finite()) {
+        return Err(MistiqueError::Invalid(format!(
+            "{intermediate} holds a non-finite value (row {}, column {})",
+            at / m.cols(),
+            frame.columns()[at % m.cols()].name
+        )));
+    }
+    Ok(m)
+}
+
+/// POINTQ's arithmetic: the cell of the frame's first column at `row`.
+fn point(frame: &DataFrame, row: usize) -> Result<f64, MistiqueError> {
+    if row >= frame.n_rows() {
+        return Err(MistiqueError::Invalid(format!("row {row} out of range")));
+    }
+    Ok(frame.columns()[0].data.f64_at(row))
+}
+
+/// ROW_DIFF's arithmetic: `(column, row_a - row_b)` for every column.
+fn row_deltas(
+    frame: &DataFrame,
+    row_a: usize,
+    row_b: usize,
+) -> Result<Vec<(String, f64)>, MistiqueError> {
+    if row_a >= frame.n_rows() || row_b >= frame.n_rows() {
+        return Err(MistiqueError::Invalid("row out of range".into()));
+    }
+    Ok(frame
+        .columns()
+        .iter()
+        .map(|c| (c.name.clone(), c.data.f64_at(row_a) - c.data.f64_at(row_b)))
+        .collect())
+}
+
+/// VIS's arithmetic: the `n_groups x n_columns` matrix of per-group column
+/// means, each (group, column) sum accumulated in row order.
+fn group_means(frame: &DataFrame, groups: &[u8], n_groups: usize) -> Result<Matrix, MistiqueError> {
+    let groups = &groups[..frame.n_rows().min(groups.len())];
+    let p = frame.n_cols();
+    let mut counts = vec![0usize; n_groups];
+    for &g in groups {
+        let g = g as usize;
+        if g >= n_groups {
+            return Err(MistiqueError::Invalid(format!("group {g} out of range")));
+        }
+        counts[g] += 1;
+    }
+    let mut sums = Matrix::zeros(n_groups, p);
+    let mut scratch = Vec::new();
+    for (j, c) in frame.columns().iter().enumerate() {
+        for (&g, &x) in groups.iter().zip(c.data.f64_view(&mut scratch)) {
+            sums[(g as usize, j)] += x;
+        }
+    }
+    for g in 0..n_groups {
+        if counts[g] > 0 {
+            for j in 0..p {
+                sums[(g, j)] /= counts[g] as f64;
+            }
+        }
+    }
+    Ok(sums)
+}
+
+/// KNN's arithmetic: the `k` rows nearest to `row` under L2 distance over
+/// all columns, nearest first, equal distances by ascending row id. A row's
+/// squared distance adds its columns in column order.
+fn nearest_rows(
+    frame: &DataFrame,
+    row: usize,
+    k: usize,
+) -> Result<Vec<(usize, f64)>, MistiqueError> {
+    let n = frame.n_rows();
+    if row >= n {
+        return Err(MistiqueError::Invalid(format!("row {row} out of range")));
+    }
+    let mut squared = vec![0.0f64; n];
+    let mut scratch = Vec::new();
+    for c in frame.columns() {
+        let values = c.data.f64_view(&mut scratch);
+        let q = values[row];
+        for (acc, &x) in squared.iter_mut().zip(values) {
+            *acc += (x - q) * (x - q);
+        }
+    }
+    let mut dists: Vec<(usize, f64)> = squared
+        .into_iter()
+        .map(f64::sqrt)
+        .enumerate()
+        .filter(|&(i, _)| i != row)
+        .collect();
+    // The order a stable sort on distance gives, reached by selecting the k
+    // smallest and sorting only those.
+    let nearer = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+    if 0 < k && k < dists.len() {
+        dists.select_nth_unstable_by(k - 1, nearer);
+    }
+    dists.truncate(k);
+    dists.sort_unstable_by(nearer);
+    Ok(dists)
+}
+
+/// Per-row argmax over the frame's columns: the running maximum of every
+/// row, one column at a time; only a strictly greater value replaces it, so
+/// the first maximum wins.
+fn argmax_rows(frame: &DataFrame) -> Result<Vec<usize>, MistiqueError> {
+    let Some((first, rest)) = frame.columns().split_first() else {
+        return Err(MistiqueError::Invalid("no columns".into()));
+    };
+    let mut scratch = Vec::new();
+    let mut best_value = first.data.f64_view(&mut scratch).to_vec();
+    let mut best = vec![0usize; best_value.len()];
+    for (j, c) in rest.iter().enumerate() {
+        let values = c.data.f64_view(&mut scratch);
+        for ((value, at), &x) in best_value.iter_mut().zip(&mut best).zip(values) {
+            if x > *value {
+                *value = x;
+                *at = j + 1;
+            }
+        }
+    }
+    Ok(best)
 }
 
 /// A histogram bucket for COL_DIST.
@@ -72,11 +208,7 @@ impl Mistique {
         let args = || args_of(&[("interm", &intermediate), ("col", &column), ("row", &row)]);
         self.diag("diag.pointq", args, |sys| {
             let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;
-            let values = r.frame.columns()[0].data.to_f64();
-            values
-                .get(row)
-                .copied()
-                .ok_or_else(|| MistiqueError::Invalid(format!("row {row} out of range")))
+            point(&r.frame, row)
         })
     }
 
@@ -201,17 +333,7 @@ impl Mistique {
         };
         self.diag("diag.row_diff", args, |sys| {
             let r = sys.get_intermediate(intermediate, None, None)?;
-            if row_a >= r.frame.n_rows() || row_b >= r.frame.n_rows() {
-                return Err(MistiqueError::Invalid("row out of range".into()));
-            }
-            Ok(r.frame
-                .columns()
-                .iter()
-                .map(|c| {
-                    let v = c.data.to_f64();
-                    (c.name.clone(), v[row_a] - v[row_b])
-                })
-                .collect())
+            row_deltas(&r.frame, row_a, row_b)
         })
     }
 
@@ -234,29 +356,7 @@ impl Mistique {
         };
         self.diag("diag.vis", args, |sys| {
             let r = sys.get_intermediate(intermediate, None, None)?;
-            let n = r.frame.n_rows().min(groups.len());
-            let p = r.frame.n_cols();
-            let mut sums = Matrix::zeros(n_groups, p);
-            let mut counts = vec![0usize; n_groups];
-            let cols = f64_columns(&r.frame);
-            for i in 0..n {
-                let g = groups[i] as usize;
-                if g >= n_groups {
-                    return Err(MistiqueError::Invalid(format!("group {g} out of range")));
-                }
-                counts[g] += 1;
-                for (j, col) in cols.iter().enumerate() {
-                    sums[(g, j)] += col[i];
-                }
-            }
-            for g in 0..n_groups {
-                if counts[g] > 0 {
-                    for j in 0..p {
-                        sums[(g, j)] /= counts[g] as f64;
-                    }
-                }
-            }
-            Ok(sums)
+            group_means(&r.frame, groups, n_groups)
         })
     }
 
@@ -272,21 +372,7 @@ impl Mistique {
         let args = || args_of(&[("interm", &intermediate), ("row", &row), ("k", &k)]);
         self.diag("diag.knn", args, |sys| {
             let r = sys.get_intermediate(intermediate, None, None)?;
-            let n = r.frame.n_rows();
-            if row >= n {
-                return Err(MistiqueError::Invalid(format!("row {row} out of range")));
-            }
-            let cols = f64_columns(&r.frame);
-            let mut dists: Vec<(usize, f64)> = (0..n)
-                .filter(|&i| i != row)
-                .map(|i| {
-                    let d: f64 = cols.iter().map(|c| (c[i] - c[row]).powi(2)).sum();
-                    (i, d.sqrt())
-                })
-                .collect();
-            dists.sort_by(|a, b| a.1.total_cmp(&b.1));
-            dists.truncate(k);
-            Ok(dists)
+            nearest_rows(&r.frame, row, k)
         })
     }
 
@@ -306,10 +392,22 @@ impl Mistique {
             ])
         };
         self.diag("diag.svcca", args, |sys| {
+            if !(variance_frac > 0.0 && variance_frac <= 1.0) {
+                return Err(MistiqueError::Invalid(format!(
+                    "variance fraction {variance_frac} outside (0, 1]"
+                )));
+            }
             let a = sys.get_intermediate(intermediate_a, None, None)?;
             let b = sys.get_intermediate(intermediate_b, None, None)?;
-            let ma = frame_to_matrix(&a.frame);
-            let mb = frame_to_matrix(&b.frame);
+            let ma = decomposable(&a.frame, intermediate_a)?;
+            let mb = decomposable(&b.frame, intermediate_b)?;
+            if ma.rows() != mb.rows() {
+                return Err(MistiqueError::Invalid(format!(
+                    "{intermediate_a} has {} rows, {intermediate_b} has {}: SVCCA compares the same examples",
+                    ma.rows(),
+                    mb.rows()
+                )));
+            }
             Ok(svcca(&ma, &mb, variance_frac))
         })
     }
@@ -368,24 +466,26 @@ impl Mistique {
             if concept_masks.len() < n {
                 return Err(MistiqueError::Invalid("not enough concept masks".into()));
             }
-            let cols = f64_columns(&r.frame);
+            let masks = &concept_masks[..n];
+            if masks.iter().any(|mask| mask.len() != map_size) {
+                return Err(MistiqueError::Invalid("mask resolution mismatch".into()));
+            }
 
-            // T_k = (1 - alpha) percentile over all of the unit's activations.
+            // T_k = (1 - alpha) percentile over all of the unit's
+            // activations, gathered one map position (column) after another.
             let mut all: Vec<f64> = Vec::with_capacity(n * map_size);
-            for col in &cols {
-                all.extend_from_slice(col);
+            let mut scratch = Vec::new();
+            for c in r.frame.columns() {
+                all.extend_from_slice(c.data.f64_view(&mut scratch));
             }
             let t_k = percentile(&all, 1.0 - alpha);
 
             // IoU between binarized maps and concept masks.
             let mut inter = 0usize;
             let mut union = 0usize;
-            for (i, mask) in concept_masks.iter().enumerate().take(n) {
-                if mask.len() != map_size {
-                    return Err(MistiqueError::Invalid("mask resolution mismatch".into()));
-                }
-                for (j, col) in cols.iter().enumerate() {
-                    let active = col[i] > t_k;
+            for (j, col) in all.chunks_exact(n.max(1)).enumerate() {
+                for (mask, &x) in masks.iter().zip(col) {
+                    let active = x > t_k;
                     let concept = mask[j];
                     if active && concept {
                         inter += 1;
@@ -409,21 +509,7 @@ impl Mistique {
         let args = || args_of(&[("interm", &intermediate)]);
         self.diag("diag.argmax_predictions", args, |sys| {
             let r = sys.get_intermediate(intermediate, None, None)?;
-            let cols = f64_columns(&r.frame);
-            if cols.is_empty() {
-                return Err(MistiqueError::Invalid("no columns".into()));
-            }
-            Ok((0..r.frame.n_rows())
-                .map(|i| {
-                    let mut best = 0;
-                    for (j, c) in cols.iter().enumerate() {
-                        if c[i] > cols[best][i] {
-                            best = j;
-                        }
-                    }
-                    best
-                })
-                .collect())
+            argmax_rows(&r.frame)
         })
     }
 
@@ -521,16 +607,15 @@ impl Mistique {
         let args = || args_of(&[("interm", &intermediate), ("k", &k)]);
         self.diag("diag.pca_projection", args, |sys| {
             let r = sys.get_intermediate(intermediate, None, None)?;
-            let m = frame_to_matrix(&r.frame);
-            if k == 0 || k > m.cols() {
+            let (n, p) = (r.frame.n_rows(), r.frame.n_cols());
+            if k == 0 || k > n.min(p) {
                 return Err(MistiqueError::Invalid(format!(
-                    "k={k} out of range for {} columns",
-                    m.cols()
+                    "k={k} out of range for {n} rows of {p} columns"
                 )));
             }
-            let pca = Pca::fit(&m, k);
-            let frac = pca.explained_fraction(&m);
-            Ok((pca.transform(&m), frac))
+            let m = decomposable(&r.frame, intermediate)?;
+            let (_, projection, frac) = Pca::fit_project(&m, k);
+            Ok((projection, frac))
         })
     }
 
@@ -618,6 +703,212 @@ mod tests {
             .unwrap();
         sys.log_intermediates(&id).unwrap();
         (dir, sys, id, data)
+    }
+
+    /// A frame of 1–40 rows by 1–8 columns drawn over every `ColumnData`
+    /// variant. Float columns mix values whose sums depend on their order
+    /// with a few repeated ones (equal distances) and non-finite cells; some
+    /// rows are copies of an earlier row (distance 0 to it, ties with it).
+    /// One frame carries NaN cells or ±inf cells, never both: where a NaN
+    /// cell meets the default NaN of `inf - inf`, which of the two payloads
+    /// an addition keeps depends on its operand order, and that is the
+    /// compiler's to pick.
+    fn any_frame(g: &mut mistique_testkit::Gen) -> DataFrame {
+        use mistique_dataframe::{Column, ColumnData};
+        let n = g.len(1..41);
+        let twin_of: Vec<usize> = (0..n)
+            .map(|i| {
+                if g.rng.chance(0.25) {
+                    g.rng.range(0..=i)
+                } else {
+                    i
+                }
+            })
+            .collect();
+        let specials = if g.rng.chance(0.5) {
+            [f64::NAN, f64::NAN]
+        } else {
+            [f64::INFINITY, f64::NEG_INFINITY]
+        };
+        let columns = (0..g.len(1..9))
+            .map(|j| {
+                let float = |rng: &mut mistique_rng::Rng| -> f64 {
+                    match rng.range(0..12u32) {
+                        0..=1 => specials[rng.range(0..2usize)],
+                        2..=4 => [-1.0, 0.0, 0.5][rng.range(0..3usize)],
+                        5 => rng.range(-1e6..1e6),
+                        _ => rng.range(-1.0..1.0),
+                    }
+                };
+                let rng = &mut g.rng;
+                let mut data = match rng.range(0..7u32) {
+                    0 => ColumnData::F32((0..n).map(|_| float(rng) as f32).collect()),
+                    1 => ColumnData::F16(
+                        (0..n)
+                            .map(|_| mistique_quantize::f16::from_f32(float(rng) as f32).0)
+                            .collect(),
+                    ),
+                    2 => ColumnData::F64((0..n).map(|_| float(rng)).collect()),
+                    3 => ColumnData::I64((0..n).map(|_| rng.range(-1000..1000i64)).collect()),
+                    4 => ColumnData::U8((0..n).map(|_| rng.range(0..=u8::MAX)).collect()),
+                    5 => ColumnData::Bool((0..n).map(|_| rng.chance(0.5)).collect()),
+                    _ => ColumnData::cat_from_strings(
+                        &(0..n)
+                            .map(|_| ["la", "sf", "nyc"][rng.range(0..3usize)])
+                            .collect::<Vec<_>>(),
+                    ),
+                };
+                data = data.gather(&twin_of);
+                Column::new(format!("c{j}"), data)
+            })
+            .collect();
+        DataFrame::from_columns(columns)
+    }
+
+    fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        values.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// A pin, not a bug test: the in-place diagnostics answer bit for bit
+    /// what the plain formulas over an f64 copy of the frame answer — the
+    /// formulas the benchmark's oracle (e2e/src/ops.rs) holds the engine to.
+    #[test]
+    fn in_place_diagnostics_match_the_naive_formulas_bit_for_bit() {
+        mistique_testkit::cases(300, 0xd1a6, |g| {
+            let frame = any_frame(g);
+            let cols: Vec<Vec<f64>> = frame.columns().iter().map(|c| c.data.to_f64()).collect();
+            let (n, p) = (frame.n_rows(), frame.n_cols());
+
+            let m = frame_to_matrix(&frame);
+            assert_eq!((m.rows(), m.cols()), (n, p));
+            for (j, col) in cols.iter().enumerate() {
+                assert_eq!(bits(m.col(j)), bits(col.iter().copied()));
+            }
+
+            let (a, b) = (g.rng.range(0..n), g.rng.range(0..n));
+            assert_eq!(point(&frame, a).unwrap().to_bits(), cols[0][a].to_bits());
+            assert!(point(&frame, n).is_err());
+            let deltas = row_deltas(&frame, a, b).unwrap();
+            let names: Vec<&str> = deltas.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(names, frame.column_names());
+            assert_eq!(
+                bits(deltas.iter().map(|d| d.1)),
+                bits(cols.iter().map(|c| c[a] - c[b]))
+            );
+            assert!(row_deltas(&frame, a, n).is_err());
+
+            // KNN: every distance, then a stable sort by distance alone.
+            let mut all: Vec<(usize, f64)> = (0..n)
+                .filter(|&i| i != a)
+                .map(|i| {
+                    let d: f64 = cols.iter().map(|c| (c[i] - c[a]).powi(2)).sum();
+                    (i, d.sqrt())
+                })
+                .collect();
+            all.sort_by(|x, y| x.1.total_cmp(&y.1));
+            for k in [0, 1, n - 1, n + 5] {
+                let got = nearest_rows(&frame, a, k).unwrap();
+                let want = &all[..k.min(all.len())];
+                assert_eq!(
+                    got.iter().map(|h| (h.0, h.1.to_bits())).collect::<Vec<_>>(),
+                    want.iter()
+                        .map(|h| (h.0, h.1.to_bits()))
+                        .collect::<Vec<_>>(),
+                    "k={k}"
+                );
+            }
+            assert!(nearest_rows(&frame, n, 1).is_err());
+
+            // VIS: row-major accumulation, as the oracle's `group_means`.
+            let n_groups = g.rng.range(1..5usize);
+            let groups: Vec<u8> = (0..g.rng.range(0..n + 3))
+                .map(|_| g.rng.range(0..n_groups) as u8)
+                .collect();
+            let rows = n.min(groups.len());
+            let mut sums = vec![0.0f64; n_groups * p];
+            let mut counts = vec![0usize; n_groups];
+            for i in 0..rows {
+                let grp = groups[i] as usize;
+                counts[grp] += 1;
+                for (j, col) in cols.iter().enumerate() {
+                    sums[grp * p + j] += col[i];
+                }
+            }
+            for grp in 0..n_groups {
+                if counts[grp] > 0 {
+                    for j in 0..p {
+                        sums[grp * p + j] /= counts[grp] as f64;
+                    }
+                }
+            }
+            let means = group_means(&frame, &groups, n_groups).unwrap();
+            assert_eq!(bits(means.data().iter().copied()), bits(sums));
+            if rows > 0 {
+                assert!(group_means(&frame, &groups, groups[0] as usize).is_err());
+            }
+
+            // Argmax: the first maximum, NaN never greater.
+            let want: Vec<usize> = (0..n)
+                .map(|i| {
+                    let mut best = 0;
+                    for (j, c) in cols.iter().enumerate() {
+                        if c[i] > cols[best][i] {
+                            best = j;
+                        }
+                    }
+                    best
+                })
+                .collect();
+            assert_eq!(argmax_rows(&frame).unwrap(), want);
+        });
+        assert!(argmax_rows(&DataFrame::new()).is_err());
+    }
+
+    // The next three panicked through the facade before `svcca` and
+    // `pca_projection` validated their input.
+
+    #[test]
+    fn svcca_rejects_a_variance_fraction_outside_unit_interval() {
+        let (_d, mut sys, id, _) = dnn();
+        let interm = format!("{id}.layer8");
+        for frac in [1.5, 0.0, -0.1, f64::NAN, f64::INFINITY] {
+            let err = sys.svcca(&interm, &interm, frac).unwrap_err();
+            assert!(matches!(err, MistiqueError::Invalid(_)), "{frac}: {err}");
+        }
+        assert!(sys.svcca(&interm, &interm, 1.0).is_ok());
+    }
+
+    #[test]
+    fn svcca_rejects_intermediates_over_different_examples() {
+        let (_d, mut sys, id, _) = dnn();
+        let fewer = Arc::new(CifarLike::generate(10, 5, 2));
+        let other = sys
+            .register_dnn(Arc::new(simple_cnn(16)), 9, 1, fewer, 10)
+            .unwrap();
+        sys.log_intermediates(&other).unwrap();
+        let err = sys
+            .svcca(&format!("{id}.layer8"), &format!("{other}.layer8"), 0.99)
+            .unwrap_err();
+        let MistiqueError::Invalid(msg) = err else {
+            panic!("expected Invalid, got {err}");
+        };
+        assert!(msg.contains("20 rows") && msg.contains("10"), "{msg}");
+    }
+
+    #[test]
+    fn decompositions_reject_non_finite_cells_by_name() {
+        // The Zillow properties table carries NaN `lot_size` cells.
+        let (_d, mut sys, id) = trad();
+        let interm = sys.intermediates_of(&id)[0].clone();
+        for err in [
+            sys.svcca(&interm, &interm, 0.99).map(|_| ()).unwrap_err(),
+            sys.pca_projection(&interm, 2).map(|_| ()).unwrap_err(),
+        ] {
+            let MistiqueError::Invalid(msg) = err else {
+                panic!("expected Invalid, got {err}");
+            };
+            assert!(msg.contains(&interm) && msg.contains("lot_size"), "{msg}");
+        }
     }
 
     #[test]
@@ -794,6 +1085,15 @@ mod tests {
         assert!(p > 2);
         assert!(sys.pca_projection(&interm, 0).is_err());
         assert!(sys.pca_projection(&interm, p + 1).is_err());
+        // Layer 1 is wider than the store is tall: no more components than rows.
+        assert!(sys.pca_projection(&format!("{id}.layer1"), 21).is_err());
+        assert_eq!(
+            sys.pca_projection(&format!("{id}.layer1"), 20)
+                .unwrap()
+                .0
+                .cols(),
+            20
+        );
     }
 
     #[test]

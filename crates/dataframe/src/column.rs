@@ -188,17 +188,60 @@ impl ColumnData {
     /// to 0/1; categorical maps to the dictionary code). This is the
     /// "returns a numpy array" surface of the paper's query API.
     pub fn to_f64(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len());
+        self.extend_f64(&mut out);
+        out
+    }
+
+    /// Append every cell's [`ColumnData::to_f64`] value to `out`.
+    fn extend_f64(&self, out: &mut Vec<f64>) {
         match self {
-            ColumnData::F32(v) => v.iter().map(|&x| x as f64).collect(),
-            ColumnData::F16(v) => v
-                .iter()
-                .map(|&bits| mistique_quantize::f16(bits).to_f32() as f64)
-                .collect(),
-            ColumnData::F64(v) => v.clone(),
-            ColumnData::I64(v) => v.iter().map(|&x| x as f64).collect(),
-            ColumnData::U8(v) => v.iter().map(|&x| x as f64).collect(),
-            ColumnData::Bool(v) => v.iter().map(|&x| if x { 1.0 } else { 0.0 }).collect(),
-            ColumnData::Cat { codes, .. } => codes.iter().map(|&c| c as f64).collect(),
+            ColumnData::F32(v) => out.extend(v.iter().map(|&x| x as f64)),
+            ColumnData::F16(v) => out.extend(
+                v.iter()
+                    .map(|&bits| mistique_quantize::f16(bits).to_f32() as f64),
+            ),
+            ColumnData::F64(v) => out.extend_from_slice(v),
+            ColumnData::I64(v) => out.extend(v.iter().map(|&x| x as f64)),
+            ColumnData::U8(v) => out.extend(v.iter().map(|&x| x as f64)),
+            ColumnData::Bool(v) => out.extend(v.iter().map(|&x| if x { 1.0 } else { 0.0 })),
+            ColumnData::Cat { codes, .. } => out.extend(codes.iter().map(|&c| c as f64)),
+        }
+    }
+
+    /// The [`ColumnData::to_f64`] values without a fresh allocation: an f64
+    /// column is borrowed as it is, any other type is converted into
+    /// `scratch` (cleared first), which a caller walking many columns reuses.
+    pub fn f64_view<'a>(&'a self, scratch: &'a mut Vec<f64>) -> &'a [f64] {
+        match self {
+            ColumnData::F64(v) => v,
+            other => {
+                scratch.clear();
+                other.extend_f64(scratch);
+                scratch
+            }
+        }
+    }
+
+    /// The [`ColumnData::to_f64`] value of the one cell at `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of bounds.
+    pub fn f64_at(&self, row: usize) -> f64 {
+        match self {
+            ColumnData::F32(v) => v[row] as f64,
+            ColumnData::F16(v) => mistique_quantize::f16(v[row]).to_f32() as f64,
+            ColumnData::F64(v) => v[row],
+            ColumnData::I64(v) => v[row] as f64,
+            ColumnData::U8(v) => v[row] as f64,
+            ColumnData::Bool(v) => {
+                if v[row] {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            ColumnData::Cat { codes, .. } => codes[row] as f64,
         }
     }
 
@@ -338,6 +381,32 @@ mod tests {
         assert_eq!(ColumnData::Bool(vec![true, false]).to_f64(), vec![1.0, 0.0]);
         assert_eq!(ColumnData::U8(vec![3, 7]).to_f64(), vec![3.0, 7.0]);
         assert_eq!(ColumnData::F32(vec![0.5]).to_f64(), vec![0.5]);
+    }
+
+    #[test]
+    fn one_cell_and_view_agree_with_to_f64() {
+        let columns = [
+            ColumnData::F32(vec![0.5, -1.25, f32::NAN, f32::INFINITY]),
+            ColumnData::F16(vec![0x3c00, 0xc000, 0x7e00, 0xfc00]),
+            ColumnData::F64(vec![1e300, -0.0, f64::NAN, f64::NEG_INFINITY]),
+            ColumnData::I64(vec![i64::MIN, -1, 0, i64::MAX]),
+            ColumnData::U8(vec![0, 1, 128, 255]),
+            ColumnData::Bool(vec![true, false, false, true]),
+            ColumnData::cat_from_strings(&["a", "b", "a", "c"]),
+        ];
+        // One scratch across every column: a view must not leak the last one.
+        let mut scratch = vec![7.0; 9];
+        for c in &columns {
+            let want: Vec<u64> = c.to_f64().iter().map(|x| x.to_bits()).collect();
+            let view: Vec<u64> = c
+                .f64_view(&mut scratch)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let cells: Vec<u64> = (0..c.len()).map(|i| c.f64_at(i).to_bits()).collect();
+            assert_eq!(view, want, "{:?}", c.dtype());
+            assert_eq!(cells, want, "{:?}", c.dtype());
+        }
     }
 
     #[test]

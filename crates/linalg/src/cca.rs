@@ -1,12 +1,16 @@
 //! Canonical correlation analysis built on the SVD.
 //!
-//! Given centered data matrices `X (n x p)` and `Y (n x q)`, CCA finds
-//! directions maximizing correlation between projections. We use the standard
-//! SVD-based formulation: with thin SVDs `X = Ux Sx Vx^T`, `Y = Uy Sy Vy^T`,
-//! the canonical correlations are the singular values of `Ux^T Uy`.
+//! Given data matrices `X (n x p)` and `Y (n x q)`, CCA finds directions
+//! maximizing correlation between projections. We use the standard SVD-based
+//! formulation: with `Ux`, `Uy` orthonormal bases of the centered inputs'
+//! column spaces (their leading left singular vectors), the canonical
+//! correlations are the singular values of `Ux^T Uy`. SVCCA is the same
+//! computation with a stricter rule for how many vectors each basis keeps,
+//! so both are built from the two helpers here: two tall decompositions and
+//! one small one per comparison.
 
 use crate::matrix::Matrix;
-use crate::svd::thin_svd;
+use crate::svd::{factor, numerical_rank};
 
 /// Result of a canonical correlation analysis.
 #[derive(Clone, Debug)]
@@ -26,6 +30,39 @@ impl CcaResult {
     }
 }
 
+/// Singular values below this fraction of the largest are numerically zero:
+/// the directions of constant and linearly dependent columns.
+pub(crate) const RANK_TOL: f64 = 1e-10;
+
+/// Orthonormal basis (`n x r`) of the leading directions of `m`'s centered
+/// columns: its first `r = rank(&s)` left singular vectors, `s` being the
+/// centered matrix's singular values.
+pub(crate) fn centered_basis(m: &Matrix, rank: impl FnOnce(&[f64]) -> usize) -> Matrix {
+    let f = factor(&m.center_columns());
+    f.u(rank(f.s()))
+}
+
+/// Canonical correlations between the subspaces spanned by the orthonormal
+/// bases `ux` and `uy` (same row count): the singular values of `ux^T uy`,
+/// accumulated one row's outer product at a time so both bases are read
+/// once, in storage order. None when either subspace is empty.
+pub(crate) fn subspace_correlations(ux: &Matrix, uy: &Matrix) -> Vec<f64> {
+    let (rx, ry) = (ux.cols(), uy.cols());
+    if rx == 0 || ry == 0 {
+        return vec![];
+    }
+    let mut cross = Matrix::zeros(rx, ry);
+    for (x_row, y_row) in ux.data().chunks_exact(rx).zip(uy.data().chunks_exact(ry)) {
+        for (&x, out) in x_row.iter().zip(cross.data_mut().chunks_exact_mut(ry)) {
+            for (o, &y) in out.iter_mut().zip(y_row) {
+                *o += x * y;
+            }
+        }
+    }
+    let cross = factor(&cross);
+    cross.s().iter().map(|c| c.clamp(0.0, 1.0)).collect()
+}
+
 /// Compute CCA between `x` and `y` (same number of rows = observations).
 ///
 /// Inputs are centered internally. Rank-deficient inputs are handled by
@@ -36,26 +73,11 @@ impl CcaResult {
 /// Panics if the row counts differ.
 pub fn cca(x: &Matrix, y: &Matrix) -> CcaResult {
     assert_eq!(x.rows(), y.rows(), "CCA requires matched observations");
-    let xc = x.center_columns();
-    let yc = y.center_columns();
-
-    let sx = thin_svd(&xc);
-    let sy = thin_svd(&yc);
-    let rx = sx.numerical_rank(1e-10);
-    let ry = sy.numerical_rank(1e-10);
-    if rx == 0 || ry == 0 {
-        return CcaResult {
-            correlations: vec![],
-        };
+    let ux = centered_basis(x, |s| numerical_rank(s, RANK_TOL));
+    let uy = centered_basis(y, |s| numerical_rank(s, RANK_TOL));
+    CcaResult {
+        correlations: subspace_correlations(&ux, &uy),
     }
-    let ux = sx.u.take_cols(rx);
-    let uy = sy.u.take_cols(ry);
-
-    let cross = ux.transpose().matmul(&uy);
-    let sc = thin_svd(&cross);
-    let k = rx.min(ry);
-    let correlations = sc.s.iter().take(k).map(|&v| v.clamp(0.0, 1.0)).collect();
-    CcaResult { correlations }
 }
 
 #[cfg(test)]

@@ -6,12 +6,16 @@
 //! numpy/scipy; this crate provides the equivalent primitives from scratch:
 //!
 //! - [`Matrix`]: a dense, row-major, f64 matrix with the usual operations,
-//! - [`svd::thin_svd`]: one-sided Jacobi SVD,
+//! - [`svd::thin_svd`]: thin SVD — Householder QR of a tall input, then
+//!   one-sided Jacobi on the small triangular factor,
 //! - [`cca::cca`]: canonical correlation analysis built on the SVD,
 //! - [`pca::Pca`]: principal component analysis for projection diagnostics,
-//! - [`svcca::svcca`]: the full SVCCA procedure (SVD-truncate both sides, then CCA).
+//! - [`svcca::svcca`]: the full SVCCA procedure (SVD-truncate both sides, then
+//!   CCA between the two truncated bases: two tall decompositions in all).
 //!
-//! Everything is deterministic and pure — no external BLAS.
+//! Everything is deterministic, pure and single-threaded — no external BLAS,
+//! the same input gives the same bits on every call — and total: non-finite
+//! input yields non-finite output, never a panic.
 
 pub mod cca;
 pub mod matrix;

@@ -5,7 +5,7 @@
 //! also the first half of SVCCA (Alg. 2's SVD truncation step).
 
 use crate::matrix::Matrix;
-use crate::svd::thin_svd;
+use crate::svd::factor;
 
 /// A fitted PCA: principal directions and explained variance.
 #[derive(Clone, Debug)]
@@ -22,22 +22,52 @@ impl Pca {
     /// Fit a `k`-component PCA on `data` (rows = observations).
     ///
     /// # Panics
-    /// Panics if `k` is 0 or exceeds the number of columns, or `data` has no
-    /// rows.
+    /// Panics if `k` is 0 or exceeds the number of columns or of rows (there
+    /// are no more components than either), or `data` has no rows.
     pub fn fit(data: &Matrix, k: usize) -> Pca {
-        assert!(data.rows() > 0, "PCA needs observations");
-        assert!(k >= 1 && k <= data.cols(), "k must be in 1..=n_cols");
-        let mean = data.col_means();
+        Pca::fit_centered(data.col_means(), &data.center_columns(), k)
+    }
+
+    /// Fit on `data` and project it, centering once: the fitted PCA, its
+    /// [`Pca::transform`] of `data` and its [`Pca::explained_fraction`] of
+    /// `data`, all from the one centered copy the fit decomposes.
+    ///
+    /// # Panics
+    /// As [`Pca::fit`].
+    pub fn fit_project(data: &Matrix, k: usize) -> (Pca, Matrix, f64) {
         let centered = data.center_columns();
-        let svd = thin_svd(&centered);
-        let n = data.rows() as f64;
-        let components = svd.v.take_cols(k);
-        let explained_variance = svd.s.iter().take(k).map(|s| s * s / n.max(1.0)).collect();
+        let pca = Pca::fit_centered(data.col_means(), &centered, k);
+        let projection = centered.matmul(&pca.components);
+        let fraction = pca.fraction_of(&centered);
+        (pca, projection, fraction)
+    }
+
+    fn fit_centered(mean: Vec<f64>, centered: &Matrix, k: usize) -> Pca {
+        assert!(centered.rows() > 0, "PCA needs observations");
+        assert!(
+            k >= 1 && k <= centered.cols().min(centered.rows()),
+            "k must be in 1..=min(n_rows, n_cols)"
+        );
+        // Only V and the singular values are used: no left vector is formed.
+        let svd = factor(centered);
+        let n = centered.rows() as f64;
+        let components = svd.v(k);
+        let explained_variance = svd.s()[..k].iter().map(|s| s * s / n.max(1.0)).collect();
         Pca {
             mean,
             components,
             explained_variance,
         }
+    }
+
+    /// Share of `centered`'s total variance the kept components explain.
+    fn fraction_of(&self, centered: &Matrix) -> f64 {
+        let n = centered.rows() as f64;
+        let total: f64 = centered.data().iter().map(|v| v * v).sum::<f64>() / n.max(1.0);
+        if total == 0.0 {
+            return 1.0;
+        }
+        self.explained_variance.iter().sum::<f64>() / total
     }
 
     /// Number of components.
@@ -48,13 +78,7 @@ impl Pca {
     /// Fraction of total variance captured by the kept components (computed
     /// against the variance of `data`).
     pub fn explained_fraction(&self, data: &Matrix) -> f64 {
-        let centered = data.center_columns();
-        let n = data.rows() as f64;
-        let total: f64 = centered.data().iter().map(|v| v * v).sum::<f64>() / n.max(1.0);
-        if total == 0.0 {
-            return 1.0;
-        }
-        self.explained_variance.iter().sum::<f64>() / total
+        self.fraction_of(&data.center_columns())
     }
 
     /// Project observations into component space: `(X - mean) * W`, `n x k`.
@@ -64,9 +88,9 @@ impl Pca {
     pub fn transform(&self, data: &Matrix) -> Matrix {
         assert_eq!(data.cols(), self.mean.len(), "feature count mismatch");
         let mut centered = data.clone();
-        for i in 0..centered.rows() {
-            for (j, m) in self.mean.iter().enumerate() {
-                centered[(i, j)] -= m;
+        for row in centered.data_mut().chunks_exact_mut(self.mean.len().max(1)) {
+            for (v, m) in row.iter_mut().zip(&self.mean) {
+                *v -= m;
             }
         }
         centered.matmul(&self.components)
@@ -128,6 +152,18 @@ mod tests {
         let back = pca.inverse_transform(&pca.transform(&data));
         // Only the tiny orthogonal noise is lost.
         assert!(back.max_abs_diff(&data) < 0.05);
+    }
+
+    #[test]
+    fn fit_project_is_fit_then_transform_and_fraction() {
+        for (data, k) in [(line_data(200), 1), (line_data(37), 2)] {
+            let (pca, projection, fraction) = Pca::fit_project(&data, k);
+            let fitted = Pca::fit(&data, k);
+            assert_eq!(pca.components, fitted.components);
+            assert_eq!(pca.explained_variance, fitted.explained_variance);
+            assert_eq!(projection, fitted.transform(&data));
+            assert_eq!(fraction, fitted.explained_fraction(&data));
+        }
     }
 
     #[test]

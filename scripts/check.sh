@@ -88,6 +88,30 @@ if [ -n "$sites$mirrors" ]; then
   exit 1
 fi
 
+# Diagnostics cost what their arithmetic costs (DESIGN.md §18): a fetched
+# frame is read in place — one cell (`f64_at`) or one column at a time
+# (`f64_view` into a reused scratch) — never copied whole into f64 vectors;
+# only the single-column diagnostics that return or sort the whole column
+# convert it. And a tall SVD goes through QR first: `one_sided_jacobi` is
+# the kernel `svd.rs` runs on the small factor, not an entrance of its own.
+# Non-test code only, as above.
+echo "== diagnostics read columns in place =="
+copies=$(grep -rn --include='*.rs' 'f64_columns(' crates || true)
+converts=$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /^    (pub )?fn / || /^(pub )?fn / { fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
+  /\.to_f64\(\)/ && fn !~ /^(topk|col_dist|col_diff|select_where_gt|group_metric)$/ {
+    print FILENAME ":" FNR ": (in " fn ") " $0
+  }' crates/core/src/diagnostics.rs)
+jacobi=$(find crates -name '*.rs' ! -path crates/linalg/src/svd.rs | sort | non_test_lines |
+  grep -F 'one_sided_jacobi(' || true)
+if [ -n "$copies$converts$jacobi" ]; then
+  echo "FAIL: a whole-frame f64 copy, a .to_f64() in a whole-frame diagnostic, or one_sided_jacobi outside svd.rs:"
+  printf '%s\n' "$copies" "$converts" "$jacobi" | grep .
+  exit 1
+fi
+
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
 # or a snapshot-writing helper is a second measurement system growing back.
