@@ -3,7 +3,7 @@
 use std::hint::black_box;
 
 use mistique_bench::micro;
-use mistique_compress::{compress, compress_auto, decompress, Scheme};
+use mistique_compress::{compress, compress_auto, decompress, lzss, Scheme};
 use mistique_rng::Rng;
 
 fn workloads() -> Vec<(&'static str, Vec<u8>)> {
@@ -42,6 +42,18 @@ fn main() {
         }
         micro(&format!("codec/{name}/compress/auto"), bytes, || {
             compress_auto(black_box(&data))
+        });
+    }
+    // Partition members: one chunk-sized LZSS input per call, where setting
+    // up the match finder's tables, not scanning the input, can dominate.
+    // Activation-like bytes: f32 values with a little repetition.
+    let mut rng = Rng::seed(0x400);
+    for len in [400usize, 4096] {
+        let data: Vec<u8> = (0..len / 4)
+            .flat_map(|_| (rng.range(0..64u32) as f32 * 0.125).to_le_bytes())
+            .collect();
+        micro(&format!("codec/lzss/compress/{len}"), len as u64, || {
+            lzss::compress(black_box(&data))
         });
     }
 }

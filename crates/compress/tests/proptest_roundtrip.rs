@@ -1,7 +1,9 @@
 //! Property tests: every codec must be lossless on arbitrary byte strings.
 //! Seeded (`mistique_testkit::cases`), 256 cases each.
 
-use mistique_compress::{compress, compress_auto, decompress, Scheme};
+use mistique_compress::{
+    compress, compress_auto, compress_members, decompress, member_ranges, Scheme,
+};
 use mistique_testkit::cases;
 
 fn le_bytes(words: &[u32]) -> Vec<u8> {
@@ -41,6 +43,24 @@ fn delta_roundtrip() {
         let input = le_bytes(&g.words(0..2048));
         let frame = compress(&input, Scheme::Delta4);
         assert_eq!(decompress(&frame).unwrap(), input);
+    });
+}
+
+// A members container decodes whole to its members concatenated, and each
+// member alone to itself.
+#[test]
+fn members_roundtrip() {
+    cases(256, 6, |g| {
+        let n = g.rng.range(0usize..12);
+        let members: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..1024)).collect();
+        let refs: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+        let frame = compress_members(&refs);
+        assert_eq!(decompress(&frame).unwrap(), members.concat());
+        let ranges = member_ranges(&frame).unwrap();
+        assert_eq!(ranges.len(), n);
+        for (r, m) in ranges.into_iter().zip(&members) {
+            assert_eq!(&decompress(&frame[r]).unwrap(), m);
+        }
     });
 }
 

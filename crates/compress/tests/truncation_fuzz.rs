@@ -7,7 +7,8 @@
 //! Deterministic by construction (fixed corpus + `mistique_rng` seeds).
 
 use mistique_compress::{
-    basedelta, compress, compress_auto, decompress, delta, lzss, rle, varint, CodecError, Scheme,
+    basedelta, compress, compress_auto, compress_members, decompress, delta, lzss, member_ranges,
+    rle, varint, CodecError, Scheme,
 };
 
 /// Seeded bytes, so the corpus is identical on every run.
@@ -120,12 +121,26 @@ fn varint_prefixes_always_rejected() {
     }
 }
 
+/// The corpus as a members container's members would see it: each entry
+/// split into a few pieces of uneven length (empty ones included).
+fn as_members(input: &[u8]) -> Vec<&[u8]> {
+    let cuts = [
+        0,
+        input.len() / 5,
+        input.len() / 5,
+        input.len() / 2,
+        input.len(),
+    ];
+    cuts.windows(2).map(|w| &input[w[0]..w[1]]).collect()
+}
+
 #[test]
 fn frame_prefixes_always_error() {
     let schemes = [Scheme::Raw, Scheme::Rle, Scheme::Lzss, Scheme::Delta4];
     for input in corpus() {
         let mut frames: Vec<Vec<u8>> = schemes.iter().map(|&s| compress(&input, s)).collect();
         frames.push(compress_auto(&input));
+        frames.push(compress_members(&as_members(&input)));
         for frame in frames {
             assert_eq!(decompress(&frame).unwrap(), input);
             // The raw-length header turns every partial payload into a
@@ -139,6 +154,120 @@ fn frame_prefixes_always_error() {
                     frame.len()
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn member_container_prefixes_and_tables_always_error() {
+    for input in corpus() {
+        let members = as_members(&input);
+        let frame = compress_members(&members);
+        let ranges = member_ranges(&frame).expect("valid container");
+        assert_eq!(ranges.len(), members.len());
+        for (r, m) in ranges.iter().zip(&members) {
+            assert_eq!(
+                decompress(&frame[r.clone()]).unwrap(),
+                *m,
+                "one member alone"
+            );
+        }
+        // A torn container never yields a member table: a cut inside the
+        // table leaves it unreadable, a cut inside a member leaves the table
+        // overrunning the frame.
+        for prefix in strict_prefixes(&frame) {
+            assert!(
+                member_ranges(prefix).is_err(),
+                "{}-of-{}",
+                prefix.len(),
+                frame.len()
+            );
+        }
+    }
+}
+
+/// A members container assembled by hand from already-encoded member
+/// frames, with a declared raw length and member count of our choosing.
+fn container(raw_len: u64, count: u64, lens: &[u64], frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = vec![Scheme::Members as u8];
+    varint::write_u64(&mut out, raw_len);
+    varint::write_u64(&mut out, count);
+    for &l in lens {
+        varint::write_u64(&mut out, l);
+    }
+    for f in frames {
+        out.extend_from_slice(f);
+    }
+    out
+}
+
+#[test]
+fn malformed_member_tables_are_rejected() {
+    let a = compress_auto(b"first member, first member");
+    let b = compress_auto(&[9u8; 64]);
+    let lens = [a.len() as u64, b.len() as u64];
+    let frames = [a.clone(), b.clone()];
+    let raw = 26 + 64;
+    // The honest container decodes to the members concatenated.
+    let good = container(raw, 2, &lens, &frames);
+    assert_eq!(member_ranges(&good).unwrap().len(), 2);
+    let mut both = b"first member, first member".to_vec();
+    both.extend_from_slice(&[9u8; 64]);
+    assert_eq!(decompress(&good).unwrap(), both);
+
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        // The table claims more bytes than the frame holds.
+        (
+            "table overruns",
+            container(raw, 2, &[lens[0], lens[1] + 1], &frames),
+        ),
+        (
+            "length past usize",
+            container(raw, 2, &[lens[0], u64::MAX], &frames),
+        ),
+        // A member count the table and payload cannot back.
+        ("count too high", container(raw, 3, &lens, &frames)),
+        ("absurd count", container(raw, u64::MAX, &lens, &frames)),
+        // Fewer members declared than the payload carries.
+        ("trailing frame", container(raw, 1, &lens[..1], &frames)),
+        // Members summing to another length than the container declares.
+        ("raw length", container(raw + 1, 2, &lens, &frames)),
+        // A container inside a container.
+        ("nested", {
+            let inner = good.clone();
+            container(raw, 1, &[inner.len() as u64], &[inner])
+        }),
+        // A member whose scheme byte is unknown.
+        ("unknown member", {
+            let mut bad = a.clone();
+            bad[0] = 99;
+            container(raw, 2, &lens, &[bad, b.clone()])
+        }),
+    ];
+    for (what, frame) in cases {
+        assert!(member_ranges(&frame).is_err(), "{what}: table accepted");
+        assert!(decompress(&frame).is_err(), "{what}: container decoded");
+    }
+}
+
+#[test]
+fn corrupted_member_containers_never_panic() {
+    // No checksum lives at this layer (the partition trailer is the store's),
+    // so a flipped payload byte may decode to other bytes — but every
+    // verdict must be a clean Ok or Err.
+    for (k, input) in corpus().iter().enumerate() {
+        let frame = compress_members(&as_members(input));
+        let mut rng = mistique_rng::Rng::seed(k as u64);
+        for _ in 0..64 {
+            let mut damaged = frame.clone();
+            let at = rng.range(0..damaged.len());
+            damaged[at] ^= rng.range(1..=u8::MAX);
+            if let Ok(ranges) = member_ranges(&damaged) {
+                for r in ranges {
+                    let _ = decompress(&damaged[r]);
+                }
+            }
+            let _ = decompress(&damaged);
         }
     }
 }
@@ -240,11 +369,15 @@ fn error_variants_are_reported_not_panicked() {
     // A minimal check that the distinct failure modes surface as the right
     // CodecError variants (the store maps these into StoreError::Codec).
     assert_eq!(decompress(&[]), Err(CodecError::BadHeader));
-    // Unknown scheme bytes — 4, 5, 6 named codecs no writer ever emitted.
-    for scheme in [4u8, 5, 6, 200] {
+    // Unknown scheme bytes — 5 and 6 named codecs no writer ever emitted.
+    for scheme in [5u8, 6, 200] {
         assert_eq!(decompress(&[scheme]), Err(CodecError::BadHeader));
         assert_eq!(decompress(&[scheme, 8, 0, 0]), Err(CodecError::BadHeader));
     }
+    // 4 is the members container: a header without a member table is an
+    // error too, never a panic.
+    assert_eq!(decompress(&[4]), Err(CodecError::BadHeader));
+    assert!(decompress(&[4, 8, 0, 0]).is_err());
     let frame = compress(b"hello world hello world", Scheme::Lzss);
     match decompress(&frame[..frame.len() - 1]) {
         Err(CodecError::Corrupt) | Err(CodecError::LengthMismatch { .. }) => {}

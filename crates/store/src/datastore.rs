@@ -16,7 +16,7 @@ use crate::disk::DiskStore;
 use crate::ledger::{Ledger, PartitionCensus};
 use crate::lru::LruCache;
 use crate::mem::InMemoryStore;
-use crate::partition::{Partition, PartitionId};
+use crate::partition::{FrameRead, Partition, PartitionId, SealedPartition};
 use crate::striped::run_striped;
 use crate::StoreError;
 
@@ -73,7 +73,8 @@ pub struct DataStoreConfig {
     pub lsh_bands: usize,
     /// Bin width used to discretize values before MinHashing.
     pub discretize_bin: f64,
-    /// Cache partitions read back from disk (disable to measure raw reads).
+    /// Cache partition images read back from disk, with the members reads
+    /// decoded from them (disable to measure raw reads).
     pub read_cache: bool,
     /// Store near-duplicate chunks as base+delta frames: a dedup put whose
     /// MinHash similarity to an already-stored chunk reaches `delta_tau`
@@ -179,12 +180,14 @@ pub struct ReadAttribution {
     pub mem_hits: u64,
     /// Gets served by the read cache.
     pub cache_hits: u64,
-    /// Partition files read (and unsealed) from disk.
+    /// Partition files read from disk (and opened).
     pub disk_reads: u64,
     /// Distinct partitions consulted.
     pub partitions_touched: u64,
-    /// Compressed bytes read off disk, per compression codec (sorted by
-    /// codec name).
+    /// Compressed bytes decoded, per compression codec (sorted by codec
+    /// name): each member frame a read decoded — a partition's directory,
+    /// one chunk — under its own codec, and rehydrated delta frames under
+    /// `delta:<codec>`.
     pub codec_bytes: Vec<(String, u64)>,
 }
 
@@ -308,13 +311,14 @@ pub struct DataStore {
     /// Per-intermediate open partition (ByIntermediate policy).
     open_by_intermediate: HashMap<String, PartitionId>,
     minhasher: MinHasher,
-    /// Byte-budgeted LRU over partitions read back from disk; evicts one
+    /// Byte-budgeted LRU over partition images read back from disk, each
+    /// with the members decoded from it so far, charged both; evicts one
     /// victim at a time (never a clear-all).
-    read_cache: LruCache<PartitionId, Partition>,
+    read_cache: LruCache<PartitionId, SealedPartition>,
     /// Partitions set aside by [`DataStore::recover`]; reads of chunks in
     /// them fail with [`StoreError::Quarantined`] instead of a decode error.
     quarantined: HashMap<PartitionId, String>,
-    /// Cumulative compressed bytes read off disk, per codec (behind a mutex
+    /// Cumulative compressed bytes decoded, per codec (behind a mutex
     /// because parallel partition loads account from worker threads).
     codec_read_bytes: Mutex<HashMap<String, u64>>,
     stats: StoreStats,
@@ -402,24 +406,34 @@ impl DataStore {
         }
     }
 
-    /// Account `len` bytes read under a codec label — a compression scheme
-    /// for partition loads, `delta:<scheme>` for rehydrated frames (feeds
-    /// [`DataStore::read_attribution`] and the `read.codec.*` counters).
-    /// `&self`, so parallel partition-load workers can call it.
-    fn note_codec_read(&self, label: &str, len: usize) {
+    /// Account `frames` frames of `len` bytes in all decoded under a codec
+    /// label — a member frame's scheme, `delta:<scheme>` for rehydrated
+    /// frames (feeds [`DataStore::read_attribution`] and the `read.codec.*`
+    /// counters). `&self`, so parallel partition-load workers can call it.
+    fn note_codec_read(&self, label: &str, frames: u64, len: u64) {
         *self
             .codec_read_bytes
             .lock()
             .unwrap()
             .entry(label.to_string())
-            .or_insert(0) += len as u64;
+            .or_insert(0) += len;
         let metric = label.replace(':', "_");
         self.obs
             .counter(&format!("read.codec.{metric}.bytes"))
-            .add(len as u64);
+            .add(len);
         self.obs
             .counter(&format!("read.codec.{metric}.count"))
-            .inc();
+            .add(frames);
+    }
+
+    /// Credit decoded member frames to their codecs, one update per codec
+    /// rather than per frame: a whole-layer read decodes hundreds.
+    fn note_frame_reads(&self, reads: &mut [FrameRead]) {
+        reads.sort_unstable_by_key(|&(scheme, _)| scheme as u8);
+        for same in reads.chunk_by(|a, b| a.0 == b.0) {
+            let len = same.iter().map(|&(_, len)| len as u64).sum();
+            self.note_codec_read(same[0].0.name(), same.len() as u64, len);
+        }
     }
 
     /// Store one chunk under its logical key using the configured placement
@@ -874,10 +888,11 @@ impl DataStore {
         Ok(ColumnChunk::from_bytes(&bytes[0])?)
     }
 
-    // The tier walk, in pieces: a chunk's partition is either resident
-    // (buffer pool, then read cache) or has to be loaded from disk; the
-    // chunk is then looked up inside it. The batch read and the put side's
-    // probe are the two walks built from them.
+    // The tier walk, in pieces: a chunk's partition is open in the buffer
+    // pool, or sealed — its image in the read cache, or on disk to be
+    // loaded — and inside a sealed one only the chunk's own member is
+    // decoded. The batch read and the put side's probe are the two walks
+    // built from them.
 
     /// Reads of a quarantined partition fail with the recovery verdict.
     fn readable(&self, pid: PartitionId) -> Result<(), StoreError> {
@@ -897,53 +912,94 @@ impl DataStore {
         Ok(rec.partition)
     }
 
-    /// A partition already in memory — open in the buffer pool, else in
-    /// the read cache — marked most-recently-used in the tier that holds it.
-    fn resident(&mut self, pid: PartitionId) -> Option<&Partition> {
-        if self.mem.contains(pid) {
-            return self.mem.get(pid);
-        }
-        self.read_cache.get(&pid)
-    }
-
-    /// Bring one sealed partition in from disk — read, account the
-    /// compressed bytes to their codec, verify and decompress — under a
-    /// `store.partition.load` span. The span links to `ctx` explicitly so
-    /// the trace tree is the same whether the load runs on the calling
+    /// Bring one sealed partition in from disk — read it, verify its
+    /// trailer, open its member table and decode the directory and the
+    /// members holding `wanted` — under a `store.partition.load` span
+    /// (`members_decoded` of `members`). The span links to `ctx` explicitly
+    /// so the trace tree is the same whether the load runs on the calling
     /// thread or (`&self`) on a prefetch worker.
-    fn load(&self, pid: PartitionId, ctx: Option<&SpanContext>) -> Result<Partition, StoreError> {
+    fn load(
+        &self,
+        pid: PartitionId,
+        wanted: &[ContentDigest],
+        ctx: Option<&SpanContext>,
+    ) -> Result<SealedPartition, StoreError> {
         let mut sp = self.obs.span_with_parent("store.partition.load", ctx);
         sp.attr("pid", pid);
-        let sealed = self.disk.read(pid)?;
-        let codec = mistique_compress::scheme_of(&sealed)
-            .map(|s| s.name())
-            .unwrap_or("unknown");
-        self.note_codec_read(codec, sealed.len());
-        Partition::unseal(pid, &sealed)
+        let (mut part, directory) = SealedPartition::open(pid, self.disk.read(pid)?)?;
+        let mut reads = vec![directory];
+        for &digest in wanted {
+            reads.extend(part.chunk(digest)?.1);
+        }
+        self.note_frame_reads(&mut reads);
+        sp.attr("members_decoded", part.members_decoded());
+        sp.attr("members", part.members());
+        Ok(part)
     }
 
-    /// A chunk's stored bytes inside the partition the ledger names for it.
-    fn chunk_in(part: &Partition, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
-        let bytes = part.get(digest);
+    /// A chunk of a sealed partition, its member decoded unless it already
+    /// is — the frame credited to its codec.
+    fn chunk_of<'p>(
+        &self,
+        part: &'p mut SealedPartition,
+        digest: ContentDigest,
+    ) -> Result<&'p [u8], StoreError> {
+        let (bytes, read) = part.chunk(digest)?;
+        if let Some(read) = read {
+            self.note_frame_reads(&mut [read]);
+        }
+        Ok(bytes)
+    }
+
+    /// A chunk's stored bytes, as found inside the partition the ledger
+    /// names for it.
+    fn chunk_in(bytes: Option<&[u8]>) -> Result<Vec<u8>, StoreError> {
         let bytes = bytes.ok_or(StoreError::CorruptPartition("missing chunk"))?;
         Ok(bytes.to_vec())
     }
 
-    /// Insert a partition just read from disk into the read cache, evicting
-    /// LRU victims one at a time and counting them. Returns the partition
-    /// back when it was not cached (caching disabled, or the partition alone
-    /// exceeds the whole budget).
-    fn cache_loaded_partition(&mut self, part: Partition) -> Option<Partition> {
-        let raw = part.raw_bytes();
-        if !self.config.read_cache || raw > self.read_cache.capacity_bytes() {
+    /// A chunk of a partition whose image is in the read cache, marked
+    /// most-recently-used: a decoded member is a lookup and a copy; one not
+    /// decoded yet is decoded in place and the image re-charged. `None` when
+    /// the image is not cached.
+    fn cached_chunk(
+        &mut self,
+        pid: PartitionId,
+        digest: ContentDigest,
+    ) -> Option<Result<Vec<u8>, StoreError>> {
+        let part = self.read_cache.get_mut(&pid)?;
+        let (bytes, read) = match part.chunk(digest) {
+            Ok((bytes, read)) => (bytes.to_vec(), read),
+            Err(e) => return Some(Err(e)),
+        };
+        if let Some(read) = read {
+            let charge = part.resident_bytes();
+            self.note_frame_reads(&mut [read]);
+            let evicted = self.read_cache.recharge(&pid, charge);
+            self.count_read_cache_evictions(evicted.len());
+        }
+        Some(Ok(bytes))
+    }
+
+    /// Insert a partition image just read from disk into the read cache,
+    /// evicting LRU victims one at a time and counting them. Returns the
+    /// image back when it was not cached (caching disabled, or the image
+    /// alone exceeds the whole budget).
+    fn cache_loaded_partition(&mut self, part: SealedPartition) -> Option<SealedPartition> {
+        let charge = part.resident_bytes();
+        if !self.config.read_cache || charge > self.read_cache.capacity_bytes() {
             return Some(part);
         }
-        let evicted = self.read_cache.insert(part.id(), part, raw);
-        self.metrics.read_cache_evictions.add(evicted.len() as u64);
+        let evicted = self.read_cache.insert(part.id(), part, charge);
+        self.count_read_cache_evictions(evicted.len());
+        None
+    }
+
+    fn count_read_cache_evictions(&self, evicted: usize) {
+        self.metrics.read_cache_evictions.add(evicted as u64);
         self.metrics
             .read_cache_bytes
             .set_u64(self.read_cache.used_bytes() as u64);
-        None
     }
 
     /// The put side's walk, for delta probes and re-encodes: the stored
@@ -952,11 +1008,14 @@ impl DataStore {
     /// in the read cache for the next probe.
     fn probe(&mut self, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
         let pid = self.locate(digest)?;
-        if let Some(part) = self.resident(pid) {
-            return Self::chunk_in(part, digest);
+        if let Some(part) = self.mem.get(pid) {
+            return Self::chunk_in(part.get(digest));
         }
-        let part = self.load(pid, self.obs.current_context().as_ref())?;
-        let bytes = Self::chunk_in(&part, digest)?;
+        if let Some(bytes) = self.cached_chunk(pid, digest) {
+            return bytes;
+        }
+        let mut part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
+        let bytes = self.chunk_of(&mut part, digest)?.to_vec();
         self.cache_loaded_partition(part);
         Ok(bytes)
     }
@@ -971,10 +1030,10 @@ impl DataStore {
     }
 
     /// Batch read: the serialized bytes of many chunks at once. Partitions
-    /// that must come off disk are read and unsealed concurrently on up to
-    /// `parallelism` scoped threads (decompression dominates cold
-    /// reads); results are returned in request order. This is the store's
-    /// one read path: [`DataStore::get_chunk`] is a batch of one.
+    /// that must come off disk are read, and the members the batch wants
+    /// decoded, concurrently on up to `parallelism` scoped threads; results
+    /// are returned in request order. This is the store's one read path:
+    /// [`DataStore::get_chunk`] is a batch of one.
     pub fn get_chunk_bytes_batch(
         &mut self,
         keys: &[ChunkKey],
@@ -1008,9 +1067,9 @@ impl DataStore {
             locs.push(((digest, rec.partition), base));
         }
 
-        // Which distinct partitions have to come off disk? Base partitions
-        // ride the same fan-out but are not charged as partitions the
-        // *request* touched.
+        // Which distinct partitions have to come off disk, and which of
+        // their members does the batch want? Base partitions ride the same
+        // fan-out but are not charged as partitions the *request* touched.
         let mut seen: HashSet<PartitionId> = HashSet::new();
         let mut missing: Vec<PartitionId> = Vec::new();
         for &((_, pid), _) in &locs {
@@ -1024,20 +1083,29 @@ impl DataStore {
                 missing.push(bpid);
             }
         }
+        let mut wanted: HashMap<PartitionId, Vec<ContentDigest>> =
+            missing.iter().map(|&pid| (pid, Vec::new())).collect();
+        for &(loc, base) in &locs {
+            for (digest, pid) in std::iter::once(loc).chain(base) {
+                if let Some(w) = wanted.get_mut(&pid) {
+                    w.push(digest);
+                }
+            }
+        }
 
         // Capture the caller's active span before any workers spawn.
         let ctx = self.obs.current_context();
         let loaded = run_striped(
             missing.len(),
             parallelism,
-            &|i| self.load(missing[i], ctx.as_ref()),
+            &|i| self.load(missing[i], &wanted[&missing[i]], ctx.as_ref()),
             || StoreError::CorruptPartition("partition load worker panicked"),
         )?;
         // Loaded partitions enter the read cache serially and in request
         // order, so eviction accounting and LRU order are those of a serial
         // read. One that cannot enter the cache still serves this batch.
         let fresh: HashSet<PartitionId> = missing.iter().copied().collect();
-        let mut side: HashMap<PartitionId, Partition> = HashMap::new();
+        let mut side: HashMap<PartitionId, SealedPartition> = HashMap::new();
         for part in loaded {
             self.metrics.get_disk_reads.inc();
             self.metrics.read_cache_misses.inc();
@@ -1058,7 +1126,7 @@ impl DataStore {
                 let scheme = basedelta::inner_scheme(&bytes)
                     .map(|s| s.name())
                     .unwrap_or("unknown");
-                self.note_codec_read(&format!("delta:{scheme}"), bytes.len());
+                self.note_codec_read(&format!("delta:{scheme}"), 1, bytes.len() as u64);
                 self.metrics.delta_rehydrations.inc();
                 bytes = raw;
             }
@@ -1069,27 +1137,32 @@ impl DataStore {
     }
 
     /// The batch read's walk for one digest: the batch's side partitions
-    /// (loaded but not cacheable), then whatever is resident, then a
-    /// re-read kept aside for the rest of the batch. `count` charges the
-    /// request's hit counters (base fetches for rehydration do not); a
-    /// partition this batch itself loaded (`fresh`) is a miss, not a hit.
+    /// (loaded but not cacheable), then the buffer pool, then the read
+    /// cache, then a re-read kept aside for the rest of the batch. `count`
+    /// charges the request's hit counters (base fetches for rehydration do
+    /// not); a partition this batch itself loaded (`fresh`) is a miss, not a
+    /// hit.
     fn batch_chunk(
         &mut self,
         digest: ContentDigest,
         pid: PartitionId,
-        side: &mut HashMap<PartitionId, Partition>,
+        side: &mut HashMap<PartitionId, SealedPartition>,
         fresh: &HashSet<PartitionId>,
         count: bool,
     ) -> Result<Vec<u8>, StoreError> {
-        if let Some(part) = side.get(&pid) {
-            return Self::chunk_in(part, digest);
+        if let Some(part) = side.get_mut(&pid) {
+            return self.chunk_of(part, digest).map(<[u8]>::to_vec);
         }
-        let in_pool = self.mem.contains(pid);
-        if let Some(part) = self.resident(pid) {
-            let bytes = Self::chunk_in(part, digest)?;
-            if count && in_pool {
+        if let Some(part) = self.mem.get(pid) {
+            let bytes = Self::chunk_in(part.get(digest))?;
+            if count {
                 self.metrics.get_mem_hits.inc();
-            } else if count && !fresh.contains(&pid) {
+            }
+            return Ok(bytes);
+        }
+        if let Some(bytes) = self.cached_chunk(pid, digest) {
+            let bytes = bytes?;
+            if count && !fresh.contains(&pid) {
                 self.metrics.get_cache_hits.inc();
                 self.metrics.read_cache_hits.inc();
             }
@@ -1097,9 +1170,9 @@ impl DataStore {
         }
         // Loaded this batch, then evicted by a later partition of the same
         // batch (cache smaller than the batch).
-        let part = self.load(pid, self.obs.current_context().as_ref())?;
+        let mut part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
         self.metrics.get_disk_reads.inc();
-        let bytes = Self::chunk_in(&part, digest)?;
+        let bytes = self.chunk_of(&mut part, digest)?.to_vec();
         side.insert(pid, part);
         Ok(bytes)
     }
@@ -1468,10 +1541,12 @@ mod tests {
     #[test]
     fn read_cache_evicts_one_partition_at_a_time() {
         let dir = mistique_testkit::tempdir().unwrap();
-        // Each partition holds one ~8 KB chunk; the cache budget fits two.
+        // Each partition holds one ~8 KB chunk, cached as its ~4 KB image
+        // plus the decoded chunk: ~12 KB a partition, so the budget fits two.
+        const BUDGET: usize = 30_000;
         let config = DataStoreConfig {
             policy: PlacementPolicy::ByIntermediate,
-            mem_capacity: 20_000,
+            mem_capacity: BUDGET,
             partition_target_bytes: 64 << 10,
             ..DataStoreConfig::default()
         };
@@ -1491,6 +1566,11 @@ mod tests {
 
         // Two partitions fit; the third displaces exactly the LRU victim.
         ds.get_chunk(&keys[0]).unwrap();
+        let charge = ds.read_cache_bytes();
+        assert!(
+            2 * charge <= BUDGET && BUDGET < 3 * charge,
+            "charge {charge}"
+        );
         ds.get_chunk(&keys[1]).unwrap();
         assert_eq!((misses.get(), evictions.get()), (2, 0));
         assert_eq!(ds.read_cache_len(), 2);
@@ -1498,7 +1578,7 @@ mod tests {
         assert_eq!(misses.get(), 3);
         assert_eq!(evictions.get(), 1, "single-victim eviction, not clear-all");
         assert_eq!(ds.read_cache_len(), 2, "cache keeps every survivor");
-        assert!(ds.read_cache_bytes() > 0 && ds.read_cache_bytes() <= 20_000);
+        assert!(ds.read_cache_bytes() > 0 && ds.read_cache_bytes() <= BUDGET);
 
         // keys[1] and keys[2] survived; reading them is a pure cache hit.
         let disk_reads = ds.obs().counter("store.get.disk_reads").get();
@@ -1659,6 +1739,126 @@ mod tests {
         assert_eq!(delta.disk_reads, 0);
         assert_eq!(delta.cache_hits, 1);
         assert!(delta.codec_bytes.is_empty());
+    }
+
+    #[test]
+    fn one_chunk_cold_read_decodes_the_directory_and_one_member() {
+        let (dir, mut ds) = store(PlacementPolicy::ByIntermediate);
+        let keys: Vec<ChunkKey> = (0..8)
+            .map(|c| ChunkKey::new("m.i", format!("c{c}"), 0))
+            .collect();
+        for (c, key) in keys.iter().enumerate() {
+            let vals = (0..500).map(|j| (c * 1000 + j) as f64 * 0.37).collect();
+            ds.put_chunk(key.clone(), &f64_chunk(vals)).unwrap();
+        }
+        ds.flush().unwrap();
+        ds.clear_read_cache();
+        let sealed = std::fs::read(dir.path().join("part_00000000.bin")).unwrap();
+        let frames = mistique_compress::member_ranges(&sealed[..sealed.len() - 8]).unwrap();
+        assert_eq!(frames.len(), 9, "directory + 8 chunk members");
+        let frame_len = |i: usize| frames[i].len() as u64;
+        let decoded = |d: &ReadAttribution| d.codec_bytes.iter().map(|c| c.1).sum::<u64>();
+        let counts = |ds: &DataStore, d: &ReadAttribution| -> u64 {
+            let count = |c: &str| ds.obs().counter(&format!("read.codec.{c}.count")).get();
+            d.codec_bytes.iter().map(|(c, _)| count(c)).sum()
+        };
+
+        // Cold: the whole file comes off disk, two frames are decoded.
+        let before = ds.read_attribution();
+        ds.get_chunk(&keys[5]).unwrap();
+        let d = ds.read_attribution().since(&before);
+        assert_eq!(d.disk_reads, 1);
+        assert_eq!(decoded(&d), frame_len(0) + frame_len(6), "{d:?}");
+        assert_eq!(counts(&ds, &d), 2, "the directory and one member");
+        let load = ds
+            .obs()
+            .recent_spans()
+            .into_iter()
+            .find(|r| r.name == "store.partition.load")
+            .unwrap();
+        let attr = |k: &str| load.attrs.iter().find(|a| a.0 == k).map(|a| a.1.clone());
+        assert_eq!(attr("members_decoded").as_deref(), Some("2"));
+        assert_eq!(attr("members").as_deref(), Some("9"));
+        let charged = ds.read_cache_bytes();
+        assert_eq!(
+            charged,
+            sealed.len() + ds.get_chunk(&keys[5]).unwrap().to_bytes().len()
+        );
+
+        // Warm, same chunk: a lookup, nothing decoded.
+        let before = ds.read_attribution();
+        ds.get_chunk(&keys[5]).unwrap();
+        let d = ds.read_attribution().since(&before);
+        assert_eq!((d.cache_hits, d.disk_reads, decoded(&d)), (1, 0, 0));
+
+        // Another chunk of the cached image: its member alone, no disk.
+        let before = ds.read_attribution();
+        let other = ds.get_chunk(&keys[2]).unwrap();
+        let d = ds.read_attribution().since(&before);
+        assert_eq!((d.cache_hits, d.disk_reads), (1, 0));
+        assert_eq!(decoded(&d), frame_len(3));
+        assert_eq!(ds.read_cache_bytes(), charged + other.to_bytes().len());
+    }
+
+    #[test]
+    fn legacy_partition_files_read_recover_and_compact_into_members() {
+        let (dir, mut ds) = store(PlacementPolicy::ByIntermediate);
+        let (base, near) = near_pair();
+        let mut chunks: Vec<(ChunkKey, ColumnChunk)> = (0..4)
+            .map(|c| {
+                let vals = (0..600).map(|j| (c * 7 + j) as f64 * 1.5).collect();
+                (ChunkKey::new("m.i", format!("c{c}"), 0), f64_chunk(vals))
+            })
+            .collect();
+        chunks.push((ChunkKey::new("m.i", "base", 0), base));
+        chunks.push((ChunkKey::new("m.i", "near", 0), near));
+        for (key, chunk) in &chunks {
+            ds.put_chunk(key.clone(), chunk).unwrap();
+        }
+        assert!(ds.stats().delta_puts >= 1, "delta frames ride along");
+        ds.flush().unwrap();
+
+        // Rewrite the one partition file in the layout before members.
+        let path = dir.path().join("part_00000000.bin");
+        let sealed = std::fs::read(&path).unwrap();
+        let legacy = Partition::unseal(0, &sealed).unwrap().seal_legacy();
+        assert_ne!(
+            mistique_compress::scheme_of(&legacy),
+            mistique_compress::scheme_of(&sealed)
+        );
+        std::fs::write(&path, &legacy).unwrap();
+
+        let read_all = |ds: &mut DataStore, chunks: &[(ChunkKey, ColumnChunk)]| {
+            let keys: Vec<ChunkKey> = chunks.iter().map(|c| c.0.clone()).collect();
+            for par in [1usize, 2, 4, 0] {
+                ds.clear_read_cache();
+                let got = ds.get_chunk_bytes_batch(&keys, par).unwrap();
+                for (g, (key, chunk)) in got.iter().zip(chunks) {
+                    assert_eq!(g, &chunk.to_bytes(), "{key:?} at parallelism {par}");
+                }
+            }
+        };
+        read_all(&mut ds, &chunks);
+        let report = ds.recover().unwrap();
+        assert_eq!((report.partitions_ok, report.quarantined), (1, 0));
+
+        // A new version of the delta-encoded column leaves its old frame
+        // dead in the legacy file (no delta pins it, unlike the columns the
+        // others were encoded against); compaction rewrites that file in the
+        // member format.
+        chunks[5].1 = f64_chunk((0..600).map(|j| j as f64 - 0.25).collect());
+        ds.put_chunk(chunks[5].0.clone(), &chunks[5].1).unwrap();
+        ds.flush().unwrap();
+        let report = ds.compact(1.0).unwrap();
+        assert_eq!(report.partitions_rewritten, 1);
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(
+            mistique_compress::scheme_of(&rewritten),
+            Some(mistique_compress::Scheme::Members)
+        );
+        read_all(&mut ds, &chunks);
+        assert_eq!(ds.recover().unwrap().quarantined, 0);
+        ds.check_invariants().unwrap();
     }
 
     #[test]

@@ -228,6 +228,44 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         self.map.get(key).map(|(v, _)| v)
     }
 
+    /// Get an entry mutably, marking it most-recently-used. An entry that
+    /// grows in place must be re-accounted with [`LruCache::recharge`].
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        if self.map.contains_key(key) {
+            self.order.touch(key.clone());
+        }
+        self.map.get_mut(key).map(|(v, _)| v)
+    }
+
+    /// Re-account an entry at `bytes` after it changed in place, then evict
+    /// LRU victims other than it one at a time until the budget holds. An
+    /// entry that alone outgrew the whole budget leaves instead, as one that
+    /// large is refused by [`LruCache::insert`]. Returns the evicted entries.
+    pub fn recharge(&mut self, key: &K, bytes: usize) -> Vec<(K, V)> {
+        let Some((_, charged)) = self.map.get_mut(key) else {
+            return Vec::new();
+        };
+        self.used_bytes = self.used_bytes - *charged + bytes;
+        *charged = bytes;
+        if bytes > self.capacity_bytes {
+            return self
+                .remove(key)
+                .map(|v| (key.clone(), v))
+                .into_iter()
+                .collect();
+        }
+        let mut evicted = Vec::new();
+        while self.used_bytes > self.capacity_bytes {
+            let Some(victim) = self.order.peek_lru_excluding(Some(key)).cloned() else {
+                break;
+            };
+            if let Some(v) = self.remove(&victim) {
+                evicted.push((victim, v));
+            }
+        }
+        evicted
+    }
+
     /// Get an entry without touching recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|(v, _)| v)
@@ -361,6 +399,29 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(c.remove(&1).is_some());
         assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn cache_recharge_evicts_others_one_at_a_time() {
+        let mut c: LruCache<u32, ()> = LruCache::new(100);
+        for k in 0..4 {
+            c.insert(k, (), 20);
+        }
+        // Entry 0 is the LRU one; growing it in place evicts the others
+        // (1 first), never itself.
+        assert!(c.get_mut(&0).is_some());
+        let evicted = c.recharge(&0, 50);
+        assert_eq!(evicted.iter().map(|e| e.0).collect::<Vec<_>>(), [1]);
+        assert_eq!(c.used_bytes(), 90);
+        let evicted = c.recharge(&0, 70);
+        assert_eq!(evicted.iter().map(|e| e.0).collect::<Vec<_>>(), [2]);
+        assert!(c.contains(&0) && c.contains(&3));
+        assert_eq!(c.used_bytes(), 90);
+        // Outgrowing the whole budget takes the entry out, nothing else.
+        let evicted = c.recharge(&0, 101);
+        assert_eq!(evicted.iter().map(|e| e.0).collect::<Vec<_>>(), [0]);
+        assert_eq!((c.len(), c.used_bytes()), (1, 20));
+        assert!(c.recharge(&7, 10).is_empty(), "absent key");
     }
 
     #[test]

@@ -112,6 +112,22 @@ if [ -n "$copies$converts$jacobi" ]; then
   exit 1
 fi
 
+# A read decodes the members it asks for (DESIGN.md §11 "Partition file
+# format"); decoding a whole partition is compaction's business, which
+# rewrites every live chunk of it anyway. Non-test code only, as above.
+echo "== reads decode members, not partitions =="
+unseals=$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /^    (pub(\(crate\))? )?fn / { fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
+  /Partition::unseal\(/ && fn != "compact" { print FILENAME ":" FNR ": (in " fn ") " $0 }
+' crates/store/src/datastore.rs)
+if [ -n "$unseals" ]; then
+  echo "FAIL: a whole-partition decode on the read path — open a SealedPartition and decode the member:"
+  echo "$unseals"
+  exit 1
+fi
+
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
 # or a snapshot-writing helper is a second measurement system growing back.

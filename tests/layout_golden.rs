@@ -2,9 +2,12 @@
 //! partition a TRAD chunk joins, which stored chunk a new one is a delta
 //! against. A probe that returns a different item than before moves a
 //! partition file or a counter here, in seconds, instead of showing up as a
-//! `stored_ratio` drift in a benchmark run. The numbers below were recorded
-//! on the commit before the LSH index was rebuilt around dense slots
-//! (DESIGN.md §17 "Base selection").
+//! `stored_ratio` drift in a benchmark run. The `StoreStats` below were
+//! recorded on the commit before the LSH index was rebuilt around dense
+//! slots (DESIGN.md §17 "Base selection"); the file lengths were re-recorded
+//! when partitions became one member frame per chunk (DESIGN.md §11
+//! "Partition file format") — a format change, with every `StoreStats`
+//! field unmoved.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -90,19 +93,19 @@ fn similarity_answers_leave_the_layout_unchanged() {
 /// Length of `part_{i:08x}.bin`, for every partition the run creates.
 #[rustfmt::skip]
 const PARTITION_LENS: [u64; 229] = [
-    111, 5980, 2291, 168, 230, 117, 168, 114, 168, 236, 114, 168, 112, 168, 230, 114,
-    168, 113, 168, 168, 115, 168, 113, 168, 230, 114, 168, 113, 168, 233, 117, 168,
-    113, 168, 230, 117, 168, 113, 168, 230, 117, 168, 115, 168, 230, 110, 168, 113,
-    168, 230, 115, 168, 113, 168, 233, 115, 168, 113, 168, 230, 110, 168, 113, 168,
-    168, 117, 168, 113, 168, 236, 110, 168, 113, 168, 168, 115, 168, 113, 168, 239,
-    114, 168, 114, 168, 226, 110, 168, 115, 168, 285, 115, 168, 115, 168, 236, 115,
-    168, 115, 168, 234, 115, 168, 115, 168, 230, 117, 168, 115, 168, 236, 117, 168,
-    115, 168, 230, 117, 168, 115, 168, 239, 115, 168, 115, 168, 230, 112, 168, 541,
-    25208, 1268, 93, 80, 115, 115, 115, 115, 115, 115, 115, 80, 103, 82, 103, 168,
-    231, 112, 168, 168, 236, 115, 168, 168, 231, 117, 168, 168, 233, 114, 168, 168,
-    233, 117, 168, 168, 228, 115, 168, 168, 168, 108, 168, 103, 147, 82, 103, 2852,
-    5093, 168, 168, 168, 168, 168, 168, 168, 168, 168, 168, 168, 168, 168, 168, 168,
-    168, 168, 168, 168, 168, 168, 168, 168, 168, 168, 103, 168, 168, 168, 168, 168,
-    168, 168, 103, 73805, 45673, 11407, 45584, 37040, 9894, 37040, 2868, 1795, 44877, 69181, 19420, 28732,
-    22800, 5711, 22800, 3524, 1795,
+    109, 9387, 3386, 177, 242, 122, 177, 113, 177, 248, 119, 177, 113, 177, 242, 119,
+    177, 113, 177, 177, 120, 177, 113, 177, 242, 119, 177, 113, 177, 245, 122, 177,
+    113, 177, 242, 122, 177, 113, 177, 242, 122, 177, 113, 177, 242, 115, 177, 113,
+    177, 242, 120, 177, 113, 177, 245, 120, 177, 113, 177, 242, 115, 177, 113, 177,
+    177, 122, 177, 113, 177, 248, 115, 177, 113, 177, 177, 120, 177, 113, 177, 251,
+    119, 177, 120, 177, 241, 115, 177, 119, 177, 429, 120, 177, 119, 177, 248, 120,
+    177, 119, 177, 251, 120, 177, 119, 177, 242, 122, 177, 119, 177, 248, 122, 177,
+    119, 177, 242, 122, 177, 119, 177, 251, 120, 177, 119, 177, 242, 117, 177, 646,
+    26039, 1651, 98, 83, 119, 119, 119, 119, 119, 119, 119, 83, 110, 86, 110, 177,
+    248, 117, 177, 177, 248, 120, 177, 177, 248, 122, 177, 177, 245, 120, 177, 177,
+    245, 122, 177, 177, 246, 120, 177, 177, 177, 113, 177, 110, 203, 86, 110, 2911,
+    11679, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177,
+    177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 110, 177, 177, 177, 177, 177,
+    177, 177, 110, 87501, 47156, 11798, 46967, 37762, 10208, 37761, 3090, 1861, 54450, 80780, 21788, 29337,
+    23575, 5909, 23575, 3622, 1861,
 ];
