@@ -6,7 +6,7 @@
 //! replaced the `rand` stand-in the benchmark had always linked; an edit
 //! that moves one has moved the benchmark's corpus.
 
-use mistique_nn::{simple_cnn, CifarLike, Layer, Model};
+use mistique_nn::{simple_cnn, vgg16_cifar, ArchConfig, CifarLike, Layer, Model};
 use mistique_pipeline::ZillowData;
 
 /// FNV-1a over the little-endian bytes of each word.
@@ -61,5 +61,36 @@ fn simple_cnn_weights_are_pinned() {
         fnv(words),
         0xde7f_0809_1400_47c0,
         "simple_cnn(8) weights at seed 11, epoch 1 moved"
+    );
+}
+
+/// FNV over the bits of every layer's activation of `arch` at seed 11,
+/// epoch 1. A NaN's sign and payload are not part of the forward pass's
+/// contract (an `fadd` may return either operand's NaN), so every NaN is
+/// folded to the canonical quiet NaN first.
+fn activation_digest(arch: &ArchConfig, images: &mistique_nn::Tensor) -> u64 {
+    let model = Model::build(arch, 11, 1);
+    let words = model
+        .forward_collect(images)
+        .into_iter()
+        .flat_map(|(_, t)| t.data)
+        .map(|v| u64::from(if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() }));
+    fnv(words)
+}
+
+/// Every activation the store sees is a function of these bits: a forward
+/// kernel that reorders one addition moves a hash here, and with it every
+/// stored byte of the DNN workloads.
+#[test]
+fn forward_activations_are_pinned() {
+    let images = CifarLike::generate(8, 10, 7).images;
+    let got = [
+        activation_digest(&simple_cnn(16), &images),
+        activation_digest(&vgg16_cifar(8), &images),
+    ];
+    assert_eq!(
+        got,
+        [0x5383_55cc_b91c_1188, 0xa4ad_17b1_464d_a05c],
+        "simple_cnn(16) / vgg16_cifar(8) activations at seed 11, epoch 1 moved"
     );
 }
