@@ -478,6 +478,14 @@ impl Mistique {
             for c in r.frame.columns() {
                 all.extend_from_slice(c.data.f64_view(&mut scratch));
             }
+            // A NaN has no rank among the activations T_k is a rank of.
+            if let Some(at) = all.iter().position(|v| v.is_nan()) {
+                return Err(MistiqueError::Invalid(format!(
+                    "{intermediate} holds a NaN (row {}, column {})",
+                    at % n,
+                    wanted[at / n]
+                )));
+            }
             let t_k = percentile(&all, 1.0 - alpha);
 
             // IoU between binarized maps and concept masks.
@@ -909,6 +917,31 @@ mod tests {
             };
             assert!(msg.contains(&interm) && msg.contains("lot_size"), "{msg}");
         }
+    }
+
+    // Panicked in `percentile`'s sort before netdissect named the cell. A
+    // TRAD intermediate has no activation map to dissect, so the NaN is a
+    // planted pixel, which reaches every channel of layer 1 at map cell 0.
+    #[test]
+    fn netdissect_rejects_a_nan_cell_by_name() {
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(dir.path(), MistiqueConfig::default()).unwrap();
+        let mut data = CifarLike::generate(20, 5, 2);
+        data.images.data[3 * 32 * 32] = f32::NAN;
+        let id = sys
+            .register_dnn(Arc::new(simple_cnn(16)), 9, 0, Arc::new(data), 10)
+            .unwrap();
+        sys.log_intermediates(&id).unwrap();
+        let interm = format!("{id}.layer1");
+        let masks = vec![vec![false; 16 * 16]; 20];
+        let err = sys.netdissect(&interm, 1, &masks, 0.1).unwrap_err();
+        let MistiqueError::Invalid(msg) = err else {
+            panic!("expected Invalid, got {err}");
+        };
+        assert!(
+            msg.contains(&interm) && msg.contains("(row 1, column n256)"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -49,14 +49,22 @@ pub fn summarize(values: &[f64]) -> Summary {
     }
 }
 
-/// Percentile of `values` with linear interpolation, `p` in `[0, 1]`.
+/// `values` without their NaNs, ascending. A NaN has no place in an order,
+/// so it is left out rather than allowed to panic the sort; the rest sort
+/// stably by `partial_cmp`, so `-0.0` and `0.0` keep their input order.
+pub fn sorted_numbers(values: impl IntoIterator<Item = f64>) -> Vec<f64> {
+    let mut sorted: Vec<f64> = values.into_iter().filter(|v| !v.is_nan()).collect();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were left out"));
+    sorted
+}
+
+/// Percentile of `values` with linear interpolation, `p` in `[0, 1]`. NaNs
+/// are left out ([`sorted_numbers`]); with none left the answer is 0.
 ///
 /// Sorts a copy; callers on hot paths should pre-sort and use
 /// [`percentile_sorted`].
 pub fn percentile(values: &[f64], p: f64) -> f64 {
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    percentile_sorted(&sorted, p)
+    percentile_sorted(&sorted_numbers(values.iter().copied()), p)
 }
 
 /// Percentile over already-sorted data with linear interpolation.
@@ -77,10 +85,9 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Equi-depth quantile boundaries: `k` boundaries splitting the data into
-/// `k + 1` buckets. Used by KBIT_QT to build the bin edges.
+/// `k + 1` buckets, NaNs left out ([`sorted_numbers`]).
 pub fn quantile_boundaries(values: &[f64], k: usize) -> Vec<f64> {
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let sorted = sorted_numbers(values.iter().copied());
     (1..=k)
         .map(|i| percentile_sorted(&sorted, i as f64 / (k + 1) as f64))
         .collect()
@@ -155,6 +162,24 @@ mod tests {
         assert!((b[0] - 24.75).abs() < 1.0);
         assert!((b[1] - 49.5).abs() < 1.0);
         assert!((b[2] - 74.25).abs() < 1.0);
+    }
+
+    #[test]
+    fn nans_are_left_out_of_the_order() {
+        let v = [3.0, f64::NAN, 1.0, 2.0, -f64::NAN];
+        assert_eq!(percentile(&v, 0.5), 2.0);
+        assert_eq!(percentile(&v, 1.0), 3.0);
+        assert_eq!(percentile(&[f64::NAN], 0.5), 0.0);
+        assert_eq!(
+            quantile_boundaries(&v, 3),
+            quantile_boundaries(&[3.0, 1.0, 2.0], 3)
+        );
+        // Equal under `partial_cmp`: the zeros keep their input order.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for zeros in [[-0.0, 0.0], [0.0, -0.0]] {
+            let sorted = sorted_numbers([1.0, zeros[0], f64::NAN, zeros[1], -1.0]);
+            assert_eq!(bits(sorted), bits(vec![-1.0, zeros[0], zeros[1], 1.0]));
+        }
     }
 
     #[test]

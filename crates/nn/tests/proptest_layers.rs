@@ -34,8 +34,8 @@ fn conv_is_homogeneous() {
         let layer = conv(2, 1, w, vec![0.0]);
         let t = Tensor::from_vec(1, 2, 4, 4, x.clone());
         let scaled = Tensor::from_vec(1, 2, 4, 4, x.iter().map(|v| v * a).collect());
-        let y1 = layer.forward(&t);
-        let y2 = layer.forward(&scaled);
+        let y1 = layer.forward(t);
+        let y2 = layer.forward(scaled);
         for (u, v) in y1.data.iter().zip(&y2.data) {
             assert!((u * a - v).abs() < 1e-3, "{u} * {a} vs {v}");
         }
@@ -55,9 +55,9 @@ fn conv_is_additive_up_to_bias() {
         let tx = Tensor::from_vec(1, 1, 3, 3, x.clone());
         let ty = Tensor::from_vec(1, 1, 3, 3, y.clone());
         let txy = Tensor::from_vec(1, 1, 3, 3, x.iter().zip(&y).map(|(u, v)| u + v).collect());
-        let fx = layer.forward(&tx);
-        let fy = layer.forward(&ty);
-        let fxy = layer.forward(&txy);
+        let fx = layer.forward(tx);
+        let fy = layer.forward(ty);
+        let fxy = layer.forward(txy);
         for i in 0..fxy.data.len() {
             let expect = fx.data[i] + fy.data[i] - b;
             assert!((fxy.data[i] - expect).abs() < 1e-3);
@@ -71,7 +71,7 @@ fn maxpool_values_come_from_input() {
     cases(48, 3, |g| {
         let x = finite_vec(g, 1 * 4 * 4);
         let t = Tensor::from_vec(1, 1, 4, 4, x.clone());
-        let y = Layer::MaxPool2.forward(&t);
+        let y = Layer::MaxPool2.forward(t);
         for v in &y.data {
             assert!(x.contains(v));
         }
@@ -89,8 +89,8 @@ fn softmax_invariants() {
 
         let t = Tensor::from_vec(1, 8, 1, 1, x.clone());
         let shifted = Tensor::from_vec(1, 8, 1, 1, x.iter().map(|v| v + shift).collect());
-        let a = Layer::Softmax.forward(&t);
-        let b = Layer::Softmax.forward(&shifted);
+        let a = Layer::Softmax.forward(t);
+        let b = Layer::Softmax.forward(shifted);
         let sum: f32 = a.data.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5);
         for (u, v) in a.data.iter().zip(&b.data) {
@@ -115,9 +115,9 @@ fn batch_independence() {
         let mut both_data = x1;
         both_data.extend(x2);
         let both = Tensor::from_vec(2, 2, 4, 4, both_data);
-        let y1 = layer.forward(&t1);
-        let y2 = layer.forward(&t2);
-        let y = layer.forward(&both);
+        let y1 = layer.forward(t1);
+        let y2 = layer.forward(t2);
+        let y = layer.forward(both);
         assert_eq!(y.example(0), &y1.data[..]);
         assert_eq!(y.example(1), &y2.data[..]);
     });

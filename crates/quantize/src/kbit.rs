@@ -6,7 +6,7 @@
 //! which is the "reconstruction cost" the paper notes when reading 8BIT_QT
 //! intermediates.
 
-use mistique_linalg::stats::percentile_sorted;
+use mistique_linalg::stats::{percentile_sorted, sorted_numbers};
 
 use crate::bitpack;
 
@@ -23,7 +23,9 @@ pub struct KbitQuantizer {
 impl KbitQuantizer {
     /// Fit a quantizer with `2^bits` bins on a sample of activations.
     ///
-    /// The paper's default is `bits = 8` (256 quantiles).
+    /// The paper's default is `bits = 8` (256 quantiles). NaNs are left out
+    /// of the fit ([`sorted_numbers`]); a sample of NaNs only fits every
+    /// boundary and representative at 0.
     ///
     /// # Panics
     /// Panics if `bits` is 0 or > 8, or the sample is empty.
@@ -33,8 +35,7 @@ impl KbitQuantizer {
             !sample.is_empty(),
             "cannot fit a quantizer on an empty sample"
         );
-        let mut sorted: Vec<f64> = sample.iter().map(|&v| v as f64).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let sorted = sorted_numbers(sample.iter().map(|&v| f64::from(v)));
         let n_bins = 1usize << bits;
 
         let boundaries: Vec<f32> = (1..n_bins)
@@ -223,6 +224,21 @@ mod tests {
             // is the same value (quantization is a projection).
             assert_eq!(q.value_of(q.code_of(v)), v);
         }
+    }
+
+    #[test]
+    fn nans_are_left_out_of_the_fit() {
+        let sample = uniform_sample(1000);
+        let mut with_nans = sample.clone();
+        with_nans.extend([f32::NAN, -f32::NAN]);
+        with_nans.swap(0, 1000);
+        assert_eq!(
+            KbitQuantizer::fit(&with_nans, 8),
+            KbitQuantizer::fit(&sample, 8)
+        );
+        let q = KbitQuantizer::fit(&[f32::NAN; 3], 2);
+        assert_eq!(q.value_of(0), 0.0);
+        assert_eq!(q.value_of(3), 0.0);
     }
 
     #[test]

@@ -128,6 +128,18 @@ if [ -n "$unseals" ]; then
   exit 1
 fi
 
+# The forward kernels walk contiguous slices (DESIGN.md §2, "Kernel order
+# contract"): `Tensor::at` / `at_mut` recompute a four-term index per read,
+# which is what the naive kernels kept under `#[cfg(test)]` cost. Non-test
+# code only, as above.
+echo "== forward kernels index slices =="
+sites=$(echo crates/nn/src/layer.rs | non_test_lines | grep -E '\.at(_mut)?\(' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: per-element Tensor indexing in a forward kernel — walk row slices:"
+  echo "$sites"
+  exit 1
+fi
+
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
 # or a snapshot-writing helper is a second measurement system growing back.
