@@ -119,14 +119,24 @@ pub fn pool_batch(
     w: usize,
     sigma: usize,
 ) -> (Vec<Vec<f32>>, usize) {
-    let mut pooled = Vec::with_capacity(examples.len());
-    let mut out_features = 0;
-    for ex in examples {
-        let (p, (oh, ow)) = pool_channels(ex, channels, h, w, sigma, PoolKind::Avg);
-        out_features = channels * oh * ow;
-        pooled.push(p);
-    }
+    let pooled: Vec<Vec<f32>> = examples
+        .iter()
+        .map(|ex| pool_example(ex, channels, h, w, sigma))
+        .collect();
+    let out_features = pooled.first().map_or(0, Vec::len);
     (pooled, out_features)
+}
+
+/// Pool one example's `channels x h x w` activation values: the per-example
+/// step of [`pool_batch`].
+pub fn pool_example(
+    example: &[f32],
+    channels: usize,
+    h: usize,
+    w: usize,
+    sigma: usize,
+) -> Vec<f32> {
+    pool_channels(example, channels, h, w, sigma, PoolKind::Avg).0
 }
 
 /// The fitted state of a [`ValueScheme`]: what turns a column's f32 values

@@ -1,6 +1,7 @@
 //! The PipelineExecutor: a uniform interface for running TRAD pipelines and
 //! DNN checkpoints, used both when logging and when re-running for a query.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -169,7 +170,13 @@ impl ModelSource {
                 }
 
                 let n = n_ex.unwrap_or(data.len()).min(data.len());
-                let input = data.images.slice_examples(0, n);
+                // The forward copies its input a tile at a time; only a
+                // prefix needs copying out first.
+                let input = if n < data.len() {
+                    Cow::Owned(data.images.slice_examples(0, n))
+                } else {
+                    Cow::Borrowed(&data.images)
+                };
                 let sp_fwd = obs.map(|o| {
                     let mut s = o.span("exec.forward");
                     s.attr("layer", stage_index).attr("n_ex", n);
