@@ -949,37 +949,58 @@ mod tests {
         assert!(!sys.metadata().intermediate(&interm).unwrap().materialized);
     }
 
-    #[test]
-    fn dnn_read_and_rerun_align_with_pooling() {
+    /// Log `simple_cnn(16)` over `n_images` images under POOL_QT(`sigma`),
+    /// then fetch `layer{layer}` over `n_ex` examples both ways: the re-run
+    /// must return the stored layout, every cell the same bits.
+    fn assert_rerun_bits_match_read(sigma: usize, n_images: usize, layer: usize, n_ex: usize) {
         let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 8,
             storage: StorageStrategy::Dedup,
+            dnn_capture: CaptureScheme {
+                value: ValueScheme::Full,
+                pool_sigma: Some(sigma),
+            },
             ..MistiqueConfig::default()
         };
         let mut sys = Mistique::open(dir.path(), config).unwrap();
-        let data = Arc::new(CifarLike::generate(16, 10, 1));
+        let data = Arc::new(CifarLike::generate(n_images, 10, 1));
         let id = sys
             .register_dnn(Arc::new(simple_cnn(16)), 5, 0, data, 8)
             .unwrap();
         sys.log_intermediates(&id).unwrap();
-        let interm = format!("{id}.layer1");
+        let interm = format!("{id}.layer{layer}");
+        let case = format!("{interm}, sigma {sigma}, {n_ex} of {n_images}");
         let read = sys
-            .fetch_with_strategy(&interm, None, None, FetchStrategy::Read)
+            .fetch_with_strategy(&interm, None, Some(n_ex), FetchStrategy::Read)
             .unwrap();
         let rerun = sys
-            .fetch_with_strategy(&interm, None, None, FetchStrategy::Rerun)
+            .fetch_with_strategy(&interm, None, Some(n_ex), FetchStrategy::Rerun)
             .unwrap();
-        // pool(2) layout: both paths expose the pooled column count.
-        assert_eq!(read.frame.n_cols(), rerun.frame.n_cols());
-        assert_eq!(read.frame.n_rows(), rerun.frame.n_rows());
-        for col in read.frame.columns() {
-            let a = col.data.to_f64();
-            let b = rerun.frame.column(&col.name).unwrap().data.to_f64();
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x - y).abs() < 1e-4, "col {}: {x} vs {y}", col.name);
-            }
+        assert_eq!(read.frame.n_rows(), n_ex, "{case}");
+        assert_eq!(
+            read.frame.column_names(),
+            rerun.frame.column_names(),
+            "{case}"
+        );
+        assert_eq!(read.frame.n_rows(), rerun.frame.n_rows(), "{case}");
+        for (a, b) in read.frame.columns().iter().zip(rerun.frame.columns()) {
+            let bits =
+                |c: &Column| -> Vec<u64> { c.data.to_f64().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(a), bits(b), "{case}: column {}", a.name);
         }
+    }
+
+    #[test]
+    fn dnn_read_and_rerun_align_with_pooling() {
+        // pool(2) over Layer 1's 32×32 planes, every example.
+        assert_rerun_bits_match_read(2, 16, 1, 16);
+        // A prefix that ends inside a forward tile.
+        assert_rerun_bits_match_read(2, 35, 1, 19);
+        // A dense layer: one value per unit, stored unpooled.
+        assert_rerun_bits_match_read(2, 16, 8, 16);
+        // σ = 3 does not divide 32: the last window of a row is partial.
+        assert_rerun_bits_match_read(3, 16, 1, 16);
     }
 
     #[test]
