@@ -10,7 +10,7 @@ use mistique_nn::{simple_cnn, vgg16_cifar, CifarLike, Layer, Model, Tensor};
 use mistique_rng::Rng;
 
 /// A model of one layer over `(in_c, hw, hw)` inputs, so a case times the
-/// layer through `forward_to_batched`, the path a re-run takes.
+/// layer through [`forward`], the path logging and a re-run take.
 fn one_layer(layer: Layer, in_c: usize, hw: usize) -> Model {
     let out_shape = layer.output_shape(in_c, hw, hw);
     Model {
@@ -24,6 +24,13 @@ fn one_layer(layer: Layer, in_c: usize, hw: usize) -> Model {
         in_c,
         in_hw: hw,
     }
+}
+
+/// Every example of `x` through layers `0..=upto`, tile by tile.
+fn forward(model: &Model, x: &Tensor, upto: usize) {
+    model.forward_tiles(x, 0..x.n, upto, |_, t, _| {
+        black_box(t);
+    });
 }
 
 fn values(rng: &mut Rng, n: usize) -> Vec<f32> {
@@ -52,10 +59,10 @@ fn main() {
         let model = Model::build(&arch, 1, 0);
         let last = model.n_layers() - 1;
         micro(&format!("nn_forward/{name}/full"), bytes, || {
-            model.forward_to_batched(black_box(&data.images), last, 16)
+            forward(&model, black_box(&data.images), last)
         });
         micro(&format!("nn_forward/{name}/layer1"), bytes, || {
-            model.forward_to_batched(black_box(&data.images), 0, 16)
+            forward(&model, black_box(&data.images), 0)
         });
     }
 
@@ -79,7 +86,7 @@ fn main() {
         let model = one_layer(layer, in_c, hw);
         let x = Tensor::from_vec(16, in_c, hw, hw, values(&mut rng, 16 * in_c * hw * hw));
         micro(&format!("nn_forward/{name}"), (x.len() * 4) as u64, || {
-            model.forward_to_batched(black_box(&x), 0, 16)
+            forward(&model, black_box(&x), 0)
         });
     }
 }

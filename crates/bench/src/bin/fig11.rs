@@ -9,6 +9,7 @@
 //!
 //! Flags: `--rows N --examples N --scale N --dnn`
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,10 +76,18 @@ fn dnn(examples: usize, scale: usize) {
     let data = Arc::new(CifarLike::generate(examples, 10, 7));
     let arch = Arc::new(vgg16_cifar(scale));
 
-    // Baseline: run the model without any logging.
+    // Baseline: run the model without any logging, tile by tile as
+    // logging runs it.
     let model = Model::build(&arch, 11, 0);
     let t0 = Instant::now();
-    let _ = model.forward_to_batched(&data.images, model.n_layers() - 1, 1000);
+    model.forward_tiles(
+        &data.images,
+        0..data.len(),
+        model.n_layers() - 1,
+        |_, t, _| {
+            black_box(t);
+        },
+    );
     let no_log = t0.elapsed();
 
     let schemes: Vec<(&str, CaptureScheme)> = vec![

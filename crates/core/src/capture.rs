@@ -1,7 +1,13 @@
 //! Capture-time transformation of intermediates: pooling summarization and
 //! value quantization (Sec 4.1), applied before chunks reach the DataStore.
+//!
+//! The one place a DNN activation becomes stored rows ([`LayerCapture`]) and
+//! rows become a frame ([`encode_batch`]): logging and a re-run both hand
+//! every tile of [`mistique_nn::Model::forward_tiles`] to the same code, so a
+//! re-run returns exactly the layout and bits the store holds.
 
 use mistique_dataframe::{Column, ColumnData, DataFrame};
+use mistique_nn::Tensor;
 use mistique_quantize::half::encode_f16;
 use mistique_quantize::pool::pool_channels;
 use mistique_quantize::{KbitQuantizer, PoolKind, ThresholdQuantizer};
@@ -129,14 +135,61 @@ pub fn pool_batch(
 
 /// Pool one example's `channels x h x w` activation values: the per-example
 /// step of [`pool_batch`].
-pub fn pool_example(
-    example: &[f32],
-    channels: usize,
-    h: usize,
-    w: usize,
-    sigma: usize,
-) -> Vec<f32> {
+fn pool_example(example: &[f32], channels: usize, h: usize, w: usize, sigma: usize) -> Vec<f32> {
     pool_channels(example, channels, h, w, sigma, PoolKind::Avg).0
+}
+
+/// The name of feature column `j` of a captured activation: `n{j}`, in
+/// `c × h × w` order of the stored (possibly pooled) map.
+pub(crate) fn feature_column(j: usize) -> String {
+    format!("n{j}")
+}
+
+/// How one DNN layer's activations become stored rows under POOL_QT
+/// (Sec 4.1). Only spatial (conv/pool) maps pool, and only for σ > 1; dense
+/// and flattened activations are stored as they are.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LayerCapture {
+    /// The layer's activation shape `(c, h, w)`.
+    shape: (usize, usize, usize),
+    /// The window σ, when this layer pools.
+    sigma: Option<usize>,
+}
+
+impl LayerCapture {
+    /// The capture of a layer of activation shape `shape` under the
+    /// scheme's `pool_sigma`.
+    pub(crate) fn new(shape: (usize, usize, usize), pool_sigma: Option<usize>) -> LayerCapture {
+        LayerCapture {
+            shape,
+            sigma: pool_sigma.filter(|&sigma| shape.1 > 1 && sigma > 1),
+        }
+    }
+
+    /// The shape rows are stored at: σ×σ windows, partial at the edges.
+    pub(crate) fn stored_shape(&self) -> (usize, usize, usize) {
+        let (c, h, w) = self.shape;
+        match self.sigma {
+            Some(sigma) => (c, h.div_ceil(sigma), w.div_ceil(sigma)),
+            None => self.shape,
+        }
+    }
+
+    /// Values per stored row.
+    pub(crate) fn features(&self) -> usize {
+        let (c, h, w) = self.stored_shape();
+        c * h * w
+    }
+
+    /// Append one tile of the layer's activations to `rows`, one stored row
+    /// per example: pooled, or copied.
+    pub(crate) fn capture_tile(&self, tile: &Tensor, rows: &mut Vec<Vec<f32>>) {
+        let (c, h, w) = self.shape;
+        rows.extend((0..tile.n).map(|i| match self.sigma {
+            Some(sigma) => pool_example(tile.example(i), c, h, w, sigma),
+            None => tile.example(i).to_vec(),
+        }));
+    }
 }
 
 /// The fitted state of a [`ValueScheme`]: what turns a column's f32 values
@@ -235,7 +288,7 @@ pub fn encode_batch(
     let cols = (0..n_features)
         .map(|j| {
             let vals: Vec<f32> = examples.iter().map(|ex| ex[j]).collect();
-            Column::new(format!("n{j}"), encoder.encode(vals))
+            Column::new(feature_column(j), encoder.encode(vals))
         })
         .collect();
     CapturedBatch {

@@ -7,6 +7,7 @@ use mistique_linalg::stats::percentile;
 use mistique_linalg::{svcca, Matrix, Pca, SvccaResult};
 
 use crate::audit::{args_of, csv, AuditArgs};
+use crate::capture::feature_column;
 use crate::error::MistiqueError;
 use crate::system::Mistique;
 
@@ -458,7 +459,7 @@ impl Mistique {
             let map_size = h * w;
             // Fetch only the columns of this unit's activation map.
             let wanted: Vec<String> = (unit * map_size..(unit + 1) * map_size)
-                .map(|j| format!("n{j}"))
+                .map(feature_column)
                 .collect();
             let refs: Vec<&str> = wanted.iter().map(|s| s.as_str()).collect();
             let r = sys.get_intermediate(intermediate, Some(&refs), None)?;

@@ -1,16 +1,14 @@
 //! The PipelineExecutor: a uniform interface for running TRAD pipelines and
 //! DNN checkpoints, used both when logging and when re-running for a query.
 
-use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use mistique_dataframe::DataFrame;
-use mistique_nn::model::activation_to_frame;
 use mistique_nn::{ArchConfig, CifarLike, Model};
 use mistique_obs::Obs;
 use mistique_pipeline::{Pipeline, ZillowData};
 
+use crate::capture::{encode_batch, LayerCapture, ValueScheme};
 use crate::metadata::ModelKind;
 
 /// An executable model MISTIQUE can re-run on demand.
@@ -33,19 +31,12 @@ pub enum ModelSource {
         epoch: u32,
         /// Input dataset.
         data: Arc<CifarLike>,
-        /// Forward batch size (the paper uses 1000).
+        /// Forward batch size as registered (the paper uses 1000). It is
+        /// journaled with the registration and read by nothing else: every
+        /// forward pass, logging's and a re-run's, runs
+        /// [`mistique_nn::model::FORWARD_TILE`] examples at a time.
         batch_size: usize,
     },
-}
-
-/// One re-created intermediate plus timing breakdown.
-pub struct RecreatedIntermediate {
-    /// The intermediate dataframe (full precision, unquantized).
-    pub frame: DataFrame,
-    /// Time to instantiate the model (`t_model_load`).
-    pub model_load: Duration,
-    /// Time to execute stages/layers up to the target.
-    pub exec_time: Duration,
 }
 
 impl ModelSource {
@@ -103,107 +94,55 @@ impl ModelSource {
 
     /// Re-create the intermediate at `stage_index` by running the model
     /// forward, over the first `n_ex` examples (DNN only; TRAD pipelines
-    /// always run over their full tables, as in the paper's evaluation).
-    pub fn recreate(&self, stage_index: usize, n_ex: Option<usize>) -> RecreatedIntermediate {
-        self.recreate_inner(stage_index, n_ex, None)
-    }
-
-    /// [`ModelSource::recreate`] with tracing: model load and stage/layer
+    /// always run over their full tables, as in the paper's evaluation). A
+    /// DNN layer comes back in the layout it is stored at under
+    /// `pool_sigma` (POOL_QT), at full precision: every tile of the forward
+    /// is captured as logging captures it. Model load and stage/layer
     /// execution become child spans of whatever span is active on the
     /// calling thread (e.g. the reader's `fetch.rerun`).
-    pub fn recreate_traced(
+    pub fn recreate(
         &self,
         stage_index: usize,
-        n_ex: Option<usize>,
+        n_ex: usize,
+        pool_sigma: Option<usize>,
         obs: &Obs,
-    ) -> RecreatedIntermediate {
-        self.recreate_inner(stage_index, n_ex, Some(obs))
-    }
-
-    fn recreate_inner(
-        &self,
-        stage_index: usize,
-        n_ex: Option<usize>,
-        obs: Option<&Obs>,
-    ) -> RecreatedIntermediate {
+    ) -> DataFrame {
         match self {
             ModelSource::Trad { pipeline, data } => {
-                let sp = obs.map(|o| {
-                    let mut s = o.span("exec.run_stages");
-                    s.attr("model", &pipeline.id).attr("stage", stage_index);
-                    s
-                });
-                let t0 = Instant::now();
+                let mut sp = obs.span("exec.run_stages");
+                sp.attr("model", &pipeline.id).attr("stage", stage_index);
                 let records = pipeline.run_to(data, stage_index);
-                let exec_time = t0.elapsed();
-                if let Some(s) = sp {
-                    s.finish();
-                }
-                let frame = records
+                sp.finish();
+                records
                     .into_iter()
                     .last()
                     .expect("at least one stage")
-                    .output;
-                RecreatedIntermediate {
-                    frame,
-                    model_load: Duration::ZERO,
-                    exec_time,
-                }
+                    .output
             }
             ModelSource::Dnn {
                 arch,
                 seed,
                 epoch,
                 data,
-                batch_size,
+                ..
             } => {
-                let sp_load = obs.map(|o| {
-                    let mut s = o.span("exec.model_load");
-                    s.attr("model", self.id());
-                    s
-                });
-                let t0 = Instant::now();
+                let mut sp_load = obs.span("exec.model_load");
+                sp_load.attr("model", self.id());
                 let model = Model::build(arch, *seed, *epoch);
-                let model_load = t0.elapsed();
-                if let Some(s) = sp_load {
-                    s.finish();
-                }
+                sp_load.finish();
 
-                let n = n_ex.unwrap_or(data.len()).min(data.len());
-                // The forward copies its input a tile at a time; only a
-                // prefix needs copying out first.
-                let input = if n < data.len() {
-                    Cow::Owned(data.images.slice_examples(0, n))
-                } else {
-                    Cow::Borrowed(&data.images)
-                };
-                let sp_fwd = obs.map(|o| {
-                    let mut s = o.span("exec.forward");
-                    s.attr("layer", stage_index).attr("n_ex", n);
-                    s
+                let n = n_ex.min(data.len());
+                let capture = LayerCapture::new(model.layers[stage_index].out_shape, pool_sigma);
+                let mut sp_fwd = obs.span("exec.forward");
+                sp_fwd.attr("layer", stage_index).attr("n_ex", n);
+                let mut rows = Vec::with_capacity(n);
+                model.forward_tiles(&data.images, 0..n, stage_index, |layer, t, _| {
+                    if layer == stage_index {
+                        capture.capture_tile(t, &mut rows);
+                    }
                 });
-                let t1 = Instant::now();
-                let out = model.forward_to_batched(&input, stage_index, *batch_size);
-                let exec_time = t1.elapsed();
-                if let Some(s) = sp_fwd {
-                    s.finish();
-                }
-                RecreatedIntermediate {
-                    frame: activation_to_frame(&out),
-                    model_load,
-                    exec_time,
-                }
-            }
-        }
-    }
-
-    /// For DNN models: the activation shape `(c, h, w)` of each layer.
-    pub fn layer_shapes(&self) -> Option<Vec<(usize, usize, usize)>> {
-        match self {
-            ModelSource::Trad { .. } => None,
-            ModelSource::Dnn { arch, seed, .. } => {
-                let m = Model::build(arch, *seed, 0);
-                Some(m.layers.iter().map(|l| l.out_shape).collect())
+                sp_fwd.finish();
+                encode_batch(&rows, capture.features(), ValueScheme::Full, None, None).frame
             }
         }
     }
@@ -253,33 +192,24 @@ mod tests {
     #[test]
     fn trad_recreate_matches_direct_run() {
         let s = trad_source();
-        let rec = s.recreate(3, None);
+        let rec = s.recreate(3, usize::MAX, None, &Obs::new());
         if let ModelSource::Trad { pipeline, data } = &s {
             let direct = pipeline.run_to(data, 3).pop().unwrap().output;
-            assert_eq!(rec.frame, direct);
+            assert_eq!(rec, direct);
         }
     }
 
     #[test]
     fn dnn_recreate_respects_n_ex() {
         let s = dnn_source();
-        let all = s.recreate(0, None);
-        let some = s.recreate(0, Some(4));
-        assert_eq!(all.frame.n_rows(), 12);
-        assert_eq!(some.frame.n_rows(), 4);
-        assert_eq!(all.frame.n_cols(), some.frame.n_cols());
-    }
-
-    #[test]
-    fn dnn_layer_shapes_available() {
-        let s = dnn_source();
-        let shapes = s.layer_shapes().unwrap();
-        assert_eq!(shapes.len(), s.n_stages());
-        assert_eq!(shapes[0].1, 32, "first conv keeps 32x32");
-        assert!(
-            s.layer_shapes().unwrap().last().unwrap().0 == 10,
-            "10 classes"
-        );
-        assert!(trad_source().layer_shapes().is_none());
+        let obs = Obs::new();
+        let all = s.recreate(0, usize::MAX, None, &obs);
+        let some = s.recreate(0, 4, None, &obs);
+        assert_eq!(all.n_rows(), 12);
+        assert_eq!(some.n_rows(), 4);
+        assert_eq!(all.n_cols(), some.n_cols());
+        // Layer 1 is 2 channels of 32x32; pool(2) stores 2 of 16x16.
+        assert_eq!(all.n_cols(), 2 * 32 * 32);
+        assert_eq!(s.recreate(0, 4, Some(2), &obs).n_cols(), 2 * 16 * 16);
     }
 }

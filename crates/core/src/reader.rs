@@ -10,15 +10,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mistique_dataframe::{Column, ColumnData, DataFrame};
+use mistique_dataframe::{Column, DataFrame};
 use mistique_index::IntermediateIndex;
 use mistique_store::ChunkKey;
 
 use crate::audit::{csv, fetch_args};
-use crate::capture::{decode_column, pool_batch, CaptureScheme, ValueScheme};
+use crate::capture::{decode_column, CaptureScheme, ValueScheme};
 use crate::error::MistiqueError;
 use crate::index_state::IndexPruning;
-use crate::metadata::{IntermediateMeta, ModelKind};
+use crate::metadata::IntermediateMeta;
 use crate::qcache::CacheKey;
 use crate::report::{PlanChoice, QueryReport};
 use crate::system::{Mistique, StorageStrategy};
@@ -662,9 +662,9 @@ impl Mistique {
         Ok(out)
     }
 
-    /// Re-run path: recreate the intermediate, align its layout with the
-    /// stored schema (apply the same pooling), then apply adaptive
-    /// materialization if configured (Alg. 4's γ test).
+    /// Re-run path: recreate the intermediate in its stored layout (the
+    /// same pooling), then apply adaptive materialization if configured
+    /// (Alg. 4's γ test).
     fn rerun_and_maybe_materialize(
         &mut self,
         meta: &IntermediateMeta,
@@ -676,27 +676,7 @@ impl Mistique {
             .get(&meta.model_id)
             .ok_or_else(|| MistiqueError::UnknownModel(meta.model_id.clone()))?;
         let kind = source.kind();
-        let recreated = source.recreate_traced(
-            meta.stage_index,
-            match kind {
-                ModelKind::Trad => None,
-                ModelKind::Dnn => Some(n),
-            },
-            &self.obs,
-        );
-        let mut frame = recreated.frame;
-
-        // Align DNN layouts: stored intermediates may be pooled.
-        if kind == ModelKind::Dnn {
-            if let (Some(sigma), Some(layer_shapes)) =
-                (meta.scheme.pool_sigma, source.layer_shapes())
-            {
-                let (c, h, w) = layer_shapes[meta.stage_index];
-                if h > 1 && sigma > 1 {
-                    frame = pool_frame(&frame, c, h, w, sigma);
-                }
-            }
-        }
+        let mut frame = source.recreate(meta.stage_index, n, meta.scheme.pool_sigma, &self.obs);
         // TRAD pipelines recreate all rows; trim to the request.
         if frame.n_rows() > n {
             frame = frame.slice_rows(0, n);
@@ -792,28 +772,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Pool each row of an activation frame laid out as `c x h x w` features.
-fn pool_frame(frame: &DataFrame, c: usize, h: usize, w: usize, sigma: usize) -> DataFrame {
-    let n = frame.n_rows();
-    let cols: Vec<Vec<f64>> = frame
-        .columns()
-        .iter()
-        .map(|col| col.data.to_f64())
-        .collect();
-    let mut examples: Vec<Vec<f32>> = Vec::with_capacity(n);
-    for r in 0..n {
-        examples.push(cols.iter().map(|col| col[r] as f32).collect());
-    }
-    let (pooled, features) = pool_batch(&examples, c, h, w, sigma);
-    let out_cols = (0..features)
-        .map(|j| {
-            let vals: Vec<f32> = pooled.iter().map(|ex| ex[j]).collect();
-            Column::new(format!("n{j}"), ColumnData::F32(vals))
-        })
-        .collect();
-    DataFrame::from_columns(out_cols)
 }
 
 #[cfg(test)]

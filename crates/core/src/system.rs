@@ -14,7 +14,7 @@ use mistique_store::{
     ChunkKey, DataStore, DataStoreConfig, PlacementPolicy, RealFs, RecoveryReport, StorageBackend,
 };
 
-use crate::capture::{encode_batch, pool_example, CaptureScheme, ValueScheme};
+use crate::capture::{encode_batch, CaptureScheme, LayerCapture, ValueScheme};
 use crate::cost::CostModel;
 use crate::error::MistiqueError;
 use crate::executor::ModelSource;
@@ -272,7 +272,8 @@ impl Mistique {
     }
 
     /// Register a DNN checkpoint. Returns the model id
-    /// (`<arch>@epoch<epoch>`).
+    /// (`<arch>@epoch<epoch>`). `batch_size` is kept in the audit journal
+    /// only; neither logging nor a re-run reads it.
     pub fn register_dnn(
         &mut self,
         arch: Arc<ArchConfig>,
@@ -749,21 +750,18 @@ impl Mistique {
         let mut quantizers: Vec<Option<Vec<u8>>> = vec![None; n_layers];
         let mut thresholds: Vec<Option<f32>> = vec![None; n_layers];
         let mut stored_bytes = vec![0u64; n_layers];
-        let mut shapes: Vec<(usize, usize, usize)> = vec![(0, 0, 0); n_layers];
         let mut columns: Vec<Vec<String>> = vec![Vec::new(); n_layers];
+        let captures: Vec<LayerCapture> = model
+            .layers
+            .iter()
+            .map(|nl| LayerCapture::new(nl.out_shape, capture.pool_sigma))
+            .collect();
 
         let materialize = self.should_materialize_at_log_time();
 
         let mut store_elapsed = Duration::ZERO;
         let mut block = 0u32;
         let mut start = 0usize;
-        // POOL_QT applies only to spatial (conv/pool) activations.
-        let pool_of = |(c, h, w): (usize, usize, usize)| {
-            capture
-                .pool_sigma
-                .filter(|&sigma| h > 1 && sigma > 1)
-                .map(|sigma| (sigma, (c, h.div_ceil(sigma), w.div_ceil(sigma))))
-        };
         while start < n {
             let end = (start + block_rows).min(n);
             // Every layer's per-example feature vectors of this block,
@@ -773,22 +771,13 @@ impl Mistique {
                 .collect();
             model.forward_tiles(&data.images, start..end, n_layers - 1, |li, t, elapsed| {
                 per_layer_exec[li] += elapsed;
-                let (c, h, w) = model.layers[li].out_shape;
-                let pool = pool_of((c, h, w));
-                rows[li].extend((0..t.n).map(|i| match pool {
-                    Some((sigma, _)) => pool_example(t.example(i), c, h, w, sigma),
-                    None => t.example(i).to_vec(),
-                }));
+                captures[li].capture_tile(t, &mut rows[li]);
             });
-            for (li, nl) in model.layers.iter().enumerate() {
+            for (li, layer) in captures.iter().enumerate() {
                 let examples = std::mem::take(&mut rows[li]);
-                let shape = pool_of(nl.out_shape).map_or(nl.out_shape, |(_, pooled)| pooled);
-                let features = shape.0 * shape.1 * shape.2;
-                shapes[li] = shape;
-
                 let captured = encode_batch(
                     &examples,
-                    features,
+                    layer.features(),
                     capture.value,
                     quantizers[li].as_deref(),
                     thresholds[li],
@@ -858,7 +847,7 @@ impl Mistique {
                 n_queries: 0,
                 quantizer: quantizers[li].take(),
                 threshold: thresholds[li],
-                shape: Some(shapes[li]),
+                shape: Some(captures[li].stored_shape()),
                 delta_encoded: false,
             });
         }

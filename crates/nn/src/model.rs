@@ -4,7 +4,6 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use mistique_dataframe::{Column, ColumnData, DataFrame};
 use mistique_rng::Rng;
 
 use crate::arch::{ArchConfig, LayerSpec};
@@ -208,27 +207,6 @@ impl Model {
         out
     }
 
-    /// Forward in batches of `batch_size`, as the paper's evaluation does
-    /// ("Batch size for the DNN queries was set to 1000"). Each batch runs
-    /// [`FORWARD_TILE`] examples at a time ([`Model::forward_tiles`]), and
-    /// layer `upto`'s tiles are written straight into the one output buffer.
-    pub fn forward_to_batched(&self, x: &Tensor, upto: usize, batch_size: usize) -> Tensor {
-        assert!(batch_size > 0, "batch size must be positive");
-        let (c, h, w) = self.layers[upto].out_shape;
-        let mut data = Vec::with_capacity(x.n * c * h * w);
-        let mut start = 0;
-        while start < x.n {
-            let end = (start + batch_size).min(x.n);
-            self.forward_tiles(x, start..end, upto, |layer, t, _| {
-                if layer == upto {
-                    data.extend_from_slice(&t.data);
-                }
-            });
-            start = end;
-        }
-        Tensor::from_vec(x.n, c, h, w, data)
-    }
-
     /// Forward examples `examples` of `x` through layers `0..=upto`,
     /// [`FORWARD_TILE`] examples at a time. A tile runs through every layer
     /// before the next tile starts, so its activations stay in cache and the
@@ -276,18 +254,6 @@ impl Model {
         }
         total
     }
-}
-
-/// Convert one layer's activation tensor into a MISTIQUE dataframe: one row
-/// per example, one f32 column per flattened activation (`n0..nK`).
-pub fn activation_to_frame(t: &Tensor) -> DataFrame {
-    let f = t.features_per_example();
-    let mut cols = Vec::with_capacity(f);
-    for j in 0..f {
-        let values: Vec<f32> = (0..t.n).map(|i| t.example(i)[j]).collect();
-        cols.push(Column::new(format!("n{j}"), ColumnData::F32(values)));
-    }
-    DataFrame::from_columns(cols)
 }
 
 #[cfg(test)]
@@ -360,16 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_forward_equals_unbatched() {
-        let arch = simple_cnn(16);
-        let m = Model::build(&arch, 2, 0);
-        let x = tiny_input(5);
-        let full = m.forward_to(&x, m.n_layers() - 1);
-        let batched = m.forward_to_batched(&x, m.n_layers() - 1, 2);
-        assert_eq!(full, batched);
-    }
-
-    #[test]
     fn tiles_reproduce_every_layer_of_the_whole_batch_pass() {
         let m = Model::build(&simple_cnn(16), 2, 0);
         let n = 2 * FORWARD_TILE + 3;
@@ -425,16 +381,6 @@ mod tests {
             size(first) > 4 * size(last_conv),
             "{first:?} vs {last_conv:?}"
         );
-    }
-
-    #[test]
-    fn activation_frame_layout() {
-        let t = Tensor::from_vec(2, 2, 1, 1, vec![1.0, 2.0, 3.0, 4.0]);
-        let df = activation_to_frame(&t);
-        assert_eq!(df.n_rows(), 2);
-        assert_eq!(df.n_cols(), 2);
-        assert_eq!(df.column("n0").unwrap().data.to_f64(), vec![1.0, 3.0]);
-        assert_eq!(df.column("n1").unwrap().data.to_f64(), vec![2.0, 4.0]);
     }
 
     #[test]

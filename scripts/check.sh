@@ -140,6 +140,23 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# One capture path (DESIGN.md §2, "One capture path"): logging and a re-run
+# hand every tile of `Model::forward_tiles` to `capture.rs`, the one place
+# that pools an example and names a feature column. The removed second route
+# (an unpooled frame, pooled afterwards at a shape from a second model) or a
+# pooling / column-naming site of its own is that route growing back.
+# Non-test code only, as above.
+echo "== one capture path =="
+gone=$(find crates/core/src crates/nn/src -name '*.rs' | sort | non_test_lines |
+  grep -E 'pool_frame|activation_to_frame|layer_shapes|forward_to_batched' || true)
+copies=$(find crates/core/src crates/nn/src -name '*.rs' ! -path crates/core/src/capture.rs |
+  sort | non_test_lines | grep -F -e 'pool_example(' -e 'format!("n{' || true)
+if [ -n "$gone$copies" ]; then
+  echo "FAIL: a second capture route — capture and frame activations through capture.rs:"
+  printf '%s\n' "$gone" "$copies" | grep .
+  exit 1
+fi
+
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
 # or a snapshot-writing helper is a second measurement system growing back.
