@@ -134,7 +134,7 @@ impl MistiqueConfig {
     pub fn fingerprint(&self) -> String {
         let ds = &self.datastore;
         format!(
-            "rb={} storage={} capture={} policy={} mem={} part={} minhash={} bands={} bin={} rcache={} qcache={} rpar={} minrb={} budget={} topm={} delta={} dtau={}",
+            "rb={} storage={} capture={} policy={} mem={} part={} minhash={} bands={} bin={} qcache={} rpar={} minrb={} budget={} topm={} delta={} dtau={}",
             self.row_block_size,
             format!("{:?}", self.storage).replace(' ', ""),
             self.dnn_capture.name(),
@@ -144,7 +144,6 @@ impl MistiqueConfig {
             ds.minhash_hashes,
             ds.lsh_bands,
             ds.discretize_bin,
-            ds.read_cache,
             self.query_cache_bytes,
             self.read_parallelism,
             self.min_read_bytes_per_worker,

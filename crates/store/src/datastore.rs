@@ -73,9 +73,6 @@ pub struct DataStoreConfig {
     pub lsh_bands: usize,
     /// Bin width used to discretize values before MinHashing.
     pub discretize_bin: f64,
-    /// Cache partition images read back from disk, with the members reads
-    /// decoded from them (disable to measure raw reads).
-    pub read_cache: bool,
     /// Store near-duplicate chunks as base+delta frames: a dedup put whose
     /// MinHash similarity to an already-stored chunk reaches `delta_tau`
     /// may be stored as the XOR difference against that chunk (the *base*)
@@ -97,7 +94,6 @@ impl Default for DataStoreConfig {
             minhash_hashes: 128,
             lsh_bands: 32,
             discretize_bin: 0.05,
-            read_cache: true,
             delta_enabled: true,
             delta_tau: 0.8,
         }
@@ -983,11 +979,11 @@ impl DataStore {
 
     /// Insert a partition image just read from disk into the read cache,
     /// evicting LRU victims one at a time and counting them. Returns the
-    /// image back when it was not cached (caching disabled, or the image
-    /// alone exceeds the whole budget).
+    /// image back when it was not cached: the image alone exceeds the whole
+    /// budget.
     fn cache_loaded_partition(&mut self, part: SealedPartition) -> Option<SealedPartition> {
         let charge = part.resident_bytes();
-        if !self.config.read_cache || charge > self.read_cache.capacity_bytes() {
+        if charge > self.read_cache.capacity_bytes() {
             return Some(part);
         }
         let evicted = self.read_cache.insert(part.id(), part, charge);
