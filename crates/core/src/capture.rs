@@ -148,7 +148,6 @@ pub(crate) fn feature_column(j: usize) -> String {
 /// How one DNN layer's activations become stored rows under POOL_QT
 /// (Sec 4.1). Only spatial (conv/pool) maps pool, and only for σ > 1; dense
 /// and flattened activations are stored as they are.
-#[derive(Clone, Copy, Debug)]
 pub(crate) struct LayerCapture {
     /// The layer's activation shape `(c, h, w)`.
     shape: (usize, usize, usize),
