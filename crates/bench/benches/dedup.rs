@@ -45,19 +45,12 @@ fn main() {
     let bases: Vec<Signature> = (0..8)
         .map(|_| Signature((0..128).map(|_| rng.next_u64()).collect()))
         .collect();
-    let mut mutant = |max_lanes: usize| {
-        let mut sig = bases[rng.range(0..bases.len())].clone();
-        for _ in 0..rng.range(0..=max_lanes) {
-            sig.0[rng.range(0..128usize)] = rng.next_u64();
-        }
-        sig
-    };
     let mut idx = LshIndex::new(32, 4);
     for (label, n) in [("1k", 1_000u64), ("10k", 10_000), ("100k", 100_000)] {
         for id in idx.len() as u64..n {
-            idx.insert(id, mutant(64));
+            idx.insert(id, mutant(&mut rng, &bases, 64));
         }
-        let probes: Vec<Signature> = (0..16).map(|_| mutant(12)).collect();
+        let probes: Vec<Signature> = (0..16).map(|_| mutant(&mut rng, &bases, 12)).collect();
         let mut next = probes.iter().cycle();
         micro(&format!("lsh/best_where/{label}"), 0, || {
             idx.best_where(black_box(next.next().unwrap()), 0.8, |_| true)
@@ -68,4 +61,41 @@ fn main() {
             });
         }
     }
+
+    // Twin-heavy indexes, as frozen layers and converged checkpoints make
+    // them: nine items in ten are exact copies of one of the eight bases.
+    // The probe is an exact copy too, so its answer is the oldest twin.
+    let sigs: Vec<Signature> = (0..10_000)
+        .map(|_| match rng.chance(0.9) {
+            true => bases[rng.range(0..bases.len())].clone(),
+            false => mutant(&mut rng, &bases, 64),
+        })
+        .collect();
+    let mut idx = LshIndex::new(32, 4);
+    for (label, n) in [("1k", 1_000u64), ("10k", 10_000)] {
+        for id in idx.len() as u64..n {
+            idx.insert(id, sigs[id as usize].clone());
+        }
+        let mut next = bases.iter().cycle();
+        micro(&format!("lsh/best_where/twins/{label}"), 0, || {
+            idx.best_where(black_box(next.next().unwrap()), 0.8, |_| true)
+        });
+    }
+    // One iteration builds the whole 10k index.
+    micro("lsh/insert/twins/10k", 0, || {
+        let mut idx = LshIndex::new(32, 4);
+        for (id, sig) in sigs.iter().enumerate() {
+            idx.insert(id as u64, black_box(sig.clone()));
+        }
+        idx.len()
+    });
+}
+
+/// One of `bases` with up to `max_lanes` lanes replaced.
+fn mutant(rng: &mut Rng, bases: &[Signature], max_lanes: usize) -> Signature {
+    let mut sig = bases[rng.range(0..bases.len())].clone();
+    for _ in 0..rng.range(0..=max_lanes) {
+        sig.0[rng.range(0..128usize)] = rng.next_u64();
+    }
+    sig
 }
