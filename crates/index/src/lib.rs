@@ -373,7 +373,11 @@ impl IndexBuilder {
     /// Observe block `block` of `column`: `values` are the *decoded* values
     /// a scan would see, in row order.
     pub fn observe_block(&mut self, column: &str, block: usize, values: &[f64]) {
-        let col = self.columns.entry(column.to_string()).or_default();
+        if !self.columns.contains_key(column) {
+            self.columns
+                .insert(column.to_string(), ColumnBuilder::default());
+        }
+        let col = self.columns.get_mut(column).expect("column inserted above");
         if col.zones.len() <= block {
             col.zones.resize(
                 block + 1,
@@ -391,8 +395,14 @@ impl IndexBuilder {
                 row: base + i as u64,
                 bits: v.to_bits(),
             }));
-        col.top.sort_by(topk_order);
-        col.top.truncate(self.top_m);
+        // `topk_order` is a strict total order (rows are unique), so
+        // selecting the first `top_m` and sorting only those gives the list
+        // a full sort would.
+        if col.top.len() > self.top_m {
+            col.top.select_nth_unstable_by(self.top_m, topk_order);
+            col.top.truncate(self.top_m);
+        }
+        col.top.sort_unstable_by(topk_order);
     }
 
     /// Finalize into a persistable [`IntermediateIndex`].
@@ -481,6 +491,24 @@ mod tests {
         assert!(top[0].1.is_nan());
         assert_eq!(top[1].1, f64::INFINITY);
         assert!(top[vals.len() - 1].1.is_nan());
+    }
+
+    #[test]
+    fn top_list_matches_reference_over_large_blocks() {
+        // Few distinct values, so ties are long; NaNs of both signs and both
+        // zeros among them.
+        let pool = [f64::NAN, -f64::NAN, 0.0, -0.0, 1.5, -2.0, f64::INFINITY];
+        let mut rng = mistique_rng::Rng::seed(7);
+        let vals: Vec<f64> = (0..4_500).map(|_| pool[rng.range(0..pool.len())]).collect();
+        let bits = |list: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+            list.into_iter().map(|(r, v)| (r, v.to_bits())).collect()
+        };
+        for m in [0, 1, 7, 999, 1_000, 2_345, 4_500, 6_000] {
+            let idx = build(&vals, 1_000, m);
+            let k = m.min(vals.len());
+            let served = idx.topk("c", k).unwrap();
+            assert_eq!(bits(served), bits(reference_topk(&vals, k)), "m={m}");
+        }
     }
 
     #[test]
