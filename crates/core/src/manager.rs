@@ -74,12 +74,6 @@ impl Mistique {
         self.config.storage_budget_bytes
     }
 
-    /// Change the storage budget at runtime. Takes effect at the next
-    /// materialization or explicit [`Mistique::reclaim`].
-    pub fn set_storage_budget(&mut self, bytes: u64) {
-        self.config.storage_budget_bytes = bytes;
-    }
-
     /// Run a reclaim pass against the configured budget. With an unlimited
     /// budget the demotion loop is a no-op but compaction still runs,
     /// recovering bytes dead from chunk overwrites.

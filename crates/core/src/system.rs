@@ -861,11 +861,6 @@ impl Mistique {
     }
 }
 
-/// Which value scheme a capture config uses (re-exported convenience).
-pub fn value_scheme_of(config: &MistiqueConfig) -> ValueScheme {
-    config.dnn_capture.value
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,15 +56,6 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Parameter count (weights + biases).
-    pub fn n_params(&self) -> usize {
-        match self {
-            Layer::Conv2d { weights, bias, .. } => weights.len() + bias.len(),
-            Layer::Dense { weights, bias, .. } => weights.len() + bias.len(),
-            _ => 0,
-        }
-    }
-
     /// Output shape `(c, h, w)` for an input of shape `(c, h, w)`.
     pub fn output_shape(&self, c: usize, h: usize, w: usize) -> (usize, usize, usize) {
         match self {

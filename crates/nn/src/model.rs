@@ -175,11 +175,6 @@ impl Model {
         format!("{}@epoch{}", self.arch_name, self.epoch)
     }
 
-    /// Total parameter bytes (the cost model's `t_model_load` scales on this).
-    pub fn param_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.layer.n_params() * 4).sum()
-    }
-
     /// Forward `x` through layers `0..=upto`, returning only the final
     /// activation (the cheap path when one layer is wanted).
     pub fn forward_to(&self, x: &Tensor, upto: usize) -> Tensor {

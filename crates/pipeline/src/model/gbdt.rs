@@ -106,11 +106,6 @@ impl Gbdt {
             n_features,
         }
     }
-
-    /// Number of trees in the ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Regressor for Gbdt {

@@ -13,14 +13,17 @@
 //!   transient `EIO` / `ENOSPC` style faults.
 //!
 //! The write discipline itself lives in [`StorageBackend::write_atomic`]:
-//! tmp file → fsync(file) → rename → fsync(dir). `tests/crash_safety.rs`
-//! enumerates a crash at every syscall of a log→persist run and asserts that
-//! reopen always sees either the pre-persist or the post-persist state.
+//! tmp file → fsync(file) → rename → fsync(dir). [`enumerate_crashes`] is
+//! the one crash driver every crash suite runs through: it crashes a
+//! workload at every backend call and hands each surviving disk, under every
+//! [`TornWrite`] policy, to the suite's checks.
 
 use std::collections::{HashMap, HashSet};
 use std::ffi::OsString;
+use std::fmt;
 use std::fs;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -146,6 +149,11 @@ pub enum TornWrite {
     KeepAll,
 }
 
+impl TornWrite {
+    /// Every policy, in the order crash enumerations apply them.
+    pub const ALL: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
+}
+
 /// One file in the simulated filesystem: content that has been fsynced vs
 /// content that is only in the (simulated) page cache.
 #[derive(Clone, Debug, Default)]
@@ -162,20 +170,22 @@ impl VFile {
 
 /// A rename that has happened in the namespace but is not yet committed by a
 /// directory fsync. `displaced` is whatever used to live at `to`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct RenameRec {
     from: PathBuf,
     to: PathBuf,
     displaced: Option<VFile>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct FaultyState {
     files: HashMap<PathBuf, VFile>,
     dirs: HashSet<PathBuf>,
     pending_renames: Vec<RenameRec>,
     /// Backend calls so far (the crash-point clock).
     ops: u64,
+    /// Each call the clock counted: its kind and the path it named first.
+    trace: Vec<(&'static str, PathBuf)>,
     /// Crash when `ops` reaches this index (1-based).
     crash_at: Option<u64>,
     crashed: bool,
@@ -211,6 +221,24 @@ impl FaultyFs {
     /// Backend calls made so far.
     pub fn op_count(&self) -> u64 {
         self.state.lock().unwrap().ops
+    }
+
+    /// Every backend call made so far, in order: the call's kind (the
+    /// [`StorageBackend`] method name) and the path it named first. Once a
+    /// crash fires, the crashed call stays the last entry until
+    /// [`FaultyFs::power_cut`].
+    pub fn op_trace(&self) -> Vec<(&'static str, PathBuf)> {
+        self.state.lock().unwrap().trace.clone()
+    }
+
+    /// An independent copy of the whole filesystem: visible, durable and
+    /// pending content, pending renames, the op clock and its trace, armed
+    /// faults. Nothing done to the copy reaches the original, or the reverse.
+    pub fn snapshot(&self) -> FaultyFs {
+        let st = self.state.lock().unwrap().clone();
+        FaultyFs {
+            state: Arc::new(Mutex::new(st)),
+        }
     }
 
     /// Arm a crash: the `n`-th backend call from the beginning (1-based)
@@ -294,14 +322,16 @@ impl FaultyFs {
         }
     }
 
-    /// Tick the op clock and fire any armed fault. Returns the locked state
-    /// for the op to apply its effect; an `Err` means the op had no effect.
-    fn op(&self) -> io::Result<MutexGuard<'_, FaultyState>> {
+    /// Tick the op clock, trace the call, and fire any armed fault. Returns
+    /// the locked state for the op to apply its effect; an `Err` means the op
+    /// had no effect.
+    fn op(&self, kind: &'static str, path: &Path) -> io::Result<MutexGuard<'_, FaultyState>> {
         let mut st = self.state.lock().unwrap();
         if st.crashed {
             return Err(crash_error());
         }
         st.ops += 1;
+        st.trace.push((kind, path.to_path_buf()));
         let now = st.ops;
         if let Some((at, kind)) = st.fail_at {
             if at == now {
@@ -328,7 +358,7 @@ fn not_found(path: &Path) -> io::Error {
 
 impl StorageBackend for FaultyFs {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        let mut st = self.op()?;
+        let mut st = self.op("create_dir_all", dir)?;
         let mut cur = dir.to_path_buf();
         loop {
             st.dirs.insert(cur.clone());
@@ -341,7 +371,7 @@ impl StorageBackend for FaultyFs {
     }
 
     fn read_file(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let st = self.op()?;
+        let st = self.op("read_file", path)?;
         st.files
             .get(path)
             .and_then(|f| f.visible().cloned())
@@ -349,13 +379,13 @@ impl StorageBackend for FaultyFs {
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut st = self.op()?;
+        let mut st = self.op("write_file", path)?;
         st.files.entry(path.to_path_buf()).or_default().pending = Some(bytes.to_vec());
         Ok(())
     }
 
     fn sync_file(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.op()?;
+        let mut st = self.op("sync_file", path)?;
         let file = st.files.get_mut(path).ok_or_else(|| not_found(path))?;
         if let Some(pending) = file.pending.take() {
             file.durable = Some(pending);
@@ -364,7 +394,7 @@ impl StorageBackend for FaultyFs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut st = self.op()?;
+        let mut st = self.op("rename", from)?;
         let moved = st.files.remove(from).ok_or_else(|| not_found(from))?;
         let displaced = st.files.remove(to);
         st.files.insert(to.to_path_buf(), moved);
@@ -379,13 +409,13 @@ impl StorageBackend for FaultyFs {
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         // Removal is modeled as immediately durable: recovery (the only
         // caller) runs after the crash window the harness enumerates.
-        let mut st = self.op()?;
+        let mut st = self.op("remove_file", path)?;
         st.files.remove(path).ok_or_else(|| not_found(path))?;
         Ok(())
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        let mut st = self.op()?;
+        let mut st = self.op("sync_dir", dir)?;
         st.pending_renames
             .retain(|rec| rec.to.parent() != Some(dir));
         st.dirs.insert(dir.to_path_buf());
@@ -393,7 +423,7 @@ impl StorageBackend for FaultyFs {
     }
 
     fn list_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let st = self.op()?;
+        let st = self.op("list_dir", dir)?;
         let mut out: Vec<PathBuf> = st
             .files
             .iter()
@@ -410,13 +440,94 @@ impl StorageBackend for FaultyFs {
     }
 
     fn file_len(&self, path: &Path) -> io::Result<u64> {
-        let st = self.op()?;
+        let st = self.op("file_len", path)?;
         st.files
             .get(path)
             .and_then(|f| f.visible())
             .map(|b| b.len() as u64)
             .ok_or_else(|| not_found(path))
     }
+}
+
+/// One checked outcome of a crash enumeration: where the workload stopped
+/// and what the power cut did to its unsynced writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// The backend call the crash fired at (1-based, counted from a fresh
+    /// disk), or `None` for the run that completed.
+    pub op: Option<u64>,
+    /// What the power cut did to written-but-unsynced content.
+    pub policy: TornWrite,
+}
+
+impl fmt::Display for CrashPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.op {
+            Some(k) => write!(f, "crash at op {k} ({:?})", self.policy),
+            None => write!(f, "completed run ({:?})", self.policy),
+        }
+    }
+}
+
+/// The crash driver: crash `workload` at every backend call it makes and
+/// hand every surviving disk to `check`.
+///
+/// `open` builds the suite's state over a fresh [`FaultyFs`]; the calls it
+/// makes are setup, not crash points. A golden run (`open`, then `workload`
+/// to completion) fixes the crash points and the op trace. Then, for each
+/// call `k` of the workload, one live run over a fresh disk crashes at `k`
+/// and must return `Err` without panicking, having made exactly the golden
+/// run's first `k` calls; its state is dropped, and `check` gets a power-cut
+/// copy of the crashed disk ([`FaultyFs::snapshot`]) under each
+/// [`TornWrite`] policy. Last, the golden run's own disk gets the same three
+/// copies as the completed run, with `check` also given the golden
+/// workload's output. Returns the number of crash points checked.
+pub fn enumerate_crashes<S, T, E: fmt::Debug>(
+    open: impl Fn(&FaultyFs) -> S,
+    workload: impl Fn(&mut S) -> Result<T, E>,
+    mut check: impl FnMut(&FaultyFs, CrashPoint, &T),
+) -> u64 {
+    let golden_fs = FaultyFs::new();
+    let mut state = open(&golden_fs);
+    let open_ops = golden_fs.op_count();
+    let golden = workload(&mut state).unwrap_or_else(|e| panic!("golden workload failed: {e:?}"));
+    let total = golden_fs.op_count();
+    drop(state);
+    let golden_trace = golden_fs.op_trace();
+
+    let mut check_copies = |disk: &FaultyFs, op: Option<u64>| {
+        for policy in TornWrite::ALL {
+            let copy = disk.snapshot();
+            copy.power_cut(policy);
+            check(&copy, CrashPoint { op, policy }, &golden);
+        }
+    };
+    for k in (open_ops + 1)..=total {
+        let fs = FaultyFs::new();
+        let mut state = open(&fs);
+        fs.crash_after(k);
+        let failed = panic::catch_unwind(AssertUnwindSafe(|| {
+            let failed = workload(&mut state).is_err();
+            drop(state); // the crashed process is gone
+            failed
+        }))
+        .unwrap_or_else(|_| panic!("crash at op {k}: the workload panicked"));
+        let trace = fs.op_trace();
+        if let Some(i) = (0..k as usize).find(|&i| trace.get(i) != golden_trace.get(i)) {
+            panic!(
+                "crash at op {k}: call {} was {:?} but {:?} in the golden run; \
+                 the workload's backend calls are not deterministic",
+                i + 1,
+                trace.get(i),
+                golden_trace.get(i)
+            );
+        }
+        assert!(failed, "crash at op {k} must surface as an error");
+        assert!(fs.has_crashed(), "crash at op {k} never fired");
+        check_copies(&fs, Some(k));
+    }
+    check_copies(&golden_fs, None);
+    total - open_ops
 }
 
 #[cfg(test)]
@@ -446,7 +557,7 @@ mod tests {
 
     #[test]
     fn synced_write_survives_any_policy() {
-        for policy in [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll] {
+        for policy in TornWrite::ALL {
             let fs = FaultyFs::new();
             fs.write_file(&p("/d/a"), b"durable").unwrap();
             fs.sync_file(&p("/d/a")).unwrap();
@@ -492,13 +603,107 @@ mod tests {
         let err = fs.write_file(&p("/d/b"), b"2").unwrap_err();
         assert!(err.to_string().contains("simulated power loss"));
         assert!(fs.has_crashed());
-        // Everything fails until the power cut is resolved.
+        // Everything fails until the power cut is resolved, and only the
+        // calls up to the crashed one are traced.
         assert!(fs.read_file(&p("/d/a")).is_err());
+        let want = vec![("write_file", p("/d/a")), ("write_file", p("/d/b"))];
+        assert_eq!(fs.op_trace(), want);
         fs.power_cut(TornWrite::KeepAll);
         assert_eq!(fs.read_file(&p("/d/a")).unwrap(), b"1");
         assert!(
             fs.read_file(&p("/d/b")).is_err(),
             "crashed op had no effect"
+        );
+    }
+
+    /// A disk mid-`write_atomic`: `/d/m` durable at v1, v2 written and
+    /// renamed over it without the directory fsync, and an unsynced `/d/p`.
+    fn disk_mid_write() -> FaultyFs {
+        let fs = FaultyFs::new();
+        fs.write_file(&p("/d/m"), b"v1").unwrap();
+        fs.sync_file(&p("/d/m")).unwrap();
+        fs.write_file(&p("/d/m.tmp"), b"v2").unwrap();
+        fs.sync_file(&p("/d/m.tmp")).unwrap();
+        fs.rename(&p("/d/m.tmp"), &p("/d/m")).unwrap();
+        fs.write_file(&p("/d/p"), b"pending!").unwrap();
+        fs
+    }
+
+    /// Every visible file with its content.
+    fn contents(fs: &FaultyFs) -> Vec<(PathBuf, Vec<u8>)> {
+        fs.visible_files()
+            .into_iter()
+            .map(|f| {
+                let bytes = fs.state.lock().unwrap().files[&f]
+                    .visible()
+                    .unwrap()
+                    .clone();
+                (f, bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_carries_content_renames_and_op_clock() {
+        let fs = disk_mid_write();
+        let copy = fs.snapshot();
+        assert_eq!(copy.op_count(), fs.op_count());
+        assert_eq!(copy.op_trace(), fs.op_trace());
+        assert_eq!(contents(&copy), contents(&fs), "visible content");
+        // Durable content and the pending rename came along: the cut rolls
+        // the rename back to v1 and tears the unsynced file on the copy,
+        // exactly as on the original.
+        for policy in TornWrite::ALL {
+            let (a, b) = (fs.snapshot(), copy.snapshot());
+            a.power_cut(policy);
+            b.power_cut(policy);
+            assert_eq!(contents(&a), contents(&b), "{policy:?}");
+        }
+        copy.power_cut(TornWrite::TornHalf);
+        assert_eq!(copy.read_file(&p("/d/m")).unwrap(), b"v1");
+        assert_eq!(copy.read_file(&p("/d/m.tmp")).unwrap(), b"v2");
+        assert_eq!(copy.read_file(&p("/d/p")).unwrap(), b"pend");
+    }
+
+    #[test]
+    fn snapshot_and_original_are_independent() {
+        let fs = disk_mid_write();
+        let before = contents(&fs);
+        let ops = fs.op_count();
+
+        // Cutting power on and writing to the copy leaves the original alone.
+        let copy = fs.snapshot();
+        copy.power_cut(TornWrite::DropAll);
+        copy.write_file(&p("/d/new"), b"copy only").unwrap();
+        assert_eq!(contents(&fs), before);
+        assert_eq!(fs.op_count(), ops);
+        fs.power_cut(TornWrite::KeepAll);
+        assert_eq!(fs.read_file(&p("/d/m")).unwrap(), b"v2", "rename kept");
+        assert_eq!(fs.read_file(&p("/d/p")).unwrap(), b"pending!");
+
+        // And the reverse: the original's cut and writes miss the copy.
+        let fs = disk_mid_write();
+        let copy = fs.snapshot();
+        let copied = contents(&copy);
+        fs.power_cut(TornWrite::DropAll);
+        fs.write_file(&p("/d/new"), b"original only").unwrap();
+        assert_eq!(contents(&copy), copied);
+        assert_eq!(copy.op_count(), ops);
+        copy.power_cut(TornWrite::KeepAll);
+        assert_eq!(copy.read_file(&p("/d/m")).unwrap(), b"v2");
+        assert!(copy.read_file(&p("/d/new")).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "must surface as an error")]
+    fn enumeration_rejects_a_workload_that_swallows_the_crash() {
+        enumerate_crashes(
+            |fs| fs.clone(),
+            |fs: &mut FaultyFs| {
+                let _ = fs.write_file(&p("/d/a"), b"1");
+                Ok::<(), io::Error>(())
+            },
+            |_, _, _| {},
         );
     }
 

@@ -181,7 +181,7 @@ impl DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultyFs, TornWrite};
+    use crate::backend::{enumerate_crashes, FaultyFs};
 
     #[test]
     fn write_read_roundtrip() {
@@ -240,38 +240,34 @@ mod tests {
 
     #[test]
     fn crash_mid_write_never_tears_a_partition() {
-        // Enumerate a crash at every syscall of a two-partition write run:
-        // afterwards each partition file is either absent or byte-complete.
-        let (open_ops, total) = {
-            let fs = FaultyFs::new();
-            let mut store = DiskStore::open_with_backend("/vfs", Arc::new(fs.clone())).unwrap();
-            let open_ops = fs.op_count();
-            store.write(1, &[0xa5; 64]).unwrap();
-            store.write(2, &[0x5a; 48]).unwrap();
-            (open_ops, fs.op_count())
-        };
-        for k in (open_ops + 1)..=total {
-            for policy in [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll] {
-                let fs = FaultyFs::new();
-                let mut store = DiskStore::open_with_backend("/vfs", Arc::new(fs.clone())).unwrap();
-                fs.crash_after(k);
-                let r = store
+        // A crash at every call of a two-partition write run: afterwards
+        // each partition file is either absent or byte-complete.
+        let mut checked = 0;
+        let points = enumerate_crashes(
+            |fs| DiskStore::open_with_backend("/vfs", Arc::new(fs.clone())).unwrap(),
+            |store| {
+                store
                     .write(1, &[0xa5; 64])
-                    .and_then(|_| store.write(2, &[0x5a; 48]));
-                assert!(r.is_err(), "crash at op {k} must surface");
-                fs.power_cut(policy);
+                    .and_then(|_| store.write(2, &[0x5a; 48]))
+            },
+            |fs, point, _| {
                 let store = DiskStore::open_with_backend("/vfs", Arc::new(fs.clone())).unwrap();
                 for (id, byte, len) in [(1u64, 0xa5u8, 64usize), (2, 0x5a, 48)] {
                     match store.read(id) {
-                        Ok(bytes) => {
-                            assert_eq!(bytes, vec![byte; len], "crash at {k} ({policy:?})")
-                        }
-                        Err(StoreError::NotFound) => {}
-                        Err(e) => panic!("crash at {k} ({policy:?}): unexpected {e}"),
+                        Ok(bytes) => assert_eq!(bytes, vec![byte; len], "{point}"),
+                        Err(StoreError::NotFound) if point.op.is_some() => {}
+                        Err(e) => panic!("{point}: unexpected {e}"),
                     }
                 }
-            }
-        }
+                checked += 1;
+            },
+        );
+        assert_eq!(points, 8, "two atomic writes of four calls each");
+        assert_eq!(
+            checked,
+            9 * 3,
+            "each crash point and the completed run, per policy"
+        );
     }
 
     #[test]

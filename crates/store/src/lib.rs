@@ -27,7 +27,7 @@ pub mod partition;
 mod striped;
 pub mod subdir;
 
-pub use backend::{FaultyFs, RealFs, StorageBackend, TornWrite};
+pub use backend::{enumerate_crashes, CrashPoint, FaultyFs, RealFs, StorageBackend, TornWrite};
 pub use datastore::{
     CatalogExtra, ChunkKey, CompactionReport, DataStore, DataStoreConfig, DeltaRecord,
     LshItemRecord, PlacementPolicy, ReadAttribution, RecoveryReport, RetractOutcome, StoreStats,

@@ -101,11 +101,14 @@ impl InMemoryStore {
         Some(p)
     }
 
-    /// Drain every resident partition (flush at shutdown).
+    /// Drain every resident partition (flush at shutdown), in ascending id
+    /// order, so a flush seals them in the same order every run.
     pub fn drain(&mut self) -> Vec<Partition> {
         self.lru.clear();
         self.used_bytes = 0;
-        self.partitions.drain().map(|(_, p)| p).collect()
+        let mut out: Vec<Partition> = self.partitions.drain().map(|(_, p)| p).collect();
+        out.sort_unstable_by_key(|p| p.id());
+        out
     }
 
     fn evict_over_budget(&mut self, keep: Option<PartitionId>) -> Vec<Partition> {
@@ -197,5 +200,16 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert!(pool.is_empty());
         assert_eq!(pool.used_bytes(), 0);
+    }
+
+    #[test]
+    fn drain_returns_partitions_in_ascending_id_order() {
+        let mut pool = InMemoryStore::new(1 << 20);
+        // 7 is coprime to 32: ids 0, 7, 14, ... visit all 32 out of order.
+        for i in 0..32u64 {
+            pool.insert(partition_with_bytes((i * 7) % 32, 10));
+        }
+        let ids: Vec<PartitionId> = pool.drain().iter().map(|p| p.id()).collect();
+        assert_eq!(ids, (0..32).collect::<Vec<_>>());
     }
 }

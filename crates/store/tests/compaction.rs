@@ -1,7 +1,8 @@
-//! Compaction crash-safety: enumerate a simulated power cut at **every**
-//! backend syscall of a compaction pass and assert each partition file is
-//! always left in exactly its pre- or post-compaction state — a live chunk
-//! is never lost, a file is never torn.
+//! Compaction crash-safety: enumerate (with [`enumerate_crashes`]) a
+//! simulated power cut at **every** backend syscall of a compaction pass and
+//! assert each partition file is always left in exactly its pre- or
+//! post-compaction state — a live chunk is never lost, a file is never torn
+//! — and that a completed compaction is durable under every policy.
 //!
 //! The workload mirrors the reclaim path's discipline: chunk references are
 //! retracted *and the catalog exported* before compaction runs, so the
@@ -13,10 +14,8 @@ use std::sync::Arc;
 use mistique_dataframe::{ColumnChunk, ColumnData};
 use mistique_store::datastore::StoreCatalog;
 use mistique_store::{
-    ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError, TornWrite,
+    enumerate_crashes, ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError,
 };
-
-const POLICIES: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
 
 fn store_config() -> DataStoreConfig {
     DataStoreConfig {
@@ -76,112 +75,89 @@ fn build_pre_compaction_state(
     Ok((ds.export_catalog(), live))
 }
 
+fn open_store(fs: &FaultyFs) -> DataStore {
+    DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap()
+}
+
 #[test]
 fn every_compaction_crash_point_leaves_pre_or_post_state() {
-    // Golden run: how many syscalls the pre-compaction workload and the
-    // compaction pass each take (placement is deterministic).
-    let (golden_catalog, golden_live, pre_ops, total_ops) = {
-        let fs = FaultyFs::new();
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        let (catalog, live) = build_pre_compaction_state(&mut ds).unwrap();
-        let pre_ops = fs.op_count();
-        let report = ds.compact(1.0).unwrap();
+    // The pre-compaction state is setup, not crash points: the catalog a
+    // crash-safe reclaim persists before compacting, and the live reads.
+    let (pre_catalog, golden_live) =
+        build_pre_compaction_state(&mut open_store(&FaultyFs::new())).unwrap();
+    let open = |fs: &FaultyFs| {
+        let mut ds = open_store(fs);
+        build_pre_compaction_state(&mut ds).unwrap();
+        ds
+    };
+    let workload = |ds: &mut DataStore| {
+        let report = ds.compact(1.0)?;
+        // Reached by the completed run only.
         assert_eq!(report.partitions_removed, 1, "m.i0's partition deleted");
         assert_eq!(report.partitions_rewritten, 1, "m.i1's partition rewritten");
         assert!(report.bytes_reclaimed > 0);
         ds.check_invariants().unwrap();
-        (catalog, live, pre_ops, fs.op_count())
+        Ok::<_, StoreError>(ds.export_catalog())
     };
-    assert!(total_ops > pre_ops + 2, "compaction must exercise the disk");
-
-    for k in (pre_ops + 1)..=total_ops {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut ds =
-                DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-            let (_, _) = build_pre_compaction_state(&mut ds).unwrap();
-            fs.crash_after(k);
-            let r = ds.compact(1.0);
-            assert!(r.is_err(), "crash at op {k} must surface as an error");
-            assert!(fs.has_crashed());
-            drop(ds);
-            fs.power_cut(policy);
-
-            // "Restart": fresh store over the same disk, the post-retraction
-            // catalog restored (stands in for the persisted manifest).
-            let mut ds =
-                DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-            ds.import_catalog(golden_catalog.clone());
-            let report = ds.recover().unwrap();
-            assert_eq!(
-                report.quarantined, 0,
-                "crash at op {k} ({policy:?}) left a torn partition"
-            );
-            assert!(
-                !fs.visible_files()
-                    .iter()
-                    .any(|p| p.to_string_lossy().ends_with(".tmp")),
-                "recovery must remove every orphan (crash at {k}, {policy:?})"
-            );
-
-            // The invariant: live chunks survive every crash point. Each
-            // partition file is pre- or post-compaction — both states hold
-            // every live chunk — so reads must succeed bit-identically.
-            for (key, expected) in &golden_live {
-                let got = ds.get_chunk(key).unwrap_or_else(|e| {
-                    panic!("crash at {k} ({policy:?}): live chunk {key:?} lost: {e}")
-                });
-                assert_eq!(&got, expected, "crash at {k} ({policy:?}): torn read");
-            }
-            // Retracted chunks are gone from the catalog: clean NotFound.
-            for block in 0..4u32 {
-                assert!(matches!(
-                    ds.get_chunk(&ChunkKey::new("m.i0", "c", block)),
-                    Err(StoreError::NotFound)
-                ));
-            }
-
-            ds.check_invariants()
-                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}), recovered: {v}"));
-
-            // Re-running compaction from the recovered state finishes the
-            // job: no dead bytes remain and live chunks still read.
-            ds.compact(1.0).unwrap();
-            assert_eq!(ds.dead_bytes(), 0, "crash at {k} ({policy:?})");
-            ds.clear_read_cache();
-            for (key, expected) in &golden_live {
-                assert_eq!(&ds.get_chunk(key).unwrap(), expected);
-            }
-            ds.check_invariants()
-                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}), recompacted: {v}"));
-        }
-    }
-}
-
-#[test]
-fn completed_compaction_is_durable_under_power_cut() {
-    for policy in POLICIES {
-        let fs = FaultyFs::new();
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        let (_, live) = build_pre_compaction_state(&mut ds).unwrap();
-        ds.compact(1.0).unwrap();
-        let catalog = ds.export_catalog();
-        drop(ds);
-        fs.power_cut(policy);
-
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        ds.import_catalog(catalog);
+    let points = enumerate_crashes(open, workload, |fs, point, post_catalog| {
+        // "Restart": fresh store over the same disk with the catalog a
+        // restart would find (stands in for the persisted manifest): the
+        // post-retraction one after a crash, the compacted one after the
+        // completed run.
+        let completed = point.op.is_none();
+        let mut ds = open_store(fs);
+        let catalog = if completed {
+            post_catalog
+        } else {
+            &pre_catalog
+        };
+        ds.import_catalog(catalog.clone());
         let report = ds.recover().unwrap();
-        assert_eq!(report.quarantined, 0, "{policy:?}");
-        assert_eq!(report.missing, 0, "completed compaction is durable");
-        assert_eq!(ds.dead_bytes(), 0, "{policy:?}");
-        for (key, expected) in &live {
-            assert_eq!(&ds.get_chunk(key).unwrap(), expected, "{policy:?}");
+        assert_eq!(report.quarantined, 0, "{point} left a torn partition");
+        assert!(
+            !fs.visible_files()
+                .iter()
+                .any(|p| p.to_string_lossy().ends_with(".tmp")),
+            "recovery must remove every orphan ({point})"
+        );
+        if completed {
+            assert_eq!(
+                report.missing, 0,
+                "{point}: completed compaction is durable"
+            );
+            assert_eq!(ds.dead_bytes(), 0, "{point}");
+        }
+
+        // The invariant: live chunks survive every crash point. Each
+        // partition file is pre- or post-compaction — both states hold every
+        // live chunk — so reads must succeed bit-identically.
+        for (key, expected) in &golden_live {
+            let got = ds
+                .get_chunk(key)
+                .unwrap_or_else(|e| panic!("{point}: live chunk {key:?} lost: {e}"));
+            assert_eq!(&got, expected, "{point}: torn read");
+        }
+        // Retracted chunks are gone from the catalog: clean NotFound.
+        for block in 0..4u32 {
+            assert!(matches!(
+                ds.get_chunk(&ChunkKey::new("m.i0", "c", block)),
+                Err(StoreError::NotFound)
+            ));
+        }
+
+        ds.check_invariants()
+            .unwrap_or_else(|v| panic!("{point}, recovered: {v}"));
+
+        // Re-running compaction from the recovered state finishes the job:
+        // no dead bytes remain and live chunks still read.
+        ds.compact(1.0).unwrap();
+        assert_eq!(ds.dead_bytes(), 0, "{point}");
+        ds.clear_read_cache();
+        for (key, expected) in &golden_live {
+            assert_eq!(&ds.get_chunk(key).unwrap(), expected);
         }
         ds.check_invariants()
-            .unwrap_or_else(|v| panic!("{policy:?}: {v}"));
-    }
+            .unwrap_or_else(|v| panic!("{point}, recompacted: {v}"));
+    });
+    assert!(points > 2, "compaction must exercise the disk");
 }

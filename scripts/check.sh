@@ -157,6 +157,19 @@ if [ -n "$gone$copies" ]; then
   exit 1
 fi
 
+# Every crash enumeration runs through one driver, `enumerate_crashes` next
+# to FaultyFs (DESIGN.md §11 "One crash driver"): it is the only place that
+# arms a crash point. A `crash_after(` anywhere else is a hand-written loop
+# growing back.
+echo "== one crash driver =="
+loops=$(grep -rn --include='*.rs' --exclude-dir=target --exclude-dir=.git 'crash_after(' . |
+  grep -v '^\./crates/store/src/backend\.rs:' || true)
+if [ -n "$loops" ]; then
+  echo "FAIL: a crash point armed outside crates/store/src/backend.rs — run it through enumerate_crashes:"
+  echo "$loops"
+  exit 1
+fi
+
 # Performance is judged in one place: BENCHMARK.json, run by e2e/ (gate:
 # `e2e --selfcheck`). A committed bench snapshot, a gate script of its own
 # or a snapshot-writing helper is a second measurement system growing back.

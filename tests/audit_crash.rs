@@ -1,183 +1,25 @@
-//! Crash-safety of the workload audit journal and determinism of replay.
-//!
-//! Part 1 enumerates a simulated power cut at **every** backend syscall of a
-//! register → log → query → reclaim → persist workload (audit capture on,
-//! so journal segment writes interleave with data and telemetry writes on
-//! the same [`FaultyFs`]) under all three [`TornWrite`] policies, asserting:
-//!
-//! - the journal always loads from whatever segments survive — a valid
-//!   prefix with strictly increasing sequence numbers, never a parse error;
-//! - a torn audit write never quarantines a *data* partition or breaks
-//!   reopen: journal I/O is best-effort by contract;
-//! - after reopen the journal resumes with sequence numbers strictly past
-//!   every surviving record;
-//! - a *completed* workload's flushed records survive any power-cut policy.
-//!
-//! Part 2 is the replay-determinism contract behind
+//! Determinism of replay, the contract behind
 //! `mistique replay --differential`: a captured mixed TRAD/DNN workload
 //! replayed into fresh stores at `read_parallelism` 1, 2, 4 and 0 (= all
 //! CPUs) must produce bit-identical answer transcripts and identical plan
 //! choices on every leg.
+//!
+//! The journal's crash-safety is enumerated together with the flight
+//! recorder's in `tests/telemetry_crash.rs`: one workload runs with both
+//! sidecars on, and every crash point checks both contracts.
 
 use std::sync::Arc;
 
-use mistique_core::{differential_replay, FetchStrategy, Mistique, MistiqueConfig, MistiqueError};
+use mistique_core::{differential_replay, Mistique, MistiqueConfig};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
-use mistique_store::{FaultyFs, StorageBackend, TornWrite};
-
-const POLICIES: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
 
 fn sys_config() -> MistiqueConfig {
     MistiqueConfig {
         row_block_size: 50,
-        // An astronomic tolerance keeps the workload's backend op sequence
-        // deterministic: no timing-dependent drift flags or plan churn.
+        // An astronomic tolerance keeps plan choices out of timing noise.
         drift_tolerance: 1e12,
         ..MistiqueConfig::default()
-    }
-}
-
-/// The audited workload: every entry-point kind appears at least once, and
-/// the explicit `audit_flush` calls put journal segment writes in the middle
-/// of the op stream, not just at drop time.
-fn run_workload(sys: &mut Mistique, data: &Arc<ZillowData>) -> Result<(), MistiqueError> {
-    let pipes = zillow_pipelines();
-    let id_a = sys.register_trad(pipes[0].clone(), Arc::clone(data))?;
-    sys.log_intermediates(&id_a)?;
-    sys.audit_flush();
-    let interms = sys.intermediates_of(&id_a);
-    let interm = interms[0].clone();
-    sys.topk(&interm, "sqft", 5)?;
-    sys.pointq(&interm, "sqft", 3)?;
-    sys.fetch_with_strategy(&interm, None, Some(20), FetchStrategy::Read)?;
-    sys.audit_flush();
-    // A budget far below usage drives demotions and purges.
-    sys.reclaim_to(256)?;
-    sys.persist()?;
-    Ok(())
-}
-
-fn load_journal(fs: &FaultyFs) -> Vec<mistique_core::AuditRecord> {
-    let backend: Arc<dyn StorageBackend> = Arc::new(fs.clone());
-    Mistique::load_audit_with_backend(backend, "/vfs".as_ref())
-        .expect("audit journal load must tolerate any torn state")
-}
-
-/// Shared invariants of any surviving journal.
-fn assert_journal_sane(records: &[mistique_core::AuditRecord], ctx: &str) {
-    for w in records.windows(2) {
-        assert!(
-            w[0].seq < w[1].seq,
-            "{ctx}: record seqs must strictly increase ({} then {})",
-            w[0].seq,
-            w[1].seq
-        );
-    }
-    for r in records {
-        assert!(!r.op.is_empty(), "{ctx}: record {} has an empty op", r.seq);
-        assert!(
-            r.op == "register"
-                || r.op == "log"
-                || r.op == "log_parallel"
-                || r.op == "reclaim"
-                || r.op.starts_with("fetch.")
-                || r.op.starts_with("diag."),
-            "{ctx}: record {} has unknown op {:?}",
-            r.seq,
-            r.op
-        );
-    }
-}
-
-#[test]
-fn every_crash_point_keeps_journal_loadable_and_data_clean() {
-    let data = Arc::new(ZillowData::generate(80, 1));
-
-    // Golden run over a pristine virtual disk.
-    let fs = FaultyFs::new();
-    let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-    let open_ops = fs.op_count();
-    run_workload(&mut sys, &data).expect("golden workload");
-    let total = fs.op_count();
-    drop(sys);
-    let golden = load_journal(&fs);
-    assert!(
-        golden.len() >= 6,
-        "golden run must journal every entry point, got {}",
-        golden.len()
-    );
-    assert_journal_sane(&golden, "golden");
-    let golden_max = golden.last().unwrap().seq;
-
-    for k in (open_ops + 1)..=total {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut sys =
-                Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-            fs.crash_after(k);
-            let r = run_workload(&mut sys, &data);
-            assert!(
-                r.is_err(),
-                "crash at op {k} must surface through a data op (audit \
-                 failures are swallowed, but persist comes after every hook)"
-            );
-            drop(sys);
-            fs.power_cut(policy);
-
-            // Whatever survived on disk parses as a sane journal prefix.
-            let survivors = load_journal(&fs);
-            assert_journal_sane(&survivors, &format!("crash at {k} ({policy:?})"));
-            let survivor_max = survivors.last().map(|r| r.seq);
-
-            // Reopen: a torn journal write must never contaminate data.
-            match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
-                Err(MistiqueError::NoManifest) => {}
-                Err(e) => panic!("crash at {k} ({policy:?}): reopen failed: {e}"),
-                Ok(mut sys) => {
-                    let report = sys.recovery_report().unwrap();
-                    assert_eq!(
-                        report.quarantined, 0,
-                        "crash at {k} ({policy:?}): torn audit write \
-                         quarantined a data partition"
-                    );
-                    // The journal resumes past every surviving record: one
-                    // more audited op, flushed, must extend the sequence.
-                    let _ = sys.reclaim();
-                    sys.audit_flush();
-                    sys.store()
-                        .check_invariants()
-                        .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
-                    drop(sys);
-                    let resumed = load_journal(&fs);
-                    assert_journal_sane(&resumed, &format!("post-reopen at {k} ({policy:?})"));
-                    let resumed_max = resumed.last().map(|r| r.seq);
-                    assert!(
-                        resumed_max > survivor_max,
-                        "crash at {k} ({policy:?}): journal did not resume \
-                         ({survivor_max:?} then {resumed_max:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    // Completed workload + power cut: every flushed record is durable (the
-    // journal flush is an atomic segment rewrite), so the golden journal
-    // survives any policy.
-    for policy in POLICIES {
-        let fs = FaultyFs::new();
-        let mut sys =
-            Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-        run_workload(&mut sys, &data).unwrap();
-        drop(sys);
-        fs.power_cut(policy);
-        let survivors = load_journal(&fs);
-        assert_eq!(
-            survivors.last().map(|r| r.seq),
-            Some(golden_max),
-            "{policy:?}: completed run must keep every journal record"
-        );
     }
 }
 

@@ -1,7 +1,7 @@
-//! Crash-simulation driver: enumerate a simulated power cut at **every**
-//! backend syscall of a log → persist → reopen run and assert the store
-//! always recovers to a consistent pre- or post-persist state — never a torn
-//! one.
+//! Crash enumerations of the store's own durability: a simulated power cut
+//! at **every** backend syscall of a log → persist → reopen run, through
+//! [`enumerate_crashes`], and the store must always recover to a consistent
+//! pre- or post-persist state — never a torn one.
 //!
 //! Two layers:
 //!
@@ -12,9 +12,10 @@
 //!    the full `Mistique` two-phase persist workload, crashing between and
 //!    inside both persists.
 //!
-//! Each crash point is replayed under all three [`TornWrite`] policies, so
-//! unsynced data may vanish, survive, or survive only as a prefix — the
-//! three behaviours a real disk exhibits after power loss.
+//! Each crash point is checked under all three [`mistique_store::TornWrite`]
+//! policies, so unsynced data may vanish, survive, or survive only as a
+//! prefix — the three behaviours a real disk exhibits after power loss — and
+//! so is the completed run.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -24,10 +25,8 @@ use mistique_dataframe::{ColumnChunk, ColumnData, DataFrame};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_store::{
-    ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError, TornWrite,
+    enumerate_crashes, ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError,
 };
-
-const POLICIES: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
 
 fn store_config() -> DataStoreConfig {
     DataStoreConfig {
@@ -71,108 +70,73 @@ fn run_store_workload(
     Ok(ds.export_catalog())
 }
 
+fn open_store(fs: &FaultyFs) -> DataStore {
+    DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap()
+}
+
 #[test]
 fn every_crash_point_leaves_datastore_consistent() {
-    // Golden run on a pristine virtual disk: total op count and the catalog
-    // the workload produces (placement is deterministic, so the catalog is
-    // identical across runs of the same workload).
-    let (golden_catalog, open_ops, total_ops) = {
-        let fs = FaultyFs::new();
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        let open_ops = fs.op_count();
-        let catalog = run_store_workload(&mut ds).unwrap();
-        (catalog, open_ops, fs.op_count())
-    };
+    // The golden catalog is the completed workload's (placement is
+    // deterministic, so it is identical across runs).
     let golden: Vec<(ChunkKey, ColumnChunk)> = workload_keys();
-    assert!(total_ops > open_ops + 10, "workload must exercise the disk");
+    let points = enumerate_crashes(open_store, run_store_workload, |fs, point, catalog| {
+        // Files on the virtual disk before recovery, for accounting.
+        let files = fs.visible_files();
+        let n_tmp = files
+            .iter()
+            .filter(|p| p.to_string_lossy().ends_with(".tmp"))
+            .count() as u64;
+        let n_part = files
+            .iter()
+            .filter(|p| {
+                let n = p.file_name().unwrap().to_string_lossy().into_owned();
+                n.starts_with("part_") && n.ends_with(".bin")
+            })
+            .count() as u64;
 
-    for k in (open_ops + 1)..=total_ops {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut ds =
-                DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-            fs.crash_after(k);
-            let r = run_store_workload(&mut ds);
-            assert!(r.is_err(), "crash at op {k} must surface as an error");
-            assert!(fs.has_crashed());
-            drop(ds); // the crashed process is gone
-            fs.power_cut(policy);
-
-            // Files on the virtual disk before recovery, for accounting.
-            let files = fs.visible_files();
-            let n_tmp = files
-                .iter()
-                .filter(|p| p.to_string_lossy().ends_with(".tmp"))
-                .count() as u64;
-            let n_part = files
-                .iter()
-                .filter(|p| {
-                    let n = p.file_name().unwrap().to_string_lossy().into_owned();
-                    n.starts_with("part_") && n.ends_with(".bin")
-                })
-                .count() as u64;
-
-            // "Restart": fresh store over the same disk, catalog restored
-            // from the golden run (stands in for the manifest).
-            let mut ds =
-                DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-            ds.import_catalog(golden_catalog.clone());
-            let report = ds.recover().unwrap();
-
-            // The atomic writer never leaves a torn partition file: every
-            // part_*.bin on disk verifies, none is quarantined.
-            assert_eq!(
-                report.quarantined, 0,
-                "crash at op {k} ({policy:?}) left a torn partition"
-            );
-            // Recovery accounts for every file that was in the directory.
-            assert_eq!(report.partitions_ok, n_part, "crash at {k} ({policy:?})");
-            assert_eq!(report.orphans_removed, n_tmp, "crash at {k} ({policy:?})");
-            assert!(
-                !fs.visible_files()
-                    .iter()
-                    .any(|p| p.to_string_lossy().ends_with(".tmp")),
-                "recovery must remove every orphan (crash at {k}, {policy:?})"
-            );
-
-            // Every chunk reads back bit-identical, or its partition is
-            // cleanly missing — never garbage, never a decode error.
-            for (key, expected) in &golden {
-                match ds.get_chunk(key) {
-                    Ok(got) => {
-                        assert_eq!(&got, expected, "crash at {k} ({policy:?}): torn read")
-                    }
-                    Err(StoreError::NotFound) => {}
-                    Err(e) => panic!("crash at {k} ({policy:?}): unexpected error {e}"),
-                }
-            }
-            ds.check_invariants()
-                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
-        }
-    }
-
-    // With the workload fully completed, a power cut under any policy loses
-    // nothing: every write was fsynced through before the store returned.
-    for policy in POLICIES {
-        let fs = FaultyFs::new();
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        run_store_workload(&mut ds).unwrap();
-        drop(ds);
-        fs.power_cut(policy);
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        ds.import_catalog(golden_catalog.clone());
+        // "Restart": fresh store over the same disk, catalog restored from
+        // the golden run (stands in for the manifest).
+        let mut ds = open_store(fs);
+        ds.import_catalog(catalog.clone());
         let report = ds.recover().unwrap();
-        assert_eq!(report.quarantined, 0);
-        assert_eq!(report.missing, 0, "completed workload is fully durable");
+
+        // The atomic writer never leaves a torn partition file: every
+        // part_*.bin on disk verifies, none is quarantined.
+        assert_eq!(report.quarantined, 0, "{point} left a torn partition");
+        // Recovery accounts for every file that was in the directory.
+        assert_eq!(report.partitions_ok, n_part, "{point}");
+        assert_eq!(report.orphans_removed, n_tmp, "{point}");
+        assert!(
+            !fs.visible_files()
+                .iter()
+                .any(|p| p.to_string_lossy().ends_with(".tmp")),
+            "recovery must remove every orphan ({point})"
+        );
+        // With the workload completed, a power cut under any policy loses
+        // nothing: every write was fsynced through before the store
+        // returned.
+        let completed = point.op.is_none();
+        if completed {
+            assert_eq!(
+                report.missing, 0,
+                "{point}: completed workload is fully durable"
+            );
+        }
+
+        // Every chunk reads back bit-identical, or (after a crash) its
+        // partition is cleanly missing — never garbage, never a decode
+        // error.
         for (key, expected) in &golden {
-            assert_eq!(&ds.get_chunk(key).unwrap(), expected, "{policy:?}");
+            match ds.get_chunk(key) {
+                Ok(got) => assert_eq!(&got, expected, "{point}: torn read"),
+                Err(StoreError::NotFound) if !completed => {}
+                Err(e) => panic!("{point}: unexpected error {e}"),
+            }
         }
         ds.check_invariants()
-            .unwrap_or_else(|v| panic!("{policy:?}: {v}"));
-    }
+            .unwrap_or_else(|v| panic!("{point}: {v}"));
+    });
+    assert!(points > 10, "workload must exercise the disk");
 }
 
 #[test]
@@ -225,108 +189,91 @@ fn preds_frame(sys: &mut Mistique, model_id: &str) -> DataFrame {
         .frame
 }
 
+/// The two-phase workload, each phase ending in a persist. Returns both
+/// model ids and the op count once the first manifest is durable.
+fn run_two_phase(
+    (sys, fs): &mut (Mistique, FaultyFs),
+    data: &Arc<ZillowData>,
+) -> Result<(String, String, u64), MistiqueError> {
+    let pipes = zillow_pipelines();
+    let id_a = sys.register_trad(pipes[0].clone(), Arc::clone(data))?;
+    sys.log_intermediates(&id_a)?;
+    sys.persist()?;
+    let k1 = fs.op_count();
+    let id_b = sys.register_trad(pipes[1].clone(), Arc::clone(data))?;
+    sys.log_intermediates(&id_b)?;
+    sys.persist()?;
+    Ok((id_a, id_b, k1))
+}
+
 #[test]
 fn every_crash_point_leaves_manifest_consistent() {
     let data = Arc::new(ZillowData::generate(80, 1));
-    let pipes = zillow_pipelines();
-    let pipe_a = pipes[0].clone();
-    let pipe_b = pipes[1].clone();
+    let open = |fs: &FaultyFs| {
+        let sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
+        (sys, fs.clone())
+    };
+    let workload = |state: &mut (Mistique, FaultyFs)| run_two_phase(state, &data);
 
-    // Golden run: two phases, each ending in a persist. Records the op
-    // boundaries and the expected prediction frames of both versions.
-    let fs = FaultyFs::new();
-    let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-    let open_ops = fs.op_count();
-    let id_a = sys
-        .register_trad(pipe_a.clone(), Arc::clone(&data))
-        .unwrap();
-    sys.log_intermediates(&id_a).unwrap();
-    sys.persist().unwrap();
-    let k1 = fs.op_count();
-    let id_b = sys
-        .register_trad(pipe_b.clone(), Arc::clone(&data))
-        .unwrap();
-    sys.log_intermediates(&id_b).unwrap();
-    sys.persist().unwrap();
-    let total = fs.op_count();
-    let golden_a = preds_frame(&mut sys, &id_a);
-    let golden_b = preds_frame(&mut sys, &id_b);
-    drop(sys);
-    assert!(open_ops < k1 && k1 < total);
+    // Reference run: the expected prediction frames of both versions.
+    let (golden_a, golden_b) = {
+        let fs = FaultyFs::new();
+        let mut state = open(&fs);
+        let open_ops = fs.op_count();
+        let (id_a, id_b, k1) = workload(&mut state).unwrap();
+        assert!(
+            open_ops < k1 && k1 < fs.op_count(),
+            "both phases must touch the disk"
+        );
+        (
+            preds_frame(&mut state.0, &id_a),
+            preds_frame(&mut state.0, &id_b),
+        )
+    };
 
-    for k in (open_ops + 1)..=total {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut sys =
-                Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-            fs.crash_after(k);
-            let r = (|| -> Result<(), MistiqueError> {
-                let a = sys.register_trad(pipe_a.clone(), Arc::clone(&data))?;
-                sys.log_intermediates(&a)?;
-                sys.persist()?;
-                let b = sys.register_trad(pipe_b.clone(), Arc::clone(&data))?;
-                sys.log_intermediates(&b)?;
-                sys.persist()
-            })();
-            assert!(r.is_err(), "crash at op {k} must surface");
-            drop(sys);
-            fs.power_cut(policy);
-
-            match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
-                Err(MistiqueError::NoManifest) => {
-                    // Legal only while the first manifest was not yet
-                    // guaranteed durable.
-                    assert!(
-                        k <= k1,
-                        "crash at {k} ({policy:?}): manifest v1 was durable by op {k1} \
-                         but reopen found none"
-                    );
-                }
-                Ok(mut sys) => {
-                    let report = sys.recovery_report().unwrap();
-                    assert_eq!(
-                        report.quarantined, 0,
-                        "crash at {k} ({policy:?}) left a torn partition"
-                    );
-                    assert_eq!(
-                        report.missing, 0,
-                        "crash at {k} ({policy:?}): the \
-                         manifest only ever references partitions persisted before it"
-                    );
-                    let models = sys.model_ids();
-                    match models.len() {
-                        // Manifest v1: model A exactly as persisted.
-                        1 => {
-                            assert_eq!(models[0], id_a, "crash at {k} ({policy:?})");
-                            assert_eq!(
-                                preds_frame(&mut sys, &id_a),
-                                golden_a,
-                                "crash at {k} ({policy:?}): v1 state torn"
-                            );
-                        }
-                        // Manifest v2: both models, both readable.
-                        2 => {
-                            assert_eq!(
-                                preds_frame(&mut sys, &id_a),
-                                golden_a,
-                                "crash at {k} ({policy:?})"
-                            );
-                            assert_eq!(
-                                preds_frame(&mut sys, &id_b),
-                                golden_b,
-                                "crash at {k} ({policy:?})"
-                            );
-                        }
-                        n => panic!("crash at {k} ({policy:?}): {n} models restored"),
-                    }
-                    sys.store()
-                        .check_invariants()
-                        .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
-                }
-                Err(e) => panic!("crash at {k} ({policy:?}): reopen failed: {e}"),
+    let points = enumerate_crashes(open, workload, |fs, point, (id_a, id_b, k1)| {
+        match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
+            Err(MistiqueError::NoManifest) => {
+                // Legal only while the first manifest was not yet
+                // guaranteed durable.
+                assert!(
+                    point.op.is_some_and(|k| k <= *k1),
+                    "{point}: manifest v1 was durable by op {k1} but reopen found none"
+                );
             }
+            Ok(mut sys) => {
+                let report = sys.recovery_report().unwrap();
+                assert_eq!(report.quarantined, 0, "{point} left a torn partition");
+                assert_eq!(
+                    report.missing, 0,
+                    "{point}: the manifest only ever references partitions persisted before it"
+                );
+                let models = sys.model_ids();
+                match models.len() {
+                    // Manifest v1: model A exactly as persisted.
+                    1 if point.op.is_some() => {
+                        assert_eq!(&models[0], id_a, "{point}");
+                        assert_eq!(
+                            preds_frame(&mut sys, id_a),
+                            golden_a,
+                            "{point}: v1 state torn"
+                        );
+                    }
+                    // Manifest v2: both models, both readable.
+                    2 => {
+                        assert_eq!(preds_frame(&mut sys, id_a), golden_a, "{point}");
+                        assert_eq!(preds_frame(&mut sys, id_b), golden_b, "{point}");
+                    }
+                    n => panic!("{point}: {n} models restored"),
+                }
+                sys.store()
+                    .check_invariants()
+                    .unwrap_or_else(|v| panic!("{point}: {v}"));
+            }
+            Err(e) => panic!("{point}: reopen failed: {e}"),
         }
-    }
+    });
+    assert!(points > 10, "workload must exercise the disk");
 }
 
 #[test]

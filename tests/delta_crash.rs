@@ -1,11 +1,13 @@
 //! Crash-point enumeration for the base+delta storage paths: delta puts,
-//! `reencode_as_delta`, and compaction with a pinned base. A simulated power
-//! cut is injected at **every** backend syscall of the workload and replayed
-//! under all three [`TornWrite`] policies; after each crash the store must
+//! `reencode_as_delta`, and compaction with a pinned base. Through
+//! [`enumerate_crashes`], a simulated power cut is injected at **every**
+//! backend syscall of the workload and checked under all three
+//! [`mistique_store::TornWrite`] policies; after each crash the store must
 //! recover with zero quarantined partitions and every chunk must read back
 //! bit-identical or cleanly `NotFound` — never garbage, never a decode
 //! error. A delta chunk whose base partition is missing must fail cleanly
-//! too, since a frame without its base is unreadable by design.
+//! too, since a frame without its base is unreadable by design. The
+//! completed workload must survive every policy whole, served as deltas.
 //!
 //! A separate bitrot test checks the quarantine *propagation* invariant:
 //! corrupting the base's partition makes reads of both the base and every
@@ -17,10 +19,8 @@ use std::sync::Arc;
 
 use mistique_dataframe::{ColumnChunk, ColumnData};
 use mistique_store::{
-    ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError, TornWrite,
+    enumerate_crashes, ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError,
 };
-
-const POLICIES: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
 
 fn store_config() -> DataStoreConfig {
     DataStoreConfig {
@@ -102,102 +102,66 @@ fn live_golden() -> Vec<(ChunkKey, ColumnChunk)> {
     ]
 }
 
-#[test]
-fn every_crash_point_leaves_delta_store_consistent() {
-    // Golden run on a pristine virtual disk.
-    let (golden_catalog, open_ops, total_ops, delta_puts) = {
-        let fs = FaultyFs::new();
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        let open_ops = fs.op_count();
-        let catalog = run_workload(&mut ds).unwrap();
-        ds.check_invariants().unwrap();
-        (catalog, open_ops, fs.op_count(), ds.stats().delta_puts)
-    };
-    assert!(
-        delta_puts >= 2,
-        "workload must exercise the delta put path, got {delta_puts}"
-    );
-    assert!(total_ops > open_ops + 10, "workload must exercise the disk");
-    let golden = live_golden();
-
-    for k in (open_ops + 1)..=total_ops {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut ds =
-                DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-            fs.crash_after(k);
-            let r = run_workload(&mut ds);
-            assert!(r.is_err(), "crash at op {k} must surface as an error");
-            drop(ds);
-            fs.power_cut(policy);
-
-            // "Restart": fresh store over the surviving disk, final catalog
-            // restored (stands in for the manifest, deltas and pins
-            // included).
-            let mut ds =
-                DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-            ds.import_catalog(golden_catalog.clone());
-            let report = ds.recover().unwrap();
-            assert_eq!(
-                report.quarantined, 0,
-                "crash at op {k} ({policy:?}) left a torn partition"
-            );
-
-            // Every live chunk reads bit-identical or is cleanly missing. A
-            // delta whose base partition did not survive must also land on
-            // NotFound — never a garbage decode.
-            for (key, expected) in &golden {
-                match ds.get_chunk(key) {
-                    Ok(got) => {
-                        assert_eq!(&got, expected, "crash at {k} ({policy:?}): torn read")
-                    }
-                    Err(StoreError::NotFound) => {}
-                    Err(e) => panic!("crash at {k} ({policy:?}): unexpected error {e}"),
-                }
-            }
-            // The retracted intermediate stays gone.
-            assert!(
-                ds.get_chunk(&key("m.near2")).is_err(),
-                "crash at {k} ({policy:?}): retracted delta resurrected"
-            );
-            ds.check_invariants()
-                .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
-        }
-    }
+fn open_store(fs: &FaultyFs) -> DataStore {
+    DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap()
 }
 
 #[test]
-fn completed_delta_workload_survives_power_cut_under_every_policy() {
-    for policy in POLICIES {
-        let fs = FaultyFs::new();
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        let catalog = run_workload(&mut ds).unwrap();
-        drop(ds);
-        fs.power_cut(policy);
-
-        let mut ds =
-            DataStore::open_with_backend("/vfs", store_config(), Arc::new(fs.clone())).unwrap();
-        ds.import_catalog(catalog);
-        let report = ds.recover().unwrap();
-        assert_eq!(report.quarantined, 0, "{policy:?}");
-        assert_eq!(
-            report.missing, 0,
-            "completed workload is fully durable ({policy:?})"
-        );
-        for (key, expected) in &live_golden() {
-            assert_eq!(&ds.get_chunk(key).unwrap(), expected, "{policy:?}");
-        }
-        // The rehydration counter proves the deltas were served as deltas,
-        // not silently re-stored raw across the restart.
+fn every_crash_point_leaves_delta_store_consistent() {
+    let golden = live_golden();
+    let workload = |ds: &mut DataStore| {
+        let catalog = run_workload(ds)?;
+        // Reached by the completed run only.
+        ds.check_invariants().unwrap();
+        let delta_puts = ds.stats().delta_puts;
         assert!(
-            ds.obs().counter("store.delta.rehydrations").get() >= 2,
-            "{policy:?}: expected delta reads after reopen"
+            delta_puts >= 2,
+            "workload must exercise the delta put path, got {delta_puts}"
         );
+        Ok::<_, StoreError>(catalog)
+    };
+    let points = enumerate_crashes(open_store, workload, |fs, point, catalog| {
+        // "Restart": fresh store over the surviving disk, final catalog
+        // restored (stands in for the manifest, deltas and pins included).
+        let mut ds = open_store(fs);
+        ds.import_catalog(catalog.clone());
+        let report = ds.recover().unwrap();
+        assert_eq!(report.quarantined, 0, "{point} left a torn partition");
+        let completed = point.op.is_none();
+        if completed {
+            assert_eq!(
+                report.missing, 0,
+                "{point}: completed workload is fully durable"
+            );
+        }
+
+        // Every live chunk reads bit-identical or (after a crash) is cleanly
+        // missing. A delta whose base partition did not survive must also
+        // land on NotFound — never a garbage decode.
+        for (key, expected) in &golden {
+            match ds.get_chunk(key) {
+                Ok(got) => assert_eq!(&got, expected, "{point}: torn read"),
+                Err(StoreError::NotFound) if !completed => {}
+                Err(e) => panic!("{point}: unexpected error {e}"),
+            }
+        }
+        // The retracted intermediate stays gone.
+        assert!(
+            ds.get_chunk(&key("m.near2")).is_err(),
+            "{point}: retracted delta resurrected"
+        );
+        // The rehydration counter proves the completed run's deltas were
+        // served as deltas, not silently re-stored raw across the restart.
+        if completed {
+            assert!(
+                ds.obs().counter("store.delta.rehydrations").get() >= 2,
+                "{point}: expected delta reads after reopen"
+            );
+        }
         ds.check_invariants()
-            .unwrap_or_else(|v| panic!("{policy:?}: {v}"));
-    }
+            .unwrap_or_else(|v| panic!("{point}: {v}"));
+    });
+    assert!(points > 10, "workload must exercise the disk");
 }
 
 #[test]

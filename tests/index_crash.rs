@@ -1,8 +1,9 @@
-//! Crash-safety of the zone-map / max-activation index: enumerate a
-//! simulated power cut at **every** backend syscall of a log → indexed
-//! query → demote → reclaim → persist workload (index writes are
-//! interleaved with data writes on the same [`FaultyFs`]) under all three
-//! [`TornWrite`] policies, and assert:
+//! Crash-safety of the zone-map / max-activation index: enumerate (with
+//! [`enumerate_crashes`]) a simulated power cut at **every** backend syscall
+//! of a log → indexed query → demote → reclaim → persist workload (index
+//! writes are interleaved with data writes on the same [`FaultyFs`]) under
+//! all three [`mistique_store::TornWrite`] policies, plus the completed run,
+//! and assert:
 //!
 //! - a torn index write never quarantines a *data* partition or breaks
 //!   reopen — index I/O is best-effort, data invariants are
@@ -13,7 +14,8 @@
 //! - a reopened system serves top-k and threshold answers that are
 //!   bit-identical to a fresh scan, whether its index survived, was torn,
 //!   or was overwritten with garbage: the index degrades to a scan, it
-//!   never degrades to a wrong answer.
+//!   never degrades to a wrong answer;
+//! - the completed run's index files are durable.
 
 use std::sync::Arc;
 
@@ -23,9 +25,7 @@ use mistique_core::{
 };
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
-use mistique_store::{FaultyFs, StorageBackend, TornWrite};
-
-const POLICIES: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
+use mistique_store::{enumerate_crashes, FaultyFs, StorageBackend};
 
 fn sys_config() -> MistiqueConfig {
     MistiqueConfig {
@@ -126,66 +126,50 @@ fn assert_queries_match_scans(sys: &mut Mistique, ctx: &str) {
     }
 }
 
+fn open_sys(fs: &FaultyFs) -> Mistique {
+    Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap()
+}
+
 #[test]
 fn every_crash_point_leaves_index_harmless_and_data_clean() {
     let data = Arc::new(ZillowData::generate(80, 1));
-
-    // Golden run over a pristine virtual disk.
-    let fs = FaultyFs::new();
-    let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-    let open_ops = fs.op_count();
-    run_workload(&mut sys, &data).expect("golden workload");
-    let total = fs.op_count();
-    assert!(
-        fs.visible_files()
-            .iter()
-            .any(|p| p.to_string_lossy().contains("/index/")),
-        "golden workload must persist index files for the sweep to mean anything"
-    );
-    drop(sys);
-
-    for k in (open_ops + 1)..=total {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut sys =
-                Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-            fs.crash_after(k);
-            let r = run_workload(&mut sys, &data);
+    let workload = |sys: &mut Mistique| run_workload(sys, &data);
+    let points = enumerate_crashes(open_sys, workload, |fs, point, _| {
+        let ctx = point.to_string();
+        if point.op.is_none() {
             assert!(
-                r.is_err(),
-                "crash at op {k} must surface through a data op (index \
-                 failures are swallowed, but persist comes after every hook)"
+                fs.visible_files()
+                    .iter()
+                    .any(|p| p.to_string_lossy().contains("/index/")),
+                "{ctx}: the workload must persist index files for the sweep to mean anything"
             );
-            drop(sys);
-            fs.power_cut(policy);
+        }
+        assert_index_files_parse_or_reject(fs, &ctx);
 
-            let ctx = format!("crash at {k} ({policy:?})");
-            assert_index_files_parse_or_reject(&fs, &ctx);
-
-            match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
-                Err(MistiqueError::NoManifest) => {}
-                Err(e) => panic!("{ctx}: reopen failed: {e}"),
-                Ok(mut sys) => {
-                    let report = sys.recovery_report().unwrap();
-                    assert_eq!(
-                        report.quarantined, 0,
-                        "{ctx}: torn index write quarantined a data partition"
-                    );
-                    assert_queries_match_scans(&mut sys, &ctx);
-                    sys.store()
-                        .check_invariants()
-                        .unwrap_or_else(|v| panic!("{ctx}: {v}"));
-                }
+        match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
+            Err(MistiqueError::NoManifest) if point.op.is_some() => {}
+            Err(e) => panic!("{ctx}: reopen failed: {e}"),
+            Ok(mut sys) => {
+                let report = sys.recovery_report().unwrap();
+                assert_eq!(
+                    report.quarantined, 0,
+                    "{ctx}: torn index write quarantined a data partition"
+                );
+                assert_queries_match_scans(&mut sys, &ctx);
+                sys.store()
+                    .check_invariants()
+                    .unwrap_or_else(|v| panic!("{ctx}: {v}"));
             }
         }
-    }
+    });
+    assert!(points > 10, "workload must exercise the disk");
 }
 
 #[test]
 fn garbage_index_files_degrade_to_scans_with_identical_answers() {
     let data = Arc::new(ZillowData::generate(80, 1));
     let fs = FaultyFs::new();
-    let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
+    let mut sys = open_sys(&fs);
     run_workload(&mut sys, &data).expect("golden workload");
     drop(sys);
 

@@ -1,11 +1,13 @@
-//! Crash-safety of the flight recorder: enumerate a simulated power cut at
-//! **every** backend syscall of a log → query → reclaim → persist workload
-//! (telemetry enabled, so timeline segment writes are interleaved with data
-//! writes on the same [`FaultyFs`]) under all three [`TornWrite`] policies,
-//! and assert:
+//! Crash-safety of the two best-effort sidecars, the flight recorder and the
+//! workload audit journal: enumerate (with [`enumerate_crashes`]) a
+//! simulated power cut at **every** backend syscall of a register → log →
+//! query → starved reclaim → persist workload (both sidecars on, so timeline
+//! and journal segment writes are interleaved with data writes on the same
+//! [`FaultyFs`]) under all three [`mistique_store::TornWrite`] policies, and
+//! assert:
 //!
-//! - a torn telemetry write never quarantines a *data* partition or breaks
-//!   reopen — telemetry failures are swallowed, data invariants are
+//! - a torn telemetry or audit write never quarantines a *data* partition or
+//!   breaks reopen — sidecar failures are swallowed, data invariants are
 //!   `tests/crash_safety.rs`'s unchanged contract;
 //! - the timeline always loads from whatever segments survive: a valid
 //!   pre- or post-capture prefix, strictly increasing sequence numbers,
@@ -13,7 +15,12 @@
 //! - events only ever reference captures that exist (`snap_seq` ≤ the
 //!   newest point, or the yet-unflushed next sequence);
 //! - after reopen, the recorder resumes: sequence numbers continue past the
-//!   survivors and the recovery pass is journaled.
+//!   survivors and the recovery pass is journaled;
+//! - the journal always loads as a valid prefix with strictly increasing
+//!   sequence numbers, and after reopen it resumes strictly past every
+//!   surviving record;
+//! - a *completed* workload keeps every capture and every flushed record
+//!   under any power-cut policy.
 //!
 //! A separate case corrupts a sealed telemetry segment with garbage and
 //! asserts recovery still quarantines zero data partitions.
@@ -21,13 +28,12 @@
 use std::sync::Arc;
 
 use mistique_core::{
-    FetchStrategy, Mistique, MistiqueConfig, MistiqueError, StoreSubdir, Timeline, TELEMETRY_SUBDIR,
+    AuditRecord, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, StoreSubdir, Timeline,
+    TELEMETRY_SUBDIR,
 };
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
-use mistique_store::{FaultyFs, StorageBackend, TornWrite};
-
-const POLICIES: [TornWrite; 3] = [TornWrite::DropAll, TornWrite::TornHalf, TornWrite::KeepAll];
+use mistique_store::{enumerate_crashes, FaultyFs, StorageBackend};
 
 /// Reasons the engine stamps on captures; a loaded point must carry one.
 const REASONS: [&str; 7] = [
@@ -43,25 +49,37 @@ const REASONS: [&str; 7] = [
 fn sys_config() -> MistiqueConfig {
     MistiqueConfig {
         row_block_size: 50,
-        // Forced-Read queries + an astronomic tolerance keep the workload's
-        // backend op sequence deterministic: no timing-dependent drift
-        // flags, no plan flips, no query-cache churn.
+        // Forced-Read fetches + an astronomic tolerance keep the workload's
+        // backend op sequence deterministic, as the crash driver checks: no
+        // timing-dependent drift flags, no plan flips, no query-cache churn.
         drift_tolerance: 1e12,
         ..MistiqueConfig::default()
     }
 }
 
-/// The workload under test. Ends with `persist()`, so a swallowed telemetry
-/// failure is always followed by a failing data op once the disk is gone.
+fn open_sys(fs: &FaultyFs) -> Mistique {
+    Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap()
+}
+
+/// The workload under test: every audited entry-point kind appears at least
+/// once, and the explicit `audit_flush` calls put journal segment writes in
+/// the middle of the op stream, not just at drop time. Ends with
+/// `persist()`, so a swallowed sidecar failure is always followed by a
+/// failing data op once the disk is gone.
 fn run_workload(sys: &mut Mistique, data: &Arc<ZillowData>) -> Result<(), MistiqueError> {
     let pipes = zillow_pipelines();
     let id_a = sys.register_trad(pipes[0].clone(), Arc::clone(data))?;
     sys.log_intermediates(&id_a)?;
+    sys.audit_flush();
     let id_b = sys.register_trad(pipes[1].clone(), Arc::clone(data))?;
     sys.log_intermediates(&id_b)?;
-    for interm in sys.intermediates_of(&id_a) {
-        sys.fetch_with_strategy(&interm, None, Some(20), FetchStrategy::Read)?;
+    let interms = sys.intermediates_of(&id_a);
+    sys.topk(&interms[0], "sqft", 5)?;
+    sys.pointq(&interms[0], "sqft", 3)?;
+    for interm in &interms {
+        sys.fetch_with_strategy(interm, None, Some(20), FetchStrategy::Read)?;
     }
+    sys.audit_flush();
     // A budget far below usage drives demotions, purges, and a compaction —
     // the event-heavy path. Reclaim picks victims by γ, which rests on
     // measured execution times; a read bandwidth this low makes every
@@ -70,6 +88,38 @@ fn run_workload(sys: &mut Mistique, data: &Arc<ZillowData>) -> Result<(), Mistiq
     sys.reclaim_to(256)?;
     sys.persist()?;
     Ok(())
+}
+
+fn load_journal(fs: &FaultyFs) -> Vec<AuditRecord> {
+    let backend: Arc<dyn StorageBackend> = Arc::new(fs.clone());
+    Mistique::load_audit_with_backend(backend, "/vfs".as_ref())
+        .expect("audit journal load must tolerate any torn state")
+}
+
+/// Shared invariants of any surviving journal.
+fn assert_journal_sane(records: &[AuditRecord], ctx: &str) {
+    for w in records.windows(2) {
+        assert!(
+            w[0].seq < w[1].seq,
+            "{ctx}: record seqs must strictly increase ({} then {})",
+            w[0].seq,
+            w[1].seq
+        );
+    }
+    for r in records {
+        assert!(!r.op.is_empty(), "{ctx}: record {} has an empty op", r.seq);
+        assert!(
+            r.op == "register"
+                || r.op == "log"
+                || r.op == "log_parallel"
+                || r.op == "reclaim"
+                || r.op.starts_with("fetch.")
+                || r.op.starts_with("diag."),
+            "{ctx}: record {} has unknown op {:?}",
+            r.seq,
+            r.op
+        );
+    }
 }
 
 fn load_points(fs: &FaultyFs) -> Timeline {
@@ -113,103 +163,113 @@ fn assert_timeline_sane(tl: &Timeline, ctx: &str) {
 #[test]
 fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
     let data = Arc::new(ZillowData::generate(80, 1));
+    let workload = |sys: &mut Mistique| run_workload(sys, &data);
 
-    // Golden run: telemetry-on workload over a pristine virtual disk.
-    let fs = FaultyFs::new();
-    let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-    let open_ops = fs.op_count();
-    run_workload(&mut sys, &data).expect("golden workload");
-    let total = fs.op_count();
-    drop(sys);
-    let golden = load_points(&fs);
-    assert!(
-        !golden.points.is_empty(),
-        "golden run must capture telemetry points"
-    );
-    assert!(
-        golden.events.iter().any(|e| e.kind == "reclaim.demote")
-            && golden.events.iter().any(|e| e.kind == "reclaim.purge"),
-        "the starved reclaim must journal ladder events"
-    );
-    assert_timeline_sane(&golden, "golden");
-    let golden_max = golden.points.iter().map(|p| p.seq).max().unwrap();
+    // Reference run: the timeline and journal a completed workload leaves.
+    let (golden_max_point, golden_max_record) = {
+        let fs = FaultyFs::new();
+        let mut sys = open_sys(&fs);
+        workload(&mut sys).expect("golden workload");
+        drop(sys);
+        let golden = load_points(&fs);
+        assert!(
+            !golden.points.is_empty(),
+            "golden run must capture telemetry points"
+        );
+        assert!(
+            golden.events.iter().any(|e| e.kind == "reclaim.demote")
+                && golden.events.iter().any(|e| e.kind == "reclaim.purge"),
+            "the starved reclaim must journal ladder events"
+        );
+        assert_timeline_sane(&golden, "golden");
+        let journal = load_journal(&fs);
+        assert!(
+            journal.len() >= 6,
+            "golden run must journal every entry point, got {}",
+            journal.len()
+        );
+        assert_journal_sane(&journal, "golden");
+        (
+            golden.points.iter().map(|p| p.seq).max(),
+            journal.last().map(|r| r.seq),
+        )
+    };
 
-    for k in (open_ops + 1)..=total {
-        for policy in POLICIES {
-            let fs = FaultyFs::new();
-            let mut sys =
-                Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-            fs.crash_after(k);
-            let r = run_workload(&mut sys, &data);
-            assert!(
-                r.is_err(),
-                "crash at op {k} must surface through a data op (telemetry \
-                 failures are swallowed, but persist comes after every hook)"
+    let points = enumerate_crashes(open_sys, workload, |fs, point, _| {
+        // Whatever survived on disk parses: a consistent pre-or-post prefix
+        // of the capture stream, and a sane journal prefix.
+        let ctx = point.to_string();
+        let tl = load_points(fs);
+        assert_timeline_sane(&tl, &ctx);
+        let survivors = load_journal(fs);
+        assert_journal_sane(&survivors, &ctx);
+        let survivor_max = survivors.last().map(|r| r.seq);
+        if point.op.is_none() {
+            // Everything the recorder reported as written is durable, and
+            // every flushed record too (the journal flush is an atomic
+            // segment rewrite): the full golden streams survive any policy.
+            assert_eq!(
+                tl.points.iter().map(|p| p.seq).max(),
+                golden_max_point,
+                "{point}: completed run must keep every capture"
             );
-            drop(sys);
-            fs.power_cut(policy);
+            assert_eq!(
+                survivor_max, golden_max_record,
+                "{point}: completed run must keep every journal record"
+            );
+        }
 
-            // Whatever survived on disk parses: a consistent pre-or-post
-            // prefix of the capture stream.
-            let tl = load_points(&fs);
-            assert_timeline_sane(&tl, &format!("crash at {k} ({policy:?})"));
+        // Reopen: torn sidecars must never contaminate the data path.
+        match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
+            Err(MistiqueError::NoManifest) if point.op.is_some() => {}
+            Err(e) => panic!("{point}: reopen failed: {e}"),
+            Ok(mut sys) => {
+                let report = sys.recovery_report().unwrap();
+                assert_eq!(
+                    report.quarantined, 0,
+                    "{point}: torn sidecar write quarantined a data partition"
+                );
+                // The reopened recorder journals its recovery pass with a
+                // sequence past everything that survived the cut.
+                let tl = sys.timeline().unwrap();
+                assert_timeline_sane(&tl, &format!("post-reopen at {point}"));
+                let rec = tl
+                    .events
+                    .iter()
+                    .filter(|e| e.kind == "recovery")
+                    .max_by_key(|e| e.snap_seq)
+                    .expect("reopen must journal a recovery event");
+                assert!(rec.snap_seq > 0, "{point}: recovery event unstamped");
+                sys.store()
+                    .check_invariants()
+                    .unwrap_or_else(|v| panic!("{point}: {v}"));
 
-            // Reopen: torn telemetry must never contaminate the data path.
-            match Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())) {
-                Err(MistiqueError::NoManifest) => {}
-                Err(e) => panic!("crash at {k} ({policy:?}): reopen failed: {e}"),
-                Ok(sys) => {
-                    let report = sys.recovery_report().unwrap();
-                    assert_eq!(
-                        report.quarantined, 0,
-                        "crash at {k} ({policy:?}): torn telemetry write \
-                         quarantined a data partition"
-                    );
-                    // The reopened recorder journals its recovery pass with
-                    // a sequence past everything that survived the cut.
-                    let tl = sys.timeline().unwrap();
-                    assert_timeline_sane(&tl, &format!("post-reopen at {k} ({policy:?})"));
-                    let rec = tl
-                        .events
-                        .iter()
-                        .filter(|e| e.kind == "recovery")
-                        .max_by_key(|e| e.snap_seq)
-                        .expect("reopen must journal a recovery event");
-                    assert!(
-                        rec.snap_seq > 0,
-                        "crash at {k} ({policy:?}): recovery event unstamped"
-                    );
-                    sys.store()
-                        .check_invariants()
-                        .unwrap_or_else(|v| panic!("crash at {k} ({policy:?}): {v}"));
-                }
+                // The journal resumes past every surviving record: one more
+                // audited op, flushed, must extend the sequence.
+                let _ = sys.reclaim();
+                sys.audit_flush();
+                sys.store()
+                    .check_invariants()
+                    .unwrap_or_else(|v| panic!("{point}: {v}"));
+                drop(sys);
+                let resumed = load_journal(fs);
+                assert_journal_sane(&resumed, &format!("post-reopen at {point}"));
+                let resumed_max = resumed.last().map(|r| r.seq);
+                assert!(
+                    resumed_max > survivor_max,
+                    "{point}: journal did not resume ({survivor_max:?} then {resumed_max:?})"
+                );
             }
         }
-    }
-
-    // Completed workload + power cut: everything the recorder reported as
-    // written is durable, so the full golden timeline survives any policy.
-    for policy in POLICIES {
-        let fs = FaultyFs::new();
-        let mut sys =
-            Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
-        run_workload(&mut sys, &data).unwrap();
-        drop(sys);
-        fs.power_cut(policy);
-        let tl = load_points(&fs);
-        assert_eq!(
-            tl.points.iter().map(|p| p.seq).max(),
-            Some(golden_max),
-            "{policy:?}: completed run must keep every capture"
-        );
-    }
+    });
+    assert!(points > 10, "workload must exercise the disk");
 }
 
 #[test]
 fn garbage_in_telemetry_segment_never_touches_data_recovery() {
     let data = Arc::new(ZillowData::generate(80, 1));
     let fs = FaultyFs::new();
-    let mut sys = Mistique::open_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
+    let mut sys = open_sys(&fs);
     run_workload(&mut sys, &data).expect("golden workload");
     drop(sys);
 
