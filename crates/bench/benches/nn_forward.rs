@@ -28,7 +28,7 @@ fn one_layer(layer: Layer, in_c: usize, hw: usize) -> Model {
 
 /// Every example of `x` through layers `0..=upto`, tile by tile.
 fn forward(model: &Model, x: &Tensor, upto: usize) {
-    model.forward_tiles(x, 0..x.n, upto, |_, t, _| {
+    model.forward_tiles(x, 0..x.n, 0, upto, |_, t, _| {
         black_box(t);
     });
 }

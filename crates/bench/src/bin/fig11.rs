@@ -83,6 +83,7 @@ fn dnn(examples: usize, scale: usize) {
     model.forward_tiles(
         &data.images,
         0..data.len(),
+        0,
         model.n_layers() - 1,
         |_, t, _| {
             black_box(t);

@@ -272,6 +272,7 @@ mod tests {
             threshold: None,
             shape: None,
             delta_encoded: false,
+            chain: None,
         }
     }
 

@@ -136,7 +136,7 @@ impl ModelSource {
                 let mut sp_fwd = obs.span("exec.forward");
                 sp_fwd.attr("layer", stage_index).attr("n_ex", n);
                 let mut rows = Vec::with_capacity(n);
-                model.forward_tiles(&data.images, 0..n, stage_index, |layer, t, _| {
+                model.forward_tiles(&data.images, 0..n, 0, stage_index, |layer, t, _| {
                     if layer == stage_index {
                         capture.capture_tile(t, &mut rows);
                     }

@@ -58,6 +58,7 @@ pub mod index_state;
 pub mod manager;
 pub mod metadata;
 pub mod persist;
+mod prefix;
 pub mod qcache;
 pub mod reader;
 pub mod replay;

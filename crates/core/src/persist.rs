@@ -99,7 +99,7 @@ json_struct!(IntermediateMeta {
     quantizer,
     threshold,
     shape,
-} default { delta_encoded });
+} default { delta_encoded, chain });
 
 impl Mistique {
     /// Flush all open partitions and write the manifest so the directory can
@@ -383,6 +383,8 @@ mod tests {
                 threshold: Some(threshold),
                 shape: Some((bits as usize, 2, 2)),
                 delta_encoded: bits & 1 == 0,
+                chain: (bits & 2 == 0)
+                    .then_some((u64::from(bits) << 31, u64::MAX - u64::from(bits))),
             });
         }
         let mut manifest = Manifest {

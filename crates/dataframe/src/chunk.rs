@@ -70,6 +70,13 @@ impl ColumnChunk {
         self.data.nbytes()
     }
 
+    /// The length of [`ColumnChunk::to_bytes`] for a chunk of `rows` values
+    /// of a fixed-width `dtype`, without building it. `None` for
+    /// categorical chunks, whose dictionary makes the length data-dependent.
+    pub fn serialized_len(dtype: DType, rows: usize) -> Option<u64> {
+        (dtype != DType::Cat).then(|| 5 + (rows * dtype.value_width()) as u64)
+    }
+
     /// Canonical serialization: `[dtype: u8][n_rows: u32 LE][payload]`.
     ///
     /// Payloads are little-endian fixed-width values; categorical chunks
@@ -227,6 +234,22 @@ mod tests {
         let bytes = chunk.to_bytes();
         let back = ColumnChunk::from_bytes(&bytes).unwrap();
         assert_eq!(back, chunk);
+    }
+
+    #[test]
+    fn serialized_len_is_the_length_of_the_bytes() {
+        for data in [
+            ColumnData::F32(vec![1.5; 7]),
+            ColumnData::F16(vec![3; 7]),
+            ColumnData::F64(vec![2.0; 7]),
+            ColumnData::I64(vec![-4; 7]),
+            ColumnData::U8(vec![9; 7]),
+            ColumnData::Bool(vec![true; 7]),
+        ] {
+            let len = ColumnChunk::new(data.clone()).to_bytes().len() as u64;
+            assert_eq!(ColumnChunk::serialized_len(data.dtype(), 7), Some(len));
+        }
+        assert_eq!(ColumnChunk::serialized_len(DType::Cat, 7), None);
     }
 
     #[test]

@@ -84,6 +84,60 @@ impl Layer {
         }
     }
 
+    /// Append every field of the layer to `out` in a fixed byte order: a
+    /// kind tag, the geometry, the activation, then the weights and the bias
+    /// as little-endian f32 bits behind their lengths. Two layers append the
+    /// same bytes iff they are the same layer, so the bytes identify what
+    /// the layer computes from a given input (the per-layer step of a
+    /// logging chain digest, DESIGN.md §2 "Logging a shared prefix once").
+    /// The match names every variant: a new one must say what identifies it.
+    pub fn write_identity(&self, out: &mut Vec<u8>) {
+        let word = |out: &mut Vec<u8>, v: usize| out.extend_from_slice(&(v as u64).to_le_bytes());
+        let floats = |out: &mut Vec<u8>, vs: &[f32]| {
+            word(out, vs.len());
+            out.extend(vs.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        };
+        let activation = |a: &Activation| match a {
+            Activation::Linear => 0u8,
+            Activation::Relu => 1,
+            Activation::Softmax => 2,
+        };
+        match self {
+            Layer::Conv2d {
+                in_c,
+                out_c,
+                weights,
+                bias,
+                activation: a,
+            } => {
+                out.push(0);
+                word(out, *in_c);
+                word(out, *out_c);
+                out.push(activation(a));
+                floats(out, weights);
+                floats(out, bias);
+            }
+            Layer::Relu => out.push(1),
+            Layer::MaxPool2 => out.push(2),
+            Layer::Flatten => out.push(3),
+            Layer::Dense {
+                in_f,
+                out_f,
+                weights,
+                bias,
+                activation: a,
+            } => {
+                out.push(4);
+                word(out, *in_f);
+                word(out, *out_f);
+                out.push(activation(a));
+                floats(out, weights);
+                floats(out, bias);
+            }
+            Layer::Softmax => out.push(5),
+        }
+    }
+
     /// Forward pass. The input is taken by value: ReLU and Flatten rewrite
     /// or relabel its buffer in place, and the other layers drop it once
     /// their output exists.

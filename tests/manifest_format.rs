@@ -127,6 +127,10 @@ fn assert_golden_state(sys: &mut Mistique, ctx: &str) {
     assert_eq!(l1.threshold.map(f32::to_bits), Some(0.1f32.to_bits()));
     assert_eq!(l1.n_queries, u64::MAX);
     assert!(meta.intermediate(STORED).unwrap().materialized);
+    // Earlier builds logged no chain digests: nothing binds to these.
+    for id in [STORED, "net@epoch1.layer0", "net@epoch1.layer1"] {
+        assert_eq!(meta.intermediate(id).unwrap().chain, None, "{ctx}: {id}");
+    }
 }
 
 #[test]
@@ -345,6 +349,11 @@ fn hostile_manifests_are_errors_that_name_the_field() {
             r#""materialized":true"#,
             r#""materialized":1"#,
             "materialized: expected a boolean, got a number",
+        ),
+        (
+            r#""delta_encoded":true"#,
+            r#""delta_encoded":true,"chain":[1]"#,
+            "intermediates[1].chain: expected 2 elements, got 1",
         ),
         (
             r#"9223372036854775808,3]"#,

@@ -172,6 +172,7 @@ fn cost_model_monotone() {
             threshold: None,
             shape: None,
             delta_encoded: false,
+            chain: None,
         };
         let n2 = n1 + extra;
         assert!(cm.t_read(&meta, n2) >= cm.t_read(&meta, n1));
@@ -216,6 +217,7 @@ fn decision_matches_predictions() {
             threshold: None,
             shape: None,
             delta_encoded: false,
+            chain: None,
         };
         let should = cm.should_read(&model, &meta, n);
         assert_eq!(should, cm.t_rerun(&model, &meta, n) >= cm.t_read(&meta, n));
