@@ -10,7 +10,10 @@
 //!    chunk catalog is carried in memory across the simulated restart.
 //! 2. **System-level** ([`every_crash_point_leaves_manifest_consistent`]):
 //!    the full `Mistique` two-phase persist workload, crashing between and
-//!    inside both persists.
+//!    inside both persists; and
+//!    ([`every_crash_point_leaves_bound_layers_whole`]) two checkpoints of
+//!    a net with a frozen prefix, the second bound to the first's chunks,
+//!    then one persist.
 //!
 //! Each crash point is checked under all three [`mistique_store::TornWrite`]
 //! policies, so unsynced data may vanish, survive, or survive only as a
@@ -20,8 +23,11 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mistique_core::{FetchStrategy, Mistique, MistiqueConfig, MistiqueError};
+use mistique_core::{
+    CaptureScheme, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, ValueScheme,
+};
 use mistique_dataframe::{ColumnChunk, ColumnData, DataFrame};
+use mistique_nn::{ArchConfig, CifarLike, LayerSpec};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_store::{
@@ -272,6 +278,107 @@ fn every_crash_point_leaves_manifest_consistent() {
             }
             Err(e) => panic!("{point}: reopen failed: {e}"),
         }
+    });
+    assert!(points > 10, "workload must exercise the disk");
+}
+
+/// A small net whose first four specs are frozen: five layers (with the
+/// flatten) bind from the second checkpoint on.
+fn frozen_net() -> Arc<ArchConfig> {
+    Arc::new(ArchConfig {
+        name: "FROZEN".to_string(),
+        in_c: 3,
+        in_hw: 32,
+        n_classes: 4,
+        layers: vec![
+            LayerSpec::Conv(2),
+            LayerSpec::Pool,
+            LayerSpec::Conv(3),
+            LayerSpec::Pool,
+            LayerSpec::Dense(4),
+            LayerSpec::Classifier,
+        ],
+        frozen_prefix: 4,
+    })
+}
+
+/// Every layer of a model, read from the store.
+fn layer_frames(sys: &mut Mistique, model_id: &str) -> Vec<DataFrame> {
+    sys.intermediates_of(model_id)
+        .iter()
+        .map(|id| {
+            let read = sys.fetch_with_strategy(id, None, None, FetchStrategy::Read);
+            read.unwrap().frame
+        })
+        .collect()
+}
+
+#[test]
+fn every_crash_point_leaves_bound_layers_whole() {
+    let data = Arc::new(CifarLike::generate(12, 4, 3));
+    let arch = frozen_net();
+    // Wide pooling windows keep the conv layers to a few dozen columns.
+    let config = || MistiqueConfig {
+        row_block_size: 8,
+        dnn_capture: CaptureScheme {
+            value: ValueScheme::Full,
+            pool_sigma: Some(8),
+        },
+        telemetry_budget_bytes: 0,
+        audit_budget_bytes: 0,
+        ..MistiqueConfig::default()
+    };
+    let open = |fs: &FaultyFs| {
+        Mistique::open_with_backend("/vfs", config(), Arc::new(fs.clone())).unwrap()
+    };
+    let workload = |sys: &mut Mistique| -> Result<(String, u64), MistiqueError> {
+        let mut last = String::new();
+        for epoch in 0..2 {
+            last = sys.register_dnn(Arc::clone(&arch), 1, epoch, Arc::clone(&data), 4)?;
+            sys.log_intermediates(&last)?;
+        }
+        let bound = sys.obs_snapshot().counter("core.log.bound_layers");
+        sys.persist()?;
+        Ok((last, bound))
+    };
+    // What a store that logs only the second checkpoint reads back.
+    let alone = {
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(dir.path(), config()).unwrap();
+        let id = sys
+            .register_dnn(Arc::clone(&arch), 1, 1, Arc::clone(&data), 4)
+            .unwrap();
+        sys.log_intermediates(&id).unwrap();
+        layer_frames(&mut sys, &id)
+    };
+
+    let points = enumerate_crashes(open, workload, |fs, point, (bound_id, bound)| {
+        assert_eq!(*bound, 5, "the second checkpoint binds its frozen layers");
+        let mut sys = match Mistique::reopen_with_backend("/vfs", config(), Arc::new(fs.clone())) {
+            // Nothing is durable before the one manifest is.
+            Err(MistiqueError::NoManifest) if point.op.is_some() => return,
+            Err(e) => panic!("{point}: reopen failed: {e}"),
+            Ok(sys) => sys,
+        };
+        let report = sys.recovery_report().unwrap();
+        assert_eq!(report.quarantined + report.missing, 0, "{point}");
+        // A restored intermediate has every chunk key it names, bound.
+        for model in sys.model_ids() {
+            for interm in sys.metadata().intermediates_of(&model) {
+                let blocks = interm.n_rows.div_ceil(8) as u32;
+                for column in &interm.columns {
+                    for block in 0..blocks {
+                        let key = ChunkKey::new(interm.id.as_str(), column.as_str(), block);
+                        assert!(sys.store().contains(&key), "{point}: {key:?} unbound");
+                    }
+                }
+            }
+        }
+        assert_eq!(sys.model_ids().len(), 2, "{point}");
+        assert_eq!(layer_frames(&mut sys, bound_id), alone, "{point}");
+        sys.store()
+            .check_invariants()
+            .unwrap_or_else(|v| panic!("{point}: {v}"));
     });
     assert!(points > 10, "workload must exercise the disk");
 }
