@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper's evaluation lives in
 //! `src/bin/`; each prints the same rows/series the paper reports, scaled to
 //! laptop budgets (`--rows`, `--examples`, … flags override the defaults).
-//! Micro-benchmarks for the substrates live in `benches/`, timed by [`micro`].
+//! Micro-benchmarks for the substrates live in `benches/`, timed by [`micro`]
+//! (or [`micro_fresh`], when every run needs fresh state).
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -129,7 +130,34 @@ pub fn micro<T>(name: &str, bytes: u64, mut f: impl FnMut() -> T) {
     while ns_per_iter(iters) * f64::from(iters) < 1e7 && iters < 1 << 20 {
         iters *= 2;
     }
-    let mut ns: Vec<f64> = (0..11).map(|_| ns_per_iter(iters)).collect();
+    report(name, bytes, (0..11).map(|_| ns_per_iter(iters)).collect());
+}
+
+/// [`micro`] for a case whose every run needs fresh state: `setup` builds
+/// it untimed, `f` consumes it timed, once per run, and the line reports
+/// the median of 11 runs. For cases of a millisecond or more, where one
+/// call is far above timer resolution.
+pub fn micro_fresh<S, T>(
+    name: &str,
+    bytes: u64,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) {
+    let mut run = || {
+        let state = setup();
+        let t0 = Instant::now();
+        let out = black_box(f(state));
+        let ns = t0.elapsed().as_nanos() as f64;
+        drop(out);
+        ns
+    };
+    run();
+    report(name, bytes, (0..11).map(|_| run()).collect());
+}
+
+/// Print one micro-benchmark line: the median of `ns` per iteration, plus
+/// MB/s when an iteration processes `bytes` bytes.
+fn report(name: &str, bytes: u64, mut ns: Vec<f64>) {
     ns.sort_by(f64::total_cmp);
     let median = ns[ns.len() / 2];
     match bytes {
