@@ -246,6 +246,42 @@ impl IntermediateIndex {
         Ok(s.into_bytes())
     }
 
+    /// A serialized index as [`IntermediateIndex::to_bytes`] would write it
+    /// under another `intermediate` id and `version`: the `version` and
+    /// `intermediate` header lines are rewritten and every other byte is
+    /// copied, nothing past the header parsed. An intermediate bound to
+    /// another's chunks holds its values, so its index is written this way.
+    pub fn reissue(bytes: &[u8], intermediate: &str, version: u64) -> Result<Vec<u8>, String> {
+        if intermediate.contains(['\n', '\r']) {
+            return Err("index reissue: intermediate id contains a newline".to_string());
+        }
+        let mut rest = bytes;
+        let mut line = |key: &str| -> Result<&[u8], String> {
+            let end = rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .ok_or_else(|| format!("index reissue: missing {key}"))?;
+            let (head, tail) = rest.split_at(end + 1);
+            rest = tail;
+            if head.starts_with(key.as_bytes()) {
+                Ok(head)
+            } else {
+                Err(format!("index reissue: expected {key}"))
+            }
+        };
+        let magic = line("MISTIQUEIDX ")?;
+        line("version ")?;
+        let geometry = [line("row_block_size ")?, line("n_rows ")?];
+        line("intermediate ")?;
+        let mut out = Vec::with_capacity(bytes.len() + intermediate.len());
+        out.extend_from_slice(magic);
+        out.extend_from_slice(format!("version {version}\n").as_bytes());
+        out.extend_from_slice(&geometry.concat());
+        out.extend_from_slice(format!("intermediate {intermediate}\n").as_bytes());
+        out.extend_from_slice(rest);
+        Ok(out)
+    }
+
     /// Parse a persisted index. Any malformed or version-mismatched file is
     /// an error — callers degrade to the scan path, never guess.
     pub fn from_bytes(bytes: &[u8]) -> Result<IntermediateIndex, String> {
@@ -455,6 +491,23 @@ mod tests {
             b.observe_block("c", i, chunk);
         }
         b.finish("int", "FULL", values.len(), 1)
+    }
+
+    #[test]
+    fn a_reissued_index_is_the_index_serialized_under_its_new_name() {
+        let vals: Vec<f64> = (0..40).map(|i| ((i * 7) % 13) as f64).collect();
+        let idx = build(&vals, 8, 5);
+        let moved = IntermediateIndex {
+            intermediate: "other.layer3".to_string(),
+            version: 12,
+            ..idx.clone()
+        };
+        let bytes = idx.to_bytes().unwrap();
+        let reissued = IntermediateIndex::reissue(&bytes, "other.layer3", 12).unwrap();
+        assert_eq!(reissued, moved.to_bytes().unwrap());
+        assert!(IntermediateIndex::reissue(&bytes, "a\nb", 1).is_err());
+        assert!(IntermediateIndex::reissue(&bytes[..20], "x", 1).is_err());
+        assert!(IntermediateIndex::reissue(b"garbage\n", "x", 1).is_err());
     }
 
     #[test]
