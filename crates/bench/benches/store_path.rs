@@ -1,7 +1,8 @@
-//! Micro-benchmarks for the DataStore write and read paths, and for logging
+//! Micro-benchmarks for the DataStore write and read paths, for logging
 //! one DNN checkpoint into a fresh store: with nothing stored before it, and
 //! after a checkpoint that shares its frozen prefix (DESIGN.md §2 "Logging
-//! a shared prefix once").
+//! a shared prefix once"), and for what the sidecars (audit journal and
+//! flight recorder) add to a warm query.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -10,6 +11,8 @@ use mistique_bench::{micro, micro_fresh};
 use mistique_core::{Mistique, MistiqueConfig};
 use mistique_dataframe::{ColumnChunk, ColumnData};
 use mistique_nn::{vgg16_cifar, CifarLike};
+use mistique_pipeline::templates::zillow_pipelines;
+use mistique_pipeline::ZillowData;
 use mistique_rng::Rng;
 use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
 
@@ -63,6 +66,40 @@ fn main() {
     });
 
     log_checkpoints();
+    warm_col_queries();
+}
+
+/// `query/warm_col/*`: a warm 100-row, one-column `get_intermediate`,
+/// round-robin over the first intermediate of four logged Zillow
+/// pipelines, with the audit journal and flight recorder at their default
+/// budgets (`sidecars_on`) or both disabled (`sidecars_off`). The gap is
+/// the sidecars' per-query cost: one audit record each, plus the journal's
+/// segment rewrite every 32 records.
+fn warm_col_queries() {
+    let data = Arc::new(ZillowData::generate(1000, 1));
+    for (name, sidecar_bytes) in [("sidecars_on", None), ("sidecars_off", Some(0))] {
+        let defaults = MistiqueConfig::default();
+        let config = MistiqueConfig {
+            audit_budget_bytes: sidecar_bytes.unwrap_or(defaults.audit_budget_bytes),
+            telemetry_budget_bytes: sidecar_bytes.unwrap_or(defaults.telemetry_budget_bytes),
+            ..defaults
+        };
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(dir.path(), config).unwrap();
+        let mut interms = Vec::new();
+        for pipeline in zillow_pipelines().into_iter().take(4) {
+            let id = sys.register_trad(pipeline, Arc::clone(&data)).unwrap();
+            sys.log_intermediates(&id).unwrap();
+            interms.push(sys.intermediates_of(&id)[0].clone());
+        }
+        let mut i = 0;
+        micro(&format!("query/warm_col/{name}"), 0, || {
+            i += 1;
+            let interm = &interms[i % interms.len()];
+            sys.get_intermediate(black_box(interm), Some(&["sqft"]), Some(100))
+                .unwrap()
+        });
+    }
 }
 
 /// `log/vgg16_checkpoint/*`: one `vgg16_cifar(8)` checkpoint over 100

@@ -8,8 +8,10 @@
 //! model registration — runs inside [`Mistique::audited`], which appends one
 //! [`AuditRecord`] per *outermost* call: the operation name, an argument
 //! fingerprint sufficient to re-execute it, the plan of every inner fetch in
-//! execution order, the cost model's predictions, and the actual latency,
-//! bytes and partitions touched. Nested entry points (a diagnostic's inner
+//! execution order, the cost model's predictions, the actual latency,
+//! bytes and partitions touched, and the operation's effects on the store
+//! (every reclaim ladder step and compaction it ran — see
+//! [`Mistique::audit_effect`]). Nested entry points (a diagnostic's inner
 //! `get_intermediate`, `reclaim_if_over_budget` inside a logging burst)
 //! fold into the outermost record instead of producing their own.
 //!
@@ -26,14 +28,13 @@
 //! timeline point the histogram moved in; `mistique top` renders its SLO
 //! table from the latest such point. A query slower than
 //! [`SLO_BURN_FACTOR`] × its class p95 (once the class has
-//! [`SLO_MIN_SAMPLES`] samples) journals an `slo.burn` event into the
-//! flight-recorder timeline.
+//! [`SLO_MIN_SAMPLES`] samples) counts one `slo.burns`.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mistique_obs::{AuditLog, AuditRecord, AuditStats};
+use mistique_obs::{AuditEffect, AuditLog, AuditRecord, AuditStats};
 use mistique_store::{StorageBackend, StoreSubdir, AUDIT_SUBDIR};
 
 use crate::error::MistiqueError;
@@ -215,7 +216,7 @@ impl Mistique {
     }
 
     /// Query-path hook (called by `push_report` for every finished report):
-    /// fold the report into its SLO latency class, fire burn events, and
+    /// fold the report into its SLO latency class, count burns, and
     /// accumulate plan/byte/prediction detail into the in-flight audit
     /// record.
     pub(crate) fn audit_observe_report(&mut self, report: &QueryReport) {
@@ -230,13 +231,6 @@ impl Mistique {
             let p95 = hist.percentile(0.95);
             if p95 > 0 && actual_ns as f64 > SLO_BURN_FACTOR * p95 as f64 {
                 self.obs.counter("slo.burns").inc();
-                let class = name.trim_end_matches(".ns").to_string();
-                let details = vec![
-                    ("class".to_string(), class),
-                    ("actual_ns".to_string(), actual_ns.to_string()),
-                    ("p95_ns".to_string(), p95.to_string()),
-                ];
-                self.telemetry_event("slo.burn", Some(&report.intermediate), details);
             }
         }
 
@@ -255,6 +249,16 @@ impl Mistique {
                 rec.bytes += report.attribution.bytes;
                 rec.partitions += report.attribution.partitions_touched;
             }
+        }
+    }
+
+    /// Add an effect on the store — a reclaim ladder step, a compaction —
+    /// to the record of the outermost entry point in flight: `reclaim`
+    /// itself, or the logging burst or fetch whose budget check ran the
+    /// pass. No-op when capture is disabled.
+    pub(crate) fn audit_effect(&mut self, effect: AuditEffect) {
+        if let Some(p) = self.audit.as_mut().and_then(|s| s.pending.as_mut()) {
+            p.record.effects.push(effect);
         }
     }
 

@@ -24,9 +24,10 @@
 //!
 //! `timeline` replays the flight recorder: the durable telemetry timeline
 //! written under `<dir>/telemetry/` at every burst boundary (logging,
-//! reclaim, recovery, query anomalies). The default view is a table of
-//! metric delta points with journal events interleaved; `--json` dumps the
-//! full timeline and `--metric` prints one metric's series.
+//! reclaim, recovery, and a periodic tick under query traffic). The default
+//! view is a table of metric delta points; `--json` dumps the full timeline
+//! and `--metric` prints one metric's series. What an operation did — a
+//! reclaim step, a compaction — is on its audit record, not here.
 //! Unlike the other commands it needs no manifest — it reads the segments
 //! directly, so it also works on a store that never persisted.
 //!
@@ -440,7 +441,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
         }
         "timeline" => {
             let tl = Mistique::load_timeline(dir)?;
-            if tl.points.is_empty() && tl.events.is_empty() {
+            if tl.points.is_empty() {
                 println!(
                     "no telemetry recorded under {dir}/telemetry \
                      (telemetry_budget_bytes = 0, or nothing logged yet)"
@@ -462,9 +463,8 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             } else {
                 print!("{}", tl.render_table());
                 println!(
-                    "{} points, {} events, seq <= {}",
+                    "{} points, seq <= {}",
                     tl.points.len(),
-                    tl.events.len(),
                     tl.max_seq().unwrap_or(0)
                 );
             }

@@ -140,6 +140,10 @@ impl CostModel {
     }
 }
 
+/// The engine's drift tolerance: a query class whose smoothed
+/// predicted/actual ratio leaves `[1/4, 4]` is flagged as miscalibrated.
+pub const DRIFT_TOLERANCE: f64 = 4.0;
+
 /// Tracks cost-model calibration per query class (e.g. the plan chosen:
 /// `read` or `rerun`): an EWMA of the predicted/actual time ratio. A
 /// calibrated model keeps the ratio near 1; once the smoothed ratio of any
@@ -158,7 +162,7 @@ pub struct DriftMonitor {
 
 impl Default for DriftMonitor {
     fn default() -> Self {
-        DriftMonitor::new(0.2, 4.0)
+        DriftMonitor::new(0.2, DRIFT_TOLERANCE)
     }
 }
 
@@ -171,7 +175,7 @@ impl DriftMonitor {
             tolerance: if tolerance.is_finite() {
                 tolerance.max(1.0)
             } else {
-                4.0
+                DRIFT_TOLERANCE
             },
             classes: HashMap::new(),
         }

@@ -1,17 +1,18 @@
 //! `mistique top` — the workload dashboard, rendered entirely from a store
 //! directory: the audit journal under `<dir>/audit/` supplies per-operation
-//! rates, latency quantiles, plan mix and bytes touched; the flight
+//! rates, latency quantiles, plan mix, read↔rerun plan flips per
+//! intermediate and bytes touched; the flight
 //! recorder's timeline under `<dir>/telemetry/` supplies cache hit rates,
 //! index effectiveness, per-class SLO quantiles (the latest point of each
 //! `slo.<class>.ns` histogram) and budget headroom. No live engine is
 //! required — the CLI renders the same view against a closed directory
 //! (`--once`) or in a refresh loop while another process works.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use mistique_obs::{fmt_bytes, fmt_ns, HistPoint};
+use mistique_obs::{fmt_bytes, fmt_ns, AuditRecord, HistPoint};
 
 use crate::error::MistiqueError;
 use crate::system::Mistique;
@@ -44,6 +45,8 @@ pub struct TopView {
     pub span_ms: u64,
     /// Plan name → times chosen, across every record.
     pub plan_mix: BTreeMap<String, u64>,
+    /// Intermediate → read↔rerun plan flips ([`plan_flips`]).
+    pub plan_flips: BTreeMap<String, u64>,
     /// Latest value of every gauge the timeline has seen.
     pub gauges: BTreeMap<String, f64>,
     /// Latest value of every counter the timeline has seen.
@@ -59,6 +62,29 @@ impl TopView {
     pub fn text(&self) -> &str {
         &self.rendered
     }
+}
+
+/// Read↔rerun plan flips per intermediate, derived from the journal. The
+/// `read` and `rerun` plans of every record with an `interm` argument are
+/// walked in sequence order; each that differs from the previous one of the
+/// same intermediate is a flip. Other plans (`cached`, `indexed_read`) say
+/// nothing about the cost model's read-or-rerun call and are skipped, as
+/// are records without an `interm` argument (logging, two-intermediate
+/// diagnostics).
+pub fn plan_flips(records: &[AuditRecord]) -> BTreeMap<String, u64> {
+    let mut last: HashMap<&str, &str> = HashMap::new();
+    let mut flips = BTreeMap::new();
+    for r in records {
+        let Some(interm) = r.args.get("interm") else {
+            continue;
+        };
+        for plan in r.plans.iter().filter(|p| *p == "read" || *p == "rerun") {
+            if last.insert(interm, plan).is_some_and(|prev| prev != plan) {
+                *flips.entry(interm.clone()).or_default() += 1;
+            }
+        }
+    }
+    flips
 }
 
 /// Build the dashboard from a closed (or concurrently live) store directory.
@@ -155,6 +181,16 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
             .join("  ");
         let _ = writeln!(out, "plans: {mix}");
     }
+    let plan_flips = plan_flips(&records);
+    if !plan_flips.is_empty() {
+        let per = plan_flips
+            .iter()
+            .map(|(interm, n)| format!("{interm} {n}"))
+            .collect::<Vec<_>>()
+            .join("  ");
+        let total: u64 = plan_flips.values().sum();
+        let _ = writeln!(out, "plan flips: {total} ({per})");
+    }
 
     // Cache + index effectiveness from the timeline's counters.
     let c = |name: &str| counters.get(name).copied().unwrap_or(0);
@@ -178,7 +214,7 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
     }
     let burns = c("slo.burns");
     if burns > 0 {
-        let _ = writeln!(out, "slo: {burns} burn events");
+        let _ = writeln!(out, "slo: {burns} burns");
     }
 
     // SLO quantiles per query class, from the class histogram's last point.
@@ -230,6 +266,7 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
         records: records.len() as u64,
         span_ms,
         plan_mix,
+        plan_flips,
         gauges,
         counters,
         slo,
@@ -255,6 +292,32 @@ mod tests {
         assert_eq!(fmt_ns(500), "500ns");
         assert_eq!(fmt_ns(1_500_000), "1.500ms");
         assert_eq!(fmt_bytes(2048), "2.0KiB");
+    }
+
+    #[test]
+    fn plan_flips_count_read_rerun_changes_per_intermediate() {
+        let rec = |interm: Option<&str>, plans: &[&str]| AuditRecord {
+            op: "fetch.get".into(),
+            args: interm
+                .map(|i| ("interm".to_string(), i.to_string()))
+                .into_iter()
+                .collect(),
+            plans: plans.iter().map(|p| p.to_string()).collect(),
+            ..AuditRecord::default()
+        };
+        let journal = [
+            rec(Some("a"), &["read"]),
+            rec(Some("b"), &["rerun"]),
+            rec(Some("a"), &["cached", "rerun"]), // a: read → rerun
+            rec(None, &["read", "rerun", "read"]), // no intermediate: skipped
+            rec(Some("a"), &["indexed_read"]),
+            rec(Some("a"), &["rerun", "read"]), // a: rerun → read
+            rec(Some("b"), &["rerun"]),
+            rec(Some("c"), &["read"]),
+        ];
+        let flips = plan_flips(&journal);
+        assert_eq!(flips, BTreeMap::from([("a".to_string(), 2)]));
+        assert!(plan_flips(&journal[..2]).is_empty());
     }
 
     #[test]

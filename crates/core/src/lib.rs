@@ -80,8 +80,9 @@ pub use manager::{next_demotion, COMPACT_LIVE_RATIO};
 pub use metadata::{IntermediateMeta, MetadataDb, ModelKind};
 pub use mistique_index::{IntermediateIndex, DEFAULT_TOP_M};
 pub use mistique_obs::{
-    AuditLog, AuditRecord, AuditStats, Counter, EngineEvent, Gauge, HistPoint, Histogram, Obs,
-    RecorderStats, SegmentIo, Snapshot, Span, SpanContext, SpanRecord, Timeline, TimelinePoint,
+    AuditEffect, AuditLog, AuditRecord, AuditStats, Counter, DemotionRecord, Gauge, HistPoint,
+    Histogram, Obs, RecorderStats, SegmentIo, Snapshot, Span, SpanContext, SpanRecord, Timeline,
+    TimelinePoint,
 };
 pub use mistique_store::{
     CompactionReport, RetractOutcome, StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR,
@@ -91,6 +92,6 @@ pub use replay::{
     decode_arch, differential_replay, encode_arch, replay_into, DifferentialReport, ReplayOptions,
     ReplayOutcome,
 };
-pub use report::{DemotionRecord, PlanChoice, QueryReport, ReclaimReport, ReportRing, SeqRing};
+pub use report::{PlanChoice, QueryReport, ReclaimReport, ReportRing, SeqRing};
 pub use system::{Mistique, MistiqueConfig, StorageStrategy};
-pub use telemetry::{INTERVAL_CAPTURE, QCACHE_STORM_EVICTIONS};
+pub use telemetry::INTERVAL_CAPTURE;

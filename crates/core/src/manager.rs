@@ -32,11 +32,12 @@
 //! `crates/store/tests/compaction.rs`).
 
 use mistique_dataframe::{Column, DataFrame};
+use mistique_obs::{AuditEffect, DemotionRecord};
 use mistique_store::{ChunkKey, PlacementPolicy};
 
 use crate::capture::{CaptureScheme, ValueEncoder, ValueScheme};
 use crate::error::MistiqueError;
-use crate::report::{DemotionRecord, ReclaimReport};
+use crate::report::ReclaimReport;
 use crate::system::Mistique;
 
 /// Partitions whose live-byte ratio is at or below this are rewritten by the
@@ -227,41 +228,17 @@ impl Mistique {
         // seq its report carries in `reclaim_reports()`.
         report.seq = self.reclaims.push(report.clone());
 
-        // Journal the pass for the flight recorder: one event per ladder
-        // step, one for the compaction if it moved bytes, then a capture.
-        for d in &report.demotions {
-            let kind = if d.to == "PURGED" {
-                "reclaim.purge"
-            } else if d.to == "DELTA" {
-                "reclaim.delta"
-            } else if d.from == "INDEX" {
-                "reclaim.index_drop"
-            } else {
-                "reclaim.demote"
-            };
-            let details = vec![
-                ("from".to_string(), d.from.clone()),
-                ("to".to_string(), d.to.clone()),
-                ("bytes_before".to_string(), d.bytes_before.to_string()),
-                ("bytes_after".to_string(), d.bytes_after.to_string()),
-                ("gamma".to_string(), format!("{:.6}", d.gamma)),
-            ];
-            let interm = d.intermediate.clone();
-            self.telemetry_event(kind, Some(&interm), details);
+        // Put the pass on the audit record of the operation that ran it:
+        // one effect per ladder step, one for the compaction if it moved
+        // bytes; then a capture.
+        for d in report.demotions.clone() {
+            self.audit_effect(AuditEffect::Step(d));
         }
         if let Some(c) = report
             .compaction
-            .as_ref()
             .filter(|c| c.partitions_rewritten + c.partitions_removed > 0)
         {
-            let details = vec![
-                ("scanned".to_string(), c.partitions_scanned.to_string()),
-                ("rewritten".to_string(), c.partitions_rewritten.to_string()),
-                ("removed".to_string(), c.partitions_removed.to_string()),
-                ("bytes_reclaimed".to_string(), c.bytes_reclaimed.to_string()),
-                ("chunks_dropped".to_string(), c.chunks_dropped.to_string()),
-            ];
-            self.telemetry_event("compaction", None, details);
+            self.audit_effect(AuditEffect::Compaction(c));
         }
         self.telemetry_capture("reclaim");
         Ok(report)

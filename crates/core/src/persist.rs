@@ -187,24 +187,9 @@ impl Mistique {
         }
         let report = sys.store.recover()?;
         sys.last_recovery = Some(report);
-        // Journal the recovery pass — it is also the counter-reset boundary
-        // a timeline reader needs to interpret deltas across restarts.
-        sys.telemetry_event(
-            "recovery",
-            None,
-            vec![
-                (
-                    "partitions_ok".to_string(),
-                    report.partitions_ok.to_string(),
-                ),
-                ("quarantined".to_string(), report.quarantined.to_string()),
-                (
-                    "orphans_removed".to_string(),
-                    report.orphans_removed.to_string(),
-                ),
-                ("missing".to_string(), report.missing.to_string()),
-            ],
-        );
+        // The recovery point carries the pass's `store.recovery.*` counters
+        // and is the counter-reset boundary a timeline reader needs to
+        // interpret deltas across restarts.
         sys.telemetry_capture("recovery");
         Ok(sys)
     }

@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use mistique_obs::fmt_secs;
+use mistique_obs::{fmt_secs, DemotionRecord};
 use mistique_store::{CompactionReport, ReadAttribution};
 
 /// Which plan served a query.
@@ -167,26 +167,6 @@ impl QueryReport {
         let _ = writeln!(out, "  trace    : {}", self.trace_id);
         out
     }
-}
-
-/// One ladder action taken by a reclaim pass: an intermediate demoted to a
-/// cheaper value scheme, re-encoded as base+delta frames (`to == "DELTA"`),
-/// or purged outright (`to == "PURGED"`).
-#[derive(Clone, Debug)]
-pub struct DemotionRecord {
-    /// The intermediate acted on.
-    pub intermediate: String,
-    /// Scheme before the step (e.g. `FULL`).
-    pub from: String,
-    /// Scheme after the step (e.g. `LP_QT`), or `PURGED`.
-    pub to: String,
-    /// Stored bytes before the step.
-    pub bytes_before: u64,
-    /// Stored bytes after the step (0 for a purge).
-    pub bytes_after: u64,
-    /// γ (Eq 5) of the victim at the moment it was chosen — the coldest
-    /// materialized intermediate of the pass.
-    pub gamma: f64,
 }
 
 /// The record of one storage-reclamation pass (`Mistique::reclaim`): which

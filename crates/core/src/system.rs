@@ -70,10 +70,6 @@ pub struct MistiqueConfig {
     /// `batch_bytes / min_read_bytes_per_worker` workers (min 1). `0` is
     /// treated as 1 (fan out on any non-empty read). Default: 256 KiB.
     pub min_read_bytes_per_worker: u64,
-    /// Drift-monitor tolerance: a query class is flagged as miscalibrated
-    /// when its smoothed predicted/actual ratio leaves
-    /// `[1/tolerance, tolerance]`.
-    pub drift_tolerance: f64,
     /// Storage byte budget for materialized intermediates (0 = unlimited,
     /// the default). When a materialization pushes the accounting past the
     /// budget, the storage manager runs a reclaim pass: coldest-γ
@@ -118,7 +114,6 @@ impl Default for MistiqueConfig {
             query_cache_bytes: 0,
             read_parallelism: 1,
             min_read_bytes_per_worker: 256 * 1024,
-            drift_tolerance: 4.0,
             storage_budget_bytes: 0,
             telemetry_budget_bytes: 1 << 20,
             index_top_m: mistique_index::DEFAULT_TOP_M,
@@ -193,8 +188,8 @@ pub struct Mistique {
     /// `Mistique::diag` so the reader can attribute fetches to the
     /// outermost diagnostic (`diag.topk`, …) instead of a bare `fetch`.
     pub(crate) query_label: Option<String>,
-    /// Flight recorder (telemetry timeline + event journal), when enabled
-    /// by `telemetry_budget_bytes`. See [`crate::telemetry`].
+    /// Flight recorder (telemetry timeline), when enabled by
+    /// `telemetry_budget_bytes`. See [`crate::telemetry`].
     pub(crate) telemetry: Option<crate::telemetry::TelemetryState>,
     /// Secondary indexes (zone maps + max-activation lists), when enabled
     /// by `index_top_m`. See [`crate::index_state`].
@@ -227,7 +222,7 @@ impl Mistique {
         qcache.attach_obs(&obs);
         let reports = crate::report::ReportRing::new(crate::report::REPORT_RETENTION);
         let reclaims = crate::report::SeqRing::new(crate::report::REPORT_RETENTION);
-        let drift = crate::cost::DriftMonitor::new(0.2, config.drift_tolerance);
+        let drift = crate::cost::DriftMonitor::default();
         let telemetry = crate::telemetry::TelemetryState::create(&config, &backend, dir.as_ref());
         let index = crate::index_state::IndexState::create(&config, &backend, dir.as_ref(), &obs);
         let audit = crate::audit::AuditState::create(&config, &backend, dir.as_ref());
@@ -427,7 +422,6 @@ impl Mistique {
         }
         if let Some(stats) = self.telemetry_stats() {
             g("telemetry.captures", stats.captures);
-            g("telemetry.events", stats.events);
             g("telemetry.write_errors", stats.write_errors);
             g("telemetry.bytes", stats.total_bytes);
             g("telemetry.segments", stats.segments);
@@ -449,12 +443,12 @@ impl Mistique {
         &self.drift
     }
 
-    /// Retain a finished query report (reader paths call this). Also feeds
-    /// the flight recorder's query-path anomaly watch (plan flips, drift
-    /// rising edges, query-cache eviction storms).
+    /// Retain a finished query report (reader paths call this), after
+    /// folding it into the pending audit record and giving the flight
+    /// recorder its periodic tick.
     pub(crate) fn push_report(&mut self, report: crate::report::QueryReport) {
         self.audit_observe_report(&report);
-        self.telemetry_observe_report(&report);
+        self.telemetry_tick();
         self.reports.push(report);
     }
 

@@ -6,7 +6,9 @@
 //! audit journal records *operations*: what was asked (operation name plus
 //! an argument fingerprint), what the engine decided (the plan of every
 //! inner fetch, in order), what it predicted, and what actually happened
-//! (latency, bytes and partitions touched, trace id). A captured journal is
+//! (latency, bytes and partitions touched, trace id), plus the effects it
+//! had on the store beyond its answer — each reclaim ladder step and a
+//! compaction that moved bytes ([`AuditEffect`]). A captured journal is
 //! a complete workload description — `mistique replay` re-executes it
 //! against a fresh or existing store and checks the answers and plan
 //! choices bit-for-bit.
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 
-use crate::json::{push_json_string, JsonValue};
+use crate::json::{self, push_json_string, Json, JsonValue, Path};
 use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 
 /// Target size of one audit segment before the log seals it (each flush
@@ -35,8 +37,11 @@ pub const DEFAULT_AUDIT_SEGMENT_TARGET: usize = 32 * 1024;
 /// this many trailing records; the journal on disk stays loadable.
 pub const DEFAULT_FLUSH_EVERY: usize = 32;
 
-/// The journal's one segment family.
-const FAMILIES: [&str; 1] = ["au_"];
+/// The journal's segment prefix.
+const PREFIX: &str = "au_";
+
+/// Where an `effects` codec error points.
+const EFFECTS: Path = Path::Root("effects");
 
 /// One audited engine operation.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -68,6 +73,105 @@ pub struct AuditRecord {
     pub trace_id: u64,
     /// Whether the operation returned `Ok`.
     pub ok: bool,
+    /// What the operation did to the store besides answering: the steps of
+    /// every reclaim pass it ran (its own, or one a burst set off) and each
+    /// compaction that moved bytes, in order. Serialized only when
+    /// non-empty, so a record without effects keeps its older line format.
+    pub effects: Vec<AuditEffect>,
+}
+
+/// One ladder action taken by a reclaim pass: an intermediate demoted to a
+/// cheaper value scheme, re-encoded as base+delta frames (`to == "DELTA"`),
+/// stripped of its index (`from == "INDEX"`) or purged outright
+/// (`to == "PURGED"`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct DemotionRecord {
+    /// The intermediate acted on.
+    pub intermediate: String,
+    /// Scheme before the step (e.g. `FULL`).
+    pub from: String,
+    /// Scheme after the step (e.g. `LP_QT`), or `PURGED`.
+    pub to: String,
+    /// Stored bytes before the step.
+    pub bytes_before: u64,
+    /// Stored bytes after the step (0 for a purge).
+    pub bytes_after: u64,
+    /// γ (Eq 5) of the victim at the moment it was chosen — the coldest
+    /// materialized intermediate of the pass. Always finite: the cost model
+    /// maps a non-finite γ to 0.
+    pub gamma: f64,
+}
+
+/// What one `DataStore::compact` pass did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CompactionReport {
+    /// Sealed on-disk partitions considered.
+    pub partitions_scanned: u64,
+    /// Partitions rewritten without their dead chunks.
+    pub partitions_rewritten: u64,
+    /// Fully-dead partitions whose files were removed.
+    pub partitions_removed: u64,
+    /// Raw (uncompressed) chunk bytes reclaimed.
+    pub bytes_reclaimed: u64,
+    /// Dead chunks dropped.
+    pub chunks_dropped: u64,
+}
+
+crate::json_struct!(DemotionRecord {
+    intermediate,
+    from,
+    to,
+    bytes_before,
+    bytes_after,
+    gamma
+});
+crate::json_struct!(CompactionReport {
+    partitions_scanned,
+    partitions_rewritten,
+    partitions_removed,
+    bytes_reclaimed,
+    chunks_dropped
+});
+
+/// One effect of an audited operation on the store (see
+/// [`AuditRecord::effects`]), written externally tagged like
+/// [`crate::json_enum!`] variants: `{"Step":{…}}`, `{"Compaction":{…}}`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum AuditEffect {
+    /// One reclaim ladder step.
+    Step(DemotionRecord),
+    /// A compaction pass that rewrote or removed partitions.
+    Compaction(CompactionReport),
+}
+
+impl Json for AuditEffect {
+    fn emit(&self, out: &mut String, at: &Path) -> Result<(), String> {
+        match self {
+            AuditEffect::Step(d) => {
+                out.push_str("{\"Step\":");
+                d.emit(out, &Path::Key(at, "Step"))?;
+            }
+            AuditEffect::Compaction(c) => {
+                out.push_str("{\"Compaction\":");
+                c.emit(out, &Path::Key(at, "Compaction"))?;
+            }
+        }
+        out.push('}');
+        Ok(())
+    }
+
+    fn parse(v: &JsonValue, at: &Path) -> Result<Self, String> {
+        match json::variant(v, at)? {
+            ("Step", Some(body)) => {
+                DemotionRecord::parse(body, &Path::Key(at, "Step")).map(AuditEffect::Step)
+            }
+            ("Compaction", Some(body)) => {
+                CompactionReport::parse(body, &Path::Key(at, "Compaction"))
+                    .map(AuditEffect::Compaction)
+            }
+            (name, _) => Err(format!("{at}: unknown effect {name:?}")),
+        }
+    }
 }
 
 impl AuditRecord {
@@ -102,9 +206,15 @@ impl AuditRecord {
         push_audit_f64(&mut out, "pred_rerun_s", self.predicted_rerun_s);
         let _ = write!(
             out,
-            ",\"actual_ns\":{},\"bytes\":{},\"parts\":{},\"trace\":{},\"ok\":{}}}",
+            ",\"actual_ns\":{},\"bytes\":{},\"parts\":{},\"trace\":{},\"ok\":{}",
             self.actual_ns, self.bytes, self.partitions, self.trace_id, self.ok
         );
+        let mut effects = String::new();
+        if !self.effects.is_empty() && self.effects.emit(&mut effects, &EFFECTS).is_ok() {
+            out.push_str(",\"effects\":");
+            out.push_str(&effects);
+        }
+        out.push('}');
         out
     }
 
@@ -142,6 +252,10 @@ impl AuditRecord {
             partitions: v.get("parts")?.as_u64()?,
             trace_id: v.get("trace")?.as_u64()?,
             ok: v.get("ok")?.as_bool()?,
+            effects: v
+                .get("effects")
+                .and_then(|e| Vec::parse(e, &EFFECTS).ok())
+                .unwrap_or_default(),
         })
     }
 }
@@ -196,7 +310,7 @@ impl AuditLog {
     /// engine open.
     pub fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> AuditLog {
         let (ring, next_seq) =
-            SegmentRing::open(io, &FAMILIES, budget_bytes, DEFAULT_AUDIT_SEGMENT_TARGET);
+            SegmentRing::open(io, PREFIX, budget_bytes, DEFAULT_AUDIT_SEGMENT_TARGET);
         AuditLog {
             ring,
             flush_every: DEFAULT_FLUSH_EVERY,
@@ -272,7 +386,7 @@ impl AuditLog {
             lines.push_str(&rec.to_json_line());
             lines.push('\n');
         }
-        if self.ring.append(0, first_seq, &lines) {
+        if self.ring.append(first_seq, &lines) {
             self.flushes += 1;
         }
         self.ring.enforce_budget();
@@ -281,9 +395,9 @@ impl AuditLog {
     /// Load every readable record, in sequence order. Unknown files are
     /// skipped; within a segment, parsing stops at the first torn line.
     pub fn load(io: &dyn SegmentIo) -> io::Result<Vec<AuditRecord>> {
-        let mut out: Vec<AuditRecord> = SegmentRing::load(io, &FAMILIES)?
+        let mut out: Vec<AuditRecord> = SegmentRing::load(io, PREFIX)?
             .iter()
-            .filter_map(|(_, v)| AuditRecord::from_json(v))
+            .filter_map(AuditRecord::from_json)
             .collect();
         out.sort_by_key(|r| r.seq);
         Ok(out)
@@ -324,6 +438,7 @@ mod tests {
             partitions: 2,
             trace_id: 99,
             ok: true,
+            effects: Vec::new(),
         }
     }
 
@@ -335,6 +450,53 @@ mod tests {
         let line = r.to_json_line();
         let parsed = AuditRecord::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    fn effects_round_trip_and_lines_without_them_load_with_none() {
+        let mut r = sample("reclaim");
+        r.seq = 7;
+        r.t_ms = 1_700_000_000_456;
+        let plain = r.to_json_line();
+        assert!(!plain.contains("effects"), "no effects, no key: {plain}");
+        r.effects = vec![
+            AuditEffect::Step(DemotionRecord {
+                intermediate: "m1.stage3".into(),
+                from: "FULL".into(),
+                to: "LP_QT".into(),
+                bytes_before: 8000,
+                bytes_after: 2000,
+                gamma: 0.0013,
+            }),
+            AuditEffect::Step(DemotionRecord {
+                intermediate: "m1.stage4".into(),
+                from: "THRESHOLD_QT".into(),
+                to: "PURGED".into(),
+                bytes_before: 300,
+                bytes_after: 0,
+                gamma: 0.0,
+            }),
+            AuditEffect::Compaction(CompactionReport {
+                partitions_scanned: 4,
+                partitions_rewritten: 1,
+                partitions_removed: 2,
+                bytes_reclaimed: 9000,
+                chunks_dropped: 12,
+            }),
+        ];
+        let line = r.to_json_line();
+        let parsed = AuditRecord::from_json(&json::parse(&line).unwrap()).unwrap();
+        assert_eq!(parsed, r);
+        // Everything before the effects is the effect-free line verbatim.
+        assert!(line.starts_with(&plain[..plain.len() - 1]));
+
+        // A line in the format written before effects existed.
+        let old = "{\"k\":\"au\",\"seq\":3,\"t_ms\":5,\"op\":\"reclaim\",\"args\":{},\
+                   \"plans\":[],\"pred_read_s\":0,\"pred_rerun_s\":0,\"actual_ns\":9,\
+                   \"bytes\":0,\"parts\":0,\"trace\":0,\"ok\":true}";
+        let parsed = AuditRecord::from_json(&json::parse(old).unwrap()).unwrap();
+        assert_eq!(parsed.op, "reclaim");
+        assert!(parsed.effects.is_empty());
     }
 
     #[test]

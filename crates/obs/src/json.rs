@@ -10,7 +10,8 @@
 //! - [`push_json_string`]: the one string escaper every writer in the
 //!   workspace quotes with.
 //! - [`Json`]: a typed, strict codec over the two, for the documents that
-//!   must reopen across builds — the manifest and the pipeline spec. The
+//!   must reopen across builds — the manifest, the pipeline spec and the
+//!   audit record's effects. The
 //!   mapping is the one DESIGN.md "Manifest and spec format" tabulates:
 //!   struct → object, unit variant → `"Name"`, struct variant →
 //!   `{"Name":{…}}`, tuple → array, `Option` → `null`/value, `Duration` →

@@ -25,7 +25,6 @@
 mod audit;
 mod export;
 mod hist;
-mod journal;
 pub mod json;
 mod metrics;
 mod ring;
@@ -34,11 +33,11 @@ mod timeline;
 pub mod tree;
 
 pub use audit::{
-    AuditLog, AuditRecord, AuditStats, DEFAULT_AUDIT_SEGMENT_TARGET, DEFAULT_FLUSH_EVERY,
+    AuditEffect, AuditLog, AuditRecord, AuditStats, CompactionReport, DemotionRecord,
+    DEFAULT_AUDIT_SEGMENT_TARGET, DEFAULT_FLUSH_EVERY,
 };
 pub use export::{fmt_bytes, fmt_ns, fmt_secs, Snapshot};
 pub use hist::{HistSummary, Histogram};
-pub use journal::EngineEvent;
 pub use metrics::{Counter, Gauge};
 pub use ring::{MemSegmentIo, SegmentIo};
 pub use span::{Span, SpanContext, SpanRecord, DEFAULT_RING_CAPACITY};

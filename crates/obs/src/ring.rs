@@ -2,8 +2,8 @@
 //! recorder ([`crate::timeline`]) and the audit journal ([`crate::audit`]).
 //!
 //! A ring is a set of JSONL segment files named
-//! `<family prefix><first seq, 16 hex digits>.jsonl`. Appending rewrites the
-//! whole current segment of a family through [`SegmentIo::write_atomic`], so
+//! `<prefix><first seq, 16 hex digits>.jsonl`. Appending rewrites the
+//! whole open segment through [`SegmentIo::write_atomic`], so
 //! a crash can orphan a `*.tmp` but never tear a segment; a segment is sealed
 //! once it reaches the rotation target, and the oldest segments are dropped
 //! first when the ring outgrows its byte budget. All I/O is **best-effort**:
@@ -100,33 +100,29 @@ pub(crate) fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Parse `<prefix>XXXXXXXXXXXXXXXX.jsonl` into (family index, first seq).
-fn parse_segment_name(families: &[&str], name: &str) -> Option<(usize, u64)> {
-    let (family, rest) = families
-        .iter()
-        .enumerate()
-        .find_map(|(i, p)| Some((i, name.strip_prefix(p)?)))?;
-    let hex = rest.strip_suffix(".jsonl")?;
+/// Parse `<prefix>XXXXXXXXXXXXXXXX.jsonl` into its first seq.
+fn parse_segment_name(prefix: &str, name: &str) -> Option<u64> {
+    let hex = name.strip_prefix(prefix)?.strip_suffix(".jsonl")?;
     if hex.len() != 16 {
         return None;
     }
-    u64::from_str_radix(hex, 16).ok().map(|seq| (family, seq))
+    u64::from_str_radix(hex, 16).ok()
 }
 
 fn segment_name(prefix: &str, first_seq: u64) -> String {
     format!("{prefix}{first_seq:016x}.jsonl")
 }
 
-/// A byte-bounded ring of JSONL segments in one or more families (see the
-/// module docs). Files that match no family — `*.tmp` orphans included —
-/// are invisible to it.
+/// A byte-bounded ring of JSONL segments sharing one name prefix (see the
+/// module docs). Files without the prefix — `*.tmp` orphans included — are
+/// invisible to it.
 pub(crate) struct SegmentRing {
     io: Box<dyn SegmentIo>,
-    families: &'static [&'static str],
+    prefix: &'static str,
     budget_bytes: u64,
     segment_target: usize,
-    /// The open segment of each family: its first seq and buffered content.
-    cur: Vec<Option<(u64, String)>>,
+    /// The open segment: its first seq and buffered content.
+    cur: Option<(u64, String)>,
     /// On-disk bytes per segment, keyed `(first seq, name)`: oldest first.
     sizes: BTreeMap<(u64, String), u64>,
     write_errors: u64,
@@ -134,14 +130,14 @@ pub(crate) struct SegmentRing {
 }
 
 impl SegmentRing {
-    /// Open a ring over the existing segments of `families`: retention
-    /// accounting picks up every one of them, and the second value is the
+    /// Open a ring over the existing segments named with `prefix`:
+    /// retention accounting picks up every one of them, and the second value is the
     /// sequence number after the highest found on disk. A failing scan is
     /// swallowed (the ring starts fresh, counting a write error) — a sidecar
     /// must never fail an engine open.
     pub(crate) fn open(
         io: Box<dyn SegmentIo>,
-        families: &'static [&'static str],
+        prefix: &'static str,
         budget_bytes: u64,
         default_target: usize,
     ) -> (SegmentRing, u64) {
@@ -151,10 +147,10 @@ impl SegmentRing {
         let quarter = usize::try_from(budget_bytes / 4).unwrap_or(usize::MAX);
         let mut ring = SegmentRing {
             io,
-            families,
+            prefix,
             budget_bytes,
             segment_target: default_target.min(quarter.max(512)),
-            cur: vec![None; families.len()],
+            cur: None,
             sizes: BTreeMap::new(),
             write_errors: 0,
             segments_dropped: 0,
@@ -165,7 +161,7 @@ impl SegmentRing {
         });
         let mut next_seq = 0;
         for name in names {
-            let Some((_, first)) = parse_segment_name(families, &name) else {
+            let Some(first) = parse_segment_name(prefix, &name) else {
                 continue;
             };
             let mut len = 0;
@@ -213,12 +209,12 @@ impl SegmentRing {
         self.sizes.len() as u64
     }
 
-    /// Append newline-terminated `lines` to the open segment of `family`
-    /// (opening one named after `first_seq` if there is none) and rewrite
-    /// that segment atomically. Returns whether the write succeeded; when it
-    /// did not, the segment stays open and the next append retries it.
-    pub(crate) fn append(&mut self, family: usize, first_seq: u64, lines: &str) -> bool {
-        let (seq, buf) = self.cur[family].get_or_insert_with(|| (first_seq, String::new()));
+    /// Append newline-terminated `lines` to the open segment (opening one
+    /// named after `first_seq` if there is none) and rewrite that segment
+    /// atomically. Returns whether the write succeeded; when it did not, the
+    /// segment stays open and the next append retries it.
+    pub(crate) fn append(&mut self, first_seq: u64, lines: &str) -> bool {
+        let (seq, buf) = self.cur.get_or_insert_with(|| (first_seq, String::new()));
         buf.push_str(lines);
         // Writes that keep failing must not grow the buffer without bound,
         // and a segment over the budget would be dropped as soon as it
@@ -234,13 +230,13 @@ impl SegmentRing {
             self.write_errors += buf[..cut].lines().count() as u64;
             buf.drain(..cut);
         }
-        let name = segment_name(self.families[family], *seq);
+        let name = segment_name(self.prefix, *seq);
         match self.io.write_atomic(&name, buf.as_bytes()) {
             Ok(()) => {
                 let len = buf.len();
                 self.sizes.insert((*seq, name), len as u64);
                 if len >= self.segment_target {
-                    self.cur[family] = None; // sealed
+                    self.cur = None; // sealed
                 }
                 true
             }
@@ -264,34 +260,29 @@ impl SegmentRing {
             }
             self.sizes.remove(&oldest);
             self.segments_dropped += 1;
-            for (slot, prefix) in self.cur.iter_mut().zip(self.families) {
-                if matches!(slot, Some((seq, _)) if segment_name(prefix, *seq) == oldest.1) {
-                    *slot = None;
-                }
+            if matches!(&self.cur, Some((seq, _)) if segment_name(self.prefix, *seq) == oldest.1) {
+                self.cur = None;
             }
         }
     }
 
-    /// Every line of every readable segment of `families`, parsed and tagged
-    /// with its family index, segments in sequence order. Files matching no
-    /// family are skipped; within a segment, parsing stops at the first torn
-    /// line (atomic segment writes make this a belt-and-braces guard).
-    pub(crate) fn load(
-        io: &dyn SegmentIo,
-        families: &[&str],
-    ) -> io::Result<Vec<(usize, JsonValue)>> {
-        let mut names: Vec<(u64, usize, String)> = io
+    /// Every line of every readable segment named with `prefix`, parsed,
+    /// segments in sequence order. Other files are skipped; within a
+    /// segment, parsing stops at the first torn line (atomic segment writes
+    /// make this a belt-and-braces guard).
+    pub(crate) fn load(io: &dyn SegmentIo, prefix: &str) -> io::Result<Vec<JsonValue>> {
+        let mut names: Vec<(u64, String)> = io
             .list()?
             .into_iter()
-            .filter_map(|n| parse_segment_name(families, &n).map(|(f, s)| (s, f, n)))
+            .filter_map(|n| parse_segment_name(prefix, &n).map(|s| (s, n)))
             .collect();
         names.sort();
         let mut out = Vec::new();
-        for (_, family, name) in names {
+        for (_, name) in names {
             let Ok(bytes) = io.read(&name) else { continue };
             for line in String::from_utf8_lossy(&bytes).lines() {
                 let Ok(v) = json::parse(line) else { break };
-                out.push((family, v));
+                out.push(v);
             }
         }
         Ok(out)
@@ -302,11 +293,11 @@ impl SegmentRing {
 mod tests {
     use super::*;
 
-    /// The two family sets in use: the flight recorder's and the journal's.
-    const FAMILY_SETS: [&[&str]; 2] = [&["tl_", "ev_"], &["au_"]];
+    /// The two rings in use: the flight recorder's and the journal's.
+    const PREFIXES: [&str; 2] = ["tl_", "au_"];
 
-    fn open(io: &MemSegmentIo, families: &'static [&'static str], budget: u64) -> SegmentRing {
-        SegmentRing::open(Box::new(io.clone()), families, budget, 16 * 1024).0
+    fn open(io: &MemSegmentIo, prefix: &'static str, budget: u64) -> SegmentRing {
+        SegmentRing::open(Box::new(io.clone()), prefix, budget, 16 * 1024).0
     }
 
     /// One line of the ring's own making: 48 bytes whatever the seq.
@@ -318,11 +309,11 @@ mod tests {
         )
     }
 
-    fn loaded_seqs(io: &dyn SegmentIo, families: &[&str]) -> Vec<u64> {
-        let mut seqs: Vec<u64> = SegmentRing::load(io, families)
+    fn loaded_seqs(io: &dyn SegmentIo, prefix: &str) -> Vec<u64> {
+        let mut seqs: Vec<u64> = SegmentRing::load(io, prefix)
             .unwrap()
             .iter()
-            .map(|(_, v)| v.get("seq").unwrap().as_u64().unwrap())
+            .map(|v| v.get("seq").unwrap().as_u64().unwrap())
             .collect();
         seqs.sort_unstable();
         seqs
@@ -335,31 +326,29 @@ mod tests {
 
     #[test]
     fn sequence_numbering_continues_across_reopen() {
-        for families in FAMILY_SETS {
+        for prefix in PREFIXES {
             let io = MemSegmentIo::new();
-            let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), families, 1 << 20, 64);
+            let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), prefix, 1 << 20, 64);
             assert_eq!(next, 0);
             for seq in 0..5 {
-                ring.append(seq as usize % families.len(), seq, &line(seq));
+                ring.append(seq, &line(seq));
             }
-            let (ring, next) = SegmentRing::open(Box::new(io.clone()), families, 1 << 20, 64);
-            assert_eq!(next, 5, "{families:?}");
+            let (ring, next) = SegmentRing::open(Box::new(io.clone()), prefix, 1 << 20, 64);
+            assert_eq!(next, 5, "{prefix}");
             assert_eq!(ring.segments(), io.list().unwrap().len() as u64);
             assert_eq!(ring.total_bytes(), bytes_on(&io));
-            assert_eq!(loaded_seqs(&io, families), vec![0, 1, 2, 3, 4]);
+            assert_eq!(loaded_seqs(&io, prefix), vec![0, 1, 2, 3, 4]);
         }
     }
 
     #[test]
     fn retention_never_exceeds_the_budget() {
-        for families in FAMILY_SETS {
+        for prefix in PREFIXES {
             let io = MemSegmentIo::new();
-            let mut ring = open(&io, families, 2048);
+            let mut ring = open(&io, prefix, 2048);
             ring.set_segment_target(256);
             for seq in 0..200 {
-                for family in 0..families.len() {
-                    ring.append(family, seq, &line(seq));
-                }
+                ring.append(seq, &line(seq));
                 ring.enforce_budget();
                 let total = bytes_on(&io);
                 assert!(total <= 2048, "{total} bytes after append {seq}");
@@ -367,11 +356,10 @@ mod tests {
             }
             assert!(ring.segments_dropped() > 0, "retention must have kicked in");
             // The survivors are the newest lines, contiguous.
-            let mut seqs = loaded_seqs(&io, families);
-            seqs.dedup();
+            let seqs = loaded_seqs(&io, prefix);
             assert_eq!(seqs.last(), Some(&199));
             for w in seqs.windows(2) {
-                assert_eq!(w[1], w[0] + 1, "{families:?}");
+                assert_eq!(w[1], w[0] + 1, "{prefix}");
             }
         }
     }
@@ -381,89 +369,93 @@ mod tests {
         let torn = line(1)[..28].to_string();
         let duplicate_key = "{\"seq\":1,\"seq\":2}\n".to_string();
         let too_deep = "[".repeat(100_000);
-        for families in FAMILY_SETS {
+        for prefix in PREFIXES {
             for bad in [&torn, &duplicate_key, &too_deep] {
                 let io = MemSegmentIo::new();
-                let mut ring = open(&io, families, 1 << 20);
-                ring.append(0, 0, &line(0));
+                let mut ring = open(&io, prefix, 1 << 20);
+                ring.append(0, &line(0));
                 // Damage the segment's tail behind the ring's back.
                 let name = io.list().unwrap()[0].clone();
                 let mut bytes = io.read(&name).unwrap();
                 bytes.extend_from_slice(bad.as_bytes());
                 io.write_atomic(&name, &bytes).unwrap();
-                assert_eq!(loaded_seqs(&io, families), vec![0], "valid prefix kept");
+                assert_eq!(loaded_seqs(&io, prefix), vec![0], "valid prefix kept");
             }
         }
     }
 
     #[test]
     fn garbage_orphans_and_foreign_files_do_not_poison_the_ring() {
-        for families in FAMILY_SETS {
+        for prefix in PREFIXES {
             let io = MemSegmentIo::new();
-            let garbage = segment_name(families[0], 3);
+            let garbage = segment_name(prefix, 3);
             io.write_atomic(&garbage, b"\x00\xff\x80 not json\n")
                 .unwrap();
-            let orphan = format!("{}.tmp", segment_name(families[0], 9));
+            let orphan = format!("{}.tmp", segment_name(prefix, 9));
             io.write_atomic(&orphan, b"orphan").unwrap();
             io.write_atomic("unrelated.txt", b"ignored").unwrap();
-            io.write_atomic(&format!("{}7.jsonl", families[0]), b"short name")
+            io.write_atomic(&format!("{prefix}7.jsonl"), b"short name")
+                .unwrap();
+            // A well-formed segment of another ring (or of the event
+            // family older stores carry) is not this ring's business.
+            io.write_atomic(&segment_name("ev_", 1), line(1).as_bytes())
                 .unwrap();
 
-            assert!(SegmentRing::load(&io, families).unwrap().is_empty());
-            let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), families, 1 << 20, 64);
+            assert!(SegmentRing::load(&io, prefix).unwrap().is_empty());
+            let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), prefix, 1 << 20, 64);
             assert_eq!(next, 4, "unparseable segment anchors seq at its name");
             assert_eq!(ring.segments(), 1, "only the garbage segment is accounted");
             assert_eq!(ring.total_bytes(), io.read(&garbage).unwrap().len() as u64);
 
-            ring.append(0, next, &line(next));
-            assert_eq!(loaded_seqs(&io, families), vec![4]);
-            assert_eq!(io.list().unwrap().len(), 5, "foreign files left alone");
+            ring.append(next, &line(next));
+            assert_eq!(loaded_seqs(&io, prefix), vec![4]);
+            assert_eq!(io.list().unwrap().len(), 6, "foreign files left alone");
         }
     }
 
     #[test]
     fn a_failed_write_at_the_rotation_target_is_retried_not_discarded() {
-        for families in FAMILY_SETS {
+        for prefix in PREFIXES {
             let io = MemSegmentIo::new();
-            let mut ring = open(&io, families, 1 << 20);
+            let mut ring = open(&io, prefix, 1 << 20);
             ring.set_segment_target(2 * line(0).len());
-            assert!(ring.append(0, 0, &line(0)));
+            assert!(ring.append(0, &line(0)));
             // The write that takes the buffer to the target fails …
             io.set_dead(true);
-            assert!(!ring.append(0, 1, &line(1)));
+            assert!(!ring.append(1, &line(1)));
             assert_eq!(ring.write_errors(), 1);
-            assert_eq!(loaded_seqs(&io, families), vec![0]);
+            assert_eq!(loaded_seqs(&io, prefix), vec![0]);
             // … so the segment stays open and the next append carries it.
             io.set_dead(false);
-            assert!(ring.append(0, 2, &line(2)));
-            assert_eq!(loaded_seqs(&io, families), vec![0, 1, 2], "{families:?}");
+            assert!(ring.append(2, &line(2)));
+            assert_eq!(loaded_seqs(&io, prefix), vec![0, 1, 2], "{prefix}");
             assert_eq!(
                 io.list().unwrap().len(),
                 1,
                 "one segment, sealed on success"
             );
-            assert!(ring.append(0, 3, &line(3)));
+            assert!(ring.append(3, &line(3)));
             assert_eq!(io.list().unwrap().len(), 2);
         }
     }
 
     #[test]
     fn a_dead_disk_retains_at_most_a_budget_of_lines() {
-        for families in FAMILY_SETS {
+        for prefix in PREFIXES {
             let budget = 10 * line(0).len() as u64;
             let io = MemSegmentIo::new();
-            let mut ring = open(&io, families, budget);
+            let mut ring = open(&io, prefix, budget);
             io.set_dead(true);
             for seq in 0..25 {
-                ring.append(0, seq, &line(seq));
+                ring.append(seq, &line(seq));
             }
             // 25 failed writes plus the 15 oldest lines given up on.
             assert_eq!(ring.write_errors(), 25 + 15);
             io.set_dead(false);
-            assert!(ring.append(0, 25, &line(25)));
+            assert!(ring.append(25, &line(25)));
             ring.enforce_budget();
             // The first good write lands the newest budget's worth.
-            assert_eq!(loaded_seqs(&io, families), (16..=25).collect::<Vec<u64>>());
+            assert_eq!(loaded_seqs(&io, prefix), (16..=25).collect::<Vec<u64>>());
             assert_eq!(bytes_on(&io), budget);
         }
     }

@@ -1,13 +1,12 @@
-//! The flight recorder: a durable, bounded timeline of metric deltas and
-//! engine events.
+//! The flight recorder: a durable, bounded timeline of metric deltas.
 //!
-//! At every burst boundary (logging, reclaim passes, recovery, qcache
-//! eviction storms — plus a periodic tick) the engine calls
-//! [`FlightRecorder::capture`] with a fresh [`Snapshot`]. The recorder
-//! writes a **delta point** — the absolute values of only the metrics that
-//! changed since the previous point — as one JSONL line into the current
-//! timeline segment, and flushes any buffered [`EngineEvent`]s into the
-//! journal segment, stamped with the point's sequence number.
+//! At every burst boundary (logging, reclaim passes, recovery — plus a
+//! periodic tick) the engine calls [`FlightRecorder::capture`] with a fresh
+//! [`Snapshot`]. The recorder writes a **delta point** — the absolute values
+//! of only the metrics that changed since the previous point — as one JSONL
+//! line into the current timeline segment. What an operation *did* (a
+//! reclaim step, a compaction) is not a metric: it goes on that operation's
+//! audit record ([`crate::audit`]).
 //!
 //! Segments live in their own subdirectory under the store directory and
 //! are persisted by the shared segment ring (`ring.rs`): atomic
@@ -18,15 +17,14 @@
 //!
 //! Counters reset when the process restarts (each `Obs` registry starts at
 //! zero, exactly like Prometheus counters after a target restart); the
-//! journal's `recovery` events mark those boundaries so consumers can
-//! detect resets.
+//! point captured with reason `recovery` marks each such boundary, and
+//! carries the recovery pass's `store.recovery.*` counters.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::io;
 
 use crate::export::Snapshot;
-use crate::journal::EngineEvent;
 use crate::json::{push_json_string, JsonValue};
 use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 
@@ -35,10 +33,8 @@ use crate::ring::{unix_ms, SegmentIo, SegmentRing};
 /// bounds per-capture write amplification).
 pub const DEFAULT_SEGMENT_TARGET: usize = 16 * 1024;
 
-/// The recorder's segment families: metric delta points and journal events.
-const FAMILIES: [&str; 2] = ["tl_", "ev_"];
-const POINTS: usize = 0;
-const EVENTS: usize = 1;
+/// The recorder's segment prefix.
+const PREFIX: &str = "tl_";
 
 /// Absolute histogram state carried by a delta point (recorded whenever the
 /// histogram's count moved since the previous point).
@@ -72,7 +68,7 @@ pub struct TimelinePoint {
     /// Unix timestamp in milliseconds.
     pub t_ms: u64,
     /// Burst boundary that triggered the capture (`log`, `reclaim`,
-    /// `recovery`, `qcache.storm`, `interval`, …).
+    /// `recovery` or `interval`).
     pub reason: String,
     /// Changed counters at their new absolute values.
     pub counters: BTreeMap<String, u64>,
@@ -187,8 +183,6 @@ impl TimelinePoint {
 pub struct RecorderStats {
     /// Points successfully written.
     pub captures: u64,
-    /// Events recorded (buffered or flushed).
-    pub events: u64,
     /// Best-effort writes/removals that failed.
     pub write_errors: u64,
     /// Segments dropped by retention.
@@ -215,9 +209,7 @@ pub struct FlightRecorder {
     ring: SegmentRing,
     next_seq: u64,
     last: LastSeen,
-    pending: Vec<EngineEvent>,
     captures: u64,
-    events: u64,
 }
 
 impl FlightRecorder {
@@ -227,15 +219,12 @@ impl FlightRecorder {
     /// recorder starts fresh, counting a write error) — telemetry must
     /// never fail an engine open.
     pub fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> FlightRecorder {
-        let (ring, next_seq) =
-            SegmentRing::open(io, &FAMILIES, budget_bytes, DEFAULT_SEGMENT_TARGET);
+        let (ring, next_seq) = SegmentRing::open(io, PREFIX, budget_bytes, DEFAULT_SEGMENT_TARGET);
         FlightRecorder {
             ring,
             next_seq,
             last: LastSeen::default(),
-            pending: Vec::new(),
             captures: 0,
-            events: 0,
         }
     }
 
@@ -249,7 +238,6 @@ impl FlightRecorder {
     pub fn stats(&self) -> RecorderStats {
         RecorderStats {
             captures: self.captures,
-            events: self.events,
             write_errors: self.ring.write_errors(),
             segments_dropped: self.ring.segments_dropped(),
             total_bytes: self.ring.total_bytes(),
@@ -263,41 +251,9 @@ impl FlightRecorder {
         self.ring.budget_bytes()
     }
 
-    /// Buffer an engine event. It is flushed to the journal by the next
-    /// [`FlightRecorder::capture`], stamped with that capture's sequence.
-    pub fn record_event(
-        &mut self,
-        kind: &str,
-        intermediate: Option<&str>,
-        details: impl IntoIterator<Item = (String, String)>,
-    ) {
-        self.events += 1;
-        self.pending.push(EngineEvent {
-            snap_seq: 0, // stamped at flush
-            t_ms: unix_ms(),
-            kind: kind.to_string(),
-            intermediate: intermediate.map(str::to_string),
-            details: details.into_iter().collect(),
-        });
-    }
-
-    /// Events recorded but not yet flushed to disk, stamped with the
-    /// sequence number the next capture will use.
-    pub fn pending_events(&self) -> Vec<EngineEvent> {
-        self.pending
-            .iter()
-            .cloned()
-            .map(|mut e| {
-                e.snap_seq = self.next_seq;
-                e
-            })
-            .collect()
-    }
-
-    /// Capture a delta point from `snap` (and flush buffered events). A
-    /// no-op returning `None` when nothing changed and no events are
-    /// pending; otherwise returns the point's sequence number. All I/O is
-    /// best-effort.
+    /// Capture a delta point from `snap`. A no-op returning `None` when
+    /// nothing changed; otherwise returns the point's sequence number. All
+    /// I/O is best-effort.
     pub fn capture(&mut self, snap: &Snapshot, reason: &str) -> Option<u64> {
         let mut point = TimelinePoint {
             seq: 0,
@@ -336,11 +292,7 @@ impl FlightRecorder {
                 );
             }
         }
-        if point.counters.is_empty()
-            && point.gauges.is_empty()
-            && point.hists.is_empty()
-            && self.pending.is_empty()
-        {
+        if point.counters.is_empty() && point.gauges.is_empty() && point.hists.is_empty() {
             return None;
         }
 
@@ -362,16 +314,7 @@ impl FlightRecorder {
 
         let mut line = point.to_json_line();
         line.push('\n');
-        self.ring.append(POINTS, seq, &line);
-        if !self.pending.is_empty() {
-            let mut lines = String::new();
-            for mut ev in std::mem::take(&mut self.pending) {
-                ev.snap_seq = seq;
-                lines.push_str(&ev.to_json_line());
-                lines.push('\n');
-            }
-            self.ring.append(EVENTS, seq, &lines);
-        }
+        self.ring.append(seq, &line);
         self.ring.enforce_budget();
         self.captures += 1;
         Some(seq)
@@ -387,13 +330,11 @@ impl std::fmt::Debug for FlightRecorder {
     }
 }
 
-/// A loaded timeline: every surviving point and event, in sequence order.
+/// A loaded timeline: every surviving point, in sequence order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Timeline {
     /// Metric delta points, in increasing sequence order.
     pub points: Vec<TimelinePoint>,
-    /// Journal events, ordered by the snapshot sequence they landed in.
-    pub events: Vec<EngineEvent>,
 }
 
 impl Timeline {
@@ -401,18 +342,12 @@ impl Timeline {
     /// skipped; within a segment, parsing stops at the first torn line
     /// (atomic segment writes make this a belt-and-braces guard).
     pub fn load(io: &dyn SegmentIo) -> io::Result<Timeline> {
-        let mut tl = Timeline::default();
-        for (family, v) in SegmentRing::load(io, &FAMILIES)? {
-            if family == POINTS {
-                tl.points.extend(TimelinePoint::from_json(&v));
-            } else {
-                tl.events.extend(EngineEvent::from_json(&v));
-            }
-        }
-        tl.points.sort_by_key(|p| p.seq);
-        tl.events
-            .sort_by(|a, b| (a.snap_seq, a.t_ms, &a.kind).cmp(&(b.snap_seq, b.t_ms, &b.kind)));
-        Ok(tl)
+        let mut points: Vec<TimelinePoint> = SegmentRing::load(io, PREFIX)?
+            .iter()
+            .filter_map(TimelinePoint::from_json)
+            .collect();
+        points.sort_by_key(|p| p.seq);
+        Ok(Timeline { points })
     }
 
     /// The highest point sequence, if any points survive.
@@ -446,27 +381,13 @@ impl Timeline {
         out
     }
 
-    /// Events concerning one intermediate, in order.
-    pub fn events_for(&self, intermediate: &str) -> Vec<&EngineEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.intermediate.as_deref() == Some(intermediate))
-            .collect()
-    }
-
-    /// Restrict to points/events with `from_seq <= seq <= to_seq`.
+    /// Restrict to points with `from_seq <= seq <= to_seq`.
     pub fn window(&self, from_seq: u64, to_seq: u64) -> Timeline {
         Timeline {
             points: self
                 .points
                 .iter()
                 .filter(|p| (from_seq..=to_seq).contains(&p.seq))
-                .cloned()
-                .collect(),
-            events: self
-                .events
-                .iter()
-                .filter(|e| (from_seq..=to_seq).contains(&e.snap_seq))
                 .cloned()
                 .collect(),
         }
@@ -482,22 +403,15 @@ impl Timeline {
             }
             out.push_str(&p.to_json_line());
         }
-        out.push_str("],\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json_line());
-        }
         out.push_str("]}");
         out
     }
 
-    /// Render a compact table: one row per point (with the number of
-    /// changed metrics), events interleaved under the point they landed in.
+    /// Render a compact table: one row per point, with the number of
+    /// changed metrics.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        if self.points.is_empty() && self.events.is_empty() {
+        if self.points.is_empty() {
             out.push_str("(empty timeline)\n");
             return out;
         }
@@ -507,14 +421,7 @@ impl Timeline {
             "{:>6}  {:>9}  {:<12}  changed",
             "seq", "t+ms", "reason"
         );
-        let mut ei = 0;
         for p in &self.points {
-            // Events stamped with earlier sequences than any surviving
-            // point (retention dropped their point) print first.
-            while ei < self.events.len() && self.events[ei].snap_seq < p.seq {
-                Self::render_event(&mut out, &self.events[ei]);
-                ei += 1;
-            }
             let _ = writeln!(
                 out,
                 "{:>6}  {:>9}  {:<12}  {}c {}g {}h",
@@ -525,27 +432,8 @@ impl Timeline {
                 p.gauges.len(),
                 p.hists.len()
             );
-            while ei < self.events.len() && self.events[ei].snap_seq == p.seq {
-                Self::render_event(&mut out, &self.events[ei]);
-                ei += 1;
-            }
-        }
-        while ei < self.events.len() {
-            Self::render_event(&mut out, &self.events[ei]);
-            ei += 1;
         }
         out
-    }
-
-    fn render_event(out: &mut String, e: &EngineEvent) {
-        let _ = write!(out, "{:>6}  └ {}", e.snap_seq, e.kind);
-        if let Some(i) = &e.intermediate {
-            let _ = write!(out, " {i}");
-        }
-        for (k, v) in &e.details {
-            let _ = write!(out, " {k}={v}");
-        }
-        out.push('\n');
     }
 }
 
@@ -643,48 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn events_are_stamped_with_the_flushing_sequence() {
-        let obs = Obs::new();
-        let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
-        obs.counter("c").inc();
-        rec.capture(&obs.snapshot(), "log");
-        rec.record_event(
-            "reclaim.demote",
-            Some("m1.s3"),
-            [("from".to_string(), "FULL".to_string())],
-        );
-        assert_eq!(rec.pending_events().len(), 1);
-        assert_eq!(rec.pending_events()[0].snap_seq, 1);
-        obs.counter("c").inc();
-        let seq = rec.capture(&obs.snapshot(), "reclaim").unwrap();
-        assert_eq!(seq, 1);
-        let tl = Timeline::load(&io).unwrap();
-        assert_eq!(tl.events.len(), 1);
-        assert_eq!(tl.events[0].snap_seq, seq);
-        assert_eq!(tl.events[0].kind, "reclaim.demote");
-        assert_eq!(tl.events_for("m1.s3").len(), 1);
-        assert!(rec.pending_events().is_empty());
-    }
-
-    #[test]
-    fn pending_events_alone_force_a_point() {
-        let obs = Obs::new();
-        let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
-        rec.record_event("recovery", None, []);
-        let seq = rec.capture(&obs.snapshot(), "recovery");
-        assert_eq!(seq, Some(0));
-        let tl = Timeline::load(&io).unwrap();
-        assert_eq!(
-            tl.points.len(),
-            1,
-            "event flush still writes its anchor point"
-        );
-        assert_eq!(tl.events.len(), 1);
-    }
-
-    #[test]
     fn a_reopened_recorder_continues_the_numbering_and_shows_the_counter_reset() {
         let io = MemSegmentIo::new();
         let obs = Obs::new();
@@ -715,7 +561,6 @@ mod tests {
         let mut rec = recorder(io.clone(), 1 << 20);
         for _ in 0..5 {
             obs.counter("c").inc();
-            rec.record_event("tick", None, []);
             rec.capture(&obs.snapshot(), "log");
         }
         let tl = Timeline::load(&io).unwrap();
@@ -724,7 +569,6 @@ mod tests {
             w.points.iter().map(|p| p.seq).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert_eq!(w.events.len(), 3);
     }
 
     #[test]
@@ -734,21 +578,14 @@ mod tests {
         let mut rec = recorder(io.clone(), 1 << 20);
         obs.counter("c").inc();
         obs.histogram("h").record(5);
-        rec.record_event(
-            "compaction",
-            None,
-            [("removed".to_string(), "2".to_string())],
-        );
         rec.capture(&obs.snapshot(), "reclaim");
         let tl = Timeline::load(&io).unwrap();
         let json_doc = tl.to_json_string();
         let parsed = json::parse(&json_doc).unwrap();
         assert_eq!(parsed.get("points").unwrap().as_arr().unwrap().len(), 1);
-        assert_eq!(parsed.get("events").unwrap().as_arr().unwrap().len(), 1);
         let table = tl.render_table();
         assert!(table.contains("reclaim"));
-        assert!(table.contains("compaction"));
-        assert!(table.contains("removed=2"));
+        assert!(table.contains("1c 0g 1h"), "{table}");
         assert_eq!(tl.points[0].hists["h"].count, 1);
         assert!(tl.metric_names().contains("h"));
     }

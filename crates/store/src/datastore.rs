@@ -9,6 +9,7 @@ use std::time::Instant;
 use mistique_compress::basedelta;
 use mistique_dataframe::ColumnChunk;
 use mistique_dedup::{content_digest, discretize, ContentDigest, LshIndex, MinHasher, Signature};
+pub use mistique_obs::CompactionReport;
 use mistique_obs::{Counter, Gauge, Histogram, Obs, SpanContext};
 
 use crate::backend::{RealFs, StorageBackend};
@@ -129,21 +130,6 @@ pub struct RetractOutcome {
     /// Raw chunk bytes whose last reference went away (now dead inside
     /// their partitions, reclaimable by [`DataStore::compact`]).
     pub bytes_released: u64,
-}
-
-/// What one [`DataStore::compact`] pass did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Sealed on-disk partitions considered.
-    pub partitions_scanned: u64,
-    /// Partitions rewritten without their dead chunks.
-    pub partitions_rewritten: u64,
-    /// Fully-dead partitions whose files were removed.
-    pub partitions_removed: u64,
-    /// Raw (uncompressed) chunk bytes reclaimed.
-    pub bytes_reclaimed: u64,
-    /// Dead chunks dropped.
-    pub chunks_dropped: u64,
 }
 
 /// What a [`DataStore::recover`] pass found and did. Every partition file in

@@ -88,6 +88,20 @@ if [ -n "$sites$mirrors" ]; then
   exit 1
 fi
 
+# One history of operations (DESIGN.md §14, §16): what an operation did to
+# the store — a reclaim step, a compaction — is an effect on its audit
+# record, and everything else the removed event journal said is a metric
+# in the timeline. An event type, an event emitter or an `ev_` segment
+# family is a second journal growing back. Non-test code only, as above.
+echo "== one operation record =="
+sites=$(find crates -name '*.rs' | sort | non_test_lines |
+  grep -E 'EngineEvent|record_event\(|telemetry_event\(|"ev_"' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: an engine event journal is back — put the fact on the operation's AuditRecord:"
+  echo "$sites"
+  exit 1
+fi
+
 # Diagnostics cost what their arithmetic costs (DESIGN.md §18): a fetched
 # frame is read in place — one cell (`f64_at`) or one column at a time
 # (`f64_view` into a reused scratch) — never copied whole into f64 vectors;

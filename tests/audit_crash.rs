@@ -17,8 +17,6 @@ use mistique_pipeline::ZillowData;
 fn sys_config() -> MistiqueConfig {
     MistiqueConfig {
         row_block_size: 50,
-        // An astronomic tolerance keeps plan choices out of timing noise.
-        drift_tolerance: 1e12,
         ..MistiqueConfig::default()
     }
 }

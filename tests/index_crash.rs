@@ -30,9 +30,6 @@ use mistique_store::{enumerate_crashes, FaultyFs, StorageBackend};
 fn sys_config() -> MistiqueConfig {
     MistiqueConfig {
         row_block_size: 50,
-        // An astronomic tolerance keeps the workload's backend op sequence
-        // deterministic: no timing-dependent drift flags or plan flips.
-        drift_tolerance: 1e12,
         ..MistiqueConfig::default()
     }
 }

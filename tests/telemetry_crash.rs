@@ -11,11 +11,10 @@
 //!   `tests/crash_safety.rs`'s unchanged contract;
 //! - the timeline always loads from whatever segments survive: a valid
 //!   pre- or post-capture prefix, strictly increasing sequence numbers,
-//!   never a parse error;
-//! - events only ever reference captures that exist (`snap_seq` ≤ the
-//!   newest point, or the yet-unflushed next sequence);
-//! - after reopen, the recorder resumes: sequence numbers continue past the
-//!   survivors and the recovery pass is journaled;
+//!   never a parse error, and nothing but `tl_` segments on disk;
+//! - after reopen, the recorder resumes: its first point is the `recovery`
+//!   capture, numbered past the survivors and carrying the pass's
+//!   `store.recovery.*` counters;
 //! - the journal always loads as a valid prefix with strictly increasing
 //!   sequence numbers, and after reopen it resumes strictly past every
 //!   surviving record;
@@ -28,31 +27,19 @@
 use std::sync::Arc;
 
 use mistique_core::{
-    AuditRecord, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, StoreSubdir, Timeline,
-    TELEMETRY_SUBDIR,
+    AuditEffect, AuditRecord, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, SegmentIo,
+    StoreSubdir, Timeline, TELEMETRY_SUBDIR,
 };
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_store::{enumerate_crashes, FaultyFs, StorageBackend};
 
 /// Reasons the engine stamps on captures; a loaded point must carry one.
-const REASONS: [&str; 7] = [
-    "log",
-    "reclaim",
-    "recovery",
-    "interval",
-    "plan.flip",
-    "drift",
-    "qcache.storm",
-];
+const REASONS: [&str; 4] = ["log", "reclaim", "recovery", "interval"];
 
 fn sys_config() -> MistiqueConfig {
     MistiqueConfig {
         row_block_size: 50,
-        // Forced-Read fetches + an astronomic tolerance keep the workload's
-        // backend op sequence deterministic, as the crash driver checks: no
-        // timing-dependent drift flags, no plan flips, no query-cache churn.
-        drift_tolerance: 1e12,
         ..MistiqueConfig::default()
     }
 }
@@ -81,7 +68,7 @@ fn run_workload(sys: &mut Mistique, data: &Arc<ZillowData>) -> Result<(), Mistiq
     }
     sys.audit_flush();
     // A budget far below usage drives demotions, purges, and a compaction —
-    // the event-heavy path. Reclaim picks victims by γ, which rests on
+    // the path that puts effects on a record. Reclaim picks victims by γ, which rests on
     // measured execution times; a read bandwidth this low makes every
     // saving negative, so every γ is 0 and ties keep the sorted walk.
     sys.cost_model_mut().read_bandwidth = 1e-9;
@@ -125,6 +112,11 @@ fn assert_journal_sane(records: &[AuditRecord], ctx: &str) {
 fn load_points(fs: &FaultyFs) -> Timeline {
     let backend: Arc<dyn StorageBackend> = Arc::new(fs.clone());
     let io = StoreSubdir::open_readonly(backend, "/vfs".as_ref(), TELEMETRY_SUBDIR);
+    // The recorder writes one family; a cut write's `.tmp` orphan is named
+    // after its segment.
+    for name in io.list().unwrap() {
+        assert!(name.starts_with("tl_"), "unexpected telemetry file {name}");
+    }
     Timeline::load(&io).expect("timeline load must tolerate any torn state")
 }
 
@@ -145,19 +137,6 @@ fn assert_timeline_sane(tl: &Timeline, ctx: &str) {
             p.reason
         );
     }
-    let max_seq = tl.points.iter().map(|p| p.seq).max();
-    for e in &tl.events {
-        // An event is stamped with the capture that flushed it; the lone
-        // exception is a pending event surfaced by `Mistique::timeline()`
-        // before its capture, stamped with the *next* sequence.
-        assert!(
-            e.snap_seq <= max_seq.unwrap_or(0) + 1,
-            "{ctx}: event {} stamped with seq {} but newest point is {:?}",
-            e.kind,
-            e.snap_seq,
-            max_seq
-        );
-    }
 }
 
 #[test]
@@ -176,13 +155,27 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
             !golden.points.is_empty(),
             "golden run must capture telemetry points"
         );
-        assert!(
-            golden.events.iter().any(|e| e.kind == "reclaim.demote")
-                && golden.events.iter().any(|e| e.kind == "reclaim.purge"),
-            "the starved reclaim must journal ladder events"
-        );
         assert_timeline_sane(&golden, "golden");
         let journal = load_journal(&fs);
+        let reclaim = journal.iter().rfind(|r| r.op == "reclaim").unwrap();
+        let step_to = |to: &str| {
+            reclaim.effects.iter().any(
+                |e| matches!(e, AuditEffect::Step(d) if d.to == to && !d.intermediate.is_empty()),
+            )
+        };
+        assert!(
+            step_to("LP_QT") && step_to("PURGED"),
+            "the starved reclaim must put its ladder on its record: {:?}",
+            reclaim.effects
+        );
+        assert!(
+            reclaim.effects.iter().any(|e| matches!(e,
+                AuditEffect::Compaction(c)
+                    if c.partitions_rewritten + c.partitions_removed > 0
+                        && c.bytes_reclaimed > 0)),
+            "the starved reclaim's compaction must be on its record: {:?}",
+            reclaim.effects
+        );
         assert!(
             journal.len() >= 6,
             "golden run must journal every entry point, got {}",
@@ -229,17 +222,22 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
                     report.quarantined, 0,
                     "{point}: torn sidecar write quarantined a data partition"
                 );
-                // The reopened recorder journals its recovery pass with a
-                // sequence past everything that survived the cut.
+                // The reopened recorder's first point is the recovery
+                // capture, numbered past everything that survived the cut.
+                let survived = tl.max_seq();
                 let tl = sys.timeline().unwrap();
                 assert_timeline_sane(&tl, &format!("post-reopen at {point}"));
                 let rec = tl
-                    .events
+                    .points
                     .iter()
-                    .filter(|e| e.kind == "recovery")
-                    .max_by_key(|e| e.snap_seq)
-                    .expect("reopen must journal a recovery event");
-                assert!(rec.snap_seq > 0, "{point}: recovery event unstamped");
+                    .find(|p| survived.is_none_or(|s| p.seq > s))
+                    .expect("reopen must capture a point");
+                assert_eq!(rec.reason, "recovery", "{point}");
+                assert_eq!(
+                    rec.counters.get("store.recovery.partitions_ok").copied(),
+                    Some(report.partitions_ok).filter(|&n| n > 0),
+                    "{point}"
+                );
                 sys.store()
                     .check_invariants()
                     .unwrap_or_else(|v| panic!("{point}: {v}"));

@@ -1,15 +1,16 @@
 //! End-to-end acceptance of the flight recorder: a log → query → reclaim →
 //! persist → reopen lifecycle leaves a durable timeline under
 //! `<dir>/telemetry/` that replays the session — metric series with
-//! positive deltas, journal events correlated to capture sequences, and
-//! sequence numbers that continue across the restart. Plus: the retention
-//! budget is a hard bound on the directory, disabling telemetry writes
-//! nothing, and the live Prometheus exposition passes its own validator.
+//! positive deltas, sequence numbers that continue across the restart, and
+//! a `recovery` point carrying the recovery pass's counters — while the
+//! reclaim ladder's steps land as effects on the `reclaim` audit record.
+//! Plus: the retention budget is a hard bound on the directory, and
+//! disabling telemetry writes nothing.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use mistique_core::{FetchStrategy, Mistique, MistiqueConfig};
+use mistique_core::{AuditEffect, FetchStrategy, Mistique, MistiqueConfig};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 
@@ -66,30 +67,43 @@ fn lifecycle_replays_series_with_correlated_events() {
     assert!(reasons.contains(&"log"));
     assert!(reasons.contains(&"reclaim"));
 
-    // The starved reclaim journaled its ladder; every flushed event is
-    // stamped with the sequence of the capture that carried it.
-    assert!(tl.events.iter().any(|e| e.kind == "reclaim.demote"));
-    assert!(tl.events.iter().any(|e| e.kind == "reclaim.purge"));
-    let point_seqs: std::collections::BTreeSet<u64> = seqs.iter().copied().collect();
-    for e in &tl.events {
-        assert!(
-            point_seqs.contains(&e.snap_seq),
-            "event {} (seq {}) has no matching capture point",
-            e.kind,
-            e.snap_seq
-        );
-    }
-    // Demotion events name their intermediate, so per-intermediate replay
-    // works.
-    let demoted = tl
-        .events
+    // The starved reclaim put its ladder on its own audit record: a
+    // demotion and a purge, each naming a real intermediate with the rungs
+    // it moved between, its bytes either side and the γ it was picked at.
+    let records = sys.audit_records().unwrap();
+    let reclaim = records.iter().rfind(|r| r.op == "reclaim").unwrap();
+    let steps: Vec<_> = reclaim
+        .effects
         .iter()
-        .find(|e| e.kind == "reclaim.demote")
-        .unwrap()
-        .intermediate
-        .clone()
-        .expect("demotion events carry an intermediate");
-    assert!(!tl.events_for(&demoted).is_empty());
+        .filter_map(|e| match e {
+            AuditEffect::Step(d) => Some(d),
+            AuditEffect::Compaction(_) => None,
+        })
+        .collect();
+    let demote = steps
+        .iter()
+        .find(|d| !["PURGED", "DELTA"].contains(&d.to.as_str()) && d.from != "INDEX")
+        .expect("the reclaim record holds a demotion");
+    let purge = steps
+        .iter()
+        .find(|d| d.to == "PURGED")
+        .expect("the reclaim record holds a purge");
+    for d in [demote, purge] {
+        let interm = &d.intermediate;
+        assert!(sys.metadata().intermediate(interm).is_some(), "{interm}");
+        assert!(!d.from.is_empty() && d.from != d.to, "{d:?}");
+        assert!(
+            d.bytes_before > 0 && d.bytes_after < d.bytes_before,
+            "{d:?}"
+        );
+        assert!(d.gamma.is_finite(), "{d:?}");
+    }
+    assert_eq!(purge.bytes_after, 0, "a purge leaves no bytes");
+    // Steps belong to the operation that ran the pass, nothing else.
+    assert!(records
+        .iter()
+        .filter(|r| r.op != "reclaim")
+        .all(|r| r.effects.is_empty()));
 
     let pre_restart_max = *seqs.last().unwrap();
     sys.persist().unwrap();
@@ -99,31 +113,82 @@ fn lifecycle_replays_series_with_correlated_events() {
     let tl = Mistique::load_timeline(dir.path()).unwrap();
     assert_eq!(tl.points.iter().map(|p| p.seq).max(), Some(pre_restart_max));
 
-    // Reopen: recovery is journaled, and sequences continue — no reuse.
+    // Reopen: the first point of the new run is the recovery capture,
+    // numbered past the previous run (no reuse) and carrying the pass's
+    // outcome counters.
     let sys = Mistique::reopen(dir.path(), MistiqueConfig::default()).unwrap();
     let tl = sys.timeline().unwrap();
-    let rec = tl
-        .events
-        .iter()
-        .filter(|e| e.kind == "recovery")
-        .max_by_key(|e| e.snap_seq)
-        .expect("reopen must journal recovery");
+    let recent = tl.window(pre_restart_max + 1, u64::MAX);
+    let rec = recent.points.first().expect("reopen must capture a point");
+    assert_eq!(rec.reason, "recovery");
     assert!(
-        rec.snap_seq > pre_restart_max,
-        "recovery (seq {}) must be stamped past the previous run (max {})",
-        rec.snap_seq,
+        rec.seq > pre_restart_max,
+        "recovery (seq {}) must be numbered past the previous run (max {})",
+        rec.seq,
         pre_restart_max
     );
-    assert!(rec.details.contains_key("quarantined"));
+    let report = sys.recovery_report().unwrap();
+    assert!(report.partitions_ok > 0);
+    assert_eq!(
+        rec.counters.get("store.recovery.partitions_ok"),
+        Some(&report.partitions_ok)
+    );
     // The recovery capture is a counter-reset boundary: the new run's
     // points exist alongside the old ones in one replayable stream.
-    assert!(tl.points.iter().any(|p| p.seq > pre_restart_max));
     assert!(tl.points.iter().any(|p| p.seq <= pre_restart_max));
 
-    // Windowing isolates the restarted run.
-    let recent = tl.window(pre_restart_max + 1, u64::MAX);
-    assert!(recent.points.iter().all(|p| p.seq > pre_restart_max));
-    assert!(recent.events.iter().any(|e| e.kind == "recovery"));
+    // One family on disk: metric points. The ladder lives in the journal.
+    for entry in std::fs::read_dir(dir.path().join("telemetry")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(name.starts_with("tl_"), "unexpected telemetry file {name}");
+    }
+}
+
+/// The counters that replaced the query-path events — drift flags,
+/// query-cache evictions, SLO burns — reach disk in the next capture's
+/// point, at the values the registry holds.
+#[test]
+fn drift_evictions_and_slo_burns_land_in_timeline_points() {
+    let dir = mistique_testkit::tempdir().unwrap();
+    let data = Arc::new(ZillowData::generate(300, 1));
+    let mut sys = Mistique::open(
+        dir.path(),
+        MistiqueConfig {
+            // Room for a few small frames: distinct fetches evict.
+            query_cache_bytes: 4 << 10,
+            ..MistiqueConfig::default()
+        },
+    )
+    .unwrap();
+    let id = sys
+        .register_trad(zillow_pipelines().remove(0), Arc::clone(&data))
+        .unwrap();
+    sys.log_intermediates(&id).unwrap();
+    let interms = sys.intermediates_of(&id);
+    // A read class whose p95 is one nanosecond: every real read burns.
+    for _ in 0..1000 {
+        sys.obs().histogram("slo.fetch.read.ns").record(1);
+    }
+    // An absurd bandwidth makes every read prediction ~0 s: drift.
+    sys.cost_model_mut().read_bandwidth = 1e18;
+    for interm in interms.iter().take(4) {
+        sys.fetch_with_strategy(interm, None, None, FetchStrategy::Read)
+            .unwrap();
+    }
+    for n in 1..=50 {
+        sys.get_intermediate(&interms[0], None, Some(n)).unwrap();
+    }
+    sys.reclaim_to(u64::MAX).unwrap(); // a capture
+    let snap = sys.obs_snapshot();
+    let tl = sys.timeline().unwrap();
+    let last = |metric: &str| tl.series(metric).last().map(|s| s.2);
+    for counter in ["cost_model.drift_flags", "qcache.evictions", "slo.burns"] {
+        let registry = snap.counter(counter);
+        assert!(registry > 0, "{counter} never moved");
+        assert_eq!(last(counter), Some(registry as f64), "{counter}");
+    }
+    let drift = last("cost_model.drift").unwrap();
+    assert!(drift > sys.drift_monitor().tolerance(), "drift {drift}");
 }
 
 #[test]
@@ -191,5 +256,5 @@ fn zero_budget_disables_telemetry_entirely() {
     assert!(sys.telemetry_stats().is_none());
     assert!(!dir.path().join("telemetry").exists());
     let tl = sys.timeline().unwrap();
-    assert!(tl.points.is_empty() && tl.events.is_empty());
+    assert!(tl.points.is_empty());
 }
