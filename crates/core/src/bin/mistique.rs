@@ -40,7 +40,7 @@
 //! leg, exiting nonzero on any divergence.
 //!
 //! `top` renders a live workload dashboard — per-operation rates and
-//! latency quantiles, plan mix, cache/index effectiveness, SLO classes,
+//! latency quantiles, plan mix, index effectiveness, SLO classes,
 //! budget headroom and journal health — assembled entirely from the on-disk
 //! audit journal and telemetry timeline. `--once` prints a single frame
 //! (works on a closed store with no live engine); otherwise the screen

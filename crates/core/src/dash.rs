@@ -2,8 +2,8 @@
 //! directory: the audit journal under `<dir>/audit/` supplies per-operation
 //! rates, latency quantiles, plan mix, read↔rerun plan flips per
 //! intermediate and bytes touched; the flight
-//! recorder's timeline under `<dir>/telemetry/` supplies cache hit rates,
-//! index effectiveness, per-class SLO quantiles (the latest point of each
+//! recorder's timeline under `<dir>/telemetry/` supplies index
+//! effectiveness, per-class SLO quantiles (the latest point of each
 //! `slo.<class>.ns` histogram) and budget headroom. No live engine is
 //! required — the CLI renders the same view against a closed directory
 //! (`--once`) or in a refresh loop while another process works.
@@ -67,7 +67,7 @@ impl TopView {
 /// Read↔rerun plan flips per intermediate, derived from the journal. The
 /// `read` and `rerun` plans of every record with an `interm` argument are
 /// walked in sequence order; each that differs from the previous one of the
-/// same intermediate is a flip. Other plans (`cached`, `indexed_read`) say
+/// same intermediate is a flip. Other plans (`indexed_read`) say
 /// nothing about the cost model's read-or-rerun call and are skipped, as
 /// are records without an `interm` argument (logging, two-intermediate
 /// diagnostics).
@@ -192,18 +192,8 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
         let _ = writeln!(out, "plan flips: {total} ({per})");
     }
 
-    // Cache + index effectiveness from the timeline's counters.
+    // Index effectiveness from the timeline's counters.
     let c = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let (qh, qm) = (c("qcache.hits"), c("qcache.misses"));
-    if qh + qm > 0 {
-        let _ = writeln!(
-            out,
-            "qcache: {:.0}% hit ({qh}/{} lookups), {} evictions",
-            qh as f64 / (qh + qm) as f64 * 100.0,
-            qh + qm,
-            c("qcache.evictions"),
-        );
-    }
     let (ih, skipped) = (c("index.hits"), c("index.blocks_skipped"));
     if ih + skipped > 0 {
         let _ = writeln!(
@@ -308,8 +298,8 @@ mod tests {
         let journal = [
             rec(Some("a"), &["read"]),
             rec(Some("b"), &["rerun"]),
-            rec(Some("a"), &["cached", "rerun"]), // a: read → rerun
-            rec(None, &["read", "rerun", "read"]), // no intermediate: skipped
+            rec(Some("a"), &["indexed_read", "rerun"]), // a: read → rerun
+            rec(None, &["read", "rerun", "read"]),      // no intermediate: skipped
             rec(Some("a"), &["indexed_read"]),
             rec(Some("a"), &["rerun", "read"]), // a: rerun → read
             rec(Some("b"), &["rerun"]),

@@ -17,10 +17,10 @@
 //!   down the quantization ladder) — but only if one existed, so a reclaim
 //!   pass that shed the index is not undone;
 //! - dropped on purge, and shed first by the budget manager
-//!   (`index.* bytes` are the cheapest bytes to reclaim);
-//! - versioned: every persisted build carries a monotone `version` that
-//!   feeds the query-cache key, so a drop or rebuild can never serve a
-//!   stale cached frame as current.
+//!   (`index.* bytes` are the cheapest bytes to reclaim).
+//!
+//! Every build writes `version 1`: the v1 file format keeps the line, but
+//! nothing reads it back.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -33,6 +33,9 @@ use mistique_store::{StorageBackend, StoreSubdir, INDEX_SUBDIR};
 
 use crate::capture::{decode_column, ValueScheme};
 use crate::system::{Mistique, MistiqueConfig};
+
+/// The `version` line every persisted index carries.
+const INDEX_VERSION: u64 = 1;
 
 /// Per-instance index state: the I/O adapter, lazily loaded indexes, and
 /// in-flight builders.
@@ -47,9 +50,6 @@ pub(crate) struct IndexState {
     builders: HashMap<String, IndexBuilder>,
     /// Persisted index bytes per intermediate (file sizes).
     bytes: HashMap<String, u64>,
-    /// Last persisted `version` per intermediate (survives drops so a
-    /// rebuild always moves the query-cache key forward).
-    versions: HashMap<String, u64>,
     hits: Counter,
     blocks_skipped: Counter,
     rebuilds: Counter,
@@ -78,7 +78,6 @@ impl IndexState {
             loaded: HashMap::new(),
             builders: HashMap::new(),
             bytes: HashMap::new(),
-            versions: HashMap::new(),
             hits: obs.counter("index.hits"),
             blocks_skipped: obs.counter("index.blocks_skipped"),
             rebuilds: obs.counter("index.rebuilds"),
@@ -133,7 +132,6 @@ impl Mistique {
             io,
             loaded,
             bytes,
-            versions,
             row_block_size,
             ..
         } = st;
@@ -142,11 +140,6 @@ impl Mistique {
             .or_insert_with(|| {
                 let raw = io.read(&IndexState::file_name(intermediate_id)).ok()?;
                 let idx = IntermediateIndex::from_bytes(&raw).ok()?;
-                // Remember the on-disk version even for stale files, so the
-                // next build still moves the cache key forward.
-                versions
-                    .entry(intermediate_id.to_string())
-                    .or_insert(idx.version);
                 bytes.insert(intermediate_id.to_string(), raw.len() as u64);
                 Some(Arc::new(idx))
             });
@@ -159,15 +152,6 @@ impl Mistique {
             st.loaded.insert(intermediate_id.to_string(), None);
             None
         }
-    }
-
-    /// The index version feeding the query-cache key: `0` when no valid
-    /// index exists, otherwise the monotone build counter.
-    pub(crate) fn index_version(&mut self, intermediate_id: &str) -> u64 {
-        if self.index.is_none() {
-            return 0;
-        }
-        self.index_for(intermediate_id).map_or(0, |i| i.version)
     }
 
     /// Whether any index artifact exists for the intermediate (valid loaded
@@ -264,15 +248,14 @@ impl Mistique {
         else {
             return;
         };
-        self.index_persist(intermediate_id, |version| {
-            let idx = builder.finish(intermediate_id, &scheme, n_rows, version);
-            let serialized = idx.to_bytes()?;
-            Ok((idx, serialized))
-        });
+        let idx = builder.finish(intermediate_id, &scheme, n_rows, INDEX_VERSION);
+        if let Ok(serialized) = idx.to_bytes() {
+            self.index_persist(intermediate_id, idx, serialized);
+        }
     }
 
-    /// Give `target` a copy of `source`'s valid index under `target`'s id
-    /// and next version, with nothing decoded: `source`'s file is reissued
+    /// Give `target` a copy of `source`'s valid index under `target`'s id,
+    /// with nothing decoded: `source`'s file is reissued
     /// ([`IntermediateIndex::reissue`]). A layer bound to `source`'s chunks
     /// (DESIGN.md §2 "Logging a shared prefix once") holds the same values,
     /// so this is the file a build over them would write. When `source` has
@@ -288,45 +271,32 @@ impl Mistique {
         else {
             return;
         };
-        self.index_persist(target, |version| {
-            let serialized = IntermediateIndex::reissue(&raw, target, version)?;
-            let copy = IntermediateIndex {
-                intermediate: target.to_string(),
-                version,
-                ..(*idx).clone()
-            };
-            Ok((copy, serialized))
-        });
+        let Ok(serialized) = IntermediateIndex::reissue(&raw, target, INDEX_VERSION) else {
+            return;
+        };
+        let copy = IntermediateIndex {
+            intermediate: target.to_string(),
+            version: INDEX_VERSION,
+            ..(*idx).clone()
+        };
+        self.index_persist(target, copy, serialized);
     }
 
-    /// Write the index `make(version)` returns, with its serialized bytes,
-    /// as `intermediate_id`'s file, `version` one past the last one
-    /// persisted. Best-effort: a failed write forgets what the disk holds
-    /// and lets the next query re-probe.
+    /// Write `idx`, serialized as `serialized`, as `intermediate_id`'s
+    /// file. Best-effort: a failed write forgets what the disk holds and
+    /// lets the next query re-probe.
     fn index_persist(
         &mut self,
         intermediate_id: &str,
-        make: impl FnOnce(u64) -> Result<(IntermediateIndex, Vec<u8>), String>,
+        idx: IntermediateIndex,
+        serialized: Vec<u8>,
     ) {
         let Some(st) = self.index.as_mut() else {
             return;
         };
-        let IndexState { io, versions, .. } = st;
         let file = IndexState::file_name(intermediate_id);
-        let current = *versions
-            .entry(intermediate_id.to_string())
-            .or_insert_with(|| {
-                io.read(&file)
-                    .ok()
-                    .and_then(|b| IntermediateIndex::from_bytes(&b).ok())
-                    .map_or(0, |i| i.version)
-            });
-        let Ok((idx, serialized)) = make(current + 1) else {
-            return;
-        };
         match st.io.write_atomic(&file, &serialized) {
             Ok(()) => {
-                st.versions.insert(intermediate_id.to_string(), current + 1);
                 st.bytes
                     .insert(intermediate_id.to_string(), serialized.len() as u64);
                 st.loaded
@@ -354,8 +324,7 @@ impl Mistique {
     }
 
     /// Drop an intermediate's index: forget it in memory and remove the
-    /// file (best-effort). Future queries fall back to the scan path; the
-    /// version counter survives so a rebuild moves the cache key forward.
+    /// file (best-effort). Future queries fall back to the scan path.
     pub(crate) fn index_drop(&mut self, intermediate_id: &str) {
         let Some(st) = self.index.as_mut() else {
             return;

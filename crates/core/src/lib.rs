@@ -59,7 +59,6 @@ pub mod manager;
 pub mod metadata;
 pub mod persist;
 mod prefix;
-pub mod qcache;
 pub mod reader;
 pub mod replay;
 pub mod report;
@@ -92,6 +91,6 @@ pub use replay::{
     decode_arch, differential_replay, encode_arch, replay_into, DifferentialReport, ReplayOptions,
     ReplayOutcome,
 };
-pub use report::{PlanChoice, QueryReport, ReclaimReport, ReportRing, SeqRing};
+pub use report::{PlanChoice, QueryReport, ReclaimReport, ReportRing};
 pub use system::{Mistique, MistiqueConfig, StorageStrategy};
 pub use telemetry::INTERVAL_CAPTURE;

@@ -210,8 +210,7 @@ impl Mistique {
         }
 
         let elapsed = sp.finish();
-        let mut report = ReclaimReport {
-            seq: 0,
+        let report = ReclaimReport {
             budget_bytes,
             used_before,
             used_after: self.storage_budget_used(),
@@ -224,10 +223,6 @@ impl Mistique {
         self.obs
             .gauge("storage.budget_used")
             .set_u64(report.used_after);
-        // The ring stamps the sequence number; hand the caller the same
-        // seq its report carries in `reclaim_reports()`.
-        report.seq = self.reclaims.push(report.clone());
-
         // Put the pass on the audit record of the operation that ran it:
         // one effect per ladder step, one for the compaction if it moved
         // bytes; then a capture.
@@ -253,16 +248,6 @@ impl Mistique {
             self.reclaim()?;
         }
         Ok(())
-    }
-
-    /// Up to the last `n` reclaim reports, oldest first.
-    pub fn reclaim_reports(&self, n: usize) -> Vec<ReclaimReport> {
-        self.reclaims.recent(n).into_iter().cloned().collect()
-    }
-
-    /// The most recent reclaim report, if any is retained.
-    pub fn last_reclaim(&self) -> Option<&ReclaimReport> {
-        self.reclaims.last()
     }
 
     /// The materialized intermediate with the lowest γ (Eq 5) at the
@@ -353,7 +338,6 @@ impl Mistique {
             .collect();
         let encoded = DataFrame::from_columns(encoded);
 
-        self.qcache.invalidate(intermediate_id);
         let policy = PlacementPolicy::ByIntermediate;
         let bytes = self.store_frame(intermediate_id, &encoded, 0, policy, true)?;
 
@@ -389,10 +373,6 @@ impl Mistique {
     fn reencode_delta(&mut self, intermediate_id: &str) -> Result<u64, MistiqueError> {
         let meta = self.meta.intermediate(intermediate_id).unwrap().clone();
         let mut sp = mistique_obs::span!(self.obs, "reclaim.delta", interm = intermediate_id);
-        // Cached query results hold decoded values; they stay correct, but
-        // invalidating keeps the cache's byte accounting honest with the
-        // relocated chunks.
-        self.qcache.invalidate(intermediate_id);
         let blocks = meta.n_rows.div_ceil(self.config.row_block_size).max(1);
         let mut bytes = 0u64;
         for column in &meta.columns {
@@ -428,7 +408,6 @@ impl Mistique {
             return Ok(0);
         }
         let mut sp = mistique_obs::span!(self.obs, "reclaim.purge", interm = intermediate_id);
-        self.qcache.invalidate(intermediate_id);
         let outcome = self.store.retract_intermediate(intermediate_id);
         let m = self.meta.intermediate_mut(intermediate_id).unwrap();
         m.materialized = false;

@@ -19,7 +19,6 @@ use crate::capture::{decode_column, CaptureScheme, ValueScheme};
 use crate::error::MistiqueError;
 use crate::index_state::IndexPruning;
 use crate::metadata::IntermediateMeta;
-use crate::qcache::CacheKey;
 use crate::report::{PlanChoice, QueryReport};
 use crate::system::{Mistique, StorageStrategy};
 
@@ -30,8 +29,6 @@ pub enum FetchStrategy {
     Read,
     /// The model was re-run.
     Rerun,
-    /// Served from the session query cache (see [`crate::qcache`]).
-    Cached,
 }
 
 impl FetchStrategy {
@@ -41,14 +38,12 @@ impl FetchStrategy {
         match self {
             FetchStrategy::Read => "read",
             FetchStrategy::Rerun => "rerun",
-            FetchStrategy::Cached => "cached",
         }
     }
 }
 
 /// The result of fetching an intermediate. The timing and both predictions
-/// are the numbers of the fetch's [`QueryReport`], on every plan (a cached
-/// hit carries the predictions that would have applied).
+/// are the numbers of the fetch's [`QueryReport`], on every plan.
 #[derive(Debug)]
 pub struct FetchResult {
     /// The fetched data, one f64-convertible column per requested column.
@@ -65,8 +60,8 @@ pub struct FetchResult {
 
 /// What [`Mistique::plan`] resolves for one fetch: the clamped row count,
 /// both cost-model predictions (Eq 2–4) and the decision they imply. It
-/// borrows nothing, so the arms that never touch stored chunks (cached,
-/// list-served top-k) never clone metadata.
+/// borrows nothing, so an arm that never touches stored chunks (list-served
+/// top-k) never clones metadata.
 #[derive(Clone, Copy)]
 struct FetchPlan {
     /// Rows the fetch is priced at: the request clamped to `n_rows`.
@@ -83,11 +78,9 @@ struct FetchPlan {
     scheme: CaptureScheme,
 }
 
-/// The six ways a planned fetch is served.
+/// The five ways a planned fetch is served.
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
-    /// The session query cache held the frame.
-    Cached,
     /// Stored chunks of rows `[0, n)`.
     Read,
     /// The model re-run (possibly materializing the result).
@@ -105,7 +98,6 @@ impl Arm {
     /// report names.
     fn spec(self) -> (&'static str, &'static str, PlanChoice) {
         match self {
-            Arm::Cached => ("fetch.cached", "n_ex", PlanChoice::Cached),
             Arm::Read => ("fetch.read", "n_ex", PlanChoice::Read),
             Arm::Rerun => ("fetch.rerun", "n_ex", PlanChoice::Rerun),
             Arm::Rows => ("fetch.rows", "rows", PlanChoice::Read),
@@ -132,25 +124,12 @@ impl Mistique {
         let args = || fetch_args(intermediate_id, columns, n_ex, &[]);
         self.audited("fetch.get", args, |sys| {
             let plan = sys.plan(intermediate_id, columns, n_ex)?;
-            // Session query cache: serve repeated identical fetches
-            // directly. The key carries the clamped row count (the same one
-            // the cost model and fetch use), so `None`, `Some(n_rows)`, and
-            // oversized requests — which all return the identical frame —
-            // share a single entry.
-            let index_version = sys.index_version(intermediate_id);
-            let cache_key = CacheKey::new(intermediate_id, columns, Some(plan.n), index_version);
-            if let Some(frame) = sys.qcache.get(&cache_key) {
-                let hit = |_: &mut Mistique| Ok((frame, plan.n, None));
-                return sys.serve(intermediate_id, &plan, Arm::Cached, plan.n, hit);
-            }
             let arm = if plan.prefers_read {
                 Arm::Read
             } else {
                 Arm::Rerun
             };
-            let result = sys.read_or_rerun(intermediate_id, columns, &plan, arm)?;
-            sys.qcache.insert(cache_key, &result.frame);
-            Ok(result)
+            sys.read_or_rerun(intermediate_id, columns, &plan, arm)
         })
     }
 
@@ -175,11 +154,6 @@ impl Mistique {
                     )))
                 }
                 FetchStrategy::Rerun => Arm::Rerun,
-                FetchStrategy::Cached => {
-                    return Err(MistiqueError::Invalid(
-                        "Cached is not a forcible strategy; use get_intermediate".into(),
-                    ))
-                }
             };
             sys.read_or_rerun(intermediate_id, columns, &plan, arm)
         })
@@ -420,9 +394,8 @@ impl Mistique {
         work: impl FnOnce(&mut Mistique) -> Result<Served, MistiqueError>,
     ) -> Result<FetchResult, MistiqueError> {
         let (span_name, size_key, choice) = arm.spec();
-        // A cached hit and a list-served top-k never reach the store.
-        let store_before =
-            (!matches!(arm, Arm::Cached | Arm::IndexedTopk)).then(|| self.store.read_attribution());
+        // A list-served top-k never reaches the store.
+        let store_before = (arm != Arm::IndexedTopk).then(|| self.store.read_attribution());
         let mut span = self.obs.span(span_name);
         span.attr("interm", intermediate_id).attr(size_key, size);
         let (frame, served, pruning) = work(self)?;
@@ -435,12 +408,10 @@ impl Mistique {
         // Only Read and Rerun execute what `plan` priced — `n` rows read, or
         // the model re-run — so only they are scored against their
         // prediction (decision.*, bandwidth calibration, drift). Rows and
-        // the indexed arms read a block subset and a cached hit reads
-        // nothing: folding them in would skew the calibration the planner's
-        // next choice rests on.
+        // the indexed arms read a block subset: folding them in would skew
+        // the calibration the planner's next choice rests on.
         let mut drift = None;
         match arm {
-            Arm::Cached => self.obs.counter("decision.cached.count").inc(),
             Arm::Read | Arm::Rerun => {
                 let decision = choice.name();
                 let predicted = if arm == Arm::Read {
@@ -498,7 +469,6 @@ impl Mistique {
             predicted_rerun_s: plan.predicted_rerun,
             actual,
             n_ex: served,
-            cache_hit: arm == Arm::Cached,
             attribution,
             scheme: scheme.name(),
             error_bound: scheme.value.error_bound(),
@@ -511,7 +481,6 @@ impl Mistique {
         Ok(FetchResult {
             frame,
             strategy: match choice {
-                PlanChoice::Cached => FetchStrategy::Cached,
                 PlanChoice::Rerun => FetchStrategy::Rerun,
                 PlanChoice::Read | PlanChoice::IndexedRead => FetchStrategy::Read,
             },
@@ -705,7 +674,6 @@ impl Mistique {
                 self.obs.gauge("adaptive.last_gamma").set(gamma);
                 if gamma >= gamma_min {
                     self.obs.counter("adaptive.materializations").inc();
-                    self.qcache.invalidate(&meta.id);
                     let (policy, dedup) = self.placement_of(kind);
                     let stored = self.store_frame(&meta.id, &frame, 0, policy, dedup)?;
                     let m = self

@@ -345,7 +345,6 @@ fn replay_one(
             let strategy = match arg(rec, "strategy")? {
                 "read" => FetchStrategy::Read,
                 "rerun" => FetchStrategy::Rerun,
-                "cached" => FetchStrategy::Cached,
                 s => {
                     return Err(MistiqueError::Invalid(format!("unknown strategy {s:?}")));
                 }

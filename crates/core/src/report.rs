@@ -1,9 +1,8 @@
 //! Per-query EXPLAIN reports: every diagnostic fetch records what the cost
 //! model predicted, which plan the planner chose, and where the time and
 //! bytes actually went — the per-query counterpart of the aggregate
-//! counters in `mistique-obs`. The same bounded-ring machinery retains
-//! [`ReclaimReport`]s, the storage-manager counterpart produced by every
-//! `Mistique::reclaim` pass.
+//! counters in `mistique-obs` — and the [`ReclaimReport`] every
+//! `Mistique::reclaim` pass returns, its storage-manager counterpart.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -19,8 +18,6 @@ pub enum PlanChoice {
     Read,
     /// The model was re-run (Eq 2/3 won, or reading was impossible).
     Rerun,
-    /// The session query cache served the result outright.
-    Cached,
     /// A secondary index served the query: top-k from the max-activation
     /// list, or a threshold scan restricted to the RowBlocks the zone maps
     /// could not prove empty (see [`crate::index_state`]). Always
@@ -29,13 +26,12 @@ pub enum PlanChoice {
 }
 
 impl PlanChoice {
-    /// Lower-case plan name (`read` / `rerun` / `cached` / `indexed_read`),
+    /// Lower-case plan name (`read` / `rerun` / `indexed_read`),
     /// also used as the drift-monitor query class.
     pub fn name(&self) -> &'static str {
         match self {
             PlanChoice::Read => "read",
             PlanChoice::Rerun => "rerun",
-            PlanChoice::Cached => "cached",
             PlanChoice::IndexedRead => "indexed_read",
         }
     }
@@ -64,8 +60,6 @@ pub struct QueryReport {
     pub actual: Duration,
     /// Rows served.
     pub n_ex: usize,
-    /// Whether the session query cache served the fetch.
-    pub cache_hit: bool,
     /// DataStore activity attributed to this fetch (already diffed: just
     /// this query's gets/bytes/partitions/codec breakdown).
     pub attribution: ReadAttribution,
@@ -80,8 +74,8 @@ pub struct QueryReport {
     /// `Mistique::render_trace` for this query's tree.
     pub trace_id: u64,
     /// Smoothed predicted/actual ratio of this query's class after folding
-    /// this observation in (`None` when the fetch was not drift-monitored,
-    /// e.g. cache hits).
+    /// this observation in (`None` when the fetch was not drift-monitored:
+    /// row and indexed reads).
     pub drift_ratio: Option<f64>,
     /// Whether the drift monitor considered the class miscalibrated at this
     /// query.
@@ -111,10 +105,9 @@ impl QueryReport {
         );
         let _ = writeln!(
             out,
-            "  actual   : {}  rows={}  cache_hit={}",
+            "  actual   : {}  rows={}",
             fmt_secs(self.actual.as_secs_f64()),
-            self.n_ex,
-            self.cache_hit
+            self.n_ex
         );
         if let Some(p) = &self.pruning {
             let _ = writeln!(
@@ -171,12 +164,10 @@ impl QueryReport {
 
 /// The record of one storage-reclamation pass (`Mistique::reclaim`): which
 /// intermediates were demoted or purged to get back under the byte budget,
-/// and what partition compaction physically recovered. Retained in its own
-/// bounded ring next to the query reports.
+/// and what partition compaction physically recovered. Its ladder steps and
+/// compaction are also persisted as effects on the pass's audit record.
 #[derive(Clone, Debug)]
 pub struct ReclaimReport {
-    /// Monotone sequence number within the session.
-    pub seq: u64,
     /// Budget the pass enforced (0 = unlimited: demotion loop skipped,
     /// compaction still runs).
     pub budget_bytes: u64,
@@ -215,8 +206,7 @@ impl ReclaimReport {
         };
         let _ = writeln!(
             out,
-            "reclaim #{}: budget {budget}, used {} B -> {} B ({})",
-            self.seq,
+            "reclaim: budget {budget}, used {} B -> {} B ({})",
             self.used_before,
             self.used_after,
             if self.within_budget() {
@@ -261,45 +251,24 @@ impl ReclaimReport {
     }
 }
 
-/// How many [`QueryReport`]s / [`ReclaimReport`]s a session retains.
+/// How many [`QueryReport`]s a session retains.
 pub const REPORT_RETENTION: usize = 64;
 
-/// A report type that carries a session-monotone sequence number the ring
-/// stamps at push time.
-pub trait Stamped {
-    /// Overwrite the report's sequence number.
-    fn set_seq(&mut self, seq: u64);
-}
-
-impl Stamped for QueryReport {
-    fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
-    }
-}
-
-impl Stamped for ReclaimReport {
-    fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
-    }
-}
-
-/// Bounded ring of recent reports, oldest first. Every pushed report gets
-/// the next sequence number even when retention is disabled.
+/// Bounded ring of recent per-query EXPLAIN reports, oldest first. Every
+/// pushed report gets the next sequence number even when retention is
+/// disabled.
 #[derive(Debug)]
-pub struct SeqRing<T> {
-    ring: VecDeque<T>,
+pub struct ReportRing {
+    ring: VecDeque<QueryReport>,
     capacity: usize,
     next_seq: u64,
 }
 
-/// The ring of per-query EXPLAIN reports.
-pub type ReportRing = SeqRing<QueryReport>;
-
-impl<T: Stamped> SeqRing<T> {
+impl ReportRing {
     /// A ring retaining up to `capacity` reports (0 disables retention;
     /// sequence numbers still advance).
-    pub fn new(capacity: usize) -> SeqRing<T> {
-        SeqRing {
+    pub fn new(capacity: usize) -> ReportRing {
+        ReportRing {
             ring: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
             next_seq: 0,
@@ -308,10 +277,10 @@ impl<T: Stamped> SeqRing<T> {
 
     /// Stamp the report with the next sequence number and retain it.
     /// Returns the assigned sequence number.
-    pub(crate) fn push(&mut self, mut report: T) -> u64 {
+    pub(crate) fn push(&mut self, mut report: QueryReport) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        report.set_seq(seq);
+        report.seq = seq;
         if self.capacity == 0 {
             return seq;
         }
@@ -323,12 +292,12 @@ impl<T: Stamped> SeqRing<T> {
     }
 
     /// The most recent report.
-    pub fn last(&self) -> Option<&T> {
+    pub fn last(&self) -> Option<&QueryReport> {
         self.ring.back()
     }
 
     /// Up to the last `n` reports, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<&T> {
+    pub fn recent(&self, n: usize) -> Vec<&QueryReport> {
         let skip = self.ring.len().saturating_sub(n);
         self.ring.iter().skip(skip).collect()
     }
@@ -363,7 +332,6 @@ mod tests {
             predicted_rerun_s: 0.4,
             actual: Duration::from_micros(1800),
             n_ex: 5000,
-            cache_hit: false,
             attribution: ReadAttribution {
                 gets: 11,
                 bytes: 88_200,
@@ -418,7 +386,6 @@ mod tests {
     #[test]
     fn reclaim_report_renders_ladder_and_compaction() {
         let r = ReclaimReport {
-            seq: 3,
             budget_bytes: 4096,
             used_before: 10_000,
             used_after: 3_500,
@@ -453,7 +420,7 @@ mod tests {
         };
         assert!(r.within_budget());
         let text = r.render();
-        assert!(text.contains("reclaim #3"));
+        assert!(text.starts_with("reclaim: budget 4096 B"));
         assert!(text.contains("within budget"));
         assert!(text.contains("demote"));
         assert!(text.contains("FULL -> LP_QT"));
@@ -461,27 +428,6 @@ mod tests {
         assert!(text.contains("PURGED"));
         assert!(text.contains("2 rewritten, 1 removed"));
         assert!(text.contains("trace    : 99"));
-    }
-
-    #[test]
-    fn reclaim_reports_share_the_ring_machinery() {
-        let mut ring: SeqRing<ReclaimReport> = SeqRing::new(2);
-        for _ in 0..3 {
-            ring.push(ReclaimReport {
-                seq: 0,
-                budget_bytes: 0,
-                used_before: 1,
-                used_after: 1,
-                demotions: vec![],
-                purged: vec![],
-                compaction: None,
-                elapsed: Duration::ZERO,
-                trace_id: 0,
-            });
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.last().unwrap().seq, 2);
-        assert!(ring.last().unwrap().within_budget());
     }
 
     #[test]

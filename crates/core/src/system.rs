@@ -51,9 +51,6 @@ pub struct MistiqueConfig {
     pub dnn_capture: CaptureScheme,
     /// DataStore tuning.
     pub datastore: DataStoreConfig,
-    /// Byte budget of the session query cache (0 = disabled, the default —
-    /// a Sec 10 future-work extension; see [`crate::qcache`]).
-    pub query_cache_bytes: usize,
     /// Worker threads for the stored-chunk read path (`read_stored` /
     /// `get_rows`): partitions are fetched from disk and `(column, block)`
     /// chunks decoded concurrently. `1` (the default) keeps the read path
@@ -111,7 +108,6 @@ impl Default for MistiqueConfig {
             storage: StorageStrategy::Dedup,
             dnn_capture: CaptureScheme::pool2(),
             datastore: DataStoreConfig::default(),
-            query_cache_bytes: 0,
             read_parallelism: 1,
             min_read_bytes_per_worker: 256 * 1024,
             storage_budget_bytes: 0,
@@ -129,7 +125,7 @@ impl MistiqueConfig {
     pub fn fingerprint(&self) -> String {
         let ds = &self.datastore;
         format!(
-            "rb={} storage={} capture={} policy={} mem={} part={} minhash={} bands={} bin={} qcache={} rpar={} minrb={} budget={} topm={} delta={} dtau={}",
+            "rb={} storage={} capture={} policy={} mem={} part={} minhash={} bands={} bin={} rpar={} minrb={} budget={} topm={} delta={} dtau={}",
             self.row_block_size,
             format!("{:?}", self.storage).replace(' ', ""),
             self.dnn_capture.name(),
@@ -139,7 +135,6 @@ impl MistiqueConfig {
             ds.minhash_hashes,
             ds.lsh_bands,
             ds.discretize_bin,
-            self.query_cache_bytes,
             self.read_parallelism,
             self.min_read_bytes_per_worker,
             self.storage_budget_bytes,
@@ -169,8 +164,6 @@ pub struct Mistique {
     pub(crate) log_time: HashMap<String, Duration>,
     /// The storage half of `log_time`: chunking + DataStore writes.
     pub(crate) store_time: HashMap<String, Duration>,
-    /// Session query cache.
-    pub(crate) qcache: crate::qcache::QueryCache,
     /// Shared observability handle (metrics registry + span tracer).
     pub(crate) obs: Obs,
     /// Storage backend every on-disk mutation goes through (real filesystem
@@ -180,8 +173,6 @@ pub struct Mistique {
     pub(crate) last_recovery: Option<RecoveryReport>,
     /// Ring of per-query EXPLAIN reports (`mistique explain`).
     pub(crate) reports: crate::report::ReportRing,
-    /// Ring of storage-reclamation reports (`mistique reclaim`).
-    pub(crate) reclaims: crate::report::SeqRing<crate::report::ReclaimReport>,
     /// EWMA monitor of cost-model prediction quality per query class.
     pub(crate) drift: crate::cost::DriftMonitor,
     /// Label of the diagnostic query currently executing, if any — set by
@@ -218,10 +209,7 @@ impl Mistique {
         let mut store =
             DataStore::open_with_backend(&dir, config.datastore.clone(), Arc::clone(&backend))?;
         store.set_obs(&obs);
-        let mut qcache = crate::qcache::QueryCache::new(config.query_cache_bytes);
-        qcache.attach_obs(&obs);
         let reports = crate::report::ReportRing::new(crate::report::REPORT_RETENTION);
-        let reclaims = crate::report::SeqRing::new(crate::report::REPORT_RETENTION);
         let drift = crate::cost::DriftMonitor::default();
         let telemetry = crate::telemetry::TelemetryState::create(&config, &backend, dir.as_ref());
         let index = crate::index_state::IndexState::create(&config, &backend, dir.as_ref(), &obs);
@@ -235,12 +223,10 @@ impl Mistique {
             sources: HashMap::new(),
             log_time: HashMap::new(),
             store_time: HashMap::new(),
-            qcache,
             obs,
             backend,
             last_recovery: None,
             reports,
-            reclaims,
             drift,
             query_label: None,
             telemetry,
@@ -372,11 +358,6 @@ impl Mistique {
     /// serial and parallel reads over the same stored data.
     pub fn set_read_parallelism(&mut self, n: usize) {
         self.config.read_parallelism = n;
-    }
-
-    /// Access the session query cache (hit/miss counters).
-    pub fn query_cache(&self) -> &crate::qcache::QueryCache {
-        &self.qcache
     }
 
     /// The system's observability handle. Clone it to record your own

@@ -102,6 +102,19 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# Every fetch is served by a plan the cost model priced (DESIGN.md §10,
+# §12): read, re-run, rows or indexed. A frame cache in front of the
+# planner — the removed session query cache — serves a plan nobody
+# priced. Non-test code only, as above.
+echo "== every fetch is a priced plan =="
+sites=$(find crates -name '*.rs' | sort | non_test_lines |
+  grep -E 'QueryCache|qcache|query_cache|PlanChoice::Cached|FetchStrategy::Cached' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: a query cache is back — serve the fetch from a priced plan:"
+  echo "$sites"
+  exit 1
+fi
+
 # Diagnostics cost what their arithmetic costs (DESIGN.md §18): a fetched
 # frame is read in place — one cell (`f64_at`) or one column at a time
 # (`f64_view` into a reused scratch) — never copied whole into f64 vectors;

@@ -54,7 +54,7 @@ fn every_diagnostic_query_yields_a_labeled_report() {
     assert_eq!(r.intermediate, preds);
     assert!(
         r.plan == PlanChoice::Read || r.plan == PlanChoice::Rerun,
-        "first fetch is never served by the query cache"
+        "a scan-served top-k is planned as read or rerun"
     );
     assert!(r.predicted_read_s > 0.0, "Eq 4 prediction recorded");
     assert!(r.predicted_rerun_s > 0.0, "Eq 2/3 prediction recorded");
@@ -94,7 +94,7 @@ struct Outcome {
     counter: Option<&'static str>,
 }
 
-/// Every plan outcome — cached, read, rerun, rows, indexed top-k, indexed
+/// Every plan outcome — read, rerun, rows, indexed top-k, indexed
 /// threshold, and a nested diagnostic — leaves exactly the same trail: one
 /// report under the outermost label, one counted query, one SLO sample, its
 /// own counter, one audit record naming the plan, and a `FetchResult` whose
@@ -104,7 +104,6 @@ fn every_plan_outcome_goes_through_the_shared_epilogue() {
     let (_d, mut sys, id) = explain_system(MistiqueConfig {
         row_block_size: 40,
         storage: StorageStrategy::Dedup,
-        query_cache_bytes: 16 << 20,
         ..MistiqueConfig::default()
     });
     // The planner always prefers Read, so the indexed gates are open.
@@ -118,13 +117,6 @@ fn every_plan_outcome_goes_through_the_shared_epilogue() {
             query: "fetch",
             plan: PlanChoice::Read,
             counter: Some("decision.read.count"),
-        },
-        Outcome {
-            run: |s, i| Some(s.get_intermediate(i, None, None).unwrap()),
-            op: "fetch.get",
-            query: "fetch",
-            plan: PlanChoice::Cached,
-            counter: Some("decision.cached.count"),
         },
         Outcome {
             run: |s, i| {
@@ -163,8 +155,8 @@ fn every_plan_outcome_goes_through_the_shared_epilogue() {
             run: |s, i| s.confusion_matrix(i, &[0; 150], 1).map(|_| None).unwrap(),
             op: "diag.confusion_matrix",
             query: "diag.confusion_matrix",
-            plan: PlanChoice::Cached,
-            counter: Some("decision.cached.count"),
+            plan: PlanChoice::Read,
+            counter: Some("decision.read.count"),
         },
     ];
 
@@ -191,7 +183,6 @@ fn every_plan_outcome_goes_through_the_shared_epilogue() {
         assert_eq!(r.query, o.query, "{ctx}: outermost label");
         assert_eq!(r.plan, o.plan, "{ctx}");
         assert_eq!(r.intermediate, preds, "{ctx}");
-        assert_eq!(r.cache_hit, o.plan == PlanChoice::Cached, "{ctx}");
         let scored = matches!(
             o.counter,
             Some("decision.read.count" | "decision.rerun.count")
@@ -241,22 +232,37 @@ fn every_plan_outcome_goes_through_the_shared_epilogue() {
     }
 }
 
+/// `None`, `Some(n_rows)` and an oversized `Some(n)` all denote the full
+/// frame: the planner clamps the row count before pricing, so the three
+/// spellings get the same plan, row count and frame. A strict prefix is a
+/// different request.
 #[test]
-fn cached_fetches_report_the_cached_plan() {
-    let (_d, mut sys, id) = explain_system(MistiqueConfig {
-        query_cache_bytes: 16 << 20,
-        ..small_blocks()
-    });
+fn full_frame_requests_agree_regardless_of_n_spelling() {
+    let (_d, mut sys, id) = explain_system(small_blocks());
+    sys.cost_model_mut().read_bandwidth = 1e18;
     let preds = sys.intermediates_of(&id).last().unwrap().clone();
-    sys.topk(&preds, "pred", 5).unwrap();
-    sys.topk(&preds, "pred", 5).unwrap();
-    let r = sys.last_report().unwrap();
-    assert_eq!(r.plan, PlanChoice::Cached);
-    assert!(r.cache_hit);
-    assert_eq!(r.query, "diag.topk");
-    // Even cached hits carry the cost-model predictions for the audit trail.
-    assert!(r.predicted_read_s > 0.0);
-    assert!(r.predicted_rerun_s > 0.0);
+    let n_rows = sys.metadata().intermediate(&preds).unwrap().n_rows;
+
+    let mut fetch = |n_ex| {
+        let f = sys.get_intermediate(&preds, None, n_ex).unwrap();
+        let r = sys.last_report().unwrap().clone();
+        (f, r)
+    };
+    let (first, _) = fetch(None);
+    assert_eq!(first.strategy, FetchStrategy::Read);
+    assert_eq!(first.frame.n_rows(), n_rows);
+    for n_ex in [Some(n_rows), Some(n_rows * 10)] {
+        let (f, r) = fetch(n_ex);
+        assert_eq!(f.frame, first.frame, "{n_ex:?}");
+        assert_eq!(f.strategy, first.strategy, "{n_ex:?}");
+        assert_eq!(
+            r.n_ex, n_rows,
+            "{n_ex:?}: the report shows the clamped count"
+        );
+    }
+    let (small, small_r) = fetch(Some(10));
+    assert_eq!(small.frame.n_rows(), 10);
+    assert_eq!(small_r.n_ex, 10);
 }
 
 #[test]
@@ -313,7 +319,7 @@ fn indexed_topk_reports_the_indexed_plan() {
         "render must surface the pruning:\n{}",
         r.render()
     );
-    // Repeat top-k stays on the index: it bypasses the query cache entirely.
+    // A repeat top-k is served from the index again.
     sys.topk(&preds, "pred", 5).unwrap();
     assert_eq!(sys.last_report().unwrap().plan, PlanChoice::IndexedRead);
 }

@@ -205,3 +205,58 @@ fn garbage_index_files_degrade_to_scans_with_identical_answers() {
     );
     sys.store().check_invariants().unwrap();
 }
+
+/// The index directory is read only by queries that use an index: logging
+/// writes each intermediate's file without reading an old one back, a plain
+/// fetch never loads an index, and after a reopen the first top-k loads its
+/// intermediate's file exactly once.
+#[test]
+fn index_directory_is_read_only_by_indexed_queries() {
+    let data = Arc::new(ZillowData::generate(80, 1));
+    let fs = FaultyFs::new();
+    let index_reads_since = |start: usize| {
+        fs.op_trace()[start..]
+            .iter()
+            .filter(|(op, path)| *op == "read_file" && path.to_string_lossy().contains("/index/"))
+            .count()
+    };
+
+    let mut sys = open_sys(&fs);
+    let id = sys
+        .register_trad(zillow_pipelines().remove(0), Arc::clone(&data))
+        .unwrap();
+    let start = fs.op_trace().len();
+    sys.log_intermediates(&id).unwrap();
+    assert_eq!(
+        index_reads_since(start),
+        0,
+        "logging read the index directory"
+    );
+    assert!(
+        fs.op_trace()[start..]
+            .iter()
+            .any(|(op, path)| *op == "write_file" && path.to_string_lossy().contains("/index/")),
+        "logging must write index files for the check to mean anything"
+    );
+    let interm = sys.intermediates_of(&id).last().unwrap().clone();
+    let col = sys.metadata().intermediate(&interm).unwrap().columns[0].clone();
+    sys.persist().unwrap();
+    drop(sys);
+
+    let mut sys =
+        Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
+    sys.cost_model_mut().read_bandwidth = 1e18;
+    let start = fs.op_trace().len();
+    let fetched = sys.get_intermediate(&interm, None, None).unwrap();
+    assert_eq!(fetched.strategy, FetchStrategy::Read);
+    assert_eq!(index_reads_since(start), 0, "a plain fetch loaded an index");
+
+    let start = fs.op_trace().len();
+    sys.topk(&interm, &col, 5).unwrap();
+    assert_eq!(sys.last_report().unwrap().plan, PlanChoice::IndexedRead);
+    assert_eq!(
+        index_reads_since(start),
+        1,
+        "the first indexed query loads its index once"
+    );
+}

@@ -4,8 +4,8 @@
 //! The inventory is the contract between the code and the docs: this test
 //! parses the `### Metric inventory` list out of DESIGN.md (brace groups
 //! expanded, a `<placeholder>` treated as a wildcard), runs a workload that
-//! walks every subsystem — logging, dedup, sealing, reads, reruns, the
-//! query cache, adaptive materialization, reclaim, persist/reopen recovery,
+//! walks every subsystem — logging, dedup, sealing, reads, reruns,
+//! adaptive materialization, reclaim, persist/reopen recovery,
 //! the flight recorder — and asserts each non-`rare` name shows up in the
 //! merged snapshots with the documented instrument kind. A metric that is
 //! renamed, dropped, or never exercised fails here before it silently
@@ -126,13 +126,12 @@ fn run_mixed_workload() -> Vec<Snapshot> {
     let mut snaps = Vec::new();
     let data = Arc::new(ZillowData::generate(300, 1));
 
-    // --- TRAD, dedup, query cache, persist/reopen -------------------------
+    // --- TRAD, dedup, persist/reopen ---------------------------------------
     let dir = mistique_testkit::tempdir().unwrap();
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
             storage: StorageStrategy::Dedup,
-            query_cache_bytes: 1 << 20,
             ..MistiqueConfig::default()
         },
     )
@@ -148,8 +147,7 @@ fn run_mixed_workload() -> Vec<Snapshot> {
     sys.flush().unwrap();
     let preds = sys.intermediates_of(&ids[0]).last().unwrap().clone();
     // Forced read + forced rerun register both decision paths and the
-    // per-codec read attribution; a repeated cost-model fetch hits the
-    // query cache and registers `decision.cached.*`.
+    // per-codec read attribution; then two cost-model fetches.
     sys.fetch_with_strategy(&preds, None, None, FetchStrategy::Read)
         .unwrap();
     sys.fetch_with_strategy(&preds, None, None, FetchStrategy::Rerun)

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use mistique_core::{AuditEffect, FetchStrategy, Mistique, MistiqueConfig};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
+use mistique_store::DataStoreConfig;
 
 fn telemetry_dir_bytes(dir: &Path) -> u64 {
     let tdir = dir.join("telemetry");
@@ -145,7 +146,7 @@ fn lifecycle_replays_series_with_correlated_events() {
 }
 
 /// The counters that replaced the query-path events — drift flags,
-/// query-cache evictions, SLO burns — reach disk in the next capture's
+/// read-cache evictions, SLO burns — reach disk in the next capture's
 /// point, at the values the registry holds.
 #[test]
 fn drift_evictions_and_slo_burns_land_in_timeline_points() {
@@ -154,8 +155,12 @@ fn drift_evictions_and_slo_burns_land_in_timeline_points() {
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
-            // Room for a few small frames: distinct fetches evict.
-            query_cache_bytes: 4 << 10,
+            // Room for a few small partitions: reads of distinct
+            // intermediates evict from the read cache.
+            datastore: DataStoreConfig {
+                mem_capacity: 16 << 10,
+                ..DataStoreConfig::default()
+            },
             ..MistiqueConfig::default()
         },
     )
@@ -182,7 +187,11 @@ fn drift_evictions_and_slo_burns_land_in_timeline_points() {
     let snap = sys.obs_snapshot();
     let tl = sys.timeline().unwrap();
     let last = |metric: &str| tl.series(metric).last().map(|s| s.2);
-    for counter in ["cost_model.drift_flags", "qcache.evictions", "slo.burns"] {
+    for counter in [
+        "cost_model.drift_flags",
+        "store.read_cache.evictions",
+        "slo.burns",
+    ] {
         let registry = snap.counter(counter);
         assert!(registry > 0, "{counter} never moved");
         assert_eq!(last(counter), Some(registry as f64), "{counter}");
