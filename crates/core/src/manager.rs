@@ -10,6 +10,9 @@
 //! FULL → LP_QT → 8BIT_QT → THRESHOLD_QT → DELTA → purged
 //! ```
 //!
+//! A frame with a finite value past ±65504 would read back ±inf as binary16,
+//! so its FULL step skips LP_QT and lands on 8BIT_QT.
+//!
 //! Each demotion re-encodes the stored values under the cheaper scheme and
 //! overwrites the same chunk keys (the displaced bytes become dead chunks in
 //! their partitions). The DELTA rung keeps the THRESHOLD_QT scheme but asks
@@ -153,7 +156,7 @@ impl Mistique {
                 let before = self.meta.intermediate(&victim).unwrap().clone();
                 match next_demotion(before.scheme.value) {
                     Some(next) => {
-                        let bytes_after = self.demote_to(&victim, next)?;
+                        let (bytes_after, next) = self.demote_to(&victim, next)?;
                         self.obs.counter("adaptive.demotions").inc();
                         demotions.push(DemotionRecord {
                             intermediate: victim,
@@ -272,8 +275,9 @@ impl Mistique {
         best
     }
 
-    /// Demote a materialized intermediate one rung down the ladder. Returns
-    /// the scheme it now uses, or `None` when it is already on the last rung
+    /// Demote a materialized intermediate one rung down the ladder, past
+    /// LP_QT to 8BIT_QT when a value lies outside the f16 range. Returns the
+    /// scheme it now uses, or `None` when it is already on the last rung
     /// (use [`Mistique::purge_intermediate`] for the final step).
     pub fn demote_one_step(
         &mut self,
@@ -290,9 +294,9 @@ impl Mistique {
         }
         match next_demotion(meta.scheme.value) {
             Some(next) => {
-                self.demote_to(intermediate_id, next)?;
+                let (_, used) = self.demote_to(intermediate_id, next)?;
                 self.obs.counter("adaptive.demotions").inc();
-                Ok(Some(next))
+                Ok(Some(used))
             }
             None => Ok(None),
         }
@@ -300,19 +304,20 @@ impl Mistique {
 
     /// Re-encode a materialized intermediate under `next` and overwrite its
     /// chunks in place (same keys, so the displaced bytes become dead chunks
-    /// for compaction). Returns the new stored byte count.
+    /// for compaction). A frame with a finite value outside the f16 range
+    /// would read back ±inf under LP_QT, so it takes the 8-bit rung instead.
+    /// Returns the new stored byte count and the scheme used.
     fn demote_to(
         &mut self,
         intermediate_id: &str,
         next: ValueScheme,
-    ) -> Result<u64, MistiqueError> {
+    ) -> Result<(u64, ValueScheme), MistiqueError> {
         let meta = self.meta.intermediate(intermediate_id).unwrap().clone();
         // Decide *before* the metadata changes whether the index follows the
         // intermediate down the ladder: a rebuild only happens if an index
         // existed, so a reclaim pass that shed it is not undone here.
         let had_index = self.index_exists(intermediate_id);
         let mut sp = mistique_obs::span!(self.obs, "reclaim.demote", interm = intermediate_id);
-        sp.attr("to", next.name());
 
         // Decode the currently stored representation (dequantizing through
         // the current scheme), then re-encode column by column so the
@@ -326,6 +331,17 @@ impl Mistique {
                 (c.name.clone(), vals)
             })
             .collect();
+        let f16_max = mistique_quantize::f16::MAX.to_f32();
+        let past_f16 = || {
+            cols.iter()
+                .flat_map(|(_, vals)| vals)
+                .any(|v| v.is_finite() && v.abs() > f16_max)
+        };
+        let next = match next {
+            ValueScheme::Lp if past_f16() => ValueScheme::Kbit { bits: 8 },
+            other => other,
+        };
+        sp.attr("to", next.name());
 
         // Schemes with fitted state share one fit across all columns, like
         // the capture path.
@@ -362,7 +378,7 @@ impl Mistique {
             self.index_finish_build(intermediate_id);
         }
         sp.finish();
-        Ok(bytes)
+        Ok((bytes, next))
     }
 
     /// Re-encode every chunk of an intermediate as a base+delta frame where

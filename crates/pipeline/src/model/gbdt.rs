@@ -7,7 +7,7 @@
 
 use mistique_rng::Rng;
 
-use super::tree::{RegressionTree, TreeParams};
+use super::tree::{Presorted, RegressionTree, TreeParams};
 use super::Regressor;
 
 /// Boosting hyper-parameters.
@@ -62,36 +62,30 @@ impl Gbdt {
         let mut trees = Vec::with_capacity(params.n_rounds);
         let mut rng = Rng::seed(params.seed);
 
+        // Without bagging every round fits on `x` itself: sort it once.
+        let presorted = (params.bagging_fraction == 1.0).then(|| Presorted::new(x, n_features, n));
+
         for round in 0..params.n_rounds {
             // Squared-loss negative gradient = residual.
             let residual: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
+            let seed = params.seed.wrapping_add(round as u64 + 1);
 
-            // Row bagging: fit the tree on a sample, apply to all rows.
-            let (bx, brs);
-            let (fit_x, fit_r): (&[f64], &[f64]) = if params.bagging_fraction < 1.0 {
-                let mut rows: Vec<usize> = (0..n).collect();
-                rng.shuffle(&mut rows);
-                rows.truncate(((n as f64) * params.bagging_fraction).ceil() as usize);
-                let mut sx = Vec::with_capacity(rows.len() * n_features);
-                let mut sr = Vec::with_capacity(rows.len());
-                for &r in &rows {
-                    sx.extend_from_slice(&x[r * n_features..(r + 1) * n_features]);
-                    sr.push(residual[r]);
+            let tree = match &presorted {
+                Some(pre) => RegressionTree::fit_presorted(pre, &residual, &params.tree, seed),
+                // Row bagging: fit the tree on a sample, apply to all rows.
+                None => {
+                    let mut rows: Vec<usize> = (0..n).collect();
+                    rng.shuffle(&mut rows);
+                    rows.truncate(((n as f64) * params.bagging_fraction).ceil() as usize);
+                    let mut sx = Vec::with_capacity(rows.len() * n_features);
+                    let mut sr = Vec::with_capacity(rows.len());
+                    for &r in &rows {
+                        sx.extend_from_slice(&x[r * n_features..(r + 1) * n_features]);
+                        sr.push(residual[r]);
+                    }
+                    RegressionTree::fit(&sx, n_features, &sr, &params.tree, seed)
                 }
-                bx = sx;
-                brs = sr;
-                (&bx, &brs)
-            } else {
-                (x, &residual)
             };
-
-            let tree = RegressionTree::fit(
-                fit_x,
-                n_features,
-                fit_r,
-                &params.tree,
-                params.seed.wrapping_add(round as u64 + 1),
-            );
             let update = tree.predict(x);
             for (p, u) in pred.iter_mut().zip(&update) {
                 *p += params.learning_rate * u;
@@ -124,6 +118,7 @@ impl Regressor for Gbdt {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tree::reference;
     use super::*;
 
     fn friedman_like(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -268,5 +263,71 @@ mod tests {
         );
         let mean = y.iter().sum::<f64>() / y.len() as f64;
         assert!(m.predict(&x, 2).iter().all(|&p| (p - mean).abs() < 1e-12));
+    }
+
+    /// The boosting loop before presorting, on the reference tree fit.
+    fn reference_fit(x: &[f64], n_features: usize, y: &[f64], params: &GbdtParams) -> Gbdt {
+        let n = y.len();
+        let base = y.iter().sum::<f64>() / n as f64;
+        let mut pred = vec![base; n];
+        let mut trees = Vec::new();
+        let mut rng = Rng::seed(params.seed);
+        for round in 0..params.n_rounds {
+            let residual: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
+            let (mut sx, mut sr) = (x.to_vec(), residual.clone());
+            if params.bagging_fraction < 1.0 {
+                let mut rows: Vec<usize> = (0..n).collect();
+                rng.shuffle(&mut rows);
+                rows.truncate(((n as f64) * params.bagging_fraction).ceil() as usize);
+                sx = rows
+                    .iter()
+                    .flat_map(|&r| &x[r * n_features..(r + 1) * n_features])
+                    .copied()
+                    .collect();
+                sr = rows.iter().map(|&r| residual[r]).collect();
+            }
+            let seed = params.seed.wrapping_add(round as u64 + 1);
+            let tree = reference::fit(&sx, n_features, &sr, &params.tree, seed);
+            for (p, u) in pred.iter_mut().zip(tree.predict(x)) {
+                *p += params.learning_rate * u;
+            }
+            trees.push(tree);
+        }
+        Gbdt {
+            base,
+            learning_rate: params.learning_rate,
+            trees,
+            n_features,
+        }
+    }
+
+    // Boosting on one presort (unbagged) or on a sample of it (bagged)
+    // grows the reference's ensembles bit for bit, over the same matrices
+    // as the tree property.
+    #[test]
+    fn presorted_boosting_matches_the_reference_bit_for_bit() {
+        mistique_testkit::cases(400, 35, |g| {
+            let n = g.len(1..150);
+            let p = g.rng.range(1..=5usize);
+            let x = reference::matrix(&mut g.rng, n, p);
+            let y = reference::targets(&mut g.rng, n);
+            let params = GbdtParams {
+                n_rounds: g.rng.range(1..=6usize),
+                learning_rate: [0.05, 0.3, 1.0][g.rng.range(0..3usize)],
+                tree: TreeParams {
+                    max_depth: g.rng.range(0..=6usize),
+                    min_samples_split: g.rng.range(0..=20usize),
+                    feature_fraction: [1.0, 0.6][g.rng.range(0..2usize)],
+                    lambda: [0.0, 1.0][g.rng.range(0..2usize)],
+                },
+                bagging_fraction: [1.0, 1.0, 0.9, 0.6, 0.2][g.rng.range(0..5usize)],
+                seed: g.rng.next_u64(),
+            };
+            let got = Gbdt::fit(&x, p, &y, &params);
+            let want = reference_fit(&x, p, &y, &params);
+            assert_eq!(got.base.to_bits(), want.base.to_bits());
+            let arenas = |m: &Gbdt| m.trees.iter().map(reference::arena).collect::<Vec<_>>();
+            assert_eq!(arenas(&got), arenas(&want), "n {n}, p {p}, {params:?}");
+        });
     }
 }

@@ -94,3 +94,32 @@ fn forward_activations_are_pinned() {
         "simple_cnn(16) / vgg16_cifar(8) activations at seed 11, epoch 1 moved"
     );
 }
+
+/// Every TRAD intermediate the store sees is a stage output: a tree fit
+/// that moves one split or sums one leaf in another order moves this
+/// hash, and with it every stored byte of the TRAD workloads. The digest
+/// covers all 50 pipelines' stage outputs over a 400-row corpus; a NaN is
+/// folded to the canonical quiet NaN, as in [`activation_digest`].
+#[test]
+fn zillow_pipeline_outputs_are_pinned() {
+    let data = ZillowData::generate(400, 42);
+    let mut words = Vec::new();
+    for pipeline in mistique_pipeline::templates::zillow_pipelines() {
+        for rec in pipeline.run(&data) {
+            for col in rec.output.columns() {
+                words.extend(col.data.to_f64().into_iter().map(|v| {
+                    if v.is_nan() {
+                        0x7FF8_0000_0000_0000
+                    } else {
+                        v.to_bits()
+                    }
+                }));
+            }
+        }
+    }
+    assert_eq!(
+        fnv(words),
+        0x1fc9_93a4_817d_f626,
+        "a stage output of zillow_pipelines() over ZillowData::generate(400, 42) moved"
+    );
+}

@@ -133,6 +133,67 @@ fn demoted_lp_reads_stay_within_scheme_error_bound() {
 }
 
 #[test]
+fn values_past_the_f16_range_demote_to_kbit() {
+    // Zillow's tax_value runs past binary16's ±65504, so an LP_QT step
+    // would read it back as ±inf: the first rung down is 8BIT_QT instead.
+    let (_d, mut sys) = trad_system(StorageStrategy::Dedup, 1);
+    let model = sys.model_ids().remove(0);
+    let all = sys.intermediates_of(&model);
+    let holders: Vec<String> = all
+        .iter()
+        .filter(|i| {
+            let frame = sys
+                .fetch_with_strategy(i, None, None, FetchStrategy::Read)
+                .unwrap()
+                .frame;
+            frame
+                .column("tax_value")
+                .is_some_and(|c| c.data.to_f64().iter().any(|v| v.abs() > 65504.0))
+        })
+        .cloned()
+        .collect();
+    assert!(holders.len() >= 2, "{holders:?}");
+    let kbit = ValueScheme::Kbit { bits: 8 };
+
+    // One holder stepped by hand...
+    assert_eq!(sys.demote_one_step(&holders[0]).unwrap(), Some(kbit));
+    // ...and one by a reclaim pass, with every other intermediate purged
+    // so that it is the only victim.
+    for i in all.iter().filter(|&i| *i != holders[1]) {
+        sys.purge_intermediate(i).unwrap();
+    }
+    let report = sys.reclaim_to(sys.storage_budget_used() - 1).unwrap();
+    // The pass sheds the victim's index first, then takes one ladder step.
+    let steps: Vec<_> = report
+        .demotions
+        .iter()
+        .filter(|d| d.from != "INDEX")
+        .collect();
+    assert_eq!(steps.len(), 1, "{}", report.render());
+    let step = steps[0];
+    assert_eq!(
+        (
+            step.intermediate.as_str(),
+            step.from.as_str(),
+            step.to.as_str()
+        ),
+        (holders[1].as_str(), "FULL", "8BIT_QT")
+    );
+
+    let m = sys.metadata().intermediate(&holders[1]).unwrap().clone();
+    assert_eq!(m.scheme.value, kbit);
+    let frame = sys
+        .fetch_with_strategy(&holders[1], None, None, FetchStrategy::Read)
+        .unwrap()
+        .frame;
+    for col in frame.columns() {
+        let inf = col.data.to_f64().iter().filter(|v| v.is_infinite()).count();
+        assert_eq!(inf, 0, "{}: {inf} infinite cells after demotion", col.name);
+    }
+    sys.store().check_invariants().unwrap();
+}
+
+#[test]
 fn purged_intermediate_reruns_and_repromotes() {
     let (_d, mut sys) = trad_system(StorageStrategy::Adaptive { gamma_min: 1e-12 }, 1);
     let model = sys.model_ids().remove(0);
