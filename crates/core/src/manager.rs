@@ -24,7 +24,9 @@
 //! may re-promote the intermediate through the ordinary γ test. When the
 //! accounting is back under budget the pass compacts partitions whose
 //! live-byte ratio dropped below [`COMPACT_LIVE_RATIO`], physically
-//! reclaiming the dead bytes.
+//! reclaiming the dead bytes. The budget hook that runs after a promotion or
+//! a logging burst takes the ladder steps only; the manifest write and the
+//! compaction wait for the next reclaim pass.
 //!
 //! Crash-safety discipline: the catalog on disk must stop referencing
 //! demoted/purged chunks *before* compaction drops their bytes, so the pass
@@ -97,7 +99,59 @@ impl Mistique {
         let sp = mistique_obs::span!(self.obs, "reclaim", budget = budget_bytes);
         let trace_id = sp.trace_id();
         let used_before = self.storage_budget_used();
+        let (demotions, purged) = self.demote_to_budget(budget_bytes)?;
 
+        // The catalog on disk must drop demoted/purged chunk keys before
+        // compaction deletes their bytes — otherwise a crash after
+        // compaction could reopen through a manifest that references chunks
+        // that no longer exist.
+        self.persist()?;
+        let compaction = self.store.compact(COMPACT_LIVE_RATIO)?;
+        // Compaction moved the accounting (partition totals, removed
+        // partitions); refresh the manifest so reopen sees the final state.
+        if compaction.partitions_rewritten + compaction.partitions_removed > 0 {
+            self.persist()?;
+        }
+
+        let elapsed = sp.finish();
+        let report = ReclaimReport {
+            budget_bytes,
+            used_before,
+            used_after: self.storage_budget_used(),
+            demotions,
+            purged,
+            compaction: Some(compaction),
+            elapsed,
+            trace_id,
+        };
+        self.obs
+            .gauge("storage.budget_used")
+            .set_u64(report.used_after);
+        // Put the pass on the audit record of the operation that ran it:
+        // one effect per ladder step, one for the compaction if it moved
+        // bytes; then a capture.
+        for d in report.demotions.clone() {
+            self.audit_effect(AuditEffect::Step(d));
+        }
+        if let Some(c) = report
+            .compaction
+            .filter(|c| c.partitions_rewritten + c.partitions_removed > 0)
+        {
+            self.audit_effect(AuditEffect::Compaction(c));
+        }
+        self.telemetry_capture("reclaim");
+        Ok(report)
+    }
+
+    /// Shed index bytes, then walk the coldest materialized intermediates
+    /// down the ladder until the accounting fits `budget_bytes` (0 =
+    /// unlimited: nothing to do). Returns the steps taken and the purged
+    /// intermediates. Deletes nothing on disk: displaced chunks stay in
+    /// their partitions, dead, until a reclaim pass compacts them.
+    fn demote_to_budget(
+        &mut self,
+        budget_bytes: u64,
+    ) -> Result<(Vec<DemotionRecord>, Vec<String>), MistiqueError> {
         let mut demotions: Vec<DemotionRecord> = Vec::new();
         let mut purged: Vec<String> = Vec::new();
         // Index bytes are the cheapest bytes to reclaim: dropping an index
@@ -199,57 +253,28 @@ impl Mistique {
                 }
             }
         }
-
-        // The catalog on disk must drop demoted/purged chunk keys before
-        // compaction deletes their bytes — otherwise a crash after
-        // compaction could reopen through a manifest that references chunks
-        // that no longer exist.
-        self.persist()?;
-        let compaction = self.store.compact(COMPACT_LIVE_RATIO)?;
-        // Compaction moved the accounting (partition totals, removed
-        // partitions); refresh the manifest so reopen sees the final state.
-        if compaction.partitions_rewritten + compaction.partitions_removed > 0 {
-            self.persist()?;
-        }
-
-        let elapsed = sp.finish();
-        let report = ReclaimReport {
-            budget_bytes,
-            used_before,
-            used_after: self.storage_budget_used(),
-            demotions,
-            purged,
-            compaction: Some(compaction),
-            elapsed,
-            trace_id,
-        };
-        self.obs
-            .gauge("storage.budget_used")
-            .set_u64(report.used_after);
-        // Put the pass on the audit record of the operation that ran it:
-        // one effect per ladder step, one for the compaction if it moved
-        // bytes; then a capture.
-        for d in report.demotions.clone() {
-            self.audit_effect(AuditEffect::Step(d));
-        }
-        if let Some(c) = report
-            .compaction
-            .filter(|c| c.partitions_rewritten + c.partitions_removed > 0)
-        {
-            self.audit_effect(AuditEffect::Compaction(c));
-        }
-        self.telemetry_capture("reclaim");
-        Ok(report)
+        Ok((demotions, purged))
     }
 
     /// Budget hook run after every materialization (logging bursts and
-    /// adaptive promotions): reclaim only when the accounting is actually
-    /// over a configured budget.
+    /// adaptive promotions): when the accounting is over a configured
+    /// budget, demote back under it. The hook runs inside the fetch or log
+    /// call that promoted, so it stops at the ladder: writing the manifest
+    /// and compacting the displaced chunks — an I/O stall of milliseconds
+    /// per call — wait for the next [`Mistique::reclaim`] pass.
     pub(crate) fn reclaim_if_over_budget(&mut self) -> Result<(), MistiqueError> {
         let budget = self.config.storage_budget_bytes;
-        if budget > 0 && self.storage_budget_used() > budget {
-            self.reclaim()?;
+        if budget == 0 || self.storage_budget_used() <= budget {
+            return Ok(());
         }
+        let (demotions, _) = self.demote_to_budget(budget)?;
+        self.obs
+            .gauge("storage.budget_used")
+            .set_u64(self.storage_budget_used());
+        for d in demotions {
+            self.audit_effect(AuditEffect::Step(d));
+        }
+        self.telemetry_capture("reclaim");
         Ok(())
     }
 

@@ -451,6 +451,43 @@ fn logging_hook_enforces_configured_budget() {
 }
 
 #[test]
+fn budget_hook_takes_ladder_steps_and_leaves_the_disk_to_reclaim() {
+    // The hook runs inside the call that went over budget, so it demotes
+    // and stops there: no manifest write, no compaction. The next reclaim
+    // pass does both.
+    let dir = mistique_testkit::tempdir().unwrap();
+    let mut cfg = config(StorageStrategy::Dedup);
+    cfg.storage_budget_bytes = 4096;
+    let mut sys = Mistique::open(dir.path(), cfg).unwrap();
+    let data = Arc::new(ZillowData::generate(150, 1));
+    let id = sys
+        .register_trad(zillow_pipelines().remove(0), data)
+        .unwrap();
+    sys.log_intermediates(&id).unwrap();
+
+    assert!(sys.storage_budget_used() <= 4096);
+    assert!(sys.store().dead_bytes() > 0, "demotions displace chunks");
+    assert_eq!(sys.obs_snapshot().counter("compaction.runs"), 0);
+    assert!(!dir.path().join("mistique_manifest.json").exists());
+    let records = sys.audit_records().unwrap();
+    let log = records.iter().find(|r| r.op == "log").unwrap();
+    assert!(
+        !log.effects
+            .iter()
+            .any(|e| matches!(e, AuditEffect::Compaction(_))),
+        "the hook compacted: {:?}",
+        log.effects
+    );
+
+    let report = sys.reclaim().unwrap();
+    assert!(report.demotions.is_empty(), "already within budget");
+    assert!(report.compaction.is_some());
+    assert_eq!(sys.obs_snapshot().counter("compaction.runs"), 1);
+    assert!(dir.path().join("mistique_manifest.json").exists());
+    sys.store().check_invariants().unwrap();
+}
+
+#[test]
 fn reclaimed_store_persists_and_reopens() {
     let (dir, mut sys) = trad_system(StorageStrategy::Dedup, 2);
     let used = sys.storage_budget_used();
