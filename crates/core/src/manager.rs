@@ -25,8 +25,8 @@
 //! accounting is back under budget the pass compacts partitions whose
 //! live-byte ratio dropped below [`COMPACT_LIVE_RATIO`], physically
 //! reclaiming the dead bytes. The budget hook that runs after a promotion or
-//! a logging burst takes the ladder steps only; the manifest write and the
-//! compaction wait for the next reclaim pass.
+//! a logging burst takes the ladder steps only; the manifest write, the
+//! compaction and the telemetry capture wait for the next reclaim pass.
 //!
 //! Crash-safety discipline: the catalog on disk must stop referencing
 //! demoted/purged chunks *before* compaction drops their bytes, so the pass
@@ -259,9 +259,10 @@ impl Mistique {
     /// Budget hook run after every materialization (logging bursts and
     /// adaptive promotions): when the accounting is over a configured
     /// budget, demote back under it. The hook runs inside the fetch or log
-    /// call that promoted, so it stops at the ladder: writing the manifest
-    /// and compacting the displaced chunks — an I/O stall of milliseconds
-    /// per call — wait for the next [`Mistique::reclaim`] pass.
+    /// call that promoted, so it stops at the ladder. Writing the manifest,
+    /// compacting the displaced chunks and the telemetry capture each sync
+    /// a file, milliseconds per call; they wait for the next
+    /// [`Mistique::reclaim`] pass, and the steps show in the next capture.
     pub(crate) fn reclaim_if_over_budget(&mut self) -> Result<(), MistiqueError> {
         let budget = self.config.storage_budget_bytes;
         if budget == 0 || self.storage_budget_used() <= budget {
@@ -274,7 +275,6 @@ impl Mistique {
         for d in demotions {
             self.audit_effect(AuditEffect::Step(d));
         }
-        self.telemetry_capture("reclaim");
         Ok(())
     }
 
