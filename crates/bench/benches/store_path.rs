@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the DataStore write and read paths, for logging
 //! one DNN checkpoint into a fresh store: with nothing stored before it, and
 //! after a checkpoint that shares its frozen prefix (DESIGN.md §2 "Logging
-//! a shared prefix once"), and for what the sidecars (audit journal and
-//! flight recorder) add to a warm query.
+//! a shared prefix once"), and for what the audit journal adds to a warm
+//! query.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -71,18 +71,20 @@ fn main() {
 
 /// `query/warm_col/*`: a warm 100-row, one-column `get_intermediate`,
 /// round-robin over the first intermediate of four logged Zillow
-/// pipelines, with the audit journal and flight recorder at their default
-/// budgets (`sidecars_on`) or both disabled (`sidecars_off`). The gap is
-/// the sidecars' per-query cost: one audit record each, plus the journal's
-/// segment rewrite every 32 records.
+/// pipelines, with the audit journal at its default budget
+/// (`sidecars_on`) or disabled (`sidecars_off`). The gap is the journal's
+/// per-query cost: one audit record each, plus its segment rewrite every 32
+/// records.
 fn warm_col_queries() {
     let data = Arc::new(ZillowData::generate(1000, 1));
-    for (name, sidecar_bytes) in [("sidecars_on", None), ("sidecars_off", Some(0))] {
-        let defaults = MistiqueConfig::default();
+    let defaults = MistiqueConfig::default();
+    for (name, audit_budget_bytes) in [
+        ("sidecars_on", defaults.audit_budget_bytes),
+        ("sidecars_off", 0),
+    ] {
         let config = MistiqueConfig {
-            audit_budget_bytes: sidecar_bytes.unwrap_or(defaults.audit_budget_bytes),
-            telemetry_budget_bytes: sidecar_bytes.unwrap_or(defaults.telemetry_budget_bytes),
-            ..defaults
+            audit_budget_bytes,
+            ..defaults.clone()
         };
         let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), config).unwrap();

@@ -1,5 +1,6 @@
 //! The engine side of the workload audit journal (see `mistique_obs::audit`)
-//! plus per-query-class SLO latency tracking.
+//! and of the metric timeline its records carry, plus per-query-class SLO
+//! latency tracking.
 //!
 //! Auditing is enabled by [`MistiqueConfig::audit_budget_bytes`] (on by
 //! default with a 1 MiB ring; `0` disables capture entirely). Every engine
@@ -15,6 +16,21 @@
 //! `get_intermediate`, `reclaim_if_over_budget` inside a logging burst)
 //! fold into the outermost record instead of producing their own.
 //!
+//! **Metric points** ride on those records ([`Mistique::telemetry_capture`]):
+//! at a burst boundary the engine takes the delta of a fresh snapshot and
+//! puts it on the record in flight, which is flushed as soon as it is
+//! appended. The boundaries:
+//! - `log` — after every `log_intermediates` / `log_intermediates_parallel`
+//! - `reclaim` — after every reclaim pass (its ladder steps and compaction
+//!   are effects on the same record)
+//! - `recovery` — on the `recovery` record `reopen` appends; the point
+//!   carries the pass's `store.recovery.*` counters and is the counter-reset
+//!   boundary
+//! - `interval` — on the first query record past [`INTERVAL_CAPTURE`] since
+//!   the previous point
+//!
+//! [`Mistique::timeline`] is the view of the points.
+//!
 //! Segments live under `<dir>/audit/` and go through the system's
 //! [`StorageBackend`], so crash tests inject faults into the audit write
 //! path with the same harness as the data path — and every audit failure is
@@ -24,17 +40,16 @@
 //! **SLO tracking** is independent of the journal (always on): every
 //! finished [`QueryReport`] is folded into a latency histogram keyed by
 //! `(query, plan)` — `slo.diag.topk.read.ns`, `slo.fetch.rerun.ns`, … —
-//! whose p50/p95/p99/p99.9/max the flight recorder writes into every
-//! timeline point the histogram moved in; `mistique top` renders its SLO
-//! table from the latest such point. A query slower than
-//! [`SLO_BURN_FACTOR`] × its class p95 (once the class has
-//! [`SLO_MIN_SAMPLES`] samples) counts one `slo.burns`.
+//! whose p50/p95/p99/p99.9/max every timeline point the histogram moved in
+//! carries; `mistique top` renders its SLO table from the latest such
+//! point. A query slower than [`SLO_BURN_FACTOR`] × its class p95 (once the
+//! class has [`SLO_MIN_SAMPLES`] samples) counts one `slo.burns`.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use mistique_obs::{AuditEffect, AuditLog, AuditRecord, AuditStats};
+use mistique_obs::{AuditEffect, AuditLog, AuditRecord, AuditStats, LastSeen, Timeline};
 use mistique_store::{StorageBackend, StoreSubdir, AUDIT_SUBDIR};
 
 use crate::error::MistiqueError;
@@ -50,17 +65,23 @@ pub const SLO_MIN_SAMPLES: u64 = 16;
 /// class's p95.
 pub const SLO_BURN_FACTOR: f64 = 8.0;
 
+/// Minimum spacing of `interval` points (taken by query records).
+pub const INTERVAL_CAPTURE: Duration = Duration::from_secs(2);
+
 /// The in-flight record of the outermost audited entry point.
 pub(crate) struct PendingAudit {
     record: AuditRecord,
     t0: Instant,
 }
 
-/// Per-instance audit state: the durable journal plus the record of the
-/// entry point currently executing, if any.
+/// Per-instance audit state: the durable journal, the record of the entry
+/// point currently executing, if any, and the metric-point baselines.
 pub(crate) struct AuditState {
     pub(crate) log: AuditLog,
     pending: Option<PendingAudit>,
+    last: LastSeen,
+    /// When the last metric point was taken.
+    last_capture: Instant,
 }
 
 impl AuditState {
@@ -78,6 +99,8 @@ impl AuditState {
         Some(AuditState {
             log: AuditLog::open(Box::new(io), config.audit_budget_bytes),
             pending: None,
+            last: LastSeen::default(),
+            last_capture: Instant::now(),
         })
     }
 }
@@ -260,6 +283,53 @@ impl Mistique {
         if let Some(p) = self.audit.as_mut().and_then(|s| s.pending.as_mut()) {
             p.record.effects.push(effect);
         }
+    }
+
+    /// Take a metric-delta point at a burst boundary and put it on the
+    /// record of the outermost entry point in flight; a second point on the
+    /// same record merges into the first, later values winning. No-op with
+    /// no record in flight or capture disabled.
+    pub(crate) fn telemetry_capture(&mut self, reason: &str) {
+        if self.audit.as_ref().is_none_or(|s| s.pending.is_none()) {
+            return;
+        }
+        let snap = self.obs_snapshot();
+        let Some(state) = self.audit.as_mut() else {
+            return;
+        };
+        state.last_capture = Instant::now();
+        let (Some(point), Some(p)) = (state.last.point(&snap, reason), state.pending.as_mut())
+        else {
+            return;
+        };
+        match &mut p.record.metrics {
+            Some(m) => m.merge(point),
+            None => p.record.metrics = Some(point),
+        }
+    }
+
+    /// Query-path hook: the first query record past [`INTERVAL_CAPTURE`]
+    /// since the previous point carries an `interval` point.
+    pub(crate) fn telemetry_tick(&mut self) {
+        if self
+            .audit
+            .as_ref()
+            .is_some_and(|s| s.last_capture.elapsed() >= INTERVAL_CAPTURE)
+        {
+            self.telemetry_capture("interval");
+        }
+    }
+
+    /// The timeline of this instance's directory: the metric point of every
+    /// surviving or buffered audit record, in sequence order.
+    pub fn timeline(&self) -> Result<Timeline, MistiqueError> {
+        Ok(Timeline::from_records(&self.audit_records()?))
+    }
+
+    /// Load a timeline from a directory without opening the system (the
+    /// `mistique timeline <dir>` entry point).
+    pub fn load_timeline(dir: impl AsRef<Path>) -> Result<Timeline, MistiqueError> {
+        Ok(Timeline::from_records(&Self::load_audit(dir)?))
     }
 
     /// Flush buffered audit records to disk (best-effort). Batched flushing

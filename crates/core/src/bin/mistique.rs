@@ -22,8 +22,8 @@
 //! the manifest re-persisted. Without an explicit budget the configured
 //! `storage_budget_bytes` applies (0 = unlimited: only compaction runs).
 //!
-//! `timeline` replays the flight recorder: the durable telemetry timeline
-//! written under `<dir>/telemetry/` at every burst boundary (logging,
+//! `timeline` prints the metric timeline: the delta points the audit
+//! records under `<dir>/audit/` carry, one per burst boundary (logging,
 //! reclaim, recovery, and a periodic tick under query traffic). The default
 //! view is a table of metric delta points; `--json` dumps the full timeline
 //! and `--metric` prints one metric's series. What an operation did — a
@@ -42,9 +42,9 @@
 //! `top` renders a live workload dashboard — per-operation rates and
 //! latency quantiles, plan mix, index effectiveness, SLO classes,
 //! budget headroom and journal health — assembled entirely from the on-disk
-//! audit journal and telemetry timeline. `--once` prints a single frame
-//! (works on a closed store with no live engine); otherwise the screen
-//! refreshes every `--interval` ms (default 1000) until interrupted.
+//! audit journal and the metric points on its records. `--once` prints a
+//! single frame (works on a closed store with no live engine); otherwise the
+//! screen refreshes every `--interval` ms (default 1000) until interrupted.
 //!
 //! `stats` prints the metric snapshot as text; `--json` also writes it as
 //! JSON — the one machine format (counters, gauges, histograms, span
@@ -58,9 +58,10 @@
 //! Works on any directory produced by `Mistique::persist()`; only reads are
 //! available (re-running needs the executable model, see `persist` docs).
 //! The inspection commands (`info`, `show`, `head`, `topk`, `hist`, `stats`,
-//! `explain`) open the store with audit capture and telemetry off, so
-//! looking at a store never appends to its `audit/` or `telemetry/` rings;
-//! only `demo` and `reclaim` act on the store and are captured.
+//! `explain`) open the store with audit capture off, so looking at a store
+//! never appends to its `audit/` ring; only `demo` and `reclaim` act on the
+//! store and are captured (a `reclaim` after its reopen's `recovery`
+//! record).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -102,7 +103,6 @@ fn main() -> ExitCode {
 fn inspect(dir: &str) -> Result<Mistique, Box<dyn std::error::Error>> {
     let config = MistiqueConfig {
         audit_budget_bytes: 0,
-        telemetry_budget_bytes: 0,
         ..MistiqueConfig::default()
     };
     Ok(Mistique::reopen(dir, config)?)
@@ -443,8 +443,8 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let tl = Mistique::load_timeline(dir)?;
             if tl.points.is_empty() {
                 println!(
-                    "no telemetry recorded under {dir}/telemetry \
-                     (telemetry_budget_bytes = 0, or nothing logged yet)"
+                    "no metric points recorded under {dir}/audit \
+                     (audit_budget_bytes = 0, or nothing logged yet)"
                 );
                 return Ok(());
             }
@@ -504,15 +504,13 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
 mod tests {
     use super::*;
 
-    /// Path and bytes of every file in the store's audit and telemetry rings.
+    /// Path and bytes of every file in the store's audit ring.
     fn rings(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
         let mut files = Vec::new();
-        for sub in [mistique_core::AUDIT_SUBDIR, mistique_core::TELEMETRY_SUBDIR] {
-            for entry in std::fs::read_dir(dir.join(sub)).unwrap() {
-                let path = entry.unwrap().path();
-                let bytes = std::fs::read(&path).unwrap();
-                files.push((path, bytes));
-            }
+        for entry in std::fs::read_dir(dir.join(mistique_core::AUDIT_SUBDIR)).unwrap() {
+            let path = entry.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            files.push((path, bytes));
         }
         files.sort();
         files

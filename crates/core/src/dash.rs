@@ -1,18 +1,17 @@
 //! `mistique top` — the workload dashboard, rendered entirely from a store
-//! directory: the audit journal under `<dir>/audit/` supplies per-operation
-//! rates, latency quantiles, plan mix, read↔rerun plan flips per
-//! intermediate and bytes touched; the flight
-//! recorder's timeline under `<dir>/telemetry/` supplies index
-//! effectiveness, per-class SLO quantiles (the latest point of each
-//! `slo.<class>.ns` histogram) and budget headroom. No live engine is
-//! required — the CLI renders the same view against a closed directory
-//! (`--once`) or in a refresh loop while another process works.
+//! directory's audit journal (`<dir>/audit/`): its records supply
+//! per-operation rates, latency quantiles, plan mix, read↔rerun plan flips
+//! per intermediate and bytes touched; the metric points they carry (the
+//! timeline) supply index effectiveness, per-class SLO quantiles (the
+//! latest point of each `slo.<class>.ns` histogram) and budget headroom. No
+//! live engine is required — the CLI renders the same view against a closed
+//! directory (`--once`) or in a refresh loop while another process works.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use mistique_obs::{fmt_bytes, fmt_ns, AuditRecord, HistPoint};
+use mistique_obs::{fmt_bytes, fmt_ns, AuditRecord, HistPoint, Timeline};
 
 use crate::error::MistiqueError;
 use crate::system::Mistique;
@@ -35,7 +34,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// The dashboard's data model, assembled from the two on-disk rings.
+/// The dashboard's data model, assembled from the journal.
 /// Public so tests can assert on the numbers rather than the layout.
 #[derive(Clone, Debug, Default)]
 pub struct TopView {
@@ -91,9 +90,7 @@ pub fn plan_flips(records: &[AuditRecord]) -> BTreeMap<String, u64> {
 pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
     let dir = dir.as_ref();
     let records = Mistique::load_audit(dir)?;
-    // A missing telemetry ring renders as an empty timeline, not an error —
-    // the journal alone still carries the workload half of the view.
-    let timeline = Mistique::load_timeline(dir).unwrap_or_default();
+    let timeline = Timeline::from_records(&records);
 
     let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
@@ -243,7 +240,7 @@ pub fn top_view(dir: impl AsRef<Path>) -> Result<TopView, MistiqueError> {
         let _ = writeln!(out, "storage: {} used (no budget)", fmt_bytes(used as u64));
     }
     // The journal itself is the source of truth for audit health — gauges
-    // in the timeline lag the last telemetry capture.
+    // in the timeline lag the last metric point.
     let _ = writeln!(
         out,
         "audit: {} records on disk, {} write errors, {} segments dropped",

@@ -57,10 +57,10 @@ pub(crate) struct IndexState {
 }
 
 impl IndexState {
-    /// Best-effort construction (the telemetry pattern): indexing disabled
-    /// by `index_top_m == 0`, and any I/O failure creating the directory
-    /// disables it for the session rather than failing the open. Metrics
-    /// are registered eagerly so they appear in snapshots at zero.
+    /// Best-effort construction (the audit journal's pattern): indexing
+    /// disabled by `index_top_m == 0`, and any I/O failure creating the
+    /// directory disables it for the session rather than failing the open.
+    /// Metrics are registered eagerly so they appear in snapshots at zero.
     pub(crate) fn create(
         config: &MistiqueConfig,
         backend: &Arc<dyn StorageBackend>,

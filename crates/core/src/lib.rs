@@ -63,9 +63,8 @@ pub mod reader;
 pub mod replay;
 pub mod report;
 pub mod system;
-pub mod telemetry;
 
-pub use audit::{SLO_BURN_FACTOR, SLO_MIN_SAMPLES};
+pub use audit::{INTERVAL_CAPTURE, SLO_BURN_FACTOR, SLO_MIN_SAMPLES};
 pub use dash::{render_top, top_view, TopView};
 
 pub use capture::{CaptureScheme, ValueScheme};
@@ -80,11 +79,10 @@ pub use metadata::{IntermediateMeta, MetadataDb, ModelKind};
 pub use mistique_index::{IntermediateIndex, DEFAULT_TOP_M};
 pub use mistique_obs::{
     AuditEffect, AuditLog, AuditRecord, AuditStats, Counter, DemotionRecord, Gauge, HistPoint,
-    Histogram, Obs, RecorderStats, SegmentIo, Snapshot, Span, SpanContext, SpanRecord, Timeline,
-    TimelinePoint,
+    Histogram, Obs, SegmentIo, Snapshot, Span, SpanContext, SpanRecord, Timeline, TimelinePoint,
 };
 pub use mistique_store::{
-    CompactionReport, RetractOutcome, StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR,
+    CompactionReport, RetractOutcome, StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR,
 };
 pub use reader::{FetchResult, FetchStrategy};
 pub use replay::{
@@ -93,4 +91,3 @@ pub use replay::{
 };
 pub use report::{PlanChoice, QueryReport, ReclaimReport, ReportRing};
 pub use system::{Mistique, MistiqueConfig, StorageStrategy};
-pub use telemetry::INTERVAL_CAPTURE;

@@ -26,7 +26,7 @@
 //! live-byte ratio dropped below [`COMPACT_LIVE_RATIO`], physically
 //! reclaiming the dead bytes. The budget hook that runs after a promotion or
 //! a logging burst takes the ladder steps only; the manifest write, the
-//! compaction and the telemetry capture wait for the next reclaim pass.
+//! compaction and the metric point wait for the next reclaim pass.
 //!
 //! Crash-safety discipline: the catalog on disk must stop referencing
 //! demoted/purged chunks *before* compaction drops their bytes, so the pass
@@ -260,9 +260,9 @@ impl Mistique {
     /// adaptive promotions): when the accounting is over a configured
     /// budget, demote back under it. The hook runs inside the fetch or log
     /// call that promoted, so it stops at the ladder. Writing the manifest,
-    /// compacting the displaced chunks and the telemetry capture each sync
+    /// compacting the displaced chunks and flushing a metric point each sync
     /// a file, milliseconds per call; they wait for the next
-    /// [`Mistique::reclaim`] pass, and the steps show in the next capture.
+    /// [`Mistique::reclaim`] pass, and the steps show in the next point.
     pub(crate) fn reclaim_if_over_budget(&mut self) -> Result<(), MistiqueError> {
         let budget = self.config.storage_budget_bytes;
         if budget == 0 || self.storage_budget_used() <= budget {

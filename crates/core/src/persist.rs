@@ -185,12 +185,16 @@ impl Mistique {
         for i in manifest.intermediates {
             sys.meta.upsert_intermediate(i);
         }
-        let report = sys.store.recover()?;
+        // The recovery pass is journalled as a `recovery` record; its point
+        // carries the pass's `store.recovery.*` counters and is the
+        // counter-reset boundary a timeline reader needs to interpret deltas
+        // across restarts. Replay passes over it.
+        let report = sys.audited("recovery", Vec::new, |sys| {
+            let report = sys.store.recover()?;
+            sys.telemetry_capture("recovery");
+            Ok(report)
+        })?;
         sys.last_recovery = Some(report);
-        // The recovery point carries the pass's `store.recovery.*` counters
-        // and is the counter-reset boundary a timeline reader needs to
-        // interpret deltas across restarts.
-        sys.telemetry_capture("recovery");
         Ok(sys)
     }
 

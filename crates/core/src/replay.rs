@@ -20,7 +20,10 @@
 //! concept masks are journaled only as a digest), registrations whose
 //! dataset lacks generator provenance, and operations this build does not
 //! know (a journal written by a newer one). All are reported as skipped
-//! with a reason, never silently dropped or counted as executed.
+//! with a reason, never silently dropped or counted as executed. A
+//! `recovery` record (a reopen's recovery pass, carrying its metric point)
+//! is no workload operation: replay passes over it, neither executed nor
+//! skipped.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -504,7 +507,7 @@ pub fn replay_into(
 ) -> Result<ReplayOutcome, MistiqueError> {
     let mut out = ReplayOutcome::default();
     let mut cache = DataCache::default();
-    for rec in records {
+    for rec in records.iter().filter(|r| r.op != "recovery") {
         match replay_one(sys, rec, &mut cache) {
             Ok(Some(digest)) => {
                 out.executed += 1;
@@ -740,7 +743,14 @@ mod tests {
             op: "diag.future".to_string(),
             ..AuditRecord::default()
         };
-        let journal = [records[0].clone(), future, records[1].clone()];
+        // A reopen's `recovery` record is passed over: neither run nor
+        // reported as skipped.
+        let recovery = AuditRecord {
+            seq: 78,
+            op: "recovery".to_string(),
+            ..AuditRecord::default()
+        };
+        let journal = [records[0].clone(), future, recovery, records[1].clone()];
         let dir = mistique_testkit::tempdir().unwrap();
         let mut sys = Mistique::open(dir.path(), config).unwrap();
         let outcome = replay_into(&mut sys, &journal, &ReplayOptions::default()).unwrap();

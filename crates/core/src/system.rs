@@ -74,12 +74,6 @@ pub struct MistiqueConfig {
     /// (FULL → LP_QT → 8BIT_QT → THRESHOLD_QT) and eventually purged, then
     /// under-occupied partitions are compacted. See `Mistique::reclaim`.
     pub storage_budget_bytes: u64,
-    /// Byte budget of the on-disk telemetry timeline (the flight recorder's
-    /// segment ring under `<dir>/telemetry/`; see [`Mistique::timeline`]).
-    /// Retention is bounded by dropping the oldest segments first, and the
-    /// bytes are **not** counted against `storage_budget_bytes`. `0`
-    /// disables telemetry entirely. Default: 1 MiB.
-    pub telemetry_budget_bytes: u64,
     /// Max-activation list length of the secondary indexes (zone maps +
     /// top-m lists, persisted under `<dir>/index/`; see
     /// [`crate::index_state`]). Top-k queries with `k ≤ index_top_m` are
@@ -93,11 +87,12 @@ pub struct MistiqueConfig {
     /// ring under `<dir>/audit/`; see [`crate::audit`]). Every engine entry
     /// point — logging, every diagnostic, fetches, reclaim — appends one
     /// structured, replayable record; `mistique replay <dir>` re-executes
-    /// the captured workload. Retention drops the oldest segments first, the
-    /// bytes are **not** counted against `storage_budget_bytes`, and all
-    /// journal I/O is best-effort (a write failure counts
-    /// `audit.write_errors`, never fails the data operation). `0` disables
-    /// capture entirely. Default: 1 MiB.
+    /// the captured workload. The records of burst boundaries carry the
+    /// metric timeline's points ([`Mistique::timeline`]). Retention drops
+    /// the oldest segments first, the bytes are **not** counted against
+    /// `storage_budget_bytes`, and all journal I/O is best-effort (a write
+    /// failure counts `audit.write_errors`, never fails the data
+    /// operation). `0` disables capture, timeline included. Default: 1 MiB.
     pub audit_budget_bytes: u64,
 }
 
@@ -111,7 +106,6 @@ impl Default for MistiqueConfig {
             read_parallelism: 1,
             min_read_bytes_per_worker: 256 * 1024,
             storage_budget_bytes: 0,
-            telemetry_budget_bytes: 1 << 20,
             index_top_m: mistique_index::DEFAULT_TOP_M,
             audit_budget_bytes: 1 << 20,
         }
@@ -179,9 +173,6 @@ pub struct Mistique {
     /// `Mistique::diag` so the reader can attribute fetches to the
     /// outermost diagnostic (`diag.topk`, …) instead of a bare `fetch`.
     pub(crate) query_label: Option<String>,
-    /// Flight recorder (telemetry timeline), when enabled by
-    /// `telemetry_budget_bytes`. See [`crate::telemetry`].
-    pub(crate) telemetry: Option<crate::telemetry::TelemetryState>,
     /// Secondary indexes (zone maps + max-activation lists), when enabled
     /// by `index_top_m`. See [`crate::index_state`].
     pub(crate) index: Option<crate::index_state::IndexState>,
@@ -211,7 +202,6 @@ impl Mistique {
         store.set_obs(&obs);
         let reports = crate::report::ReportRing::new(crate::report::REPORT_RETENTION);
         let drift = crate::cost::DriftMonitor::default();
-        let telemetry = crate::telemetry::TelemetryState::create(&config, &backend, dir.as_ref());
         let index = crate::index_state::IndexState::create(&config, &backend, dir.as_ref(), &obs);
         let audit = crate::audit::AuditState::create(&config, &backend, dir.as_ref());
         Ok(Mistique {
@@ -229,7 +219,6 @@ impl Mistique {
             reports,
             drift,
             query_label: None,
-            telemetry,
             index,
             audit,
         })
@@ -378,10 +367,10 @@ impl Mistique {
     }
 
     /// Refresh the gauges that mirror pull-style state — cost-model
-    /// calibration, catalog sizes, budget use, journal and flight-recorder
-    /// health — so every snapshot (and therefore every timeline point)
-    /// carries current values. This is the only site that writes them: a raw
-    /// `Obs::snapshot()` that bypasses it sees them as of the last sync.
+    /// calibration, catalog sizes, budget use, journal health — so every
+    /// snapshot (and therefore every timeline point) carries current values.
+    /// This is the only site that writes them: a raw `Obs::snapshot()` that
+    /// bypasses it sees them as of the last sync.
     pub(crate) fn sync_obs_gauges(&self) {
         let g = |name: &str, v: u64| self.obs.gauge(name).set_u64(v);
         self.obs
@@ -401,12 +390,6 @@ impl Mistique {
             g("audit.bytes", stats.total_bytes);
             g("audit.segments", stats.segments);
         }
-        if let Some(stats) = self.telemetry_stats() {
-            g("telemetry.captures", stats.captures);
-            g("telemetry.write_errors", stats.write_errors);
-            g("telemetry.bytes", stats.total_bytes);
-            g("telemetry.segments", stats.segments);
-        }
     }
 
     /// Up to the last `n` per-query EXPLAIN reports, oldest first.
@@ -425,8 +408,8 @@ impl Mistique {
     }
 
     /// Retain a finished query report (reader paths call this), after
-    /// folding it into the pending audit record and giving the flight
-    /// recorder its periodic tick.
+    /// folding it into the pending audit record and giving the timeline its
+    /// periodic tick.
     pub(crate) fn push_report(&mut self, report: crate::report::QueryReport) {
         self.audit_observe_report(&report);
         self.telemetry_tick();

@@ -1,25 +1,26 @@
 //! The workload audit journal: one structured, replayable record per engine
-//! entry point (logging, every diagnostic, fetches, reclaim), persisted as
-//! JSONL segments alongside the flight-recorder timeline.
+//! entry point (logging, every diagnostic, fetches, reclaim, recovery),
+//! persisted as JSONL segments — the one sidecar ring.
 //!
-//! Where the timeline ([`crate::timeline`]) records *metric deltas*, the
-//! audit journal records *operations*: what was asked (operation name plus
-//! an argument fingerprint), what the engine decided (the plan of every
-//! inner fetch, in order), what it predicted, and what actually happened
-//! (latency, bytes and partitions touched, trace id), plus the effects it
-//! had on the store beyond its answer — each reclaim ladder step and a
-//! compaction that moved bytes ([`AuditEffect`]). A captured journal is
-//! a complete workload description — `mistique replay` re-executes it
-//! against a fresh or existing store and checks the answers and plan
-//! choices bit-for-bit.
+//! A record says what was asked (operation name plus an argument
+//! fingerprint), what the engine decided (the plan of every inner fetch, in
+//! order), what it predicted, and what actually happened (latency, bytes
+//! and partitions touched, trace id), plus the effects it had on the store
+//! beyond its answer — each reclaim ladder step and a compaction that moved
+//! bytes ([`AuditEffect`]) — and, when the operation crossed a burst
+//! boundary, the metric-delta point it took ([`AuditRecord::metrics`]; the
+//! timeline of [`crate::timeline`] is the view of those points). A captured
+//! journal is a complete workload description — `mistique replay`
+//! re-executes it against a fresh or existing store and checks the answers
+//! and plan choices bit-for-bit.
 //!
 //! Records are buffered and flushed in batches (every
 //! [`DEFAULT_FLUSH_EVERY`] records, at burst boundaries, and on engine
-//! drop) so steady-state capture stays off the query hot path. Segments are
-//! persisted by the shared segment ring (`ring.rs`), the recorder's too:
-//! atomic rewrite, byte-bounded retention, and **best-effort** I/O — a
-//! failed write counts an error and never fails the data operation that
-//! produced the record.
+//! drop) so steady-state capture stays off the query hot path; a record
+//! carrying a metric point is flushed as it is appended. Segments are
+//! persisted by the segment ring (`ring.rs`): atomic rewrite, byte-bounded
+//! retention, and **best-effort** I/O — a failed write counts an error and
+//! never fails the data operation that produced the record.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,18 +28,11 @@ use std::io;
 
 use crate::json::{self, push_json_string, Json, JsonValue, Path};
 use crate::ring::{unix_ms, SegmentIo, SegmentRing};
-
-/// Target size of one audit segment before the log seals it (each flush
-/// rewrites the current segment atomically, so this bounds per-flush write
-/// amplification).
-pub const DEFAULT_AUDIT_SEGMENT_TARGET: usize = 32 * 1024;
+use crate::timeline::TimelinePoint;
 
 /// Records buffered before an automatic flush. A crash can lose at most
 /// this many trailing records; the journal on disk stays loadable.
 pub const DEFAULT_FLUSH_EVERY: usize = 32;
-
-/// The journal's segment prefix.
-const PREFIX: &str = "au_";
 
 /// Where an `effects` codec error points.
 const EFFECTS: Path = Path::Root("effects");
@@ -57,7 +51,7 @@ pub struct AuditRecord {
     /// operation (intermediate id, column, k, thresholds, row lists…).
     pub args: BTreeMap<String, String>,
     /// Plan chosen by every inner fetch, in execution order
-    /// (`read`/`rerun`/`cached`/`indexed_read`).
+    /// (`read`/`rerun`/`indexed_read`).
     pub plans: Vec<String>,
     /// Cost model's read-path prediction for the first inner fetch, seconds.
     pub predicted_read_s: f64,
@@ -78,6 +72,11 @@ pub struct AuditRecord {
     /// compaction that moved bytes, in order. Serialized only when
     /// non-empty, so a record without effects keeps its older line format.
     pub effects: Vec<AuditEffect>,
+    /// The metric-delta point taken at the burst boundary this operation
+    /// crossed (a log, a reclaim pass, a recovery, the periodic tick); its
+    /// `seq` and `t_ms` are the record's. Serialized only when present, so
+    /// a record without one keeps its older line format.
+    pub metrics: Option<TimelinePoint>,
 }
 
 /// One ladder action taken by a reclaim pass: an intermediate demoted to a
@@ -214,6 +213,11 @@ impl AuditRecord {
             out.push_str(",\"effects\":");
             out.push_str(&effects);
         }
+        if let Some(m) = &self.metrics {
+            out.push_str(",\"metrics\":{");
+            m.push_fields(&mut out);
+            out.push('}');
+        }
         out.push('}');
         out
     }
@@ -256,6 +260,7 @@ impl AuditRecord {
                 .get("effects")
                 .and_then(|e| Vec::parse(e, &EFFECTS).ok())
                 .unwrap_or_default(),
+            metrics: v.get("metrics").and_then(TimelinePoint::from_fields),
         })
     }
 }
@@ -309,8 +314,7 @@ impl AuditLog {
     /// starts fresh, counting a write error) — auditing must never fail an
     /// engine open.
     pub fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> AuditLog {
-        let (ring, next_seq) =
-            SegmentRing::open(io, PREFIX, budget_bytes, DEFAULT_AUDIT_SEGMENT_TARGET);
+        let (ring, next_seq) = SegmentRing::open(io, budget_bytes);
         AuditLog {
             ring,
             flush_every: DEFAULT_FLUSH_EVERY,
@@ -319,12 +323,6 @@ impl AuditLog {
             records: 0,
             flushes: 0,
         }
-    }
-
-    /// Override the segment rotation target (tests use tiny segments to
-    /// exercise retention).
-    pub fn set_segment_target(&mut self, bytes: usize) {
-        self.ring.set_segment_target(bytes);
     }
 
     /// Override the flush batch size (1 flushes every record).
@@ -351,7 +349,8 @@ impl AuditLog {
     }
 
     /// Append a record: its `seq` and `t_ms` are stamped here; the record
-    /// is buffered and flushed with the next batch.
+    /// is buffered and flushed with the next batch — or at once when it
+    /// carries a metric point, so a point is as durable as its capture.
     pub fn append(&mut self, mut record: AuditRecord) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -360,8 +359,9 @@ impl AuditLog {
         if record.t_ms == 0 {
             record.t_ms = unix_ms();
         }
+        let carries_point = record.metrics.is_some();
         self.pending.push(record);
-        if self.pending.len() >= self.flush_every {
+        if carries_point || self.pending.len() >= self.flush_every {
             self.flush();
         }
         seq
@@ -395,7 +395,7 @@ impl AuditLog {
     /// Load every readable record, in sequence order. Unknown files are
     /// skipped; within a segment, parsing stops at the first torn line.
     pub fn load(io: &dyn SegmentIo) -> io::Result<Vec<AuditRecord>> {
-        let mut out: Vec<AuditRecord> = SegmentRing::load(io, PREFIX)?
+        let mut out: Vec<AuditRecord> = SegmentRing::load(io)?
             .iter()
             .filter_map(AuditRecord::from_json)
             .collect();
@@ -430,7 +430,7 @@ mod tests {
             ]
             .into_iter()
             .collect(),
-            plans: vec!["read".to_string(), "cached".to_string()],
+            plans: vec!["read".to_string(), "indexed_read".to_string()],
             predicted_read_s: 0.002,
             predicted_rerun_s: 0.13,
             actual_ns: 1_234_567,
@@ -439,6 +439,7 @@ mod tests {
             trace_id: 99,
             ok: true,
             effects: Vec::new(),
+            metrics: None,
         }
     }
 
@@ -497,6 +498,40 @@ mod tests {
         let parsed = AuditRecord::from_json(&json::parse(old).unwrap()).unwrap();
         assert_eq!(parsed.op, "reclaim");
         assert!(parsed.effects.is_empty());
+    }
+
+    #[test]
+    fn a_metric_point_round_trips_and_flushes_its_record() {
+        let io = MemSegmentIo::new();
+        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
+        log.append(sample("fetch.get"));
+        assert_eq!(log.pending_records().len(), 1, "no point: buffered");
+        let plain = log.pending_records()[0].to_json_line();
+        assert!(!plain.contains("metrics"), "no point, no key: {plain}");
+
+        let mut point = TimelinePoint {
+            reason: "log".into(),
+            ..TimelinePoint::default()
+        };
+        point.counters.insert("store.put.count".into(), 7);
+        point.gauges.insert("cost.read_bandwidth".into(), f64::NAN);
+        let mut r = sample("log");
+        r.metrics = Some(point);
+        let seq = log.append(r.clone());
+        assert!(log.pending_records().is_empty(), "a point flushes at once");
+
+        let recs = AuditLog::load(&io).unwrap();
+        assert_eq!(recs.len(), 2);
+        let loaded = recs[1].metrics.as_ref().unwrap();
+        assert_eq!(recs[1].seq, seq);
+        assert_eq!(loaded.reason, "log");
+        assert_eq!(loaded.counters["store.put.count"], 7);
+        assert!(loaded.gauges["cost.read_bandwidth"].is_nan());
+        // Everything before the point is the point-free line verbatim.
+        let mut bare = recs[1].clone();
+        bare.metrics = None;
+        let bare = bare.to_json_line();
+        assert!(recs[1].to_json_line().starts_with(&bare[..bare.len() - 1]));
     }
 
     #[test]

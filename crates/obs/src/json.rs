@@ -6,7 +6,7 @@
 //!   booleans, null. Numbers are kept as `f64` plus the raw text so exact
 //!   `u64`s and `f32`s survive round-trips. Nesting deeper than
 //!   [`MAX_DEPTH`] and duplicate object keys are errors. Reads back the
-//!   flight recorder's JSONL segments (see [`crate::timeline`]).
+//!   audit journal's JSONL segments (see [`crate::audit`]).
 //! - [`push_json_string`]: the one string escaper every writer in the
 //!   workspace quotes with.
 //! - [`Json`]: a typed, strict codec over the two, for the documents that
@@ -41,7 +41,7 @@ pub enum JsonValue {
     Str(String),
     /// An array.
     Arr(Vec<JsonValue>),
-    /// An object (insertion order is irrelevant to the recorder).
+    /// An object (insertion order is irrelevant to every reader).
     Obj(BTreeMap<String, JsonValue>),
 }
 

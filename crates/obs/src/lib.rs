@@ -34,16 +34,14 @@ pub mod tree;
 
 pub use audit::{
     AuditEffect, AuditLog, AuditRecord, AuditStats, CompactionReport, DemotionRecord,
-    DEFAULT_AUDIT_SEGMENT_TARGET, DEFAULT_FLUSH_EVERY,
+    DEFAULT_FLUSH_EVERY,
 };
 pub use export::{fmt_bytes, fmt_ns, fmt_secs, Snapshot};
 pub use hist::{HistSummary, Histogram};
 pub use metrics::{Counter, Gauge};
 pub use ring::{MemSegmentIo, SegmentIo};
 pub use span::{Span, SpanContext, SpanRecord, DEFAULT_RING_CAPACITY};
-pub use timeline::{
-    FlightRecorder, HistPoint, RecorderStats, Timeline, TimelinePoint, DEFAULT_SEGMENT_TARGET,
-};
+pub use timeline::{HistPoint, LastSeen, Timeline, TimelinePoint};
 pub use tree::{build_trees, render_trees, SpanNode};
 
 use std::collections::HashMap;

@@ -1,8 +1,8 @@
-//! The sidecar segment ring: the one persistence mechanism under the flight
-//! recorder ([`crate::timeline`]) and the audit journal ([`crate::audit`]).
+//! The sidecar segment ring: the persistence under the audit journal
+//! ([`crate::audit`]), whose records also carry the metric timeline.
 //!
 //! A ring is a set of JSONL segment files named
-//! `<prefix><first seq, 16 hex digits>.jsonl`. Appending rewrites the
+//! `au_<first seq, 16 hex digits>.jsonl`. Appending rewrites the
 //! whole open segment through [`SegmentIo::write_atomic`], so
 //! a crash can orphan a `*.tmp` but never tear a segment; a segment is sealed
 //! once it reaches the rotation target, and the oldest segments are dropped
@@ -100,25 +100,31 @@ pub(crate) fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Parse `<prefix>XXXXXXXXXXXXXXXX.jsonl` into its first seq.
-fn parse_segment_name(prefix: &str, name: &str) -> Option<u64> {
-    let hex = name.strip_prefix(prefix)?.strip_suffix(".jsonl")?;
+/// The segment prefix.
+const PREFIX: &str = "au_";
+
+/// Target size of one segment before the ring seals it (each append
+/// rewrites the open segment atomically, so this bounds per-append write
+/// amplification).
+const SEGMENT_TARGET: usize = 32 * 1024;
+
+/// Parse `au_XXXXXXXXXXXXXXXX.jsonl` into its first seq.
+fn parse_segment_name(name: &str) -> Option<u64> {
+    let hex = name.strip_prefix(PREFIX)?.strip_suffix(".jsonl")?;
     if hex.len() != 16 {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn segment_name(prefix: &str, first_seq: u64) -> String {
-    format!("{prefix}{first_seq:016x}.jsonl")
+fn segment_name(first_seq: u64) -> String {
+    format!("{PREFIX}{first_seq:016x}.jsonl")
 }
 
-/// A byte-bounded ring of JSONL segments sharing one name prefix (see the
-/// module docs). Files without the prefix — `*.tmp` orphans included — are
-/// invisible to it.
+/// A byte-bounded ring of JSONL segments (see the module docs). Files
+/// without the prefix — `*.tmp` orphans included — are invisible to it.
 pub(crate) struct SegmentRing {
     io: Box<dyn SegmentIo>,
-    prefix: &'static str,
     budget_bytes: u64,
     segment_target: usize,
     /// The open segment: its first seq and buffered content.
@@ -130,26 +136,20 @@ pub(crate) struct SegmentRing {
 }
 
 impl SegmentRing {
-    /// Open a ring over the existing segments named with `prefix`:
-    /// retention accounting picks up every one of them, and the second value is the
-    /// sequence number after the highest found on disk. A failing scan is
-    /// swallowed (the ring starts fresh, counting a write error) — a sidecar
-    /// must never fail an engine open.
-    pub(crate) fn open(
-        io: Box<dyn SegmentIo>,
-        prefix: &'static str,
-        budget_bytes: u64,
-        default_target: usize,
-    ) -> (SegmentRing, u64) {
+    /// Open a ring over the existing segments: retention accounting picks
+    /// up every one of them, and the second value is the sequence number
+    /// after the highest found on disk. A failing scan is swallowed (the
+    /// ring starts fresh, counting a write error) — a sidecar must never
+    /// fail an engine open.
+    pub(crate) fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> (SegmentRing, u64) {
         // A target near the budget would leave the whole ring in one
         // segment, so retention could only drop everything at once; clamp
         // so rotation always keeps a few sealed segments of history.
         let quarter = usize::try_from(budget_bytes / 4).unwrap_or(usize::MAX);
         let mut ring = SegmentRing {
             io,
-            prefix,
             budget_bytes,
-            segment_target: default_target.min(quarter.max(512)),
+            segment_target: SEGMENT_TARGET.min(quarter.max(512)),
             cur: None,
             sizes: BTreeMap::new(),
             write_errors: 0,
@@ -161,7 +161,7 @@ impl SegmentRing {
         });
         let mut next_seq = 0;
         for name in names {
-            let Some(first) = parse_segment_name(prefix, &name) else {
+            let Some(first) = parse_segment_name(&name) else {
                 continue;
             };
             let mut len = 0;
@@ -184,6 +184,7 @@ impl SegmentRing {
 
     /// Override the segment rotation target (tests use tiny segments to
     /// exercise retention).
+    #[cfg(test)]
     pub(crate) fn set_segment_target(&mut self, bytes: usize) {
         self.segment_target = bytes.max(1);
     }
@@ -230,7 +231,7 @@ impl SegmentRing {
             self.write_errors += buf[..cut].lines().count() as u64;
             buf.drain(..cut);
         }
-        let name = segment_name(self.prefix, *seq);
+        let name = segment_name(*seq);
         match self.io.write_atomic(&name, buf.as_bytes()) {
             Ok(()) => {
                 let len = buf.len();
@@ -260,21 +261,21 @@ impl SegmentRing {
             }
             self.sizes.remove(&oldest);
             self.segments_dropped += 1;
-            if matches!(&self.cur, Some((seq, _)) if segment_name(self.prefix, *seq) == oldest.1) {
+            if matches!(&self.cur, Some((seq, _)) if segment_name(*seq) == oldest.1) {
                 self.cur = None;
             }
         }
     }
 
-    /// Every line of every readable segment named with `prefix`, parsed,
-    /// segments in sequence order. Other files are skipped; within a
+    /// Every line of every readable segment, parsed, segments in sequence
+    /// order. Other files are skipped; within a
     /// segment, parsing stops at the first torn line (atomic segment writes
     /// make this a belt-and-braces guard).
-    pub(crate) fn load(io: &dyn SegmentIo, prefix: &str) -> io::Result<Vec<JsonValue>> {
+    pub(crate) fn load(io: &dyn SegmentIo) -> io::Result<Vec<JsonValue>> {
         let mut names: Vec<(u64, String)> = io
             .list()?
             .into_iter()
-            .filter_map(|n| parse_segment_name(prefix, &n).map(|s| (s, n)))
+            .filter_map(|n| parse_segment_name(&n).map(|s| (s, n)))
             .collect();
         names.sort();
         let mut out = Vec::new();
@@ -293,11 +294,8 @@ impl SegmentRing {
 mod tests {
     use super::*;
 
-    /// The two rings in use: the flight recorder's and the journal's.
-    const PREFIXES: [&str; 2] = ["tl_", "au_"];
-
-    fn open(io: &MemSegmentIo, prefix: &'static str, budget: u64) -> SegmentRing {
-        SegmentRing::open(Box::new(io.clone()), prefix, budget, 16 * 1024).0
+    fn open(io: &MemSegmentIo, budget: u64) -> SegmentRing {
+        SegmentRing::open(Box::new(io.clone()), budget).0
     }
 
     /// One line of the ring's own making: 48 bytes whatever the seq.
@@ -309,8 +307,8 @@ mod tests {
         )
     }
 
-    fn loaded_seqs(io: &dyn SegmentIo, prefix: &str) -> Vec<u64> {
-        let mut seqs: Vec<u64> = SegmentRing::load(io, prefix)
+    fn loaded_seqs(io: &dyn SegmentIo) -> Vec<u64> {
+        let mut seqs: Vec<u64> = SegmentRing::load(io)
             .unwrap()
             .iter()
             .map(|v| v.get("seq").unwrap().as_u64().unwrap())
@@ -326,41 +324,38 @@ mod tests {
 
     #[test]
     fn sequence_numbering_continues_across_reopen() {
-        for prefix in PREFIXES {
-            let io = MemSegmentIo::new();
-            let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), prefix, 1 << 20, 64);
-            assert_eq!(next, 0);
-            for seq in 0..5 {
-                ring.append(seq, &line(seq));
-            }
-            let (ring, next) = SegmentRing::open(Box::new(io.clone()), prefix, 1 << 20, 64);
-            assert_eq!(next, 5, "{prefix}");
-            assert_eq!(ring.segments(), io.list().unwrap().len() as u64);
-            assert_eq!(ring.total_bytes(), bytes_on(&io));
-            assert_eq!(loaded_seqs(&io, prefix), vec![0, 1, 2, 3, 4]);
+        let io = MemSegmentIo::new();
+        let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), 1 << 20);
+        assert_eq!(next, 0);
+        ring.set_segment_target(64);
+        for seq in 0..5 {
+            ring.append(seq, &line(seq));
         }
+        let (ring, next) = SegmentRing::open(Box::new(io.clone()), 1 << 20);
+        assert_eq!(next, 5);
+        assert_eq!(ring.segments(), io.list().unwrap().len() as u64);
+        assert_eq!(ring.total_bytes(), bytes_on(&io));
+        assert_eq!(loaded_seqs(&io), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn retention_never_exceeds_the_budget() {
-        for prefix in PREFIXES {
-            let io = MemSegmentIo::new();
-            let mut ring = open(&io, prefix, 2048);
-            ring.set_segment_target(256);
-            for seq in 0..200 {
-                ring.append(seq, &line(seq));
-                ring.enforce_budget();
-                let total = bytes_on(&io);
-                assert!(total <= 2048, "{total} bytes after append {seq}");
-                assert_eq!(ring.total_bytes(), total);
-            }
-            assert!(ring.segments_dropped() > 0, "retention must have kicked in");
-            // The survivors are the newest lines, contiguous.
-            let seqs = loaded_seqs(&io, prefix);
-            assert_eq!(seqs.last(), Some(&199));
-            for w in seqs.windows(2) {
-                assert_eq!(w[1], w[0] + 1, "{prefix}");
-            }
+        let io = MemSegmentIo::new();
+        let mut ring = open(&io, 2048);
+        ring.set_segment_target(256);
+        for seq in 0..200 {
+            ring.append(seq, &line(seq));
+            ring.enforce_budget();
+            let total = bytes_on(&io);
+            assert!(total <= 2048, "{total} bytes after append {seq}");
+            assert_eq!(ring.total_bytes(), total);
+        }
+        assert!(ring.segments_dropped() > 0, "retention must have kicked in");
+        // The survivors are the newest lines, contiguous.
+        let seqs = loaded_seqs(&io);
+        assert_eq!(seqs.last(), Some(&199));
+        for w in seqs.windows(2) {
+            assert_eq!(w[1], w[0] + 1);
         }
     }
 
@@ -369,94 +364,89 @@ mod tests {
         let torn = line(1)[..28].to_string();
         let duplicate_key = "{\"seq\":1,\"seq\":2}\n".to_string();
         let too_deep = "[".repeat(100_000);
-        for prefix in PREFIXES {
-            for bad in [&torn, &duplicate_key, &too_deep] {
-                let io = MemSegmentIo::new();
-                let mut ring = open(&io, prefix, 1 << 20);
-                ring.append(0, &line(0));
-                // Damage the segment's tail behind the ring's back.
-                let name = io.list().unwrap()[0].clone();
-                let mut bytes = io.read(&name).unwrap();
-                bytes.extend_from_slice(bad.as_bytes());
-                io.write_atomic(&name, &bytes).unwrap();
-                assert_eq!(loaded_seqs(&io, prefix), vec![0], "valid prefix kept");
-            }
+        for bad in [&torn, &duplicate_key, &too_deep] {
+            let io = MemSegmentIo::new();
+            let mut ring = open(&io, 1 << 20);
+            ring.append(0, &line(0));
+            // Damage the segment's tail behind the ring's back.
+            let name = io.list().unwrap()[0].clone();
+            let mut bytes = io.read(&name).unwrap();
+            bytes.extend_from_slice(bad.as_bytes());
+            io.write_atomic(&name, &bytes).unwrap();
+            assert_eq!(loaded_seqs(&io), vec![0], "valid prefix kept");
         }
     }
 
     #[test]
     fn garbage_orphans_and_foreign_files_do_not_poison_the_ring() {
-        for prefix in PREFIXES {
-            let io = MemSegmentIo::new();
-            let garbage = segment_name(prefix, 3);
-            io.write_atomic(&garbage, b"\x00\xff\x80 not json\n")
-                .unwrap();
-            let orphan = format!("{}.tmp", segment_name(prefix, 9));
-            io.write_atomic(&orphan, b"orphan").unwrap();
-            io.write_atomic("unrelated.txt", b"ignored").unwrap();
-            io.write_atomic(&format!("{prefix}7.jsonl"), b"short name")
-                .unwrap();
-            // A well-formed segment of another ring (or of the event
-            // family older stores carry) is not this ring's business.
-            io.write_atomic(&segment_name("ev_", 1), line(1).as_bytes())
-                .unwrap();
-
-            assert!(SegmentRing::load(&io, prefix).unwrap().is_empty());
-            let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), prefix, 1 << 20, 64);
-            assert_eq!(next, 4, "unparseable segment anchors seq at its name");
-            assert_eq!(ring.segments(), 1, "only the garbage segment is accounted");
-            assert_eq!(ring.total_bytes(), io.read(&garbage).unwrap().len() as u64);
-
-            ring.append(next, &line(next));
-            assert_eq!(loaded_seqs(&io, prefix), vec![4]);
-            assert_eq!(io.list().unwrap().len(), 6, "foreign files left alone");
+        let io = MemSegmentIo::new();
+        let garbage = segment_name(3);
+        io.write_atomic(&garbage, b"\x00\xff\x80 not json\n")
+            .unwrap();
+        let orphan = format!("{}.tmp", segment_name(9));
+        io.write_atomic(&orphan, b"orphan").unwrap();
+        io.write_atomic("unrelated.txt", b"ignored").unwrap();
+        io.write_atomic(&format!("{PREFIX}7.jsonl"), b"short name")
+            .unwrap();
+        // Well-formed segments of the families older stores carry (the
+        // event journal's, the flight recorder's) are not this ring's
+        // business.
+        for family in ["ev_", "tl_"] {
+            let name = format!("{family}{:016x}.jsonl", 1);
+            io.write_atomic(&name, line(1).as_bytes()).unwrap();
         }
+
+        assert!(SegmentRing::load(&io).unwrap().is_empty());
+        let (mut ring, next) = SegmentRing::open(Box::new(io.clone()), 1 << 20);
+        assert_eq!(next, 4, "unparseable segment anchors seq at its name");
+        assert_eq!(ring.segments(), 1, "only the garbage segment is accounted");
+        assert_eq!(ring.total_bytes(), io.read(&garbage).unwrap().len() as u64);
+
+        ring.append(next, &line(next));
+        assert_eq!(loaded_seqs(&io), vec![4]);
+        assert_eq!(io.list().unwrap().len(), 7, "foreign files left alone");
     }
 
     #[test]
     fn a_failed_write_at_the_rotation_target_is_retried_not_discarded() {
-        for prefix in PREFIXES {
-            let io = MemSegmentIo::new();
-            let mut ring = open(&io, prefix, 1 << 20);
-            ring.set_segment_target(2 * line(0).len());
-            assert!(ring.append(0, &line(0)));
-            // The write that takes the buffer to the target fails …
-            io.set_dead(true);
-            assert!(!ring.append(1, &line(1)));
-            assert_eq!(ring.write_errors(), 1);
-            assert_eq!(loaded_seqs(&io, prefix), vec![0]);
-            // … so the segment stays open and the next append carries it.
-            io.set_dead(false);
-            assert!(ring.append(2, &line(2)));
-            assert_eq!(loaded_seqs(&io, prefix), vec![0, 1, 2], "{prefix}");
-            assert_eq!(
-                io.list().unwrap().len(),
-                1,
-                "one segment, sealed on success"
-            );
-            assert!(ring.append(3, &line(3)));
-            assert_eq!(io.list().unwrap().len(), 2);
-        }
+        let io = MemSegmentIo::new();
+        let mut ring = open(&io, 1 << 20);
+        ring.set_segment_target(2 * line(0).len());
+        assert!(ring.append(0, &line(0)));
+        // The write that takes the buffer to the target fails …
+        io.set_dead(true);
+        assert!(!ring.append(1, &line(1)));
+        assert_eq!(ring.write_errors(), 1);
+        assert_eq!(loaded_seqs(&io), vec![0]);
+        // … so the segment stays open and the next append carries it.
+        io.set_dead(false);
+        assert!(ring.append(2, &line(2)));
+        assert_eq!(loaded_seqs(&io), vec![0, 1, 2]);
+        assert_eq!(
+            io.list().unwrap().len(),
+            1,
+            "one segment, sealed on success"
+        );
+        assert!(ring.append(3, &line(3)));
+        assert_eq!(io.list().unwrap().len(), 2);
     }
 
     #[test]
     fn a_dead_disk_retains_at_most_a_budget_of_lines() {
-        for prefix in PREFIXES {
-            let budget = 10 * line(0).len() as u64;
-            let io = MemSegmentIo::new();
-            let mut ring = open(&io, prefix, budget);
-            io.set_dead(true);
-            for seq in 0..25 {
-                ring.append(seq, &line(seq));
-            }
-            // 25 failed writes plus the 15 oldest lines given up on.
-            assert_eq!(ring.write_errors(), 25 + 15);
-            io.set_dead(false);
-            assert!(ring.append(25, &line(25)));
-            ring.enforce_budget();
-            // The first good write lands the newest budget's worth.
-            assert_eq!(loaded_seqs(&io, prefix), (16..=25).collect::<Vec<u64>>());
-            assert_eq!(bytes_on(&io), budget);
+        let budget = 10 * line(0).len() as u64;
+        let io = MemSegmentIo::new();
+        let mut ring = open(&io, budget);
+        io.set_dead(true);
+        for seq in 0..25 {
+            ring.append(seq, &line(seq));
         }
+        // 25 failed writes plus the 15 oldest lines given up on.
+        assert_eq!(ring.write_errors(), 25 + 15);
+        io.set_dead(false);
+        assert!(ring.append(25, &line(25)));
+        ring.enforce_budget();
+        // The first good write lands the newest budget's worth.
+        assert_eq!(loaded_seqs(&io), (16..=25).collect::<Vec<u64>>());
+        assert_eq!(bytes_on(&io), budget);
     }
 }

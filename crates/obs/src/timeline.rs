@@ -1,19 +1,13 @@
-//! The flight recorder: a durable, bounded timeline of metric deltas.
+//! The metric timeline: delta points that ride on audit records.
 //!
 //! At every burst boundary (logging, reclaim passes, recovery — plus a
-//! periodic tick) the engine calls [`FlightRecorder::capture`] with a fresh
-//! [`Snapshot`]. The recorder writes a **delta point** — the absolute values
-//! of only the metrics that changed since the previous point — as one JSONL
-//! line into the current timeline segment. What an operation *did* (a
-//! reclaim step, a compaction) is not a metric: it goes on that operation's
-//! audit record ([`crate::audit`]).
-//!
-//! Segments live in their own subdirectory under the store directory and
-//! are persisted by the shared segment ring (`ring.rs`): atomic
-//! whole-segment rewrites, byte-bounded oldest-first retention, and
-//! **best-effort** I/O — a failing write increments an error count and is
-//! retried at the next capture, but never fails the data path that
-//! triggered it.
+//! periodic tick) the engine computes a **delta point** with
+//! [`LastSeen::point`] — the absolute values of only the metrics that
+//! changed since the previous point — and puts it on the audit record of
+//! the operation that took it ([`crate::AuditRecord::metrics`]). The
+//! journal is the one ring on disk; a [`Timeline`] is the view of the
+//! records that carry a point ([`Timeline::from_records`]), and a point's
+//! `seq` and `t_ms` are its record's.
 //!
 //! Counters reset when the process restarts (each `Obs` registry starts at
 //! zero, exactly like Prometheus counters after a target restart); the
@@ -22,19 +16,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::io;
 
+use crate::audit::AuditRecord;
 use crate::export::Snapshot;
 use crate::json::{push_json_string, JsonValue};
-use crate::ring::{unix_ms, SegmentIo, SegmentRing};
-
-/// Target size of one segment before the recorder seals it and starts the
-/// next (a capture rewrites the whole current segment atomically, so this
-/// bounds per-capture write amplification).
-pub const DEFAULT_SEGMENT_TARGET: usize = 16 * 1024;
-
-/// The recorder's segment prefix.
-const PREFIX: &str = "tl_";
 
 /// Absolute histogram state carried by a delta point (recorded whenever the
 /// histogram's count moved since the previous point).
@@ -63,9 +48,10 @@ pub struct HistPoint {
 /// at their new absolute values.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimelinePoint {
-    /// Monotone sequence number (continues across restarts).
+    /// Sequence number of the audit record carrying the point (0 until
+    /// [`Timeline::from_records`] reads it off the record).
     pub seq: u64,
-    /// Unix timestamp in milliseconds.
+    /// Unix timestamp in milliseconds of that record (0 until then too).
     pub t_ms: u64,
     /// Burst boundary that triggered the capture (`log`, `reclaim`,
     /// `recovery` or `interval`).
@@ -79,21 +65,30 @@ pub struct TimelinePoint {
 }
 
 impl TimelinePoint {
-    /// Serialize as one JSONL line (no trailing newline).
+    /// Serialize as one JSON object (the `mistique timeline --json` element).
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(128);
         let _ = write!(
             out,
-            "{{\"k\":\"pt\",\"seq\":{},\"t_ms\":{},\"reason\":",
+            "{{\"k\":\"pt\",\"seq\":{},\"t_ms\":{},",
             self.seq, self.t_ms
         );
-        push_json_string(&mut out, &self.reason);
+        self.push_fields(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// Write `"reason":…,"counters":{…},"gauges":{…},"hists":{…}`: the
+    /// point's own fields, which an audit record's `metrics` object holds.
+    pub(crate) fn push_fields(&self, out: &mut String) {
+        out.push_str("\"reason\":");
+        push_json_string(out, &self.reason);
         out.push_str(",\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, name);
+            push_json_string(out, name);
             let _ = write!(out, ":{v}");
         }
         out.push_str("},\"gauges\":{");
@@ -101,7 +96,7 @@ impl TimelinePoint {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, name);
+            push_json_string(out, name);
             out.push(':');
             if v.is_finite() {
                 let _ = write!(out, "{v}");
@@ -114,23 +109,19 @@ impl TimelinePoint {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, name);
+            push_json_string(out, name);
             let _ = write!(
                 out,
                 ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{}}}",
                 h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99, h.p999
             );
         }
-        out.push_str("}}");
-        out
+        out.push('}');
     }
 
-    /// Parse a JSONL line previously produced by
-    /// [`TimelinePoint::to_json_line`]. Returns `None` for non-point records.
-    pub fn from_json(v: &JsonValue) -> Option<TimelinePoint> {
-        if v.get("k")?.as_str()? != "pt" {
-            return None;
-        }
+    /// Parse the fields [`TimelinePoint::push_fields`] wrote (`seq` and
+    /// `t_ms` stay 0: they are the carrying record's).
+    pub(crate) fn from_fields(v: &JsonValue) -> Option<TimelinePoint> {
         let counters = v
             .get("counters")?
             .as_obj()?
@@ -159,7 +150,7 @@ impl TimelinePoint {
                         p50: h.get("p50")?.as_u64()?,
                         p95: h.get("p95")?.as_u64()?,
                         p99,
-                        // Journals written before p99.9 existed lack the
+                        // Points written before p99.9 existed lack the
                         // field; the p99 fallback keeps them loadable.
                         p999: h.get("p999").and_then(|v| v.as_u64()).unwrap_or(p99),
                     },
@@ -167,116 +158,57 @@ impl TimelinePoint {
             })
             .collect();
         Some(TimelinePoint {
-            seq: v.get("seq")?.as_u64()?,
-            t_ms: v.get("t_ms")?.as_u64()?,
             reason: v.get("reason")?.as_str()?.to_string(),
             counters,
             gauges,
             hists,
+            ..TimelinePoint::default()
         })
+    }
+
+    /// Fold a `later` point of the same record into this one: a metric in
+    /// both takes the later value, and the later reason wins.
+    pub fn merge(&mut self, later: TimelinePoint) {
+        self.reason = later.reason;
+        self.counters.extend(later.counters);
+        self.gauges.extend(later.gauges);
+        self.hists.extend(later.hists);
     }
 }
 
-/// Point-in-time recorder statistics (mirrored into `telemetry.*` gauges by
-/// the engine before each snapshot).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecorderStats {
-    /// Points successfully written.
-    pub captures: u64,
-    /// Best-effort writes/removals that failed.
-    pub write_errors: u64,
-    /// Segments dropped by retention.
-    pub segments_dropped: u64,
-    /// Current total bytes across all segments.
-    pub total_bytes: u64,
-    /// Current number of segments.
-    pub segments: u64,
-    /// The sequence number the next point will get.
-    pub next_seq: u64,
-}
-
-/// Last-seen metric values, for delta computation.
-#[derive(Default)]
-struct LastSeen {
+/// The delta baselines: the value of every metric as of the previous point.
+/// One per open engine, so a restarted process puts every metric it has
+/// moved into its first point.
+#[derive(Debug, Default)]
+pub struct LastSeen {
     counters: HashMap<String, u64>,
     gauges: HashMap<String, u64>, // f64 bit patterns (NaN-stable compare)
     hist_counts: HashMap<String, u64>,
 }
 
-/// The durable telemetry recorder. One per open engine instance; all writes
-/// are best-effort (see module docs).
-pub struct FlightRecorder {
-    ring: SegmentRing,
-    next_seq: u64,
-    last: LastSeen,
-    captures: u64,
-}
-
-impl FlightRecorder {
-    /// Open a recorder over existing segments: sequence numbering continues
-    /// after the highest sequence found on disk, and retention accounting
-    /// picks up every existing segment. Scan errors are swallowed (the
-    /// recorder starts fresh, counting a write error) — telemetry must
-    /// never fail an engine open.
-    pub fn open(io: Box<dyn SegmentIo>, budget_bytes: u64) -> FlightRecorder {
-        let (ring, next_seq) = SegmentRing::open(io, PREFIX, budget_bytes, DEFAULT_SEGMENT_TARGET);
-        FlightRecorder {
-            ring,
-            next_seq,
-            last: LastSeen::default(),
-            captures: 0,
-        }
-    }
-
-    /// Override the segment rotation target (tests use tiny segments to
-    /// exercise retention).
-    pub fn set_segment_target(&mut self, bytes: usize) {
-        self.ring.set_segment_target(bytes);
-    }
-
-    /// Current recorder statistics.
-    pub fn stats(&self) -> RecorderStats {
-        RecorderStats {
-            captures: self.captures,
-            write_errors: self.ring.write_errors(),
-            segments_dropped: self.ring.segments_dropped(),
-            total_bytes: self.ring.total_bytes(),
-            segments: self.ring.segments(),
-            next_seq: self.next_seq,
-        }
-    }
-
-    /// The configured retention budget in bytes.
-    pub fn budget_bytes(&self) -> u64 {
-        self.ring.budget_bytes()
-    }
-
-    /// Capture a delta point from `snap`. A no-op returning `None` when
-    /// nothing changed; otherwise returns the point's sequence number. All
-    /// I/O is best-effort.
-    pub fn capture(&mut self, snap: &Snapshot, reason: &str) -> Option<u64> {
+impl LastSeen {
+    /// The delta point of `snap` against the baselines, which then advance
+    /// to it; `None` when nothing changed.
+    pub fn point(&mut self, snap: &Snapshot, reason: &str) -> Option<TimelinePoint> {
         let mut point = TimelinePoint {
-            seq: 0,
-            t_ms: unix_ms(),
             reason: reason.to_string(),
             ..TimelinePoint::default()
         };
         for (name, &v) in &snap.counters {
             // Skip still-zero counters that were never recorded (registered
             // but untouched); record every real change.
-            let seen = self.last.counters.contains_key(name);
-            if (seen || v != 0) && self.last.counters.get(name) != Some(&v) {
+            let seen = self.counters.contains_key(name);
+            if (seen || v != 0) && self.counters.get(name) != Some(&v) {
                 point.counters.insert(name.clone(), v);
             }
         }
         for (name, &v) in &snap.gauges {
-            let bits = v.to_bits();
-            if self.last.gauges.get(name) != Some(&bits) {
+            if self.gauges.get(name) != Some(&v.to_bits()) {
                 point.gauges.insert(name.clone(), v);
             }
         }
         for (name, h) in &snap.histograms {
-            if self.last.hist_counts.get(name).copied().unwrap_or(0) != h.count && h.count > 0 {
+            if self.hist_counts.get(name).copied().unwrap_or(0) != h.count && h.count > 0 {
                 point.hists.insert(
                     name.clone(),
                     HistPoint {
@@ -295,38 +227,18 @@ impl FlightRecorder {
         if point.counters.is_empty() && point.gauges.is_empty() && point.hists.is_empty() {
             return None;
         }
-
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        point.seq = seq;
-
-        // Commit the delta baselines regardless of write success — a failed
-        // write loses that point, it must not double future deltas.
+        // The baselines advance whether or not the point reaches disk — a
+        // lost point must not double future deltas.
         for (name, &v) in &point.counters {
-            self.last.counters.insert(name.clone(), v);
+            self.counters.insert(name.clone(), v);
         }
         for (name, &v) in &point.gauges {
-            self.last.gauges.insert(name.clone(), v.to_bits());
+            self.gauges.insert(name.clone(), v.to_bits());
         }
         for (name, h) in &point.hists {
-            self.last.hist_counts.insert(name.clone(), h.count);
+            self.hist_counts.insert(name.clone(), h.count);
         }
-
-        let mut line = point.to_json_line();
-        line.push('\n');
-        self.ring.append(seq, &line);
-        self.ring.enforce_budget();
-        self.captures += 1;
-        Some(seq)
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("budget_bytes", &self.budget_bytes())
-            .field("stats", &self.stats())
-            .finish()
+        Some(point)
     }
 }
 
@@ -338,16 +250,22 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Load every readable segment. Unknown files and `*.tmp` orphans are
-    /// skipped; within a segment, parsing stops at the first torn line
-    /// (atomic segment writes make this a belt-and-braces guard).
-    pub fn load(io: &dyn SegmentIo) -> io::Result<Timeline> {
-        let mut points: Vec<TimelinePoint> = SegmentRing::load(io, PREFIX)?
+    /// The points carried by `records` (in sequence order, as
+    /// [`crate::AuditLog::load`] returns them), each numbered and stamped
+    /// with its record's `seq` and `t_ms`.
+    pub fn from_records(records: &[AuditRecord]) -> Timeline {
+        let points = records
             .iter()
-            .filter_map(TimelinePoint::from_json)
+            .filter_map(|r| {
+                let m = r.metrics.as_ref()?;
+                Some(TimelinePoint {
+                    seq: r.seq,
+                    t_ms: r.t_ms,
+                    ..m.clone()
+                })
+            })
             .collect();
-        points.sort_by_key(|p| p.seq);
-        Ok(Timeline { points })
+        Timeline { points }
     }
 
     /// The highest point sequence, if any points survive.
@@ -442,17 +360,26 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::ring::MemSegmentIo;
-    use crate::Obs;
+    use crate::{AuditLog, Obs};
 
-    fn recorder(io: MemSegmentIo, budget: u64) -> FlightRecorder {
-        FlightRecorder::open(Box::new(io), budget)
+    /// Append one record per point `last` yields from `obs` (none when
+    /// nothing changed), as the engine does at a burst boundary.
+    fn capture(log: &mut AuditLog, last: &mut LastSeen, obs: &Obs, reason: &str) -> Option<u64> {
+        let metrics = Some(last.point(&obs.snapshot(), reason)?);
+        Some(log.append(AuditRecord {
+            op: reason.to_string(),
+            metrics,
+            ..AuditRecord::default()
+        }))
+    }
+
+    fn loaded(io: &MemSegmentIo) -> Timeline {
+        Timeline::from_records(&AuditLog::load(io).unwrap())
     }
 
     #[test]
     fn point_round_trips_through_json() {
         let mut p = TimelinePoint {
-            seq: 42,
-            t_ms: 1_700_000_000_000,
             reason: "log".into(),
             ..TimelinePoint::default()
         };
@@ -471,18 +398,28 @@ mod tests {
                 p999: 60,
             },
         );
-        let line = p.to_json_line();
-        let parsed = TimelinePoint::from_json(&json::parse(&line).unwrap()).unwrap();
+        let mut fields = String::from("{");
+        p.push_fields(&mut fields);
+        fields.push('}');
+        let parsed = TimelinePoint::from_fields(&json::parse(&fields).unwrap()).unwrap();
         assert_eq!(parsed, p);
+        // The `timeline --json` element is the same fields under a header.
+        let line = TimelinePoint {
+            seq: 42,
+            t_ms: 1_700_000_000_000,
+            ..p
+        }
+        .to_json_line();
+        assert!(line.starts_with("{\"k\":\"pt\",\"seq\":42,\"t_ms\":1700000000000,\"reason\""));
+        assert!(line.ends_with(&fields[1..]), "{line}");
     }
 
     #[test]
     fn hist_points_without_p999_fall_back_to_p99() {
-        // A journal line written before p99.9 existed must still load.
-        let line = "{\"k\":\"pt\",\"seq\":1,\"t_ms\":5,\"reason\":\"log\",\"counters\":{},\
-                    \"gauges\":{},\"hists\":{\"h\":{\"count\":2,\"sum\":9,\"min\":1,\
-                    \"max\":8,\"p50\":4,\"p95\":8,\"p99\":8}}}";
-        let p = TimelinePoint::from_json(&json::parse(line).unwrap()).unwrap();
+        // A point written before p99.9 existed must still load.
+        let fields = "{\"reason\":\"log\",\"counters\":{},\"gauges\":{},\"hists\":{\"h\":\
+                      {\"count\":2,\"sum\":9,\"min\":1,\"max\":8,\"p50\":4,\"p95\":8,\"p99\":8}}}";
+        let p = TimelinePoint::from_fields(&json::parse(fields).unwrap()).unwrap();
         assert_eq!(p.hists["h"].p999, 8);
     }
 
@@ -490,18 +427,19 @@ mod tests {
     fn capture_records_only_deltas() {
         let obs = Obs::new();
         let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
+        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
+        let mut last = LastSeen::default();
 
         obs.counter("a").add(2);
         obs.gauge("g").set(1.5);
-        assert_eq!(rec.capture(&obs.snapshot(), "log"), Some(0));
+        assert_eq!(capture(&mut log, &mut last, &obs, "log"), Some(0));
         // Nothing changed: no point.
-        assert_eq!(rec.capture(&obs.snapshot(), "log"), None);
+        assert_eq!(capture(&mut log, &mut last, &obs, "log"), None);
         obs.counter("a").inc();
         obs.counter("b").inc();
-        assert_eq!(rec.capture(&obs.snapshot(), "reclaim"), Some(1));
+        assert_eq!(capture(&mut log, &mut last, &obs, "reclaim"), Some(1));
 
-        let tl = Timeline::load(&io).unwrap();
+        let tl = loaded(&io);
         assert_eq!(tl.points.len(), 2);
         assert_eq!(tl.points[0].counters["a"], 2);
         assert_eq!(tl.points[0].gauges["g"], 1.5);
@@ -520,37 +458,36 @@ mod tests {
     #[test]
     fn zero_valued_new_counters_are_elided() {
         let obs = Obs::new();
-        let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
         obs.counter("never_hit"); // registered, still zero
         obs.counter("hit").inc();
-        rec.capture(&obs.snapshot(), "log").unwrap();
-        let tl = Timeline::load(&io).unwrap();
-        assert!(!tl.points[0].counters.contains_key("never_hit"));
-        assert!(tl.points[0].counters.contains_key("hit"));
+        let p = LastSeen::default().point(&obs.snapshot(), "log").unwrap();
+        assert!(!p.counters.contains_key("never_hit"));
+        assert!(p.counters.contains_key("hit"));
     }
 
     #[test]
     fn a_reopened_recorder_continues_the_numbering_and_shows_the_counter_reset() {
         let io = MemSegmentIo::new();
         let obs = Obs::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
+        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
         obs.counter("c").add(2);
-        assert_eq!(rec.capture(&obs.snapshot(), "log"), Some(0));
-        // "New process": fresh recorder and registry over the same segments.
+        assert_eq!(
+            capture(&mut log, &mut LastSeen::default(), &obs, "log"),
+            Some(0)
+        );
+        // "New process": fresh journal, baselines and registry over the
+        // same segments.
         let obs2 = Obs::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
-        assert_eq!(rec.stats().next_seq, 1);
+        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
+        assert_eq!(log.stats().next_seq, 1);
         obs2.counter("c").inc();
-        assert_eq!(rec.capture(&obs2.snapshot(), "log"), Some(1));
+        assert_eq!(
+            capture(&mut log, &mut LastSeen::default(), &obs2, "log"),
+            Some(1)
+        );
         // The counter restarted from zero and the timeline shows it, like
         // Prometheus after a target restart.
-        let values: Vec<f64> = Timeline::load(&io)
-            .unwrap()
-            .series("c")
-            .iter()
-            .map(|s| s.2)
-            .collect();
+        let values: Vec<f64> = loaded(&io).series("c").iter().map(|s| s.2).collect();
         assert_eq!(values, vec![2.0, 1.0]);
     }
 
@@ -558,16 +495,24 @@ mod tests {
     fn window_filters_points_and_events() {
         let obs = Obs::new();
         let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
+        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
+        let mut last = LastSeen::default();
         for _ in 0..5 {
             obs.counter("c").inc();
-            rec.capture(&obs.snapshot(), "log");
+            capture(&mut log, &mut last, &obs, "log");
+            // A record without a point is not in the timeline.
+            log.append(AuditRecord::default());
         }
-        let tl = Timeline::load(&io).unwrap();
-        let w = tl.window(1, 3);
+        log.flush();
+        let tl = loaded(&io);
+        assert_eq!(
+            tl.points.iter().map(|p| p.seq).collect::<Vec<_>>(),
+            vec![0, 2, 4, 6, 8]
+        );
+        let w = tl.window(1, 6);
         assert_eq!(
             w.points.iter().map(|p| p.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3]
+            vec![2, 4, 6]
         );
     }
 
@@ -575,11 +520,11 @@ mod tests {
     fn timeline_json_and_table_render() {
         let obs = Obs::new();
         let io = MemSegmentIo::new();
-        let mut rec = recorder(io.clone(), 1 << 20);
+        let mut log = AuditLog::open(Box::new(io.clone()), 1 << 20);
         obs.counter("c").inc();
         obs.histogram("h").record(5);
-        rec.capture(&obs.snapshot(), "reclaim");
-        let tl = Timeline::load(&io).unwrap();
+        capture(&mut log, &mut LastSeen::default(), &obs, "reclaim");
+        let tl = loaded(&io);
         let json_doc = tl.to_json_string();
         let parsed = json::parse(&json_doc).unwrap();
         assert_eq!(parsed.get("points").unwrap().as_arr().unwrap().len(), 1);

@@ -1,8 +1,8 @@
 //! Storage-backend adapter for the store's sidecar subdirectories.
 //!
-//! The flight recorder (`telemetry/`), the audit journal (`audit/`) and the
-//! secondary indexes (`index/`) persist through this adapter so every byte
-//! goes through the same [`StorageBackend`] — and therefore the same
+//! The audit journal (`audit/`, whose records also carry the metric
+//! timeline) and the secondary indexes (`index/`) persist through this
+//! adapter so every byte goes through the same [`StorageBackend`] — and therefore the same
 //! fault-injection harness — as partition data. Each lives in its own
 //! subdirectory under the store directory; `list_dir` only reports
 //! direct-children files, so the data store's sweep, quarantine, and budget
@@ -19,7 +19,10 @@ use crate::backend::StorageBackend;
 
 /// Subdirectory of the store directory that holds audit segments.
 pub const AUDIT_SUBDIR: &str = "audit";
-/// Subdirectory of the store directory that holds telemetry segments.
+/// Subdirectory where older builds' flight recorder kept its segments. No
+/// sidecar opens it any more (the metric timeline rides on audit records);
+/// the name stays for readers that class a store's files by family, such as
+/// the benchmark's I/O split in `e2e/src/timedfs.rs`.
 pub const TELEMETRY_SUBDIR: &str = "telemetry";
 /// Subdirectory of the store directory that holds index files.
 pub const INDEX_SUBDIR: &str = "index";
@@ -107,7 +110,7 @@ mod tests {
     use super::*;
     use crate::backend::RealFs;
 
-    const SUBDIRS: [&str; 3] = [AUDIT_SUBDIR, TELEMETRY_SUBDIR, INDEX_SUBDIR];
+    const SUBDIRS: [&str; 2] = [AUDIT_SUBDIR, INDEX_SUBDIR];
 
     #[test]
     fn files_round_trip_in_isolation_and_create_sweeps_tmp_orphans() {

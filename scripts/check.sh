@@ -102,6 +102,22 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# One sidecar ring (DESIGN.md §11, §14): a metric-delta point rides on the
+# audit record of the operation that took it, and the timeline is a view of
+# the journal. A flight recorder, its `telemetry/` directory, its budget knob
+# or its `tl_` segment family is a second ring growing back. The directory's
+# name keeps its one definition and re-export in the store crate, which the
+# benchmark's I/O split reads. Non-test code only, as above.
+echo "== one sidecar ring =="
+sites=$(find crates -name '*.rs' | sort | non_test_lines |
+  grep -E 'FlightRecorder|TELEMETRY_SUBDIR|telemetry_budget_bytes|"tl_"' |
+  grep -vE '^crates/store/src/(subdir|lib)\.rs:[0-9]+: (pub const|pub use) .*TELEMETRY_SUBDIR' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: a second sidecar ring is back — put the metric point on the operation's AuditRecord:"
+  echo "$sites"
+  exit 1
+fi
+
 # Every fetch is served by a plan the cost model priced (DESIGN.md §10,
 # §12): read, re-run, rows or indexed. A frame cache in front of the
 # planner — the removed session query cache — serves a plan nobody

@@ -324,7 +324,6 @@ fn every_crash_point_leaves_bound_layers_whole() {
             value: ValueScheme::Full,
             pool_sigma: Some(8),
         },
-        telemetry_budget_bytes: 0,
         audit_budget_bytes: 0,
         ..MistiqueConfig::default()
     };

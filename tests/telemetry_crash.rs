@@ -1,34 +1,34 @@
-//! Crash-safety of the two best-effort sidecars, the flight recorder and the
-//! workload audit journal: enumerate (with [`enumerate_crashes`]) a
-//! simulated power cut at **every** backend syscall of a register → log →
-//! query → starved reclaim → persist workload (both sidecars on, so timeline
-//! and journal segment writes are interleaved with data writes on the same
-//! [`FaultyFs`]) under all three [`mistique_store::TornWrite`] policies, and
-//! assert:
+//! Crash-safety of the one best-effort sidecar, the workload audit journal,
+//! whose records also carry the metric timeline: enumerate (with
+//! [`enumerate_crashes`]) a simulated power cut at **every** backend syscall
+//! of a register → log → query → starved reclaim → persist workload (journal
+//! segment writes interleaved with data writes on the same [`FaultyFs`])
+//! under all three [`mistique_store::TornWrite`] policies, and assert:
 //!
-//! - a torn telemetry or audit write never quarantines a *data* partition or
-//!   breaks reopen — sidecar failures are swallowed, data invariants are
+//! - a torn journal write never quarantines a *data* partition or breaks
+//!   reopen — sidecar failures are swallowed, data invariants are
 //!   `tests/crash_safety.rs`'s unchanged contract;
-//! - the timeline always loads from whatever segments survive: a valid
+//! - the timeline always loads from whatever records survive: a valid
 //!   pre- or post-capture prefix, strictly increasing sequence numbers,
-//!   never a parse error, and nothing but `tl_` segments on disk;
-//! - after reopen, the recorder resumes: its first point is the `recovery`
-//!   capture, numbered past the survivors and carrying the pass's
-//!   `store.recovery.*` counters;
+//!   never a parse error;
+//! - after reopen, the timeline resumes: its first new point is the
+//!   `recovery` record's, numbered past the survivors and carrying the
+//!   pass's `store.recovery.*` counters;
 //! - the journal always loads as a valid prefix with strictly increasing
 //!   sequence numbers, and after reopen it resumes strictly past every
 //!   surviving record;
-//! - a *completed* workload keeps every capture and every flushed record
+//! - a *completed* workload keeps every point and every flushed record
 //!   under any power-cut policy.
 //!
-//! A separate case corrupts a sealed telemetry segment with garbage and
-//! asserts recovery still quarantines zero data partitions.
+//! Separate cases corrupt the sealed journal segments with garbage, and
+//! reopen a store holding a stale flight-recorder segment an older build
+//! wrote: recovery quarantines zero data partitions in both, and the stale
+//! file is neither read nor deleted.
 
 use std::sync::Arc;
 
 use mistique_core::{
-    AuditEffect, AuditRecord, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, SegmentIo,
-    StoreSubdir, Timeline, TELEMETRY_SUBDIR,
+    AuditEffect, AuditRecord, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, Timeline,
 };
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
@@ -97,6 +97,7 @@ fn assert_journal_sane(records: &[AuditRecord], ctx: &str) {
         assert!(!r.op.is_empty(), "{ctx}: record {} has an empty op", r.seq);
         assert!(
             r.op == "register"
+                || r.op == "recovery"
                 || r.op == "log"
                 || r.op == "log_parallel"
                 || r.op == "reclaim"
@@ -110,14 +111,7 @@ fn assert_journal_sane(records: &[AuditRecord], ctx: &str) {
 }
 
 fn load_points(fs: &FaultyFs) -> Timeline {
-    let backend: Arc<dyn StorageBackend> = Arc::new(fs.clone());
-    let io = StoreSubdir::open_readonly(backend, "/vfs".as_ref(), TELEMETRY_SUBDIR);
-    // The recorder writes one family; a cut write's `.tmp` orphan is named
-    // after its segment.
-    for name in io.list().unwrap() {
-        assert!(name.starts_with("tl_"), "unexpected telemetry file {name}");
-    }
-    Timeline::load(&io).expect("timeline load must tolerate any torn state")
+    Timeline::from_records(&load_journal(fs))
 }
 
 /// Shared invariants of any surviving timeline.
@@ -153,7 +147,7 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
         let golden = load_points(&fs);
         assert!(
             !golden.points.is_empty(),
-            "golden run must capture telemetry points"
+            "golden run must capture metric points"
         );
         assert_timeline_sane(&golden, "golden");
         let journal = load_journal(&fs);
@@ -198,9 +192,10 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
         assert_journal_sane(&survivors, &ctx);
         let survivor_max = survivors.last().map(|r| r.seq);
         if point.op.is_none() {
-            // Everything the recorder reported as written is durable, and
-            // every flushed record too (the journal flush is an atomic
-            // segment rewrite): the full golden streams survive any policy.
+            // Every flushed record is durable (the journal flush is an
+            // atomic segment rewrite), and a record carrying a point is
+            // flushed as it is appended: the full golden streams survive
+            // any policy.
             assert_eq!(
                 tl.points.iter().map(|p| p.seq).max(),
                 golden_max_point,
@@ -222,8 +217,8 @@ fn every_crash_point_keeps_timeline_loadable_and_data_clean() {
                     report.quarantined, 0,
                     "{point}: torn sidecar write quarantined a data partition"
                 );
-                // The reopened recorder's first point is the recovery
-                // capture, numbered past everything that survived the cut.
+                // The reopened store's first point is its recovery
+                // record's, numbered past everything that survived the cut.
                 let survived = tl.max_seq();
                 let tl = sys.timeline().unwrap();
                 assert_timeline_sane(&tl, &format!("post-reopen at {point}"));
@@ -271,13 +266,13 @@ fn garbage_in_telemetry_segment_never_touches_data_recovery() {
     run_workload(&mut sys, &data).expect("golden workload");
     drop(sys);
 
-    // Overwrite the middle of every telemetry segment with binary garbage.
+    // Overwrite the back half of every journal segment with binary garbage.
     let seg_files: Vec<_> = fs
         .visible_files()
         .into_iter()
-        .filter(|p| p.to_string_lossy().contains("/telemetry/"))
+        .filter(|p| p.to_string_lossy().contains("/audit/"))
         .collect();
-    assert!(!seg_files.is_empty(), "workload must write telemetry");
+    assert!(!seg_files.is_empty(), "workload must write the journal");
     for f in &seg_files {
         fs.corrupt_durable(f, |bytes| {
             let mid = bytes.len() / 2;
@@ -287,17 +282,69 @@ fn garbage_in_telemetry_segment_never_touches_data_recovery() {
         });
     }
 
-    // The timeline degrades to the parseable prefix of each segment...
-    let tl = load_points(&fs);
-    assert_timeline_sane(&tl, "corrupted segments");
+    // The journal and its timeline degrade to the parseable prefix of each
+    // segment...
+    assert_journal_sane(&load_journal(&fs), "corrupted segments");
+    assert_timeline_sane(&load_points(&fs), "corrupted segments");
 
     // ...and the data side is pristine: recovery quarantines nothing, every
     // intermediate reads back.
-    let mut sys =
-        Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap();
+    let mut sys = reopen_sys(&fs);
     let report = sys.recovery_report().unwrap();
-    assert_eq!(report.quarantined, 0, "telemetry bitrot is not data bitrot");
+    assert_eq!(report.quarantined, 0, "journal bitrot is not data bitrot");
     assert_eq!(report.missing, 0);
+    read_every_materialized(&mut sys);
+    sys.store().check_invariants().unwrap();
+}
+
+#[test]
+fn a_stale_flight_recorder_segment_is_neither_read_nor_deleted() {
+    let data = Arc::new(ZillowData::generate(80, 1));
+    let fs = FaultyFs::new();
+    let mut sys = open_sys(&fs);
+    run_workload(&mut sys, &data).expect("golden workload");
+    drop(sys);
+
+    // What an older build's flight recorder left beside the journal.
+    let stale = std::path::Path::new("/vfs/telemetry/tl_0000000000000000.jsonl");
+    let line = b"{\"k\":\"pt\",\"seq\":0,\"t_ms\":5,\"reason\":\"log\",\
+                 \"counters\":{\"store.put.count\":3},\"gauges\":{},\"hists\":{}}\n";
+    fs.create_dir_all(stale.parent().unwrap()).unwrap();
+    fs.write_atomic(stale, line).unwrap();
+    let points_before = load_points(&fs);
+
+    let ops_before = fs.op_trace().len();
+    let mut sys = reopen_sys(&fs);
+    assert_eq!(sys.recovery_report().unwrap().quarantined, 0);
+    read_every_materialized(&mut sys);
+    sys.reclaim().unwrap();
+    drop(sys);
+
+    let telemetry = stale.parent().unwrap();
+    let touched: Vec<_> = fs.op_trace()[ops_before..]
+        .iter()
+        .filter(|(_, path)| path.starts_with(telemetry))
+        .cloned()
+        .collect();
+    assert!(
+        touched.is_empty(),
+        "the stale ring was touched: {touched:?}"
+    );
+    assert_eq!(fs.read_file(stale).unwrap(), line);
+    // The timeline is the journal's: the stale point is not in it.
+    let points = load_points(&fs);
+    assert_eq!(
+        points.points[..points_before.points.len()],
+        points_before.points
+    );
+    assert_eq!(points.points[points_before.points.len()].reason, "recovery");
+}
+
+fn reopen_sys(fs: &FaultyFs) -> Mistique {
+    Mistique::reopen_with_backend("/vfs", sys_config(), Arc::new(fs.clone())).unwrap()
+}
+
+fn read_every_materialized(sys: &mut Mistique) {
     for model in sys.model_ids() {
         for interm in sys.intermediates_of(&model) {
             let materialized = sys
@@ -311,5 +358,4 @@ fn garbage_in_telemetry_segment_never_touches_data_recovery() {
             }
         }
     }
-    sys.store().check_invariants().unwrap();
 }

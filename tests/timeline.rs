@@ -1,11 +1,12 @@
-//! End-to-end acceptance of the flight recorder: a log → query → reclaim →
-//! persist → reopen lifecycle leaves a durable timeline under
-//! `<dir>/telemetry/` that replays the session — metric series with
+//! End-to-end acceptance of the metric timeline: a log → query → reclaim →
+//! persist → reopen lifecycle leaves metric points on the audit records
+//! under `<dir>/audit/` that replay the session — metric series with
 //! positive deltas, sequence numbers that continue across the restart, and
 //! a `recovery` point carrying the recovery pass's counters — while the
 //! reclaim ladder's steps land as effects on the `reclaim` audit record.
-//! Plus: the retention budget is a hard bound on the directory, and
-//! disabling telemetry writes nothing.
+//! Plus: the journal's retention budget is a hard bound on the directory,
+//! disabling the journal writes nothing, and the `mistique timeline` /
+//! `mistique top` output of a fixture store is pinned.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -15,9 +16,8 @@ use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_store::DataStoreConfig;
 
-fn telemetry_dir_bytes(dir: &Path) -> u64 {
-    let tdir = dir.join("telemetry");
-    let Ok(entries) = std::fs::read_dir(&tdir) else {
+fn audit_dir_bytes(dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir.join("audit")) else {
         return 0;
     };
     entries
@@ -138,10 +138,11 @@ fn lifecycle_replays_series_with_correlated_events() {
     // points exist alongside the old ones in one replayable stream.
     assert!(tl.points.iter().any(|p| p.seq <= pre_restart_max));
 
-    // One family on disk: metric points. The ladder lives in the journal.
-    for entry in std::fs::read_dir(dir.path().join("telemetry")).unwrap() {
+    // One ring on disk: the journal, points and ladder alike.
+    assert!(!dir.path().join("telemetry").exists());
+    for entry in std::fs::read_dir(dir.path().join("audit")).unwrap() {
         let name = entry.unwrap().file_name().into_string().unwrap();
-        assert!(name.starts_with("tl_"), "unexpected telemetry file {name}");
+        assert!(name.starts_with("au_"), "unexpected audit file {name}");
     }
 }
 
@@ -208,7 +209,7 @@ fn retention_budget_is_a_hard_bound_on_the_directory() {
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
-            telemetry_budget_bytes: budget,
+            audit_budget_bytes: budget,
             ..MistiqueConfig::default()
         },
     )
@@ -222,17 +223,17 @@ fn retention_budget_is_a_hard_bound_on_the_directory() {
     for _ in 0..20 {
         sys.log_intermediates(&id).unwrap();
         sys.reclaim_to(u64::MAX).unwrap();
-        let used = telemetry_dir_bytes(dir.path());
+        let used = audit_dir_bytes(dir.path());
         assert!(
             used <= budget,
-            "telemetry dir holds {used} bytes, budget is {budget}"
+            "audit dir holds {used} bytes, budget is {budget}"
         );
     }
-    let stats = sys.telemetry_stats().expect("telemetry is enabled");
+    let stats = sys.audit_stats().expect("the journal is enabled");
     assert!(
         stats.segments_dropped > 0,
-        "an 8 KiB budget must rotate the ring ({} captures, {} bytes)",
-        stats.captures,
+        "an 8 KiB budget must rotate the ring ({} records, {} bytes)",
+        stats.records,
         stats.total_bytes
     );
     assert!(stats.total_bytes <= budget);
@@ -253,7 +254,7 @@ fn zero_budget_disables_telemetry_entirely() {
     let mut sys = Mistique::open(
         dir.path(),
         MistiqueConfig {
-            telemetry_budget_bytes: 0,
+            audit_budget_bytes: 0,
             ..MistiqueConfig::default()
         },
     )
@@ -262,8 +263,120 @@ fn zero_budget_disables_telemetry_entirely() {
         .register_trad(zillow_pipelines().remove(0), Arc::clone(&data))
         .unwrap();
     sys.log_intermediates(&id).unwrap();
-    assert!(sys.telemetry_stats().is_none());
+    assert!(sys.audit_stats().is_none());
     assert!(!dir.path().join("telemetry").exists());
+    assert!(!dir.path().join("audit").exists());
     let tl = sys.timeline().unwrap();
     assert!(tl.points.is_empty());
 }
+
+/// Run the `mistique` binary and return its stdout.
+fn cli(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mistique"))
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "mistique {args:?}: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// The parts of `mistique timeline` and `mistique top --once` that do not
+/// depend on timing, over a fixture store: a log → forced read → reclaim →
+/// persist → reopen session. Pinned are the reasons in order, each point's
+/// counters (names and values), and `top`'s OP / COUNT / ERR / BYTES
+/// columns. Left out: sequence numbers, `interval` points (they ride on
+/// whichever query crosses the 2 s mark), gauges and histograms, and the
+/// counters whose value follows measured latency.
+#[test]
+fn cli_timeline_and_top_output_is_pinned_on_a_fixture_store() {
+    let tmp = mistique_testkit::tempdir().unwrap();
+    let dir = tmp.path().to_str().unwrap();
+    {
+        let data = Arc::new(ZillowData::generate(120, 3));
+        let mut sys = Mistique::open(dir, MistiqueConfig::default()).unwrap();
+        let mut ids = Vec::new();
+        for p in zillow_pipelines().into_iter().take(2) {
+            let id = sys.register_trad(p, Arc::clone(&data)).unwrap();
+            sys.log_intermediates(&id).unwrap();
+            ids.push(id);
+        }
+        for interm in sys.intermediates_of(&ids[0]).iter().take(3) {
+            sys.fetch_with_strategy(interm, None, Some(30), FetchStrategy::Read)
+                .unwrap();
+        }
+        sys.reclaim_to(u64::MAX).unwrap();
+        sys.persist().unwrap();
+    }
+    drop(Mistique::reopen(dir, MistiqueConfig::default()).unwrap());
+
+    let doc = mistique_obs::json::parse(&cli(&["timeline", dir, "--json"])).unwrap();
+    let mut points = Vec::new();
+    for p in doc.get("points").unwrap().as_arr().unwrap() {
+        let reason = p.get("reason").unwrap().as_str().unwrap();
+        if reason == "interval" {
+            continue;
+        }
+        let counters: Vec<String> = p
+            .get("counters")
+            .unwrap()
+            .as_obj()
+            .unwrap()
+            .iter()
+            .filter(|(name, _)| !TIMED_COUNTERS.contains(&name.as_str()))
+            .map(|(name, v)| format!("{name}={}", v.as_u64().unwrap()))
+            .collect();
+        points.push(format!("{reason}: {}", counters.join(" ")));
+    }
+    // The table lists the same reasons, in the same order.
+    let table = cli(&["timeline", dir]);
+    let table_reasons: Vec<&str> = table
+        .lines()
+        .filter(|l| l.ends_with('h'))
+        .filter_map(|l| l.split_whitespace().nth(2))
+        .filter(|r| *r != "interval")
+        .collect();
+    let json_reasons: Vec<&str> = points
+        .iter()
+        .map(|p| p.split(':').next().unwrap())
+        .collect();
+    assert_eq!(table_reasons, json_reasons, "{table}");
+
+    let top = cli(&["top", dir, "--once"]);
+    let rows: Vec<String> = top
+        .lines()
+        .skip_while(|l| !l.starts_with("OP "))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            format!("{} {} {} {}", cols[0], cols[1], cols[2], cols[7])
+        })
+        .collect();
+    assert_eq!(points, PINNED_POINTS);
+    assert_eq!(rows, PINNED_TOP_ROWS);
+}
+
+/// Counters whose value follows measured latency, not the workload.
+const TIMED_COUNTERS: [&str; 1] = ["cost_model.drift_flags"];
+
+const PINNED_POINTS: [&str; 4] = [
+    "log: index.rebuilds=12 store.dedup.exact_hits=24 store.dedup.similarity_placements=27 \
+     store.delta.base_pins=16 store.delta.bytes_saved=7064 store.delta.puts=16 \
+     store.partitions.created=16 store.put.bytes=35424 store.put.count=67",
+    "log: index.rebuilds=24 store.dedup.exact_hits=88 store.dedup.similarity_placements=30 \
+     store.put.bytes=70848 store.put.count=134",
+    "reclaim: compaction.runs=1 compress.members.count=16 compress.members.in_bytes=17311 \
+     compress.members.out_bytes=14329 cost.observe_read.count=3 decision.read.count=3 \
+     read.codec.delta_lzss.bytes=158 read.codec.delta_lzss.count=1 \
+     store.delta.rehydrations=1 store.get.bytes=10433 store.get.count=14 \
+     store.get.mem_hits=14 store.get.partitions_touched=12 store.partitions.sealed=16",
+    "recovery: store.recovery.partitions_ok=16",
+];
+
+const PINNED_TOP_ROWS: [&str; 5] = [
+    "fetch.strategy 3 0 10.2KiB",
+    "log 2 0 0B",
+    "reclaim 1 0 0B",
+    "recovery 1 0 0B",
+    "register 2 0 0B",
+];
