@@ -65,8 +65,42 @@ fn main() {
         store.get_chunk(black_box(&key)).unwrap()
     });
 
+    load_cold();
     log_checkpoints();
     warm_col_queries();
+}
+
+/// `store/load_cold/*`: one cold get from a ~1 MiB partition of 128
+/// 1000-row columns, the read cache cleared each iteration — `one_col`
+/// asks for one column, `whole` for all of them. Both read the whole file;
+/// `one_col` verifies and decodes the head and one member, `whole` every
+/// member. MB/s is over the file's bytes.
+fn load_cold() {
+    let dir = mistique_testkit::tempdir().unwrap();
+    let config = DataStoreConfig {
+        policy: PlacementPolicy::ByIntermediate,
+        ..DataStoreConfig::default()
+    };
+    let mut store = DataStore::open(dir.path(), config).unwrap();
+    let keys: Vec<ChunkKey> = (0..128)
+        .map(|c| ChunkKey::new("m.i", format!("c{c}"), 0))
+        .collect();
+    for (c, key) in keys.iter().enumerate() {
+        store
+            .put_chunk(key.clone(), &chunk(c as u64, 1000))
+            .unwrap();
+    }
+    store.flush().unwrap();
+    let file = store.disk_bytes().unwrap();
+    assert!(file > 1 << 19, "one ~1 MiB partition, got {file} B");
+    micro("store/load_cold/one_col", file, || {
+        store.clear_read_cache();
+        store.get_chunk(black_box(&keys[64])).unwrap()
+    });
+    micro("store/load_cold/whole", file, || {
+        store.clear_read_cache();
+        store.get_chunk_bytes_batch(black_box(&keys), 1).unwrap()
+    });
 }
 
 /// `query/warm_col/*`: a warm 100-row, one-column `get_intermediate`,

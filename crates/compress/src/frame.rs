@@ -6,9 +6,13 @@
 //!
 //! A [`Scheme::Members`] frame is a container of independently decodable
 //! flat frames: its payload is `[varint n][varint frame_len × n][frame ×
-//! n]`, and its raw bytes are the members' raw bytes concatenated. A reader
-//! that wants one member finds it with [`member_ranges`] and decodes just
-//! that frame; [`decompress`] of the whole container decodes them all.
+//! n]`, and its raw bytes are the members' raw bytes concatenated. A writer
+//! compresses the members ([`compress_each`]) and then assembles the
+//! container ([`assemble_members`]), so it can record something about each
+//! frame (a partition's directory holds every chunk frame's hash) before it
+//! writes the whole. A reader that wants one member finds it with
+//! [`member_table`] and decodes just that frame; [`decompress`] of the
+//! whole container decodes them all.
 
 use std::ops::Range;
 
@@ -27,7 +31,7 @@ pub enum Scheme {
     /// Delta varint over 4-byte LE integers ([`crate::delta`]).
     Delta4 = 3,
     /// A container of independently decodable member frames
-    /// ([`compress_members`]).
+    /// ([`assemble_members`]).
     Members = 4,
 }
 
@@ -85,7 +89,7 @@ impl std::error::Error for CodecError {}
 /// If the scheme cannot encode the input (e.g. `Delta4` on a misaligned
 /// buffer), the frame silently falls back to `Raw` — decoding is always
 /// possible via the header. `Members` is a container of frames built by
-/// [`compress_members`], not a codec of one input, and falls back too.
+/// [`assemble_members`], not a codec of one input, and falls back too.
 pub fn compress(input: &[u8], scheme: Scheme) -> Vec<u8> {
     let mut out = Vec::new();
     compress_into(&mut out, input, scheme, &mut lzss::Encoder::default());
@@ -134,41 +138,55 @@ fn compress_auto_with(input: &[u8], enc: &mut lzss::Encoder) -> Vec<u8> {
     best
 }
 
-/// A [`Scheme::Members`] container: every member compressed on its own by
-/// [`compress_auto`] (one LZSS encoder serves them all), so each decodes
-/// without the others. [`decompress`] returns the members concatenated.
-pub fn compress_members(members: &[&[u8]]) -> Vec<u8> {
+/// Every member compressed on its own by [`compress_auto`] (one LZSS
+/// encoder serves them all), so each decodes without the others — the
+/// frames [`assemble_members`] puts in a container.
+pub fn compress_each(members: &[&[u8]]) -> Vec<Vec<u8>> {
     let mut enc = lzss::Encoder::default();
-    let frames: Vec<Vec<u8>> = members
+    members
         .iter()
         .map(|m| compress_auto_with(m, &mut enc))
-        .collect();
-    let raw_len: usize = members.iter().map(|m| m.len()).sum();
+        .collect()
+}
+
+/// A [`Scheme::Members`] container of flat `frames`, in order.
+/// [`decompress`] returns the members' raw bytes concatenated.
+pub fn assemble_members(frames: &[Vec<u8>]) -> Vec<u8> {
+    let raw_len: u64 = frames
+        .iter()
+        .map(|f| raw_len_of(f).expect("a flat frame from compress_each"))
+        .sum();
     let body: usize = frames.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(body + 10 * (frames.len() + 2));
     out.push(Scheme::Members as u8);
-    varint::write_u64(&mut out, raw_len as u64);
+    varint::write_u64(&mut out, raw_len);
     varint::write_u64(&mut out, frames.len() as u64);
-    for f in &frames {
+    for f in frames {
         varint::write_u64(&mut out, f.len() as u64);
     }
-    for f in &frames {
+    for f in frames {
         out.extend_from_slice(f);
     }
     out
 }
 
+/// The raw length a frame header declares.
+fn raw_len_of(frame: &[u8]) -> Option<u64> {
+    let mut at = 1;
+    varint::read_u64(frame, &mut at)
+}
+
 /// Where each member frame of a [`Scheme::Members`] container sits inside
-/// `frame`, in member order. Checks the container's shape without decoding
-/// a member: the table must cover the payload exactly, every member must be
-/// a flat frame (containers do not nest), and the members' declared raw
-/// lengths must add up to the container's.
-pub fn member_ranges(frame: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
+/// `frame`, in member order, read from the container's header and length
+/// table alone: the table must cover the payload exactly. No member byte is
+/// looked at, so a reader that verifies each member before decoding it can
+/// trust the ranges without having read the members.
+pub fn member_table(frame: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
     if scheme_of(frame) != Some(Scheme::Members) {
         return Err(CodecError::BadHeader);
     }
     let mut pos = 1;
-    let raw_len = varint::read_u64(frame, &mut pos).ok_or(CodecError::BadHeader)?;
+    varint::read_u64(frame, &mut pos).ok_or(CodecError::BadHeader)?;
     let n = varint::read_u64(frame, &mut pos).ok_or(CodecError::Corrupt)?;
     // Every member frame takes at least two bytes (scheme + raw length), so
     // a count past that cannot be honest — refuse it before allocating.
@@ -180,26 +198,36 @@ pub fn member_ranges(frame: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
         lens.push(varint::read_u64(frame, &mut pos).ok_or(CodecError::Corrupt)?);
     }
     let mut ranges = Vec::with_capacity(lens.len());
-    let mut member_raw = 0u64;
     for len in lens {
         let end = usize::try_from(len)
             .ok()
             .and_then(|len| pos.checked_add(len))
             .filter(|&end| end <= frame.len())
             .ok_or(CodecError::Corrupt)?;
-        let member = &frame[pos..end];
-        match scheme_of(member) {
-            None | Some(Scheme::Members) => return Err(CodecError::Corrupt),
-            Some(_) => {}
-        }
-        let mut at = 1;
-        let raw = varint::read_u64(member, &mut at).ok_or(CodecError::Corrupt)?;
-        member_raw = member_raw.checked_add(raw).ok_or(CodecError::Corrupt)?;
         ranges.push(pos..end);
         pos = end;
     }
     if pos != frame.len() {
         return Err(CodecError::Corrupt);
+    }
+    Ok(ranges)
+}
+
+/// [`member_table`], plus a check of the members' headers without decoding
+/// a member: every member must be a flat frame (containers do not nest),
+/// and the members' declared raw lengths must add up to the container's.
+pub fn member_ranges(frame: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
+    let ranges = member_table(frame)?;
+    let raw_len = raw_len_of(frame).expect("member_table read it");
+    let mut member_raw = 0u64;
+    for r in &ranges {
+        let member = &frame[r.clone()];
+        match scheme_of(member) {
+            None | Some(Scheme::Members) => return Err(CodecError::Corrupt),
+            Some(_) => {}
+        }
+        let raw = raw_len_of(member).ok_or(CodecError::Corrupt)?;
+        member_raw = member_raw.checked_add(raw).ok_or(CodecError::Corrupt)?;
     }
     if member_raw != raw_len {
         return Err(CodecError::LengthMismatch {
@@ -302,7 +330,7 @@ mod tests {
     #[test]
     fn members_container_addresses_each_member() {
         let members: [&[u8]; 4] = [b"directory", &[0u8; 500], b"", b"abcabcabcabcabcabc"];
-        let frame = compress_members(&members);
+        let frame = assemble_members(&compress_each(&members));
         assert_eq!(scheme_of(&frame), Some(Scheme::Members));
         assert_eq!(decompress(&frame).unwrap(), members.concat());
         let ranges = member_ranges(&frame).unwrap();

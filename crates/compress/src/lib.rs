@@ -31,8 +31,8 @@ pub mod rle;
 pub mod varint;
 
 pub use frame::{
-    compress, compress_auto, compress_members, decompress, member_ranges, scheme_of, CodecError,
-    Scheme,
+    assemble_members, compress, compress_auto, compress_each, decompress, member_ranges,
+    member_table, scheme_of, CodecError, Scheme,
 };
 
 /// Compression statistics for reporting (used by the Fig 14 microbenchmark).

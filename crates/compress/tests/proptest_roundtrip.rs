@@ -2,7 +2,7 @@
 //! Seeded (`mistique_testkit::cases`), 256 cases each.
 
 use mistique_compress::{
-    compress, compress_auto, compress_members, decompress, member_ranges, Scheme,
+    assemble_members, compress, compress_auto, compress_each, decompress, member_ranges, Scheme,
 };
 use mistique_testkit::cases;
 
@@ -54,7 +54,7 @@ fn members_roundtrip() {
         let n = g.rng.range(0usize..12);
         let members: Vec<Vec<u8>> = (0..n).map(|_| g.bytes(0..1024)).collect();
         let refs: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
-        let frame = compress_members(&refs);
+        let frame = assemble_members(&compress_each(&refs));
         assert_eq!(decompress(&frame).unwrap(), members.concat());
         let ranges = member_ranges(&frame).unwrap();
         assert_eq!(ranges.len(), n);

@@ -7,8 +7,8 @@
 //! Deterministic by construction (fixed corpus + `mistique_rng` seeds).
 
 use mistique_compress::{
-    basedelta, compress, compress_auto, compress_members, decompress, delta, lzss, member_ranges,
-    rle, varint, CodecError, Scheme,
+    assemble_members, basedelta, compress, compress_auto, compress_each, decompress, delta, lzss,
+    member_ranges, rle, varint, CodecError, Scheme,
 };
 
 /// Seeded bytes, so the corpus is identical on every run.
@@ -140,7 +140,7 @@ fn frame_prefixes_always_error() {
     for input in corpus() {
         let mut frames: Vec<Vec<u8>> = schemes.iter().map(|&s| compress(&input, s)).collect();
         frames.push(compress_auto(&input));
-        frames.push(compress_members(&as_members(&input)));
+        frames.push(assemble_members(&compress_each(&as_members(&input))));
         for frame in frames {
             assert_eq!(decompress(&frame).unwrap(), input);
             // The raw-length header turns every partial payload into a
@@ -162,7 +162,7 @@ fn frame_prefixes_always_error() {
 fn member_container_prefixes_and_tables_always_error() {
     for input in corpus() {
         let members = as_members(&input);
-        let frame = compress_members(&members);
+        let frame = assemble_members(&compress_each(&members));
         let ranges = member_ranges(&frame).expect("valid container");
         assert_eq!(ranges.len(), members.len());
         for (r, m) in ranges.iter().zip(&members) {
@@ -256,7 +256,7 @@ fn corrupted_member_containers_never_panic() {
     // so a flipped payload byte may decode to other bytes — but every
     // verdict must be a clean Ok or Err.
     for (k, input) in corpus().iter().enumerate() {
-        let frame = compress_members(&as_members(input));
+        let frame = assemble_members(&compress_each(&as_members(input)));
         let mut rng = mistique_rng::Rng::seed(k as u64);
         for _ in 0..64 {
             let mut damaged = frame.clone();

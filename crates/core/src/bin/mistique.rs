@@ -63,6 +63,7 @@
 //! store and are captured (a `reclaim` after its reopen's `recovery`
 //! record).
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -88,13 +89,24 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    match run(cmd, dir, &rest[1..]) {
+    // Every command writes through this one handle. A reader that stops
+    // reading (`mistique … | head`) closes the pipe: the output it wanted
+    // was written, so that is a clean exit, not an error.
+    let mut out = std::io::stdout().lock();
+    let done = run(cmd, dir, &rest[1..], &mut out).and_then(|()| Ok(out.flush()?));
+    match done {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if is_broken_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn is_broken_pipe(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>()
+        .is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
 }
 
 /// Reopen for inspection: nothing the command does is journalled, so the
@@ -109,15 +121,23 @@ fn inspect(dir: &str) -> Result<Mistique, Box<dyn std::error::Error>> {
 }
 
 /// `mistique replay <dir> [--into <dir2>] [--differential]`.
-fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn run_replay(
+    dir: &str,
+    rest: &[String],
+    out: &mut dyn Write,
+) -> Result<(), Box<dyn std::error::Error>> {
     use mistique_core::replay::{differential_replay, replay_into, ReplayOptions};
 
     let records = Mistique::load_audit(dir)?;
     if records.is_empty() {
-        println!("no audit journal under {dir}/audit — nothing to replay (audit_budget_bytes = 0, or no workload ran)");
+        writeln!(out, "no audit journal under {dir}/audit — nothing to replay (audit_budget_bytes = 0, or no workload ran)")?;
         return Ok(());
     }
-    println!("loaded {} journal records from {dir}/audit", records.len());
+    writeln!(
+        out,
+        "loaded {} journal records from {dir}/audit",
+        records.len()
+    )?;
 
     let differential = rest.iter().any(|a| a == "--differential");
     let into = match rest.iter().position(|a| a == "--into") {
@@ -154,19 +174,20 @@ fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
     let t0 = std::time::Instant::now();
     let outcome = replay_into(&mut sys, &records, &ReplayOptions::default())?;
     let replay_s = t0.elapsed().as_secs_f64();
-    println!(
+    writeln!(
+        out,
         "replayed {} ops in {replay_s:.2}s ({} failed, {} skipped) — transcript digest {:016x}",
         outcome.executed,
         outcome.failed,
         outcome.skipped.len(),
         outcome.transcript_digest()
-    );
+    )?;
     for (seq, reason) in &outcome.skipped {
-        println!("  skipped seq {seq}: {reason}");
+        writeln!(out, "  skipped seq {seq}: {reason}")?;
     }
     if let Some(target) = &into {
         sys.persist()?;
-        println!("persisted replayed store at {target}");
+        writeln!(out, "persisted replayed store at {target}")?;
     }
     drop(sys);
 
@@ -174,23 +195,25 @@ fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
         let workers = [1usize, 2, 4, 0];
         let report = differential_replay(&records, &scratch, &config, &workers)?;
         for run in &report.runs {
-            println!(
+            writeln!(
+                out,
                 "  workers={}: {} ops, {} failed, transcript {:016x}",
                 run.workers,
                 run.outcome.executed,
                 run.outcome.failed,
                 run.outcome.transcript_digest()
-            );
+            )?;
         }
         let (matched, compared) = report.plan_agreement;
-        println!(
+        writeln!(
+            out,
             "differential: {} — plan agreement with original capture {matched}/{compared}",
             if report.consistent() {
                 "CONSISTENT (bit-identical answers, identical plans at every worker count)"
             } else {
                 "DIVERGED"
             }
-        );
+        )?;
         for m in &report.mismatches {
             eprintln!("  mismatch: {m}");
         }
@@ -201,7 +224,12 @@ fn run_replay(dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Erro
     Ok(())
 }
 
-fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn run(
+    cmd: &str,
+    dir: &str,
+    rest: &[String],
+    out: &mut dyn Write,
+) -> Result<(), Box<dyn std::error::Error>> {
     match cmd {
         "demo" => {
             std::fs::create_dir_all(dir)?;
@@ -211,7 +239,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             for p in zillow_pipelines().into_iter().take(2) {
                 let id = sys.register_trad(p, Arc::clone(&data))?;
                 sys.log_intermediates(&id)?;
-                println!("logged {id}");
+                writeln!(out, "logged {id}")?;
                 trad_ids.push(id);
             }
             // A small DNN checkpoint, so the captured workload (and thus
@@ -221,7 +249,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let dnn_id =
                 sys.register_dnn(Arc::new(mistique_nn::simple_cnn(16)), 9, 1, cifar, 16)?;
             sys.log_intermediates(&dnn_id)?;
-            println!("logged {dnn_id}");
+            writeln!(out, "logged {dnn_id}")?;
             // A handful of diagnostics, so the journal carries queries with
             // plan choices, not just registrations and logging.
             if let Some(interm) = sys.intermediates_of(&trad_ids[0]).first().cloned() {
@@ -245,27 +273,30 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             }
             sys.persist()?;
             sys.audit_flush();
-            println!("persisted demo store at {dir}");
+            writeln!(out, "persisted demo store at {dir}")?;
         }
         "info" => {
             let sys = inspect(dir)?;
             let stats = sys.store().stats();
-            println!("store: {dir}");
-            println!("  disk bytes     : {}", sys.store().disk_bytes()?);
-            println!("  chunks stored  : {}", stats.chunks_stored);
-            println!("  dedup hits     : {}", stats.dedup_hits);
-            println!(
+            writeln!(out, "store: {dir}")?;
+            writeln!(out, "  disk bytes     : {}", sys.store().disk_bytes()?)?;
+            writeln!(out, "  chunks stored  : {}", stats.chunks_stored)?;
+            writeln!(out, "  dedup hits     : {}", stats.dedup_hits)?;
+            writeln!(
+                out,
                 "  dedup ratio    : {:.2}x",
                 stats.logical_bytes as f64 / stats.unique_bytes.max(1) as f64
-            );
+            )?;
             for model in sys.model_ids() {
                 let m = sys.metadata().model(&model).unwrap();
-                println!(
+                writeln!(
+                    out,
                     "model {model} ({:?}, {} stages, {} examples)",
                     m.kind, m.n_stages, m.n_examples
-                );
+                )?;
                 for i in sys.metadata().intermediates_of(&model) {
-                    println!(
+                    writeln!(
+                        out,
                         "  {:<44} {:>6} rows x {:>4} cols  {:>10} B  {}  q={}",
                         i.id,
                         i.n_rows,
@@ -273,7 +304,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                         i.stored_bytes,
                         if i.materialized { "stored" } else { "virtual" },
                         i.n_queries
-                    );
+                    )?;
                 }
             }
         }
@@ -284,21 +315,27 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                 .metadata()
                 .intermediate(interm)
                 .ok_or_else(|| format!("no intermediate {interm}"))?;
-            println!("{}", m.id);
-            println!("  model        : {}", m.model_id);
-            println!("  stage        : {}", m.stage_index);
-            println!("  rows         : {}", m.n_rows);
-            println!("  scheme       : {}", m.scheme.name());
-            println!("  materialized : {}", m.materialized);
-            println!("  stored bytes : {}", m.stored_bytes);
-            println!(
+            writeln!(out, "{}", m.id)?;
+            writeln!(out, "  model        : {}", m.model_id)?;
+            writeln!(out, "  stage        : {}", m.stage_index)?;
+            writeln!(out, "  rows         : {}", m.n_rows)?;
+            writeln!(out, "  scheme       : {}", m.scheme.name())?;
+            writeln!(out, "  materialized : {}", m.materialized)?;
+            writeln!(out, "  stored bytes : {}", m.stored_bytes)?;
+            writeln!(
+                out,
                 "  exec time    : {:?} (cumulative {:?})",
                 m.exec_time, m.cum_exec_time
-            );
+            )?;
             if let Some((c, h, w)) = m.shape {
-                println!("  shape        : {c} x {h} x {w}");
+                writeln!(out, "  shape        : {c} x {h} x {w}")?;
             }
-            println!("  columns ({}) : {}", m.columns.len(), m.columns.join(", "));
+            writeln!(
+                out,
+                "  columns ({}) : {}",
+                m.columns.len(),
+                m.columns.join(", ")
+            )?;
         }
         "head" => {
             let interm = rest.first().ok_or("missing intermediate id")?;
@@ -306,11 +343,11 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let mut sys = inspect(dir)?;
             let r = sys.fetch_with_strategy(interm, None, Some(n), FetchStrategy::Read)?;
             let names = r.frame.column_names().join("\t");
-            println!("{names}");
+            writeln!(out, "{names}")?;
             let cols: Vec<Vec<f64>> = r.frame.columns().iter().map(|c| c.data.to_f64()).collect();
             for row in 0..r.frame.n_rows() {
                 let cells: Vec<String> = cols.iter().map(|c| format!("{:.4}", c[row])).collect();
-                println!("{}", cells.join("\t"));
+                writeln!(out, "{}", cells.join("\t"))?;
             }
         }
         "topk" => {
@@ -319,7 +356,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let k: usize = rest.get(2).map(|s| s.parse()).transpose()?.unwrap_or(10);
             let mut sys = inspect(dir)?;
             for (row, value) in sys.topk(interm, column, k)? {
-                println!("{row}\t{value:.6}");
+                writeln!(out, "{row}\t{value:.6}")?;
             }
         }
         "hist" => {
@@ -330,13 +367,14 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             let hist = sys.col_dist(interm, column, buckets)?;
             let max = hist.iter().map(|b| b.count).max().unwrap_or(1).max(1);
             for b in hist {
-                println!(
+                writeln!(
+                    out,
                     "[{:>12.4}, {:>12.4})  {:>7}  {}",
                     b.lo,
                     b.hi,
                     b.count,
                     "#".repeat(b.count * 50 / max)
-                );
+                )?;
             }
         }
         "stats" => {
@@ -364,12 +402,15 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                     exercised += 1;
                 }
             }
-            println!("observability report for {dir} ({exercised} sample reads)\n");
-            print!("{}", sys.obs_report());
+            writeln!(
+                out,
+                "observability report for {dir} ({exercised} sample reads)\n"
+            )?;
+            write!(out, "{}", sys.obs_report())?;
             if let Some(pos) = rest.iter().position(|a| a == "--json") {
                 let path = rest.get(pos + 1).ok_or("--json needs a file path")?;
                 std::fs::write(path, sys.obs_snapshot().to_json_string())?;
-                println!("\nwrote JSON snapshot to {path}");
+                writeln!(out, "\nwrote JSON snapshot to {path}")?;
             }
         }
         "explain" => {
@@ -410,17 +451,22 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
             };
             let reports = sys.query_reports(last);
             if reports.is_empty() {
-                println!("no queries ran against {dir}; nothing to explain");
+                writeln!(out, "no queries ran against {dir}; nothing to explain")?;
             }
             for r in &reports {
-                print!("{}", r.render());
+                write!(out, "{}", r.render())?;
             }
             if let Some(r) = reports.last() {
-                println!("\ntrace tree of query #{} (trace {}):", r.seq, r.trace_id);
-                print!("{}", sys.render_trace(r.trace_id));
+                writeln!(
+                    out,
+                    "\ntrace tree of query #{} (trace {}):",
+                    r.seq, r.trace_id
+                )?;
+                write!(out, "{}", sys.render_trace(r.trace_id))?;
             }
             let drift = sys.drift_monitor();
-            println!(
+            writeln!(
+                out,
                 "\ncost model drift: worst ratio {:.3} (tolerance {:.1}){}",
                 drift.worst_drift(),
                 drift.tolerance(),
@@ -429,7 +475,7 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                 } else {
                     ""
                 }
-            );
+            )?;
         }
         "reclaim" => {
             let mut sys = Mistique::reopen(dir, MistiqueConfig::default())?;
@@ -437,15 +483,16 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                 Some(b) => sys.reclaim_to(b.parse()?)?,
                 None => sys.reclaim()?,
             };
-            print!("{}", report.render());
+            write!(out, "{}", report.render())?;
         }
         "timeline" => {
             let tl = Mistique::load_timeline(dir)?;
             if tl.points.is_empty() {
-                println!(
+                writeln!(
+                    out,
                     "no metric points recorded under {dir}/audit \
                      (audit_budget_bytes = 0, or nothing logged yet)"
-                );
+                )?;
                 return Ok(());
             }
             if let Some(pos) = rest.iter().position(|a| a == "--metric") {
@@ -456,20 +503,21 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                     return Err(format!("metric {metric} not in timeline; have: {names}").into());
                 }
                 for (seq, t_ms, v) in series {
-                    println!("{seq}\t{t_ms}\t{v}");
+                    writeln!(out, "{seq}\t{t_ms}\t{v}")?;
                 }
             } else if rest.iter().any(|a| a == "--json") {
-                println!("{}", tl.to_json_string());
+                writeln!(out, "{}", tl.to_json_string())?;
             } else {
-                print!("{}", tl.render_table());
-                println!(
+                write!(out, "{}", tl.render_table())?;
+                writeln!(
+                    out,
                     "{} points, seq <= {}",
                     tl.points.len(),
                     tl.max_seq().unwrap_or(0)
-                );
+                )?;
             }
         }
-        "replay" => return run_replay(dir, rest),
+        "replay" => return run_replay(dir, rest, out),
         "top" => {
             let once = rest.iter().any(|a| a == "--once");
             let interval_ms: u64 = match rest.iter().position(|a| a == "--interval") {
@@ -480,14 +528,13 @@ fn run(cmd: &str, dir: &str, rest: &[String]) -> Result<(), Box<dyn std::error::
                 None => 1000,
             };
             if once {
-                print!("{}", mistique_core::render_top(dir)?);
+                write!(out, "{}", mistique_core::render_top(dir)?)?;
             } else {
                 loop {
                     let frame = mistique_core::render_top(dir)?;
                     // Clear screen + home, then one dashboard frame.
-                    print!("\x1b[2J\x1b[H{frame}");
-                    use std::io::Write as _;
-                    std::io::stdout().flush()?;
+                    write!(out, "\x1b[2J\x1b[H{frame}")?;
+                    out.flush()?;
                     std::thread::sleep(std::time::Duration::from_millis(interval_ms));
                 }
             }
@@ -520,7 +567,7 @@ mod tests {
     fn inspection_commands_do_not_write_into_the_store_they_inspect() {
         let tmp = mistique_testkit::tempdir().unwrap();
         let dir = tmp.path().to_str().unwrap();
-        run("demo", dir, &[]).unwrap();
+        run("demo", dir, &[], &mut std::io::sink()).unwrap();
         let before = rings(tmp.path());
         assert!(!before.is_empty(), "demo captured its workload");
         let journal = Mistique::load_audit(dir).unwrap().len();
@@ -542,11 +589,12 @@ mod tests {
         ];
         for (cmd, args) in commands {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            run(cmd, dir, &args).unwrap();
+            run(cmd, dir, &args, &mut std::io::sink()).unwrap();
             assert!(rings(tmp.path()) == before, "`{cmd}` wrote into the rings");
         }
         // A mistyped id fails, and leaves no failed record to replay.
-        assert!(run("head", dir, &["no.such.intermediate".to_string()]).is_err());
+        let bad = ["no.such.intermediate".to_string()];
+        assert!(run("head", dir, &bad, &mut std::io::sink()).is_err());
         assert!(
             rings(tmp.path()) == before,
             "a failed `head` wrote into the rings"

@@ -24,6 +24,15 @@ pub enum MistiqueError {
     /// directory — nothing was ever persisted, or the crash happened before
     /// the first manifest rename.
     NoManifest,
+    /// [`crate::system::Mistique::reopen`] found a store in another format
+    /// version than this build's: its manifest and partition files are
+    /// refused before anything reads, quarantines or rewrites them.
+    UnsupportedVersion {
+        /// The version the manifest records (1 when it records none).
+        found: u64,
+        /// The one version this build reads and writes.
+        supported: u64,
+    },
     /// Invalid argument (message explains).
     Invalid(String),
 }
@@ -42,6 +51,10 @@ impl std::fmt::Display for MistiqueError {
             }
             MistiqueError::DuplicateModel(m) => write!(f, "model {m} already registered"),
             MistiqueError::NoManifest => write!(f, "no manifest in directory"),
+            MistiqueError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "partition/manifest version {found} (supported: {supported})"
+            ),
             MistiqueError::Invalid(m) => write!(f, "invalid argument: {m}"),
         }
     }

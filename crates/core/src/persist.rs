@@ -46,12 +46,12 @@ struct Manifest {
     version: Version,
 }
 
-/// The manifest format's version: this build writes and reads exactly one.
-/// A manifest without the field predates it and is version 1.
-#[derive(Default)]
+/// The store's format version, manifest and partition files together: this
+/// build writes and reads exactly one. [`Mistique::reopen`] reads it before
+/// the rest of the manifest; a manifest without the field is version 1.
 struct Version;
 
-const MANIFEST_VERSION: u64 = 1;
+const MANIFEST_VERSION: u64 = 2;
 
 impl Json for Version {
     fn emit(&self, out: &mut String, at: &JsonPath) -> Result<(), String> {
@@ -67,7 +67,7 @@ impl Json for Version {
     }
 }
 
-json_struct!(Manifest { models, intermediates, catalog } default { row_block_size, version });
+json_struct!(Manifest { models, intermediates, catalog, version } default { row_block_size });
 json_enum!(ModelKind { Trad, Dnn });
 json_struct!(ModelMeta {
     id,
@@ -138,8 +138,10 @@ impl Mistique {
     /// readable immediately. Always runs a recovery pass first (orphan tmp
     /// files removed, corrupt partitions quarantined — see
     /// [`Mistique::recovery_report`]). Returns [`MistiqueError::NoManifest`]
-    /// if nothing was ever persisted, and [`MistiqueError::Invalid`] if the
-    /// manifest records a `row_block_size` other than `config`'s.
+    /// if nothing was ever persisted, [`MistiqueError::UnsupportedVersion`]
+    /// for a store in another format version (no file of it touched), and
+    /// [`MistiqueError::Invalid`] if the manifest records a `row_block_size`
+    /// other than `config`'s.
     pub fn reopen(
         dir: impl AsRef<Path>,
         config: MistiqueConfig,
@@ -165,8 +167,25 @@ impl Mistique {
         })?;
         let json = String::from_utf8(bytes)
             .map_err(|e| MistiqueError::Invalid(format!("manifest not utf-8: {e}")))?;
-        let manifest: Manifest =
-            json::from_str(&json, "manifest").map_err(MistiqueError::Invalid)?;
+        let doc =
+            json::parse(&json).map_err(|e| MistiqueError::Invalid(format!("manifest: {e}")))?;
+        // The version first: a store in another format is refused whatever
+        // else its manifest says, and before the recovery pass could
+        // quarantine a partition file it cannot read.
+        let root = JsonPath::Root("manifest");
+        let found = match doc.get("version") {
+            Some(v) => {
+                u64::parse(v, &JsonPath::Key(&root, "version")).map_err(MistiqueError::Invalid)?
+            }
+            None => 1,
+        };
+        if found != MANIFEST_VERSION {
+            return Err(MistiqueError::UnsupportedVersion {
+                found,
+                supported: MANIFEST_VERSION,
+            });
+        }
+        let manifest = Manifest::parse(&doc, &root).map_err(MistiqueError::Invalid)?;
         if let Some(written) = manifest.row_block_size {
             if written != config.row_block_size {
                 return Err(MistiqueError::Invalid(format!(

@@ -137,7 +137,7 @@ pub struct RetractOutcome {
 /// on-disk set, and `missing` counts catalog references with no backing file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Partitions on disk whose integrity trailer verified.
+    /// Partitions on disk whose every byte verified.
     pub partitions_ok: u64,
     /// Partitions that failed verification and were set aside.
     pub quarantined: u64,
@@ -831,7 +831,7 @@ impl DataStore {
 
     /// Recovery pass over the store directory, run after (re)opening over a
     /// directory that may have seen a crash: removes orphaned `*.tmp` files,
-    /// verifies every partition's integrity trailer, and quarantines
+    /// verifies every byte of every partition file, and quarantines
     /// failures so one corrupt partition cannot poison the rest. Catalog
     /// entries pointing at partitions with no backing file are counted as
     /// `missing`. Results are also published on the `store.recovery.*`
@@ -921,9 +921,9 @@ impl DataStore {
         Ok(rec.partition)
     }
 
-    /// Bring one sealed partition in from disk — read it, verify its
-    /// trailer, open its member table and decode the directory and the
-    /// members holding `wanted` — under a `store.partition.load` span
+    /// Bring one sealed partition in from disk — read it, verify its head,
+    /// decode the directory, and verify and decode the members holding
+    /// `wanted` — under a `store.partition.load` span
     /// (`members_decoded` of `members`). The span links to `ctx` explicitly
     /// so the trace tree is the same whether the load runs on the calling
     /// thread or (`&self`) on a prefetch worker.
@@ -1859,67 +1859,6 @@ mod tests {
         assert_eq!((d.cache_hits, d.disk_reads), (1, 0));
         assert_eq!(decoded(&d), frame_len(3));
         assert_eq!(ds.read_cache_bytes(), charged + other.to_bytes().len());
-    }
-
-    #[test]
-    fn legacy_partition_files_read_recover_and_compact_into_members() {
-        let (dir, mut ds) = store(PlacementPolicy::ByIntermediate);
-        let (base, near) = near_pair();
-        let mut chunks: Vec<(ChunkKey, ColumnChunk)> = (0..4)
-            .map(|c| {
-                let vals = (0..600).map(|j| (c * 7 + j) as f64 * 1.5).collect();
-                (ChunkKey::new("m.i", format!("c{c}"), 0), f64_chunk(vals))
-            })
-            .collect();
-        chunks.push((ChunkKey::new("m.i", "base", 0), base));
-        chunks.push((ChunkKey::new("m.i", "near", 0), near));
-        for (key, chunk) in &chunks {
-            ds.put_chunk(key.clone(), chunk).unwrap();
-        }
-        assert!(ds.stats().delta_puts >= 1, "delta frames ride along");
-        ds.flush().unwrap();
-
-        // Rewrite the one partition file in the layout before members.
-        let path = dir.path().join("part_00000000.bin");
-        let sealed = std::fs::read(&path).unwrap();
-        let legacy = Partition::unseal(0, &sealed).unwrap().seal_legacy();
-        assert_ne!(
-            mistique_compress::scheme_of(&legacy),
-            mistique_compress::scheme_of(&sealed)
-        );
-        std::fs::write(&path, &legacy).unwrap();
-
-        let read_all = |ds: &mut DataStore, chunks: &[(ChunkKey, ColumnChunk)]| {
-            let keys: Vec<ChunkKey> = chunks.iter().map(|c| c.0.clone()).collect();
-            for par in [1usize, 2, 4, 0] {
-                ds.clear_read_cache();
-                let got = ds.get_chunk_bytes_batch(&keys, par).unwrap();
-                for (g, (key, chunk)) in got.iter().zip(chunks) {
-                    assert_eq!(g, &chunk.to_bytes(), "{key:?} at parallelism {par}");
-                }
-            }
-        };
-        read_all(&mut ds, &chunks);
-        let report = ds.recover().unwrap();
-        assert_eq!((report.partitions_ok, report.quarantined), (1, 0));
-
-        // A new version of the delta-encoded column leaves its old frame
-        // dead in the legacy file (no delta pins it, unlike the columns the
-        // others were encoded against); compaction rewrites that file in the
-        // member format.
-        chunks[5].1 = f64_chunk((0..600).map(|j| j as f64 - 0.25).collect());
-        ds.put_chunk(chunks[5].0.clone(), &chunks[5].1).unwrap();
-        ds.flush().unwrap();
-        let report = ds.compact(1.0).unwrap();
-        assert_eq!(report.partitions_rewritten, 1);
-        let rewritten = std::fs::read(&path).unwrap();
-        assert_eq!(
-            mistique_compress::scheme_of(&rewritten),
-            Some(mistique_compress::Scheme::Members)
-        );
-        read_all(&mut ds, &chunks);
-        assert_eq!(ds.recover().unwrap().quarantined, 0);
-        ds.check_invariants().unwrap();
     }
 
     #[test]

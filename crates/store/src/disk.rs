@@ -4,8 +4,8 @@
 //! tmp+fsync+rename+dirsync discipline, so a partition file is either absent
 //! or complete — a crash can orphan a `*.tmp` file but never tear a
 //! `part_*.bin`. The [`DiskStore::sweep`] recovery pass removes orphans and
-//! quarantines any partition whose integrity trailer fails (bitrot, or torn
-//! writes from a pre-atomic store).
+//! quarantines any partition with a byte that fails its checksum (bitrot,
+//! or torn writes from a pre-atomic store).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +33,7 @@ pub struct DiskStore {
 /// What a [`DiskStore::sweep`] recovery pass found in the directory.
 #[derive(Clone, Debug, Default)]
 pub struct SweepOutcome {
-    /// Partitions whose integrity trailer verified.
+    /// Partitions whose every byte verified.
     pub ok: Vec<PartitionId>,
     /// Partitions that failed verification, with the reason; their files
     /// were renamed aside with a `.quarantined` suffix.
@@ -121,9 +121,10 @@ impl DiskStore {
     }
 
     /// Recovery sweep over the directory: remove orphaned `*.tmp` files left
-    /// by a crash mid-write, verify every `part_*.bin` integrity trailer,
-    /// and rename failing partitions aside (`.quarantined`) so one bad file
-    /// cannot poison the rest of the store. Other files (e.g. the manifest)
+    /// by a crash mid-write, verify every byte of every `part_*.bin` (its
+    /// head and each member, [`Partition::verify`]), and rename failing
+    /// partitions aside (`.quarantined`) so one bad file cannot poison the
+    /// rest of the store. Other files (e.g. the manifest)
     /// are ignored.
     pub fn sweep(&mut self) -> Result<SweepOutcome, StoreError> {
         let mut out = SweepOutcome::default();
@@ -137,7 +138,7 @@ impl DiskStore {
                 out.orphans_removed += 1;
             } else if let Some(id) = Self::partition_id_of(&name) {
                 let bytes = self.backend.read_file(&path)?;
-                match Partition::verify_checksum(&bytes) {
+                match Partition::verify(&bytes) {
                     Ok(()) => out.ok.push(id),
                     Err(e) => {
                         let mut quarantine = path.as_os_str().to_os_string();

@@ -1,27 +1,29 @@
 //! Partitions: groups of ColumnChunks that are placed and stored together.
 //!
-//! A sealed partition file is one [`Scheme::Members`] frame and an xxhash64
-//! trailer. Member 0 is the directory — `[n: u32][(digest hi/lo: u64 u64,
-//! len: u32) × n]` — and member `i + 1` is chunk `i`'s serialized bytes as
-//! its own `compress_auto` frame, in insertion order. A reader opens the
-//! file as a `SealedPartition` and decodes only the members it asks for.
-//! Files written before the member layout hold one `compress_auto` frame
-//! over `[n: u32][(digest hi/lo, len: u32, bytes) × n]`; they still open,
-//! decoded whole.
+//! A sealed partition file (format version 2) is one [`Scheme::Members`]
+//! frame and an xxhash64 trailer. Member 0 is the directory, a raw frame
+//! of `[n: u32][(digest hi/lo: u64 u64, hash: u64) × n]`, and member `i + 1` is
+//! chunk `i`'s serialized bytes as its own `compress_auto` frame, in
+//! insertion order; `hash` is the xxhash64 of that compressed frame. The
+//! trailer covers the file's head only: the container header, its length
+//! table and the directory frame. A reader opens the file as a
+//! `SealedPartition`, which verifies the head, and verifies each member it
+//! asks for against its hash before decoding it: no unverified byte is
+//! decoded or returned, and a read hashes only what it decodes.
+//! [`Partition::verify`] checks every byte of a file.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use mistique_compress::{compress_members, decompress, member_ranges, scheme_of, Scheme};
+use mistique_compress::{
+    assemble_members, compress, compress_each, decompress, member_table, scheme_of, Scheme,
+};
 use mistique_dedup::ContentDigest;
 
 use crate::StoreError;
 
 /// Identifier of a Partition within one DataStore.
 pub type PartitionId = u64;
-
-/// Seed of the xxhash64 integrity trailer.
-const TRAILER_SEED: u64 = 0x5ea1;
 
 /// One frame a read decoded: its codec and its compressed length — what
 /// read attribution credits.
@@ -111,42 +113,40 @@ impl Partition {
     }
 
     /// Serialize and compress the partition into its on-disk
-    /// representation (see the module docs): a directory member, one member
-    /// per chunk, and an xxhash64 integrity trailer over the frame. Torn
-    /// writes and silent disk corruption are detected when the file is
-    /// opened.
+    /// representation (see the module docs): the chunk members first, so
+    /// the directory can carry each one's hash, then the directory, the
+    /// container and the trailer over its head.
     pub fn seal(&self) -> Vec<u8> {
-        let mut dir = Vec::with_capacity(4 + self.chunks.len() * 20);
-        dir.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        for (digest, bytes) in &self.chunks {
+        let chunks: Vec<&[u8]> = self.chunks.iter().map(|(_, b)| b.as_slice()).collect();
+        let mut frames = compress_each(&chunks);
+        let mut dir = Vec::with_capacity(4 + frames.len() * DIR_ENTRY);
+        dir.extend_from_slice(&(frames.len() as u32).to_le_bytes());
+        for ((digest, _), frame) in self.chunks.iter().zip(&frames) {
             dir.extend_from_slice(&digest.0.to_le_bytes());
             dir.extend_from_slice(&digest.1.to_le_bytes());
-            dir.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            dir.extend_from_slice(&checksum(frame).to_le_bytes());
         }
-        let mut members: Vec<&[u8]> = Vec::with_capacity(self.chunks.len() + 1);
-        members.push(&dir);
-        members.extend(self.chunks.iter().map(|(_, b)| b.as_slice()));
-        with_trailer(compress_members(&members))
+        let chunk_bytes: usize = frames.iter().map(Vec::len).sum();
+        // Digests and hashes: nothing for a codec to find.
+        frames.insert(0, compress(&dir, Scheme::Raw));
+        let mut image = assemble_members(&frames);
+        let head = checksum(&image[..image.len() - chunk_bytes]);
+        image.extend_from_slice(&head.to_le_bytes());
+        image
     }
 
-    /// Verify a sealed partition's integrity trailer without decompressing
-    /// the payload — the cheap check the recovery sweep runs over every
-    /// partition file. Torn writes and bitrot both fail here.
-    pub fn verify_checksum(sealed: &[u8]) -> Result<(), StoreError> {
-        if sealed.len() < 8 {
-            return Err(StoreError::CorruptPartition("missing checksum"));
-        }
-        let (frame, trailer) = sealed.split_at(sealed.len() - 8);
-        let expected = u64::from_le_bytes(trailer.try_into().unwrap());
-        if mistique_dedup::xxhash64(frame, TRAILER_SEED) != expected {
-            return Err(StoreError::CorruptPartition("checksum mismatch"));
-        }
-        Ok(())
+    /// Verify every byte of a sealed partition without decoding a chunk:
+    /// the head against the trailer, then each chunk member against its
+    /// directory hash. The recovery sweep runs it over every partition
+    /// file; torn writes and bitrot anywhere in a file fail here.
+    pub fn verify(sealed: &[u8]) -> Result<(), StoreError> {
+        let (members, _) = read_head(sealed)?;
+        members.iter().try_for_each(|m| m.verify(sealed))
     }
 
-    /// Decode a sealed partition whole back into an in-memory one, verifying
-    /// the integrity trailer first (compaction's rewrite; reads open a
-    /// `SealedPartition` and decode only what they need).
+    /// Decode a sealed partition whole back into an in-memory one, every
+    /// byte verified (compaction's rewrite; reads open a `SealedPartition`
+    /// and decode only what they need).
     pub fn unseal(id: PartitionId, sealed: &[u8]) -> Result<Partition, StoreError> {
         let (mut image, _) = SealedPartition::open(id, sealed.to_vec())?;
         for i in 0..image.members.len() {
@@ -158,61 +158,98 @@ impl Partition {
         }
         Ok(part)
     }
-
-    /// A legacy single-frame file's frame, decoded whole.
-    fn unseal_legacy(id: PartitionId, frame: &[u8]) -> Result<Partition, StoreError> {
-        let buf = decompress(frame)?;
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-            let end = *pos + n;
-            if end > buf.len() {
-                return Err(StoreError::CorruptPartition("truncated"));
-            }
-            let s = &buf[*pos..end];
-            *pos = end;
-            Ok(s)
-        };
-        let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut part = Partition::new(id);
-        for _ in 0..n {
-            let hi = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let lo = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let bytes = take(&mut pos, len)?.to_vec();
-            part.add(ContentDigest(hi, lo), bytes);
-        }
-        if pos != buf.len() {
-            return Err(StoreError::CorruptPartition("trailing bytes"));
-        }
-        Ok(part)
-    }
 }
 
-/// `frame` followed by its xxhash64 integrity trailer.
-fn with_trailer(mut frame: Vec<u8>) -> Vec<u8> {
-    let checksum = mistique_dedup::xxhash64(&frame, TRAILER_SEED);
-    frame.extend_from_slice(&checksum.to_le_bytes());
-    frame
+/// Seed of every xxhash64 in a sealed file: the trailer's and the
+/// directory's per-member hashes.
+const CHECKSUM_SEED: u64 = 0x5ea1;
+
+/// Bytes per directory entry: digest hi, digest lo, member frame hash.
+const DIR_ENTRY: usize = 24;
+
+fn checksum(bytes: &[u8]) -> u64 {
+    mistique_dedup::xxhash64(bytes, CHECKSUM_SEED)
 }
 
 /// One chunk member of a sealed file.
 #[derive(Debug)]
 struct Member {
     digest: ContentDigest,
-    /// Serialized length, from the directory.
-    len: usize,
+    /// xxhash64 of the member's compressed frame, from the directory.
+    hash: u64,
     /// The member's frame inside the image.
     frame: Range<usize>,
 }
 
+impl Member {
+    /// Check the member's frame in `image` against its directory hash.
+    fn verify(&self, image: &[u8]) -> Result<(), StoreError> {
+        if checksum(&image[self.frame.clone()]) != self.hash {
+            return Err(StoreError::CorruptPartition("member checksum mismatch"));
+        }
+        Ok(())
+    }
+}
+
+/// Read and verify a sealed file's head — the container header, the
+/// length table and the directory frame, against the trailer — then decode
+/// the directory. Returns the chunk members and the directory frame read.
+/// No member byte is looked at.
+fn read_head(image: &[u8]) -> Result<(Vec<Member>, FrameRead), StoreError> {
+    let frame_len = image
+        .len()
+        .checked_sub(8)
+        .ok_or(StoreError::CorruptPartition("missing checksum"))?;
+    let (frame, trailer) = image.split_at(frame_len);
+    let ranges =
+        member_table(frame).map_err(|_| StoreError::CorruptPartition("unreadable member table"))?;
+    let (dir_frame, chunk_frames) = ranges
+        .split_first()
+        .ok_or(StoreError::CorruptPartition("no directory"))?;
+    let expected = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+    if checksum(&frame[..dir_frame.end]) != expected {
+        return Err(StoreError::CorruptPartition("checksum mismatch"));
+    }
+    let dir_frame = &frame[dir_frame.clone()];
+    let dir = decompress(dir_frame)?;
+    let read = (
+        scheme_of(dir_frame).expect("decompress read the header"),
+        dir_frame.len(),
+    );
+    let n = match dir.get(..4) {
+        Some(n) => u32::from_le_bytes(n.try_into().expect("4-byte count")) as usize,
+        None => return Err(StoreError::CorruptPartition("truncated directory")),
+    };
+    if dir.len() - 4 != n.saturating_mul(DIR_ENTRY) {
+        return Err(StoreError::CorruptPartition("directory length"));
+    }
+    if n != chunk_frames.len() {
+        return Err(StoreError::CorruptPartition(
+            "directory disagrees with member count",
+        ));
+    }
+    let word = |entry: &[u8], at: usize| {
+        u64::from_le_bytes(entry[at..at + 8].try_into().expect("8-byte field"))
+    };
+    let members = dir[4..]
+        .chunks_exact(DIR_ENTRY)
+        .zip(chunk_frames)
+        .map(|(entry, frame)| Member {
+            digest: ContentDigest(word(entry, 0), word(entry, 8)),
+            hash: word(entry, 16),
+            frame: frame.clone(),
+        })
+        .collect();
+    Ok((members, read))
+}
+
 /// A sealed partition file opened for reading: the compressed image is
-/// kept, and each chunk's member is decoded the first time it is asked for
-/// and kept decoded beside it. A legacy single-frame file is decoded whole
-/// at open and keeps no image.
+/// kept, and each chunk's member is verified and decoded the first time it
+/// is asked for and kept decoded beside it.
 #[derive(Debug)]
 pub(crate) struct SealedPartition {
     id: PartitionId,
-    /// The sealed file; empty for a legacy file, which was decoded whole.
+    /// The sealed file.
     image: Vec<u8>,
     members: Vec<Member>,
     /// Digest → member; a digest stored twice resolves to its later copy,
@@ -223,70 +260,18 @@ pub(crate) struct SealedPartition {
 }
 
 impl SealedPartition {
-    /// Open a sealed file: verify its trailer, read the member table and
-    /// decode the directory — no chunk member yet. Also returns the frame
-    /// that decoding read: the directory's, or a legacy file's whole frame.
+    /// Open a sealed file: verify its head and decode the directory — no
+    /// chunk member yet. Also returns the directory frame that read.
     pub(crate) fn open(
         id: PartitionId,
         image: Vec<u8>,
     ) -> Result<(SealedPartition, FrameRead), StoreError> {
-        Partition::verify_checksum(&image)?;
-        let frame = &image[..image.len() - 8];
-        let scheme = scheme_of(frame).ok_or(mistique_compress::CodecError::BadHeader)?;
-        if scheme != Scheme::Members {
-            let read = (scheme, frame.len());
-            let part = Partition::unseal_legacy(id, frame)?;
-            let members = part.chunks.iter().map(|(digest, bytes)| Member {
-                digest: *digest,
-                len: bytes.len(),
-                frame: 0..0,
-            });
-            let legacy = SealedPartition {
-                id,
-                image: Vec::new(),
-                members: members.collect(),
-                index: part.index,
-                decoded: part.chunks.into_iter().map(|(_, b)| Some(b)).collect(),
-                decoded_bytes: part.raw_bytes,
-            };
-            return Ok((legacy, read));
-        }
-        let ranges = member_ranges(frame)?;
-        let (dir_frame, chunk_frames) = ranges
-            .split_first()
-            .ok_or(StoreError::CorruptPartition("no directory"))?;
-        let dir_frame = &frame[dir_frame.clone()];
-        let dir = decompress(dir_frame)?;
-        let read = (
-            scheme_of(dir_frame).expect("member_ranges admits known schemes only"),
-            dir_frame.len(),
-        );
-        let n = match dir.get(..4) {
-            Some(n) => u32::from_le_bytes(n.try_into().expect("4-byte count")) as usize,
-            None => return Err(StoreError::CorruptPartition("truncated directory")),
-        };
-        if dir.len() - 4 != n.saturating_mul(20) {
-            return Err(StoreError::CorruptPartition("directory length"));
-        }
-        if n != chunk_frames.len() {
-            return Err(StoreError::CorruptPartition(
-                "directory disagrees with member count",
-            ));
-        }
-        let mut members = Vec::with_capacity(n);
-        let mut index = HashMap::with_capacity(n);
-        for (i, (entry, frame)) in dir[4..].chunks_exact(20).zip(chunk_frames).enumerate() {
-            let word =
-                |at: usize| u64::from_le_bytes(entry[at..at + 8].try_into().expect("8-byte field"));
-            let digest = ContentDigest(word(0), word(8));
-            let len = u32::from_le_bytes(entry[16..20].try_into().expect("4-byte field")) as usize;
-            index.insert(digest, i);
-            members.push(Member {
-                digest,
-                len,
-                frame: frame.clone(),
-            });
-        }
+        let (members, read) = read_head(&image)?;
+        let index = members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.digest, i))
+            .collect();
         let sealed = SealedPartition {
             id,
             image,
@@ -303,23 +288,14 @@ impl SealedPartition {
         self.id
     }
 
-    /// Frames in the file: the directory plus one per chunk (a legacy file
-    /// is one frame).
+    /// Frames in the file: the directory plus one per chunk.
     pub(crate) fn members(&self) -> usize {
-        if self.image.is_empty() {
-            1
-        } else {
-            self.members.len() + 1
-        }
+        self.members.len() + 1
     }
 
-    /// Frames decoded so far, counted like [`SealedPartition::members`].
+    /// Frames decoded so far, the directory included.
     pub(crate) fn members_decoded(&self) -> usize {
-        if self.image.is_empty() {
-            1
-        } else {
-            1 + self.decoded.iter().filter(|d| d.is_some()).count()
-        }
+        1 + self.decoded.iter().filter(|d| d.is_some()).count()
     }
 
     /// What holding this costs in memory: the compressed image plus every
@@ -328,8 +304,9 @@ impl SealedPartition {
         self.image.len() + self.decoded_bytes
     }
 
-    /// A chunk's serialized bytes, its member decoded first unless it
-    /// already is; with them, the frame read when this call decoded one.
+    /// A chunk's serialized bytes, its member verified and decoded first
+    /// unless it already is; with them, the frame read when this call
+    /// decoded one.
     pub(crate) fn chunk(
         &mut self,
         digest: ContentDigest,
@@ -348,15 +325,11 @@ impl SealedPartition {
             return Ok(None);
         }
         let m = &self.members[i];
+        m.verify(&self.image)?;
         let frame = &self.image[m.frame.clone()];
         let bytes = decompress(frame)?;
-        if bytes.len() != m.len {
-            return Err(StoreError::CorruptPartition(
-                "member length disagrees with directory",
-            ));
-        }
         let read = (
-            scheme_of(frame).expect("member_ranges admits known schemes only"),
+            scheme_of(frame).expect("decompress read the header"),
             frame.len(),
         );
         self.decoded_bytes += bytes.len();
@@ -366,26 +339,9 @@ impl SealedPartition {
 }
 
 #[cfg(test)]
-impl Partition {
-    /// The reference writer of the layout files had before the member
-    /// format: one `compress_auto` frame over `[n: u32][(digest hi/lo: u64
-    /// u64, len: u32, bytes) × n]`, and the trailer.
-    pub(crate) fn seal_legacy(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.raw_bytes + self.chunks.len() * 20 + 4);
-        buf.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
-        for (digest, bytes) in &self.chunks {
-            buf.extend_from_slice(&digest.0.to_le_bytes());
-            buf.extend_from_slice(&digest.1.to_le_bytes());
-            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            buf.extend_from_slice(bytes);
-        }
-        with_trailer(mistique_compress::compress_auto(&buf))
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use mistique_compress::compress_auto;
     use mistique_dedup::content_digest;
 
     fn chunk(bytes: &[u8]) -> (ContentDigest, Vec<u8>) {
@@ -434,10 +390,17 @@ mod tests {
         p
     }
 
-    /// A sealed image of `frame` with a valid trailer: what a hostile or
-    /// buggy writer could leave that the checksum does not catch.
+    /// A sealed image of `frame` with a valid trailer over its head (over
+    /// the whole frame when it has no readable member table): what a
+    /// hostile or buggy writer could leave that the trailer does not catch.
     fn resealed(frame: &[u8]) -> Vec<u8> {
-        with_trailer(frame.to_vec())
+        let head = member_table(frame)
+            .ok()
+            .and_then(|r| r.first().map(|dir| dir.end))
+            .unwrap_or(frame.len());
+        let mut image = frame.to_vec();
+        image.extend_from_slice(&checksum(&frame[..head]).to_le_bytes());
+        image
     }
 
     #[test]
@@ -445,7 +408,7 @@ mod tests {
         let p = sample();
         let sealed = p.seal();
         let frame = &sealed[..sealed.len() - 8];
-        let ranges = member_ranges(frame).unwrap();
+        let ranges = member_table(frame).unwrap();
         assert_eq!(
             ranges.len(),
             p.len() + 1,
@@ -485,29 +448,10 @@ mod tests {
         let p = sample();
         let sealed = p.seal();
         let raw = decompress(&sealed[..sealed.len() - 8]).unwrap();
-        let dir_len = 4 + 20 * p.len();
+        let dir_len = 4 + DIR_ENTRY * p.len();
         assert_eq!(raw[..4], (p.len() as u32).to_le_bytes());
         let chunks: Vec<u8> = p.chunks.iter().flat_map(|(_, b)| b.clone()).collect();
         assert_eq!(raw[dir_len..], chunks[..]);
-    }
-
-    #[test]
-    fn legacy_single_frame_files_still_open() {
-        let p = sample();
-        let legacy = p.seal_legacy();
-        assert_ne!(scheme_of(&legacy), Some(Scheme::Members));
-        let back = Partition::unseal(42, &legacy).unwrap();
-        assert_eq!(
-            back.digests().collect::<Vec<_>>(),
-            p.digests().collect::<Vec<_>>()
-        );
-        let (mut open, whole) = SealedPartition::open(42, legacy.clone()).unwrap();
-        assert_eq!(whole.1, legacy.len() - 8, "a legacy file decodes whole");
-        assert_eq!((open.members(), open.members_decoded()), (1, 1));
-        for (d, _) in &p.chunks {
-            let (bytes, read) = open.chunk(*d).unwrap();
-            assert_eq!((Some(bytes), read), (p.get(*d), None));
-        }
     }
 
     #[test]
@@ -531,39 +475,44 @@ mod tests {
                 "{cut}-byte prefix unsealed"
             );
         }
-        let dir = |entries: &[(ContentDigest, u32)], n: u32| -> Vec<u8> {
+        let dir = |entries: &[(ContentDigest, u64)], n: u32| -> Vec<u8> {
             let mut out = n.to_le_bytes().to_vec();
-            for (d, len) in entries {
+            for (d, hash) in entries {
                 out.extend_from_slice(&d.0.to_le_bytes());
                 out.extend_from_slice(&d.1.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(&hash.to_le_bytes());
             }
             out
         };
         let (a, b) = (vec![1u8; 10], vec![2u8; 12]);
         let (da, db) = (content_digest(&a), content_digest(&b));
+        let (ha, hb) = (checksum(&compress_auto(&a)), checksum(&compress_auto(&b)));
         let cases: Vec<(&str, Vec<u8>)> = vec![
-            // One chunk in the directory, two members: the concatenated raw
-            // bytes would even parse, the member boundaries do not.
-            ("count below members", dir(&[(da, 22)], 1)),
+            ("count below members", dir(&[(da, ha)], 1)),
             (
                 "count above members",
-                dir(&[(da, 10), (db, 12), (da, 0)], 3),
+                dir(&[(da, ha), (db, hb), (da, 0)], 3),
             ),
             (
                 "count disagrees with entries",
-                dir(&[(da, 10), (db, 12)], 3),
+                dir(&[(da, ha), (db, hb)], 3),
             ),
-            // Lengths swapped: sums agree, members do not.
-            ("lengths swapped", dir(&[(da, 12), (db, 10)], 2)),
+            // Hashes swapped: each names a real frame, not its own.
+            ("hashes swapped", dir(&[(da, hb), (db, ha)], 2)),
         ];
         for (what, directory) in cases {
-            let image = resealed(&compress_members(&[&directory, &a, &b]));
+            let image = resealed(&assemble_members(&compress_each(&[&directory, &a, &b])));
             assert!(open_all(image.clone()).is_err(), "{what}: opened");
             assert!(Partition::unseal(1, &image).is_err(), "{what}: unsealed");
+            assert!(Partition::verify(&image).is_err(), "{what}: verified");
         }
-        let good = resealed(&compress_members(&[&dir(&[(da, 10), (db, 12)], 2), &a, &b]));
-        assert!(open_all(good).is_ok());
+        let good = resealed(&assemble_members(&compress_each(&[
+            &dir(&[(da, ha), (db, hb)], 2),
+            &a,
+            &b,
+        ])));
+        assert!(open_all(good.clone()).is_ok());
+        assert!(Partition::verify(&good).is_ok());
         // Seeded byte flips, re-trailered: a clean verdict every time.
         let mut rng = mistique_rng::Rng::seed(0xbad);
         for _ in 0..256 {
@@ -611,6 +560,41 @@ mod tests {
         let p = Partition::new(0);
         let back = Partition::unseal(0, &p.seal()).unwrap();
         assert!(back.is_empty());
+    }
+
+    #[test]
+    fn a_flipped_byte_fails_exactly_the_reads_that_decode_it() {
+        let p = sample();
+        let sealed = p.seal();
+        let frame_len = sealed.len() - 8;
+        let ranges = member_table(&sealed[..frame_len]).unwrap();
+        let head = ranges[0].end;
+        // The member each digest resolves to (a shadowed copy is never read).
+        let member_of = |d: ContentDigest| p.index[&d] + 1;
+        for at in 0..sealed.len() {
+            let mut damaged = sealed.clone();
+            damaged[at] ^= 0x20;
+            assert!(
+                Partition::verify(&damaged).is_err(),
+                "flip at {at} verified"
+            );
+            let opened = SealedPartition::open(42, damaged);
+            if at < head || at >= frame_len {
+                assert!(opened.is_err(), "flip at {at} in the head opened");
+                continue;
+            }
+            let (mut open, _) = opened.unwrap();
+            let hit = ranges.iter().position(|r| r.contains(&at)).unwrap();
+            for (d, _) in &p.chunks {
+                match open.chunk(*d) {
+                    Ok((got, _)) => {
+                        assert_ne!(member_of(*d), hit, "flip at {at} decoded");
+                        assert_eq!(got, p.get(*d).unwrap(), "flip at {at}");
+                    }
+                    Err(_) => assert_eq!(member_of(*d), hit, "flip at {at} failed an intact read"),
+                }
+            }
+        }
     }
 
     #[test]

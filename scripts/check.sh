@@ -171,6 +171,18 @@ if [ -n "$unseals" ]; then
   exit 1
 fi
 
+# One partition format (DESIGN.md §11 "Partition file format"): a store of
+# an earlier format version is refused at reopen, so no code path reads or
+# writes the single-frame layout that came before the member format.
+# Non-test code only, as above.
+echo "== one partition format =="
+sites=$(find crates -name '*.rs' | sort | non_test_lines | grep -E 'seal_legacy|unseal_legacy' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: a second partition format is back — the store reads and writes format version 2 only:"
+  echo "$sites"
+  exit 1
+fi
+
 # The forward kernels walk contiguous slices (DESIGN.md §2, "Kernel order
 # contract"): `Tensor::at` / `at_mut` recompute a four-term index per read,
 # which is what the naive kernels kept under `#[cfg(test)]` cost. Non-test

@@ -5,9 +5,11 @@
 //! `stored_ratio` drift in a benchmark run. The `StoreStats` below were
 //! recorded on the commit before the LSH index was rebuilt around dense
 //! slots (DESIGN.md §17 "Base selection"); the file lengths were re-recorded
-//! when partitions became one member frame per chunk (DESIGN.md §11
-//! "Partition file format") — a format change, with every `StoreStats`
-//! field unmoved.
+//! when partitions became one member frame per chunk, and again with the
+//! partition lengths and digests when the directory came to carry each
+//! member's hash (format version 2, DESIGN.md §11 "Partition file format")
+//! — format changes, each with every `StoreStats` field and every index
+//! file unmoved.
 //!
 //! The second case logs three checkpoints of a net with a frozen prefix:
 //! every file it leaves (partitions and index files, by name, length and
@@ -172,21 +174,21 @@ fn a_frozen_prefix_leaves_the_layout_of_logging_it_every_time() {
 /// Length of `part_{i:08x}.bin`, for every partition the run creates.
 #[rustfmt::skip]
 const PARTITION_LENS: [u64; 229] = [
-    109, 9387, 3386, 177, 242, 122, 177, 113, 177, 248, 119, 177, 113, 177, 242, 119,
-    177, 113, 177, 177, 120, 177, 113, 177, 242, 119, 177, 113, 177, 245, 122, 177,
-    113, 177, 242, 122, 177, 113, 177, 242, 122, 177, 113, 177, 242, 115, 177, 113,
-    177, 242, 120, 177, 113, 177, 245, 120, 177, 113, 177, 242, 115, 177, 113, 177,
-    177, 122, 177, 113, 177, 248, 115, 177, 113, 177, 177, 120, 177, 113, 177, 251,
-    119, 177, 120, 177, 241, 115, 177, 119, 177, 429, 120, 177, 119, 177, 248, 120,
-    177, 119, 177, 251, 120, 177, 119, 177, 242, 122, 177, 119, 177, 248, 122, 177,
-    119, 177, 242, 122, 177, 119, 177, 251, 120, 177, 119, 177, 242, 117, 177, 646,
-    26039, 1651, 98, 83, 119, 119, 119, 119, 119, 119, 119, 83, 110, 86, 110, 177,
-    248, 117, 177, 177, 248, 120, 177, 177, 248, 122, 177, 177, 245, 120, 177, 177,
-    245, 122, 177, 177, 246, 120, 177, 177, 177, 113, 177, 110, 203, 86, 110, 2911,
-    11679, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 177,
-    177, 177, 177, 177, 177, 177, 177, 177, 177, 177, 110, 177, 177, 177, 177, 177,
-    177, 177, 110, 87501, 47156, 11798, 46967, 37762, 10208, 37761, 3090, 1861, 54450, 80780, 21788, 29337,
-    23575, 5909, 23575, 3622, 1861,
+    113, 9799, 3522, 181, 250, 126, 181, 117, 181, 256, 123, 181, 117, 181, 250, 123,
+    181, 117, 181, 181, 124, 181, 117, 181, 250, 123, 181, 117, 181, 253, 126, 181,
+    117, 181, 250, 126, 181, 117, 181, 250, 126, 181, 117, 181, 250, 119, 181, 117,
+    181, 250, 124, 181, 117, 181, 253, 124, 181, 117, 181, 250, 119, 181, 117, 181,
+    181, 126, 181, 117, 181, 256, 119, 181, 117, 181, 181, 124, 181, 117, 181, 259,
+    123, 181, 124, 181, 249, 119, 181, 123, 181, 445, 124, 181, 123, 181, 256, 124,
+    181, 123, 181, 259, 124, 181, 123, 181, 250, 126, 181, 123, 181, 256, 126, 181,
+    123, 181, 250, 126, 181, 123, 181, 259, 124, 181, 123, 181, 250, 121, 181, 674,
+    26711, 1719, 102, 87, 123, 123, 123, 123, 123, 123, 123, 87, 114, 90, 114, 181,
+    256, 121, 181, 181, 256, 124, 181, 181, 256, 126, 181, 181, 253, 124, 181, 181,
+    253, 126, 181, 181, 254, 124, 181, 181, 181, 117, 181, 114, 211, 90, 114, 2999,
+    12351, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181,
+    181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 114, 181, 181, 181, 181, 181,
+    181, 181, 114, 91597, 49208, 12310, 49015, 39426, 10652, 39425, 3250, 1941, 57548, 84876, 22812, 30697,
+    24599, 6165, 24599, 3790, 1941,
 ];
 
 /// Every partition and index file of the frozen-prefix case: name, length,
@@ -256,29 +258,29 @@ const FROZEN_PREFIX_FILES: [(&str, u64, (u64, u64)); 88] = [
     ("idx_CIFAR10_VGG16@epoch2.layer7.idx", 118962, (0x6193abea0334a7c6, 0x82f16dc13193c6eb)),
     ("idx_CIFAR10_VGG16@epoch2.layer8.idx", 116370, (0x314cab4b1e1d324a, 0x19a73310376ec20b)),
     ("idx_CIFAR10_VGG16@epoch2.layer9.idx", 114660, (0x600deb8e28227325, 0xe0b3de0e2dd558d8)),
-    ("part_00000000.bin", 77027, (0xd06e178666d293d3, 0xc663e30cebcf2a5e)),
-    ("part_00000001.bin", 62716, (0x4b6dcfa9fa7b53c8, 0xaa4e6caf22460a24)),
-    ("part_00000002.bin", 67671, (0xdae0bb31eaaef3c2, 0x406b3df0ff68556d)),
-    ("part_00000003.bin", 20981, (0x617097963d014a93, 0x355da2fe8c1b539a)),
-    ("part_00000004.bin", 33347, (0x8bb2b61b508f5fa0, 0x235937aa468d78f7)),
-    ("part_00000005.bin", 58391, (0x6f857d64bf876edd, 0xea19420187320eec)),
-    ("part_00000006.bin", 14614, (0x644df86b5347824a, 0x383a2478ceeb659d)),
-    ("part_00000007.bin", 21303, (0x5ecbd333ac09fed4, 0xa8292b7900c360d8)),
-    ("part_00000008.bin", 20786, (0x4c8cdff07846dd5c, 0xbc390b98481e28fb)),
-    ("part_00000009.bin", 20406, (0xb309669e32863a61, 0xf7c2a5a739ac1501)),
-    ("part_0000000a.bin", 5949, (0x23e5ed99ebd22d62, 0x3b005dd5cbd908ef)),
-    ("part_0000000b.bin", 12334, (0x77d6bdff4c491b39, 0x4684f1b49b8b136d)),
-    ("part_0000000c.bin", 10510, (0xd630055b8053113b, 0x22dc480066d9c703)),
-    ("part_0000000d.bin", 15222, (0xd3ea3186ee1695b8, 0x1045f50e7ca0c767)),
-    ("part_0000000e.bin", 3973, (0x54ce614e26b494c1, 0x96924505bb654988)),
-    ("part_0000000f.bin", 3517, (0x95e5967f7eab9ac1, 0x8570eb0d0d852db7)),
-    ("part_00000010.bin", 3669, (0xac56fdcabf0961b5, 0x35fc101e0ccd9d75)),
-    ("part_00000011.bin", 2301, (0x9ee69cfaaf0043a9, 0xfb90943066902c1e)),
-    ("part_00000012.bin", 2301, (0xb090dc290c655403, 0x7ced38723c4e0236)),
-    ("part_00000013.bin", 2605, (0xdefa4de3ef0a4a57, 0xf4e2f87d222ff2af)),
-    ("part_00000014.bin", 1541, (0x664414e252a36f45, 0xa57abcc53c02cab5)),
-    ("part_00000015.bin", 2909, (0x53f7230238991614, 0x2c18fce5f9110297)),
-    ("part_00000016.bin", 1541, (0x93c720f523df2116, 0x457f482d5ee1b04d)),
-    ("part_00000017.bin", 2605, (0x432b4cae9d97ad01, 0x11e0c15595900df0)),
-    ("part_00000018.bin", 1541, (0x7a646d6fb9161e7c, 0x3fe98b5f0296852b)),
+    ("part_00000000.bin", 80831, (0xa5d32842c4269407, 0xf356014a4009f612)),
+    ("part_00000001.bin", 67084, (0x0d0968b667c9b24c, 0x7b7c705f97f323e3)),
+    ("part_00000002.bin", 72395, (0x133d331123388ebc, 0x0fe7947bb41c3a81)),
+    ("part_00000003.bin", 22321, (0x8c1006c123c54a08, 0x41de154a404354be)),
+    ("part_00000004.bin", 35231, (0x947a8df2b7a917ce, 0xbe70b1ae59bb25b6)),
+    ("part_00000005.bin", 61465, (0x1f23efcb2829fe0c, 0xdf975e08224fcfa9)),
+    ("part_00000006.bin", 15382, (0x6257c33e5baba719, 0x84d3b5ec90f030a4)),
+    ("part_00000007.bin", 22423, (0xba9cfe65582ca3e3, 0x19793f7bdc3ed792)),
+    ("part_00000008.bin", 21882, (0x2c48d4ce5e7f1f2e, 0x9ec463e2e54a5ed9)),
+    ("part_00000009.bin", 21490, (0x5e2c6ed0f33d6800, 0xa0d391b59efff185)),
+    ("part_0000000a.bin", 6261, (0x88572268edd6dca5, 0xd97d409bdbcc0f05)),
+    ("part_0000000b.bin", 12982, (0x2315acb8f0bc8a15, 0x3f7543f691675941)),
+    ("part_0000000c.bin", 11062, (0xf75edcf83e847264, 0xeec30520e76f423f)),
+    ("part_0000000d.bin", 16022, (0x8cf372122b610350, 0xd18bb2997043ca3d)),
+    ("part_0000000e.bin", 4181, (0x1b569db7a2bb338b, 0x4034f7a99bffb2c0)),
+    ("part_0000000f.bin", 3701, (0xfe20313d05d36c9a, 0x99034902738b01b4)),
+    ("part_00000010.bin", 3861, (0x09b61457b44c606e, 0x526c7ca111e7cd34)),
+    ("part_00000011.bin", 2421, (0x60394206f91c0d60, 0x85653833cefe9cbc)),
+    ("part_00000012.bin", 2421, (0x3f672ac3cb0e17ef, 0xb34980cd84e011a7)),
+    ("part_00000013.bin", 2741, (0x8808d6955b1c140f, 0x99f2858077690c68)),
+    ("part_00000014.bin", 1621, (0x7789d429eea52614, 0xc61ff507b3b0375f)),
+    ("part_00000015.bin", 3061, (0x4058126f7f65b402, 0x71e1619e32aa4107)),
+    ("part_00000016.bin", 1621, (0x3b3b4b988326a680, 0xeb8d30575a1d5496)),
+    ("part_00000017.bin", 2741, (0x10fa26c4d2ace43e, 0x3e7bab45c800d824)),
+    ("part_00000018.bin", 1621, (0xc2b7118862906321, 0x52fbde715e4e754c)),
 ];

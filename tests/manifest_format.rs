@@ -1,26 +1,27 @@
 //! The manifest's on-disk format, pinned from outside: hand-written
-//! documents in the shape every earlier build wrote (DESIGN.md "Manifest and
-//! spec format") must keep reopening, and hostile ones must fail with an
-//! error, never a panic or a silently defaulted field.
+//! version-2 documents (DESIGN.md "Manifest and spec format") must reopen,
+//! with or without their optional fields; hostile ones must fail with an
+//! error, never a panic or a silently defaulted field; and a store of an
+//! earlier format version is refused without a byte of it changed.
 //!
 //! The golden documents describe one partition that the test lays down by
 //! driving a `DataStore` directly with fixed values, so the content digest
 //! and length they name are constants.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use mistique_core::{
     CaptureScheme, FetchStrategy, Mistique, MistiqueConfig, MistiqueError, ModelKind, ValueScheme,
 };
 use mistique_dataframe::{ColumnChunk, ColumnData};
-use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
+use mistique_store::{ChunkKey, DataStore, DataStoreConfig, Partition, PlacementPolicy};
 
 const MANIFEST: &str = "mistique_manifest.json";
 const STORED: &str = "golden.interm0_ReadCSV";
 
-/// The newest shape builds before the in-house codec wrote: no `version`,
-/// every field that was ever added present. One line, as `to_string` left it.
+/// A version-2 manifest with every optional field present. One line, as
+/// `to_string` leaves it, except that `version` comes last.
 const GOLDEN: &str = concat!(
     r#"{"models":[{"id":"golden","kind":"Trad","n_stages":1,"model_load":{"secs":0,"nanos":1200},"#,
     r#""n_examples":64,"intermediates":["golden.interm0_ReadCSV"]},"#,
@@ -47,11 +48,12 @@ const GOLDEN: &str = concat!(
     r#""chunks_stored":1,"partitions_created":1,"similarity_placements":0,"delta_puts":0,"#,
     r#""delta_bytes_saved":0},"partition_totals":[[0,LEN]],"deltas":[],"extras":[],"#,
     r#""lsh_items":[{"item":0,"partition":0,"digest":[DIGEST],"#,
-    r#""signature":[18446744073709551615,9223372036854775808,3]}]}}"#,
+    r#""signature":[18446744073709551615,9223372036854775808,3]}]},"version":2}"#,
 );
 
-/// The members an old manifest lacks: it predates delta encoding, the
-/// pin-only extras and the persisted LSH index.
+/// Optional members a manifest may lack, each read as its default: the
+/// fields added with delta encoding, the pin-only extras and the persisted
+/// LSH index.
 const ADDED_LATER: [&str; 7] = [
     r#","delta_encoded":false"#,
     r#","delta_encoded":true"#,
@@ -134,7 +136,7 @@ fn assert_golden_state(sys: &mut Mistique, ctx: &str) {
 }
 
 #[test]
-fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
+fn manifests_reopen_and_read_bit_identically_with_or_without_optional_fields() {
     let dir = mistique_testkit::tempdir().unwrap();
     lay_down_store(dir.path());
     let golden = fill(GOLDEN);
@@ -145,7 +147,7 @@ fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
     }
 
     let mut sys = reopen_with(dir.path(), &golden).unwrap();
-    assert_golden_state(&mut sys, "newest earlier shape");
+    assert_golden_state(&mut sys, "every field");
     assert!(
         sys.metadata()
             .intermediate("net@epoch1.layer0")
@@ -155,7 +157,7 @@ fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
     drop(sys);
 
     let mut sys = reopen_with(dir.path(), &old).unwrap();
-    assert_golden_state(&mut sys, "oldest shape");
+    assert_golden_state(&mut sys, "no optional field");
     let l0 = sys.metadata().intermediate("net@epoch1.layer0").unwrap();
     assert!(!l0.delta_encoded, "absent optional field reads as default");
 
@@ -163,7 +165,7 @@ fn manifests_of_earlier_builds_reopen_and_read_bit_identically() {
     sys.persist().unwrap();
     drop(sys);
     let written = std::fs::read_to_string(dir.path().join(MANIFEST)).unwrap();
-    assert!(written.ends_with(r#","version":1}"#), "{written}");
+    assert!(written.contains(r#","version":2"#), "{written}");
     let mut sys = Mistique::reopen(dir.path(), MistiqueConfig::default()).unwrap();
     assert_golden_state(&mut sys, "rewritten by this build");
 }
@@ -257,24 +259,20 @@ fn hostile_manifests_are_errors_that_name_the_field() {
         }
     }
 
-    let v1 = r#"{"models""#;
+    let v2 = r#""version":2}"#;
+    let head = r#"{"models""#;
     let cases: &[(&str, &str, &str)] = &[
         (
-            v1,
-            r#"{"version":2,"models""#,
-            "manifest version 2 (supported: 1)",
-        ),
-        (
-            v1,
-            r#"{"version":"1","models""#,
+            v2,
+            r#""version":"2"}"#,
             "manifest.version: expected an integer",
         ),
         (
-            v1,
-            r#"{"verson":1,"models""#,
+            head,
+            r#"{"verson":2,"models""#,
             "manifest: unknown field \"verson\"",
         ),
-        (v1, r#"{"models":[],"models""#, "duplicate key \"models\""),
+        (head, r#"{"models":[],"models""#, "duplicate key \"models\""),
         (
             r#""next_partition":1,"#,
             "",
@@ -376,10 +374,77 @@ fn hostile_manifests_are_errors_that_name_the_field() {
         }
     }
 
+    // A version this build does not read is the typed error, naming both.
+    match reopen_with(dir.path(), &golden.replace(v2, r#""version":3}"#)) {
+        Err(MistiqueError::UnsupportedVersion {
+            found: 3,
+            supported: 2,
+        }) => {}
+        other => panic!("version 3: {:?}", other.map(|_| ())),
+    }
+
     // Deep nesting is an error from the parser, not a stack overflow.
     let deep = format!("{}{}", r#"{"models":"#, "[".repeat(1_000_000));
     assert!(matches!(
         reopen_with(dir.path(), &deep),
         Err(MistiqueError::Invalid(_))
     ));
+}
+
+/// Every file and directory under `dir`, by path relative to it, with a
+/// file's bytes.
+fn tree_of(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            let rel = path.strip_prefix(dir).unwrap().to_path_buf();
+            if path.is_dir() {
+                stack.push(path);
+                out.push((rel, None));
+            } else {
+                out.push((rel, Some(std::fs::read(&path).unwrap())));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// `tests/fixtures/store_v1` is the golden store above as a version-1 build
+/// left it: the partition sealed with a trailer over the whole file and no
+/// per-member hashes, and the manifest that build wrote back. Reopening it
+/// is the typed error naming both versions — also under a manifest that
+/// predates the `version` field — and leaves every file as it was: the
+/// refusal comes before the recovery pass, which could not verify the
+/// partition and would quarantine it.
+#[test]
+fn stores_of_an_earlier_format_are_refused_and_left_byte_identical() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/store_v1");
+    let dir = mistique_testkit::tempdir().unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.path().join(path.file_name().unwrap())).unwrap();
+    }
+    let part = std::fs::read(dir.path().join("part_00000000.bin")).unwrap();
+    assert!(Partition::verify(&part).is_err(), "a version-1 partition");
+    let manifest = std::fs::read_to_string(dir.path().join(MANIFEST)).unwrap();
+    let unversioned = manifest.replace(r#","version":1"#, "");
+    assert_ne!(unversioned, manifest, "the fixture records its version");
+
+    for text in [&manifest, &unversioned] {
+        std::fs::write(dir.path().join(MANIFEST), text).unwrap();
+        let before = tree_of(dir.path());
+        match Mistique::reopen(dir.path(), MistiqueConfig::default()) {
+            Err(
+                e @ MistiqueError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2,
+                },
+            ) => assert_eq!(e.to_string(), "partition/manifest version 1 (supported: 2)"),
+            other => panic!("expected the version error, got {:?}", other.map(|_| ())),
+        }
+        assert!(tree_of(dir.path()) == before, "reopen changed the store");
+    }
 }

@@ -126,9 +126,10 @@ fn column_count_not_divisible_by_workers_is_bit_identical() {
 
 #[test]
 fn corrupt_chunk_mid_batch_is_an_error_not_an_abort() {
-    // Flip bytes in the middle of every sealed partition file, then force a
-    // cold parallel read. Whatever layer notices first — the partition
-    // integrity trailer or the chunk decoder — the query must come back as
+    // Flip bytes in the middle of every chunk member of every sealed
+    // partition file, so whichever members the fetch decodes are damaged,
+    // then force a cold parallel read. A read verifies each member it
+    // decodes against its directory hash: the query must come back as
     // `Err`, and the process must survive to run the next statement.
     let (dir, mut sys, id) = system_with_block_size(32);
     let interm = sys.intermediates_of(&id)[2].clone();
@@ -148,9 +149,14 @@ fn corrupt_chunk_mid_batch_is_an_error_not_an_abort() {
                 .is_some_and(|n| n.starts_with("part_") && n.ends_with(".bin"))
             {
                 let mut bytes = std::fs::read(&path).unwrap();
-                let mid = bytes.len() / 2;
-                for b in bytes.iter_mut().skip(mid).take(16) {
-                    *b ^= 0xA5;
+                let frame = &bytes[..bytes.len() - 8];
+                let members = mistique_compress::member_table(frame).unwrap();
+                // Member 0 is the directory; the rest are chunks.
+                for member in &members[1..] {
+                    let mid = (member.start + member.end) / 2;
+                    for b in &mut bytes[mid..(mid + 16).min(member.end)] {
+                        *b ^= 0xA5;
+                    }
                 }
                 std::fs::write(&path, &bytes).unwrap();
                 corrupted += 1;

@@ -270,6 +270,41 @@ fn zero_budget_disables_telemetry_entirely() {
     assert!(tl.points.is_empty());
 }
 
+/// `mistique replay … | head -1`: the reader goes away after the first line,
+/// so the CLI's next write meets a closed pipe. That is a clean exit, not a
+/// panic.
+#[test]
+fn cli_exits_cleanly_when_its_reader_goes_away() {
+    use std::io::BufRead;
+    let tmp = mistique_testkit::tempdir().unwrap();
+    let dir = tmp.path().to_str().unwrap();
+    {
+        let data = Arc::new(ZillowData::generate(120, 3));
+        let mut sys = Mistique::open(dir, MistiqueConfig::default()).unwrap();
+        let id = sys
+            .register_trad(zillow_pipelines().remove(0), data)
+            .unwrap();
+        sys.log_intermediates(&id).unwrap();
+        sys.persist().unwrap();
+        sys.audit_flush();
+    }
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mistique"))
+        .args(["replay", dir, "--differential"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("loaded "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Run the `mistique` binary and return its stdout.
 fn cli(args: &[&str]) -> String {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_mistique"))
@@ -366,7 +401,7 @@ const PINNED_POINTS: [&str; 4] = [
     "log: index.rebuilds=24 store.dedup.exact_hits=88 store.dedup.similarity_placements=30 \
      store.put.bytes=70848 store.put.count=134",
     "reclaim: compaction.runs=1 compress.members.count=16 compress.members.in_bytes=17311 \
-     compress.members.out_bytes=14329 cost.observe_read.count=3 decision.read.count=3 \
+     compress.members.out_bytes=14515 cost.observe_read.count=3 decision.read.count=3 \
      read.codec.delta_lzss.bytes=158 read.codec.delta_lzss.count=1 \
      store.delta.rehydrations=1 store.get.bytes=10433 store.get.count=14 \
      store.get.mem_hits=14 store.get.partitions_touched=12 store.partitions.sealed=16",
