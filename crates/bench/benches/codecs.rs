@@ -3,7 +3,7 @@
 use std::hint::black_box;
 
 use mistique_bench::micro;
-use mistique_compress::{compress, compress_auto, decompress, lzss, Scheme};
+use mistique_compress::{compress, compress_auto, compress_each, decompress, lzss, Scheme};
 use mistique_rng::Rng;
 
 fn workloads() -> Vec<(&'static str, Vec<u8>)> {
@@ -24,6 +24,21 @@ fn workloads() -> Vec<(&'static str, Vec<u8>)> {
         ("text", text),
         ("sorted_ids", sorted_ids),
     ]
+}
+
+/// `len` bytes of little-endian f32 ReLU outputs with full mantissas, each
+/// zero with probability `zeros` — what a DNN layer's chunk holds.
+fn activations(rng: &mut Rng, len: usize, zeros: f64) -> Vec<u8> {
+    (0..len / 4)
+        .flat_map(|_| {
+            let v = if rng.chance(zeros) {
+                0.0
+            } else {
+                rng.range(0.0..4.0f32)
+            };
+            v.to_le_bytes()
+        })
+        .collect()
 }
 
 fn main() {
@@ -56,4 +71,33 @@ fn main() {
             lzss::compress(black_box(&data))
         });
     }
+    // The auto frame of one chunk-sized member, where a trial that cannot
+    // beat the raw frame is the common case: dense activations, ReLU
+    // activations with half their values zero, and the XOR stream of a delta
+    // attempt against an unrelated base (the attempt the 25 % rule rejects).
+    let len = 4096;
+    let activation = activations(&mut rng, len, 0.0);
+    let activation_zeros = activations(&mut rng, len, 0.5);
+    let other = activations(&mut rng, len, 0.0);
+    let xor_miss: Vec<u8> = activation.iter().zip(&other).map(|(a, b)| a ^ b).collect();
+    for (name, data) in [
+        ("activation", &activation),
+        ("activation_zeros", &activation_zeros),
+        ("xor_miss", &xor_miss),
+    ] {
+        micro(&format!("codec/auto/{name}/{len}"), len as u64, || {
+            compress_auto(black_box(data))
+        });
+    }
+    // One seal's worth of members: 256 chunk-sized members of both
+    // activation shapes, each framed on its own.
+    let members: Vec<Vec<u8>> = (0..256)
+        .map(|i| activations(&mut rng, len, if i % 2 == 0 { 0.0 } else { 0.5 }))
+        .collect();
+    let refs: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
+    micro(
+        &format!("codec/compress_each/256x{len}"),
+        (256 * len) as u64,
+        || compress_each(black_box(&refs)),
+    );
 }

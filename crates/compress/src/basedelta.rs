@@ -26,7 +26,7 @@
 //! the streams actually overlap.
 
 use crate::frame::{self, CodecError, Scheme};
-use crate::varint;
+use crate::{lzss, varint};
 
 /// First byte of every base+delta frame. Disjoint from the ColumnChunk dtype
 /// tags (`0..=6`) the store otherwise keeps in partitions.
@@ -45,9 +45,36 @@ pub fn is_delta_frame(bytes: &[u8]) -> bool {
 /// content digest. Always succeeds; callers compare the frame length against
 /// the raw target to decide whether the delta representation actually wins.
 pub fn encode(target: &[u8], base: &[u8], base_digest: (u64, u64)) -> Vec<u8> {
+    encode_within(
+        target,
+        base,
+        base_digest,
+        usize::MAX,
+        &mut lzss::Encoder::default(),
+    )
+    .expect("every frame is shorter than usize::MAX")
+}
+
+/// The frame [`encode`] returns when it takes at most `max_len` bytes,
+/// `None` otherwise. The inner frame gets what the header leaves as its
+/// limit ([`frame::compress_auto_within`]), so no codec runs that could
+/// only produce a frame past `max_len`; LZSS runs through `enc`.
+pub fn encode_within(
+    target: &[u8],
+    base: &[u8],
+    base_digest: (u64, u64),
+    max_len: usize,
+    enc: &mut lzss::Encoder,
+) -> Option<Vec<u8>> {
+    let fixed = FIXED_HEADER + varint::len(base.len() as u64) + varint::len(target.len() as u64);
+    // The inner frame's own length varint takes at least a byte.
+    let room = max_len.checked_sub(fixed + 1)?;
     let xored = xor_against(target, base);
-    let inner = frame::compress_auto(&xored);
-    let mut out = Vec::with_capacity(FIXED_HEADER + 15 + inner.len());
+    let inner = frame::compress_auto_within(&xored, room + 1, enc)?;
+    if fixed + varint::len(inner.len() as u64) + inner.len() > max_len {
+        return None;
+    }
+    let mut out = Vec::with_capacity(fixed + 10 + inner.len());
     out.push(DELTA_MAGIC);
     out.extend_from_slice(&base_digest.0.to_le_bytes());
     out.extend_from_slice(&base_digest.1.to_le_bytes());
@@ -55,7 +82,7 @@ pub fn encode(target: &[u8], base: &[u8], base_digest: (u64, u64)) -> Vec<u8> {
     varint::write_u64(&mut out, target.len() as u64);
     varint::write_u64(&mut out, inner.len() as u64);
     out.extend_from_slice(&inner);
-    out
+    Some(out)
 }
 
 /// Decode a delta frame back to the target bytes, verifying the caller

@@ -11,6 +11,12 @@ use crate::varint;
 /// multiple of `w` and `w` one of 1/2/4/8; returns `None` otherwise (caller
 /// falls back to raw).
 pub fn compress(input: &[u8], w: usize) -> Option<Vec<u8>> {
+    compress_within(input, w, usize::MAX)
+}
+
+/// [`compress`] when its output is shorter than `budget` bytes, `None`
+/// otherwise; stops as soon as the output reaches `budget`.
+pub fn compress_within(input: &[u8], w: usize, budget: usize) -> Option<Vec<u8>> {
     if !matches!(w, 1 | 2 | 4 | 8) {
         return None;
     }
@@ -18,15 +24,18 @@ pub fn compress(input: &[u8], w: usize) -> Option<Vec<u8>> {
         return None;
     }
     let n = input.len() / w;
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    let mut out = Vec::with_capacity((input.len() / 2 + 16).min(budget));
     varint::write_u64(&mut out, n as u64);
     let mut prev = 0i64;
     for k in 0..n {
+        if out.len() >= budget {
+            return None;
+        }
         let v = read_le(&input[k * w..], w);
         varint::write_u64(&mut out, varint::zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
-    Some(out)
+    (out.len() < budget).then_some(out)
 }
 
 /// Decode a delta stream produced by [`compress`] with the same width.

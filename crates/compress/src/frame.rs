@@ -4,6 +4,14 @@
 //! can always be decoded without external metadata, and `Auto` may pick a
 //! different scheme per member depending on its content.
 //!
+//! [`compress_auto`] keeps the smallest frame of its candidates without
+//! running every candidate in full: each gets the best frame so far as its
+//! budget and stops once it cannot beat it, and LZSS does not start when
+//! its lower bound already reaches the budget (see [`crate::lzss`]). A
+//! caller that only wants a frame below some size passes it as the limit
+//! ([`compress_auto_within`]): a delta attempt that cannot pass the
+//! store's 25 % rule stops as early as it can tell.
+//!
 //! A [`Scheme::Members`] frame is a container of independently decodable
 //! flat frames: its payload is `[varint n][varint frame_len × n][frame ×
 //! n]`, and its raw bytes are the members' raw bytes concatenated. A writer
@@ -91,51 +99,82 @@ impl std::error::Error for CodecError {}
 /// possible via the header. `Members` is a container of frames built by
 /// [`assemble_members`], not a codec of one input, and falls back too.
 pub fn compress(input: &[u8], scheme: Scheme) -> Vec<u8> {
-    let mut out = Vec::new();
-    compress_into(&mut out, input, scheme, &mut lzss::Encoder::default());
+    let payload = match scheme {
+        Scheme::Raw | Scheme::Members => None,
+        Scheme::Rle => Some(rle::compress(input)),
+        Scheme::Lzss => Some(lzss::compress(input)),
+        Scheme::Delta4 => delta::compress(input, 4),
+    };
+    match payload {
+        Some(p) => frame_of(scheme, input.len(), &p),
+        None => frame_of(Scheme::Raw, input.len(), input),
+    }
+}
+
+/// `[scheme][varint raw_len][payload]`.
+fn frame_of(scheme: Scheme, raw_len: usize, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 11);
+    out.push(scheme as u8);
+    varint::write_u64(&mut out, raw_len as u64);
+    out.extend_from_slice(payload);
     out
 }
 
-/// [`compress`] appending to `out`, with LZSS run through `enc`.
-fn compress_into(out: &mut Vec<u8>, input: &[u8], scheme: Scheme, enc: &mut lzss::Encoder) {
-    let payload: Option<Vec<u8>> = match scheme {
-        Scheme::Raw | Scheme::Members => None,
-        Scheme::Rle => Some(rle::compress(input)),
-        Scheme::Lzss => Some(enc.compress(input)),
-        Scheme::Delta4 => delta::compress(input, 4),
-    };
-    let (scheme, payload) = match &payload {
-        Some(p) => (scheme, p.as_slice()),
-        None => (Scheme::Raw, input),
-    };
-    out.reserve(payload.len() + 10);
-    out.push(scheme as u8);
-    varint::write_u64(out, input.len() as u64);
-    out.extend_from_slice(payload);
-}
-
 /// Compress with the scheme that gives the smallest frame out of
-/// `Raw`, `Rle`, and `Lzss` (plus `Delta4` when the input is 4-aligned).
+/// `Raw`, `Rle`, and `Lzss` (plus `Delta4` when the input is 4-aligned);
+/// on a tie the earlier one in that order.
 ///
 /// This models the paper's "variety of off-the-shelf compression schemes":
 /// the store does not care which codec wins as long as the frame records it.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
-    compress_auto_with(input, &mut lzss::Encoder::default())
+    auto(input, &mut lzss::Encoder::default())
 }
 
-fn compress_auto_with(input: &[u8], enc: &mut lzss::Encoder) -> Vec<u8> {
-    let mut best = compress(input, Scheme::Raw);
+fn auto(input: &[u8], enc: &mut lzss::Encoder) -> Vec<u8> {
+    compress_auto_within(input, usize::MAX, enc).expect("every frame is shorter than usize::MAX")
+}
+
+/// The frame [`compress_auto`] returns when it is shorter than `limit`
+/// bytes, `None` otherwise — without running a codec that cannot win.
+///
+/// Each candidate, in `compress_auto`'s order, gets the shortest frame so
+/// far (or `limit`) as its budget and gives up once its output reaches
+/// it: RLE and Delta4 stop mid-stream, and LZSS does not run when its
+/// lower bound already reaches the budget ([`lzss::Encoder::compress_within`]).
+/// A candidate is kept only when strictly shorter than the best so far, as
+/// in the exhaustive loop, so the frame returned is byte for byte the same.
+pub fn compress_auto_within(
+    input: &[u8],
+    limit: usize,
+    enc: &mut lzss::Encoder,
+) -> Option<Vec<u8>> {
+    let header = 1 + varint::len(input.len() as u64);
+    let raw = header + input.len();
+    let (mut best, mut budget) = if raw < limit {
+        (Some((Scheme::Raw, None)), raw)
+    } else {
+        (None, limit)
+    };
     for scheme in [Scheme::Rle, Scheme::Lzss, Scheme::Delta4] {
-        if scheme == Scheme::Delta4 && !input.len().is_multiple_of(4) {
-            continue;
-        }
-        let mut candidate = Vec::new();
-        compress_into(&mut candidate, input, scheme, enc);
-        if candidate.len() < best.len() {
-            best = candidate;
+        let Some(room) = budget.checked_sub(header) else {
+            break;
+        };
+        let payload = match scheme {
+            Scheme::Rle => rle::compress_within(input, room),
+            Scheme::Lzss => enc.compress_within(input, room),
+            _ /* Delta4 */ => delta::compress_within(input, 4, room),
+        };
+        if let Some(p) = payload {
+            budget = header + p.len();
+            best = Some((scheme, Some(p)));
         }
     }
-    best
+    let (scheme, payload) = best?;
+    Some(frame_of(
+        scheme,
+        input.len(),
+        payload.as_deref().unwrap_or(input),
+    ))
 }
 
 /// Every member compressed on its own by [`compress_auto`] (one LZSS
@@ -143,10 +182,7 @@ fn compress_auto_with(input: &[u8], enc: &mut lzss::Encoder) -> Vec<u8> {
 /// frames [`assemble_members`] puts in a container.
 pub fn compress_each(members: &[&[u8]]) -> Vec<Vec<u8>> {
     let mut enc = lzss::Encoder::default();
-    members
-        .iter()
-        .map(|m| compress_auto_with(m, &mut enc))
-        .collect()
+    members.iter().map(|m| auto(m, &mut enc)).collect()
 }
 
 /// A [`Scheme::Members`] container of flat `frames`, in order.
@@ -281,6 +317,44 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lzss::tests::shaped;
+    use mistique_testkit::cases;
+
+    /// `compress_auto` as it was before the bounded trials: every candidate
+    /// run in full, the smallest frame kept, the earlier one on a tie.
+    fn reference_auto(input: &[u8]) -> Vec<u8> {
+        let mut best = compress(input, Scheme::Raw);
+        for scheme in [Scheme::Rle, Scheme::Lzss, Scheme::Delta4] {
+            if scheme == Scheme::Delta4 && !input.len().is_multiple_of(4) {
+                continue;
+            }
+            let candidate = compress(input, scheme);
+            if candidate.len() < best.len() {
+                best = candidate;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn auto_matches_the_exhaustive_reference() {
+        let mut enc = lzss::Encoder::default();
+        cases(96, 0xa070, |g| {
+            let input = shaped(g);
+            let want = reference_auto(&input);
+            assert_eq!(compress_auto(&input), want, "{} B", input.len());
+            assert_eq!(compress_each(&[&input]), std::slice::from_ref(&want));
+            // Limits on both sides of the reference frame, one encoder
+            // throughout: a frame is kept exactly when it is shorter.
+            let raw = input.len() + 10;
+            let drawn = g.rng.range(0..=raw);
+            for limit in [0, want.len(), want.len() + 1, drawn, usize::MAX] {
+                let got = compress_auto_within(&input, limit, &mut enc);
+                let expect = (want.len() < limit).then(|| want.clone());
+                assert_eq!(got, expect, "{} B, limit {limit}", input.len());
+            }
+        });
+    }
 
     #[test]
     fn every_scheme_roundtrips() {

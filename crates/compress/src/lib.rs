@@ -16,12 +16,19 @@
 //!   against a similar, already-stored chunk (cross-checkpoint dedup),
 //! - [`varint`]: LEB128 variable-length integers used by the other codecs,
 //! - [`frame`]: a self-describing container that records the scheme and original
-//!   length, with an `Auto` mode that tries candidates and keeps the smallest,
-//!   and a `Members` container of independently decodable frames (one per
+//!   length, with an `Auto` mode that keeps the smallest candidate and skips
+//!   every trial that provably cannot beat the best so far (a sound lower
+//!   bound on LZSS's output, early stops for RLE and delta), and a `Members`
+//!   container of independently decodable frames (one per
 //!   chunk of a sealed Partition, so a read decodes only what it asks for).
 //!
 //! All codecs are lossless: `decompress(compress(x)) == x` for arbitrary bytes,
-//! enforced by the property tests.
+//! enforced by the property tests. Skipping trials changes no stored byte:
+//! the LZSS bound never exceeds LZSS's real output (no match covers an
+//! unmarked byte; no match covers more than 259 bytes for its three), so
+//! a skipped trial is one that would have lost, and `compress_auto`
+//! returns byte for byte the frame of the exhaustive loop its tests keep
+//! as their reference.
 
 pub mod basedelta;
 pub mod delta;
@@ -31,8 +38,8 @@ pub mod rle;
 pub mod varint;
 
 pub use frame::{
-    assemble_members, compress, compress_auto, compress_each, decompress, member_ranges,
-    member_table, scheme_of, CodecError, Scheme,
+    assemble_members, compress, compress_auto, compress_auto_within, compress_each, decompress,
+    member_ranges, member_table, scheme_of, CodecError, Scheme,
 };
 
 /// Compression statistics for reporting (used by the Fig 14 microbenchmark).

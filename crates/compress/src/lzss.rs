@@ -11,9 +11,30 @@
 //! One [`Encoder`] compresses all members of a seal, so its tables are
 //! filled once per seal rather than once per chunk.
 //!
+//! [`Encoder::compress_within`] runs the compress only when its output can
+//! be shorter than a budget: the best frame another codec already made.
+//! A screen proves that the rest lose, without running them. It is one pass
+//! over the encoder's own `head`/`prev` tables that marks every byte lying
+//! inside a 4-gram repeated within [`WINDOW`]. The bound it prices
+//! ([`Encoder::lower_bound`]) is sound for any parse, greedy or not:
+//!
+//! - every 4-gram inside a match repeats at the match's distance, below
+//!   `WINDOW`, so a match covers marked bytes only, and an unmarked byte is
+//!   a literal: one byte, one token;
+//! - a maximal marked run of `r` bytes is covered by literals and matches
+//!   of at most `MAX_MATCH` (259) bytes at three bytes each, which costs at
+//!   least `3·⌊r/259⌋ + min(r mod 259, 3)` bytes and `⌈r/259⌉` tokens;
+//! - a flag byte leads every eight tokens.
+//!
+//! A chain walk the screen cuts short marks its 4-gram as repeated, so the
+//! bound can only err low. A budget it does not reach still runs the
+//! compress, and every frame kept is byte for byte the compress's output.
+//!
 //! Format: groups of up to 8 tokens preceded by a flag byte (bit set = match).
 //! A literal token is one raw byte. A match token is `(u16 LE distance-1,
 //! u8 length-MIN_MATCH)`.
+
+use std::ops::Range;
 
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 255;
@@ -26,7 +47,17 @@ const NO_POS: u32 = u32::MAX;
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    hash(u32::from_le_bytes([
+        data[i],
+        data[i + 1],
+        data[i + 2],
+        data[i + 3],
+    ]))
+}
+
+/// The `head` bucket of a 4-gram read as a little-endian word.
+#[inline]
+fn hash(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
@@ -81,22 +112,7 @@ impl Encoder {
         if input.is_empty() {
             return out;
         }
-        // Fill `head` on first use and whenever the offset positions of
-        // this input could reach the `NO_POS` sentinel. `prev` is only ever
-        // read at a slot this input wrote, so it just has to be long enough.
-        match (self.base as usize).checked_add(input.len()) {
-            Some(end) if end < NO_POS as usize && !self.head.is_empty() => {}
-            _ => {
-                self.head.clear();
-                self.head.resize(HASH_SIZE, NO_POS);
-                self.base = 0;
-            }
-        }
-        let ring = input.len().min(WINDOW);
-        if self.prev.len() < ring {
-            self.prev.resize(ring, NO_POS);
-        }
-        let (head, prev, base) = (&mut self.head[..], &mut self.prev[..], self.base);
+        let (head, prev, base) = self.tables(input.len());
         // A stored position, as an index into `input`: `None` for the
         // sentinel and for positions an earlier input left behind. Both
         // wrap to at least `input.len()` (`base + input.len() < NO_POS`),
@@ -181,8 +197,176 @@ impl Encoder {
             i += step;
             ntokens += 1;
         }
-        self.base = base + input.len() as u32;
         out
+    }
+
+    /// [`Encoder::compress`] of `input` when its output is shorter than
+    /// `budget` bytes, `None` otherwise. The compress runs only when the
+    /// lower bound ([`Encoder::lower_bound`]) does not already reach
+    /// `budget`, so a caller holding a smaller frame of another codec
+    /// skips the work that could not beat it.
+    pub fn compress_within(&mut self, input: &[u8], budget: usize) -> Option<Vec<u8>> {
+        // An all-literal stream, the longest there is, needs no screen.
+        let longest = input.len() + input.len().div_ceil(8);
+        if longest >= budget && self.screen(input, budget..budget) >= budget {
+            return None;
+        }
+        Some(self.compress(input)).filter(|out| out.len() < budget)
+    }
+
+    /// A lower bound on `compress(input).len()`, from one pass that marks
+    /// every byte lying inside a 4-gram repeated within the window.
+    ///
+    /// A match token covers only marked bytes: each of its 4-grams also
+    /// starts at most `WINDOW - 1` bytes earlier. So an unmarked byte is a
+    /// literal (one byte, one token), and a maximal marked run of `r` bytes
+    /// is covered by literals and matches of at most `MAX_MATCH` (259)
+    /// bytes at three bytes each, which costs at least
+    /// `3·⌊r/259⌋ + min(r mod 259, 3)` bytes and `⌈r/259⌉` tokens. One
+    /// flag byte leads every eight tokens. The bound is the unmarked bytes,
+    /// plus the run costs, plus the flag bytes of the fewest tokens.
+    pub fn lower_bound(&mut self, input: &[u8]) -> usize {
+        self.screen(input, 0..usize::MAX)
+    }
+
+    /// The pass behind [`Encoder::lower_bound`], cut short as soon as the
+    /// bound is known to lie outside `decide`: once the bound so far reaches
+    /// `decide.end` (every byte still to come adds to it), or once it would
+    /// stay below `decide.start` even if every byte still to come were a
+    /// literal. Returns the bound so far. It fills this encoder's `head` and
+    /// `prev` tables with its own chains and moves `base` past them: a later
+    /// compress reads them as empty.
+    fn screen(&mut self, input: &[u8], decide: Range<usize>) -> usize {
+        let len = input.len();
+        let (head, prev, base) = self.tables(len);
+        let head = &mut head[..HASH_SIZE];
+        let n = len as u32;
+        let local = |p: u32| {
+            let d = p.wrapping_sub(base);
+            (d < n).then_some(d as usize)
+        };
+        let gram = |i: usize| u32::from_le_bytes(input[i..i + MIN_MATCH].try_into().unwrap());
+        // The marked runs closed so far (their bytes, and what the bound
+        // charges for them) and the open one, `start..end`: a repeated
+        // 4-gram that starts at or before `end` extends it.
+        let mut closed = Bound::default();
+        let (mut start, mut end) = (0, 0);
+        for j in 0..len.saturating_sub(MIN_MATCH - 1) {
+            let v = gram(j);
+            let h = hash(v);
+            // Walk the bucket's chain, most recent first, until a position
+            // within the window carries `v`. A walk longer than the
+            // compressor's counts as repeated: an unproven byte stays
+            // marked.
+            let first = local(head[h]);
+            let mut cand = first;
+            let mut chain = 0;
+            let repeated = loop {
+                let Some(c) = cand else { break false };
+                if j - c > WINDOW - 1 {
+                    break false;
+                }
+                if gram(c) == v {
+                    break true;
+                }
+                chain += 1;
+                if chain == MAX_CHAIN {
+                    break true;
+                }
+                // Within the window every link points strictly back (the
+                // slot of `c` is rewritten only `WINDOW` bytes on).
+                cand = local(prev[c % WINDOW]).filter(|&p| p < c);
+            };
+            // Each position links to the latest earlier one in its bucket
+            // with another 4-gram: one repeating the bucket's latest 4-gram
+            // takes over that one's link. So a walk skips a whole stretch
+            // of equal 4-grams (a ReLU layer's zeros that share a bucket
+            // with the probe) in one step.
+            prev[j % WINDOW] = match first {
+                Some(c) if repeated && chain == 0 => prev[c % WINDOW],
+                _ => head[h],
+            };
+            head[h] = base + j as u32;
+            if repeated {
+                if j > end {
+                    closed.add_run(end - start);
+                    start = j;
+                }
+                end = j + MIN_MATCH;
+            }
+            // Every 64 bytes: is the bound decided? Bytes up to `j` are
+            // final, and every byte still to come adds at most one byte and
+            // one token.
+            if j % 64 == 63 {
+                let mut sofar = closed;
+                sofar.add_run(end.min(j + 1) - start);
+                sofar.add_literals(j + 1 - sofar.covered);
+                let rest = len - 1 - j;
+                let most = sofar.bytes + rest + (sofar.tokens + rest).div_ceil(8);
+                if sofar.total() >= decide.end || most < decide.start {
+                    return sofar.total();
+                }
+            }
+        }
+        closed.add_run(end - start);
+        closed.add_literals(len - closed.covered);
+        closed.total()
+    }
+
+    /// The match finder's tables, ready for an input of `len` bytes, and
+    /// the offset its positions are stored at; `base` moves past them.
+    /// `head` is filled on first use and whenever the offset positions of
+    /// this input could reach the `NO_POS` sentinel. `prev` is only ever
+    /// read at a slot this input wrote, so it just has to be long enough.
+    fn tables(&mut self, len: usize) -> (&mut [u32], &mut [u32], u32) {
+        match (self.base as usize).checked_add(len) {
+            Some(end) if end < NO_POS as usize && !self.head.is_empty() => {}
+            _ => {
+                self.head.clear();
+                self.head.resize(HASH_SIZE, NO_POS);
+                self.base = 0;
+            }
+        }
+        let ring = len.min(WINDOW);
+        if self.prev.len() < ring {
+            self.prev.resize(ring, NO_POS);
+        }
+        let base = self.base;
+        self.base += len as u32;
+        (&mut self.head[..], &mut self.prev[..], base)
+    }
+}
+
+/// What [`Encoder::lower_bound`] charges for the bytes it has priced.
+#[derive(Clone, Copy, Default)]
+struct Bound {
+    /// Input bytes priced.
+    covered: usize,
+    /// Payload bytes and tokens charged for them.
+    bytes: usize,
+    tokens: usize,
+}
+
+impl Bound {
+    /// A marked run of `r` bytes: literals and matches of at most
+    /// `MAX_MATCH` bytes for three, at least `3·⌊r/259⌋ + min(r mod 259,
+    /// 3)` bytes and `⌈r/259⌉` tokens.
+    fn add_run(&mut self, r: usize) {
+        self.covered += r;
+        self.bytes += 3 * (r / MAX_MATCH) + (r % MAX_MATCH).min(3);
+        self.tokens += r.div_ceil(MAX_MATCH);
+    }
+
+    /// `r` unmarked bytes: a literal each.
+    fn add_literals(&mut self, r: usize) {
+        self.covered += r;
+        self.bytes += r;
+        self.tokens += r;
+    }
+
+    /// The payload bytes plus a flag byte per eight tokens.
+    fn total(&self) -> usize {
+        self.bytes + self.tokens.div_ceil(8)
     }
 }
 
@@ -247,8 +431,71 @@ pub fn decompress_with_hint(input: &[u8], raw_len_hint: usize) -> Option<Vec<u8>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use mistique_rng::Rng;
+    use mistique_testkit::Gen;
+
+    /// One input: random bytes, zero-heavy f32 activations, periodic text,
+    /// constant runs, or the XOR of two near-duplicate activation chunks. Its
+    /// length is tiny (0–5), near a multiple of the 259-byte match limit,
+    /// chunk-sized, or — one case in eight — past the 64 KiB window, so the
+    /// encoder's `prev` ring wraps.
+    pub(crate) fn shaped(g: &mut Gen) -> Vec<u8> {
+        let len = match g.rng.range(0..8u32) {
+            0 | 1 => g.rng.range(0..=5usize),
+            2 | 3 => 259 * g.rng.range(1..=3usize) + g.rng.range(0..=8usize) - 4,
+            4..=6 => g.len(0..4097),
+            _ => (1 << 16) + g.rng.range(0..=4096usize),
+        };
+        let rng = &mut g.rng;
+        let mut out = match rng.range(0..5u32) {
+            0 => (0..len).map(|_| rng.range(0..=u8::MAX)).collect(),
+            1 => activations(rng, len, 0.5),
+            2 => {
+                let period: Vec<u8> = (0..rng.range(1..=16usize))
+                    .map(|_| rng.range(b'a'..=b'z'))
+                    .collect();
+                period.iter().cycle().take(len).copied().collect()
+            }
+            3 => {
+                let mut runs = Vec::with_capacity(len);
+                while runs.len() < len {
+                    let byte = rng.range(0..=u8::MAX);
+                    runs.extend(std::iter::repeat_n(byte, rng.range(1..=600usize)));
+                }
+                runs
+            }
+            _ => {
+                let a = activations(rng, len, 0.3);
+                let mut b = a.clone();
+                for x in b.iter_mut() {
+                    if rng.chance(0.02) {
+                        *x ^= rng.range(1..=u8::MAX);
+                    }
+                }
+                a.iter().zip(&b).map(|(x, y)| x ^ y).collect()
+            }
+        };
+        out.truncate(len);
+        out
+    }
+
+    /// `len` bytes of little-endian f32 ReLU outputs, each zero with
+    /// probability `zeros`.
+    fn activations(rng: &mut Rng, len: usize, zeros: f64) -> Vec<u8> {
+        (0..len.div_ceil(4))
+            .flat_map(|_| {
+                let v = if rng.chance(zeros) {
+                    0.0f32
+                } else {
+                    rng.range(0.0..4.0f32)
+                };
+                v.to_le_bytes()
+            })
+            .take(len)
+            .collect()
+    }
 
     /// The encoder as it was before [`Encoder`] kept its tables across
     /// inputs: fresh `head` and `prev` tables on every call. Every input an
@@ -371,6 +618,69 @@ mod tests {
         for input in &inputs {
             assert_eq!(enc.compress(input), reference_compress(input));
         }
+    }
+
+    /// The bound of [`Encoder::lower_bound`] from its definition: mark the
+    /// bytes of every 4-gram whose last earlier occurrence lies within
+    /// `WINDOW - 1` bytes, then price each maximal run of marks on its own.
+    fn reference_bound(input: &[u8]) -> usize {
+        let mut last = std::collections::HashMap::new();
+        let mut marked = vec![false; input.len()];
+        for j in 0..input.len().saturating_sub(MIN_MATCH - 1) {
+            let gram = &input[j..j + MIN_MATCH];
+            if last.insert(gram, j).is_some_and(|c| j - c < WINDOW) {
+                marked[j..j + MIN_MATCH].fill(true);
+            }
+        }
+        let (mut bytes, mut tokens) = (0, 0);
+        for run in marked.chunk_by(|a, b| a == b) {
+            let r = run.len();
+            if run[0] {
+                bytes += 3 * (r / MAX_MATCH) + (r % MAX_MATCH).min(3);
+                tokens += r.div_ceil(MAX_MATCH);
+            } else {
+                bytes += r;
+                tokens += r;
+            }
+        }
+        bytes + tokens.div_ceil(8)
+    }
+
+    #[test]
+    fn lower_bound_is_the_reference_bound_and_never_beats_the_encoder() {
+        let mut enc = Encoder::default();
+        mistique_testkit::cases(96, 0xb0d, |g| {
+            let input = shaped(g);
+            let bound = enc.lower_bound(&input);
+            assert_eq!(bound, reference_bound(&input), "{} B", input.len());
+            // The screen left its positions in the tables: the encoder's
+            // output must not see them.
+            let out = enc.compress(&input);
+            assert_eq!(out, reference_compress(&input), "{} B", input.len());
+            assert!(
+                bound <= out.len(),
+                "bound {bound} > {} ({} B)",
+                out.len(),
+                input.len()
+            );
+            for budget in [0, bound, bound + 1, out.len(), out.len() + 1, usize::MAX] {
+                let expect = (out.len() < budget).then(|| out.clone());
+                assert_eq!(
+                    enc.compress_within(&input, budget),
+                    expect,
+                    "budget {budget}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn periodic_text_meets_its_bound() {
+        // Ten literals, then nine full matches and one of two bytes that
+        // still costs a three-byte token: 10 + 27 + 3 bytes, 20 tokens.
+        let input: Vec<u8> = b"0123456789".iter().cycle().take(2343).copied().collect();
+        assert_eq!(compress(&input).len(), 42);
+        assert_eq!(Encoder::default().lower_bound(&input), 42);
     }
 
     #[test]

@@ -8,7 +8,13 @@ use crate::varint;
 
 /// Run-length encode `input`.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 4 + 8);
+    compress_within(input, usize::MAX).expect("a run-length stream is shorter than usize::MAX")
+}
+
+/// [`compress`] when its output is shorter than `budget` bytes, `None`
+/// otherwise; stops as soon as the output reaches `budget`.
+pub fn compress_within(input: &[u8], budget: usize) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity((input.len() / 4 + 8).min(budget));
     let mut i = 0;
     while i < input.len() {
         let byte = input[i];
@@ -18,9 +24,12 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         }
         varint::write_u64(&mut out, run as u64);
         out.push(byte);
+        if out.len() >= budget {
+            return None;
+        }
         i += run;
     }
-    out
+    (out.len() < budget).then_some(out)
 }
 
 /// Upper bound on decoded output, guarding against corrupt headers that

@@ -14,6 +14,12 @@ pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Bytes [`write_u64`] appends for `value`.
+#[inline]
+pub fn len(value: u64) -> usize {
+    (64 - value.leading_zeros() as usize).div_ceil(7).max(1)
+}
+
 /// Read an unsigned LEB128 varint from `input` starting at `*pos`,
 /// advancing `*pos` past it. Returns `None` on truncated or oversized input.
 #[inline]

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mistique_compress::basedelta;
+use mistique_compress::{basedelta, lzss, Scheme};
 use mistique_dataframe::ColumnChunk;
 use mistique_dedup::{content_digest, discretize, ContentDigest, LshIndex, MinHasher, Signature};
 pub use mistique_obs::CompactionReport;
@@ -240,10 +240,25 @@ struct StoreMetrics {
     compaction_bytes_reclaimed: Counter,
     compaction_partitions_rewritten: Counter,
     delta_puts: Counter,
+    delta_attempts: Counter,
     delta_bytes_saved: Counter,
     delta_base_pins: Counter,
     delta_rehydrations: Counter,
+    /// `compress.<codec>.{count,in_bytes,out_bytes}`: the sealed files
+    /// (`members`), then their chunk members under each flat codec, in
+    /// [`SEALED_CODECS`] order.
+    codecs: [[Counter; 3]; 5],
 }
+
+/// The codecs seals are attributed to: the container, then the flat
+/// codecs in `Scheme` byte order, so a member's scheme byte is its row + 1.
+const SEALED_CODECS: [Scheme; 5] = [
+    Scheme::Members,
+    Scheme::Raw,
+    Scheme::Rle,
+    Scheme::Lzss,
+    Scheme::Delta4,
+];
 
 impl StoreMetrics {
     fn new(obs: &Obs) -> StoreMetrics {
@@ -272,9 +287,14 @@ impl StoreMetrics {
             compaction_bytes_reclaimed: obs.counter("compaction.bytes_reclaimed"),
             compaction_partitions_rewritten: obs.counter("compaction.partitions_rewritten"),
             delta_puts: obs.counter("store.delta.puts"),
+            delta_attempts: obs.counter("store.delta.attempts"),
             delta_bytes_saved: obs.counter("store.delta.bytes_saved"),
             delta_base_pins: obs.counter("store.delta.base_pins"),
             delta_rehydrations: obs.counter("store.delta.rehydrations"),
+            codecs: SEALED_CODECS.map(|s| {
+                ["count", "in_bytes", "out_bytes"]
+                    .map(|field| obs.counter(&format!("compress.{}.{field}", s.name())))
+            }),
         }
     }
 }
@@ -293,6 +313,9 @@ pub struct DataStore {
     /// Per-intermediate open partition (ByIntermediate policy).
     open_by_intermediate: HashMap<String, PartitionId>,
     minhasher: MinHasher,
+    /// The one LZSS encoder every delta attempt runs through: its tables
+    /// are filled once, not once per attempt.
+    lzss: lzss::Encoder,
     /// Byte-budgeted LRU over partition images read back from disk, each
     /// with the members decoded from it so far, charged both; evicts one
     /// victim at a time (never a clear-all).
@@ -339,6 +362,7 @@ impl DataStore {
             next_partition: 0,
             open_by_intermediate: HashMap::new(),
             minhasher: MinHasher::new(config.minhash_hashes),
+            lzss: lzss::Encoder::default(),
             read_cache: LruCache::new(config.mem_capacity),
             quarantined: HashMap::new(),
             codec_read_bytes: Mutex::new(HashMap::new()),
@@ -549,8 +573,9 @@ impl DataStore {
 
     /// Delta attempt: if a near-duplicate chunk is already stored, XOR `raw`
     /// against it and keep the frame iff it beats `raw` by at least 25% (a
-    /// marginal win is not worth the read dependency). Returns the base and
-    /// the frame.
+    /// marginal win is not worth the read dependency): the frame may take
+    /// at most `¾ · raw.len()` bytes, and the encode gives up as soon as it
+    /// cannot. Returns the base and the frame.
     fn delta_frame(
         &mut self,
         raw: &[u8],
@@ -562,8 +587,11 @@ impl DataStore {
             return Ok(None);
         };
         let base_bytes = self.probe(base)?;
-        let frame = basedelta::encode(raw, &base_bytes, (base.0, base.1));
-        Ok((frame.len() * 4 <= raw.len() * 3).then_some((base, frame)))
+        self.metrics.delta_attempts.inc();
+        let max_len = raw.len() * 3 / 4;
+        let frame =
+            basedelta::encode_within(raw, &base_bytes, (base.0, base.1), max_len, &mut self.lzss);
+        Ok(frame.map(|frame| (base, frame)))
     }
 
     /// Is base+delta encoding enabled for this store?
@@ -705,20 +733,21 @@ impl DataStore {
     }
 
     fn seal_partition(&mut self, partition: Partition) -> Result<(), StoreError> {
-        let sealed = partition.seal();
+        let (sealed, members) = partition.seal_tallied();
         self.metrics.partitions_sealed.inc();
-        // Per-codec compression accounting: the first byte of the sealed
-        // partition is the compression frame's scheme byte.
-        let codec = mistique_compress::scheme_of(&sealed)
-            .map(|s| s.name())
-            .unwrap_or("unknown");
-        self.obs.counter(&format!("compress.{codec}.count")).inc();
-        self.obs
-            .counter(&format!("compress.{codec}.in_bytes"))
-            .add(partition.raw_bytes() as u64);
-        self.obs
-            .counter(&format!("compress.{codec}.out_bytes"))
-            .add(sealed.len() as u64);
+        // Per-codec compression accounting: the file as a whole, then the
+        // chunk members summed under the codec each one won with.
+        let file = [1, partition.raw_bytes() as u64, sealed.len() as u64];
+        for (counters, tally) in self
+            .metrics
+            .codecs
+            .iter()
+            .zip([file].iter().chain(&members))
+        {
+            for (c, v) in counters.iter().zip(tally) {
+                c.add(*v);
+            }
+        }
         self.disk.write(partition.id(), &sealed)?;
         self.ledger.mark_sealed(partition.id());
         Ok(())

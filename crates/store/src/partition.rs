@@ -117,8 +117,22 @@ impl Partition {
     /// the directory can carry each one's hash, then the directory, the
     /// container and the trailer over its head.
     pub fn seal(&self) -> Vec<u8> {
+        self.seal_tallied().0
+    }
+
+    /// [`Partition::seal`], with the chunk members' `[count, raw bytes,
+    /// frame bytes]` summed under the flat codec each was framed with,
+    /// indexed by scheme byte (raw, rle, lzss, delta4).
+    pub(crate) fn seal_tallied(&self) -> (Vec<u8>, [[u64; 3]; 4]) {
         let chunks: Vec<&[u8]> = self.chunks.iter().map(|(_, b)| b.as_slice()).collect();
         let mut frames = compress_each(&chunks);
+        let mut tally = [[0u64; 3]; 4];
+        for (chunk, frame) in chunks.iter().zip(&frames) {
+            let t = &mut tally[usize::from(frame[0])];
+            t[0] += 1;
+            t[1] += chunk.len() as u64;
+            t[2] += frame.len() as u64;
+        }
         let mut dir = Vec::with_capacity(4 + frames.len() * DIR_ENTRY);
         dir.extend_from_slice(&(frames.len() as u32).to_le_bytes());
         for ((digest, _), frame) in self.chunks.iter().zip(&frames) {
@@ -132,7 +146,7 @@ impl Partition {
         let mut image = assemble_members(&frames);
         let head = checksum(&image[..image.len() - chunk_bytes]);
         image.extend_from_slice(&head.to_le_bytes());
-        image
+        (image, tally)
     }
 
     /// Verify every byte of a sealed partition without decoding a chunk:
