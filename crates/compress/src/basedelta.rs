@@ -196,6 +196,54 @@ mod tests {
         assert_eq!(decode(&f, &base, digest()).unwrap(), target);
     }
 
+    /// `encode_within` keeps `encode`'s frame exactly when it fits in
+    /// `max_len` — at the frame's own length, one byte below it, and at the
+    /// store's 25 % rule — over near-duplicate, identical, resized and
+    /// unrelated target/base pairs, through one reused encoder.
+    #[test]
+    fn encode_within_keeps_the_frame_exactly_when_it_fits() {
+        let mut enc = lzss::Encoder::default();
+        mistique_testkit::cases(64, 0xde17a, |g| {
+            let base = crate::lzss::tests::shaped(g);
+            let mut target = match g.rng.range(0..4u32) {
+                0 => base.clone(),
+                1 => crate::lzss::tests::shaped(g),
+                _ => {
+                    let mut t = base.clone();
+                    for x in t.iter_mut() {
+                        if g.rng.chance(0.02) {
+                            *x ^= g.rng.range(1..=u8::MAX);
+                        }
+                    }
+                    t
+                }
+            };
+            if g.rng.chance(0.25) {
+                let len = g.len(0..target.len() + 64);
+                target.resize(len, 3);
+            }
+            let f = encode(&target, &base, digest());
+            let raw = target.len();
+            let quarter_rule = raw * 3 / 4;
+            for max_len in [0, f.len() - 1, f.len(), f.len() + 1, quarter_rule] {
+                let want = (f.len() <= max_len).then(|| f.clone());
+                assert_eq!(
+                    encode_within(&target, &base, digest(), max_len, &mut enc),
+                    want,
+                    "max_len {max_len}, frame {} B, target {raw} B, base {} B",
+                    f.len(),
+                    base.len()
+                );
+            }
+            assert_eq!(
+                encode_within(&target, &base, digest(), quarter_rule, &mut enc).is_some(),
+                f.len() * 4 <= raw * 3,
+                "the 25 % rule, frame {} B, target {raw} B",
+                f.len()
+            );
+        });
+    }
+
     #[test]
     fn unequal_lengths_roundtrip_both_ways() {
         let base = vec![7u8; 1000];

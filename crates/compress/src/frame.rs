@@ -55,15 +55,18 @@ impl Scheme {
         }
     }
 
+    /// Every scheme in byte order: `Scheme::ALL[s as usize] == s`, so a
+    /// table with one row per scheme is indexed by `s as usize`.
+    pub const ALL: [Scheme; 5] = [
+        Scheme::Raw,
+        Scheme::Rle,
+        Scheme::Lzss,
+        Scheme::Delta4,
+        Scheme::Members,
+    ];
+
     fn from_u8(v: u8) -> Option<Scheme> {
-        Some(match v {
-            0 => Scheme::Raw,
-            1 => Scheme::Rle,
-            2 => Scheme::Lzss,
-            3 => Scheme::Delta4,
-            4 => Scheme::Members,
-            _ => return None,
-        })
+        Scheme::ALL.get(usize::from(v)).copied()
     }
 }
 
@@ -389,6 +392,14 @@ mod tests {
         let frame = compress(&input, Scheme::Delta4);
         assert_eq!(frame[0], Scheme::Raw as u8);
         assert_eq!(decompress(&frame).unwrap(), input);
+    }
+
+    #[test]
+    fn scheme_table_is_in_byte_order() {
+        for (i, s) in Scheme::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{}", s.name());
+            assert_eq!(scheme_of(&[i as u8]), Some(s));
+        }
     }
 
     #[test]

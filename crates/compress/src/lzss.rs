@@ -15,8 +15,8 @@
 //! be shorter than a budget: the best frame another codec already made.
 //! A screen proves that the rest lose, without running them. It is one pass
 //! over the encoder's own `head`/`prev` tables that marks every byte lying
-//! inside a 4-gram repeated within [`WINDOW`]. The bound it prices
-//! ([`Encoder::lower_bound`]) is sound for any parse, greedy or not:
+//! inside a 4-gram repeated within [`WINDOW`]. The bound it prices is
+//! sound for any parse, greedy or not:
 //!
 //! - every 4-gram inside a match repeats at the match's distance, below
 //!   `WINDOW`, so a match covers marked bytes only, and an unmarked byte is
@@ -202,8 +202,7 @@ impl Encoder {
 
     /// [`Encoder::compress`] of `input` when its output is shorter than
     /// `budget` bytes, `None` otherwise. The compress runs only when the
-    /// lower bound ([`Encoder::lower_bound`]) does not already reach
-    /// `budget`, so a caller holding a smaller frame of another codec
+    /// screen's lower bound does not already reach `budget`, so a caller holding a smaller frame of another codec
     /// skips the work that could not beat it.
     pub fn compress_within(&mut self, input: &[u8], budget: usize) -> Option<Vec<u8>> {
         // An all-literal stream, the longest there is, needs no screen.
@@ -225,17 +224,14 @@ impl Encoder {
     /// `3·⌊r/259⌋ + min(r mod 259, 3)` bytes and `⌈r/259⌉` tokens. One
     /// flag byte leads every eight tokens. The bound is the unmarked bytes,
     /// plus the run costs, plus the flag bytes of the fewest tokens.
-    pub fn lower_bound(&mut self, input: &[u8]) -> usize {
-        self.screen(input, 0..usize::MAX)
-    }
-
-    /// The pass behind [`Encoder::lower_bound`], cut short as soon as the
-    /// bound is known to lie outside `decide`: once the bound so far reaches
-    /// `decide.end` (every byte still to come adds to it), or once it would
-    /// stay below `decide.start` even if every byte still to come were a
-    /// literal. Returns the bound so far. It fills this encoder's `head` and
-    /// `prev` tables with its own chains and moves `base` past them: a later
-    /// compress reads them as empty.
+    ///
+    /// The pass is cut short as soon as the bound is known to lie outside
+    /// `decide`: once the bound so far reaches `decide.end` (every byte
+    /// still to come adds to it), or once it would stay below
+    /// `decide.start` even if every byte still to come were a literal.
+    /// Returns the bound so far (the whole bound for `0..usize::MAX`). It
+    /// fills this encoder's `head` and `prev` tables with its own chains
+    /// and moves `base` past them: a later compress reads them as empty.
     fn screen(&mut self, input: &[u8], decide: Range<usize>) -> usize {
         let len = input.len();
         let (head, prev, base) = self.tables(len);
@@ -337,7 +333,7 @@ impl Encoder {
     }
 }
 
-/// What [`Encoder::lower_bound`] charges for the bytes it has priced.
+/// What [`Encoder::screen`] charges for the bytes it has priced.
 #[derive(Clone, Copy, Default)]
 struct Bound {
     /// Input bytes priced.
@@ -620,7 +616,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The bound of [`Encoder::lower_bound`] from its definition: mark the
+    /// The bound of [`Encoder::screen`] from its definition: mark the
     /// bytes of every 4-gram whose last earlier occurrence lies within
     /// `WINDOW - 1` bytes, then price each maximal run of marks on its own.
     fn reference_bound(input: &[u8]) -> usize {
@@ -647,11 +643,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn lower_bound_is_the_reference_bound_and_never_beats_the_encoder() {
+    fn screen_bound_is_the_reference_bound_and_never_beats_the_encoder() {
         let mut enc = Encoder::default();
         mistique_testkit::cases(96, 0xb0d, |g| {
             let input = shaped(g);
-            let bound = enc.lower_bound(&input);
+            let bound = enc.screen(&input, 0..usize::MAX);
             assert_eq!(bound, reference_bound(&input), "{} B", input.len());
             // The screen left its positions in the tables: the encoder's
             // output must not see them.
@@ -680,7 +676,7 @@ pub(crate) mod tests {
         // still costs a three-byte token: 10 + 27 + 3 bytes, 20 tokens.
         let input: Vec<u8> = b"0123456789".iter().cycle().take(2343).copied().collect();
         assert_eq!(compress(&input).len(), 42);
-        assert_eq!(Encoder::default().lower_bound(&input), 42);
+        assert_eq!(Encoder::default().screen(&input, 0..usize::MAX), 42);
     }
 
     #[test]

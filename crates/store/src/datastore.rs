@@ -244,21 +244,14 @@ struct StoreMetrics {
     delta_bytes_saved: Counter,
     delta_base_pins: Counter,
     delta_rehydrations: Counter,
-    /// `compress.<codec>.{count,in_bytes,out_bytes}`: the sealed files
-    /// (`members`), then their chunk members under each flat codec, in
-    /// [`SEALED_CODECS`] order.
-    codecs: [[Counter; 3]; 5],
+    /// Seal attribution, one row per scheme indexed by `Scheme as usize`
+    /// (`partition::SchemeTally`): `compress.members.{count,in_bytes,out_bytes}`
+    /// counts the sealed files, `compress.<flat codec>.{count,raw_bytes,
+    /// frame_bytes}` the chunk members each codec won. Only file bytes are
+    /// `in_bytes` / `out_bytes`, so a sum over `compress.*.in_bytes`
+    /// counts every stored byte once.
+    codecs: [[Counter; 3]; Scheme::ALL.len()],
 }
-
-/// The codecs seals are attributed to: the container, then the flat
-/// codecs in `Scheme` byte order, so a member's scheme byte is its row + 1.
-const SEALED_CODECS: [Scheme; 5] = [
-    Scheme::Members,
-    Scheme::Raw,
-    Scheme::Rle,
-    Scheme::Lzss,
-    Scheme::Delta4,
-];
 
 impl StoreMetrics {
     fn new(obs: &Obs) -> StoreMetrics {
@@ -291,9 +284,12 @@ impl StoreMetrics {
             delta_bytes_saved: obs.counter("store.delta.bytes_saved"),
             delta_base_pins: obs.counter("store.delta.base_pins"),
             delta_rehydrations: obs.counter("store.delta.rehydrations"),
-            codecs: SEALED_CODECS.map(|s| {
-                ["count", "in_bytes", "out_bytes"]
-                    .map(|field| obs.counter(&format!("compress.{}.{field}", s.name())))
+            codecs: Scheme::ALL.map(|s| {
+                let fields = match s {
+                    Scheme::Members => ["count", "in_bytes", "out_bytes"],
+                    _ => ["count", "raw_bytes", "frame_bytes"],
+                };
+                fields.map(|field| obs.counter(&format!("compress.{}.{field}", s.name())))
             }),
         }
     }
@@ -733,18 +729,13 @@ impl DataStore {
     }
 
     fn seal_partition(&mut self, partition: Partition) -> Result<(), StoreError> {
-        let (sealed, members) = partition.seal_tallied();
+        let (sealed, mut tally) = partition.seal_tallied();
         self.metrics.partitions_sealed.inc();
-        // Per-codec compression accounting: the file as a whole, then the
-        // chunk members summed under the codec each one won with.
-        let file = [1, partition.raw_bytes() as u64, sealed.len() as u64];
-        for (counters, tally) in self
-            .metrics
-            .codecs
-            .iter()
-            .zip([file].iter().chain(&members))
-        {
-            for (c, v) in counters.iter().zip(tally) {
+        // Per-codec compression accounting: the chunk members summed under
+        // the codec each one won with, and the file as one `members` frame.
+        tally[Scheme::Members as usize] = [1, partition.raw_bytes() as u64, sealed.len() as u64];
+        for (counters, row) in self.metrics.codecs.iter().zip(&tally) {
+            for (c, v) in counters.iter().zip(row) {
                 c.add(*v);
             }
         }
@@ -2688,5 +2679,46 @@ mod tests {
         let base_len = ds.reencode_as_delta(&kb).unwrap();
         assert_eq!(base_len, base.to_bytes().len() as u64);
         assert_eq!(ds.stats().delta_puts, 1);
+    }
+
+    /// Seal attribution counts every stored byte once. The benchmark's
+    /// `compress.ratio` sums every `compress.*.in_bytes` over every
+    /// `compress.*.out_bytes`: that must be the partitions' raw bytes over
+    /// their file bytes, and the per-codec member rows must add up to the
+    /// same raw bytes.
+    #[test]
+    fn seal_attribution_counts_each_stored_byte_once() {
+        let (_dir, mut ds) = store(PlacementPolicy::ByIntermediate);
+        let mut rng = mistique_rng::Rng::seed(0xa77);
+        for i in 0..24 {
+            let chunk = match i % 3 {
+                0 => f64_chunk(vec![0.0; 2048]),
+                1 => f64_chunk((0..2048).map(|_| rng.range(0.0..1.0)).collect()),
+                _ => ColumnChunk::new(ColumnData::I64((0..2048).map(|v| v / 16 + i).collect())),
+            };
+            ds.put_chunk(ChunkKey::new(format!("m{i}"), "c", 0), &chunk)
+                .unwrap();
+        }
+        ds.flush().unwrap();
+        let snap = ds.obs().snapshot();
+        let sum = |suffix: &str| -> u64 {
+            snap.counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("compress.") && k.ends_with(suffix))
+                .map(|(_, v)| *v)
+                .sum()
+        };
+        let raw = snap.counter("compress.members.in_bytes");
+        let sealed = ds.disk_bytes().unwrap();
+        assert!(raw > 0 && sealed > 0);
+        assert_eq!(snap.counter("compress.members.out_bytes"), sealed);
+        assert_eq!((sum(".in_bytes"), sum(".out_bytes")), (raw, sealed));
+        assert_eq!(sum(".raw_bytes"), raw);
+        assert!(sum(".frame_bytes") < sealed, "the container adds its head");
+        let winners = ["raw", "rle", "lzss", "delta4"]
+            .iter()
+            .filter(|c| snap.counter(&format!("compress.{c}.count")) > 0)
+            .count();
+        assert!(winners >= 2, "the members are attributed to one codec only");
     }
 }

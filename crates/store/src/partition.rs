@@ -29,6 +29,10 @@ pub type PartitionId = u64;
 /// read attribution credits.
 pub(crate) type FrameRead = (Scheme, usize);
 
+/// `[count, raw bytes, frame bytes]` per compression scheme, indexed by
+/// `Scheme as usize`.
+pub(crate) type SchemeTally = [[u64; 3]; Scheme::ALL.len()];
+
 /// An open, in-memory Partition accumulating serialized chunks.
 ///
 /// Chunks are kept as their canonical serialized bytes and sealed each as
@@ -121,14 +125,16 @@ impl Partition {
     }
 
     /// [`Partition::seal`], with the chunk members' `[count, raw bytes,
-    /// frame bytes]` summed under the flat codec each was framed with,
-    /// indexed by scheme byte (raw, rle, lzss, delta4).
-    pub(crate) fn seal_tallied(&self) -> (Vec<u8>, [[u64; 3]; 4]) {
+    /// frame bytes]` summed under the scheme each was framed with, one row
+    /// per scheme indexed by `Scheme as usize` (the `Members` row stays
+    /// zero: a member is a flat frame).
+    pub(crate) fn seal_tallied(&self) -> (Vec<u8>, SchemeTally) {
         let chunks: Vec<&[u8]> = self.chunks.iter().map(|(_, b)| b.as_slice()).collect();
         let mut frames = compress_each(&chunks);
-        let mut tally = [[0u64; 3]; 4];
+        let mut tally = SchemeTally::default();
         for (chunk, frame) in chunks.iter().zip(&frames) {
-            let t = &mut tally[usize::from(frame[0])];
+            let scheme = scheme_of(frame).expect("compress_each frames a known scheme");
+            let t = &mut tally[scheme as usize];
             t[0] += 1;
             t[1] += chunk.len() as u64;
             t[2] += frame.len() as u64;

@@ -400,11 +400,11 @@ const PINNED_POINTS: [&str; 4] = [
      store.delta.puts=16 store.partitions.created=16 store.put.bytes=35424 store.put.count=67",
     "log: index.rebuilds=24 store.dedup.exact_hits=88 store.dedup.similarity_placements=30 \
      store.delta.attempts=23 store.put.bytes=70848 store.put.count=134",
-    "reclaim: compaction.runs=1 compress.lzss.count=9 compress.lzss.in_bytes=5315 \
-     compress.lzss.out_bytes=1964 compress.members.count=16 compress.members.in_bytes=17311 \
-     compress.members.out_bytes=14515 compress.raw.count=33 compress.raw.in_bytes=9920 \
-     compress.raw.out_bytes=10006 compress.rle.count=4 compress.rle.in_bytes=2076 \
-     compress.rle.out_bytes=1056 cost.observe_read.count=3 decision.read.count=3 \
+    "reclaim: compaction.runs=1 compress.lzss.count=9 compress.lzss.frame_bytes=1964 \
+     compress.lzss.raw_bytes=5315 compress.members.count=16 compress.members.in_bytes=17311 \
+     compress.members.out_bytes=14515 compress.raw.count=33 compress.raw.frame_bytes=10006 \
+     compress.raw.raw_bytes=9920 compress.rle.count=4 compress.rle.frame_bytes=1056 \
+     compress.rle.raw_bytes=2076 cost.observe_read.count=3 decision.read.count=3 \
      read.codec.delta_lzss.bytes=158 read.codec.delta_lzss.count=1 \
      store.delta.rehydrations=1 store.get.bytes=10433 store.get.count=14 \
      store.get.mem_hits=14 store.get.partitions_touched=12 store.partitions.sealed=16",
