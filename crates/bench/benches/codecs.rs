@@ -3,7 +3,7 @@
 use std::hint::black_box;
 
 use mistique_bench::micro;
-use mistique_compress::{compress, compress_auto, compress_each, decompress, lzss, Scheme};
+use mistique_compress::{compress, compress_auto, decompress, lzss, Scheme};
 use mistique_rng::Rng;
 
 fn workloads() -> Vec<(&'static str, Vec<u8>)> {
@@ -89,15 +89,4 @@ fn main() {
             compress_auto(black_box(data))
         });
     }
-    // One seal's worth of members: 256 chunk-sized members of both
-    // activation shapes, each framed on its own.
-    let members: Vec<Vec<u8>> = (0..256)
-        .map(|i| activations(&mut rng, len, if i % 2 == 0 { 0.0 } else { 0.5 }))
-        .collect();
-    let refs: Vec<&[u8]> = members.iter().map(Vec::as_slice).collect();
-    micro(
-        &format!("codec/compress_each/256x{len}"),
-        (256 * len) as u64,
-        || compress_each(black_box(&refs)),
-    );
 }

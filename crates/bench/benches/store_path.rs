@@ -1,20 +1,22 @@
-//! Micro-benchmarks for the DataStore write and read paths, for logging
-//! one DNN checkpoint into a fresh store: with nothing stored before it, and
-//! after a checkpoint that shares its frozen prefix (DESIGN.md §2 "Logging
-//! a shared prefix once"), and for what the audit journal adds to a warm
-//! query.
+//! Micro-benchmarks for the DataStore write and read paths, for sealing
+//! and compacting one partition, for logging one DNN checkpoint into a
+//! fresh store: with nothing stored before it, and after a checkpoint that
+//! shares its frozen prefix (DESIGN.md §2 "Logging a shared prefix once"),
+//! and for what the audit journal adds to a warm query.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use mistique_bench::{micro, micro_fresh};
+use mistique_compress::{compress_auto_within, lzss};
 use mistique_core::{Mistique, MistiqueConfig};
 use mistique_dataframe::{ColumnChunk, ColumnData};
+use mistique_dedup::content_digest;
 use mistique_nn::{vgg16_cifar, CifarLike};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_rng::Rng;
-use mistique_store::{ChunkKey, DataStore, DataStoreConfig, PlacementPolicy};
+use mistique_store::{ChunkKey, DataStore, DataStoreConfig, Partition, PlacementPolicy};
 
 fn chunk(seed: u64, rows: usize) -> ColumnChunk {
     let mut rng = Rng::seed(seed);
@@ -66,6 +68,7 @@ fn main() {
     });
 
     load_cold();
+    seal_and_compact();
     log_checkpoints();
     warm_col_queries();
 }
@@ -101,6 +104,50 @@ fn load_cold() {
         store.clear_read_cache();
         store.get_chunk_bytes_batch(black_box(&keys), 1).unwrap()
     });
+}
+
+/// `partition/{seal,compact}/256x4096`: one partition of 256 4 KiB
+/// members, dense and half-zero f32 activations alternating, framed as
+/// puts frame them. `seal` assembles its file (directory, container,
+/// hashes, trailer); `compact` verifies that file and copies every other
+/// member's frame into a new one. Neither runs a codec. MB/s is over the
+/// members' raw bytes for `seal` and over the file's bytes for `compact`.
+fn seal_and_compact() {
+    let (n, len) = (256, 4096);
+    let mut rng = Rng::seed(0x5ea1);
+    let mut enc = lzss::Encoder::default();
+    let mut part = Partition::new(0);
+    let mut digests = Vec::with_capacity(n);
+    for i in 0..n {
+        let zeros = if i % 2 == 0 { 0.0 } else { 0.5 };
+        let member: Vec<u8> = (0..len / 4)
+            .flat_map(|_| {
+                let v = if rng.chance(zeros) {
+                    0.0
+                } else {
+                    rng.range(0.0..4.0f32)
+                };
+                v.to_le_bytes()
+            })
+            .collect();
+        let digest = content_digest(&member);
+        let frame = compress_auto_within(&member, usize::MAX, &mut enc).expect("unbounded");
+        part.add(digest, frame);
+        digests.push(digest);
+    }
+    micro(
+        &format!("partition/seal/{n}x{len}"),
+        (n * len) as u64,
+        || part.seal(),
+    );
+    let sealed = part.seal();
+    let live: Vec<_> = digests.iter().copied().step_by(2).collect();
+    micro_fresh(
+        &format!("partition/compact/{n}x{len}"),
+        sealed.len() as u64,
+        || sealed.clone(),
+        |image| Partition::compacted(0, image, &live).unwrap(),
+    );
 }
 
 /// `query/warm_col/*`: a warm 100-row, one-column `get_intermediate`,

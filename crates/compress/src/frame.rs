@@ -15,10 +15,10 @@
 //! A [`Scheme::Members`] frame is a container of independently decodable
 //! flat frames: its payload is `[varint n][varint frame_len × n][frame ×
 //! n]`, and its raw bytes are the members' raw bytes concatenated. A writer
-//! compresses the members ([`compress_each`]) and then assembles the
-//! container ([`assemble_members`]), so it can record something about each
-//! frame (a partition's directory holds every chunk frame's hash) before it
-//! writes the whole. A reader that wants one member finds it with
+//! frames each member on its own and then assembles the container
+//! ([`assemble_members`]), so it can record something about each frame (a
+//! partition's directory holds every chunk frame's hash) before it writes
+//! the whole. A reader that wants one member finds it with
 //! [`member_table`] and decodes just that frame; [`decompress`] of the
 //! whole container decodes them all.
 
@@ -130,11 +130,8 @@ fn frame_of(scheme: Scheme, raw_len: usize, payload: &[u8]) -> Vec<u8> {
 /// This models the paper's "variety of off-the-shelf compression schemes":
 /// the store does not care which codec wins as long as the frame records it.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
-    auto(input, &mut lzss::Encoder::default())
-}
-
-fn auto(input: &[u8], enc: &mut lzss::Encoder) -> Vec<u8> {
-    compress_auto_within(input, usize::MAX, enc).expect("every frame is shorter than usize::MAX")
+    compress_auto_within(input, usize::MAX, &mut lzss::Encoder::default())
+        .expect("every frame is shorter than usize::MAX")
 }
 
 /// The frame [`compress_auto`] returns when it is shorter than `limit`
@@ -180,37 +177,29 @@ pub fn compress_auto_within(
     ))
 }
 
-/// Every member compressed on its own by [`compress_auto`] (one LZSS
-/// encoder serves them all), so each decodes without the others — the
-/// frames [`assemble_members`] puts in a container.
-pub fn compress_each(members: &[&[u8]]) -> Vec<Vec<u8>> {
-    let mut enc = lzss::Encoder::default();
-    members.iter().map(|m| auto(m, &mut enc)).collect()
-}
-
 /// A [`Scheme::Members`] container of flat `frames`, in order.
 /// [`decompress`] returns the members' raw bytes concatenated.
-pub fn assemble_members(frames: &[Vec<u8>]) -> Vec<u8> {
+pub fn assemble_members<F: AsRef<[u8]>>(frames: &[F]) -> Vec<u8> {
     let raw_len: u64 = frames
         .iter()
-        .map(|f| raw_len_of(f).expect("a flat frame from compress_each"))
+        .map(|f| raw_len_of(f.as_ref()).expect("a flat frame"))
         .sum();
-    let body: usize = frames.iter().map(Vec::len).sum();
+    let body: usize = frames.iter().map(|f| f.as_ref().len()).sum();
     let mut out = Vec::with_capacity(body + 10 * (frames.len() + 2));
     out.push(Scheme::Members as u8);
     varint::write_u64(&mut out, raw_len);
     varint::write_u64(&mut out, frames.len() as u64);
     for f in frames {
-        varint::write_u64(&mut out, f.len() as u64);
+        varint::write_u64(&mut out, f.as_ref().len() as u64);
     }
     for f in frames {
-        out.extend_from_slice(f);
+        out.extend_from_slice(f.as_ref());
     }
     out
 }
 
-/// The raw length a frame header declares.
-fn raw_len_of(frame: &[u8]) -> Option<u64> {
+/// The raw length a frame header declares, without decoding the payload.
+pub fn raw_len_of(frame: &[u8]) -> Option<u64> {
     let mut at = 1;
     varint::read_u64(frame, &mut at)
 }
@@ -346,7 +335,6 @@ mod tests {
             let input = shaped(g);
             let want = reference_auto(&input);
             assert_eq!(compress_auto(&input), want, "{} B", input.len());
-            assert_eq!(compress_each(&[&input]), std::slice::from_ref(&want));
             // Limits on both sides of the reference frame, one encoder
             // throughout: a frame is kept exactly when it is shorter.
             let raw = input.len() + 10;
@@ -415,7 +403,10 @@ mod tests {
     #[test]
     fn members_container_addresses_each_member() {
         let members: [&[u8]; 4] = [b"directory", &[0u8; 500], b"", b"abcabcabcabcabcabc"];
-        let frame = assemble_members(&compress_each(&members));
+        let mut enc = lzss::Encoder::default();
+        let frame = assemble_members(
+            &members.map(|m| compress_auto_within(m, usize::MAX, &mut enc).expect("unbounded")),
+        );
         assert_eq!(scheme_of(&frame), Some(Scheme::Members));
         assert_eq!(decompress(&frame).unwrap(), members.concat());
         let ranges = member_ranges(&frame).unwrap();

@@ -38,8 +38,8 @@ pub mod rle;
 pub mod varint;
 
 pub use frame::{
-    assemble_members, compress, compress_auto, compress_auto_within, compress_each, decompress,
-    member_ranges, member_table, scheme_of, CodecError, Scheme,
+    assemble_members, compress, compress_auto, compress_auto_within, decompress, member_ranges,
+    member_table, raw_len_of, scheme_of, CodecError, Scheme,
 };
 
 /// Compression statistics for reporting (used by the Fig 14 microbenchmark).

@@ -7,9 +7,17 @@
 //! Deterministic by construction (fixed corpus + `mistique_rng` seeds).
 
 use mistique_compress::{
-    assemble_members, basedelta, compress, compress_auto, compress_each, decompress, delta, lzss,
-    member_ranges, rle, varint, CodecError, Scheme,
+    assemble_members, basedelta, compress, compress_auto, compress_auto_within, decompress, delta,
+    lzss, member_ranges, rle, varint, CodecError, Scheme,
 };
+
+/// Each member framed on its own, as a sealed partition's chunks are: the
+/// `compress_auto` frame, through one LZSS encoder for them all.
+fn framed(members: &[&[u8]]) -> Vec<Vec<u8>> {
+    let mut enc = lzss::Encoder::default();
+    let frame = |m: &&[u8]| compress_auto_within(m, usize::MAX, &mut enc).expect("unbounded");
+    members.iter().map(frame).collect()
+}
 
 /// Seeded bytes, so the corpus is identical on every run.
 fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
@@ -140,7 +148,7 @@ fn frame_prefixes_always_error() {
     for input in corpus() {
         let mut frames: Vec<Vec<u8>> = schemes.iter().map(|&s| compress(&input, s)).collect();
         frames.push(compress_auto(&input));
-        frames.push(assemble_members(&compress_each(&as_members(&input))));
+        frames.push(assemble_members(&framed(&as_members(&input))));
         for frame in frames {
             assert_eq!(decompress(&frame).unwrap(), input);
             // The raw-length header turns every partial payload into a
@@ -162,7 +170,7 @@ fn frame_prefixes_always_error() {
 fn member_container_prefixes_and_tables_always_error() {
     for input in corpus() {
         let members = as_members(&input);
-        let frame = assemble_members(&compress_each(&members));
+        let frame = assemble_members(&framed(&members));
         let ranges = member_ranges(&frame).expect("valid container");
         assert_eq!(ranges.len(), members.len());
         for (r, m) in ranges.iter().zip(&members) {
@@ -256,7 +264,7 @@ fn corrupted_member_containers_never_panic() {
     // so a flipped payload byte may decode to other bytes — but every
     // verdict must be a clean Ok or Err.
     for (k, input) in corpus().iter().enumerate() {
-        let frame = assemble_members(&compress_each(&as_members(input)));
+        let frame = assemble_members(&framed(&as_members(input)));
         let mut rng = mistique_rng::Rng::seed(k as u64);
         for _ in 0..64 {
             let mut damaged = frame.clone();

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mistique_compress::{basedelta, lzss, Scheme};
+use mistique_compress::{basedelta, compress_auto_within, lzss, Scheme};
 use mistique_dataframe::ColumnChunk;
 use mistique_dedup::{content_digest, discretize, ContentDigest, LshIndex, MinHasher, Signature};
 pub use mistique_obs::CompactionReport;
@@ -17,7 +17,7 @@ use crate::disk::DiskStore;
 use crate::ledger::{Ledger, PartitionCensus};
 use crate::lru::LruCache;
 use crate::mem::InMemoryStore;
-use crate::partition::{FrameRead, Partition, PartitionId, SealedPartition};
+use crate::partition::{FrameRead, Partition, PartitionId};
 use crate::striped::run_striped;
 use crate::StoreError;
 
@@ -204,6 +204,17 @@ impl ReadAttribution {
     }
 }
 
+/// Where the tier walk found a resident partition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tier {
+    /// Loaded by this batch but not cacheable.
+    Side,
+    /// Open in the buffer pool.
+    Pool,
+    /// In the read cache.
+    Cache,
+}
+
 /// Result of storing one chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PutOutcome {
@@ -309,13 +320,13 @@ pub struct DataStore {
     /// Per-intermediate open partition (ByIntermediate policy).
     open_by_intermediate: HashMap<String, PartitionId>,
     minhasher: MinHasher,
-    /// The one LZSS encoder every delta attempt runs through: its tables
-    /// are filled once, not once per attempt.
+    /// The one LZSS encoder every put's frame and every delta attempt runs
+    /// through: its tables are filled once, not once per encode.
     lzss: lzss::Encoder,
-    /// Byte-budgeted LRU over partition images read back from disk, each
+    /// Byte-budgeted LRU over partitions read back from disk, each its file
     /// with the members decoded from it so far, charged both; evicts one
     /// victim at a time (never a clear-all).
-    read_cache: LruCache<PartitionId, SealedPartition>,
+    read_cache: LruCache<PartitionId, Partition>,
     /// Partitions set aside by [`DataStore::recover`]; reads of chunks in
     /// them fail with [`StoreError::Quarantined`] instead of a decode error.
     quarantined: HashMap<PartitionId, String>,
@@ -628,11 +639,11 @@ impl DataStore {
         Ok(len)
     }
 
-    /// The tail of every physical store: add `stored` to the open partition
-    /// `pid`, persist whatever the pool evicts to make room, record the new
-    /// copy in the ledger (a delta frame against `base`, `raw_len` bytes
-    /// before encoding), and seal the partition once it reaches its target
-    /// size.
+    /// The tail of every physical store: frame `stored` (its one
+    /// `compress_auto` encode) into the open partition `pid`, persist
+    /// whatever the pool evicts to make room, record the new copy in the
+    /// ledger (a delta frame against `base`, `raw_len` bytes before
+    /// encoding), and seal the partition once it reaches its target size.
     fn place(
         &mut self,
         pid: PartitionId,
@@ -643,8 +654,10 @@ impl DataStore {
         sig: Option<Signature>,
     ) -> Result<(), StoreError> {
         let len = stored.len() as u64;
+        let frame = compress_auto_within(&stored, usize::MAX, &mut self.lzss)
+            .expect("every frame is shorter than usize::MAX");
         let part = self.mem.get_mut(pid).expect("open partition resident");
-        part.add(digest, stored);
+        part.add(digest, frame);
         let evicted = self.mem.grow(pid, len as usize);
         self.metrics.pool_evictions.add(evicted.len() as u64);
         for p in evicted {
@@ -774,7 +787,9 @@ impl DataStore {
     /// at any point leaves each file in exactly its pre- or post-compaction
     /// state. Open and quarantined partitions are skipped: an open one is
     /// sealed with every chunk it holds, dead ones included, and sheds them
-    /// in a later pass; a quarantined one is evidence.
+    /// in a later pass; a quarantined one is evidence. A rewrite verifies
+    /// every byte of the file and copies the live chunks' frames as they are
+    /// ([`Partition::compacted`]): it decodes and encodes nothing.
     pub fn compact(&mut self, live_ratio_threshold: f64) -> Result<CompactionReport, StoreError> {
         let mut report = CompactionReport::default();
         for (pid, census) in self.ledger.census() {
@@ -806,17 +821,8 @@ impl DataStore {
                 self.disk.remove(pid)?;
                 report.partitions_removed += 1;
             } else {
-                let old = Partition::unseal(pid, &self.disk.read(pid)?)?;
-                // Refuse to rewrite if a live chunk is not in the file:
-                // better to keep the dead bytes than to persist data loss.
-                if live.iter().any(|d| old.get(*d).is_none()) {
-                    return Err(StoreError::CorruptPartition(
-                        "live chunk missing during compaction",
-                    ));
-                }
-                let keep: HashSet<ContentDigest> = live.iter().copied().collect();
-                let rewritten = old.filtered(|d| keep.contains(&d));
-                self.disk.write(pid, &rewritten.seal())?;
+                let rewritten = Partition::compacted(pid, self.disk.read(pid)?, live)?;
+                self.disk.write(pid, &rewritten)?;
                 report.partitions_rewritten += 1;
             }
             self.read_cache.remove(&pid);
@@ -917,10 +923,10 @@ impl DataStore {
         Ok(ColumnChunk::from_bytes(&bytes[0])?)
     }
 
-    // The tier walk, in pieces: a chunk's partition is open in the buffer
-    // pool, or sealed — its image in the read cache, or on disk to be
-    // loaded — and inside a sealed one only the chunk's own member is
-    // decoded. The batch read and the put side's probe are the two walks
+    // The tier walk, in pieces: a chunk's partition is resident — in the
+    // batch's side map, open in the buffer pool, or in the read cache — or
+    // on disk to be loaded, and in any of them only the chunk's own member
+    // is decoded. The batch read and the put side's probe are the two walks
     // built from them.
 
     /// Reads of a quarantined partition fail with the recovery verdict.
@@ -952,10 +958,10 @@ impl DataStore {
         pid: PartitionId,
         wanted: &[ContentDigest],
         ctx: Option<&SpanContext>,
-    ) -> Result<SealedPartition, StoreError> {
+    ) -> Result<Partition, StoreError> {
         let mut sp = self.obs.span_with_parent("store.partition.load", ctx);
         sp.attr("pid", pid);
-        let (mut part, directory) = SealedPartition::open(pid, self.disk.read(pid)?)?;
+        let (part, directory) = Partition::open(pid, self.disk.read(pid)?)?;
         let mut reads = vec![directory];
         for &digest in wanted {
             reads.extend(part.chunk(digest)?.1);
@@ -966,55 +972,45 @@ impl DataStore {
         Ok(part)
     }
 
-    /// A chunk of a sealed partition, its member decoded unless it already
-    /// is — the frame credited to its codec.
-    fn chunk_of<'p>(
-        &self,
-        part: &'p mut SealedPartition,
-        digest: ContentDigest,
-    ) -> Result<&'p [u8], StoreError> {
-        let (bytes, read) = part.chunk(digest)?;
-        if let Some(read) = read {
-            self.note_frame_reads(&mut [read]);
-        }
-        Ok(bytes)
-    }
-
-    /// A chunk's stored bytes, as found inside the partition the ledger
-    /// names for it.
-    fn chunk_in(bytes: Option<&[u8]>) -> Result<Vec<u8>, StoreError> {
-        let bytes = bytes.ok_or(StoreError::CorruptPartition("missing chunk"))?;
-        Ok(bytes.to_vec())
-    }
-
-    /// A chunk of a partition whose image is in the read cache, marked
-    /// most-recently-used: a decoded member is a lookup and a copy; one not
-    /// decoded yet is decoded in place and the image re-charged. `None` when
-    /// the image is not cached.
-    fn cached_chunk(
+    /// The tier walk's one lookup: a chunk of partition `pid` when the
+    /// partition is resident — in the batch's `side` map, the buffer pool
+    /// or the read cache, looked up in that order — with the tier that held
+    /// it; `None` when it is in none of them. The chunk's member is decoded
+    /// unless it already is. A member decoded from a file is credited to its
+    /// codec, and in the read cache the partition is re-charged; one decoded
+    /// from an open partition is neither (its frame never left memory).
+    fn resident_chunk(
         &mut self,
         pid: PartitionId,
         digest: ContentDigest,
-    ) -> Option<Result<Vec<u8>, StoreError>> {
-        let part = self.read_cache.get_mut(&pid)?;
+        side: &HashMap<PartitionId, Partition>,
+    ) -> Option<Result<(Vec<u8>, Tier), StoreError>> {
+        let (part, tier) = match side.get(&pid) {
+            Some(part) => (part, Tier::Side),
+            None => match self.mem.get(pid) {
+                Some(part) => (part, Tier::Pool),
+                None => (&*self.read_cache.get_mut(&pid)?, Tier::Cache),
+            },
+        };
         let (bytes, read) = match part.chunk(digest) {
             Ok((bytes, read)) => (bytes.to_vec(), read),
             Err(e) => return Some(Err(e)),
         };
-        if let Some(read) = read {
-            let charge = part.resident_bytes();
+        let charge = part.resident_bytes();
+        if let Some(read) = read.filter(|_| tier != Tier::Pool) {
             self.note_frame_reads(&mut [read]);
-            let evicted = self.read_cache.recharge(&pid, charge);
-            self.count_read_cache_evictions(evicted.len());
+            if tier == Tier::Cache {
+                let evicted = self.read_cache.recharge(&pid, charge);
+                self.count_read_cache_evictions(evicted.len());
+            }
         }
-        Some(Ok(bytes))
+        Some(Ok((bytes, tier)))
     }
 
-    /// Insert a partition image just read from disk into the read cache,
-    /// evicting LRU victims one at a time and counting them. Returns the
-    /// image back when it was not cached: the image alone exceeds the whole
-    /// budget.
-    fn cache_loaded_partition(&mut self, part: SealedPartition) -> Option<SealedPartition> {
+    /// Insert a partition just read from disk into the read cache, evicting
+    /// LRU victims one at a time and counting them. Returns the partition
+    /// back when it was not cached: its file alone exceeds the whole budget.
+    fn cache_loaded_partition(&mut self, part: Partition) -> Option<Partition> {
         let charge = part.resident_bytes();
         if charge > self.read_cache.capacity_bytes() {
             return Some(part);
@@ -1037,14 +1033,11 @@ impl DataStore {
     /// in the read cache for the next probe.
     fn probe(&mut self, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
         let pid = self.locate(digest)?;
-        if let Some(part) = self.mem.get(pid) {
-            return Self::chunk_in(part.get(digest));
+        if let Some(found) = self.resident_chunk(pid, digest, &HashMap::new()) {
+            return found.map(|(bytes, _)| bytes);
         }
-        if let Some(bytes) = self.cached_chunk(pid, digest) {
-            return bytes;
-        }
-        let mut part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
-        let bytes = self.chunk_of(&mut part, digest)?.to_vec();
+        let part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
+        let bytes = part.chunk(digest)?.0.to_vec();
         self.cache_loaded_partition(part);
         Ok(bytes)
     }
@@ -1134,7 +1127,7 @@ impl DataStore {
         // order, so eviction accounting and LRU order are those of a serial
         // read. One that cannot enter the cache still serves this batch.
         let fresh: HashSet<PartitionId> = missing.iter().copied().collect();
-        let mut side: HashMap<PartitionId, SealedPartition> = HashMap::new();
+        let mut side: HashMap<PartitionId, Partition> = HashMap::new();
         for part in loaded {
             self.metrics.get_disk_reads.inc();
             self.metrics.read_cache_misses.inc();
@@ -1165,43 +1158,37 @@ impl DataStore {
         Ok(out)
     }
 
-    /// The batch read's walk for one digest: the batch's side partitions
-    /// (loaded but not cacheable), then the buffer pool, then the read
-    /// cache, then a re-read kept aside for the rest of the batch. `count`
-    /// charges the request's hit counters (base fetches for rehydration do
-    /// not); a partition this batch itself loaded (`fresh`) is a miss, not a
-    /// hit.
+    /// The batch read's walk for one digest: the partition resident in the
+    /// batch's side map (loaded but not cacheable), the buffer pool or the
+    /// read cache, else re-read and kept aside for the rest of the batch.
+    /// `count` charges the request's hit counters (base fetches for
+    /// rehydration do not); a partition this batch itself loaded (`fresh`)
+    /// is a miss, not a hit.
     fn batch_chunk(
         &mut self,
         digest: ContentDigest,
         pid: PartitionId,
-        side: &mut HashMap<PartitionId, SealedPartition>,
+        side: &mut HashMap<PartitionId, Partition>,
         fresh: &HashSet<PartitionId>,
         count: bool,
     ) -> Result<Vec<u8>, StoreError> {
-        if let Some(part) = side.get_mut(&pid) {
-            return self.chunk_of(part, digest).map(<[u8]>::to_vec);
-        }
-        if let Some(part) = self.mem.get(pid) {
-            let bytes = Self::chunk_in(part.get(digest))?;
-            if count {
-                self.metrics.get_mem_hits.inc();
-            }
-            return Ok(bytes);
-        }
-        if let Some(bytes) = self.cached_chunk(pid, digest) {
-            let bytes = bytes?;
-            if count && !fresh.contains(&pid) {
-                self.metrics.get_cache_hits.inc();
-                self.metrics.read_cache_hits.inc();
+        if let Some(found) = self.resident_chunk(pid, digest, side) {
+            let (bytes, tier) = found?;
+            match tier {
+                Tier::Pool if count => self.metrics.get_mem_hits.inc(),
+                Tier::Cache if count && !fresh.contains(&pid) => {
+                    self.metrics.get_cache_hits.inc();
+                    self.metrics.read_cache_hits.inc();
+                }
+                _ => {}
             }
             return Ok(bytes);
         }
         // Loaded this batch, then evicted by a later partition of the same
         // batch (cache smaller than the batch).
-        let mut part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
+        let part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
         self.metrics.get_disk_reads.inc();
-        let bytes = self.chunk_of(&mut part, digest)?.to_vec();
+        let bytes = part.chunk(digest)?.0.to_vec();
         side.insert(pid, part);
         Ok(bytes)
     }

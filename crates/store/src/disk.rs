@@ -8,7 +8,6 @@
 //! or torn writes from a pre-atomic store).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::backend::{RealFs, StorageBackend};
@@ -20,14 +19,13 @@ const QUARANTINE_SUFFIX: &str = ".quarantined";
 
 /// Persistent store writing sealed partitions to a directory.
 ///
-/// Reads take `&self` (byte accounting is atomic) so concurrent partition
-/// fetches can run from scoped threads without locking the whole store.
+/// Reads take `&self` so concurrent partition fetches can run from scoped
+/// threads without locking the whole store.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
     backend: Arc<dyn StorageBackend>,
     bytes_written: u64,
-    bytes_read: AtomicU64,
 }
 
 /// What a [`DiskStore::sweep`] recovery pass found in the directory.
@@ -60,7 +58,6 @@ impl DiskStore {
             dir,
             backend,
             bytes_written: 0,
-            bytes_read: AtomicU64::new(0),
         })
     }
 
@@ -90,16 +87,13 @@ impl DiskStore {
     /// Read a sealed partition's bytes. Safe to call from several threads at
     /// once (partition files are immutable once sealed, modulo overwrite).
     pub fn read(&self, id: PartitionId) -> Result<Vec<u8>, StoreError> {
-        let buf = self.backend.read_file(&self.path_of(id)).map_err(|e| {
+        self.backend.read_file(&self.path_of(id)).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
                 StoreError::NotFound
             } else {
                 StoreError::Io(e)
             }
-        })?;
-        self.bytes_read
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        Ok(buf)
+        })
     }
 
     /// Whether a partition file exists.
@@ -172,11 +166,6 @@ impl DiskStore {
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
-
-    /// Cumulative bytes read from disk.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +181,10 @@ mod tests {
         assert!(store.contains(3));
         assert_eq!(store.read(3).unwrap(), b"sealed bytes");
         assert_eq!(store.bytes_written(), 12);
-        assert_eq!(store.bytes_read(), 12);
+        // Overwriting replaces the bytes a read returns.
+        store.write(3, b"resealed").unwrap();
+        assert_eq!(store.read(3).unwrap(), b"resealed");
+        assert_eq!(store.bytes_written(), 20);
     }
 
     #[test]
@@ -278,7 +270,8 @@ mod tests {
         let mut store = DiskStore::open_with_backend("/vfs", Arc::clone(&backend)).unwrap();
         // A good partition: sealed bytes carry a valid trailer.
         let mut part = Partition::new(7);
-        part.add(mistique_dedup::content_digest(b"x"), b"x".to_vec());
+        let frame = mistique_compress::compress_auto(b"x");
+        part.add(mistique_dedup::content_digest(b"x"), frame);
         store.write(7, &part.seal()).unwrap();
         // A torn partition written behind the store's back, and an orphan.
         backend

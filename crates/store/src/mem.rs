@@ -132,12 +132,15 @@ impl InMemoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mistique_compress::compress_auto;
     use mistique_dedup::content_digest;
 
+    /// A partition of one `n`-byte chunk: the pool charges its raw bytes,
+    /// not its frame's.
     fn partition_with_bytes(id: PartitionId, n: usize) -> Partition {
         let mut p = Partition::new(id);
         let bytes = vec![id as u8; n];
-        p.add(content_digest(&bytes), bytes);
+        p.add(content_digest(&bytes), compress_auto(&bytes));
         p
     }
 
@@ -182,7 +185,7 @@ mod tests {
         // Grow partition 2 past the budget; 1 is LRU and gets evicted.
         let bytes = vec![9u8; 300];
         let digest = content_digest(&bytes);
-        pool.get_mut(2).unwrap().add(digest, bytes);
+        pool.get_mut(2).unwrap().add(digest, compress_auto(&bytes));
         let evicted = pool.grow(2, 300);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].id(), 1);

@@ -1,22 +1,33 @@
 //! Partitions: groups of ColumnChunks that are placed and stored together.
 //!
+//! A [`Partition`] is an ordered list of member frames — each chunk's
+//! stored bytes as its own `compress_auto` frame, made once, when the chunk
+//! is put — each with its frame's xxhash64, and each decoded the first time
+//! it is asked for and kept decoded beside its frame. The one type serves as
+//! an open partition in the buffer pool (each frame its own buffer, hashed
+//! as it is added), a sealed file in the read cache (each frame a range of
+//! the file, its hash from the directory) and a compaction rewrite: sealing
+//! assembles the frames into a file, and compaction copies the live ones
+//! into a new file. No codec runs at either.
+//!
 //! A sealed partition file (format version 2) is one [`Scheme::Members`]
 //! frame and an xxhash64 trailer. Member 0 is the directory, a raw frame
 //! of `[n: u32][(digest hi/lo: u64 u64, hash: u64) × n]`, and member `i + 1` is
-//! chunk `i`'s serialized bytes as its own `compress_auto` frame, in
-//! insertion order; `hash` is the xxhash64 of that compressed frame. The
-//! trailer covers the file's head only: the container header, its length
-//! table and the directory frame. A reader opens the file as a
-//! `SealedPartition`, which verifies the head, and verifies each member it
-//! asks for against its hash before decoding it: no unverified byte is
-//! decoded or returned, and a read hashes only what it decodes.
-//! [`Partition::verify`] checks every byte of a file.
+//! chunk `i`'s frame, in insertion order; `hash` is the xxhash64 of that
+//! frame. The trailer covers the file's head only: the container header, its
+//! length table and the directory frame. Opening a file verifies the head,
+//! and a member is verified against its hash before it is decoded: no
+//! unverified byte is decoded or returned, and a read hashes only what it
+//! decodes. [`Partition::verify`] checks every byte of a file.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use mistique_compress::{
-    assemble_members, compress, compress_each, decompress, member_table, scheme_of, Scheme,
+    assemble_members, compress, decompress, member_ranges, member_table, raw_len_of, scheme_of,
+    Scheme,
 };
 use mistique_dedup::ContentDigest;
 
@@ -33,27 +44,89 @@ pub(crate) type FrameRead = (Scheme, usize);
 /// `Scheme as usize`.
 pub(crate) type SchemeTally = [[u64; 3]; Scheme::ALL.len()];
 
-/// An open, in-memory Partition accumulating serialized chunks.
+/// A partition: its chunks' member frames in insertion order, each decoded
+/// on first ask (see the module docs).
 ///
-/// Chunks are kept as their canonical serialized bytes and sealed each as
-/// its own member frame, so co-location buys locality (one file, one read)
-/// and delta-base proximity, not a shared compression window (Sec 4.2).
-#[derive(Clone, Debug)]
+/// Each chunk is its own member frame, so co-location buys locality (one
+/// file, one read) and delta-base proximity, not a shared compression
+/// window (Sec 4.2).
+#[derive(Debug)]
 pub struct Partition {
     id: PartitionId,
-    chunks: Vec<(ContentDigest, Vec<u8>)>,
+    /// The sealed file the members sit in, for a partition opened from one;
+    /// empty for one built by [`Partition::add`].
+    file: Vec<u8>,
+    members: Vec<Member>,
+    /// Digest → member; a digest stored twice (a STORE_ALL re-put into the
+    /// partition that already holds it) resolves to its later copy.
     index: HashMap<ContentDigest, usize>,
     raw_bytes: usize,
+    /// Members decoded so far, and their bytes.
+    decoded_members: AtomicUsize,
+    decoded_bytes: AtomicUsize,
+}
+
+/// One chunk member.
+#[derive(Debug)]
+struct Member {
+    digest: ContentDigest,
+    frame: Frame,
+    /// The xxhash64 of the frame, which the member must match before it is
+    /// decoded: from the directory for a member read from a file, taken when
+    /// it is added otherwise.
+    hash: u64,
+    decoded: OnceLock<Vec<u8>>,
+}
+
+/// Where a member's frame is: its own bytes (added to an open partition,
+/// one allocation per chunk as the put made it — appending frames to one
+/// growing buffer left freed doubling buffers behind and read +11 %
+/// `peak_rss_mb` on `dnn_read`), or a range of the file.
+#[derive(Debug)]
+enum Frame {
+    Own(Vec<u8>),
+    InFile(Range<usize>),
+}
+
+impl Member {
+    /// The member's frame; `file` is the file it sits in, if it does.
+    fn frame<'a>(&'a self, file: &'a [u8]) -> &'a [u8] {
+        match &self.frame {
+            Frame::Own(frame) => frame,
+            Frame::InFile(range) => &file[range.clone()],
+        }
+    }
+
+    /// Check the member's frame against its hash.
+    fn verify(&self, file: &[u8]) -> Result<(), StoreError> {
+        if checksum(self.frame(file)) != self.hash {
+            return Err(StoreError::CorruptPartition("member checksum mismatch"));
+        }
+        Ok(())
+    }
 }
 
 impl Partition {
     /// Create an empty partition.
     pub fn new(id: PartitionId) -> Partition {
+        Partition::from_members(id, Vec::new(), Vec::new())
+    }
+
+    /// A partition of `members` in `file`, indexed; its raw bytes are the
+    /// caller's to set.
+    fn from_members(id: PartitionId, file: Vec<u8>, members: Vec<Member>) -> Partition {
         Partition {
             id,
-            chunks: Vec::new(),
-            index: HashMap::new(),
+            file,
+            index: members
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (m.digest, i))
+                .collect(),
+            members,
             raw_bytes: 0,
+            decoded_members: AtomicUsize::new(0),
+            decoded_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -64,119 +137,199 @@ impl Partition {
 
     /// Number of chunks held.
     pub fn len(&self) -> usize {
-        self.chunks.len()
+        self.members.len()
     }
 
     /// True when no chunks are held.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.members.is_empty()
     }
 
-    /// Total uncompressed bytes of the chunks held.
+    /// Total uncompressed bytes of the chunks held — the buffer pool's
+    /// charge.
     pub fn raw_bytes(&self) -> usize {
         self.raw_bytes
     }
 
-    /// Add a serialized chunk under its content digest.
-    pub fn add(&mut self, digest: ContentDigest, bytes: Vec<u8>) {
-        self.raw_bytes += bytes.len();
-        self.index.insert(digest, self.chunks.len());
-        self.chunks.push((digest, bytes));
+    /// Add a chunk under its content digest as `frame`, its stored bytes'
+    /// `compress_auto` frame.
+    pub fn add(&mut self, digest: ContentDigest, frame: Vec<u8>) {
+        self.raw_bytes += raw_len_of(&frame).expect("a compress_auto frame") as usize;
+        self.index.insert(digest, self.members.len());
+        self.members.push(Member {
+            digest,
+            hash: checksum(&frame),
+            frame: Frame::Own(frame),
+            decoded: OnceLock::new(),
+        });
     }
 
-    /// Fetch a chunk's serialized bytes by digest (O(1) via the index).
+    /// A chunk's stored bytes by digest, its member decoded first unless it
+    /// already is; `None` when the chunk is not here or its member does not
+    /// verify or decode.
     pub fn get(&self, digest: ContentDigest) -> Option<&[u8]> {
-        self.index
+        self.chunk(digest).ok().map(|(bytes, _)| bytes)
+    }
+
+    /// [`Partition::get`], with the frame read when this call decoded one.
+    pub(crate) fn chunk(
+        &self,
+        digest: ContentDigest,
+    ) -> Result<(&[u8], Option<FrameRead>), StoreError> {
+        let i = *self
+            .index
             .get(&digest)
-            .map(|&i| self.chunks[i].1.as_slice())
+            .ok_or(StoreError::CorruptPartition("missing chunk"))?;
+        self.decode(i)
     }
 
-    /// Digests of the held chunks in insertion order — the exact chunk order
-    /// a sealed file carries, which is what makes compaction rewrites
-    /// deterministic.
-    pub fn digests(&self) -> impl Iterator<Item = ContentDigest> + '_ {
-        self.chunks.iter().map(|(d, _)| *d)
-    }
-
-    /// A new partition with the same id holding only the chunks whose
-    /// digest passes `keep`, preserving the original chunk order. This is
-    /// the compaction rewrite: dead chunks are dropped, live ones keep
-    /// their relative placement (so similarity-driven compression locality
-    /// survives the rewrite). A copy shadowed by a later one under the same
-    /// digest (a STORE_ALL re-put of a chunk into the partition that already
-    /// holds it) is unreachable through [`Partition::get`] and is dropped
-    /// too.
-    pub fn filtered(&self, keep: impl Fn(ContentDigest) -> bool) -> Partition {
-        let mut out = Partition::new(self.id);
-        for (i, (d, b)) in self.chunks.iter().enumerate() {
-            if keep(*d) && self.index[d] == i {
-                out.add(*d, b.clone());
-            }
+    fn decode(&self, i: usize) -> Result<(&[u8], Option<FrameRead>), StoreError> {
+        let m = &self.members[i];
+        if let Some(bytes) = m.decoded.get() {
+            return Ok((bytes, None));
         }
-        out
+        m.verify(&self.file)?;
+        let frame = m.frame(&self.file);
+        let bytes = decompress(frame)?;
+        let read = (
+            scheme_of(frame).expect("decompress read the header"),
+            frame.len(),
+        );
+        let mut fresh = false;
+        let bytes = m.decoded.get_or_init(|| {
+            fresh = true;
+            bytes
+        });
+        if fresh {
+            self.decoded_members.fetch_add(1, Ordering::Relaxed);
+            self.decoded_bytes.fetch_add(bytes.len(), Ordering::Relaxed);
+        }
+        Ok((bytes, Some(read)))
     }
 
-    /// Serialize and compress the partition into its on-disk
-    /// representation (see the module docs): the chunk members first, so
-    /// the directory can carry each one's hash, then the directory, the
-    /// container and the trailer over its head.
+    /// Frames in a sealed file: the directory plus one per chunk.
+    pub(crate) fn members(&self) -> usize {
+        self.members.len() + 1
+    }
+
+    /// Frames decoded so far, the directory included.
+    pub(crate) fn members_decoded(&self) -> usize {
+        1 + self.decoded_members.load(Ordering::Relaxed)
+    }
+
+    /// What holding a partition read from a file costs in memory: the file
+    /// plus every decoded member — the read cache's charge.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.file.len() + self.decoded_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Assemble the partition's file (see the module docs): the directory
+    /// of digests and frame hashes, the container of the directory and the
+    /// member frames as they are, and the trailer over its head.
     pub fn seal(&self) -> Vec<u8> {
         self.seal_tallied().0
     }
 
     /// [`Partition::seal`], with the chunk members' `[count, raw bytes,
-    /// frame bytes]` summed under the scheme each was framed with, one row
-    /// per scheme indexed by `Scheme as usize` (the `Members` row stays
-    /// zero: a member is a flat frame).
+    /// frame bytes]` summed under the scheme each frame names, one row per
+    /// scheme indexed by `Scheme as usize` (the `Members` row stays zero: a
+    /// member is a flat frame).
     pub(crate) fn seal_tallied(&self) -> (Vec<u8>, SchemeTally) {
-        let chunks: Vec<&[u8]> = self.chunks.iter().map(|(_, b)| b.as_slice()).collect();
-        let mut frames = compress_each(&chunks);
         let mut tally = SchemeTally::default();
-        for (chunk, frame) in chunks.iter().zip(&frames) {
-            let scheme = scheme_of(frame).expect("compress_each frames a known scheme");
+        let mut dir = Vec::with_capacity(4 + self.members.len() * DIR_ENTRY);
+        dir.extend_from_slice(&(self.members.len() as u32).to_le_bytes());
+        for m in &self.members {
+            let frame = m.frame(&self.file);
+            let scheme = scheme_of(frame).expect("a member is a flat frame");
             let t = &mut tally[scheme as usize];
             t[0] += 1;
-            t[1] += chunk.len() as u64;
+            t[1] += raw_len_of(frame).expect("a member is a flat frame");
             t[2] += frame.len() as u64;
+            dir.extend_from_slice(&m.digest.0.to_le_bytes());
+            dir.extend_from_slice(&m.digest.1.to_le_bytes());
+            dir.extend_from_slice(&m.hash.to_le_bytes());
         }
-        let mut dir = Vec::with_capacity(4 + frames.len() * DIR_ENTRY);
-        dir.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-        for ((digest, _), frame) in self.chunks.iter().zip(&frames) {
-            dir.extend_from_slice(&digest.0.to_le_bytes());
-            dir.extend_from_slice(&digest.1.to_le_bytes());
-            dir.extend_from_slice(&checksum(frame).to_le_bytes());
-        }
-        let chunk_bytes: usize = frames.iter().map(Vec::len).sum();
         // Digests and hashes: nothing for a codec to find.
-        frames.insert(0, compress(&dir, Scheme::Raw));
+        let dir = compress(&dir, Scheme::Raw);
+        let frames: Vec<&[u8]> = std::iter::once(dir.as_slice())
+            .chain(self.members.iter().map(|m| m.frame(&self.file)))
+            .collect();
+        let chunk_bytes: usize = frames[1..].iter().map(|f| f.len()).sum();
         let mut image = assemble_members(&frames);
         let head = checksum(&image[..image.len() - chunk_bytes]);
         image.extend_from_slice(&head.to_le_bytes());
         (image, tally)
     }
 
-    /// Verify every byte of a sealed partition without decoding a chunk:
-    /// the head against the trailer, then each chunk member against its
-    /// directory hash. The recovery sweep runs it over every partition
-    /// file; torn writes and bitrot anywhere in a file fail here.
-    pub fn verify(sealed: &[u8]) -> Result<(), StoreError> {
-        let (members, _) = read_head(sealed)?;
-        members.iter().try_for_each(|m| m.verify(sealed))
+    /// Open a sealed file: verify its head and read the directory — no
+    /// chunk member yet. Also returns the directory frame that read.
+    pub(crate) fn open(
+        id: PartitionId,
+        file: Vec<u8>,
+    ) -> Result<(Partition, FrameRead), StoreError> {
+        let (members, read) = read_head(&file)?;
+        // The container's raw length less the directory's: the chunks' raw
+        // bytes without a member byte read.
+        let raw = raw_len_of(&file).expect("read_head read the container") as usize;
+        let raw = raw.saturating_sub(4 + DIR_ENTRY * members.len());
+        let part = Partition {
+            raw_bytes: raw,
+            ..Partition::from_members(id, file, members)
+        };
+        Ok((part, read))
     }
 
-    /// Decode a sealed partition whole back into an in-memory one, every
-    /// byte verified (compaction's rewrite; reads open a `SealedPartition`
-    /// and decode only what they need).
-    pub fn unseal(id: PartitionId, sealed: &[u8]) -> Result<Partition, StoreError> {
-        let (mut image, _) = SealedPartition::open(id, sealed.to_vec())?;
-        for i in 0..image.members.len() {
-            image.decode_member(i)?;
+    /// Verify every byte of a sealed partition without decoding a chunk:
+    /// the head against the trailer, each chunk member against its
+    /// directory hash, and every member's header (a flat frame whose raw
+    /// length the container's adds up). The recovery sweep runs it over
+    /// every partition file; torn writes and bitrot anywhere in a file fail
+    /// here.
+    pub fn verify(sealed: &[u8]) -> Result<(), StoreError> {
+        let (members, _) = read_head(sealed)?;
+        for m in &members {
+            m.verify(sealed)?;
         }
-        let mut part = Partition::new(id);
-        for (m, bytes) in image.members.into_iter().zip(image.decoded) {
-            part.add(m.digest, bytes.expect("every member decoded"));
+        member_ranges(&sealed[..sealed.len() - 8])
+            .map_err(|_| StoreError::CorruptPartition("malformed member header"))?;
+        Ok(())
+    }
+
+    /// Open a sealed partition with every member verified and decoded.
+    pub fn unseal(id: PartitionId, sealed: &[u8]) -> Result<Partition, StoreError> {
+        let (part, _) = Partition::open(id, sealed.to_vec())?;
+        for i in 0..part.members.len() {
+            part.decode(i)?;
         }
         Ok(part)
+    }
+
+    /// Compaction's rewrite of the sealed file `sealed`: every byte of it
+    /// verified ([`Partition::verify`]), then the frames of the chunks
+    /// `live` names copied as they are, in their order, with their hashes,
+    /// into a new file of the same id. Nothing is decoded or encoded. Dead
+    /// chunks are dropped, and so is a copy shadowed by a later one under
+    /// the same digest, which no read reaches. Fails when a live chunk is
+    /// not in the file: better to keep the dead bytes than to persist data
+    /// loss.
+    pub fn compacted(
+        id: PartitionId,
+        sealed: Vec<u8>,
+        live: &[ContentDigest],
+    ) -> Result<Vec<u8>, StoreError> {
+        Partition::verify(&sealed)?;
+        let (old, _) = Partition::open(id, sealed)?;
+        if live.iter().any(|d| !old.index.contains_key(d)) {
+            return Err(StoreError::CorruptPartition(
+                "live chunk missing during compaction",
+            ));
+        }
+        let live: HashSet<ContentDigest> = live.iter().copied().collect();
+        let kept = (old.members.into_iter().enumerate())
+            .filter(|(i, m)| live.contains(&m.digest) && old.index[&m.digest] == *i)
+            .map(|(_, m)| m)
+            .collect();
+        Ok(Partition::from_members(id, old.file, kept).seal())
     }
 }
 
@@ -189,26 +342,6 @@ const DIR_ENTRY: usize = 24;
 
 fn checksum(bytes: &[u8]) -> u64 {
     mistique_dedup::xxhash64(bytes, CHECKSUM_SEED)
-}
-
-/// One chunk member of a sealed file.
-#[derive(Debug)]
-struct Member {
-    digest: ContentDigest,
-    /// xxhash64 of the member's compressed frame, from the directory.
-    hash: u64,
-    /// The member's frame inside the image.
-    frame: Range<usize>,
-}
-
-impl Member {
-    /// Check the member's frame in `image` against its directory hash.
-    fn verify(&self, image: &[u8]) -> Result<(), StoreError> {
-        if checksum(&image[self.frame.clone()]) != self.hash {
-            return Err(StoreError::CorruptPartition("member checksum mismatch"));
-        }
-        Ok(())
-    }
 }
 
 /// Read and verify a sealed file's head — the container header, the
@@ -256,158 +389,199 @@ fn read_head(image: &[u8]) -> Result<(Vec<Member>, FrameRead), StoreError> {
         .zip(chunk_frames)
         .map(|(entry, frame)| Member {
             digest: ContentDigest(word(entry, 0), word(entry, 8)),
+            frame: Frame::InFile(frame.clone()),
             hash: word(entry, 16),
-            frame: frame.clone(),
+            decoded: OnceLock::new(),
         })
         .collect();
     Ok((members, read))
 }
 
-/// A sealed partition file opened for reading: the compressed image is
-/// kept, and each chunk's member is verified and decoded the first time it
-/// is asked for and kept decoded beside it.
-#[derive(Debug)]
-pub(crate) struct SealedPartition {
-    id: PartitionId,
-    /// The sealed file.
-    image: Vec<u8>,
-    members: Vec<Member>,
-    /// Digest → member; a digest stored twice resolves to its later copy,
-    /// as in [`Partition::get`].
-    index: HashMap<ContentDigest, usize>,
-    decoded: Vec<Option<Vec<u8>>>,
-    decoded_bytes: usize,
-}
-
-impl SealedPartition {
-    /// Open a sealed file: verify its head and decode the directory — no
-    /// chunk member yet. Also returns the directory frame that read.
-    pub(crate) fn open(
-        id: PartitionId,
-        image: Vec<u8>,
-    ) -> Result<(SealedPartition, FrameRead), StoreError> {
-        let (members, read) = read_head(&image)?;
-        let index = members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.digest, i))
-            .collect();
-        let sealed = SealedPartition {
-            id,
-            image,
-            decoded: vec![None; members.len()],
-            members,
-            index,
-            decoded_bytes: 0,
-        };
-        Ok((sealed, read))
-    }
-
-    /// The partition id.
-    pub(crate) fn id(&self) -> PartitionId {
-        self.id
-    }
-
-    /// Frames in the file: the directory plus one per chunk.
-    pub(crate) fn members(&self) -> usize {
-        self.members.len() + 1
-    }
-
-    /// Frames decoded so far, the directory included.
-    pub(crate) fn members_decoded(&self) -> usize {
-        1 + self.decoded.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// What holding this costs in memory: the compressed image plus every
-    /// decoded member — the read cache's charge.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.image.len() + self.decoded_bytes
-    }
-
-    /// A chunk's serialized bytes, its member verified and decoded first
-    /// unless it already is; with them, the frame read when this call
-    /// decoded one.
-    pub(crate) fn chunk(
-        &mut self,
-        digest: ContentDigest,
-    ) -> Result<(&[u8], Option<FrameRead>), StoreError> {
-        let i = *self
-            .index
-            .get(&digest)
-            .ok_or(StoreError::CorruptPartition("missing chunk"))?;
-        let read = self.decode_member(i)?;
-        let bytes = self.decoded[i].as_deref().expect("decoded above");
-        Ok((bytes, read))
-    }
-
-    fn decode_member(&mut self, i: usize) -> Result<Option<FrameRead>, StoreError> {
-        if self.decoded[i].is_some() {
-            return Ok(None);
-        }
-        let m = &self.members[i];
-        m.verify(&self.image)?;
-        let frame = &self.image[m.frame.clone()];
-        let bytes = decompress(frame)?;
-        let read = (
-            scheme_of(frame).expect("decompress read the header"),
-            frame.len(),
-        );
-        self.decoded_bytes += bytes.len();
-        self.decoded[i] = Some(bytes);
-        Ok(Some(read))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mistique_compress::compress_auto;
+    use mistique_compress::{basedelta, compress_auto, compress_auto_within, lzss};
     use mistique_dedup::content_digest;
+    use mistique_testkit::cases;
+
+    /// The seal from before frames were made at put: every chunk's stored
+    /// bytes framed by `compress_auto` at seal (what `compress_each` did),
+    /// then the directory over those frames and the container.
+    fn reference_seal(chunks: &[(ContentDigest, Vec<u8>)]) -> Vec<u8> {
+        let mut frames: Vec<Vec<u8>> = chunks.iter().map(|(_, b)| compress_auto(b)).collect();
+        let mut dir = Vec::with_capacity(4 + frames.len() * DIR_ENTRY);
+        dir.extend_from_slice(&(frames.len() as u32).to_le_bytes());
+        for ((digest, _), frame) in chunks.iter().zip(&frames) {
+            dir.extend_from_slice(&digest.0.to_le_bytes());
+            dir.extend_from_slice(&digest.1.to_le_bytes());
+            dir.extend_from_slice(&checksum(frame).to_le_bytes());
+        }
+        let chunk_bytes: usize = frames.iter().map(Vec::len).sum();
+        frames.insert(0, compress(&dir, Scheme::Raw));
+        let mut image = assemble_members(&frames);
+        let head = checksum(&image[..image.len() - chunk_bytes]);
+        image.extend_from_slice(&head.to_le_bytes());
+        image
+    }
 
     fn chunk(bytes: &[u8]) -> (ContentDigest, Vec<u8>) {
         (content_digest(bytes), bytes.to_vec())
     }
 
+    /// A partition of `chunks`, each framed as a put frames it: its
+    /// `compress_auto` frame, through the one encoder `enc`.
+    fn built(
+        id: PartitionId,
+        chunks: &[(ContentDigest, Vec<u8>)],
+        enc: &mut lzss::Encoder,
+    ) -> Partition {
+        let mut p = Partition::new(id);
+        for (d, b) in chunks {
+            p.add(
+                *d,
+                compress_auto_within(b, usize::MAX, enc).expect("unbounded"),
+            );
+        }
+        p
+    }
+
+    fn partition(id: PartitionId, chunks: &[(ContentDigest, Vec<u8>)]) -> Partition {
+        built(id, chunks, &mut lzss::Encoder::default())
+    }
+
+    /// The chunks a read reaches: each digest's last copy.
+    fn reachable(chunks: &[(ContentDigest, Vec<u8>)]) -> HashMap<ContentDigest, &[u8]> {
+        chunks.iter().map(|(d, b)| (*d, b.as_slice())).collect()
+    }
+
     #[test]
     fn add_and_get() {
-        let mut p = Partition::new(1);
         let (d, b) = chunk(b"hello chunk");
-        p.add(d, b.clone());
+        let p = partition(1, &[(d, b.clone())]);
         assert_eq!(p.get(d), Some(b.as_slice()));
         assert_eq!(p.len(), 1);
         assert_eq!(p.raw_bytes(), b.len());
         assert!(p.get(content_digest(b"other")).is_none());
     }
 
+    /// Twenty chunks of varied shapes, one of them stored twice (a
+    /// STORE_ALL re-put: the later copy shadows the earlier).
+    fn sample() -> Vec<(ContentDigest, Vec<u8>)> {
+        let mut chunks: Vec<_> = (0u32..20)
+            .map(|i| {
+                let bytes: Vec<u8> = (0..100 + 37 * i)
+                    .map(|j| ((i * j) % (i + 3)) as u8)
+                    .collect();
+                chunk(&bytes)
+            })
+            .collect();
+        chunks.push(chunks[3].clone());
+        chunks
+    }
+
     #[test]
     fn seal_unseal_roundtrip() {
-        let mut p = Partition::new(42);
-        for i in 0u32..20 {
-            let bytes: Vec<u8> = (0..100).map(|j| ((i + j) % 13) as u8).collect();
-            p.add(content_digest(&bytes), bytes);
-        }
+        let chunks = sample();
+        let p = partition(42, &chunks);
         let sealed = p.seal();
         let back = Partition::unseal(42, &sealed).unwrap();
         assert_eq!(back.len(), p.len());
         assert_eq!(back.raw_bytes(), p.raw_bytes());
-        for (d, b) in &p.chunks {
-            assert_eq!(back.get(*d), Some(b.as_slice()));
+        for (d, b) in reachable(&chunks) {
+            assert_eq!(back.get(d), Some(b));
         }
+        assert_eq!(
+            back.members_decoded(),
+            back.members(),
+            "every member decoded"
+        );
+        assert_eq!(back.seal(), sealed, "a file re-sealed is itself");
     }
 
-    /// Twenty chunks of varied shapes, one of them stored twice (a
-    /// STORE_ALL re-put: the later copy shadows the earlier).
-    fn sample() -> Partition {
-        let mut p = Partition::new(42);
-        for i in 0u32..20 {
-            let bytes: Vec<u8> = (0..100 + 37 * i)
-                .map(|j| ((i * j) % (i + 3)) as u8)
-                .collect();
-            p.add(content_digest(&bytes), bytes);
+    /// A chunk sequence as puts make it: random bytes, zero-heavy f32, a
+    /// delta frame against an earlier chunk, or a STORE_ALL re-put of an
+    /// earlier chunk under its digest. Also returns which kinds it drew.
+    fn chunk_sequence(g: &mut mistique_testkit::Gen) -> (Vec<(ContentDigest, Vec<u8>)>, [bool; 4]) {
+        let mut chunks: Vec<(ContentDigest, Vec<u8>)> = Vec::new();
+        let mut kinds = [false; 4];
+        for _ in 0..g.len(0..16) {
+            let earlier = (!chunks.is_empty()).then(|| g.rng.range(0..chunks.len()));
+            let kind = g.rng.range(0..4usize);
+            let stored = match (kind, earlier) {
+                (1, _) => {
+                    let n = g.rng.range(0..1024usize);
+                    let f32s = (0..n).map(|_| {
+                        if g.rng.chance(0.8) {
+                            0.0
+                        } else {
+                            g.rng.range(0.0..4.0f32)
+                        }
+                    });
+                    chunk(&f32s.flat_map(f32::to_le_bytes).collect::<Vec<u8>>())
+                }
+                (2, Some(e)) => {
+                    let base = chunks[e].1.clone();
+                    let mut target = base.clone();
+                    for _ in 0..g.rng.range(1..4usize) {
+                        if !target.is_empty() {
+                            let at = g.rng.range(0..target.len());
+                            target[at] ^= 0x5a;
+                        }
+                    }
+                    target.extend(g.bytes(0..8));
+                    let digest = content_digest(&target);
+                    let base_digest = (chunks[e].0 .0, chunks[e].0 .1);
+                    (digest, basedelta::encode(&target, &base, base_digest))
+                }
+                (3, Some(e)) => chunks[e].clone(),
+                _ => chunk(&g.bytes(0..2048)),
+            };
+            kinds[kind] |= kind == 0 || kind == 1 || earlier.is_some();
+            chunks.push(stored);
         }
-        let again = p.chunks[3].clone();
-        p.add(again.0, again.1);
-        p
+        (chunks, kinds)
+    }
+
+    #[test]
+    fn seal_and_compaction_match_the_reference_seal() {
+        let mut enc = lzss::Encoder::default();
+        let mut seen = [0usize; 5];
+        cases(64, 0x5ea1, |g| {
+            let (chunks, kinds) = chunk_sequence(g);
+            for (k, drawn) in kinds.iter().enumerate() {
+                seen[k] += usize::from(*drawn);
+            }
+            seen[4] += usize::from(chunks.is_empty());
+            let sealed = built(9, &chunks, &mut enc).seal();
+            assert_eq!(sealed, reference_seal(&chunks), "{} chunks", chunks.len());
+
+            // Compaction keeps a random live subset, each digest's reachable
+            // copy in place; a shadowed copy goes with the dead.
+            let digests: HashSet<ContentDigest> = chunks.iter().map(|(d, _)| *d).collect();
+            let mut live: Vec<ContentDigest> =
+                digests.into_iter().filter(|_| g.rng.chance(0.6)).collect();
+            live.sort_unstable_by_key(|d| (d.0, d.1));
+            let last = |d: &ContentDigest| chunks.iter().rposition(|(c, _)| c == d);
+            let kept: Vec<(ContentDigest, Vec<u8>)> = chunks
+                .iter()
+                .enumerate()
+                .filter(|(i, (d, _))| live.contains(d) && last(d) == Some(*i))
+                .map(|(_, c)| c.clone())
+                .collect();
+            let rewritten = Partition::compacted(9, sealed, &live).unwrap();
+            assert_eq!(
+                rewritten,
+                reference_seal(&kept),
+                "{} of {} kept",
+                kept.len(),
+                chunks.len()
+            );
+        });
+        let [random, zeros, delta, reput, empty] = seen;
+        assert!(
+            random > 0 && zeros > 0 && delta > 0 && reput > 0 && empty > 0,
+            "{seen:?}"
+        );
     }
 
     /// A sealed image of `frame` with a valid trailer over its head (over
@@ -425,21 +599,21 @@ mod tests {
 
     #[test]
     fn one_chunk_decodes_one_member() {
-        let p = sample();
-        let sealed = p.seal();
+        let chunks = sample();
+        let sealed = partition(42, &chunks).seal();
         let frame = &sealed[..sealed.len() - 8];
         let ranges = member_table(frame).unwrap();
         assert_eq!(
             ranges.len(),
-            p.len() + 1,
+            chunks.len() + 1,
             "directory plus one member per chunk"
         );
 
-        let (mut open, dir) = SealedPartition::open(42, sealed.clone()).unwrap();
+        let (open, dir) = Partition::open(42, sealed.clone()).unwrap();
         assert_eq!(dir.1, ranges[0].len(), "opening decodes the directory only");
         assert_eq!((open.members(), open.members_decoded()), (22, 1));
         assert_eq!(open.resident_bytes(), sealed.len());
-        let (d, b) = &p.chunks[7];
+        let (d, b) = &chunks[7];
         let (bytes, read) = open.chunk(*d).unwrap();
         assert_eq!(bytes, b.as_slice());
         assert_eq!(
@@ -455,9 +629,10 @@ mod tests {
         );
         assert_eq!(open.members_decoded(), 2);
         assert_eq!(open.resident_bytes(), sealed.len() + b.len());
-        // The shadowed digest resolves to its later copy, as in `get`.
-        let (d3, _) = &p.chunks[3];
-        assert_eq!(Some(open.chunk(*d3).unwrap().0), p.get(*d3));
+        // The shadowed digest resolves to its later copy.
+        let (d3, b3) = &chunks[3];
+        let (got, read) = open.chunk(*d3).unwrap();
+        assert_eq!((got, read.unwrap().1), (b3.as_slice(), ranges[21].len()));
         assert!(open.chunk(content_digest(b"absent")).is_err());
     }
 
@@ -465,24 +640,23 @@ mod tests {
     fn whole_frame_decompress_is_the_directory_then_the_chunks() {
         // e2e's traced replay decompresses the frame whole: that must still
         // work and give every raw byte, in member order.
-        let p = sample();
-        let sealed = p.seal();
+        let chunks = sample();
+        let sealed = partition(42, &chunks).seal();
         let raw = decompress(&sealed[..sealed.len() - 8]).unwrap();
-        let dir_len = 4 + DIR_ENTRY * p.len();
-        assert_eq!(raw[..4], (p.len() as u32).to_le_bytes());
-        let chunks: Vec<u8> = p.chunks.iter().flat_map(|(_, b)| b.clone()).collect();
-        assert_eq!(raw[dir_len..], chunks[..]);
+        let dir_len = 4 + DIR_ENTRY * chunks.len();
+        assert_eq!(raw[..4], (chunks.len() as u32).to_le_bytes());
+        let concat: Vec<u8> = chunks.iter().flat_map(|(_, b)| b.clone()).collect();
+        assert_eq!(raw[dir_len..], concat[..]);
     }
 
     #[test]
     fn malformed_member_layouts_are_errors_even_under_a_valid_trailer() {
-        let p = sample();
-        let sealed = p.seal();
+        let sealed = partition(42, &sample()).seal();
         let frame = &sealed[..sealed.len() - 8];
         let open_all = |image: Vec<u8>| -> Result<(), StoreError> {
-            let (mut open, _) = SealedPartition::open(1, image)?;
+            let (open, _) = Partition::open(1, image)?;
             for i in 0..open.members.len() {
-                open.decode_member(i)?;
+                open.decode(i)?;
             }
             Ok(())
         };
@@ -507,6 +681,8 @@ mod tests {
         let (a, b) = (vec![1u8; 10], vec![2u8; 12]);
         let (da, db) = (content_digest(&a), content_digest(&b));
         let (ha, hb) = (checksum(&compress_auto(&a)), checksum(&compress_auto(&b)));
+        let image_of =
+            |directory: &[u8]| resealed(&assemble_members(&[directory, &a, &b].map(compress_auto)));
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("count below members", dir(&[(da, ha)], 1)),
             (
@@ -521,18 +697,36 @@ mod tests {
             ("hashes swapped", dir(&[(da, hb), (db, ha)], 2)),
         ];
         for (what, directory) in cases {
-            let image = resealed(&assemble_members(&compress_each(&[&directory, &a, &b])));
+            let image = image_of(&directory);
             assert!(open_all(image.clone()).is_err(), "{what}: opened");
             assert!(Partition::unseal(1, &image).is_err(), "{what}: unsealed");
             assert!(Partition::verify(&image).is_err(), "{what}: verified");
+            assert!(
+                Partition::compacted(1, image, &[]).is_err(),
+                "{what}: compacted"
+            );
         }
-        let good = resealed(&assemble_members(&compress_each(&[
-            &dir(&[(da, ha), (db, hb)], 2),
-            &a,
-            &b,
-        ])));
+        let good = image_of(&dir(&[(da, ha), (db, hb)], 2));
         assert!(open_all(good.clone()).is_ok());
         assert!(Partition::verify(&good).is_ok());
+        // A member whose hash matches but whose header is no flat frame
+        // fails verification: a compaction that copies frames without
+        // decoding them never copies one that cannot be read.
+        let bogus = vec![Scheme::Members as u8];
+        let frames: [&[u8]; 3] = [
+            &dir(&[(da, checksum(&bogus)), (db, hb)], 2),
+            &bogus,
+            &compress_auto(&b),
+        ];
+        let mut container = vec![Scheme::Members as u8, (a.len() + b.len()) as u8, 3];
+        container.extend(frames.iter().map(|f| f.len() as u8));
+        container.extend(frames.concat());
+        let image = resealed(&container);
+        assert!(
+            Partition::verify(&image).is_err(),
+            "a nested container verified"
+        );
+        assert!(Partition::compacted(1, image, &[db]).is_err());
         // Seeded byte flips, re-trailered: a clean verdict every time.
         let mut rng = mistique_rng::Rng::seed(0xbad);
         for _ in 0..256 {
@@ -541,38 +735,40 @@ mod tests {
             damaged[at] ^= rng.range(1..=u8::MAX);
             let _ = open_all(resealed(&damaged));
             let _ = Partition::unseal(1, &resealed(&damaged));
+            let _ = Partition::compacted(1, resealed(&damaged), &[]);
         }
     }
 
     #[test]
-    fn filtered_preserves_order_and_drops_dead_chunks() {
-        let mut p = Partition::new(7);
-        let entries: Vec<(ContentDigest, Vec<u8>)> = (0u8..6)
-            .map(|i| {
-                let bytes = vec![i; 32];
-                (content_digest(&bytes), bytes)
-            })
-            .collect();
-        for (d, b) in &entries {
-            p.add(*d, b.clone());
-        }
+    fn compaction_keeps_live_chunks_in_order_and_drops_the_rest() {
+        let entries: Vec<(ContentDigest, Vec<u8>)> = (0u8..6).map(|i| chunk(&[i; 32])).collect();
+        let sealed = partition(7, &entries).seal();
         let live: Vec<ContentDigest> = [0usize, 2, 5].iter().map(|&i| entries[i].0).collect();
-        let keep: std::collections::HashSet<_> = live.iter().copied().collect();
-        let f = p.filtered(|d| keep.contains(&d));
-        assert_eq!(f.id(), 7);
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.digests().collect::<Vec<_>>(), live, "order preserved");
-        assert_eq!(f.raw_bytes(), 3 * 32);
+        let rewritten = Partition::compacted(7, sealed.clone(), &live).unwrap();
+        let back = Partition::unseal(7, &rewritten).unwrap();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.raw_bytes(), 3 * 32);
         for (i, (d, b)) in entries.iter().enumerate() {
-            if keep.contains(d) {
-                assert_eq!(f.get(*d), Some(b.as_slice()));
+            if live.contains(d) {
+                assert_eq!(back.get(*d), Some(b.as_slice()));
             } else {
-                assert!(f.get(*d).is_none(), "chunk {i} dropped");
+                assert!(back.get(*d).is_none(), "chunk {i} dropped");
             }
         }
-        // The rewrite round-trips through seal/unseal like any partition.
-        let back = Partition::unseal(7, &f.seal()).unwrap();
-        assert_eq!(back.digests().collect::<Vec<_>>(), live);
+        // In their original order, each frame copied as it was.
+        let kept: Vec<_> = [0usize, 2, 5].iter().map(|&i| entries[i].clone()).collect();
+        assert_eq!(rewritten, reference_seal(&kept), "order preserved");
+        let (old, new) = (
+            &sealed[..sealed.len() - 8],
+            &rewritten[..rewritten.len() - 8],
+        );
+        let (old_frames, new_frames) = (member_table(old).unwrap(), member_table(new).unwrap());
+        for (r, i) in new_frames[1..].iter().zip([1usize, 3, 6]) {
+            assert_eq!(new[r.clone()], old[old_frames[i].clone()]);
+        }
+        // A live digest the file does not hold is refused.
+        let absent = content_digest(b"absent");
+        assert!(Partition::compacted(7, sealed, &[entries[0].0, absent]).is_err());
     }
 
     #[test]
@@ -580,11 +776,13 @@ mod tests {
         let p = Partition::new(0);
         let back = Partition::unseal(0, &p.seal()).unwrap();
         assert!(back.is_empty());
+        assert_eq!(Partition::compacted(0, p.seal(), &[]).unwrap(), p.seal());
     }
 
     #[test]
     fn a_flipped_byte_fails_exactly_the_reads_that_decode_it() {
-        let p = sample();
+        let chunks = sample();
+        let p = partition(42, &chunks);
         let sealed = p.seal();
         let frame_len = sealed.len() - 8;
         let ranges = member_table(&sealed[..frame_len]).unwrap();
@@ -598,18 +796,22 @@ mod tests {
                 Partition::verify(&damaged).is_err(),
                 "flip at {at} verified"
             );
-            let opened = SealedPartition::open(42, damaged);
+            assert!(
+                Partition::compacted(42, damaged.clone(), &[chunks[0].0]).is_err(),
+                "flip at {at} compacted"
+            );
+            let opened = Partition::open(42, damaged);
             if at < head || at >= frame_len {
                 assert!(opened.is_err(), "flip at {at} in the head opened");
                 continue;
             }
-            let (mut open, _) = opened.unwrap();
+            let (open, _) = opened.unwrap();
             let hit = ranges.iter().position(|r| r.contains(&at)).unwrap();
-            for (d, _) in &p.chunks {
+            for (d, _) in &chunks {
                 match open.chunk(*d) {
                     Ok((got, _)) => {
                         assert_ne!(member_of(*d), hit, "flip at {at} decoded");
-                        assert_eq!(got, p.get(*d).unwrap(), "flip at {at}");
+                        assert_eq!(Some(got), p.get(*d), "flip at {at}");
                     }
                     Err(_) => assert_eq!(member_of(*d), hit, "flip at {at} failed an intact read"),
                 }
@@ -619,10 +821,7 @@ mod tests {
 
     #[test]
     fn corrupt_sealed_bytes_rejected() {
-        let mut p = Partition::new(1);
-        let (d, b) = chunk(b"data");
-        p.add(d, b);
-        let mut sealed = p.seal();
+        let mut sealed = partition(1, &[chunk(b"data")]).seal();
         sealed.truncate(sealed.len() - 1);
         assert!(Partition::unseal(1, &sealed).is_err());
         assert!(Partition::unseal(1, &[]).is_err());

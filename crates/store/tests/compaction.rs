@@ -8,13 +8,21 @@
 //! retracted *and the catalog exported* before compaction runs, so the
 //! catalog used after the simulated restart never references a chunk that
 //! compaction may have dropped.
+//!
+//! A rewrite verifies every byte of the file and copies the live chunks'
+//! frames as they are: a damaged file is refused untouched, and a clean
+//! pass runs no codec.
 
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
+use mistique_compress::member_table;
 use mistique_dataframe::{ColumnChunk, ColumnData};
 use mistique_store::datastore::StoreCatalog;
 use mistique_store::{
-    enumerate_crashes, ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy, StoreError,
+    enumerate_crashes, ChunkKey, DataStore, DataStoreConfig, FaultyFs, PlacementPolicy,
+    StorageBackend, StoreError,
 };
 
 fn store_config() -> DataStoreConfig {
@@ -160,4 +168,101 @@ fn every_compaction_crash_point_leaves_pre_or_post_state() {
             .unwrap_or_else(|v| panic!("{point}, recompacted: {v}"));
     });
     assert!(points > 2, "compaction must exercise the disk");
+}
+
+/// A store in the pre-compaction state, over its own disk.
+fn pre_compaction_store() -> (FaultyFs, DataStore) {
+    let fs = FaultyFs::new();
+    let mut ds = open_store(&fs);
+    build_pre_compaction_state(&mut ds).unwrap();
+    (fs, ds)
+}
+
+/// Every visible file's bytes.
+fn files(fs: &FaultyFs) -> BTreeMap<PathBuf, Vec<u8>> {
+    let read = |p: PathBuf| {
+        let bytes = fs.read_file(&p).unwrap();
+        (p, bytes)
+    };
+    fs.visible_files().into_iter().map(read).collect()
+}
+
+/// The partition file a compaction pass over the pre-compaction state
+/// rewrites (`m.i1`'s old one: three live chunks and a dead one), with its
+/// bytes before and after the pass.
+fn rewritten_file() -> (PathBuf, Vec<u8>, Vec<u8>) {
+    let (fs, mut ds) = pre_compaction_store();
+    let before = files(&fs);
+    ds.compact(1.0).unwrap();
+    let after = files(&fs);
+    let mut changed = after.into_iter().filter(|(p, b)| before.get(p) != Some(b));
+    let (path, new) = changed.next().expect("one file rewritten");
+    assert!(changed.next().is_none(), "only one file rewritten");
+    let old = before[&path].clone();
+    (path, old, new)
+}
+
+/// The member frames of a sealed partition file, directory first.
+fn frames(sealed: &[u8]) -> Vec<&[u8]> {
+    let container = &sealed[..sealed.len() - 8];
+    let ranges = member_table(container).unwrap();
+    ranges.into_iter().map(|r| &container[r]).collect()
+}
+
+#[test]
+fn a_flipped_byte_anywhere_in_the_file_refuses_the_rewrite_and_leaves_it_untouched() {
+    let (path, sealed, _) = rewritten_file();
+    let container = &sealed[..sealed.len() - 8];
+    let ranges = member_table(container).unwrap();
+    assert_eq!(ranges.len(), 5, "a directory and four chunk members");
+    // The container header, a byte inside every member (the dead one and
+    // the three live ones, the directory too) and the trailer.
+    let mut flips = vec![0, sealed.len() - 1];
+    flips.extend(ranges.iter().map(|r| (r.start + r.end) / 2));
+    for at in flips {
+        let (fs, mut ds) = pre_compaction_store();
+        fs.corrupt_durable(&path, |bytes| bytes[at] ^= 0x10);
+        let damaged = fs.read_file(&path).unwrap();
+        assert!(
+            matches!(ds.compact(1.0), Err(StoreError::CorruptPartition(_))),
+            "flip at {at} of {} compacted",
+            sealed.len()
+        );
+        assert_eq!(
+            fs.read_file(&path).unwrap(),
+            damaged,
+            "flip at {at}: file changed"
+        );
+    }
+}
+
+#[test]
+fn a_clean_rewrite_copies_the_live_frames_and_runs_no_codec() {
+    let (_, old, new) = rewritten_file();
+    let (old, new) = (frames(&old), frames(&new));
+    assert_eq!(new.len(), 4, "the directory and three live members");
+    // Each live member's frame, in its order, byte for byte.
+    let mut olds = old[1..].iter();
+    for frame in &new[1..] {
+        assert!(olds.any(|o| o == frame), "a frame not copied from the file");
+    }
+
+    // No codec runs: neither the seal counters (an encode) nor the read
+    // counters (a decode) move across the pass.
+    let (_, mut ds) = pre_compaction_store();
+    let codec_counters = |ds: &DataStore| -> BTreeMap<String, u64> {
+        let snap = ds.obs().snapshot();
+        snap.counters
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("compress.") || k.starts_with("read.codec."))
+            .collect()
+    };
+    let before = codec_counters(&ds);
+    assert!(
+        before.values().any(|&v| v > 0),
+        "the setup sealed partitions"
+    );
+    let report = ds.compact(1.0).unwrap();
+    assert_eq!(report.partitions_rewritten, 1);
+    assert_eq!(codec_counters(&ds), before);
 }

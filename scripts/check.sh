@@ -155,19 +155,17 @@ if [ -n "$copies$converts$jacobi" ]; then
   exit 1
 fi
 
-# A read decodes the members it asks for (DESIGN.md §11 "Partition file
-# format"); decoding a whole partition is compaction's business, which
-# rewrites every live chunk of it anyway. Non-test code only, as above.
-echo "== reads decode members, not partitions =="
-unseals=$(awk '
-  /^#\[cfg\(test\)\]/ { exit }
-  /^[[:space:]]*\/\// { next }
-  /^    (pub(\(crate\))? )?fn / { fn = $0; sub(/.*fn /, "", fn); sub(/[(<].*/, "", fn) }
-  /Partition::unseal\(/ && fn != "compact" { print FILENAME ":" FNR ": (in " fn ") " $0 }
-' crates/store/src/datastore.rs)
-if [ -n "$unseals" ]; then
-  echo "FAIL: a whole-partition decode on the read path — open a SealedPartition and decode the member:"
-  echo "$unseals"
+# One encode per chunk (DESIGN.md §11 "Partition file format"): a chunk's
+# frame is made once, when it is put; a seal assembles frames, compaction
+# copies them, and a read decodes only the members it asks for. A
+# whole-partition decode or a batch encode of members is that work done
+# again. Non-test code only, as above, and no integration test directory.
+echo "== one encode per chunk =="
+sites=$(find crates -name '*.rs' ! -path '*/tests/*' | sort | non_test_lines |
+  grep -E 'Partition::unseal\(|compress_each' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: a second encode or a whole-partition decode — frame each chunk at put, copy frames after:"
+  echo "$sites"
   exit 1
 fi
 
