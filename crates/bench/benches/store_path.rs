@@ -77,7 +77,10 @@ fn main() {
 /// 1000-row columns, the read cache cleared each iteration — `one_col`
 /// asks for one column, `whole` for all of them. Both read the whole file;
 /// `one_col` verifies and decodes the head and one member, `whole` every
-/// member. MB/s is over the file's bytes.
+/// member. `one_col_2500` asks for one column of a ~1 MiB partition of
+/// 2,500 50-row columns (the shape of a DNN log's partitions), where
+/// opening the file — its directory and digest index — is most of the
+/// read. MB/s is over the file's bytes.
 fn load_cold() {
     let dir = mistique_testkit::tempdir().unwrap();
     let config = DataStoreConfig {
@@ -103,6 +106,28 @@ fn load_cold() {
     micro("store/load_cold/whole", file, || {
         store.clear_read_cache();
         store.get_chunk_bytes_batch(black_box(&keys), 1).unwrap()
+    });
+
+    let dir = mistique_testkit::tempdir().unwrap();
+    let config = DataStoreConfig {
+        policy: PlacementPolicy::ByIntermediate,
+        delta_enabled: false,
+        partition_target_bytes: 2 << 20,
+        ..DataStoreConfig::default()
+    };
+    let mut store = DataStore::open(dir.path(), config).unwrap();
+    let keys: Vec<ChunkKey> = (0..2500)
+        .map(|c| ChunkKey::new("m.i", format!("c{c}"), 0))
+        .collect();
+    for (c, key) in keys.iter().enumerate() {
+        store.put_chunk(key.clone(), &chunk(c as u64, 50)).unwrap();
+    }
+    store.flush().unwrap();
+    assert_eq!(store.stats().partitions_created, 1, "one partition");
+    let file = store.disk_bytes().unwrap();
+    micro("store/load_cold/one_col_2500", file, || {
+        store.clear_read_cache();
+        store.get_chunk(black_box(&keys[1250])).unwrap()
     });
 }
 
@@ -186,9 +211,11 @@ fn warm_col_queries() {
 }
 
 /// `log/vgg16_checkpoint/*`: one `vgg16_cifar(8)` checkpoint over 100
-/// images, logged into a fresh store (`first`), or into a fresh store that
-/// already holds epoch 0, whose 18 frozen layers it shares
-/// (`frozen_prefix`). MB/s is over the logical bytes one checkpoint logs.
+/// images, logged and flushed into a fresh store (`first`), or into a fresh
+/// store that already holds epoch 0, whose 18 frozen layers it shares
+/// (`frozen_prefix`). The flush seals the partitions still open, so every
+/// chunk the log stores is sealed inside the timed region. MB/s is over the
+/// logical bytes one checkpoint logs.
 fn log_checkpoints() {
     let arch = Arc::new(vgg16_cifar(8));
     let data = Arc::new(CifarLike::generate(100, 10, 1));
@@ -208,6 +235,7 @@ fn log_checkpoints() {
     };
     let log = |(dir, mut sys, id): (mistique_testkit::TempDir, Mistique, String)| {
         sys.log_intermediates(&id).unwrap();
+        sys.flush().unwrap();
         (dir, sys)
     };
     let (_dir, sys) = log(fresh(&[], 0));

@@ -528,19 +528,24 @@ impl DataStore {
         let delta = dedup && self.config.delta_enabled;
         let sig = (delta || matches!(policy, PlacementPolicy::BySimilarity { .. }))
             .then(|| self.signature_of(chunk));
-        // A failed probe of the base is not a failed put: store raw.
-        let frame = match &sig {
-            Some(sig) if delta => self.delta_frame(&bytes, sig, digest).unwrap_or(None),
+        // The chunk's own frame: what it is sealed as unless a delta beats it.
+        let own = compress_auto_within(&bytes, usize::MAX, &mut self.lzss)
+            .expect("every frame is shorter than usize::MAX");
+        // A failed probe of the base is not a failed put: store the chunk.
+        let found = match &sig {
+            Some(sig) if delta => self
+                .delta_frame(&bytes, own.len(), sig, digest)
+                .unwrap_or(None),
             _ => None,
         };
-        let (stored, base) = match frame {
+        let (frame, base) = match found {
             Some((base, frame)) => (frame, Some(base)),
-            None => (bytes, None),
+            None => (own, None),
         };
 
         let pid = self.choose_partition(&key, policy, sig.as_ref())?;
-        let len = stored.len() as u64;
-        self.place(pid, digest, stored, base, serialized_len, sig)?;
+        let len = stored_len(&frame);
+        self.place(pid, digest, frame, base, serialized_len, sig)?;
         self.ledger.bind(key, digest);
         self.stats.chunks_stored += 1;
         Ok((PutOutcome::Stored(pid), len))
@@ -579,13 +584,16 @@ impl DataStore {
     }
 
     /// Delta attempt: if a near-duplicate chunk is already stored, XOR `raw`
-    /// against it and keep the frame iff it beats `raw` by at least 25% (a
-    /// marginal win is not worth the read dependency): the frame may take
-    /// at most `¾ · raw.len()` bytes, and the encode gives up as soon as it
-    /// cannot. Returns the base and the frame.
+    /// against it and keep the delta iff it seals at least 25% smaller than
+    /// the chunk's own frame, `own_frame` bytes long (a marginal win is not
+    /// worth the read dependency). The delta frame must fit that budget
+    /// before its seal is tried: its inner frame is already `compress_auto`'s
+    /// best, so the seal seldom shrinks it, and the encode gives up as soon
+    /// as it cannot fit. Returns the base and the sealed delta frame.
     fn delta_frame(
         &mut self,
         raw: &[u8],
+        own_frame: usize,
         sig: &Signature,
         digest: ContentDigest,
     ) -> Result<Option<(ContentDigest, Vec<u8>)>, StoreError> {
@@ -595,10 +603,11 @@ impl DataStore {
         };
         let base_bytes = self.probe(base)?;
         self.metrics.delta_attempts.inc();
-        let max_len = raw.len() * 3 / 4;
-        let frame =
-            basedelta::encode_within(raw, &base_bytes, (base.0, base.1), max_len, &mut self.lzss);
-        Ok(frame.map(|frame| (base, frame)))
+        let budget = own_frame * 3 / 4;
+        let sealed =
+            basedelta::encode_within(raw, &base_bytes, (base.0, base.1), budget, &mut self.lzss)
+                .and_then(|delta| compress_auto_within(&delta, budget + 1, &mut self.lzss));
+        Ok(sealed.map(|frame| (base, frame)))
     }
 
     /// Is base+delta encoding enabled for this store?
@@ -622,7 +631,9 @@ impl DataStore {
         }
         let raw = self.probe(digest)?;
         let sig = self.signature_of(&ColumnChunk::from_bytes(&raw)?);
-        let Some((base, frame)) = self.delta_frame(&raw, &sig, digest)? else {
+        let own = compress_auto_within(&raw, usize::MAX, &mut self.lzss)
+            .expect("every frame is shorter than usize::MAX");
+        let Some((base, frame)) = self.delta_frame(&raw, own.len(), &sig, digest)? else {
             return Ok(cur_len);
         };
         // Place the frame into an open partition — never the chunk's current
@@ -634,13 +645,13 @@ impl DataStore {
             self.open_by_intermediate
                 .insert(key.intermediate.clone(), pid);
         }
-        let len = frame.len() as u64;
+        let len = stored_len(&frame);
         self.place(pid, digest, frame, Some(base), raw.len() as u64, None)?;
         Ok(len)
     }
 
-    /// The tail of every physical store: frame `stored` (its one
-    /// `compress_auto` encode) into the open partition `pid`, persist
+    /// The tail of every physical store: add `frame`, the chunk's stored
+    /// bytes as the put encoded them, to the open partition `pid`, persist
     /// whatever the pool evicts to make room, record the new copy in the
     /// ledger (a delta frame against `base`, `raw_len` bytes before
     /// encoding), and seal the partition once it reaches its target size.
@@ -648,14 +659,12 @@ impl DataStore {
         &mut self,
         pid: PartitionId,
         digest: ContentDigest,
-        stored: Vec<u8>,
+        frame: Vec<u8>,
         base: Option<ContentDigest>,
         raw_len: u64,
         sig: Option<Signature>,
     ) -> Result<(), StoreError> {
-        let len = stored.len() as u64;
-        let frame = compress_auto_within(&stored, usize::MAX, &mut self.lzss)
-            .expect("every frame is shorter than usize::MAX");
+        let len = stored_len(&frame);
         let part = self.mem.get_mut(pid).expect("open partition resident");
         part.add(digest, frame);
         let evicted = self.mem.grow(pid, len as usize);
@@ -1250,6 +1259,12 @@ impl DataStore {
         self.stats = catalog.stats;
         self.ledger.import(catalog);
     }
+}
+
+/// A chunk's stored length — its stored bytes before the codec, the raw
+/// serialization or a delta frame — from the frame header that carries it.
+fn stored_len(frame: &[u8]) -> u64 {
+    mistique_compress::raw_len_of(frame).expect("a compress_auto frame")
 }
 
 /// One chunk's catalog entry: logical key → content digest → partition.

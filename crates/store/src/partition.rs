@@ -21,6 +21,7 @@
 //! decodes. [`Partition::verify`] checks every byte of a file.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -59,11 +60,35 @@ pub struct Partition {
     members: Vec<Member>,
     /// Digest → member; a digest stored twice (a STORE_ALL re-put into the
     /// partition that already holds it) resolves to its later copy.
-    index: HashMap<ContentDigest, usize>,
+    index: HashMap<ContentDigest, usize, BuildHasherDefault<DigestHasher>>,
     raw_bytes: usize,
     /// Members decoded so far, and their bytes.
     decoded_members: AtomicUsize,
     decoded_bytes: AtomicUsize,
+}
+
+/// The hasher of a partition's digest index. A digest is already a pair of
+/// uniform xxhash64 values, so its halves are folded as they are rather
+/// than hashed again (SipHash over them was most of opening a file of
+/// thousands of small members). A crafted collision makes a lookup slower,
+/// never wrong.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, half: u64) {
+        self.0 = self.0.rotate_left(32) ^ half;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
 }
 
 /// One chunk member.
@@ -462,6 +487,31 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert_eq!(p.raw_bytes(), b.len());
         assert!(p.get(content_digest(b"other")).is_none());
+    }
+
+    /// Digests crafted to hash alike in the index still each find their
+    /// own member, in memory and from the sealed file.
+    #[test]
+    fn colliding_digests_resolve_to_their_own_members() {
+        let chunks: Vec<(ContentDigest, Vec<u8>)> = (0u64..64)
+            .map(|i| {
+                let digest = ContentDigest(i, (i << 32) ^ 0x5eed);
+                (digest, i.to_le_bytes().repeat(i as usize + 1))
+            })
+            .collect();
+        let hash = |d: &ContentDigest| {
+            let mut h = DigestHasher::default();
+            std::hash::Hash::hash(d, &mut h);
+            h.finish()
+        };
+        assert!(chunks.iter().all(|(d, _)| hash(d) == hash(&chunks[0].0)));
+        let p = partition(3, &chunks);
+        let (sealed, _) = Partition::open(3, p.seal()).unwrap();
+        for (d, b) in &chunks {
+            assert_eq!(p.get(*d), Some(b.as_slice()));
+            assert_eq!(sealed.get(*d), Some(b.as_slice()));
+        }
+        assert!(p.get(ContentDigest(64, 0x5eed)).is_none());
     }
 
     /// Twenty chunks of varied shapes, one of them stored twice (a

@@ -35,22 +35,35 @@ fn build(top_m: usize) -> (mistique_testkit::TempDir, Mistique, Vec<String>) {
         .register_dnn(Arc::new(simple_cnn(24)), 3, 0, cifar, 8)
         .unwrap();
     sys.log_intermediates_parallel(&[&tid, &did]).unwrap();
-    // Reads must always beat re-runs so the indexed fast path — which only
-    // serves when the planner would have chosen Read — is open.
-    sys.cost_model_mut().read_bandwidth = 1e18;
     let mut interms = sys.intermediates_of(&tid);
     interms.extend(sys.intermediates_of(&did));
     (dir, sys, interms)
 }
 
+/// A replay's transcript and the number of its fetches served by a re-run.
+#[derive(Debug, PartialEq)]
+struct Replay {
+    transcript: Vec<String>,
+    reruns: u64,
+}
+
 /// Replay the full query mix against one system and render every result in
 /// a bit-exact printable form (f64s as u64 bit patterns), so transcripts
 /// can be compared across systems and worker counts with `assert_eq!`.
-fn replay(sys: &mut Mistique, interms: &[String], workers: usize) -> Vec<String> {
+///
+/// Reads must always beat re-runs, so that the indexed fast path — which
+/// only serves when the planner would have chosen Read — is open, and so
+/// that a re-run (which serves full precision) never stands in for a read
+/// of a demoted scheme. Each read folds its measured bandwidth into the
+/// cost model, so the pin is re-set before every intermediate's queries,
+/// and the re-run count shows that the plans held.
+fn replay(sys: &mut Mistique, interms: &[String], workers: usize) -> Replay {
     sys.set_read_parallelism(workers);
     sys.store_mut().clear_read_cache();
+    let reruns_before = reruns(sys);
     let mut out = Vec::new();
     for interm in interms {
+        sys.cost_model_mut().read_bandwidth = 1e18;
         let meta = sys.metadata().intermediate(interm).unwrap().clone();
         let col = meta.columns[0].clone();
 
@@ -81,7 +94,15 @@ fn replay(sys: &mut Mistique, interms: &[String], workers: usize) -> Vec<String>
         let whole = sys.get_intermediate(interm, None, None).unwrap();
         out.push(format!("full {interm}: {:?}", frame_bits(&whole.frame)));
     }
-    out
+    Replay {
+        transcript: out,
+        reruns: reruns(sys) - reruns_before,
+    }
+}
+
+/// Fetches served by a re-run so far.
+fn reruns(sys: &Mistique) -> u64 {
+    sys.obs().counter("decision.rerun.count").get()
 }
 
 fn frame_bits(frame: &mistique_dataframe::DataFrame) -> Vec<(String, Vec<u64>)> {
@@ -195,14 +216,12 @@ fn reopened_store_serves_identical_answers_from_the_persisted_index() {
             .register_trad(zillow_pipelines().remove(0), data)
             .unwrap();
         sys.log_intermediates(&id).unwrap();
-        sys.cost_model_mut().read_bandwidth = 1e18;
         let interms = sys.intermediates_of(&id);
         sys.persist().unwrap();
         let reference = replay(&mut sys, &interms, 1);
         (interms, reference)
     };
     let mut sys = Mistique::reopen(dir.path(), config).unwrap();
-    sys.cost_model_mut().read_bandwidth = 1e18;
     let got = replay(&mut sys, &interms, 1);
     assert_eq!(got, reference);
     assert!(

@@ -9,7 +9,11 @@
 //! partition lengths and digests when the directory came to carry each
 //! member's hash (format version 2, DESIGN.md §11 "Partition file format")
 //! — format changes, each with every `StoreStats` field and every index
-//! file unmoved.
+//! file unmoved. Both cases' `StoreStats` and partition files were
+//! re-recorded once more when a delta came to be kept only where it seals
+//! at least 25 % smaller than the chunk's own frame (DESIGN.md §17 "Base
+//! selection"): fewer delta puts, a larger `unique_bytes` (it counts bytes
+//! before the codec), smaller partition files, every index file unmoved.
 //!
 //! The second case logs three checkpoints of a net with a frozen prefix:
 //! every file it leaves (partitions and index files, by name, length and
@@ -17,32 +21,36 @@
 //! that logs the shared prefix once must leave exactly what logging it
 //! three times left.
 
-use std::path::Path;
+use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use mistique_compress::{basedelta, compress_auto, member_ranges};
 use mistique_core::{Mistique, MistiqueConfig};
-use mistique_dedup::content_digest;
+use mistique_dedup::{content_digest, ContentDigest};
 use mistique_nn::{simple_cnn, vgg16_cifar, CifarLike};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
-use mistique_store::DataStoreConfig;
+use mistique_store::{DataStoreConfig, Partition};
 
-/// Every `part_*.bin` under `dir`, by name, with its length.
-fn partition_files(dir: &Path, out: &mut Vec<(String, u64)>) {
+/// Every `part_*.bin` under `dir`, by name, with its path.
+fn partition_files(dir: &Path) -> BTreeMap<String, PathBuf> {
+    let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let entry = entry.unwrap();
         let name = entry.file_name().into_string().unwrap();
         if entry.file_type().unwrap().is_dir() {
-            partition_files(&entry.path(), out);
+            out.extend(partition_files(&entry.path()));
         } else if name.starts_with("part_") && name.ends_with(".bin") {
-            out.push((name, entry.metadata().unwrap().len()));
+            out.insert(name, entry.path());
         }
     }
+    out
 }
 
-#[test]
-fn similarity_answers_leave_the_layout_unchanged() {
-    let dir = mistique_testkit::tempdir().unwrap();
+/// Log the mixed TRAD + DNN corpus of the similarity case into a store at
+/// `dir`, and flush it.
+fn log_similarity_corpus(dir: &Path) -> Mistique {
     // Small partitions, so some seal while logging goes on: placement must
     // skip them and delta bases must be probed off disk.
     let config = MistiqueConfig {
@@ -53,7 +61,7 @@ fn similarity_answers_leave_the_layout_unchanged() {
         },
         ..MistiqueConfig::default()
     };
-    let mut sys = Mistique::open(dir.path(), config).unwrap();
+    let mut sys = Mistique::open(dir, config).unwrap();
 
     // TRAD: similarity placement and delta probes on every new chunk.
     let zillow = Arc::new(ZillowData::generate(400, 42));
@@ -72,7 +80,13 @@ fn similarity_answers_leave_the_layout_unchanged() {
         sys.log_intermediates(&id).unwrap();
     }
     sys.flush().unwrap();
+    sys
+}
 
+#[test]
+fn similarity_answers_leave_the_layout_unchanged() {
+    let dir = mistique_testkit::tempdir().unwrap();
+    let sys = log_similarity_corpus(dir.path());
     let s = sys.store().stats();
     let got = (
         s.unique_bytes,
@@ -85,18 +99,63 @@ fn similarity_answers_leave_the_layout_unchanged() {
     );
     assert_eq!(
         got,
-        (501774, 9968, 6966, 229, 543, 326, 22934),
+        (520704, 9968, 6966, 229, 543, 55, 4004),
         "StoreStats moved"
     );
-    let mut files = Vec::new();
-    partition_files(dir.path(), &mut files);
-    files.sort();
+    let files: Vec<(String, u64)> = partition_files(dir.path())
+        .into_iter()
+        .map(|(name, path)| (name, std::fs::metadata(path).unwrap().len()))
+        .collect();
     let want = PARTITION_LENS
         .iter()
         .enumerate()
         .map(|(id, &len)| (format!("part_{id:08x}.bin"), len));
     assert_eq!(files, want.collect::<Vec<_>>(), "partition files moved");
     sys.store().check_invariants().unwrap();
+}
+
+/// The delta rule (DESIGN.md §17 "Base selection"): a chunk is kept as a
+/// delta only where the delta's sealed member frame takes at most ¾ of the
+/// chunk's own `compress_auto` frame. Checked on every delta the similarity
+/// corpus leaves on disk, against the member frames of its partition file.
+#[test]
+fn every_delta_member_seals_within_three_quarters_of_its_own_frame() {
+    let dir = mistique_testkit::tempdir().unwrap();
+    let mut sys = log_similarity_corpus(dir.path());
+    let paths = partition_files(dir.path());
+    let catalog = sys.store().export_catalog();
+    let deltas: HashSet<(u64, u64)> = catalog.deltas.iter().map(|d| d.digest).collect();
+    let mut checked = HashSet::new();
+    for entry in &catalog.entries {
+        if !deltas.contains(&entry.digest) || !checked.insert(entry.digest) {
+            continue;
+        }
+        let file = std::fs::read(&paths[&format!("part_{:08x}.bin", entry.partition)]).unwrap();
+        let digest = ContentDigest(entry.digest.0, entry.digest.1);
+        let part = Partition::unseal(entry.partition, &file).unwrap();
+        let stored = part.get(digest).unwrap();
+        assert!(basedelta::is_delta_frame(stored), "{:?}", entry.key);
+        let sealed = compress_auto(stored);
+        let members = member_ranges(&file[..file.len() - 8]).unwrap();
+        assert!(
+            members.iter().any(|r| file[r.clone()] == sealed[..]),
+            "{:?}: its member is not the delta's sealed frame",
+            entry.key
+        );
+        let raw = sys.store_mut().get_chunk(&entry.key).unwrap().to_bytes();
+        let own = compress_auto(&raw).len();
+        assert!(
+            sealed.len() <= own * 3 / 4,
+            "{:?}: delta seals to {} B, its own frame is {own} B",
+            entry.key,
+            sealed.len()
+        );
+    }
+    assert_eq!(checked, deltas, "every delta has a key to read it by");
+    assert!(
+        checked.len() >= 10,
+        "the corpus must keep deltas for the rule to mean anything"
+    );
 }
 
 /// Every `part_*.bin` and `idx_*.idx` under `dir`, by name, with its length
@@ -160,7 +219,7 @@ fn a_frozen_prefix_leaves_the_layout_of_logging_it_every_time() {
     );
     assert_eq!(
         got,
-        (1560108, 360468, 22671, 6765, 25, 0, 58, 1229),
+        (1560108, 361697, 22671, 6765, 25, 0, 0, 0),
         "StoreStats moved"
     );
     let want: Vec<(String, u64, (u64, u64))> = FROZEN_PREFIX_FILES
@@ -174,18 +233,18 @@ fn a_frozen_prefix_leaves_the_layout_of_logging_it_every_time() {
 /// Length of `part_{i:08x}.bin`, for every partition the run creates.
 #[rustfmt::skip]
 const PARTITION_LENS: [u64; 229] = [
-    113, 9799, 3522, 181, 250, 126, 181, 117, 181, 256, 123, 181, 117, 181, 250, 123,
+    113, 9367, 2734, 181, 250, 126, 181, 117, 181, 256, 123, 181, 117, 181, 250, 123,
     181, 117, 181, 181, 124, 181, 117, 181, 250, 123, 181, 117, 181, 253, 126, 181,
     117, 181, 250, 126, 181, 117, 181, 250, 126, 181, 117, 181, 250, 119, 181, 117,
     181, 250, 124, 181, 117, 181, 253, 124, 181, 117, 181, 250, 119, 181, 117, 181,
     181, 126, 181, 117, 181, 256, 119, 181, 117, 181, 181, 124, 181, 117, 181, 259,
     123, 181, 124, 181, 249, 119, 181, 123, 181, 445, 124, 181, 123, 181, 256, 124,
     181, 123, 181, 259, 124, 181, 123, 181, 250, 126, 181, 123, 181, 256, 126, 181,
-    123, 181, 250, 126, 181, 123, 181, 259, 124, 181, 123, 181, 250, 121, 181, 674,
-    26711, 1719, 102, 87, 123, 123, 123, 123, 123, 123, 123, 87, 114, 90, 114, 181,
+    123, 181, 250, 126, 181, 123, 181, 259, 124, 181, 123, 181, 250, 121, 181, 605,
+    26711, 1456, 102, 87, 123, 123, 123, 123, 123, 123, 123, 87, 114, 90, 114, 181,
     256, 121, 181, 181, 256, 124, 181, 181, 256, 126, 181, 181, 253, 124, 181, 181,
     253, 126, 181, 181, 254, 124, 181, 181, 181, 117, 181, 114, 211, 90, 114, 2999,
-    12351, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181,
+    7854, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 181,
     181, 181, 181, 181, 181, 181, 181, 181, 181, 181, 114, 181, 181, 181, 181, 181,
     181, 181, 114, 91597, 49208, 12310, 49015, 39426, 10652, 39425, 3250, 1941, 57548, 84876, 22812, 30697,
     24599, 6165, 24599, 3790, 1941,
@@ -258,11 +317,11 @@ const FROZEN_PREFIX_FILES: [(&str, u64, (u64, u64)); 88] = [
     ("idx_CIFAR10_VGG16@epoch2.layer7.idx", 118962, (0x6193abea0334a7c6, 0x82f16dc13193c6eb)),
     ("idx_CIFAR10_VGG16@epoch2.layer8.idx", 116370, (0x314cab4b1e1d324a, 0x19a73310376ec20b)),
     ("idx_CIFAR10_VGG16@epoch2.layer9.idx", 114660, (0x600deb8e28227325, 0xe0b3de0e2dd558d8)),
-    ("part_00000000.bin", 80831, (0xa5d32842c4269407, 0xf356014a4009f612)),
-    ("part_00000001.bin", 67084, (0x0d0968b667c9b24c, 0x7b7c705f97f323e3)),
-    ("part_00000002.bin", 72395, (0x133d331123388ebc, 0x0fe7947bb41c3a81)),
-    ("part_00000003.bin", 22321, (0x8c1006c123c54a08, 0x41de154a404354be)),
-    ("part_00000004.bin", 35231, (0x947a8df2b7a917ce, 0xbe70b1ae59bb25b6)),
+    ("part_00000000.bin", 80703, (0xce8dba6aa998d5f5, 0x40914d73e4c414fb)),
+    ("part_00000001.bin", 67180, (0xfe3af52d00b6a2e2, 0xb3c41f90495de884)),
+    ("part_00000002.bin", 70828, (0x1739c61310d8164d, 0x3775f1f82217a869)),
+    ("part_00000003.bin", 22196, (0x1a5ab2f55789d053, 0xa2e91de8f39951cb)),
+    ("part_00000004.bin", 35100, (0xf16f7e63d110a6a0, 0x2e1b3ba3e4884c31)),
     ("part_00000005.bin", 61465, (0x1f23efcb2829fe0c, 0xdf975e08224fcfa9)),
     ("part_00000006.bin", 15382, (0x6257c33e5baba719, 0x84d3b5ec90f030a4)),
     ("part_00000007.bin", 22423, (0xba9cfe65582ca3e3, 0x19793f7bdc3ed792)),

@@ -396,18 +396,17 @@ const TIMED_COUNTERS: [&str; 1] = ["cost_model.drift_flags"];
 
 const PINNED_POINTS: [&str; 4] = [
     "log: index.rebuilds=12 store.dedup.exact_hits=24 store.dedup.similarity_placements=27 \
-     store.delta.attempts=20 store.delta.base_pins=16 store.delta.bytes_saved=7064 \
-     store.delta.puts=16 store.partitions.created=16 store.put.bytes=35424 store.put.count=67",
+     store.delta.attempts=20 store.delta.base_pins=13 store.delta.bytes_saved=6611 \
+     store.delta.puts=13 store.partitions.created=16 store.put.bytes=35424 store.put.count=67",
     "log: index.rebuilds=24 store.dedup.exact_hits=88 store.dedup.similarity_placements=30 \
      store.delta.attempts=23 store.put.bytes=70848 store.put.count=134",
-    "reclaim: compaction.runs=1 compress.lzss.count=9 compress.lzss.frame_bytes=1964 \
-     compress.lzss.raw_bytes=5315 compress.members.count=16 compress.members.in_bytes=17311 \
-     compress.members.out_bytes=14515 compress.raw.count=33 compress.raw.frame_bytes=10006 \
-     compress.raw.raw_bytes=9920 compress.rle.count=4 compress.rle.frame_bytes=1056 \
+    "reclaim: compaction.runs=1 compress.lzss.count=12 compress.lzss.frame_bytes=2256 \
+     compress.lzss.raw_bytes=6194 compress.members.count=16 compress.members.in_bytes=17764 \
+     compress.members.out_bytes=14369 compress.raw.count=30 compress.raw.frame_bytes=9571 \
+     compress.raw.raw_bytes=9494 compress.rle.count=4 compress.rle.frame_bytes=1056 \
      compress.rle.raw_bytes=2076 cost.observe_read.count=3 decision.read.count=3 \
-     read.codec.delta_lzss.bytes=158 read.codec.delta_lzss.count=1 \
-     store.delta.rehydrations=1 store.get.bytes=10433 store.get.count=14 \
-     store.get.mem_hits=14 store.get.partitions_touched=12 store.partitions.sealed=16",
+     store.get.bytes=10433 store.get.count=14 store.get.mem_hits=14 \
+     store.get.partitions_touched=12 store.partitions.sealed=16",
     "recovery: store.recovery.partitions_ok=16",
 ];
 
