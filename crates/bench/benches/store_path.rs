@@ -2,17 +2,18 @@
 //! and compacting one partition, for logging one DNN checkpoint into a
 //! fresh store: with nothing stored before it, and after a checkpoint that
 //! shares its frozen prefix (DESIGN.md §2 "Logging a shared prefix once"),
-//! and for what the audit journal adds to a warm query.
+//! for what the audit journal adds to a warm query, and for whole-layer
+//! reads of a logged CNN, cold and warm.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use mistique_bench::{micro, micro_fresh};
 use mistique_compress::{compress_auto_within, lzss};
-use mistique_core::{Mistique, MistiqueConfig};
+use mistique_core::{FetchStrategy, Mistique, MistiqueConfig};
 use mistique_dataframe::{ColumnChunk, ColumnData};
 use mistique_dedup::content_digest;
-use mistique_nn::{vgg16_cifar, CifarLike};
+use mistique_nn::{simple_cnn, vgg16_cifar, CifarLike};
 use mistique_pipeline::templates::zillow_pipelines;
 use mistique_pipeline::ZillowData;
 use mistique_rng::Rng;
@@ -71,6 +72,7 @@ fn main() {
     seal_and_compact();
     log_checkpoints();
     warm_col_queries();
+    frame_reads();
 }
 
 /// `store/load_cold/*`: one cold get from a ~1 MiB partition of 128
@@ -247,4 +249,43 @@ fn log_checkpoints() {
         || fresh(&[0], 1),
         log,
     );
+}
+
+/// `read/frame_{cold,warm}/<layer>`: a whole-intermediate read — every row
+/// and column, as KNN, VIS and SVCCA fetch them — of each layer of one
+/// `simple_cnn(16)` checkpoint logged over 2,000 images (the benchmark's
+/// `dnn_read` shape), through the Read arm of `get_intermediate` (forced,
+/// so a recalibrated planner cannot switch arms mid-case). `cold` clears
+/// the read cache first, so the layer's partitions come off disk; `warm`
+/// finds them cached. The audit journal is off: `query/warm_col/*` prices
+/// it. MB/s is over the answer's f64 cells.
+fn frame_reads() {
+    let config = MistiqueConfig {
+        audit_budget_bytes: 0,
+        ..MistiqueConfig::default()
+    };
+    let dir = mistique_testkit::tempdir().unwrap();
+    let mut sys = Mistique::open(dir.path(), config).unwrap();
+    let data = Arc::new(CifarLike::generate(2000, 10, 1));
+    let id = sys
+        .register_dnn(Arc::new(simple_cnn(16)), 1, 0, data, 250)
+        .unwrap();
+    sys.log_intermediates(&id).unwrap();
+    sys.flush().unwrap();
+    for interm in sys.intermediates_of(&id) {
+        let layer = interm.rsplit('.').next().unwrap_or(&interm).to_string();
+        let read = |sys: &mut Mistique| {
+            sys.fetch_with_strategy(black_box(&interm), None, None, FetchStrategy::Read)
+                .unwrap()
+        };
+        let frame = read(&mut sys).frame;
+        let bytes = (frame.n_rows() * frame.n_cols() * 8) as u64;
+        micro(&format!("read/frame_cold/{layer}"), bytes, || {
+            sys.store_mut().clear_read_cache();
+            read(&mut sys)
+        });
+        micro(&format!("read/frame_warm/{layer}"), bytes, || {
+            read(&mut sys)
+        });
+    }
 }

@@ -266,6 +266,18 @@ pub fn member_ranges(frame: &[u8]) -> Result<Vec<Range<usize>>, CodecError> {
     Ok(ranges)
 }
 
+/// Where a [`Scheme::Raw`] frame's payload sits in `frame` — the bytes
+/// [`decompress`] would copy out — when it is as long as the header says;
+/// `None` for every other frame, which only [`decompress`] can decode.
+pub fn raw_payload(frame: &[u8]) -> Option<Range<usize>> {
+    if scheme_of(frame) != Some(Scheme::Raw) {
+        return None;
+    }
+    let mut pos = 1;
+    let raw_len = varint::read_u64(frame, &mut pos)?;
+    (raw_len == (frame.len() - pos) as u64).then_some(pos..frame.len())
+}
+
 /// The scheme recorded in a frame header, without decoding the payload.
 /// `None` when the buffer is empty or the scheme byte is unknown.
 pub fn scheme_of(frame: &[u8]) -> Option<Scheme> {
@@ -326,6 +338,19 @@ mod tests {
             }
         }
         best
+    }
+
+    #[test]
+    fn raw_payload_is_what_decompress_copies_out() {
+        let input: Vec<u8> = (0..200u32).map(|i| (i * 7919 % 251) as u8).collect();
+        let raw = compress(&input, Scheme::Raw);
+        let at = raw_payload(&raw).expect("a raw frame");
+        assert_eq!(raw[at.clone()], decompress(&raw).unwrap()[..]);
+        assert_eq!(at.end, raw.len());
+        // A header that disagrees with the payload, or another codec: none.
+        assert_eq!(raw_payload(&raw[..raw.len() - 1]), None);
+        assert_eq!(raw_payload(&compress(&[0; 64], Scheme::Rle)), None);
+        assert_eq!(raw_payload(&[]), None);
     }
 
     #[test]

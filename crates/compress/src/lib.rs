@@ -39,7 +39,7 @@ pub mod varint;
 
 pub use frame::{
     assemble_members, compress, compress_auto, compress_auto_within, decompress, member_ranges,
-    member_table, raw_len_of, scheme_of, CodecError, Scheme,
+    member_table, raw_len_of, raw_payload, scheme_of, CodecError, Scheme,
 };
 
 /// Compression statistics for reporting (used by the Fig 14 microbenchmark).

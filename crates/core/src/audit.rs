@@ -45,6 +45,7 @@
 //! point. A query slower than [`SLO_BURN_FACTOR`] × its class p95 (once the
 //! class has [`SLO_MIN_SAMPLES`] samples) counts one `slo.burns`.
 
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -172,12 +173,18 @@ pub(crate) fn fetch_args(
     args
 }
 
-/// Comma-join row ids or group/label bytes for an args value.
-pub(crate) fn csv<T: ToString>(xs: &[T]) -> String {
-    xs.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+/// Comma-join row ids or group/label bytes for an args value, each written
+/// straight into the one string returned (a `vis` over 2,000 images renders
+/// no string per group).
+pub(crate) fn csv<T: std::fmt::Display>(xs: &[T]) -> String {
+    let mut out = String::with_capacity(xs.len() * 4);
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{x}");
+    }
+    out
 }
 
 /// 64-bit FNV-1a over raw bytes — the digest primitive the audit layer and
@@ -395,6 +402,7 @@ mod tests {
     use crate::system::StorageStrategy;
     use mistique_pipeline::templates::zillow_pipelines;
     use mistique_pipeline::ZillowData;
+    use std::collections::BTreeMap;
 
     fn config() -> MistiqueConfig {
         MistiqueConfig {
@@ -480,6 +488,46 @@ mod tests {
         assert!(topk.actual_ns > 0);
         // The register record carries replayable provenance.
         assert_eq!(recs[0].args.get("data_seed").map(String::as_str), Some("1"));
+    }
+
+    #[test]
+    fn vis_args_render_the_journal_line_they_always_did() {
+        // The rendering `csv` and `args_of` gave before the groups were
+        // written into one buffer: a string per group, joined, then copied.
+        fn old_args(interm: &str, groups: &[u8], n_groups: usize) -> BTreeMap<String, String> {
+            let csv = groups
+                .iter()
+                .map(|g| g.to_string())
+                .collect::<Vec<_>>()
+                .join(",");
+            args_of(&[
+                ("interm", &interm),
+                ("groups", &csv),
+                ("n_groups", &n_groups),
+            ])
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect()
+        }
+        let dir = mistique_testkit::tempdir().unwrap();
+        let mut sys = Mistique::open(dir.path(), config()).unwrap();
+        let interm = run_small_workload(&mut sys);
+        let groups: Vec<u8> = (0..120).map(|i| [0, 255, 7, 10, 99][i % 5]).collect();
+        let cases: [(&[u8], usize); 3] = [(&groups, 256), (&[], 3), (&[255, 0], 256)];
+        for (groups, n_groups) in cases {
+            sys.vis(&interm, groups, n_groups).unwrap();
+        }
+        let recs = sys.audit_records().unwrap();
+        let vis: Vec<&AuditRecord> = recs.iter().filter(|r| r.op == "diag.vis").collect();
+        assert_eq!(vis.len(), cases.len());
+        assert_eq!(vis[1].args["groups"], "");
+        for (rec, (groups, n_groups)) in vis.into_iter().zip(cases) {
+            let old = AuditRecord {
+                args: old_args(&interm, groups, n_groups),
+                ..rec.clone()
+            };
+            assert_eq!(rec.to_json_line(), old.to_json_line());
+        }
     }
 
     #[test]

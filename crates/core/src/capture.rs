@@ -6,11 +6,14 @@
 //! every tile of [`mistique_nn::Model::forward_tiles`] to the same code, so a
 //! re-run returns exactly the layout and bits the store holds.
 
-use mistique_dataframe::{Column, ColumnData, DType, DataFrame};
+use mistique_dataframe::{ChunkView, Column, ColumnData, DType, DataFrame};
 use mistique_nn::Tensor;
 use mistique_quantize::half::encode_f16;
 use mistique_quantize::pool::pool_channels;
 use mistique_quantize::{KbitQuantizer, PoolKind, ThresholdQuantizer};
+use mistique_store::StoreError;
+
+use crate::error::MistiqueError;
 
 /// Per-value storage scheme for captured activations.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -330,6 +333,54 @@ pub fn decode_column(data: &ColumnData, scheme: ValueScheme, quantizer: Option<&
         // (f16 → f32 happens inside `to_f64`).
         (_, other) => other.to_f64(),
     }
+}
+
+/// Decode a serialized chunk (`ColumnChunk::to_bytes`) straight into `out`,
+/// one f64 per row: bit for bit the values
+/// `decode_column(&ColumnChunk::from_bytes(bytes)?.data, value, ..)`
+/// returns, without the two copies in between. `out` must be exactly as
+/// long as the chunk. Fails where that pair fails (a malformed chunk) or
+/// would panic (a KBIT chunk with no quantizer, or a code past its bins),
+/// and on a length mismatch; never panics.
+pub fn decode_into(
+    bytes: &[u8],
+    value: ValueScheme,
+    quantizer: Option<&KbitQuantizer>,
+    out: &mut [f64],
+) -> Result<(), MistiqueError> {
+    let chunk = ChunkView::parse(bytes).map_err(StoreError::from)?;
+    decode_cells(&chunk, value, quantizer, out).map_err(MistiqueError::Invalid)
+}
+
+/// [`decode_into`] of a parsed chunk — the read path's one decode.
+pub(crate) fn decode_cells(
+    chunk: &ChunkView,
+    value: ValueScheme,
+    quantizer: Option<&KbitQuantizer>,
+    out: &mut [f64],
+) -> Result<(), String> {
+    if chunk.len() != out.len() {
+        return Err(format!("{} rows decoded into {}", chunk.len(), out.len()));
+    }
+    match (value, chunk.dtype()) {
+        (ValueScheme::Kbit { .. }, DType::U8) => {
+            let Some(q) = quantizer else {
+                return Err("KBIT intermediate requires its quantizer".to_string());
+            };
+            let codes = chunk.cell_bytes();
+            let bins = 1usize << q.bits();
+            if let Some(c) = codes.iter().find(|&&c| usize::from(c) >= bins) {
+                return Err(format!("KBIT code {c} past the quantizer's {bins} bins"));
+            }
+            for (o, &c) in out.iter_mut().zip(codes) {
+                *o = q.value_of(c) as f64;
+            }
+        }
+        // FULL / LP / THRESHOLD (and every TRAD dtype) decode as
+        // `ColumnData::to_f64` converts them.
+        _ => chunk.f64_into(out),
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -349,11 +349,11 @@ impl Mistique {
         n_groups: usize,
     ) -> Result<Matrix, MistiqueError> {
         let args = || {
-            args_of(&[
-                ("interm", &intermediate),
-                ("groups", &csv(groups)),
-                ("n_groups", &n_groups),
-            ])
+            vec![
+                ("interm", intermediate.to_string()),
+                ("groups", csv(groups)),
+                ("n_groups", n_groups.to_string()),
+            ]
         };
         self.diag("diag.vis", args, |sys| {
             let r = sys.get_intermediate(intermediate, None, None)?;
@@ -533,11 +533,11 @@ impl Mistique {
         n_classes: usize,
     ) -> Result<Vec<Vec<usize>>, MistiqueError> {
         let args = || {
-            args_of(&[
-                ("interm", &intermediate),
-                ("labels", &csv(labels)),
-                ("n_classes", &n_classes),
-            ])
+            vec![
+                ("interm", intermediate.to_string()),
+                ("labels", csv(labels)),
+                ("n_classes", n_classes.to_string()),
+            ]
         };
         self.diag("diag.confusion_matrix", args, |sys| {
             let preds = sys.argmax_predictions(intermediate)?;
@@ -557,7 +557,12 @@ impl Mistique {
 
     /// Classification accuracy against labels (argmax of the intermediate).
     pub fn accuracy(&mut self, intermediate: &str, labels: &[u8]) -> Result<f64, MistiqueError> {
-        let args = || args_of(&[("interm", &intermediate), ("labels", &csv(labels))]);
+        let args = || {
+            vec![
+                ("interm", intermediate.to_string()),
+                ("labels", csv(labels)),
+            ]
+        };
         self.diag("diag.accuracy", args, |sys| {
             let preds = sys.argmax_predictions(intermediate)?;
             let n = preds.len().min(labels.len());
@@ -639,12 +644,12 @@ impl Mistique {
         n_groups: usize,
     ) -> Result<Vec<(usize, f64, usize)>, MistiqueError> {
         let args = || {
-            args_of(&[
-                ("interm", &intermediate),
-                ("col", &column),
-                ("groups", &csv(groups)),
-                ("n_groups", &n_groups),
-            ])
+            vec![
+                ("interm", intermediate.to_string()),
+                ("col", column.to_string()),
+                ("groups", csv(groups)),
+                ("n_groups", n_groups.to_string()),
+            ]
         };
         self.diag("diag.group_metric", args, |sys| {
             let r = sys.get_intermediate(intermediate, Some(&[column]), None)?;

@@ -140,7 +140,7 @@ impl Mistique {
         let columns = self.read_column_blocks(layer, &layer.columns, &blocks)?;
         let mut data = vec![0f32; layer.n_rows * features];
         for (j, column) in columns.iter().enumerate() {
-            for (row, v) in column.iter().flatten().enumerate() {
+            for (row, v) in column.iter().enumerate() {
                 // FULL values decode f32 -> f64 exactly, so the cast back
                 // returns the stored bits.
                 data[row * features + j] = *v as f32;

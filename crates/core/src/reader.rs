@@ -10,12 +10,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mistique_dataframe::{Column, DataFrame};
+use mistique_dataframe::{ChunkView, Column, DataFrame};
 use mistique_index::IntermediateIndex;
-use mistique_store::ChunkKey;
+use mistique_quantize::KbitQuantizer;
+use mistique_store::{ChunkKey, StoreError};
 
 use crate::audit::{csv, fetch_args};
-use crate::capture::{decode_column, CaptureScheme, ValueScheme};
+use crate::capture::{decode_cells, CaptureScheme, ValueScheme};
 use crate::error::MistiqueError;
 use crate::index_state::IndexPruning;
 use crate::metadata::IntermediateMeta;
@@ -198,21 +199,28 @@ impl Mistique {
             blocks.dedup();
 
             sys.serve(intermediate_id, &plan, Arm::Rows, rows.len(), |sys| {
-                // Fetch + decode only the touched blocks (possibly in parallel).
+                // Fetch + decode only the touched blocks (possibly in
+                // parallel). Every block but the intermediate's last is full,
+                // so the block at position `b` starts at row `b * rbs` of the
+                // column read.
                 let per_col = sys.read_column_blocks(&meta, &wanted, &blocks)?;
                 let mut out_cols = Vec::with_capacity(wanted.len());
-                for (name, block_vals) in wanted.iter().zip(per_col) {
+                for (name, block_vals) in wanted.into_iter().zip(per_col) {
                     let mut values = Vec::with_capacity(rows.len());
                     for &r in rows {
                         // `read_column_blocks` vouched for every block's
                         // length: a miss is a bug, reported without a panic.
                         let b = blocks.binary_search(&(r / rbs)).ok();
-                        let v = b.and_then(|b| block_vals[b].get(r % rbs)).ok_or_else(|| {
-                            MistiqueError::Invalid(format!("{intermediate_id}.{name}: no row {r}"))
-                        })?;
+                        let v = b
+                            .and_then(|b| block_vals.get(b * rbs + r % rbs))
+                            .ok_or_else(|| {
+                                MistiqueError::Invalid(format!(
+                                    "{intermediate_id}.{name}: no row {r}"
+                                ))
+                            })?;
                         values.push(*v);
                     }
-                    out_cols.push(Column::f64(name.clone(), values));
+                    out_cols.push(Column::f64(name, values));
                 }
                 Ok((DataFrame::from_columns(out_cols), rows.len(), None))
             })
@@ -272,13 +280,15 @@ impl Mistique {
             let mut rows_scanned = 0usize;
             if !keep.is_empty() {
                 let wanted = [column.to_string()];
-                let per_col = sys.read_column_blocks(&meta, &wanted, &keep)?;
-                for (bi, &block) in keep.iter().enumerate() {
-                    for (i, &v) in per_col[0][bi].iter().enumerate() {
-                        let row = block * rbs + i;
+                let values = sys.read_column_blocks(&meta, &wanted, &keep)?;
+                // The kept blocks' rows, concatenated in block order.
+                let mut values = values[0].iter();
+                for &block in &keep {
+                    let held = meta.n_rows.saturating_sub(block * rbs).min(rbs);
+                    for (i, &v) in values.by_ref().take(held).enumerate() {
                         rows_scanned += 1;
                         if v > threshold {
-                            rows.push(row);
+                            rows.push(block * rbs + i);
                         }
                     }
                 }
@@ -499,43 +509,45 @@ impl Mistique {
         columns: Option<&[&str]>,
         n: usize,
     ) -> Result<DataFrame, MistiqueError> {
-        let n_blocks = n.div_ceil(self.config.row_block_size);
         let wanted = wanted_columns(meta, columns);
-        let blocks: Vec<usize> = (0..n_blocks).collect();
-        let per_col = self.read_column_blocks(meta, &wanted, &blocks)?;
-        let mut out_cols = Vec::with_capacity(wanted.len());
-        for (name, block_vals) in wanted.iter().zip(per_col) {
-            let mut values: Vec<f64> = Vec::with_capacity(n);
-            for decoded in block_vals {
-                values.extend(decoded);
-            }
-            values.truncate(n);
-            out_cols.push(Column::f64(name.clone(), values));
-        }
+        let blocks: Vec<usize> = (0..n.div_ceil(self.config.row_block_size)).collect();
+        let values = self.read_column_blocks(meta, &wanted, &blocks)?;
+        let out_cols = (wanted.into_iter().zip(values))
+            .map(|(name, mut values)| {
+                values.truncate(n);
+                Column::f64(name, values)
+            })
+            .collect();
         Ok(DataFrame::from_columns(out_cols))
     }
 
-    /// Fetch and decode the given RowBlocks of each wanted column. Returns,
-    /// per column, the decoded values of each requested block (in the order
-    /// of `blocks`).
+    /// Fetch and decode the given RowBlocks of each wanted column, straight
+    /// into one f64 column each — the blocks' rows in the order of
+    /// `blocks`: every stored chunk's cells are converted once, from the
+    /// bytes the store hands out into the place they take in the answer
+    /// ([`decode_cells`]).
     ///
     /// All chunk bytes are pulled through the store's batched read path, so
     /// cold partitions come off disk concurrently; decode (deserialize +
     /// dequantize) then fans out over one work item per `(column, block)`
     /// chunk — not per column — so the common DNN shape of one wide column
-    /// across many RowBlocks still parallelizes. The fan-out is adaptive
+    /// across many RowBlocks still parallelizes. Each item fills its own
+    /// disjoint slice of the output. The fan-out is adaptive
     /// ([`adaptive_workers`]): clamped to the host CPUs and to the batch's
     /// byte volume, so tiny reads run serial with zero thread overhead.
-    /// Items are assigned by round-robin striding and reassembled by index,
-    /// so the output is identical at every `read_parallelism` setting, and a
+    /// The output is identical at every `read_parallelism` setting, and a
     /// failing (or panicking) chunk surfaces as the error of the
-    /// smallest-indexed item regardless of worker schedule.
+    /// smallest-indexed item regardless of worker schedule. The store's
+    /// handles are dropped before this returns.
     pub(crate) fn read_column_blocks(
         &mut self,
         meta: &IntermediateMeta,
         wanted: &[String],
         blocks: &[usize],
-    ) -> Result<Vec<Vec<Vec<f64>>>, MistiqueError> {
+    ) -> Result<Vec<Vec<f64>>, MistiqueError> {
+        let (rbs, n_rows) = (self.config.row_block_size, meta.n_rows);
+        // Block `b` holds rows `[b * rbs, (b + 1) * rbs)` of `n_rows`.
+        let block_rows = |b: usize| n_rows.saturating_sub(b * rbs).min(rbs);
         let keys: Vec<ChunkKey> = wanted
             .iter()
             .flat_map(|name| {
@@ -552,12 +564,25 @@ impl Mistique {
         );
         let raw = self.store.get_chunk_bytes_batch(&keys, workers)?;
 
-        let n_cols = wanted.len();
         let per_col = blocks.len();
-        let n_items = n_cols * per_col;
         let value = meta.scheme.value;
-        let quantizer = meta.quantizer.as_deref();
-        let (rbs, n_rows) = (self.config.row_block_size, meta.n_rows);
+        let quantizer = meta
+            .quantizer
+            .as_deref()
+            .and_then(KbitQuantizer::from_bytes);
+        // One output column each, allocated once; each item fills its
+        // block's slice of it.
+        let out_len = blocks.iter().map(|&b| block_rows(b)).sum();
+        let mut out: Vec<Vec<f64>> = wanted.iter().map(|_| vec![0.0; out_len]).collect();
+        let mut items: Vec<&mut [f64]> = Vec::with_capacity(keys.len());
+        for column in out.iter_mut() {
+            let mut rest = column.as_mut_slice();
+            for &b in blocks {
+                let (dest, tail) = std::mem::take(&mut rest).split_at_mut(block_rows(b));
+                items.push(dest);
+                rest = tail;
+            }
+        }
         // Capture the calling span before any fan-out so per-column decode
         // attribution parents identically whether decode runs serial or on
         // workers.
@@ -565,68 +590,57 @@ impl Mistique {
         let ctx = obs.current_context();
         let raw = &raw;
         // Item i = (column i / per_col, block i % per_col); returns the
-        // decoded values plus the nanoseconds spent, for per-column span
-        // attribution after the fan-out completes.
-        let decode_item = |i: usize| -> Result<(Vec<f64>, u64), MistiqueError> {
+        // nanoseconds spent, for per-column span attribution after the
+        // fan-out completes.
+        let decode_item = |i: usize, dest: &mut [f64]| -> Result<u64, MistiqueError> {
             let t0 = std::time::Instant::now();
-            let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let chunk = mistique_dataframe::ColumnChunk::from_bytes(&raw[i])
-                    .map_err(mistique_store::StoreError::from)?;
-                Ok(decode_column(&chunk.data, value, quantizer))
+            let (id, col, block) = (&meta.id, &wanted[i / per_col], blocks[i % per_col]);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let chunk = ChunkView::parse(&raw[i]).map_err(StoreError::from)?;
+                // Any other length means the chunks were cut at another
+                // `row_block_size` (a manifest from before the field trusts
+                // the config), and indexing them by this one returns wrong
+                // rows.
+                let (got, expected) = (chunk.len(), block_rows(block));
+                if got != expected {
+                    return Err(MistiqueError::Invalid(format!(
+                        "{id}.{col} block {block} holds {got} rows, row_block_size {rbs} puts \
+                         {expected} there; was the store written with another?"
+                    )));
+                }
+                decode_cells(&chunk, value, quantizer.as_ref(), dest).map_err(|e| {
+                    MistiqueError::Invalid(format!("decode of column '{col}' block {block}: {e}"))
+                })
             }))
             .unwrap_or_else(|payload| {
                 Err(MistiqueError::Invalid(format!(
-                    "decode of column '{}' block {} panicked: {}",
-                    wanted[i / per_col],
-                    blocks[i % per_col],
+                    "decode of column '{col}' block {block} panicked: {}",
                     panic_message(payload.as_ref())
                 )))
             })?;
-            // Block `b` holds rows `[b * rbs, (b + 1) * rbs)` of `n_rows`. Any
-            // other length means the chunks were cut at another
-            // `row_block_size` (a manifest from before the field trusts the
-            // config), and indexing them by this one returns wrong rows.
-            let (id, col, block) = (&meta.id, &wanted[i / per_col], blocks[i % per_col]);
-            let (got, expected) = (decoded.len(), n_rows.saturating_sub(block * rbs).min(rbs));
-            if got != expected {
-                return Err(MistiqueError::Invalid(format!(
-                    "{id}.{col} block {block} holds {got} rows, row_block_size {rbs} puts \
-                     {expected} there; was the store written with another?"
-                )));
-            }
-            Ok((decoded, t0.elapsed().as_nanos() as u64))
+            Ok(t0.elapsed().as_nanos() as u64)
         };
 
         let start_ns = obs.now_ns();
-        let items = mistique_store::run_striped(n_items, workers, &decode_item, || {
+        let item_ns = mistique_store::run_striped(items, workers, &decode_item, || {
             MistiqueError::Invalid("read worker panicked outside the decode guard".to_string())
         })?;
 
-        // Reassemble by index and emit one fetch.decode span per column —
-        // its duration the sum of that column's block decodes — so the
-        // trace tree keeps the per-column shape of PRs 2/4 even though the
-        // work was striped at block granularity.
-        let mut items = items.into_iter();
-        let mut out = Vec::with_capacity(n_cols);
-        for name in wanted {
-            let mut col_blocks = Vec::with_capacity(per_col);
-            let mut col_ns = 0u64;
-            for _ in 0..per_col {
-                let (vals, ns) = items.next().expect("one item per (col, block)");
-                col_blocks.push(vals);
-                col_ns += ns;
-            }
+        // One fetch.decode span per column — its duration the sum of that
+        // column's block decodes — so the trace tree keeps the per-column
+        // shape of PRs 2/4 even though the work was striped at block
+        // granularity.
+        for (c, name) in wanted.iter().enumerate() {
             obs.record_span(
                 "fetch.decode",
                 ctx.as_ref(),
                 start_ns,
-                col_ns,
+                item_ns[c * per_col..(c + 1) * per_col].iter().sum(),
                 vec![
                     ("col".to_string(), name.clone()),
                     ("blocks".to_string(), per_col.to_string()),
                 ],
             );
-            out.push(col_blocks);
         }
         Ok(out)
     }
@@ -989,10 +1003,11 @@ mod tests {
 
     #[test]
     fn stripped_quantizer_decode_panic_surfaces_as_error() {
-        // A KBIT intermediate whose quantizer goes missing makes
-        // `decode_column` panic. The per-item guard must convert that into
-        // a MistiqueError naming the column — on the serial path and on the
-        // striped path alike — instead of aborting the process.
+        // A KBIT intermediate whose quantizer goes missing made
+        // `decode_column` panic; `decode_cells` refuses it instead. Either
+        // way the read must fail with a MistiqueError naming the column and
+        // block — on the serial path and on the striped path alike — and
+        // never abort the process.
         let dir = mistique_testkit::tempdir().unwrap();
         let config = MistiqueConfig {
             row_block_size: 8,
@@ -1025,7 +1040,7 @@ mod tests {
             match &err {
                 MistiqueError::Invalid(msg) => {
                     assert!(
-                        msg.contains("panicked") && msg.contains("quantizer"),
+                        msg.contains("column 'n0' block 0") && msg.contains("quantizer"),
                         "workers={workers}: {msg}"
                     );
                 }

@@ -126,103 +126,174 @@ impl ColumnChunk {
 
     /// Decode a chunk serialized by [`ColumnChunk::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<ColumnChunk, ChunkError> {
+        Ok(ColumnChunk {
+            data: ChunkView::parse(bytes)?.to_data(),
+        })
+    }
+}
+
+/// A chunk serialized by [`ColumnChunk::to_bytes`], checked as
+/// [`ColumnChunk::from_bytes`] checks it, with its cells left where they
+/// are: a reader converts them straight into its own column
+/// ([`ChunkView::f64_into`]) instead of building a [`ColumnData`] first.
+#[derive(Clone, Copy, Debug)]
+pub struct ChunkView<'a> {
+    dtype: DType,
+    rows: usize,
+    /// The cells, `rows * dtype.value_width()` bytes (a categorical chunk's
+    /// codes).
+    cells: &'a [u8],
+    /// A categorical chunk's dictionary entries, checked; empty otherwise.
+    dict: &'a [u8],
+    dict_len: usize,
+}
+
+impl<'a> ChunkView<'a> {
+    /// Parse a serialized chunk's header and check its body. Fails exactly
+    /// where [`ColumnChunk::from_bytes`] fails; bytes past the cells of a
+    /// fixed-width chunk are ignored, as there.
+    pub fn parse(bytes: &'a [u8]) -> Result<ChunkView<'a>, ChunkError> {
         if bytes.len() < 5 {
             return Err(ChunkError::Truncated);
         }
         let tag = bytes[0];
-        let n = u32::from_le_bytes(bytes[1..5].try_into().unwrap()) as usize;
+        let rows = u32::from_le_bytes(bytes[1..5].try_into().unwrap()) as usize;
         let body = &bytes[5..];
-        let need = |w: usize| -> Result<(), ChunkError> {
-            if body.len() < n * w {
-                Err(ChunkError::Truncated)
-            } else {
-                Ok(())
-            }
+        let dtype = match tag {
+            0 => DType::F32,
+            1 => DType::F64,
+            2 => DType::I64,
+            3 => DType::U8,
+            4 => DType::Bool,
+            5 => DType::Cat,
+            6 => DType::F16,
+            t => return Err(ChunkError::BadDType(t)),
         };
-        let data = match tag {
-            0 => {
-                need(4)?;
-                ColumnData::F32(
-                    body.chunks_exact(4)
-                        .take(n)
-                        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                        .collect(),
-                )
-            }
-            1 => {
-                need(8)?;
-                ColumnData::F64(
-                    body.chunks_exact(8)
-                        .take(n)
-                        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                        .collect(),
-                )
-            }
-            2 => {
-                need(8)?;
-                ColumnData::I64(
-                    body.chunks_exact(8)
-                        .take(n)
-                        .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-                        .collect(),
-                )
-            }
-            3 => {
-                need(1)?;
-                ColumnData::U8(body[..n].to_vec())
-            }
-            4 => {
-                need(1)?;
-                ColumnData::Bool(body[..n].iter().map(|&b| b != 0).collect())
-            }
-            5 => {
-                need(4)?;
-                let codes: Vec<u32> = body
-                    .chunks_exact(4)
-                    .take(n)
-                    .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                let mut pos = n * 4;
-                let take4 = |pos: &mut usize| -> Result<u32, ChunkError> {
-                    let end = *pos + 4;
-                    if end > body.len() {
-                        return Err(ChunkError::Truncated);
-                    }
-                    let v = u32::from_le_bytes(body[*pos..end].try_into().unwrap());
-                    *pos = end;
-                    Ok(v)
-                };
-                let dict_len = take4(&mut pos)? as usize;
-                if dict_len > body.len() {
-                    return Err(ChunkError::Truncated);
-                }
-                let mut dict = Vec::with_capacity(dict_len);
-                for _ in 0..dict_len {
-                    let slen = take4(&mut pos)? as usize;
-                    let end = pos + slen;
-                    if end > body.len() {
-                        return Err(ChunkError::Truncated);
-                    }
-                    let s =
-                        std::str::from_utf8(&body[pos..end]).map_err(|_| ChunkError::BadUtf8)?;
+        let end = rows * dtype.value_width();
+        let cells = body.get(..end).ok_or(ChunkError::Truncated)?;
+        let (dict, dict_len) = match dtype {
+            DType::Cat => check_dict(body, end)?,
+            _ => (&body[..0], 0),
+        };
+        Ok(ChunkView {
+            dtype,
+            rows,
+            cells,
+            dict,
+            dict_len,
+        })
+    }
+
+    /// The cells' type.
+    pub fn dtype(&self) -> DType {
+        self.dtype
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when the chunk holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The cells' little-endian bytes, `value_width` per row.
+    pub fn cell_bytes(&self) -> &'a [u8] {
+        self.cells
+    }
+
+    /// Write the [`ColumnData::to_f64`] value of each cell into `out`.
+    ///
+    /// # Panics
+    /// Panics if `out` is not exactly one value per cell.
+    pub fn f64_into(&self, out: &mut [f64]) {
+        let c = self.cells;
+        match self.dtype {
+            DType::F32 => fill(c, out, |b| f32::from_le_bytes(b) as f64),
+            DType::F16 => fill(c, out, |b| {
+                mistique_quantize::f16(u16::from_le_bytes(b)).to_f32() as f64
+            }),
+            DType::F64 => fill(c, out, f64::from_le_bytes),
+            DType::I64 => fill(c, out, |b| i64::from_le_bytes(b) as f64),
+            DType::U8 => fill(c, out, |[b]: [u8; 1]| b as f64),
+            DType::Bool => fill(c, out, |[b]: [u8; 1]| if b != 0 { 1.0 } else { 0.0 }),
+            DType::Cat => fill(c, out, |b| u32::from_le_bytes(b) as f64),
+        }
+    }
+
+    /// The chunk as [`ColumnData`]: what [`ColumnChunk::from_bytes`] holds.
+    pub fn to_data(&self) -> ColumnData {
+        fn cells<const W: usize, T>(c: &[u8], f: impl Fn([u8; W]) -> T) -> Vec<T> {
+            c.chunks_exact(W)
+                .map(|b| f(b.try_into().expect("W-byte cell")))
+                .collect()
+        }
+        let c = self.cells;
+        match self.dtype {
+            DType::F32 => ColumnData::F32(cells(c, f32::from_le_bytes)),
+            DType::F16 => ColumnData::F16(cells(c, u16::from_le_bytes)),
+            DType::F64 => ColumnData::F64(cells(c, f64::from_le_bytes)),
+            DType::I64 => ColumnData::I64(cells(c, i64::from_le_bytes)),
+            DType::U8 => ColumnData::U8(c.to_vec()),
+            DType::Bool => ColumnData::Bool(c.iter().map(|&b| b != 0).collect()),
+            DType::Cat => {
+                let mut dict = Vec::with_capacity(self.dict_len);
+                let mut pos = 0;
+                for _ in 0..self.dict_len {
+                    let len = u32::from_le_bytes(self.dict[pos..pos + 4].try_into().unwrap());
+                    let end = pos + 4 + len as usize;
+                    let s = std::str::from_utf8(&self.dict[pos + 4..end]).expect("checked");
                     dict.push(s.to_string());
                     pos = end;
                 }
-                ColumnData::Cat { codes, dict }
+                ColumnData::Cat {
+                    codes: cells(c, u32::from_le_bytes),
+                    dict,
+                }
             }
-            6 => {
-                need(2)?;
-                ColumnData::F16(
-                    body.chunks_exact(2)
-                        .take(n)
-                        .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
-                        .collect(),
-                )
-            }
-            t => return Err(ChunkError::BadDType(t)),
-        };
-        Ok(ColumnChunk { data })
+        }
     }
+}
+
+/// Write `f` of each `W`-byte cell of `cells` into `out`, in order.
+fn fill<const W: usize>(cells: &[u8], out: &mut [f64], f: impl Fn([u8; W]) -> f64) {
+    assert_eq!(out.len() * W, cells.len(), "one output per cell");
+    for (o, b) in out.iter_mut().zip(cells.chunks_exact(W)) {
+        *o = f(b.try_into().expect("W-byte cell"));
+    }
+}
+
+/// Check a categorical chunk's dictionary, which follows its `codes_end`
+/// bytes of codes in `body`: `[dict_len: u32][(len: u32, utf8 bytes)...]`.
+/// Returns the entries' bytes and their count.
+fn check_dict(body: &[u8], codes_end: usize) -> Result<(&[u8], usize), ChunkError> {
+    let mut pos = codes_end;
+    let take4 = |pos: &mut usize| -> Result<u32, ChunkError> {
+        let end = *pos + 4;
+        if end > body.len() {
+            return Err(ChunkError::Truncated);
+        }
+        let v = u32::from_le_bytes(body[*pos..end].try_into().unwrap());
+        *pos = end;
+        Ok(v)
+    };
+    let dict_len = take4(&mut pos)? as usize;
+    if dict_len > body.len() {
+        return Err(ChunkError::Truncated);
+    }
+    let start = pos;
+    for _ in 0..dict_len {
+        let slen = take4(&mut pos)? as usize;
+        let end = pos + slen;
+        if end > body.len() {
+            return Err(ChunkError::Truncated);
+        }
+        std::str::from_utf8(&body[pos..end]).map_err(|_| ChunkError::BadUtf8)?;
+        pos = end;
+    }
+    Ok((&body[start..pos], dict_len))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub mod chunk;
 pub mod column;
 pub mod frame;
 
-pub use chunk::{ChunkError, ColumnChunk};
+pub use chunk::{ChunkError, ChunkView, ColumnChunk};
 pub use column::{Column, ColumnData, DType};
 pub use frame::DataFrame;
 

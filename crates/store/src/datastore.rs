@@ -17,7 +17,7 @@ use crate::disk::DiskStore;
 use crate::ledger::{Ledger, PartitionCensus};
 use crate::lru::LruCache;
 use crate::mem::InMemoryStore;
-use crate::partition::{FrameRead, Partition, PartitionId};
+use crate::partition::{ChunkBytes, FrameRead, Partition, PartitionId};
 use crate::striped::run_striped;
 use crate::StoreError;
 
@@ -987,13 +987,14 @@ impl DataStore {
     /// it; `None` when it is in none of them. The chunk's member is decoded
     /// unless it already is. A member decoded from a file is credited to its
     /// codec, and in the read cache the partition is re-charged; one decoded
-    /// from an open partition is neither (its frame never left memory).
+    /// from an open partition is neither (its frame never left memory, and
+    /// the decoded bytes are the handle's alone).
     fn resident_chunk(
         &mut self,
         pid: PartitionId,
         digest: ContentDigest,
         side: &HashMap<PartitionId, Partition>,
-    ) -> Option<Result<(Vec<u8>, Tier), StoreError>> {
+    ) -> Option<Result<(ChunkBytes, Tier), StoreError>> {
         let (part, tier) = match side.get(&pid) {
             Some(part) => (part, Tier::Side),
             None => match self.mem.get(pid) {
@@ -1002,7 +1003,7 @@ impl DataStore {
             },
         };
         let (bytes, read) = match part.chunk(digest) {
-            Ok((bytes, read)) => (bytes.to_vec(), read),
+            Ok(found) => found,
             Err(e) => return Some(Err(e)),
         };
         let charge = part.resident_bytes();
@@ -1040,13 +1041,13 @@ impl DataStore {
     /// bytes of a digest (for a delta, the frame), with no read-path hit or
     /// miss counters charged, and a partition that had to be loaded is left
     /// in the read cache for the next probe.
-    fn probe(&mut self, digest: ContentDigest) -> Result<Vec<u8>, StoreError> {
+    fn probe(&mut self, digest: ContentDigest) -> Result<ChunkBytes, StoreError> {
         let pid = self.locate(digest)?;
         if let Some(found) = self.resident_chunk(pid, digest, &HashMap::new()) {
             return found.map(|(bytes, _)| bytes);
         }
         let part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
-        let bytes = part.chunk(digest)?.0.to_vec();
+        let bytes = part.chunk(digest)?.0;
         self.cache_loaded_partition(part);
         Ok(bytes)
     }
@@ -1063,13 +1064,15 @@ impl DataStore {
     /// Batch read: the serialized bytes of many chunks at once. Partitions
     /// that must come off disk are read, and the members the batch wants
     /// decoded, concurrently on up to `parallelism` scoped threads; results
-    /// are returned in request order. This is the store's one read path:
-    /// [`DataStore::get_chunk`] is a batch of one.
+    /// are returned in request order, as shared handles to the bytes the
+    /// partitions hold (see [`ChunkBytes`] for how long to keep them). This
+    /// is the store's one read path: [`DataStore::get_chunk`] is a batch of
+    /// one.
     pub fn get_chunk_bytes_batch(
         &mut self,
         keys: &[ChunkKey],
         parallelism: usize,
-    ) -> Result<Vec<Vec<u8>>, StoreError> {
+    ) -> Result<Vec<ChunkBytes>, StoreError> {
         let t0 = Instant::now();
         let out = self.get_chunk_bytes_batch_inner(keys, parallelism);
         self.metrics.get_count.add(keys.len() as u64);
@@ -1081,7 +1084,7 @@ impl DataStore {
         &mut self,
         keys: &[ChunkKey],
         parallelism: usize,
-    ) -> Result<Vec<Vec<u8>>, StoreError> {
+    ) -> Result<Vec<ChunkBytes>, StoreError> {
         // Resolve every key up front so a missing or quarantined one fails
         // before any I/O. A delta-encoded chunk also resolves its base here:
         // the base partition joins the parallel prefetch below instead of
@@ -1126,16 +1129,16 @@ impl DataStore {
 
         // Capture the caller's active span before any workers spawn.
         let ctx = self.obs.current_context();
+        let fresh: HashSet<PartitionId> = missing.iter().copied().collect();
         let loaded = run_striped(
-            missing.len(),
+            missing,
             parallelism,
-            &|i| self.load(missing[i], &wanted[&missing[i]], ctx.as_ref()),
+            &|_, pid| self.load(pid, &wanted[&pid], ctx.as_ref()),
             || StoreError::CorruptPartition("partition load worker panicked"),
         )?;
         // Loaded partitions enter the read cache serially and in request
         // order, so eviction accounting and LRU order are those of a serial
         // read. One that cannot enter the cache still serves this batch.
-        let fresh: HashSet<PartitionId> = missing.iter().copied().collect();
         let mut side: HashMap<PartitionId, Partition> = HashMap::new();
         for part in loaded {
             self.metrics.get_disk_reads.inc();
@@ -1159,7 +1162,7 @@ impl DataStore {
                     .unwrap_or("unknown");
                 self.note_codec_read(&format!("delta:{scheme}"), 1, bytes.len() as u64);
                 self.metrics.delta_rehydrations.inc();
-                bytes = raw;
+                bytes = raw.into();
             }
             self.metrics.get_bytes.add(bytes.len() as u64);
             out.push(bytes);
@@ -1180,7 +1183,7 @@ impl DataStore {
         side: &mut HashMap<PartitionId, Partition>,
         fresh: &HashSet<PartitionId>,
         count: bool,
-    ) -> Result<Vec<u8>, StoreError> {
+    ) -> Result<ChunkBytes, StoreError> {
         if let Some(found) = self.resident_chunk(pid, digest, side) {
             let (bytes, tier) = found?;
             match tier {
@@ -1197,7 +1200,7 @@ impl DataStore {
         // batch (cache smaller than the batch).
         let part = self.load(pid, &[digest], self.obs.current_context().as_ref())?;
         self.metrics.get_disk_reads.inc();
-        let bytes = part.chunk(digest)?.0.to_vec();
+        let bytes = part.chunk(digest)?.0;
         side.insert(pid, part);
         Ok(bytes)
     }
@@ -1418,6 +1421,31 @@ mod tests {
         assert!(matches!(outcome, PutOutcome::Stored(_)));
         let back = ds.get_chunk(&key).unwrap();
         assert_eq!(back, chunk);
+    }
+
+    /// Reads of chunks still in an open partition keep nothing in the
+    /// buffer pool: its charge, and with it the physical footprint, are
+    /// what the puts left, and no partition is evicted or sealed by a read.
+    #[test]
+    fn reads_of_an_open_partition_leave_the_pool_as_the_puts_left_it() {
+        let (_dir, mut ds) = store(PlacementPolicy::ByIntermediate);
+        let keys: Vec<ChunkKey> = (0..4)
+            .map(|b| ChunkKey::new("m1.interm0", "price", b))
+            .collect();
+        for (b, key) in keys.iter().enumerate() {
+            let chunk = f64_chunk(vec![b as f64; 300]);
+            ds.put_chunk(key.clone(), &chunk).unwrap();
+        }
+        let (used, physical) = (ds.mem.used_bytes(), ds.physical_bytes().unwrap());
+        let evictions = ds.metrics.pool_evictions.get();
+        assert!(used > 0, "the chunks sit in an open partition");
+        for _ in 0..3 {
+            let got = ds.get_chunk_bytes_batch(&keys, 2).unwrap();
+            assert_eq!(got.len(), keys.len());
+        }
+        assert_eq!(ds.mem.used_bytes(), used);
+        assert_eq!(ds.physical_bytes().unwrap(), physical);
+        assert_eq!(ds.metrics.pool_evictions.get(), evictions);
     }
 
     #[test]

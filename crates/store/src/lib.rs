@@ -35,7 +35,7 @@ pub use datastore::{
 pub use disk::DiskStore;
 pub use lru::{LruCache, LruList};
 pub use mem::InMemoryStore;
-pub use partition::{Partition, PartitionId};
+pub use partition::{ChunkBytes, Partition, PartitionId};
 pub use striped::run_striped;
 pub use subdir::{StoreSubdir, AUDIT_SUBDIR, INDEX_SUBDIR, TELEMETRY_SUBDIR};
 

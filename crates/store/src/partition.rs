@@ -2,9 +2,13 @@
 //!
 //! A [`Partition`] is an ordered list of member frames — each chunk's
 //! stored bytes as its own `compress_auto` frame, made once, when the chunk
-//! is put — each with its frame's xxhash64, and each decoded the first time
-//! it is asked for and kept decoded beside its frame. The one type serves as
-//! an open partition in the buffer pool (each frame its own buffer, hashed
+//! is put — each with its frame's xxhash64. A member of a file is decoded
+//! the first time it is asked for and kept decoded beside its frame; a
+//! `Raw` one decodes to its payload where it lies in the file, so nothing
+//! is copied or kept. A member of an open partition is decoded afresh on
+//! every ask and never kept, so the partition holds only its frames. A read
+//! hands the bytes out as a [`ChunkBytes`], a shared read-only handle, not
+//! a copy. The one type serves as an open partition in the buffer pool (each frame its own buffer, hashed
 //! as it is added), a sealed file in the read cache (each frame a range of
 //! the file, its hash from the directory) and a compaction rewrite: sealing
 //! assembles the frames into a file, and compaction copies the live ones
@@ -22,13 +26,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mistique_compress::{
-    assemble_members, compress, decompress, member_ranges, member_table, raw_len_of, scheme_of,
-    Scheme,
+    assemble_members, compress, decompress, member_ranges, member_table, raw_len_of, raw_payload,
+    scheme_of, Scheme,
 };
 use mistique_dedup::ContentDigest;
 
@@ -45,6 +49,59 @@ pub(crate) type FrameRead = (Scheme, usize);
 /// `Scheme as usize`.
 pub(crate) type SchemeTally = [[u64; 3]; Scheme::ALL.len()];
 
+/// A chunk's stored bytes as a read hands them out: a shared, read-only
+/// range of the buffer that holds them — a sealed file (a `Raw` member's
+/// payload) or a decoded member of one — not a copy; or bytes made for
+/// this read alone (a rehydrated delta, a member of an open partition).
+///
+/// A handle keeps its whole buffer alive, a partition file included, after
+/// the partition has left the read cache; so an engine read drops its
+/// handles before the fetch returns, or the cache's byte budget would stop
+/// bounding what reads hold.
+pub struct ChunkBytes {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl ChunkBytes {
+    fn of(buf: &Arc<Vec<u8>>, range: Range<usize>) -> ChunkBytes {
+        ChunkBytes {
+            buf: Arc::clone(buf),
+            range,
+        }
+    }
+}
+
+impl From<Vec<u8>> for ChunkBytes {
+    fn from(bytes: Vec<u8>) -> ChunkBytes {
+        let range = 0..bytes.len();
+        ChunkBytes {
+            buf: Arc::new(bytes),
+            range,
+        }
+    }
+}
+
+impl Deref for ChunkBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl std::fmt::Debug for ChunkBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<Vec<u8>> for ChunkBytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
 /// A partition: its chunks' member frames in insertion order, each decoded
 /// on first ask (see the module docs).
 ///
@@ -56,13 +113,14 @@ pub struct Partition {
     id: PartitionId,
     /// The sealed file the members sit in, for a partition opened from one;
     /// empty for one built by [`Partition::add`].
-    file: Vec<u8>,
+    file: Arc<Vec<u8>>,
     members: Vec<Member>,
     /// Digest → member; a digest stored twice (a STORE_ALL re-put into the
     /// partition that already holds it) resolves to its later copy.
     index: HashMap<ContentDigest, usize, BuildHasherDefault<DigestHasher>>,
     raw_bytes: usize,
-    /// Members decoded so far, and their bytes.
+    /// Members decoded so far, and the bytes decoding kept (a `Raw`
+    /// member's payload is read in place and keeps none).
     decoded_members: AtomicUsize,
     decoded_bytes: AtomicUsize,
 }
@@ -100,17 +158,46 @@ struct Member {
     /// decoded: from the directory for a member read from a file, taken when
     /// it is added otherwise.
     hash: u64,
-    decoded: OnceLock<Vec<u8>>,
+    /// Set once a member of a file has been verified and decoded; an open
+    /// partition's member is decoded afresh on every ask and never kept.
+    decoded: OnceLock<Decoded>,
 }
 
 /// Where a member's frame is: its own bytes (added to an open partition,
 /// one allocation per chunk as the put made it — appending frames to one
 /// growing buffer left freed doubling buffers behind and read +11 %
-/// `peak_rss_mb` on `dnn_read`), or a range of the file.
+/// `peak_rss_mb` on `dnn_read`, and a second allocation per put to share
+/// the frame read +8–16 % on `dnn_log`'s small reads), or a range of the
+/// file.
 #[derive(Debug)]
 enum Frame {
     Own(Vec<u8>),
     InFile(Range<usize>),
+}
+
+/// A verified member of a file, decoded and kept: a `Raw` frame's payload
+/// where it lies in the file, or another codec's output.
+#[derive(Debug)]
+enum Decoded {
+    InFile(Range<usize>),
+    Own(Arc<Vec<u8>>),
+}
+
+/// A member's decoded bytes as [`Partition::decode`] finds them.
+enum Found<'a> {
+    /// Kept by a partition read from a file: a range of a buffer it holds.
+    Kept(&'a Arc<Vec<u8>>, Range<usize>),
+    /// Decoded afresh from an open partition's frame, and not kept.
+    Fresh(Vec<u8>),
+}
+
+impl Decoded {
+    fn found<'a>(&'a self, file: &'a Arc<Vec<u8>>) -> Found<'a> {
+        match self {
+            Decoded::InFile(range) => Found::Kept(file, range.clone()),
+            Decoded::Own(bytes) => Found::Kept(bytes, 0..bytes.len()),
+        }
+    }
 }
 
 impl Member {
@@ -134,12 +221,12 @@ impl Member {
 impl Partition {
     /// Create an empty partition.
     pub fn new(id: PartitionId) -> Partition {
-        Partition::from_members(id, Vec::new(), Vec::new())
+        Partition::from_members(id, Arc::default(), Vec::new())
     }
 
     /// A partition of `members` in `file`, indexed; its raw bytes are the
     /// caller's to set.
-    fn from_members(id: PartitionId, file: Vec<u8>, members: Vec<Member>) -> Partition {
+    fn from_members(id: PartitionId, file: Arc<Vec<u8>>, members: Vec<Member>) -> Partition {
         Partition {
             id,
             file,
@@ -171,7 +258,7 @@ impl Partition {
     }
 
     /// Total uncompressed bytes of the chunks held — the buffer pool's
-    /// charge.
+    /// charge (an open partition keeps no decoded member beside its frames).
     pub fn raw_bytes(&self) -> usize {
         self.raw_bytes
     }
@@ -189,47 +276,69 @@ impl Partition {
         });
     }
 
-    /// A chunk's stored bytes by digest, its member decoded first unless it
-    /// already is; `None` when the chunk is not here or its member does not
-    /// verify or decode.
+    /// A chunk's stored bytes by digest in a partition read from a file,
+    /// its member decoded first unless it already is; `None` when the chunk
+    /// is not here, its member does not verify or decode, or the partition
+    /// is open (its members are not kept decoded: ask
+    /// [`Partition::chunk`]).
     pub fn get(&self, digest: ContentDigest) -> Option<&[u8]> {
-        self.chunk(digest).ok().map(|(bytes, _)| bytes)
+        let i = *self.index.get(&digest)?;
+        match self.decode(i).ok()?.0 {
+            Found::Kept(buf, range) => Some(&buf[range]),
+            Found::Fresh(_) => None,
+        }
     }
 
-    /// [`Partition::get`], with the frame read when this call decoded one.
+    /// A chunk's stored bytes by digest as a handle, with the frame read
+    /// when this call decoded one.
     pub(crate) fn chunk(
         &self,
         digest: ContentDigest,
-    ) -> Result<(&[u8], Option<FrameRead>), StoreError> {
+    ) -> Result<(ChunkBytes, Option<FrameRead>), StoreError> {
         let i = *self
             .index
             .get(&digest)
             .ok_or(StoreError::CorruptPartition("missing chunk"))?;
-        self.decode(i)
+        let (found, read) = self.decode(i)?;
+        let bytes = match found {
+            Found::Kept(buf, range) => ChunkBytes::of(buf, range),
+            Found::Fresh(bytes) => bytes.into(),
+        };
+        Ok((bytes, read))
     }
 
-    fn decode(&self, i: usize) -> Result<(&[u8], Option<FrameRead>), StoreError> {
+    /// Member `i`'s decoded bytes, verifying and decoding the member unless
+    /// it is a member of a file already decoded.
+    fn decode(&self, i: usize) -> Result<(Found<'_>, Option<FrameRead>), StoreError> {
         let m = &self.members[i];
-        if let Some(bytes) = m.decoded.get() {
-            return Ok((bytes, None));
+        if let Some(d) = m.decoded.get() {
+            return Ok((d.found(&self.file), None));
         }
         m.verify(&self.file)?;
         let frame = m.frame(&self.file);
-        let bytes = decompress(frame)?;
-        let read = (
-            scheme_of(frame).expect("decompress read the header"),
-            frame.len(),
-        );
+        let read = |frame: &[u8]| (scheme_of(frame).expect("the frame decoded"), frame.len());
+        let decoded = match (&m.frame, raw_payload(frame)) {
+            (Frame::Own(_), _) => {
+                let bytes = decompress(frame)?;
+                return Ok((Found::Fresh(bytes), Some(read(frame))));
+            }
+            (Frame::InFile(at), Some(payload)) => {
+                Decoded::InFile(at.start + payload.start..at.start + payload.end)
+            }
+            (Frame::InFile(_), None) => Decoded::Own(Arc::new(decompress(frame)?)),
+        };
         let mut fresh = false;
-        let bytes = m.decoded.get_or_init(|| {
+        let d = m.decoded.get_or_init(|| {
             fresh = true;
-            bytes
+            decoded
         });
         if fresh {
             self.decoded_members.fetch_add(1, Ordering::Relaxed);
-            self.decoded_bytes.fetch_add(bytes.len(), Ordering::Relaxed);
+            if let Decoded::Own(bytes) = d {
+                self.decoded_bytes.fetch_add(bytes.len(), Ordering::Relaxed);
+            }
         }
-        Ok((bytes, Some(read)))
+        Ok((d.found(&self.file), Some(read(frame))))
     }
 
     /// Frames in a sealed file: the directory plus one per chunk.
@@ -243,7 +352,8 @@ impl Partition {
     }
 
     /// What holding a partition read from a file costs in memory: the file
-    /// plus every decoded member — the read cache's charge.
+    /// plus the bytes its decoded members keep (a `Raw` member's payload is
+    /// read in place and keeps none) — the read cache's charge.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.file.len() + self.decoded_bytes.load(Ordering::Relaxed)
     }
@@ -299,7 +409,7 @@ impl Partition {
         let raw = raw.saturating_sub(4 + DIR_ENTRY * members.len());
         let part = Partition {
             raw_bytes: raw,
-            ..Partition::from_members(id, file, members)
+            ..Partition::from_members(id, Arc::new(file), members)
         };
         Ok((part, read))
     }
@@ -479,14 +589,39 @@ mod tests {
         chunks.iter().map(|(d, b)| (*d, b.as_slice())).collect()
     }
 
+    /// A chunk's bytes as a read of `p` hands them out.
+    fn stored(p: &Partition, digest: ContentDigest) -> Option<Vec<u8>> {
+        p.chunk(digest).ok().map(|(bytes, _)| bytes.to_vec())
+    }
+
     #[test]
     fn add_and_get() {
         let (d, b) = chunk(b"hello chunk");
         let p = partition(1, &[(d, b.clone())]);
-        assert_eq!(p.get(d), Some(b.as_slice()));
+        assert_eq!(stored(&p, d), Some(b.clone()));
         assert_eq!(p.len(), 1);
         assert_eq!(p.raw_bytes(), b.len());
-        assert!(p.get(content_digest(b"other")).is_none());
+        assert!(stored(&p, content_digest(b"other")).is_none());
+    }
+
+    /// An open partition's member is decoded afresh on every ask and never
+    /// kept, so the partition holds its frames and nothing else: the buffer
+    /// pool's charge, its chunks' raw bytes, stays true however often they
+    /// are read. `get`, which lends out what a partition keeps, has nothing
+    /// to lend there.
+    #[test]
+    fn an_open_partition_keeps_no_decoded_member() {
+        let runs = vec![7u8; 600];
+        let (d, b) = chunk(&runs);
+        let p = partition(1, &[(d, b.clone())]);
+        assert_ne!(scheme_of(p.members[0].frame(&p.file)), Some(Scheme::Raw));
+        for _ in 0..3 {
+            let (bytes, read) = p.chunk(d).unwrap();
+            assert_eq!((bytes.to_vec(), read.is_some()), (b.clone(), true));
+        }
+        assert_eq!(p.get(d), None);
+        assert_eq!((p.members_decoded(), p.resident_bytes()), (1, 0));
+        assert!(p.members[0].decoded.get().is_none());
     }
 
     /// Digests crafted to hash alike in the index still each find their
@@ -508,10 +643,10 @@ mod tests {
         let p = partition(3, &chunks);
         let (sealed, _) = Partition::open(3, p.seal()).unwrap();
         for (d, b) in &chunks {
-            assert_eq!(p.get(*d), Some(b.as_slice()));
+            assert_eq!(stored(&p, *d).as_ref(), Some(b));
             assert_eq!(sealed.get(*d), Some(b.as_slice()));
         }
-        assert!(p.get(ContentDigest(64, 0x5eed)).is_none());
+        assert!(stored(&p, ContentDigest(64, 0x5eed)).is_none());
     }
 
     /// Twenty chunks of varied shapes, one of them stored twice (a
@@ -665,7 +800,7 @@ mod tests {
         assert_eq!(open.resident_bytes(), sealed.len());
         let (d, b) = &chunks[7];
         let (bytes, read) = open.chunk(*d).unwrap();
-        assert_eq!(bytes, b.as_slice());
+        assert_eq!(&*bytes, b.as_slice());
         assert_eq!(
             read.unwrap().1,
             ranges[8].len(),
@@ -673,7 +808,7 @@ mod tests {
         );
         let (again, read) = open.chunk(*d).unwrap();
         assert_eq!(
-            (again, read),
+            (&*again, read),
             (b.as_slice(), None),
             "a second ask decodes nothing"
         );
@@ -682,8 +817,41 @@ mod tests {
         // The shadowed digest resolves to its later copy.
         let (d3, b3) = &chunks[3];
         let (got, read) = open.chunk(*d3).unwrap();
-        assert_eq!((got, read.unwrap().1), (b3.as_slice(), ranges[21].len()));
+        assert_eq!((&*got, read.unwrap().1), (b3.as_slice(), ranges[21].len()));
         assert!(open.chunk(content_digest(b"absent")).is_err());
+    }
+
+    #[test]
+    fn a_raw_member_of_a_file_is_read_in_place() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let noise: Vec<u8> = (0..500)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        let (d, b) = chunk(&noise);
+        let p = partition(5, &[(d, b.clone())]);
+        assert_eq!(scheme_of(p.members[0].frame(&p.file)), Some(Scheme::Raw));
+        let sealed = p.seal();
+        let (open, _) = Partition::open(5, sealed.clone()).unwrap();
+        let (bytes, read) = open.chunk(d).unwrap();
+        assert_eq!(
+            (&*bytes, read.map(|r| r.0)),
+            (b.as_slice(), Some(Scheme::Raw))
+        );
+        // The handle is a range of the file itself, and nothing is kept.
+        let file = open.file.as_ptr_range();
+        assert!(file.contains(&bytes.as_ptr()));
+        assert_eq!(open.members_decoded(), 2);
+        assert_eq!(open.resident_bytes(), sealed.len());
+        // An open partition's frame is the put's own buffer, not shared:
+        // its member decodes into a copy of the handle's own, not kept.
+        let (own, _) = p.chunk(d).unwrap();
+        assert_eq!(&*own, b.as_slice());
+        assert_eq!(p.resident_bytes(), 0);
     }
 
     #[test]
@@ -861,7 +1029,7 @@ mod tests {
                 match open.chunk(*d) {
                     Ok((got, _)) => {
                         assert_ne!(member_of(*d), hit, "flip at {at} decoded");
-                        assert_eq!(Some(got), p.get(*d), "flip at {at}");
+                        assert_eq!(Some(got.to_vec()), stored(&p, *d), "flip at {at}");
                     }
                     Err(_) => assert_eq!(member_of(*d), hit, "flip at {at} failed an intact read"),
                 }

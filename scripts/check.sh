@@ -169,6 +169,21 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# One decode on the read path (DESIGN.md §10 "Column decodes"): a stored
+# chunk's bytes are converted once, straight into the answer's f64 column
+# (`capture::decode_cells`). `ColumnChunk::from_bytes` then `decode_column`
+# copy every value twice more on the way; both stay public for the
+# benchmark's replay and for tests, not for the engine's reads. Non-test
+# code only, as above.
+echo "== one decode on the read path =="
+sites=$(printf '%s\n' crates/core/src/reader.rs crates/core/src/prefix.rs crates/core/src/manager.rs |
+  non_test_lines | grep -E 'ColumnChunk::from_bytes\(|decode_column\(' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: a chunk decoded through a typed copy on the read path — decode it into the column:"
+  echo "$sites"
+  exit 1
+fi
+
 # One partition format (DESIGN.md §11 "Partition file format"): a store of
 # an earlier format version is refused at reopen, so no code path reads or
 # writes the single-frame layout that came before the member format.
