@@ -253,14 +253,14 @@ impl Mistique {
         // SLO latency tracking is always on — it costs one histogram record
         // here, and `mistique top` renders from the histogram's timeline
         // points even when journal capture is disabled.
-        let name = format!("slo.{}.{}.ns", report.query, report.plan.name());
-        let hist = self.obs.histogram(&name);
+        let held = &mut self.fetch_metrics;
+        let hist = held.slo(&self.obs, &report.query, report.plan);
         hist.record_duration(report.actual);
         let actual_ns = u64::try_from(report.actual.as_nanos()).unwrap_or(u64::MAX);
         if hist.count() >= SLO_MIN_SAMPLES {
             let p95 = hist.percentile(0.95);
             if p95 > 0 && actual_ns as f64 > SLO_BURN_FACTOR * p95 as f64 {
-                self.obs.counter("slo.burns").inc();
+                held.slo_burns(&self.obs).inc();
             }
         }
 

@@ -7,11 +7,13 @@
 //! and `serve` runs it inside its root span and does all the accounting —
 //! the one place a `QueryReport` is built and a query is counted.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mistique_dataframe::{ChunkView, Column, DataFrame};
 use mistique_index::IntermediateIndex;
+use mistique_obs::{Counter, Histogram, Obs};
 use mistique_quantize::KbitQuantizer;
 use mistique_store::{ChunkKey, StoreError};
 
@@ -111,6 +113,57 @@ impl Arm {
 /// What an arm hands back to [`Mistique::serve`]: the frame, the row count
 /// the report shows, and the block pruning of an indexed arm.
 type Served = (DataFrame, usize, Option<IndexPruning>);
+
+/// The fetch epilogue's metric handles, each looked up in the registry the
+/// first time it is written and held after, so a query builds no metric name
+/// and takes no registry lock. A metric still enters the registry when it is
+/// first written.
+#[derive(Default)]
+pub(crate) struct FetchMetrics {
+    observe_read: Option<Counter>,
+    drift_flags: Option<Counter>,
+    /// `decision.read.*`, then `decision.rerun.*`.
+    decisions: [Option<DecisionMetrics>; 2],
+    /// `slo.<query>.<plan>.ns`, by query label, then plan.
+    slo: HashMap<String, [Option<Histogram>; 3]>,
+    slo_burns: Option<Counter>,
+}
+
+impl FetchMetrics {
+    /// The latency histogram of one SLO class, `slo.<query>.<plan>.ns`.
+    pub(crate) fn slo(&mut self, obs: &Obs, query: &str, plan: PlanChoice) -> &Histogram {
+        if !self.slo.contains_key(query) {
+            self.slo.insert(query.to_string(), Default::default());
+        }
+        let by_plan = self.slo.get_mut(query).expect("inserted above");
+        by_plan[plan as usize]
+            .get_or_insert_with(|| obs.histogram(&format!("slo.{query}.{}.ns", plan.name())))
+    }
+
+    /// `slo.burns`.
+    pub(crate) fn slo_burns(&mut self, obs: &Obs) -> &Counter {
+        self.slo_burns
+            .get_or_insert_with(|| obs.counter("slo.burns"))
+    }
+}
+
+/// `decision.<plan>.{count,predicted_ns,actual_ns}` of one scored plan.
+struct DecisionMetrics {
+    count: Counter,
+    predicted_ns: Histogram,
+    actual_ns: Histogram,
+}
+
+impl DecisionMetrics {
+    fn new(obs: &Obs, decision: &str) -> DecisionMetrics {
+        let metric = |m: &str| format!("decision.{decision}.{m}");
+        DecisionMetrics {
+            count: obs.counter(&metric("count")),
+            predicted_ns: obs.histogram(&metric("predicted_ns")),
+            actual_ns: obs.histogram(&metric("actual_ns")),
+        }
+    }
+}
 
 impl Mistique {
     /// Fetch an intermediate (all rows / all columns unless restricted),
@@ -424,32 +477,32 @@ impl Mistique {
         match arm {
             Arm::Read | Arm::Rerun => {
                 let decision = choice.name();
+                let (obs, held) = (&self.obs, &mut self.fetch_metrics);
                 let predicted = if arm == Arm::Read {
                     self.cost.observe_read(plan.read_bytes, actual);
-                    self.obs.counter("cost.observe_read.count").inc();
-                    self.obs
-                        .gauge("cost.read_bandwidth")
-                        .set(self.cost.read_bandwidth);
+                    held.observe_read
+                        .get_or_insert_with(|| obs.counter("cost.observe_read.count"))
+                        .inc();
                     plan.predicted_read
                 } else {
                     plan.predicted_rerun
                 };
-                let metric = |m: &str| format!("decision.{decision}.{m}");
-                self.obs.counter(&metric("count")).inc();
-                self.obs
-                    .histogram(&metric("predicted_ns"))
+                let metrics = held.decisions[usize::from(arm == Arm::Rerun)]
+                    .get_or_insert_with(|| DecisionMetrics::new(obs, decision));
+                metrics.count.inc();
+                metrics
+                    .predicted_ns
                     .record((predicted.max(0.0) * 1e9) as u64);
-                self.obs
-                    .histogram(&metric("actual_ns"))
-                    .record_duration(actual);
+                metrics.actual_ns.record_duration(actual);
                 // Fold the prediction into the drift monitor and flag
-                // miscalibration.
+                // miscalibration. The monitor's and the bandwidth's gauges
+                // are pull-style: `sync_obs_gauges` writes them before every
+                // snapshot.
                 let (ratio, flagged) = self.drift.observe(decision, predicted, actual);
-                self.obs
-                    .gauge("cost_model.drift")
-                    .set(self.drift.worst_drift());
                 if flagged {
-                    self.obs.counter("cost_model.drift_flags").inc();
+                    held.drift_flags
+                        .get_or_insert_with(|| obs.counter("cost_model.drift_flags"))
+                        .inc();
                 }
                 drift = Some((ratio, flagged));
             }
@@ -534,7 +587,8 @@ impl Mistique {
     /// across many RowBlocks still parallelizes. Each item fills its own
     /// disjoint slice of the output. The fan-out is adaptive
     /// ([`adaptive_workers`]): clamped to the host CPUs and to the batch's
-    /// byte volume, so tiny reads run serial with zero thread overhead.
+    /// byte volume as the metadata prices it, so tiny reads run serial with
+    /// zero thread overhead.
     /// The output is identical at every `read_parallelism` setting, and a
     /// failing (or panicking) chunk surfaces as the error of the
     /// smallest-indexed item regardless of worker schedule. The store's
@@ -556,10 +610,16 @@ impl Mistique {
                     .map(|&b| ChunkKey::new(meta.id.clone(), name.clone(), b as u32))
             })
             .collect();
+        let out_len: usize = blocks.iter().map(|&b| block_rows(b)).sum();
+        // The batch's bytes as the planner prices them — the stored bytes
+        // of the rows read, scaled to the wanted share of the columns — so
+        // sizing the fan-out costs no walk of the store's ledger.
+        let col_share = wanted.len() as f64 / meta.columns.len().max(1) as f64;
+        let batch_bytes = (meta.bytes_per_row() * out_len as f64 * col_share) as u64;
         let workers = adaptive_workers(
             self.effective_read_parallelism(),
             keys.len(),
-            self.store.batch_bytes_hint(&keys),
+            batch_bytes,
             self.config.min_read_bytes_per_worker,
         );
         let raw = self.store.get_chunk_bytes_batch(&keys, workers)?;
@@ -572,7 +632,6 @@ impl Mistique {
             .and_then(KbitQuantizer::from_bytes);
         // One output column each, allocated once; each item fills its
         // block's slice of it.
-        let out_len = blocks.iter().map(|&b| block_rows(b)).sum();
         let mut out: Vec<Vec<f64>> = wanted.iter().map(|_| vec![0.0; out_len]).collect();
         let mut items: Vec<&mut [f64]> = Vec::with_capacity(keys.len());
         for column in out.iter_mut() {

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mistique_dataframe::DataFrame;
@@ -169,6 +169,8 @@ pub struct Mistique {
     pub(crate) reports: crate::report::ReportRing,
     /// EWMA monitor of cost-model prediction quality per query class.
     pub(crate) drift: crate::cost::DriftMonitor,
+    /// The fetch epilogue's metric handles, held across queries.
+    pub(crate) fetch_metrics: crate::reader::FetchMetrics,
     /// Label of the diagnostic query currently executing, if any — set by
     /// `Mistique::diag` so the reader can attribute fetches to the
     /// outermost diagnostic (`diag.topk`, …) instead of a bare `fetch`.
@@ -218,6 +220,7 @@ impl Mistique {
             last_recovery: None,
             reports,
             drift,
+            fetch_metrics: crate::reader::FetchMetrics::default(),
             query_label: None,
             index,
             audit,
@@ -531,15 +534,13 @@ impl Mistique {
         Ok(())
     }
 
-    /// Resolve `config.read_parallelism` to a concrete worker count:
-    /// `0` = one per available CPU, and explicit values are clamped to the
-    /// available CPUs — more workers than cores is pure scheduling overhead
-    /// on this CPU-bound path (the committed 0.90× regression was workers=4
-    /// on a 1-CPU host).
+    /// Resolve `config.read_parallelism` to a concrete worker count: `0` =
+    /// one per available CPU, and explicit values are clamped to the
+    /// available CPUs ([`host_cpus`], probed once per process) — more
+    /// workers than cores is pure scheduling overhead on this CPU-bound path
+    /// (the committed 0.90× regression was workers=4 on a 1-CPU host).
     pub(crate) fn effective_read_parallelism(&self) -> usize {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let cpus = host_cpus();
         match self.config.read_parallelism {
             0 => cpus,
             n => n.min(cpus),
@@ -864,6 +865,15 @@ impl Mistique {
     }
 }
 
+/// The host's available CPUs, probed once per process. On Linux
+/// `available_parallelism` reads the cgroup CPU-quota files on every call,
+/// tens of microseconds — more than a warm one-column read's decode — so no
+/// read pays for it.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -978,6 +988,29 @@ mod tests {
         assert_eq!(sys.logging_overhead(&id), Duration::ZERO);
         sys.log_intermediates(&id).unwrap();
         assert!(sys.logging_overhead(&id) > Duration::ZERO);
+    }
+
+    #[test]
+    fn effective_read_parallelism_clamps_to_the_host_cpus() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (_d, mut sys) = open_sys(StorageStrategy::Dedup);
+        let cases = [
+            (0, cpus),
+            (1, 1),
+            (2, 2.min(cpus)),
+            (cpus + 3, cpus),
+            (usize::MAX, cpus),
+        ];
+        for (requested, expected) in cases {
+            sys.set_read_parallelism(requested);
+            for call in 0..3 {
+                assert_eq!(
+                    sys.effective_read_parallelism(),
+                    expected,
+                    "read_parallelism {requested}, call {call}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1052,13 +1052,10 @@ impl DataStore {
         Ok(bytes)
     }
 
-    /// Estimated serialized byte volume of a batch read, summed from the
-    /// ledger's stored lengths (recorded on every put and persisted in the
-    /// catalog). Keys that don't resolve contribute 0 — this sizes read
-    /// fan-out, it is not an existence check.
-    pub fn batch_bytes_hint(&self, keys: &[ChunkKey]) -> u64 {
-        let resolved = keys.iter().filter_map(|k| self.ledger.resolve(k));
-        resolved.map(|(_, rec)| rec.len).sum()
+    /// The stored length of one chunk as the ledger records it (for a
+    /// delta, its frame), or `None` when the key does not resolve.
+    pub fn stored_len(&self, key: &ChunkKey) -> Option<u64> {
+        self.ledger.resolve(key).map(|(_, rec)| rec.len)
     }
 
     /// Batch read: the serialized bytes of many chunks at once. Partitions

@@ -152,7 +152,7 @@ impl Model {
             }
             8 | 9 => {
                 if let Some(key) = self.existing_key(rng) {
-                    let before = self.store.batch_bytes_hint(std::slice::from_ref(&key));
+                    let before = self.store.stored_len(&key).unwrap();
                     let after = self.store.reencode_as_delta(&key).unwrap();
                     self.reencoded += u64::from(after < before);
                 }

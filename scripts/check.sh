@@ -184,6 +184,21 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# A read makes no system call but its partition-file reads (DESIGN.md §10
+# "Fixed costs of a read"): on Linux `available_parallelism` reads the cgroup
+# CPU-quota files on every call, more than a warm read's decode costs, so
+# the host's CPUs are probed once per process, inside `host_cpus`'s
+# `get_or_init`. Non-test code only, as above, and no integration test
+# directory.
+echo "== no CPU probe per read =="
+probes=$(find crates -name '*.rs' ! -path '*/tests/*' | sort | non_test_lines |
+  grep -F 'available_parallelism(' || true)
+if [ "$(printf '%s' "$probes" | grep -c .)" -ne 1 ] || ! printf '%s' "$probes" | grep -qF 'get_or_init('; then
+  echo "FAIL: the host's CPUs are probed outside the one get_or_init — resolve them once per process:"
+  printf '%s\n' "$probes" | grep . || echo "(no probe at all)"
+  exit 1
+fi
+
 # One partition format (DESIGN.md §11 "Partition file format"): a store of
 # an earlier format version is refused at reopen, so no code path reads or
 # writes the single-frame layout that came before the member format.
