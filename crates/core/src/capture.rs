@@ -335,13 +335,13 @@ pub fn decode_column(data: &ColumnData, scheme: ValueScheme, quantizer: Option<&
     }
 }
 
-/// Decode a serialized chunk (`ColumnChunk::to_bytes`) straight into `out`,
-/// one f64 per row: bit for bit the values
+/// Decode a serialized chunk (`ColumnChunk::to_bytes`) into `out`, one
+/// f64 per row: bit for bit the values
 /// `decode_column(&ColumnChunk::from_bytes(bytes)?.data, value, ..)`
-/// returns, without the two copies in between. `out` must be exactly as
-/// long as the chunk. Fails where that pair fails (a malformed chunk) or
-/// would panic (a KBIT chunk with no quantizer, or a code past its bins),
-/// and on a length mismatch; never panics.
+/// returns, through the read path's one decode ([`decode_cells`]). `out`
+/// must be exactly as long as the chunk. Fails where that pair fails (a
+/// malformed chunk) or would panic (a KBIT chunk with no quantizer, or a
+/// code past its bins), and on a length mismatch; never panics.
 pub fn decode_into(
     bytes: &[u8],
     value: ValueScheme,
@@ -349,19 +349,27 @@ pub fn decode_into(
     out: &mut [f64],
 ) -> Result<(), MistiqueError> {
     let chunk = ChunkView::parse(bytes).map_err(StoreError::from)?;
-    decode_cells(&chunk, value, quantizer, out).map_err(MistiqueError::Invalid)
+    if chunk.len() != out.len() {
+        let (rows, into) = (chunk.len(), out.len());
+        return Err(MistiqueError::Invalid(format!(
+            "{rows} rows decoded into {into}"
+        )));
+    }
+    let mut cells = Vec::with_capacity(out.len());
+    decode_cells(&chunk, value, quantizer, &mut cells).map_err(MistiqueError::Invalid)?;
+    out.copy_from_slice(&cells);
+    Ok(())
 }
 
-/// [`decode_into`] of a parsed chunk — the read path's one decode.
+/// The read path's one decode: append a parsed chunk's values to `out`,
+/// one f64 per row, so a column read pushes its blocks in order into one
+/// vector and never fills it first. On an error nothing is appended.
 pub(crate) fn decode_cells(
     chunk: &ChunkView,
     value: ValueScheme,
     quantizer: Option<&KbitQuantizer>,
-    out: &mut [f64],
+    out: &mut Vec<f64>,
 ) -> Result<(), String> {
-    if chunk.len() != out.len() {
-        return Err(format!("{} rows decoded into {}", chunk.len(), out.len()));
-    }
     match (value, chunk.dtype()) {
         (ValueScheme::Kbit { .. }, DType::U8) => {
             let Some(q) = quantizer else {
@@ -372,13 +380,11 @@ pub(crate) fn decode_cells(
             if let Some(c) = codes.iter().find(|&&c| usize::from(c) >= bins) {
                 return Err(format!("KBIT code {c} past the quantizer's {bins} bins"));
             }
-            for (o, &c) in out.iter_mut().zip(codes) {
-                *o = q.value_of(c) as f64;
-            }
+            out.extend(codes.iter().map(|&c| q.value_of(c) as f64));
         }
         // FULL / LP / THRESHOLD (and every TRAD dtype) decode as
         // `ColumnData::to_f64` converts them.
-        _ => chunk.f64_into(out),
+        _ => chunk.extend_f64(out),
     }
     Ok(())
 }

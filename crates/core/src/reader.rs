@@ -15,7 +15,7 @@ use mistique_dataframe::{ChunkView, Column, DataFrame};
 use mistique_index::IntermediateIndex;
 use mistique_obs::{Counter, Histogram, Obs};
 use mistique_quantize::KbitQuantizer;
-use mistique_store::{ChunkKey, StoreError};
+use mistique_store::StoreError;
 
 use crate::audit::{csv, fetch_args};
 use crate::capture::{decode_cells, CaptureScheme, ValueScheme};
@@ -580,19 +580,20 @@ impl Mistique {
     /// bytes the store hands out into the place they take in the answer
     /// ([`decode_cells`]).
     ///
-    /// All chunk bytes are pulled through the store's batched read path, so
-    /// cold partitions come off disk concurrently; decode (deserialize +
-    /// dequantize) then fans out over one work item per `(column, block)`
-    /// chunk — not per column — so the common DNN shape of one wide column
-    /// across many RowBlocks still parallelizes. Each item fills its own
-    /// disjoint slice of the output. The fan-out is adaptive
+    /// The store resolves the (columns × blocks) grid by name and pulls all
+    /// its chunk bytes through the batched read path, so cold partitions
+    /// come off disk concurrently; decode (deserialize + dequantize) then
+    /// fans out over one work item per column, which pushes its blocks in
+    /// order into a vector of the column's final length, so no output is
+    /// filled before it is written. The fan-out is adaptive
     /// ([`adaptive_workers`]): clamped to the host CPUs and to the batch's
     /// byte volume as the metadata prices it, so tiny reads run serial with
-    /// zero thread overhead.
+    /// zero thread overhead. The decode is one `fetch.decode` span
+    /// (`cols`, `blocks`).
     /// The output is identical at every `read_parallelism` setting, and a
     /// failing (or panicking) chunk surfaces as the error of the
-    /// smallest-indexed item regardless of worker schedule. The store's
-    /// handles are dropped before this returns.
+    /// smallest-indexed (column, block) regardless of worker schedule. The
+    /// store's handles are dropped before this returns.
     pub(crate) fn read_column_blocks(
         &mut self,
         meta: &IntermediateMeta,
@@ -602,14 +603,6 @@ impl Mistique {
         let (rbs, n_rows) = (self.config.row_block_size, meta.n_rows);
         // Block `b` holds rows `[b * rbs, (b + 1) * rbs)` of `n_rows`.
         let block_rows = |b: usize| n_rows.saturating_sub(b * rbs).min(rbs);
-        let keys: Vec<ChunkKey> = wanted
-            .iter()
-            .flat_map(|name| {
-                blocks
-                    .iter()
-                    .map(|&b| ChunkKey::new(meta.id.clone(), name.clone(), b as u32))
-            })
-            .collect();
         let out_len: usize = blocks.iter().map(|&b| block_rows(b)).sum();
         // The batch's bytes as the planner prices them — the stored bytes
         // of the rows read, scaled to the wanted share of the columns — so
@@ -618,90 +611,61 @@ impl Mistique {
         let batch_bytes = (meta.bytes_per_row() * out_len as f64 * col_share) as u64;
         let workers = adaptive_workers(
             self.effective_read_parallelism(),
-            keys.len(),
+            wanted.len() * blocks.len(),
             batch_bytes,
             self.config.min_read_bytes_per_worker,
         );
-        let raw = self.store.get_chunk_bytes_batch(&keys, workers)?;
+        let raw = self
+            .store
+            .get_grid_bytes(&meta.id, wanted, blocks, workers)?;
 
-        let per_col = blocks.len();
         let value = meta.scheme.value;
         let quantizer = meta
             .quantizer
             .as_deref()
             .and_then(KbitQuantizer::from_bytes);
-        // One output column each, allocated once; each item fills its
-        // block's slice of it.
-        let mut out: Vec<Vec<f64>> = wanted.iter().map(|_| vec![0.0; out_len]).collect();
-        let mut items: Vec<&mut [f64]> = Vec::with_capacity(keys.len());
-        for column in out.iter_mut() {
-            let mut rest = column.as_mut_slice();
-            for &b in blocks {
-                let (dest, tail) = std::mem::take(&mut rest).split_at_mut(block_rows(b));
-                items.push(dest);
-                rest = tail;
-            }
-        }
-        // Capture the calling span before any fan-out so per-column decode
-        // attribution parents identically whether decode runs serial or on
-        // workers.
-        let obs = self.obs.clone();
-        let ctx = obs.current_context();
         let raw = &raw;
-        // Item i = (column i / per_col, block i % per_col); returns the
-        // nanoseconds spent, for per-column span attribution after the
-        // fan-out completes.
-        let decode_item = |i: usize, dest: &mut [f64]| -> Result<u64, MistiqueError> {
-            let t0 = std::time::Instant::now();
-            let (id, col, block) = (&meta.id, &wanted[i / per_col], blocks[i % per_col]);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let chunk = ChunkView::parse(&raw[i]).map_err(StoreError::from)?;
-                // Any other length means the chunks were cut at another
-                // `row_block_size` (a manifest from before the field trusts
-                // the config), and indexing them by this one returns wrong
-                // rows.
-                let (got, expected) = (chunk.len(), block_rows(block));
-                if got != expected {
-                    return Err(MistiqueError::Invalid(format!(
-                        "{id}.{col} block {block} holds {got} rows, row_block_size {rbs} puts \
-                         {expected} there; was the store written with another?"
-                    )));
-                }
-                decode_cells(&chunk, value, quantizer.as_ref(), dest).map_err(|e| {
-                    MistiqueError::Invalid(format!("decode of column '{col}' block {block}: {e}"))
-                })
-            }))
-            .unwrap_or_else(|payload| {
-                Err(MistiqueError::Invalid(format!(
-                    "decode of column '{col}' block {block} panicked: {}",
-                    panic_message(payload.as_ref())
-                )))
-            })?;
-            Ok(t0.elapsed().as_nanos() as u64)
+        // Item c = column c: its blocks' chunks are `raw[c * blocks.len()..]`.
+        let decode_item = |c: usize, col: &String| -> Result<Vec<f64>, MistiqueError> {
+            let mut values = Vec::with_capacity(out_len);
+            let chunks = &raw[c * blocks.len()..(c + 1) * blocks.len()];
+            for (bytes, &block) in chunks.iter().zip(blocks) {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let chunk = ChunkView::parse(bytes).map_err(StoreError::from)?;
+                    // Any other length means the chunks were cut at another
+                    // `row_block_size` (a manifest from before the field
+                    // trusts the config), and indexing them by this one
+                    // returns wrong rows.
+                    let (got, expected) = (chunk.len(), block_rows(block));
+                    if got != expected {
+                        return Err(MistiqueError::Invalid(format!(
+                            "{}.{col} block {block} holds {got} rows, row_block_size {rbs} puts \
+                             {expected} there; was the store written with another?",
+                            meta.id
+                        )));
+                    }
+                    decode_cells(&chunk, value, quantizer.as_ref(), &mut values).map_err(|e| {
+                        MistiqueError::Invalid(format!(
+                            "decode of column '{col}' block {block}: {e}"
+                        ))
+                    })
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(MistiqueError::Invalid(format!(
+                        "decode of column '{col}' block {block} panicked: {}",
+                        panic_message(payload.as_ref())
+                    )))
+                })?;
+            }
+            Ok(values)
         };
 
-        let start_ns = obs.now_ns();
-        let item_ns = mistique_store::run_striped(items, workers, &decode_item, || {
+        let mut span = self.obs.span("fetch.decode");
+        span.attr("cols", wanted.len()).attr("blocks", blocks.len());
+        let items = wanted.iter().collect();
+        mistique_store::run_striped(items, workers, &decode_item, || {
             MistiqueError::Invalid("read worker panicked outside the decode guard".to_string())
-        })?;
-
-        // One fetch.decode span per column — its duration the sum of that
-        // column's block decodes — so the trace tree keeps the per-column
-        // shape of PRs 2/4 even though the work was striped at block
-        // granularity.
-        for (c, name) in wanted.iter().enumerate() {
-            obs.record_span(
-                "fetch.decode",
-                ctx.as_ref(),
-                start_ns,
-                item_ns[c * per_col..(c + 1) * per_col].iter().sum(),
-                vec![
-                    ("col".to_string(), name.clone()),
-                    ("blocks".to_string(), per_col.to_string()),
-                ],
-            );
-        }
-        Ok(out)
+        })
     }
 
     /// Re-run path: recreate the intermediate in its stored layout (the
@@ -1106,6 +1070,58 @@ mod tests {
                 other => panic!("workers={workers}: expected Invalid, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_wide_read_keeps_its_partition_loads_in_its_trace() {
+        // Layer 1 of `simple_cnn(16)` pooled at σ = 2 is 512 columns, more
+        // than the span ring holds: a span per column would evict the
+        // fetch's own partition loads before its root is recorded.
+        let dir = mistique_testkit::tempdir().unwrap();
+        let config = MistiqueConfig {
+            row_block_size: 8,
+            storage: StorageStrategy::Dedup,
+            ..MistiqueConfig::default()
+        };
+        let mut sys = Mistique::open(dir.path(), config).unwrap();
+        let data = Arc::new(CifarLike::generate(16, 10, 1));
+        let id = sys
+            .register_dnn(Arc::new(simple_cnn(16)), 5, 0, data, 8)
+            .unwrap();
+        sys.log_intermediates(&id).unwrap();
+        sys.flush().unwrap();
+        let interm = format!("{id}.layer1");
+        let columns = sys.metadata().intermediate(&interm).unwrap().columns.len();
+        assert!(columns >= mistique_obs::DEFAULT_RING_CAPACITY, "{columns}");
+        sys.store_mut().clear_read_cache();
+        sys.fetch_with_strategy(&interm, None, None, FetchStrategy::Read)
+            .unwrap();
+        let trace_id = sys.last_report().unwrap().trace_id;
+        let spans: Vec<_> = (sys.obs().recent_spans().into_iter())
+            .filter(|s| s.trace_id == trace_id)
+            .collect();
+        let paths: Vec<String> = spans
+            .iter()
+            .map(|s| format!("/{}/{}", s.parent.as_deref().unwrap_or(""), s.name))
+            .collect();
+        assert!(
+            paths
+                .iter()
+                .any(|p| p == "/fetch.read/store.partition.load"),
+            "{paths:?}"
+        );
+        let decodes: Vec<_> = spans.iter().filter(|s| s.name == "fetch.decode").collect();
+        assert_eq!(decodes.len(), 1, "one decode span per fetch: {paths:?}");
+        let attrs = &decodes[0].attrs;
+        assert!(
+            attrs.contains(&("cols".to_string(), columns.to_string())),
+            "{attrs:?}"
+        );
+        assert!(
+            attrs.contains(&("blocks".to_string(), "2".to_string())),
+            "{attrs:?}"
+        );
+        assert!(sys.render_trace(trace_id).contains("store.partition.load"));
     }
 
     #[test]

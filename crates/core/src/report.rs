@@ -339,7 +339,7 @@ mod tests {
                 cache_hits: 9,
                 disk_reads: 2,
                 partitions_touched: 2,
-                codec_bytes: vec![("rle".to_string(), 40_000)],
+                codec_bytes: vec![("rle", 40_000)],
             },
             scheme: "FULL".to_string(),
             error_bound: Some(0.0),

@@ -135,7 +135,7 @@ impl ColumnChunk {
 /// A chunk serialized by [`ColumnChunk::to_bytes`], checked as
 /// [`ColumnChunk::from_bytes`] checks it, with its cells left where they
 /// are: a reader converts them straight into its own column
-/// ([`ChunkView::f64_into`]) instead of building a [`ColumnData`] first.
+/// ([`ChunkView::extend_f64`]) instead of building a [`ColumnData`] first.
 #[derive(Clone, Copy, Debug)]
 pub struct ChunkView<'a> {
     dtype: DType,
@@ -204,22 +204,19 @@ impl<'a> ChunkView<'a> {
         self.cells
     }
 
-    /// Write the [`ColumnData::to_f64`] value of each cell into `out`.
-    ///
-    /// # Panics
-    /// Panics if `out` is not exactly one value per cell.
-    pub fn f64_into(&self, out: &mut [f64]) {
+    /// Append the [`ColumnData::to_f64`] value of each cell to `out`.
+    pub fn extend_f64(&self, out: &mut Vec<f64>) {
         let c = self.cells;
         match self.dtype {
-            DType::F32 => fill(c, out, |b| f32::from_le_bytes(b) as f64),
-            DType::F16 => fill(c, out, |b| {
+            DType::F32 => extend(c, out, |b| f32::from_le_bytes(b) as f64),
+            DType::F16 => extend(c, out, |b| {
                 mistique_quantize::f16(u16::from_le_bytes(b)).to_f32() as f64
             }),
-            DType::F64 => fill(c, out, f64::from_le_bytes),
-            DType::I64 => fill(c, out, |b| i64::from_le_bytes(b) as f64),
-            DType::U8 => fill(c, out, |[b]: [u8; 1]| b as f64),
-            DType::Bool => fill(c, out, |[b]: [u8; 1]| if b != 0 { 1.0 } else { 0.0 }),
-            DType::Cat => fill(c, out, |b| u32::from_le_bytes(b) as f64),
+            DType::F64 => extend(c, out, f64::from_le_bytes),
+            DType::I64 => extend(c, out, |b| i64::from_le_bytes(b) as f64),
+            DType::U8 => extend(c, out, |[b]: [u8; 1]| b as f64),
+            DType::Bool => extend(c, out, |[b]: [u8; 1]| if b != 0 { 1.0 } else { 0.0 }),
+            DType::Cat => extend(c, out, |b| u32::from_le_bytes(b) as f64),
         }
     }
 
@@ -257,12 +254,10 @@ impl<'a> ChunkView<'a> {
     }
 }
 
-/// Write `f` of each `W`-byte cell of `cells` into `out`, in order.
-fn fill<const W: usize>(cells: &[u8], out: &mut [f64], f: impl Fn([u8; W]) -> f64) {
-    assert_eq!(out.len() * W, cells.len(), "one output per cell");
-    for (o, b) in out.iter_mut().zip(cells.chunks_exact(W)) {
-        *o = f(b.try_into().expect("W-byte cell"));
-    }
+/// Append `f` of each `W`-byte cell of `cells` to `out`, in order.
+fn extend<const W: usize>(cells: &[u8], out: &mut Vec<f64>, f: impl Fn([u8; W]) -> f64) {
+    let cells = cells.chunks_exact(W);
+    out.extend(cells.map(|b| f(b.try_into().expect("W-byte cell"))));
 }
 
 /// Check a categorical chunk's dictionary, which follows its `codes_end`

@@ -148,30 +148,6 @@ impl Obs {
         span::current_context(&self.inner.tracer)
     }
 
-    /// Nanoseconds elapsed since this `Obs` was created — the timebase of
-    /// [`SpanRecord::start_ns`], for use with [`Obs::record_span`].
-    pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.inner.tracer.epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Record an already-measured span with an explicit parent, start time
-    /// (from [`Obs::now_ns`]), and duration. Unlike [`Obs::span`] this never
-    /// touches the active-span stack: it exists so work striped across
-    /// worker threads at a finer granularity can still be attributed to its
-    /// logical unit (e.g. one `fetch.decode` span per column, its duration
-    /// the sum of that column's block decodes) with the same tree shape as
-    /// the serial path.
-    pub fn record_span(
-        &self,
-        name: &str,
-        parent: Option<&SpanContext>,
-        start_ns: u64,
-        dur_ns: u64,
-        attrs: Vec<(String, String)>,
-    ) {
-        span::record_manual(&self.inner.tracer, name, parent, start_ns, dur_ns, attrs);
-    }
-
     /// The most recently finished spans, oldest first (bounded ring).
     pub fn recent_spans(&self) -> Vec<SpanRecord> {
         self.inner.tracer.recent()

@@ -140,36 +140,6 @@ impl Tracer {
     }
 }
 
-/// Record an already-measured span directly into the tracer, bypassing the
-/// thread-local active stack. Used when logical units of work are executed
-/// out-of-line (e.g. striped across worker threads at a finer granularity)
-/// and their per-unit timing is only known after the fact.
-pub(crate) fn record_manual(
-    tracer: &Arc<Tracer>,
-    name: &str,
-    parent: Option<&SpanContext>,
-    start_ns: u64,
-    dur_ns: u64,
-    attrs: Vec<(String, String)>,
-) {
-    let id = tracer.next_id();
-    let (parent_id, trace_id, parent_name) = match parent {
-        Some(c) => (Some(c.span_id), c.trace_id, Some(c.name.clone())),
-        None => (None, id, None),
-    };
-    tracer.record(SpanRecord {
-        id,
-        parent_id,
-        trace_id,
-        thread: current_thread_id(),
-        name: name.to_string(),
-        parent: parent_name,
-        start_ns,
-        dur_ns,
-        attrs,
-    });
-}
-
 /// The innermost active span of one tracer on the current thread.
 pub(crate) fn current_context(tracer: &Arc<Tracer>) -> Option<SpanContext> {
     let key = Arc::as_ptr(tracer) as usize;

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mistique_compress::{basedelta, compress_auto_within, lzss, Scheme};
@@ -14,7 +14,7 @@ use mistique_obs::{Counter, Gauge, Histogram, Obs, SpanContext};
 
 use crate::backend::{RealFs, StorageBackend};
 use crate::disk::DiskStore;
-use crate::ledger::{Ledger, PartitionCensus};
+use crate::ledger::{ChunkRecord, Ledger, PartitionCensus};
 use crate::lru::LruCache;
 use crate::mem::InMemoryStore;
 use crate::partition::{ChunkBytes, FrameRead, Partition, PartitionId};
@@ -170,7 +170,7 @@ pub struct ReadAttribution {
     /// name): each member frame a read decoded — a partition's directory,
     /// one chunk — under its own codec, and rehydrated delta frames under
     /// `delta:<codec>`.
-    pub codec_bytes: Vec<(String, u64)>,
+    pub codec_bytes: Vec<(&'static str, u64)>,
 }
 
 impl ReadAttribution {
@@ -196,13 +196,19 @@ impl ReadAttribution {
                         .find(|(c, _)| c == codec)
                         .map(|(_, b)| *b)
                         .unwrap_or(0);
-                    (codec.clone(), v.saturating_sub(before))
+                    (*codec, v.saturating_sub(before))
                 })
                 .filter(|(_, v)| *v > 0)
                 .collect(),
         }
     }
 }
+
+/// A chunk's digest and the partition its current copy lies in.
+type Loc = (ContentDigest, PartitionId);
+
+/// A chunk the batch read located, with its delta base's location.
+type Located = (Loc, Option<Loc>);
 
 /// Where the tier walk found a resident partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -222,6 +228,35 @@ pub enum PutOutcome {
     Deduplicated,
     /// Stored into the given partition.
     Stored(PartitionId),
+}
+
+/// Every label a decoded frame is credited under, indexed by
+/// [`codec_label`]: a member frame's scheme at `scheme as usize`, a
+/// rehydrated delta frame's inner scheme one `Scheme::ALL.len()` further on,
+/// and last a delta frame whose inner scheme does not parse.
+const CODEC_LABELS: [&str; 2 * Scheme::ALL.len() + 1] = [
+    "raw",
+    "rle",
+    "lzss",
+    "delta4",
+    "members",
+    "delta:raw",
+    "delta:rle",
+    "delta:lzss",
+    "delta:delta4",
+    "delta:members",
+    "delta:unknown",
+];
+
+/// The [`CODEC_LABELS`] index of a member frame of `scheme`, or with
+/// `delta` of a delta frame whose inner frame is `scheme` (`None`: did not
+/// parse).
+fn codec_label(scheme: Option<Scheme>, delta: bool) -> usize {
+    match (scheme, delta) {
+        (Some(s), false) => s as usize,
+        (Some(s), true) => Scheme::ALL.len() + s as usize,
+        (None, _) => 2 * Scheme::ALL.len(),
+    }
 }
 
 /// Cached metric handles for the chunk hot paths, resolved once per `Obs`
@@ -262,6 +297,10 @@ struct StoreMetrics {
     /// `in_bytes` / `out_bytes`, so a sum over `compress.*.in_bytes`
     /// counts every stored byte once.
     codecs: [[Counter; 3]; Scheme::ALL.len()],
+    /// `read.codec.<label>.{bytes,count}` per [`CODEC_LABELS`] entry (`:`
+    /// written `_`), each looked up the first time it is written, so a
+    /// label enters the registry with its first decoded frame.
+    codec_reads: [OnceLock<[Counter; 2]>; CODEC_LABELS.len()],
 }
 
 impl StoreMetrics {
@@ -302,6 +341,7 @@ impl StoreMetrics {
                 };
                 fields.map(|field| obs.counter(&format!("compress.{}.{field}", s.name())))
             }),
+            codec_reads: Default::default(),
         }
     }
 }
@@ -330,9 +370,10 @@ pub struct DataStore {
     /// Partitions set aside by [`DataStore::recover`]; reads of chunks in
     /// them fail with [`StoreError::Quarantined`] instead of a decode error.
     quarantined: HashMap<PartitionId, String>,
-    /// Cumulative compressed bytes decoded, per codec (behind a mutex
-    /// because parallel partition loads account from worker threads).
-    codec_read_bytes: Mutex<HashMap<String, u64>>,
+    /// Cumulative compressed bytes decoded, per [`CODEC_LABELS`] entry;
+    /// `None` until the label is first credited (behind a mutex because
+    /// parallel partition loads account from worker threads).
+    codec_read_bytes: Mutex<[Option<u64>; CODEC_LABELS.len()]>,
     stats: StoreStats,
 }
 
@@ -372,7 +413,7 @@ impl DataStore {
             lzss: lzss::Encoder::default(),
             read_cache: LruCache::new(config.mem_capacity),
             quarantined: HashMap::new(),
-            codec_read_bytes: Mutex::new(HashMap::new()),
+            codec_read_bytes: Mutex::new([None; CODEC_LABELS.len()]),
             stats: StoreStats::default(),
             config,
         })
@@ -400,14 +441,11 @@ impl DataStore {
     /// fetch and diff with [`ReadAttribution::since`] to attribute store
     /// activity to one query.
     pub fn read_attribution(&self) -> ReadAttribution {
-        let mut codec_bytes: Vec<(String, u64)> = self
-            .codec_read_bytes
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(codec, v)| (codec.clone(), *v))
+        let credited = *self.codec_read_bytes.lock().unwrap();
+        let mut codec_bytes: Vec<(&'static str, u64)> = (CODEC_LABELS.iter().zip(credited))
+            .filter_map(|(&label, v)| Some((label, v?)))
             .collect();
-        codec_bytes.sort();
+        codec_bytes.sort_unstable();
         ReadAttribution {
             gets: self.metrics.get_count.get(),
             bytes: self.metrics.get_bytes.get(),
@@ -419,24 +457,19 @@ impl DataStore {
         }
     }
 
-    /// Account `frames` frames of `len` bytes in all decoded under a codec
-    /// label — a member frame's scheme, `delta:<scheme>` for rehydrated
-    /// frames (feeds [`DataStore::read_attribution`] and the `read.codec.*`
-    /// counters). `&self`, so parallel partition-load workers can call it.
-    fn note_codec_read(&self, label: &str, frames: u64, len: u64) {
-        *self
-            .codec_read_bytes
-            .lock()
-            .unwrap()
-            .entry(label.to_string())
-            .or_insert(0) += len;
-        let metric = label.replace(':', "_");
-        self.obs
-            .counter(&format!("read.codec.{metric}.bytes"))
-            .add(len);
-        self.obs
-            .counter(&format!("read.codec.{metric}.count"))
-            .add(frames);
+    /// Account `frames` frames of `len` bytes in all decoded under one
+    /// [`CODEC_LABELS`] entry — a member frame's scheme, `delta:<scheme>`
+    /// for rehydrated frames (feeds [`DataStore::read_attribution`] and the
+    /// `read.codec.*` counters). `&self`, so parallel partition-load workers
+    /// can call it.
+    fn note_codec_read(&self, label: usize, frames: u64, len: u64) {
+        *self.codec_read_bytes.lock().unwrap()[label].get_or_insert(0) += len;
+        let [bytes, count] = self.metrics.codec_reads[label].get_or_init(|| {
+            let metric = CODEC_LABELS[label].replace(':', "_");
+            ["bytes", "count"].map(|m| self.obs.counter(&format!("read.codec.{metric}.{m}")))
+        });
+        bytes.add(len);
+        count.add(frames);
     }
 
     /// Credit decoded member frames to their codecs, one update per codec
@@ -445,7 +478,7 @@ impl DataStore {
         reads.sort_unstable_by_key(|&(scheme, _)| scheme as u8);
         for same in reads.chunk_by(|a, b| a.0 == b.0) {
             let len = same.iter().map(|&(_, len)| len as u64).sum();
-            self.note_codec_read(same[0].0.name(), same.len() as u64, len);
+            self.note_codec_read(codec_label(Some(same[0].0), false), same.len() as u64, len);
         }
     }
 
@@ -1063,33 +1096,52 @@ impl DataStore {
     /// decoded, concurrently on up to `parallelism` scoped threads; results
     /// are returned in request order, as shared handles to the bytes the
     /// partitions hold (see [`ChunkBytes`] for how long to keep them). This
-    /// is the store's one read path: [`DataStore::get_chunk`] is a batch of
-    /// one.
+    /// and [`DataStore::get_grid_bytes`] are the store's read path:
+    /// [`DataStore::get_chunk`] is a batch of one.
     pub fn get_chunk_bytes_batch(
         &mut self,
         keys: &[ChunkKey],
         parallelism: usize,
     ) -> Result<Vec<ChunkBytes>, StoreError> {
         let t0 = Instant::now();
-        let out = self.get_chunk_bytes_batch_inner(keys, parallelism);
-        self.metrics.get_count.add(keys.len() as u64);
-        self.metrics.get_ns.record_duration(t0.elapsed());
-        out
+        let resolved = keys.iter().map(|key| self.ledger.resolve(key));
+        let locs = self.locate_all(resolved, keys.len());
+        self.read_located(t0, keys.len(), locs, parallelism)
     }
 
-    fn get_chunk_bytes_batch_inner(
+    /// [`DataStore::get_chunk_bytes_batch`] of every block of `blocks` of
+    /// every column of `columns` of one intermediate, column-major (column
+    /// `c`, block position `b` at `c * blocks.len() + b`). The grid is
+    /// resolved by the borrowed names, each looked up once: a whole-layer
+    /// read builds no key.
+    pub fn get_grid_bytes(
         &mut self,
-        keys: &[ChunkKey],
+        intermediate: &str,
+        columns: &[String],
+        blocks: &[usize],
         parallelism: usize,
     ) -> Result<Vec<ChunkBytes>, StoreError> {
-        // Resolve every key up front so a missing or quarantined one fails
-        // before any I/O. A delta-encoded chunk also resolves its base here:
-        // the base partition joins the parallel prefetch below instead of
-        // forcing a serial read during rehydration.
-        type Loc = (ContentDigest, PartitionId);
-        let mut locs: Vec<(Loc, Option<Loc>)> = Vec::with_capacity(keys.len());
-        for key in keys {
-            let (digest, rec) = self.ledger.resolve(key).ok_or(StoreError::NotFound)?;
+        let t0 = Instant::now();
+        let resolved = self.ledger.resolve_grid(intermediate, columns, blocks);
+        let n = columns.len() * blocks.len();
+        let locs = self.locate_all(resolved, n);
+        self.read_located(t0, n, locs, parallelism)
+    }
+
+    /// The batch read's resolve walk: where each of `n` resolved chunks
+    /// lies, and its base's, in request order. Every chunk is located up
+    /// front so a missing or quarantined one fails before any I/O. A
+    /// delta-encoded chunk also locates its base here: the base partition
+    /// joins the parallel prefetch instead of forcing a serial read during
+    /// rehydration.
+    fn locate_all<'a>(
+        &self,
+        resolved: impl Iterator<Item = Option<(ContentDigest, &'a ChunkRecord)>>,
+        n: usize,
+    ) -> Result<Vec<Located>, StoreError> {
+        let mut locs = Vec::with_capacity(n);
+        for found in resolved {
+            let (digest, rec) = found.ok_or(StoreError::NotFound)?;
             self.readable(rec.partition)?;
             let base = match rec.base {
                 Some(base) => Some((base, self.locate(base)?)),
@@ -1097,13 +1149,36 @@ impl DataStore {
             };
             locs.push(((digest, rec.partition), base));
         }
+        Ok(locs)
+    }
 
+    /// The batch read of `n` requested chunks as [`DataStore::locate_all`]
+    /// found them, timed from `t0` (the resolve walk included) and counted
+    /// into `store.get.*` whether or not it fails.
+    fn read_located(
+        &mut self,
+        t0: Instant,
+        n: usize,
+        locs: Result<Vec<Located>, StoreError>,
+        parallelism: usize,
+    ) -> Result<Vec<ChunkBytes>, StoreError> {
+        let out = locs.and_then(|locs| self.read_batch(&locs, parallelism));
+        self.metrics.get_count.add(n as u64);
+        self.metrics.get_ns.record_duration(t0.elapsed());
+        out
+    }
+
+    fn read_batch(
+        &mut self,
+        locs: &[Located],
+        parallelism: usize,
+    ) -> Result<Vec<ChunkBytes>, StoreError> {
         // Which distinct partitions have to come off disk, and which of
         // their members does the batch want? Base partitions ride the same
         // fan-out but are not charged as partitions the *request* touched.
         let mut seen: HashSet<PartitionId> = HashSet::new();
         let mut missing: Vec<PartitionId> = Vec::new();
-        for &((_, pid), _) in &locs {
+        for &((_, pid), _) in locs {
             if seen.insert(pid) && !self.mem.contains(pid) && !self.read_cache.contains(&pid) {
                 missing.push(pid);
             }
@@ -1116,7 +1191,7 @@ impl DataStore {
         }
         let mut wanted: HashMap<PartitionId, Vec<ContentDigest>> =
             missing.iter().map(|&pid| (pid, Vec::new())).collect();
-        for &(loc, base) in &locs {
+        for &(loc, base) in locs {
             for (digest, pid) in std::iter::once(loc).chain(base) {
                 if let Some(w) = wanted.get_mut(&pid) {
                     w.push(digest);
@@ -1145,8 +1220,8 @@ impl DataStore {
             }
         }
 
-        let mut out = Vec::with_capacity(keys.len());
-        for &((digest, pid), base) in &locs {
+        let mut out = Vec::with_capacity(locs.len());
+        for &((digest, pid), base) in locs {
             let mut bytes = self.batch_chunk(digest, pid, &mut side, &fresh, true)?;
             // The frame check covers catalogs written before the ledger,
             // which could keep a delta edge for a chunk re-stored raw.
@@ -1154,10 +1229,8 @@ impl DataStore {
                 let base_bytes = self.batch_chunk(base, bpid, &mut side, &fresh, false)?;
                 let raw = basedelta::decode(&bytes, &base_bytes, (base.0, base.1))?;
                 // Attribute the frame to `delta:<scheme>`.
-                let scheme = basedelta::inner_scheme(&bytes)
-                    .map(|s| s.name())
-                    .unwrap_or("unknown");
-                self.note_codec_read(&format!("delta:{scheme}"), 1, bytes.len() as u64);
+                let label = codec_label(basedelta::inner_scheme(&bytes), true);
+                self.note_codec_read(label, 1, bytes.len() as u64);
                 self.metrics.delta_rehydrations.inc();
                 bytes = raw.into();
             }
@@ -1819,6 +1892,16 @@ mod tests {
         assert_eq!(report.partitions_ok, 0);
         assert_eq!(report.missing, 1);
         assert!(matches!(ds.get_chunk(&key), Err(StoreError::NotFound)));
+    }
+
+    #[test]
+    fn codec_labels_name_each_scheme_and_its_delta() {
+        for s in Scheme::ALL {
+            assert_eq!(CODEC_LABELS[codec_label(Some(s), false)], s.name());
+            let delta = format!("delta:{}", s.name());
+            assert_eq!(CODEC_LABELS[codec_label(Some(s), true)], delta);
+        }
+        assert_eq!(CODEC_LABELS[codec_label(None, true)], "delta:unknown");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! it did. DESIGN.md "Chunk ledger" tabulates the invariants;
 //! [`Ledger::check_invariants`] checks them.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mistique_dedup::{ContentDigest, LshIndex, Signature};
 use mistique_obs::Counter;
@@ -16,7 +18,7 @@ use crate::datastore::{
     CatalogEntry, CatalogExtra, ChunkKey, DeltaRecord, LshItemRecord, RetractOutcome, StoreCatalog,
     StoreStats,
 };
-use crate::partition::PartitionId;
+use crate::partition::{DigestHasher, PartitionId};
 
 /// A digest as the catalog writes it, and back.
 fn pair(d: &ContentDigest) -> (u64, u64) {
@@ -90,9 +92,88 @@ pub(crate) struct PartitionCensus {
     pub dead_chunks: Vec<ContentDigest>,
 }
 
+/// The hasher of the key tables' intermediate and column names: FNV-1a
+/// over the bytes, then SplitMix64's finalizer, so short names like `n12`
+/// spread over every bit a table probes. SipHash took ~110 ns a name, a
+/// third of a cold whole-layer resolve walk. A crafted collision (the names
+/// come from registrations and the store's own catalog) makes a lookup
+/// slower, never wrong.
+struct NameHasher(u64);
+
+impl Default for NameHasher {
+    fn default() -> NameHasher {
+        NameHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for NameHasher {
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+type ByName<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
+
+/// One column's bindings, sorted by block: held inline while the column has
+/// one block, as most do, so resolving it follows no further pointer.
+#[derive(Debug)]
+enum Blocks {
+    One((u32, ContentDigest)),
+    Many(Vec<(u32, ContentDigest)>),
+}
+
+impl Blocks {
+    fn as_slice(&self) -> &[(u32, ContentDigest)] {
+        match self {
+            Blocks::One(binding) => std::slice::from_ref(binding),
+            Blocks::Many(bindings) => bindings,
+        }
+    }
+
+    /// The digest bound at `block`.
+    fn at(&self, block: u32) -> Option<ContentDigest> {
+        let bindings = self.as_slice();
+        let i = bindings.binary_search_by_key(&block, |&(b, _)| b).ok()?;
+        Some(bindings[i].1)
+    }
+
+    /// Bind `block` to `digest`, returning the digest it was bound to.
+    fn set(&mut self, block: u32, digest: ContentDigest) -> Option<ContentDigest> {
+        let bindings = match self {
+            Blocks::One((b, d)) if *b == block => return Some(std::mem::replace(d, digest)),
+            Blocks::One(one) => {
+                *self = Blocks::Many(vec![*one]);
+                return self.set(block, digest);
+            }
+            Blocks::Many(bindings) => bindings,
+        };
+        match bindings.binary_search_by_key(&block, |&(b, _)| b) {
+            Ok(i) => Some(std::mem::replace(&mut bindings[i].1, digest)),
+            Err(i) => {
+                bindings.insert(i, (block, digest));
+                None
+            }
+        }
+    }
+}
+
+/// One intermediate's key bindings: column → the digest bound at each of
+/// its blocks.
+type KeyTable = ByName<Blocks>;
+
 pub(crate) struct Ledger {
-    keys: HashMap<ChunkKey, ContentDigest>,
-    chunks: HashMap<ContentDigest, ChunkRecord>,
+    /// Intermediate → column → block → digest: a read resolves a whole
+    /// (columns × blocks) grid of one intermediate with one lookup per name.
+    keys: ByName<KeyTable>,
+    chunks: HashMap<ContentDigest, ChunkRecord, BuildHasherDefault<DigestHasher>>,
     parts: HashMap<PartitionId, PartRecord>,
     /// LSH over the signatures of recorded chunks: similarity placement
     /// and — whatever the placement policy — delta base selection.
@@ -109,8 +190,8 @@ pub(crate) struct Ledger {
 impl Ledger {
     pub fn new(lsh: LshIndex, pins: Counter) -> Ledger {
         Ledger {
-            keys: HashMap::new(),
-            chunks: HashMap::new(),
+            keys: ByName::default(),
+            chunks: HashMap::default(),
             parts: HashMap::new(),
             lsh,
             lsh_items: HashMap::new(),
@@ -123,10 +204,56 @@ impl Ledger {
         self.chunks.get(&digest)
     }
 
+    /// A digest with its record.
+    fn record(&self, digest: ContentDigest) -> Option<(ContentDigest, &ChunkRecord)> {
+        Some((digest, self.chunks.get(&digest)?))
+    }
+
     /// The digest a key is bound to, and that digest's record.
     pub fn resolve(&self, key: &ChunkKey) -> Option<(ContentDigest, &ChunkRecord)> {
-        let digest = *self.keys.get(key)?;
-        Some((digest, self.chunks.get(&digest)?))
+        let column = self.keys.get(&key.intermediate)?.get(&key.column)?;
+        self.record(column.at(key.block)?)
+    }
+
+    /// [`Ledger::resolve`] of every block of `blocks` of every column of
+    /// `columns` of one intermediate, column-major, with each name looked
+    /// up once; `None` where a (column, block) is unbound.
+    pub fn resolve_grid<'a>(
+        &'a self,
+        intermediate: &str,
+        columns: &'a [String],
+        blocks: &'a [usize],
+    ) -> impl Iterator<Item = Option<(ContentDigest, &'a ChunkRecord)>> + 'a {
+        let table = self.keys.get(intermediate);
+        columns.iter().flat_map(move |name| {
+            let column = table.and_then(|t| t.get(name));
+            blocks.iter().map(move |&block| {
+                let block = u32::try_from(block).ok()?;
+                self.record(column?.at(block)?)
+            })
+        })
+    }
+
+    /// Every binding: intermediate, column, block and digest.
+    fn bindings(&self) -> impl Iterator<Item = (&str, &str, u32, ContentDigest)> {
+        self.keys.iter().flat_map(|(intermediate, table)| {
+            table.iter().flat_map(move |(column, blocks)| {
+                (blocks.as_slice().iter())
+                    .map(move |&(block, digest)| (&**intermediate, &**column, block, digest))
+            })
+        })
+    }
+
+    /// Bind `key` to `digest`, returning the digest it was bound to.
+    fn set_binding(&mut self, key: ChunkKey, digest: ContentDigest) -> Option<ContentDigest> {
+        let table = self.keys.entry(key.intermediate).or_default();
+        match table.entry(key.column) {
+            Entry::Occupied(column) => column.into_mut().set(key.block, digest),
+            Entry::Vacant(column) => {
+                column.insert(Blocks::One((key.block, digest)));
+                None
+            }
+        }
     }
 
     pub fn mark_sealed(&mut self, pid: PartitionId) {
@@ -230,19 +357,19 @@ impl Ledger {
     /// a key to its own digest never passes through zero.
     pub fn bind(&mut self, key: ChunkKey, digest: ContentDigest) {
         self.retain(digest);
-        if let Some(old) = self.keys.insert(key, digest) {
+        if let Some(old) = self.set_binding(key, digest) {
             self.release(old);
         }
     }
 
-    /// Unbind every key of one intermediate. Chunks shared with other
-    /// intermediates through dedup stay live.
+    /// Unbind every key of one intermediate: its table goes. Chunks shared
+    /// with other intermediates through dedup stay live.
     pub fn retract(&mut self, intermediate: &str) -> RetractOutcome {
-        let of_intermediate = self.keys.keys().filter(|k| k.intermediate == intermediate);
-        let keys: Vec<ChunkKey> = of_intermediate.cloned().collect();
         let mut out = RetractOutcome::default();
-        for key in keys {
-            let digest = self.keys.remove(&key).expect("key collected above");
+        let Some(table) = self.keys.remove(intermediate) else {
+            return out;
+        };
+        for &(_, digest) in table.values().flat_map(Blocks::as_slice) {
             out.keys_removed += 1;
             if self.release(digest) {
                 out.bytes_released += self.chunks[&digest].len;
@@ -403,7 +530,7 @@ impl Ledger {
         // Digests live only through pins (a delta base whose own keys are
         // gone) are reachable from no entry; their location and length are
         // exported separately so reads resolve after reopen.
-        let keyed: HashSet<ContentDigest> = self.keys.values().copied().collect();
+        let keyed: HashSet<ContentDigest> = self.bindings().map(|(.., d)| d).collect();
         let mut extras: Vec<CatalogExtra> = live
             .filter(|(d, _)| !keyed.contains(d))
             .map(|(d, rec)| CatalogExtra {
@@ -430,15 +557,17 @@ impl Ledger {
             })
             .collect();
         lsh_items.sort_unstable_by_key(|r| r.item);
-        let entries = self.keys.iter().map(|(key, digest)| {
-            let rec = &self.chunks[digest];
-            CatalogEntry {
-                key: key.clone(),
-                digest: pair(digest),
-                partition: rec.partition,
-                len: rec.len,
-            }
-        });
+        let entries = self
+            .bindings()
+            .map(|(intermediate, column, block, digest)| {
+                let rec = &self.chunks[&digest];
+                CatalogEntry {
+                    key: ChunkKey::new(intermediate, column, block),
+                    digest: pair(&digest),
+                    partition: rec.partition,
+                    len: rec.len,
+                }
+            });
         let mut entries: Vec<CatalogEntry> = entries.collect();
         fn order(e: &CatalogEntry) -> (&str, &str, u32) {
             (&e.key.intermediate, &e.key.column, e.key.block)
@@ -477,7 +606,7 @@ impl Ledger {
             let rec = self.import_record(entry.digest, entry.partition, entry.len);
             rec.refs += 1;
             // A key listed twice keeps its last binding.
-            if let Some(old) = self.keys.insert(entry.key, digest_of(entry.digest)) {
+            if let Some(old) = self.set_binding(entry.key, digest_of(entry.digest)) {
                 self.chunks.get_mut(&old).expect("bound above").refs -= 1;
             }
         }
@@ -560,13 +689,14 @@ impl Ledger {
         let mut referrers: HashMap<ContentDigest, u32> = HashMap::new();
         let mut dependents: HashMap<ContentDigest, u32> = HashMap::new();
         let mut live_bytes: HashMap<PartitionId, u64> = HashMap::new();
-        for (key, digest) in &self.keys {
-            if !self.chunks.contains_key(digest) {
+        for (intermediate, column, block, digest) in self.bindings() {
+            if !self.chunks.contains_key(&digest) {
+                let key = ChunkKey::new(intermediate, column, block);
                 return Err(format!(
                     "{key:?} is bound to {digest:?}, which has no record"
                 ));
             }
-            *referrers.entry(*digest).or_default() += 1;
+            *referrers.entry(digest).or_default() += 1;
         }
         for (digest, rec) in &self.chunks {
             if !self.parts.contains_key(&rec.partition) {

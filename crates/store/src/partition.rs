@@ -131,7 +131,7 @@ pub struct Partition {
 /// thousands of small members). A crafted collision makes a lookup slower,
 /// never wrong.
 #[derive(Default)]
-struct DigestHasher(u64);
+pub(crate) struct DigestHasher(u64);
 
 impl Hasher for DigestHasher {
     fn finish(&self) -> u64 {

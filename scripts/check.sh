@@ -184,6 +184,20 @@ if [ -n "$sites" ]; then
   exit 1
 fi
 
+# A whole-layer read pays per column only for its decode (DESIGN.md §10
+# "Fixed costs of a read"): the store resolves the (columns × blocks) grid
+# by the borrowed names (`DataStore::get_grid_bytes`), and each column item
+# pushes its blocks into a vector of the column's final length. A key built
+# per chunk (two cloned strings) or an output zero-filled before every cell
+# is overwritten is that cost growing back. Non-test code only, as above.
+echo "== no key strings or memset per chunk on the read path =="
+sites=$(echo crates/core/src/reader.rs | non_test_lines | grep -E 'ChunkKey::new\(|vec!\[0\.0;' || true)
+if [ -n "$sites" ]; then
+  echo "FAIL: a per-chunk key or a zero-filled output on the read path — resolve the grid by name, push decoded blocks:"
+  echo "$sites"
+  exit 1
+fi
+
 # A read makes no system call but its partition-file reads (DESIGN.md §10
 # "Fixed costs of a read"): on Linux `available_parallelism` reads the cgroup
 # CPU-quota files on every call, more than a warm read's decode costs, so
